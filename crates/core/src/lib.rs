@@ -42,7 +42,7 @@ pub use graph::{DepGraph, EdgeKind, GraphBuilder, NodeId, NodeKind, NodeRef};
 pub use metrics::{MetricOptions, Metrics, ProviderScore};
 pub use outage::{
     probe_site, simulate_outage, simulate_outage_at, simulate_outage_at_with_jobs,
-    simulate_outage_with_jobs, OutageResult,
+    simulate_outage_with_jobs, OutageIndex, OutageResult,
 };
 pub use reach::{ApplyKind, Churn, ChurnError, MutableReach, ProviderRef, ReachIndex, SiteSet};
 pub use resilience::{audit_site, robustness_score, RiskLevel, SiteAudit};

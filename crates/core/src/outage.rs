@@ -5,12 +5,17 @@
 //! provider's entities, flush caches, and attempt every site's document
 //! fetch through the full Figure-1 request path — so the two can be
 //! cross-validated (the Mirai-Dyn what-if, end to end).
+//!
+//! [`simulate_outage`] is the one-shot full sweep. [`OutageIndex`]
+//! answers the repeated single-entity question of a resident service:
+//! it records once which entities each site's healthy fetch consults,
+//! then probes only the sites a failed entity can reach.
 
 use webdeps_dns::{FaultPlan, FaultSchedule, SimTime};
 use webdeps_model::{fan_out_chunked, DomainName, EntityId, ModelError, SiteId};
 use webdeps_tls::RevocationPolicy;
 use webdeps_web::{Scheme, Url, WebClient};
-use webdeps_worldgen::{SiteListing, World};
+use webdeps_worldgen::{SiteListing, SiteTruth, World};
 
 /// Result of one simulated outage.
 #[derive(Debug, Clone)]
@@ -62,10 +67,15 @@ pub fn simulate_outage(
 /// [`simulate_outage`] with an explicit worker count (`0` = auto).
 ///
 /// The probe sweep shards the site list across workers, each with its
-/// own client. Per-site probes are independent here — the resolver
-/// cache is disabled and the fault plan is time-invariant — so shard
-/// boundaries cannot change outcomes and the affected list (merged in
-/// site order) is identical at any `jobs`;
+/// own client. Per-site probes are independent here: the resolver cache
+/// is disabled and the fault plan is time-invariant. The OCSP/CRL cache
+/// is *not* disabled — each client's carries over between the sites of
+/// its shard — but it cannot change an outcome either. It only holds
+/// answers a live fetch returned, every certificate of a CA embeds the
+/// same responder and CRL hosts, and under a static plan at a fixed
+/// instant a fresh fetch over those hosts would return the identical
+/// answer. So shard boundaries cannot change outcomes and the affected
+/// list (merged in site order) is identical at any `jobs`;
 /// `tests/parallel_determinism.rs` holds this to account.
 #[must_use]
 pub fn simulate_outage_with_jobs(
@@ -181,6 +191,150 @@ pub fn simulate_outage_at_with_jobs(
     }
 }
 
+/// Per-entity outage footprints of one world, for answering many
+/// single-entity outages without sweeping every site each time.
+///
+/// Built from one healthy, cache-off sweep that records each site's
+/// **footprint**: every entity the resolver consulted while probing it
+/// (see `Resolver::record_consults`). The probe path reads fault state
+/// only through those consults, so a site whose footprint lacks `E`
+/// walks its healthy path unchanged when `E` fails, and is down exactly
+/// when it was down at baseline. [`Self::affected`] therefore probes
+/// only `E`'s footprint sites and adds the baseline-down sites outside
+/// it; `tests/outage_validation.rs` holds it equal to
+/// [`simulate_outage`] for every catalog provider.
+///
+/// Scope: one failed entity, the default soft-fail client, no schedule,
+/// clock at 0. Server-level plans, schedules, hard-fail and
+/// multi-provider outages stay on [`simulate_outage`] and
+/// [`simulate_outage_at`].
+#[derive(Debug, Clone)]
+pub struct OutageIndex {
+    /// CSR offsets by entity id: the footprint of entity `e` is
+    /// `sites[start[e]..start[e + 1]]`, in site order.
+    start: Vec<u32>,
+    /// Footprint site lists, concatenated.
+    sites: Vec<SiteId>,
+    /// Sites unreachable on healthy infrastructure, in site order.
+    baseline_down: Vec<SiteId>,
+}
+
+impl OutageIndex {
+    /// Runs the recording sweep over `world` (sharded across the
+    /// automatic worker count; the result is identical at any count).
+    /// Caches are flushed before every site, so a certificate or name
+    /// shared with an earlier site cannot hide part of a footprint
+    /// behind a cached answer.
+    pub fn build(world: &World) -> OutageIndex {
+        let shards = fan_out_chunked(&world.truth.sites, 0, |shard| {
+            let mut client = world.client();
+            client.resolver_mut().disable_cache();
+            client.resolver_mut().record_consults();
+            let mut pairs: Vec<(EntityId, SiteId)> = Vec::new();
+            let mut down = Vec::new();
+            for site in shard {
+                client.flush_caches();
+                if !probe_truth(&mut client, site) {
+                    down.push(site.id);
+                }
+                let mut consulted = client.resolver_mut().take_consults();
+                consulted.sort_unstable();
+                consulted.dedup();
+                pairs.extend(consulted.into_iter().map(|e| (e, site.id)));
+            }
+            vec![(pairs, down)]
+        });
+
+        let entities = shards
+            .iter()
+            .flat_map(|(pairs, _)| pairs.iter().map(|(e, _)| e.index() + 1))
+            .max()
+            .unwrap_or(0);
+        // Counting sort by entity; shards arrive in site order, so each
+        // footprint list comes out in site order too.
+        let mut start = vec![0u32; entities + 1];
+        for (e, _) in shards.iter().flat_map(|(pairs, _)| pairs) {
+            start[e.index() + 1] += 1;
+        }
+        for i in 0..entities {
+            start[i + 1] += start[i];
+        }
+        let mut cursor = start.clone();
+        let mut sites = vec![SiteId(0); start[entities] as usize];
+        let mut baseline_down = Vec::new();
+        for (pairs, down) in shards {
+            for (e, site) in pairs {
+                let slot = &mut cursor[e.index()];
+                sites[*slot as usize] = site;
+                *slot += 1;
+            }
+            baseline_down.extend(down);
+        }
+        OutageIndex {
+            start,
+            sites,
+            baseline_down,
+        }
+    }
+
+    /// The sites whose healthy fetch consulted `entity`, in site order
+    /// (empty for an entity no site consults). An outage of `entity`
+    /// probes exactly these.
+    pub fn footprint(&self, entity: EntityId) -> &[SiteId] {
+        let e = entity.index();
+        match (self.start.get(e), self.start.get(e + 1)) {
+            (Some(&lo), Some(&hi)) => &self.sites[lo as usize..hi as usize],
+            _ => &[],
+        }
+    }
+
+    /// The outage of `entity` alone on `world` — which must be the world
+    /// the index was built from — equal to
+    /// `simulate_outage(world, &[entity's provider], false)`. Probes the
+    /// footprint through one soft-fail, DNS-cache-off client whose OCSP
+    /// cache carries over between sites, as a full sweep's does.
+    ///
+    /// `proceed` is polled before each probe with the number of sites
+    /// probed so far; returning `false` abandons the sweep with `None`,
+    /// so a caller with a deadline can cut it mid-scan.
+    pub fn affected(
+        &self,
+        world: &World,
+        entity: EntityId,
+        mut proceed: impl FnMut(usize) -> bool,
+    ) -> Option<OutageResult> {
+        let footprint = self.footprint(entity);
+        let mut client = world.client();
+        client.set_faults(FaultPlan::healthy().fail_entity(entity));
+        client.resolver_mut().disable_cache();
+        let mut affected = Vec::new();
+        for (probed, &id) in footprint.iter().enumerate() {
+            if !proceed(probed) {
+                return None;
+            }
+            if !probe_truth(&mut client, world.site(id)) {
+                affected.push(id);
+            }
+        }
+        affected.extend(
+            self.baseline_down
+                .iter()
+                .filter(|id| footprint.binary_search(id).is_err()),
+        );
+        affected.sort_unstable();
+        Some(OutageResult {
+            failed_entities: vec![entity],
+            affected,
+            total: world.truth.len(),
+        })
+    }
+}
+
+/// [`probe_site`] over a site's ground-truth document hosts.
+fn probe_truth(client: &mut WebClient<'_>, site: &SiteTruth) -> bool {
+    probe_site(client, &site.document_hosts(), site.https())
+}
+
 /// Whether any of a site's document hosts answers through `client`.
 pub fn probe_site(client: &mut WebClient<'_>, hosts: &[DomainName], https: bool) -> bool {
     let scheme = if https { Scheme::Https } else { Scheme::Http };
@@ -244,6 +398,32 @@ mod tests {
         let world = World::generate(WorldConfig::small(71));
         let r = simulate_outage_at(&world, &FaultSchedule::empty(), SimTime(0), false, 25);
         assert_eq!(r.total, 25);
+    }
+
+    #[test]
+    fn unconsulted_entity_leaves_the_baseline() {
+        let world = World::generate(WorldConfig::small(71));
+        let index = OutageIndex::build(&world);
+        let nobody = EntityId(u32::MAX);
+        assert!(index.footprint(nobody).is_empty());
+        let r = index
+            .affected(&world, nobody, |_| true)
+            .expect("nothing to probe");
+        assert!(r.affected.is_empty(), "healthy world, nothing down");
+    }
+
+    #[test]
+    fn outage_index_sweep_can_be_abandoned() {
+        let world = World::generate(WorldConfig::small(71));
+        let index = OutageIndex::build(&world);
+        let dyn_entity = provider_entity(&world, "Dyn").expect("catalog name");
+        let mut polls = 0;
+        let cut = index.affected(&world, dyn_entity, |probed| {
+            polls += 1;
+            probed < 3
+        });
+        assert!(cut.is_none());
+        assert_eq!(polls, 4, "polled before each probe, stops at the fourth");
     }
 
     #[test]

@@ -25,6 +25,7 @@ use crate::clock::SimClock;
 use crate::fault::{FaultPlan, FaultSchedule};
 use crate::network::{DnsNetwork, ZoneDeployment};
 use crate::record::{RecordType, ResourceRecord, Soa};
+use crate::server::ServerId;
 use crate::zone::ZoneAnswer;
 use std::fmt;
 use std::net::Ipv4Addr;
@@ -271,6 +272,8 @@ pub struct Resolver<'n> {
     stale: StalePolicy,
     stats: ResolverStats,
     caching_enabled: bool,
+    /// Entities whose fault state was read, while recording is on.
+    consulted: Option<Vec<EntityId>>,
 }
 
 impl<'n> Resolver<'n> {
@@ -286,30 +289,24 @@ impl<'n> Resolver<'n> {
             stale: StalePolicy::default(),
             stats: ResolverStats::default(),
             caching_enabled: true,
+            consulted: None,
         }
     }
 
     /// Replaces the active fault plan (outage what-ifs). The cache is
     /// *not* flushed: cached answers outliving an outage is exactly the
     /// behavior the paper discusses around the GlobalSign incident.
+    /// The plan is write-only: it is read only through the consults
+    /// [`Self::record_consults`] logs.
     pub fn set_faults(&mut self, faults: FaultPlan) {
         self.faults = faults;
     }
 
-    /// The active fault plan.
-    pub fn faults(&self) -> &FaultPlan {
-        &self.faults
-    }
-
     /// Replaces the active time-varying fault schedule (incident
-    /// replays). As with [`Self::set_faults`], the cache is kept.
+    /// replays). As with [`Self::set_faults`], the cache is kept and the
+    /// schedule is read only through the logged consults.
     pub fn set_schedule(&mut self, schedule: FaultSchedule) {
         self.schedule = schedule;
-    }
-
-    /// The active fault schedule.
-    pub fn schedule(&self) -> &FaultSchedule {
-        &self.schedule
     }
 
     /// Sets the per-query retry policy.
@@ -334,9 +331,34 @@ impl<'n> Resolver<'n> {
 
     /// Whether an entity's non-DNS infrastructure (webservers, OCSP
     /// responders) is up right now, folding the binary plan with the
-    /// schedule evaluated at the current simulated time.
-    pub fn entity_effectively_up(&self, entity: EntityId) -> bool {
+    /// schedule evaluated at the current simulated time. Logged as a
+    /// consult while recording (see [`Self::record_consults`]).
+    pub fn entity_effectively_up(&mut self, entity: EntityId) -> bool {
+        if let Some(log) = self.consulted.as_mut() {
+            log.push(entity);
+        }
         self.faults.entity_up(entity) && !self.schedule.entity_down_at(entity, self.clock.now())
+    }
+
+    /// Turns the consult recorder on for the rest of this resolver's
+    /// life (it is off by default). From then on the resolver logs every
+    /// entity whose fault state it reads: the operator of *every* server
+    /// in each contacted tier's set, live or not, and every argument of
+    /// [`Self::entity_effectively_up`]. These are the only reads of the
+    /// fault state on the lookup and fetch paths, so a walk that never
+    /// consulted an entity takes the identical path when only that
+    /// entity fails — the soundness argument behind outage footprints.
+    pub fn record_consults(&mut self) {
+        self.consulted.get_or_insert_with(Vec::new);
+    }
+
+    /// Drains the consult log (in consult order, with repeats; empty
+    /// while the recorder is off).
+    pub fn take_consults(&mut self) -> Vec<EntityId> {
+        self.consulted
+            .as_mut()
+            .map(std::mem::take)
+            .unwrap_or_default()
     }
 
     /// Disables the answer cache (every lookup hits authority).
@@ -378,37 +400,39 @@ impl<'n> Resolver<'n> {
         self.network
     }
 
-    /// Whether a deployment has at least one reachable server.
-    fn deployment_reachable(&self, dep: &ZoneDeployment) -> bool {
-        dep.servers.iter().any(|&sid| {
-            let server = self.network.server(sid);
-            self.faults.server_up(sid, server.operator)
-        })
-    }
-
     /// Contacts one zone tier: walks the NS preference order up to
     /// `retry.attempts` times, skipping hard-down servers and drawing
-    /// per-attempt loss/latency outcomes from the schedule. Returns
-    /// `Ok(())` when any attempt lands, [`ResolveError::AllServersDown`]
-    /// when no server was even a candidate, and
-    /// [`ResolveError::Timeout`] when live-but-degraded servers ate
-    /// every retry.
-    fn contact_tier(
+    /// per-attempt loss/latency outcomes from the schedule. Returns the
+    /// server that answered, [`ResolveError::AllServersDown`] when no
+    /// server was even a candidate, and [`ResolveError::Timeout`] when
+    /// live-but-degraded servers ate every retry. Resolution and
+    /// [`Self::trace`] share this one reachability check.
+    #[must_use = "an unreachable tier fails the lookup"]
+    pub(crate) fn contact_tier(
         &mut self,
         dep: &ZoneDeployment,
         qname: &DomainName,
-    ) -> Result<(), ResolveError> {
+    ) -> Result<ServerId, ResolveError> {
         self.stats.queries_sent += 1;
+        let network = self.network;
+        if let Some(log) = self.consulted.as_mut() {
+            // Every server of the set, not just the first live one: the
+            // live server a walk reaches depends on all of their states.
+            log.extend(dep.servers.iter().map(|&sid| network.server(sid).operator));
+        }
         // Fast path: no schedule means the plan alone decides, with no
         // per-attempt randomness — the original binary semantics.
         if self.schedule.is_empty() {
-            if self.deployment_reachable(dep) {
-                return Ok(());
-            }
-            return Err(ResolveError::AllServersDown {
-                name: qname.clone(),
-                zone: dep.zone.origin().clone(),
-            });
+            let faults = &self.faults;
+            return dep
+                .servers
+                .iter()
+                .copied()
+                .find(|&sid| faults.server_up(sid, network.server(sid).operator))
+                .ok_or_else(|| ResolveError::AllServersDown {
+                    name: qname.clone(),
+                    zone: dep.zone.origin().clone(),
+                });
         }
         let now = self.clock.now();
         let qhash = FaultSchedule::qname_hash(qname.as_str());
@@ -419,7 +443,7 @@ impl<'n> Resolver<'n> {
             }
             let mut tried_this_round = false;
             for &sid in &dep.servers {
-                let server = self.network.server(sid);
+                let server = network.server(sid);
                 if !self.faults.server_up(sid, server.operator) {
                     continue;
                 }
@@ -441,7 +465,7 @@ impl<'n> Resolver<'n> {
                 {
                     continue;
                 }
-                return Ok(());
+                return Ok(sid);
             }
             if !tried_this_round {
                 break;
@@ -976,6 +1000,27 @@ mod tests {
         assert!(r.entity_effectively_up(EntityId(5)), "window closed");
         r.set_faults(FaultPlan::healthy().fail_entity(EntityId(5)));
         assert!(!r.entity_effectively_up(EntityId(5)), "plan still binds");
+    }
+
+    #[test]
+    fn recorder_logs_every_server_of_each_tier_and_is_off_by_default() {
+        let net = build_network();
+        let mut r = Resolver::new(&net);
+        r.disable_cache();
+        assert!(r.is_resolvable(&dn("www.example.com")));
+        assert!(r.take_consults().is_empty(), "off by default");
+
+        r.record_consults();
+        assert!(r.is_resolvable(&dn("www.example.com")));
+        // example.com answers from its first server, yet the Dyn-like
+        // second server's operator is logged too; the CNAME target's
+        // tier follows.
+        assert_eq!(
+            r.take_consults(),
+            vec![EntityId(0), EntityId(1), EntityId(2)]
+        );
+        assert!(r.entity_effectively_up(EntityId(7)));
+        assert_eq!(r.take_consults(), vec![EntityId(7)]);
     }
 
     #[test]

@@ -95,10 +95,13 @@ impl Trace {
 
 impl Resolver<'_> {
     /// Traces an iterative resolution without touching the answer cache
-    /// (a diagnostic should always show the live wire).
+    /// (a diagnostic should always show the live wire). Each tier is
+    /// contacted through the same reachability check as resolution —
+    /// fault plan, fault schedule and retries at the resolver's clock —
+    /// so a trace succeeds exactly when an uncached resolve would, and
+    /// its contacts count in the resolver's stats like any query.
     pub fn trace(&mut self, qname: &DomainName, qtype: RecordType) -> Trace {
         let network = self.network();
-        let faults = self.faults().clone();
         let mut events = Vec::new();
         let mut current = qname.clone();
         let mut success = false;
@@ -115,19 +118,21 @@ impl Resolver<'_> {
                 break;
             }
             for dep in &tiers {
-                let up = dep.servers.iter().find(|&&sid| {
-                    let server = network.server(sid);
-                    faults.server_up(sid, server.operator)
-                });
-                match up {
-                    Some(&sid) => events.push(TraceEvent::Tier {
+                match self.contact_tier(dep, &current) {
+                    Ok(sid) => events.push(TraceEvent::Tier {
                         zone: dep.zone.origin().clone(),
                         server: network.server(sid).hostname.clone(),
                     }),
-                    None => {
+                    Err(ResolveError::AllServersDown { .. }) => {
                         events.push(TraceEvent::TierDown {
                             zone: dep.zone.origin().clone(),
                             servers_tried: dep.servers.len(),
+                        });
+                        break 'chase;
+                    }
+                    Err(error) => {
+                        events.push(TraceEvent::Failed {
+                            error: error.to_string(),
                         });
                         break 'chase;
                     }
@@ -240,6 +245,58 @@ mod tests {
         }));
         // The working tier before it is still visible.
         assert!(matches!(trace.events[0], TraceEvent::Tier { .. }));
+    }
+
+    /// Inside a scheduled hard-down window the trace must fail where
+    /// resolution fails, not report the plan-only view.
+    #[test]
+    fn trace_honours_a_scheduled_down_window() {
+        use crate::clock::SimTime;
+        use crate::fault::{Degradation, FaultSchedule};
+        let net = network();
+        let mut r = Resolver::new(&net);
+        r.disable_cache();
+        r.set_schedule(FaultSchedule::seeded(3).fail_entity_during(
+            EntityId(1),
+            SimTime(100),
+            SimTime(200),
+            Degradation::Down,
+        ));
+        assert!(r.trace(&dn("www.shop.com"), RecordType::A).success);
+        r.advance_time(150);
+        assert!(r.resolve(&dn("www.shop.com"), RecordType::A).is_err());
+        let trace = r.trace(&dn("www.shop.com"), RecordType::A);
+        assert!(!trace.success, "{}", trace.render());
+        assert!(trace.events.contains(&TraceEvent::TierDown {
+            zone: dn("cdnco.net"),
+            servers_tried: 1
+        }));
+        r.advance_time(100);
+        assert!(r.trace(&dn("www.shop.com"), RecordType::A).success);
+    }
+
+    /// Live-but-slow servers time out in a trace as they do in a resolve.
+    #[test]
+    fn trace_reports_a_degraded_tier_as_a_timeout() {
+        use crate::clock::SimTime;
+        use crate::fault::{Degradation, FaultSchedule};
+        let net = network();
+        let mut r = Resolver::new(&net);
+        r.set_schedule(FaultSchedule::seeded(3).fail_entity_during(
+            EntityId(1),
+            SimTime(0),
+            SimTime(100),
+            Degradation::Latency { added_ms: 5_000 },
+        ));
+        let trace = r.trace(&dn("www.shop.com"), RecordType::A);
+        assert!(!trace.success);
+        assert!(
+            trace
+                .render()
+                .contains("retries exhausted against zone cdnco.net"),
+            "{}",
+            trace.render()
+        );
     }
 
     #[test]

@@ -128,28 +128,38 @@ impl Zone {
         }
     }
 
-    /// Adds a record. Panics when the owner name is outside the zone —
-    /// zone files with out-of-zone data are generator bugs.
-    pub fn insert(&mut self, rr: ResourceRecord) {
-        assert!(
-            rr.name.is_equal_or_subdomain_of(&self.origin),
-            "record {rr} is outside zone {}",
-            self.origin
-        );
-        if let RecordData::Cname(_) = rr.data {
-            // A CNAME owner must not carry other data (RFC 1034 §3.6.2).
-            if let Some(existing) = self.records.get(&rr.name) {
-                assert!(
-                    existing
-                        .iter()
-                        .all(|r| matches!(r.data, RecordData::Cname(_))),
-                    "CNAME at {} would coexist with other records",
-                    rr.name
-                );
-            }
+    /// Adds a record, or says why it cannot join this zone: its owner is
+    /// outside the zone, or it would put a CNAME beside other data at
+    /// one name (a CNAME owner carries no other data, RFC 1034 §3.6.2).
+    /// A refused record leaves the zone unchanged.
+    #[must_use = "a refused record was not added"]
+    pub(crate) fn try_insert(&mut self, rr: ResourceRecord) -> Result<(), String> {
+        if !rr.name.is_equal_or_subdomain_of(&self.origin) {
+            return Err(format!("record {rr} is outside zone {}", self.origin));
         }
+        // A clash needs records at the name, which marked it already.
         self.mark_names(&rr.name);
-        self.records.entry(rr.name.clone()).or_default().push(rr);
+        let is_cname = |r: &ResourceRecord| matches!(r.data, RecordData::Cname(_));
+        let rrs = self.records.entry(rr.name.clone()).or_default();
+        if rrs.iter().any(|r| is_cname(r) != is_cname(&rr)) {
+            return Err(format!(
+                "CNAME at {} would coexist with other records",
+                rr.name
+            ));
+        }
+        rrs.push(rr);
+        Ok(())
+    }
+
+    /// Adds a record. Panics when the owner name is outside the zone or
+    /// the record would put a CNAME beside other data — such zones are
+    /// generator bugs. Untrusted zone files go through
+    /// [`crate::parse_zone`], which reports the same conflicts as errors.
+    pub fn insert(&mut self, rr: ResourceRecord) {
+        if let Err(conflict) = self.try_insert(rr) {
+            // lint:allow(panic) — generated zones are trusted; a conflict is a generator bug, and parse_zone screens untrusted text first
+            panic!("{conflict}");
+        }
     }
 
     /// Convenience: insert with the zone default TTL.

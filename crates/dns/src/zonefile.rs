@@ -89,7 +89,7 @@ pub fn parse_zone(text: &str, default_origin: Option<&DomainName>) -> Result<Zon
     let mut default_ttl = Ttl::DEFAULT;
     let mut last_owner: Option<DomainName> = None;
     let mut soa: Option<(DomainName, Soa, Ttl)> = None;
-    let mut records: Vec<ResourceRecord> = Vec::new();
+    let mut records: Vec<(usize, ResourceRecord)> = Vec::new();
 
     for (idx, raw) in text.lines().enumerate() {
         let line_no = idx + 1;
@@ -199,7 +199,10 @@ pub fn parse_zone(text: &str, default_origin: Option<&DomainName>) -> Result<Zon
                     &origin_ref,
                     line_no,
                 )?;
-                records.push(ResourceRecord::with_ttl(owner, ttl, RecordData::Ns(host)));
+                records.push((
+                    line_no,
+                    ResourceRecord::with_ttl(owner, ttl, RecordData::Ns(host)),
+                ));
             }
             "A" => {
                 let ip: Ipv4Addr = tokens
@@ -207,7 +210,10 @@ pub fn parse_zone(text: &str, default_origin: Option<&DomainName>) -> Result<Zon
                     .ok_or_else(|| err(line_no, "A needs an address"))?
                     .parse()
                     .map_err(|_| err(line_no, "bad IPv4 address"))?;
-                records.push(ResourceRecord::with_ttl(owner, ttl, RecordData::A(ip)));
+                records.push((
+                    line_no,
+                    ResourceRecord::with_ttl(owner, ttl, RecordData::A(ip)),
+                ));
             }
             "CNAME" => {
                 let target = resolve_name(
@@ -217,19 +223,17 @@ pub fn parse_zone(text: &str, default_origin: Option<&DomainName>) -> Result<Zon
                     &origin_ref,
                     line_no,
                 )?;
-                records.push(ResourceRecord::with_ttl(
-                    owner,
-                    ttl,
-                    RecordData::Cname(target),
+                records.push((
+                    line_no,
+                    ResourceRecord::with_ttl(owner, ttl, RecordData::Cname(target)),
                 ));
             }
             "TXT" => {
                 let joined = tokens.join(" ");
                 let content = joined.trim().trim_matches('"').to_string();
-                records.push(ResourceRecord::with_ttl(
-                    owner,
-                    ttl,
-                    RecordData::Txt(content),
+                records.push((
+                    line_no,
+                    ResourceRecord::with_ttl(owner, ttl, RecordData::Txt(content)),
                 ));
             }
             other => return Err(err(line_no, format!("unsupported record type {other:?}"))),
@@ -246,8 +250,9 @@ pub fn parse_zone(text: &str, default_origin: Option<&DomainName>) -> Result<Zon
         }
     }
     let mut zone = Zone::new(apex, soa);
-    for rr in records {
-        zone.insert(rr);
+    for (line_no, rr) in records {
+        zone.try_insert(rr)
+            .map_err(|conflict| err(line_no, conflict))?;
     }
     Ok(zone)
 }
@@ -417,6 +422,29 @@ blog IN CNAME @
         let dup_soa = "$ORIGIN x.com.\n@ IN SOA ns1.x.com. h.x.com. 1 2 3 4 5\n@ IN SOA ns1.x.com. h.x.com. 1 2 3 4 5\n";
         let e = Zone::from_zonefile(dup_soa).unwrap_err();
         assert!(e.message.contains("duplicate"));
+    }
+
+    /// Untrusted text that would break a zone invariant is an error on
+    /// its line, never a panic.
+    #[test]
+    fn zone_invariant_violations_are_errors_not_panics() {
+        const HEAD: &str = "$ORIGIN example.com.\n@ IN SOA ns1 hostmaster 1 2 3 4 5\n";
+        let outside = format!("{HEAD}other.net. IN A 192.0.2.1\n");
+        let e = Zone::from_zonefile(&outside).unwrap_err();
+        assert_eq!(e.line, 3);
+        assert!(e.message.contains("outside zone example.com"), "{e}");
+
+        let cname_after_a = format!("{HEAD}www IN A 192.0.2.1\nwww IN CNAME other.net.\n");
+        let e = Zone::from_zonefile(&cname_after_a).unwrap_err();
+        assert_eq!(e.line, 4);
+        assert!(e.message.contains("CNAME at www.example.com"), "{e}");
+
+        let a_after_cname = format!("{HEAD}www IN CNAME other.net.\nwww IN A 192.0.2.1\n");
+        let e = Zone::from_zonefile(&a_after_cname).unwrap_err();
+        assert_eq!(e.line, 4);
+
+        let cname_at_apex = format!("{HEAD}@ IN CNAME other.net.\n");
+        assert_eq!(Zone::from_zonefile(&cname_at_apex).unwrap_err().line, 3);
     }
 
     #[test]

@@ -15,15 +15,14 @@
 //! [`MutableReach::force_rebuild`] before any reader can consume it,
 //! and the failure is reported to the client as `ERR`.
 
-use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Instant;
 
 use webdeps_core::outage::provider_entity;
-use webdeps_core::{probe_site, ApplyKind, Churn, DepGraph, MetricOptions, MutableReach};
-use webdeps_dns::FaultPlan;
+use webdeps_core::{ApplyKind, Churn, DepGraph, MetricOptions, MutableReach, OutageIndex};
 use webdeps_measure::pipeline::measure_world;
 use webdeps_model::ServiceKind;
-use webdeps_worldgen::{SiteListing, World};
+use webdeps_worldgen::World;
 
 use crate::proto::{kind_token, Request};
 use crate::stats::ServerStats;
@@ -54,11 +53,13 @@ struct IndexPair {
     concentration: MutableReach,
 }
 
-/// The resident engine. Cheap to share (`Arc<Engine>`); all interior
-/// mutability is the index lock.
+/// The resident engine. Cheap to share (`Arc<Engine>`); its interior
+/// mutability is the index lock and the lazily built outage index.
 pub struct Engine {
     world: World,
-    listings: Vec<SiteListing>,
+    /// Per-entity outage footprints, built by the first `OUTAGE` so a
+    /// cold start pays nothing for them.
+    outage_index: OnceLock<OutageIndex>,
     indexes: RwLock<IndexPair>,
     verify_patches: bool,
     allow_poison: bool,
@@ -83,10 +84,9 @@ impl Engine {
         let opts = MetricOptions::full();
         let impact = MutableReach::from_graph(&graph, true, &opts);
         let concentration = MutableReach::from_graph(&graph, false, &opts);
-        let listings = world.listings();
         Engine {
             world,
-            listings,
+            outage_index: OnceLock::new(),
             indexes: RwLock::new(IndexPair {
                 impact,
                 concentration,
@@ -126,7 +126,7 @@ impl Engine {
 
     /// Number of sites in the resident world.
     pub fn site_count(&self) -> usize {
-        self.listings.len()
+        self.world.truth.len()
     }
 
     /// Executes one index/world query. `deadline` is the instant the
@@ -193,30 +193,35 @@ impl Engine {
     }
 
     /// Behavioral outage probe — the long scan the deadline budget is
-    /// for. The world itself is immutable (churn patches the *index*,
-    /// not the simulator), so the reply's epoch only situates the
-    /// answer in time.
+    /// for. Probes only the sites whose healthy fetch consulted the
+    /// provider's entity ([`OutageIndex`]); `probed=` counts them. The
+    /// first call builds the index with one healthy sweep, which the
+    /// deadline does not cut: it is paid once, and any later call can
+    /// use it. The world itself is immutable (churn patches the *index*,
+    /// not the simulator), so the reply's epoch only situates the answer
+    /// in time.
     fn outage(&self, key: &str, deadline: Instant) -> Outcome {
         let epoch = self.current_epoch();
         let Some(entity) = provider_entity(&self.world, key) else {
             return Outcome::Error(format!("unknown provider '{key}'"));
         };
-        let plan = FaultPlan::healthy().fail_entity(entity);
-        let mut client = self.world.client();
-        client.set_faults(plan);
-        client.resolver_mut().disable_cache();
-        let mut affected = 0usize;
-        for (i, listing) in self.listings.iter().enumerate() {
-            if i % DEADLINE_STRIDE == 0 && Instant::now() >= deadline {
-                return Outcome::Deadline(epoch);
-            }
-            if !probe_site(&mut client, &listing.document_hosts, listing.https) {
-                affected += 1;
-            }
+        if Instant::now() >= deadline {
+            return Outcome::Deadline(epoch);
         }
+        let index = self
+            .outage_index
+            .get_or_init(|| OutageIndex::build(&self.world));
+        let swept = index.affected(&self.world, entity, |probed| {
+            probed % DEADLINE_STRIDE != 0 || Instant::now() < deadline
+        });
+        let Some(result) = swept else {
+            return Outcome::Deadline(epoch);
+        };
         Outcome::Ok(format!(
-            "OK {epoch} OUTAGE {key} affected={affected} total={}",
-            self.listings.len()
+            "OK {epoch} OUTAGE {key} affected={} total={} probed={}",
+            result.affected.len(),
+            result.total,
+            index.footprint(entity).len()
         ))
     }
 

@@ -7,7 +7,13 @@
 //!
 //! Replies are plain text with a fixed first token:
 //!
-//! * `OK <epoch> …` — answered from the index state at `epoch`;
+//! * `OK <epoch> …` — answered from the index state at `epoch`. The
+//!   third token names the answer (the verb; `PONG` for `PING`).
+//!   `OUTAGE` answers
+//!   `OK <epoch> OUTAGE <key> affected=<n> total=<n> probed=<n>`: sites
+//!   the outage takes down, sites in the world, and sites the sweep
+//!   probed — the provider's footprint, not the whole world (parsers
+//!   should pick tokens by their `name=` prefix, not by position);
 //! * `BUSY retry-after-ms=<n>` — load shed at admission;
 //! * `DEADLINE <epoch>` — the query's time budget expired mid-scan;
 //! * `ERR <reason>` — malformed request, unknown provider, or a

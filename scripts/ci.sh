@@ -9,8 +9,8 @@ cd "$(dirname "$0")/.."
 echo "== cargo build --release --offline =="
 cargo build --release --offline
 
-echo "== cargo test -q --offline =="
-cargo test -q --offline
+echo "== cargo test -q --offline --workspace (every crate's suite, not just the root package) =="
+cargo test -q --offline --workspace
 
 echo "== parallel determinism (byte-identical results at any worker count) =="
 cargo test -q --offline --test parallel_determinism

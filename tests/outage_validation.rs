@@ -2,11 +2,15 @@
 //! simulation, across provider kinds — the strongest evidence that the
 //! measurement + analysis stack models the world it measures.
 
-use std::collections::HashSet;
+use std::collections::{BTreeSet, HashSet};
 use std::sync::OnceLock;
-use webdeps::core::{simulate_outage, DepGraph, MetricOptions, Metrics};
+use std::time::{Duration, Instant};
+use webdeps::core::outage::provider_entity;
+use webdeps::core::{simulate_outage, DepGraph, MetricOptions, Metrics, OutageIndex};
 use webdeps::measure::{measure_world, MeasurementDataset};
-use webdeps::model::{ServiceKind, SiteId};
+use webdeps::model::{EntityId, ServiceKind, SiteId};
+use webdeps::serve::{Engine, Outcome, Request, ServerStats};
+use webdeps::tls::OcspFault;
 use webdeps::worldgen::{SnapshotYear, World, WorldConfig};
 
 fn world() -> &'static (World, MeasurementDataset, DepGraph) {
@@ -157,4 +161,115 @@ fn dnsmadeeasy_outage_amplified_through_digicert() {
         sim <= predicted * 2.0 + 10.0 && predicted <= sim * 2.0 + 10.0,
         "graph {predicted} vs simulated {sim}"
     );
+}
+
+fn footprint_world(year: SnapshotYear) -> World {
+    World::generate(WorldConfig {
+        seed: 42,
+        n_sites: 1_000,
+        year,
+    })
+}
+
+/// Every catalog provider entity of `world`, once each, by one of its
+/// catalog names.
+fn catalog_entities(world: &World) -> Vec<(String, EntityId)> {
+    let mut seen = BTreeSet::new();
+    world
+        .provider_entities()
+        .filter(|(_, e)| seen.insert(*e))
+        .map(|(name, e)| (name.to_string(), e))
+        .collect()
+}
+
+/// The footprint index answers every single-provider outage with the
+/// exact site list of the full sweep.
+fn check_index_matches_full_sweep(world: &World) {
+    let index = OutageIndex::build(world);
+    let providers = catalog_entities(world);
+    assert!(providers.len() > 100, "{} providers", providers.len());
+    for (name, entity) in &providers {
+        let full = simulate_outage(world, &[name], false).expect("catalog name");
+        let indexed = index
+            .affected(world, *entity, |_| true)
+            .expect("never abandoned");
+        assert_eq!(indexed.affected, full.affected, "{name}: index vs sweep");
+        assert_eq!(indexed.total, full.total);
+    }
+}
+
+/// Poisons GlobalSign's responders so its non-stapling sites are down
+/// on healthy infrastructure, then checks the index again: the
+/// baseline-down sites outside a footprint exercise the merge.
+fn check_index_matches_full_sweep_poisoned(mut world: World) {
+    let globalsign = world.pki.ca_by_name("GlobalSign").expect("catalog CA").id;
+    world
+        .pki
+        .inject_fault(globalsign, OcspFault::MarksEverythingRevoked);
+    let baseline = simulate_outage(&world, &[], false).expect("no providers");
+    assert!(
+        !baseline.affected.is_empty(),
+        "the poisoned world must have sites down at baseline"
+    );
+    check_index_matches_full_sweep(&world);
+}
+
+#[test]
+fn outage_index_matches_full_sweep_2016() {
+    check_index_matches_full_sweep(&footprint_world(SnapshotYear::Y2016));
+}
+
+#[test]
+fn outage_index_matches_full_sweep_2020() {
+    check_index_matches_full_sweep(&footprint_world(SnapshotYear::Y2020));
+}
+
+#[test]
+fn outage_index_matches_full_sweep_2016_poisoned_pki() {
+    check_index_matches_full_sweep_poisoned(footprint_world(SnapshotYear::Y2016));
+}
+
+#[test]
+fn outage_index_matches_full_sweep_2020_poisoned_pki() {
+    check_index_matches_full_sweep_poisoned(footprint_world(SnapshotYear::Y2020));
+}
+
+fn reply_count(reply: &str, name: &str) -> usize {
+    reply
+        .split_ascii_whitespace()
+        .find_map(|t| t.strip_prefix(name))
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| panic!("no {name} in {reply}"))
+}
+
+/// The serve engine's `OUTAGE` reply counts what the full sweep finds,
+/// and `probed=` is the provider's footprint, never the whole world.
+#[test]
+fn serve_outage_replies_match_the_full_sweep() {
+    let engine = Engine::from_world(footprint_world(SnapshotYear::Y2020), false, false);
+    let world = footprint_world(SnapshotYear::Y2020);
+    let index = OutageIndex::build(&world);
+    let stats = ServerStats::new();
+    let far = Instant::now() + Duration::from_secs(600);
+    for kind in [ServiceKind::Dns, ServiceKind::Cdn, ServiceKind::Ca] {
+        for key in engine.provider_keys(kind, 2) {
+            let req = Request::Outage { key: key.clone() };
+            let reply = match engine.execute(&req, far, &stats) {
+                Outcome::Ok(reply) => reply,
+                other => panic!("OUTAGE {key}: {other:?}"),
+            };
+            assert!(reply.starts_with(&format!("OK 0 OUTAGE {key} ")), "{reply}");
+            let full = simulate_outage(&world, &[&key], false).expect("observed provider");
+            assert_eq!(
+                reply_count(&reply, "affected="),
+                full.affected.len(),
+                "{reply}"
+            );
+            assert_eq!(reply_count(&reply, "total="), full.total, "{reply}");
+            let entity = provider_entity(&world, &key).expect("observed provider");
+            let probed = reply_count(&reply, "probed=");
+            assert_eq!(probed, index.footprint(entity).len(), "{reply}");
+            assert!(probed <= full.total, "{reply}");
+        }
+    }
 }

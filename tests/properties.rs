@@ -251,12 +251,42 @@ fn world_generation_sound() {
     });
 }
 
+/// A zone under `zone-under-test.com` with `n_hosts` random A, CNAME
+/// and TXT hosts drawn from `seed`.
+fn random_zone(seed: u64, n_hosts: usize, serial: u32) -> webdeps::dns::Zone {
+    use webdeps::dns::record::RecordData;
+    use webdeps::dns::{Soa, Zone};
+    let mut rng = DetRng::new(seed);
+    let origin = dn("zone-under-test.com");
+    let soa = Soa::standard(
+        dn("ns1.zone-under-test.com"),
+        dn("hostmaster.zone-under-test.com"),
+        serial,
+    );
+    let mut zone = Zone::new(origin.clone(), soa);
+    zone.add(
+        origin.clone(),
+        RecordData::Ns(dn("ns1.zone-under-test.com")),
+    );
+    for i in 0..n_hosts {
+        let host = origin.child(&format!("h{i}")).unwrap();
+        match rng.below(3) {
+            0 => zone.add(
+                host,
+                RecordData::A(std::net::Ipv4Addr::from(rng.next_u64() as u32)),
+            ),
+            1 => zone.add(host, RecordData::Cname(dn(&format!("t{i}.elsewhere.net")))),
+            _ => zone.add(host, RecordData::Txt(format!("payload {i}"))),
+        }
+    }
+    zone
+}
+
 /// Randomly assembled zones survive a text round-trip intact.
 /// (Matches the old `ProptestConfig::with_cases(64)`.)
 #[test]
 fn zonefile_roundtrip() {
-    use webdeps::dns::record::RecordData;
-    use webdeps::dns::{Soa, Zone};
+    use webdeps::dns::Zone;
     let cfg = Config {
         cases: 64,
         ..Config::default()
@@ -271,29 +301,7 @@ fn zonefile_roundtrip() {
         "zonefile_roundtrip",
         &inputs,
         |&(seed, n_hosts, serial)| {
-            let mut rng = DetRng::new(seed);
-            let origin = dn("zone-under-test.com");
-            let soa = Soa::standard(
-                dn("ns1.zone-under-test.com"),
-                dn("hostmaster.zone-under-test.com"),
-                serial,
-            );
-            let mut zone = Zone::new(origin.clone(), soa);
-            zone.add(
-                origin.clone(),
-                RecordData::Ns(dn("ns1.zone-under-test.com")),
-            );
-            for i in 0..n_hosts {
-                let host = origin.child(&format!("h{i}")).unwrap();
-                match rng.below(3) {
-                    0 => zone.add(
-                        host,
-                        RecordData::A(std::net::Ipv4Addr::from(rng.next_u64() as u32)),
-                    ),
-                    1 => zone.add(host, RecordData::Cname(dn(&format!("t{i}.elsewhere.net")))),
-                    _ => zone.add(host, RecordData::Txt(format!("payload {i}"))),
-                }
-            }
+            let zone = random_zone(seed, n_hosts, serial);
             let text = zone.to_zonefile();
             let reparsed = Zone::from_zonefile(&text).expect("serialized zones parse");
             tk_assert_eq!(reparsed.origin(), zone.origin());
@@ -307,6 +315,113 @@ fn zonefile_roundtrip() {
                     // tk_assert_eq takes no message; encode context via assert.
                 );
             }
+            Ok(())
+        },
+    );
+}
+
+/// Tokens the zone-file mutator splices into lines: directives, record
+/// types, names inside and outside the zone, malformed numbers and
+/// addresses, and comment/quote marks.
+const ZONE_TOKENS: &[&str] = &[
+    "$ORIGIN",
+    "$TTL",
+    "@",
+    "IN",
+    "SOA",
+    "NS",
+    "A",
+    "CNAME",
+    "TXT",
+    "MX",
+    "h0",
+    "other.net.",
+    "zone-under-test.com.",
+    "999.1.1.1",
+    "4294967296",
+    "-1",
+    "\"",
+    ";",
+    "..",
+    "*",
+    "",
+];
+
+/// Whole lines the mutator inserts: records outside the zone, records
+/// whose owner collides with a generated host (`h0`, `h1`) or the apex,
+/// and broken directives.
+const ZONE_LINES: &[&str] = &[
+    "other.net. IN A 192.0.2.1",
+    "h0 IN CNAME other.net.",
+    "h0 IN A 192.0.2.1",
+    "h1 IN TXT \"collide\"",
+    "h1 300 IN CNAME h0",
+    "@ IN CNAME other.net.",
+    "   IN CNAME other.net.",
+    "$ORIGIN other.net.",
+    "$TTL nope",
+    "@ IN SOA ns1 hostmaster 1 2 3 4 5",
+];
+
+/// Applies `(position, op, fragment)` edits to zone-file text: replace
+/// or insert a token, duplicate or delete a line, or insert one of
+/// [`ZONE_LINES`].
+fn mutate_zone_text(text: &str, edits: &[(usize, usize, usize)]) -> String {
+    let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+    for &(at, op, frag) in edits {
+        let i = at % (lines.len() + 1);
+        if op >= 4 || i == lines.len() {
+            lines.insert(i, ZONE_LINES[frag % ZONE_LINES.len()].to_string());
+            continue;
+        }
+        match op {
+            0 | 1 => {
+                let token = ZONE_TOKENS[frag % ZONE_TOKENS.len()];
+                let mut toks: Vec<&str> = lines[i].split(' ').collect();
+                let j = frag % toks.len();
+                if op == 0 {
+                    toks[j] = token;
+                } else {
+                    toks.insert(j, token);
+                }
+                lines[i] = toks.join(" ");
+            }
+            2 => {
+                let dup = lines[i].clone();
+                lines.insert(i, dup);
+            }
+            _ => {
+                lines.remove(i);
+            }
+        }
+    }
+    lines.join("\n")
+}
+
+/// The zone-file parser treats its input as untrusted: any mutation of
+/// a valid file parses or fails with a `ZonefileError`, never a panic,
+/// and a zone it accepts serializes without panicking too.
+#[test]
+fn zonefile_parser_never_panics_on_mutated_files() {
+    use webdeps::dns::Zone;
+    let edit = gen::tuple3(
+        gen::usize_range(0, 63),
+        gen::usize_range(0, 5),
+        gen::usize_range(0, 63),
+    );
+    let inputs = gen::tuple2(
+        gen::tuple2(gen::u64_any(), gen::usize_range(0, 8)),
+        gen::vec_of(edit, 1, 6),
+    );
+    check(
+        "zonefile_parser_never_panics",
+        &inputs,
+        |((seed, n_hosts), edits)| {
+            let text = mutate_zone_text(&random_zone(*seed, *n_hosts, 1).to_zonefile(), edits);
+            let outcome = std::panic::catch_unwind(|| {
+                Zone::from_zonefile(&text).map(|zone| zone.to_zonefile())
+            });
+            tk_assert!(outcome.is_ok(), "parser panicked on:\n{text}");
             Ok(())
         },
     );
