@@ -17,7 +17,7 @@ use webdeps_web::CnameToCdnMap;
 use webdeps_worldgen::profiles::DepState;
 
 /// A provider's measured dependency on another service type.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct InterServiceDep {
     /// Whether any third party is involved.
     pub uses_third: bool,
@@ -42,7 +42,7 @@ impl InterServiceDep {
 }
 
 /// Measured inter-service profile of one observed provider.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProviderMeasurement {
     /// Wire-inferred identity.
     pub key: ProviderKey,
