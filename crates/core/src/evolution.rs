@@ -7,7 +7,7 @@
 
 use std::collections::HashMap;
 use webdeps_measure::interservice::ProviderMeasurement;
-use webdeps_measure::{MeasurementDataset, SiteMeasurement};
+use webdeps_measure::{MeasurementDataset, SiteView};
 use webdeps_model::{RankBucket, ServiceKind};
 use webdeps_worldgen::profiles::{CaProfile, CdnProfile, DepState};
 
@@ -40,27 +40,13 @@ fn bucket_index(bucket: RankBucket) -> usize {
     }
 }
 
-/// Joins two datasets on site domain; iteration order follows the 2016
-/// ranking (trend tables bucket by the 2016 list, like the paper).
-fn join<'a>(
-    ds16: &'a MeasurementDataset,
-    ds20: &'a MeasurementDataset,
-) -> Vec<(&'a SiteMeasurement, &'a SiteMeasurement)> {
-    let by_domain: HashMap<&str, &SiteMeasurement> =
-        ds20.sites.iter().map(|s| (s.domain.as_str(), s)).collect();
-    ds16.sites
-        .iter()
-        .filter_map(|s16| by_domain.get(s16.domain.as_str()).map(|s20| (s16, *s20)))
-        .collect()
-}
-
 /// Generic site-level trend computation. `state` extracts a comparable
 /// state; `transitions` names the (from, to) pairs of interest as
 /// predicates; `in_denominator` decides which joined sites count.
 fn site_trends<S: Copy>(
     ds16: &MeasurementDataset,
     ds20: &MeasurementDataset,
-    state: impl Fn(&SiteMeasurement) -> Option<S>,
+    state: impl Fn(SiteView<'_>) -> Option<S>,
     transitions: Vec<(String, Box<dyn Fn(S, S) -> bool>)>,
     critical: impl Fn(S) -> bool,
     // Which joined sites enter the criticality denominator for each
@@ -69,7 +55,6 @@ fn site_trends<S: Copy>(
     // sees "no significant change" despite massive HTTPS adoption).
     crit_denominator: impl Fn(S) -> bool,
 ) -> TrendTable {
-    let joined = join(ds16, ds20);
     let mut population = [0usize; 4];
     let mut counts: Vec<[usize; 4]> = vec![[0; 4]; transitions.len()];
     let mut crit16 = [0usize; 4];
@@ -77,12 +62,15 @@ fn site_trends<S: Copy>(
     let mut den16 = [0usize; 4];
     let mut den20 = [0usize; 4];
 
-    for (s16, s20) in joined {
-        let (Some(a), Some(b)) = (state(s16), state(s20)) else {
+    // Joined on site domain, in 2016 order: trend tables bucket by the
+    // 2016 list, like the paper.
+    for (i, j) in ds16.join_by_domain(ds20) {
+        let s16 = ds16.site(i);
+        let (Some(a), Some(b)) = (state(s16), state(ds20.site(j))) else {
             continue;
         };
         for bucket in RankBucket::ALL {
-            if !bucket.contains(s16.rank) {
+            if !bucket.contains(s16.rank()) {
                 continue;
             }
             let bi = bucket_index(bucket);
@@ -129,7 +117,7 @@ pub fn dns_trends(ds16: &MeasurementDataset, ds20: &MeasurementDataset) -> Trend
     site_trends(
         ds16,
         ds20,
-        |s| s.dns.state,
+        |s| s.dns_state(),
         vec![
             (
                 "Pvt to Single 3rd".into(),
@@ -160,7 +148,7 @@ pub fn cdn_trends(ds16: &MeasurementDataset, ds20: &MeasurementDataset) -> Trend
     site_trends(
         ds16,
         ds20,
-        |s| s.cdn.state,
+        |s| s.cdn_state(),
         vec![
             (
                 "Pvt to Single 3rd party CDN".into(),
@@ -199,7 +187,7 @@ pub fn ca_trends(ds16: &MeasurementDataset, ds20: &MeasurementDataset) -> TrendT
     site_trends(
         ds16,
         ds20,
-        |s| s.ca.state,
+        |s| s.ca_state(),
         vec![
             (
                 "Stapling to No Stapling".into(),
@@ -278,7 +266,7 @@ pub fn provider_trends(
     dep: ServiceKind,
 ) -> ProviderTrendTable {
     let by_key: HashMap<&str, &ProviderMeasurement> = ds20
-        .providers
+        .providers()
         .iter()
         .filter(|p| p.kind == kind)
         .map(|p| (p.key.as_str(), p))
@@ -309,7 +297,7 @@ pub fn provider_trends(
     ];
     let mut counts = vec![0usize; transitions.len()];
 
-    for pm16 in ds16.providers.iter().filter(|p| p.kind == kind) {
+    for pm16 in ds16.providers().iter().filter(|p| p.kind == kind) {
         let Some(pm20) = by_key.get(pm16.key.as_str()) else {
             continue;
         };

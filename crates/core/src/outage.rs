@@ -465,7 +465,7 @@ mod tests {
         // The simulation may break a few extra sites (uncharacterized
         // ones the measurement excluded), but not wildly more.
         assert!(
-            simulated.len() <= predicted.len() + ds.sites.len() / 10,
+            simulated.len() <= predicted.len() + ds.len() / 10,
             "simulated {} vs predicted {}",
             simulated.len(),
             predicted.len()

@@ -121,20 +121,19 @@ pub fn audit_site(graph: &DepGraph, ds: &MeasurementDataset, site: SiteId) -> Si
     let score = robustness_score(&chains);
 
     let mut recommendations = Vec::new();
-    let m = ds.sites.iter().find(|s| s.id == site);
-    if let Some(m) = m {
-        if m.dns.state.is_some_and(|s| s.is_critical()) {
+    if let Some(m) = ds.row_of(site).map(|i| ds.site(i)) {
+        if m.dns_state().is_some_and(|s| s.is_critical()) {
             recommendations.push(
                 "Add a secondary DNS provider (the provider must support secondary \
                  configurations)."
                     .to_string(),
             );
         }
-        if m.cdn.state.is_some_and(|s| s.is_critical()) {
+        if m.cdn_state().is_some_and(|s| s.is_critical()) {
             recommendations
                 .push("Adopt a multi-CDN strategy or keep an origin fallback.".to_string());
         }
-        if m.ca.state.is_some_and(|s| s.is_critical()) {
+        if m.ca_state().is_some_and(|s| s.is_critical()) {
             recommendations.push(
                 "Enable OCSP stapling so clients need not reach the CA's responders.".to_string(),
             );

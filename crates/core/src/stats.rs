@@ -5,7 +5,7 @@
 //! denominators: characterized sites (DNS), CDN-using sites (CDN), and
 //! all sites (CA/HTTPS).
 
-use webdeps_measure::{MeasurementDataset, SiteMeasurement};
+use webdeps_measure::{MeasurementDataset, SiteView};
 use webdeps_model::RankBucket;
 use webdeps_worldgen::profiles::{CaProfile, CdnProfile, DepState};
 
@@ -18,11 +18,8 @@ fn pct(num: usize, den: usize) -> f64 {
     }
 }
 
-fn in_bucket<'a>(
-    ds: &'a MeasurementDataset,
-    bucket: RankBucket,
-) -> impl Iterator<Item = &'a SiteMeasurement> {
-    ds.sites.iter().filter(move |s| bucket.contains(s.rank))
+fn in_bucket(ds: &MeasurementDataset, bucket: RankBucket) -> impl Iterator<Item = SiteView<'_>> {
+    ds.sites().filter(move |s| bucket.contains(s.rank()))
 }
 
 /// Figure 2 series: website → DNS, per cumulative bucket.
@@ -47,7 +44,9 @@ pub fn dns_figure(ds: &MeasurementDataset) -> Vec<DnsFigure> {
     RankBucket::ALL
         .iter()
         .map(|&bucket| {
-            let states: Vec<DepState> = in_bucket(ds, bucket).filter_map(|s| s.dns.state).collect();
+            let states: Vec<DepState> = in_bucket(ds, bucket)
+                .filter_map(|s| s.dns_state())
+                .collect();
             let n = states.len();
             DnsFigure {
                 bucket,
@@ -97,10 +96,10 @@ pub fn cdn_figure(ds: &MeasurementDataset) -> Vec<CdnFigure> {
     RankBucket::ALL
         .iter()
         .map(|&bucket| {
-            let sites: Vec<&SiteMeasurement> = in_bucket(ds, bucket).collect();
+            let sites: Vec<SiteView<'_>> = in_bucket(ds, bucket).collect();
             let users: Vec<CdnProfile> = sites
                 .iter()
-                .filter_map(|s| s.cdn.state)
+                .filter_map(|s| s.cdn_state())
                 .filter(|st| st.uses_cdn())
                 .collect();
             let n_users = users.len();
@@ -146,9 +145,9 @@ pub fn ca_figure(ds: &MeasurementDataset) -> Vec<CaFigure> {
     RankBucket::ALL
         .iter()
         .map(|&bucket| {
-            let sites: Vec<&SiteMeasurement> = in_bucket(ds, bucket).collect();
+            let sites: Vec<SiteView<'_>> = in_bucket(ds, bucket).collect();
             let n = sites.len();
-            let https: Vec<&&SiteMeasurement> = sites.iter().filter(|s| s.ca.https).collect();
+            let https: Vec<&SiteView<'_>> = sites.iter().filter(|s| s.https()).collect();
             CaFigure {
                 bucket,
                 sites: n,
@@ -158,18 +157,18 @@ pub fn ca_figure(ds: &MeasurementDataset) -> Vec<CaFigure> {
                         .iter()
                         .filter(|s| {
                             matches!(
-                                s.ca.state,
+                                s.ca_state(),
                                 Some(CaProfile::ThirdStapled) | Some(CaProfile::ThirdNoStaple)
                             )
                         })
                         .count(),
                     n,
                 ),
-                stapled_of_https: pct(https.iter().filter(|s| s.ca.stapled).count(), https.len()),
+                stapled_of_https: pct(https.iter().filter(|s| s.stapled()).count(), https.len()),
                 critical: pct(
                     sites
                         .iter()
-                        .filter(|s| s.ca.state == Some(CaProfile::ThirdNoStaple))
+                        .filter(|s| s.ca_state() == Some(CaProfile::ThirdNoStaple))
                         .count(),
                     n,
                 ),
@@ -187,31 +186,21 @@ pub fn top_providers_in_bucket(
     bucket: RankBucket,
     k: usize,
 ) -> Vec<(webdeps_measure::ProviderKey, usize)> {
-    use std::collections::HashMap;
-    let mut counts: HashMap<webdeps_measure::ProviderKey, usize> = HashMap::new();
+    let mut counts = vec![0usize; ds.names_len()];
     for site in in_bucket(ds, bucket) {
-        match kind {
-            webdeps_model::ServiceKind::Dns => {
-                for key in site.dns.third_parties() {
-                    *counts.entry(key.clone()).or_default() += 1;
-                }
-            }
-            webdeps_model::ServiceKind::Cdn => {
-                for key in site.cdn.third_parties() {
-                    *counts.entry(key.clone()).or_default() += 1;
-                }
-            }
-            webdeps_model::ServiceKind::Ca => {
-                if let Some((key, class)) = &site.ca.ca {
-                    if *class == webdeps_measure::Classification::ThirdParty {
-                        *counts.entry(key.clone()).or_default() += 1;
-                    }
-                }
-            }
-            webdeps_model::ServiceKind::Cloud => {}
+        for name in site.third_parties(kind) {
+            counts[name.index()] += 1;
         }
     }
-    let mut out: Vec<_> = counts.into_iter().collect();
+    let mut out: Vec<_> = counts
+        .into_iter()
+        .enumerate()
+        .filter(|&(_, n)| n > 0)
+        .map(|(i, n)| {
+            let name = webdeps_model::NameId::from_index(i);
+            (webdeps_measure::ProviderKey::new(ds.name(name)), n)
+        })
+        .collect();
     out.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
     out.truncate(k);
     out

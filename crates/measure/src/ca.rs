@@ -126,6 +126,18 @@ mod tests {
     }
 
     #[test]
+    fn no_https_state_exactly_when_no_certificate() {
+        // The dataset derives HTTPS from the CA state; this is the
+        // classifier property that makes the derivation exact.
+        let world = World::generate(WorldConfig::small(91));
+        for i in 0..300 {
+            let (report, m) = crawl_one(&world, i);
+            assert_eq!(m.https, report.certificate.is_some());
+            assert_eq!(m.https, m.state != Some(CaProfile::NoHttps), "site {i}");
+        }
+    }
+
+    #[test]
     fn third_party_ca_detected_with_stapling_state() {
         let world = World::generate(WorldConfig::small(91));
         let mut found_stapled = false;

@@ -155,6 +155,21 @@ mod tests {
     }
 
     #[test]
+    fn none_state_exactly_when_no_cdn_detected() {
+        // The dataset derives CDN use from the CDN state; this is the
+        // classifier property that makes the derivation exact.
+        let world = World::generate(WorldConfig::small(51));
+        for idx in 0..200 {
+            let m = measure(&world, idx);
+            assert_eq!(
+                m.uses_cdn(),
+                m.state != Some(CdnProfile::None),
+                "site {idx}"
+            );
+        }
+    }
+
+    #[test]
     fn single_cdn_site_detected_as_critical() {
         let world = World::generate(WorldConfig::small(51));
         let idx = world

@@ -1,12 +1,14 @@
-//! Measurement result types.
+//! Per-site classifier results.
 //!
 //! Everything in here is *inferred from the wire* — provider identities
 //! are registrable domains of observed infrastructure (`dnsmadeeasy.com`,
 //! `akamaiedge.net`), never catalog names, because the pipeline has no
-//! access to ground truth.
+//! access to ground truth. The pipeline packs these per-site results
+//! into the columns of [`crate::MeasurementDataset`] as each site is
+//! classified.
 
 use crate::classify::Classification;
-use webdeps_model::{DomainName, Rank, SiteId};
+use webdeps_model::DomainName;
 use webdeps_worldgen::profiles::{CaProfile, CdnProfile, DepState};
 
 /// Wire-inferred provider identity: the registrable domain of the
@@ -127,64 +129,6 @@ pub struct SiteCaMeasurement {
     pub stapled: bool,
     /// Inferred dependency state.
     pub state: Option<CaProfile>,
-}
-
-/// Everything measured about one site.
-#[derive(Debug, Clone)]
-pub struct SiteMeasurement {
-    /// Site identifier (position in the input list).
-    pub id: SiteId,
-    /// Popularity rank from the input list.
-    pub rank: Rank,
-    /// Registrable domain.
-    pub domain: DomainName,
-    /// Whether the landing page was reachable at crawl time.
-    pub reachable: bool,
-    /// DNS results.
-    pub dns: SiteDnsMeasurement,
-    /// CDN results.
-    pub cdn: SiteCdnMeasurement,
-    /// CA results.
-    pub ca: SiteCaMeasurement,
-}
-
-/// The complete output of a pipeline run over one snapshot.
-#[derive(Debug, Clone)]
-pub struct MeasurementDataset {
-    /// Per-site measurements, ordered by rank.
-    pub sites: Vec<SiteMeasurement>,
-    /// Provider-level inter-service measurements (§3.4).
-    pub providers: Vec<crate::interservice::ProviderMeasurement>,
-    /// Concentration threshold used by the combined heuristic.
-    pub threshold: usize,
-}
-
-impl MeasurementDataset {
-    /// Sites characterized for DNS analysis (Table 1 row 1).
-    pub fn dns_characterized(&self) -> impl Iterator<Item = &SiteMeasurement> {
-        self.sites.iter().filter(|s| s.dns.characterized())
-    }
-
-    /// Sites using CDNs (Table 1 row 2).
-    pub fn cdn_users(&self) -> impl Iterator<Item = &SiteMeasurement> {
-        self.sites.iter().filter(|s| s.cdn.uses_cdn())
-    }
-
-    /// Sites supporting HTTPS (Table 1 row 4).
-    pub fn https_sites(&self) -> impl Iterator<Item = &SiteMeasurement> {
-        self.sites.iter().filter(|s| s.ca.https)
-    }
-
-    /// Provider-level measurement lookup.
-    pub fn provider(
-        &self,
-        key: &ProviderKey,
-        kind: webdeps_model::ServiceKind,
-    ) -> Option<&crate::interservice::ProviderMeasurement> {
-        self.providers
-            .iter()
-            .find(|p| &p.key == key && p.kind == kind)
-    }
 }
 
 #[cfg(test)]

@@ -499,4 +499,39 @@ mod tests {
         let counts = ns_concentration(&[Some(o1), Some(o2), None], &psl);
         assert_eq!(counts[&dn("big.net")], 2, "two sites, not three pairs");
     }
+
+    #[test]
+    fn unknown_classifications_exist_but_are_excluded() {
+        use webdeps_web::Crawler;
+        use webdeps_worldgen::{World, WorldConfig};
+        let world = World::generate(WorldConfig::small(77));
+        let listings = world.listings();
+        let mut client = world.client();
+        let observations: Vec<Option<DnsObservation>> = listings
+            .iter()
+            .map(|l| observe_site(client.resolver_mut(), &l.domain))
+            .collect();
+        let concentration = ns_concentration(&observations, &world.psl);
+        let threshold = world.config.concentration_threshold();
+        let mut unknown_pairs = 0usize;
+        for (l, obs) in listings.iter().zip(&observations) {
+            let Some(obs) = obs else {
+                continue;
+            };
+            let report = Crawler::crawl(&mut client, &l.domain, &l.document_hosts, l.https);
+            let san = report.certificate.as_ref().map(|c| c.san.as_slice());
+            let m = classify_site(obs, san, &concentration, threshold, &world.psl);
+            let unknown = |c: Classification| c == Classification::Unknown;
+            if m.pairs.iter().any(|p| unknown(p.class)) {
+                unknown_pairs += 1;
+                assert!(
+                    m.groups.iter().any(|g| unknown(g.class))
+                        || m.state.is_none()
+                        || m.groups.iter().all(|g| !unknown(g.class)),
+                    "unknown pairs either merge into known groups or exclude the site"
+                );
+            }
+        }
+        assert!(unknown_pairs > 0, "micro-tail providers must stay unknown");
+    }
 }

@@ -3,8 +3,7 @@
 //! Library-level aggregation so downstream users get the paper's
 //! headline denominators without going through the report renderers.
 
-use crate::dataset::{MeasurementDataset, SiteMeasurement};
-use std::collections::HashMap;
+use crate::columnar::{MeasurementDataset, SiteView};
 
 /// Single-snapshot population summary (paper Table 1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,30 +26,19 @@ pub struct DatasetSummary {
 
 /// Summarizes one dataset.
 pub fn summarize(ds: &MeasurementDataset) -> DatasetSummary {
+    let count = |f: fn(SiteView<'_>) -> bool| ds.sites().filter(|&s| f(s)).count();
     DatasetSummary {
-        sites: ds.sites.len(),
-        dns_characterized: ds.dns_characterized().count(),
-        cdn_users: ds.cdn_users().count(),
-        cdn_characterized: ds
-            .sites
-            .iter()
-            .filter(|s| s.cdn.uses_cdn() && s.cdn.state.is_some())
-            .count(),
-        https: ds.https_sites().count(),
-        ca_characterized: ds
-            .sites
-            .iter()
-            .filter(|s| s.ca.https && s.ca.state.is_some())
-            .count(),
-        any_critical: ds
-            .sites
-            .iter()
-            .filter(|s| {
-                s.dns.state.is_some_and(|st| st.is_critical())
-                    || s.cdn.state.is_some_and(|st| st.is_critical())
-                    || s.ca.state.is_some_and(|st| st.is_critical())
-            })
-            .count(),
+        sites: ds.len(),
+        dns_characterized: count(|s| s.dns_state().is_some()),
+        cdn_users: count(|s| s.uses_cdn()),
+        cdn_characterized: count(|s| s.uses_cdn() && s.cdn_state().is_some()),
+        https: count(|s| s.https()),
+        ca_characterized: count(|s| s.https() && s.ca_state().is_some()),
+        any_critical: count(|s| {
+            s.dns_state().is_some_and(|st| st.is_critical())
+                || s.cdn_state().is_some_and(|st| st.is_critical())
+                || s.ca_state().is_some_and(|st| st.is_critical())
+        }),
     }
 }
 
@@ -75,33 +63,20 @@ pub fn summarize_pair(
     earlier: &MeasurementDataset,
     later: &MeasurementDataset,
 ) -> ComparisonSummary {
-    let by_domain: HashMap<&str, &SiteMeasurement> =
-        later.sites.iter().map(|s| (s.domain.as_str(), s)).collect();
-    let mut joined = 0;
-    let mut dns_both = 0;
-    let mut cdn_either = 0;
-    let mut https_either = 0;
-    for a in &earlier.sites {
-        let Some(b) = by_domain.get(a.domain.as_str()) else {
-            continue;
-        };
-        joined += 1;
-        if a.dns.characterized() && b.dns.characterized() {
-            dns_both += 1;
-        }
-        if a.cdn.uses_cdn() || b.cdn.uses_cdn() {
-            cdn_either += 1;
-        }
-        if a.ca.https || b.ca.https {
-            https_either += 1;
-        }
-    }
+    let joined: Vec<_> = earlier
+        .join_by_domain(later)
+        .into_iter()
+        .map(|(i, j)| (earlier.site(i), later.site(j)))
+        .collect();
+    let count = |f: fn(SiteView<'_>, SiteView<'_>) -> bool| {
+        joined.iter().filter(|&&(a, b)| f(a, b)).count()
+    };
     ComparisonSummary {
-        joined,
-        dead: earlier.sites.len() - joined,
-        dns_characterized_both: dns_both,
-        cdn_either,
-        https_either,
+        joined: joined.len(),
+        dead: earlier.len() - joined.len(),
+        dns_characterized_both: count(|a, b| a.dns_state().is_some() && b.dns_state().is_some()),
+        cdn_either: count(|a, b| a.uses_cdn() || b.uses_cdn()),
+        https_either: count(|a, b| a.https() || b.https()),
     }
 }
 
@@ -116,7 +91,7 @@ mod tests {
         let world = World::generate(WorldConfig::small(57));
         let ds = measure_world(&world);
         let s = summarize(&ds);
-        assert_eq!(s.sites, ds.sites.len());
+        assert_eq!(s.sites, ds.len());
         assert!(s.dns_characterized <= s.sites);
         assert!(s.cdn_characterized <= s.cdn_users);
         assert!(s.ca_characterized <= s.https);
@@ -131,8 +106,8 @@ mod tests {
         let ds16 = measure_world(&pair.y2016);
         let ds20 = measure_world(&pair.y2020);
         let c = summarize_pair(&ds16, &ds20);
-        assert_eq!(c.joined + c.dead, ds16.sites.len());
-        let death_rate = c.dead as f64 / ds16.sites.len() as f64;
+        assert_eq!(c.joined + c.dead, ds16.len());
+        let death_rate = c.dead as f64 / ds16.len() as f64;
         assert!((death_rate - 0.038).abs() < 0.02, "churn {death_rate}");
         assert!(c.https_either >= summarize(&ds16).https.min(c.joined));
         assert!(c.dns_characterized_both <= c.joined);

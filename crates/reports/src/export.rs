@@ -6,6 +6,7 @@
 //! without any extra dependencies.
 
 use webdeps_measure::{Classification, MeasurementDataset};
+use webdeps_model::ServiceKind;
 
 /// Escapes one CSV field (RFC 4180: quote when the value contains a
 /// comma, quote, or newline; double embedded quotes).
@@ -36,46 +37,36 @@ pub fn sites_csv(ds: &MeasurementDataset) -> String {
     out.push_str(
         "rank,domain,reachable,dns_state,dns_providers,cdn_state,cdns,https,ca,ca_class,stapled\n",
     );
-    for s in &ds.sites {
-        let dns_state = s
-            .dns
-            .state
-            .map(|st| format!("{st:?}"))
-            .unwrap_or_else(|| "uncharacterized".into());
+    let state = |st: Option<String>| st.unwrap_or_else(|| "uncharacterized".into());
+    for s in ds.sites() {
+        let dns_state = state(s.dns_state().map(|st| format!("{st:?}")));
         let dns_providers = s
-            .dns
-            .third_parties()
-            .map(|k| k.as_str())
+            .third_parties(ServiceKind::Dns)
+            .map(|n| ds.name(n))
             .collect::<Vec<_>>()
             .join(";");
-        let cdn_state = s
-            .cdn
-            .state
-            .map(|st| format!("{st:?}"))
-            .unwrap_or_else(|| "uncharacterized".into());
+        let cdn_state = state(s.cdn_state().map(|st| format!("{st:?}")));
         let cdns = s
-            .cdn
-            .cdns
-            .iter()
-            .map(|(k, c)| format!("{}:{}", k.as_str(), class_label(*c)))
+            .cdns()
+            .map(|(n, c)| format!("{}:{}", ds.name(n), class_label(c)))
             .collect::<Vec<_>>()
             .join(";");
-        let (ca, ca_class) = match &s.ca.ca {
-            Some((key, class)) => (key.as_str().to_string(), class_label(*class).to_string()),
-            None => (String::new(), String::new()),
+        let (ca, ca_class) = match s.ca() {
+            Some((n, class)) => (ds.name(n), class_label(class)),
+            None => ("", ""),
         };
         out.push_str(&row(&[
-            &s.rank.get().to_string(),
-            s.domain.as_str(),
-            if s.reachable { "true" } else { "false" },
+            &s.rank().get().to_string(),
+            s.domain(),
+            &s.reachable().to_string(),
             &dns_state,
             &dns_providers,
             &cdn_state,
             &cdns,
-            if s.ca.https { "true" } else { "false" },
-            &ca,
-            &ca_class,
-            if s.ca.stapled { "true" } else { "false" },
+            &s.https().to_string(),
+            ca,
+            ca_class,
+            &s.stapled().to_string(),
         ]));
         out.push('\n');
     }
@@ -88,7 +79,7 @@ pub fn providers_csv(ds: &MeasurementDataset) -> String {
     out.push_str(
         "provider,kind,direct_sites,dns_third,dns_critical,dns_providers,cdn_third,cdn_critical,cdn_providers\n",
     );
-    for p in &ds.providers {
+    for p in ds.providers() {
         let dep_cells = |dep: &Option<webdeps_measure::InterServiceDep>| match dep {
             Some(d) => (
                 d.uses_third.to_string(),
@@ -161,7 +152,7 @@ mod tests {
             assert_eq!(line.split(',').count(), cols, "ragged row: {line}");
             n += 1;
         }
-        assert_eq!(n, ds.sites.len());
+        assert_eq!(n, ds.len());
         assert!(csv.contains("SingleThird"));
         assert!(csv.contains("uncharacterized"));
         assert!(csv.contains("digicert.com"));

@@ -116,7 +116,7 @@ fn top5_table(
 ) -> TextTable {
     let metrics = Metrics::new(graph);
     let ranking = metrics.ranking(kind, opts);
-    let n = ds.sites.len() as f64;
+    let n = ds.len() as f64;
     let mut t = TextTable::new(caption, &["provider", "C (concentration)", "I (impact)"]);
     for score in ranking.iter().take(5) {
         t.row(vec![
@@ -221,7 +221,7 @@ fn indirect_figure(
     let direct = MetricOptions::direct_only();
     let with = MetricOptions::only(hop.0, hop.1);
     let metrics = Metrics::new(&ws.graph20);
-    let n = ws.ds20.sites.len() as f64;
+    let n = ws.ds20.len() as f64;
     let ranking = metrics.ranking(target, &with);
     let mut t = TextTable::new(
         "Top-5 by impact with the inter-service hop (direct-only in brackets)",
@@ -328,7 +328,7 @@ pub fn figure9(ws: &Workspace) -> Report {
 #[must_use]
 pub fn amplification(ws: &Workspace) -> Report {
     let metrics = Metrics::new(&ws.graph20);
-    let n = ws.ds20.sites.len() as f64;
+    let n = ws.ds20.len() as f64;
     let direct = MetricOptions::direct_only();
     let full = MetricOptions::full();
 
@@ -452,7 +452,7 @@ mod tests {
     #[test]
     fn figure9_changes_little() {
         let metrics = Metrics::new(&ws().graph20);
-        let n = ws().ds20.sites.len() as f64;
+        let n = ws().ds20.len() as f64;
         let direct = MetricOptions::direct_only();
         let with_cdn = MetricOptions::only(ServiceKind::Cdn, ServiceKind::Dns);
         // Aggregate over the top-5 direct DNS providers: the hop adds

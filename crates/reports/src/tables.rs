@@ -5,9 +5,9 @@ use crate::table::{count, delta, pct, TextTable};
 use crate::workspace::Workspace;
 use std::collections::HashMap;
 use webdeps_core::evolution::{ca_trends, cdn_trends, dns_trends, provider_trends, TrendTable};
-use webdeps_measure::{validate_world, ClassifierKind, MeasurementDataset};
+use webdeps_measure::{validate_world, ClassifierKind, MeasurementDataset, SiteView};
 use webdeps_model::ServiceKind;
-use webdeps_worldgen::profiles::{CaProfile, DepState};
+use webdeps_worldgen::profiles::{CaProfile, CdnProfile, DepState};
 use webdeps_worldgen::verticals::{smart_home_roster, CloudDep};
 
 /// Renders a measured trend table against the paper's reference values.
@@ -114,7 +114,7 @@ pub fn table1(ws: &Workspace) -> Report {
 #[must_use]
 pub fn table2(ws: &Workspace) -> Report {
     let c = webdeps_measure::summarize_pair(&ws.ds16, &ws.ds20);
-    let n16 = ws.ds16.sites.len();
+    let n16 = ws.ds16.len();
     let mut t = TextTable::new(
         "Comparison (2016 cohort) summary",
         &["Population", "Measured", "Paper (of 100K)"],
@@ -200,7 +200,7 @@ fn interservice_row(
     kind: ServiceKind,
     dep_is_cdn: bool,
 ) -> (usize, usize, usize) {
-    let providers: Vec<_> = ds.providers.iter().filter(|p| p.kind == kind).collect();
+    let providers: Vec<_> = ds.providers().iter().filter(|p| p.kind == kind).collect();
     let total = providers.len();
     let dep = |p: &&webdeps_measure::interservice::ProviderMeasurement| {
         if dep_is_cdn {
@@ -367,47 +367,20 @@ pub fn table9(ws: &Workspace) -> Report {
 #[must_use]
 pub fn table10(ws: &Workspace) -> Report {
     let ds = &ws.ds_hospitals;
-    let n = ds.sites.len();
-    let dns_third = ds
-        .sites
-        .iter()
-        .filter(|s| s.dns.state.is_some_and(|st| st.uses_third_party()))
-        .count();
-    let dns_crit = ds
-        .sites
-        .iter()
-        .filter(|s| s.dns.state == Some(DepState::SingleThird))
-        .count();
-    let cdn_third = ds
-        .sites
-        .iter()
-        .filter(|s| s.cdn.third_parties().count() > 0)
-        .count();
-    let cdn_crit = ds
-        .sites
-        .iter()
-        .filter(|s| s.cdn.state == Some(webdeps_worldgen::profiles::CdnProfile::SingleThird))
-        .count();
-    let ca_third = ds
-        .sites
-        .iter()
-        .filter(|s| {
-            matches!(
-                s.ca.state,
-                Some(CaProfile::ThirdStapled) | Some(CaProfile::ThirdNoStaple)
-            )
-        })
-        .count();
-    let ca_crit = ds
-        .sites
-        .iter()
-        .filter(|s| s.ca.state == Some(CaProfile::ThirdNoStaple))
-        .count();
-    let stapled = ds
-        .sites
-        .iter()
-        .filter(|s| s.ca.https && s.ca.stapled)
-        .count();
+    let n = ds.len();
+    let sites_where = |f: fn(SiteView<'_>) -> bool| ds.sites().filter(|&s| f(s)).count();
+    let dns_third = sites_where(|s| s.dns_state().is_some_and(|st| st.uses_third_party()));
+    let dns_crit = sites_where(|s| s.dns_state() == Some(DepState::SingleThird));
+    let cdn_third = sites_where(|s| s.third_parties(ServiceKind::Cdn).next().is_some());
+    let cdn_crit = sites_where(|s| s.cdn_state() == Some(CdnProfile::SingleThird));
+    let ca_third = sites_where(|s| {
+        matches!(
+            s.ca_state(),
+            Some(CaProfile::ThirdStapled) | Some(CaProfile::ThirdNoStaple)
+        )
+    });
+    let ca_crit = sites_where(|s| s.ca_state() == Some(CaProfile::ThirdNoStaple));
+    let stapled = sites_where(|s| s.https() && s.stapled());
     let mut t = TextTable::new(
         "Top-200 US hospitals: measured (paper)",
         &["Service", "Third-Party Dependency", "Critical Dependency"],
@@ -524,7 +497,7 @@ pub fn table11(_ws: &Workspace) -> Report {
 /// §3 validation: strategy accuracy comparison.
 #[must_use]
 pub fn validation(ws: &Workspace) -> Report {
-    let sample = 100.min(ws.ds20.sites.len());
+    let sample = 100.min(ws.ds20.len());
     let report = validate_world(&ws.world20, sample, ws.seed);
     let paper: HashMap<(&str, ClassifierKind), f64> = [
         (("DNS", ClassifierKind::Combined), 100.0),

@@ -8,7 +8,8 @@
 
 use std::collections::HashMap;
 use webdeps::core::simulate_outage;
-use webdeps::measure::measure_world;
+use webdeps::measure::{measure_world, SiteView};
+use webdeps::model::ServiceKind;
 use webdeps::worldgen::profiles::{CaProfile, DepState};
 use webdeps::worldgen::verticals::hospital_world;
 
@@ -16,29 +17,13 @@ fn main() {
     println!("generating the top-200-US-hospitals world …");
     let world = hospital_world(7);
     let ds = measure_world(&world);
-    let n = ds.sites.len();
-
-    let third_dns = ds
-        .sites
-        .iter()
-        .filter(|s| s.dns.state.is_some_and(|st| st.uses_third_party()))
-        .count();
-    let crit_dns = ds
-        .sites
-        .iter()
-        .filter(|s| s.dns.state == Some(DepState::SingleThird))
-        .count();
-    let cdn_users = ds.cdn_users().count();
-    let stapled = ds
-        .sites
-        .iter()
-        .filter(|s| s.ca.https && s.ca.stapled)
-        .count();
-    let crit_ca = ds
-        .sites
-        .iter()
-        .filter(|s| s.ca.state == Some(CaProfile::ThirdNoStaple))
-        .count();
+    let n = ds.len();
+    let sites_where = |f: fn(SiteView<'_>) -> bool| ds.sites().filter(|&s| f(s)).count();
+    let third_dns = sites_where(|s| s.dns_state().is_some_and(|st| st.uses_third_party()));
+    let crit_dns = sites_where(|s| s.dns_state() == Some(DepState::SingleThird));
+    let cdn_users = sites_where(|s| s.uses_cdn());
+    let stapled = sites_where(|s| s.https() && s.stapled());
+    let crit_ca = sites_where(|s| s.ca_state() == Some(CaProfile::ThirdNoStaple));
 
     println!("\n== Table 10 shape (measured / paper) ==");
     println!(
@@ -66,9 +51,9 @@ fn main() {
     // The most concentrated DNS provider among hospitals (§6.1 names
     // GoDaddy at 13%).
     let mut counts: HashMap<&str, usize> = HashMap::new();
-    for s in &ds.sites {
-        for key in s.dns.third_parties() {
-            *counts.entry(key.as_str()).or_default() += 1;
+    for s in ds.sites() {
+        for name in s.third_parties(ServiceKind::Dns) {
+            *counts.entry(ds.name(name)).or_default() += 1;
         }
     }
     let (top, top_count) = counts

@@ -6,7 +6,7 @@
 //! ```
 
 use webdeps::core::{DepGraph, MetricOptions, Metrics};
-use webdeps::measure::measure_world;
+use webdeps::measure::{measure_world, SiteView};
 use webdeps::model::ServiceKind;
 use webdeps::worldgen::{SnapshotYear, World, WorldConfig};
 
@@ -34,26 +34,15 @@ fn main() {
     println!("\nrunning the measurement pipeline (crawl → DNS → CA → CDN → inter-service) …");
     let dataset = measure_world(&world);
 
-    let n = dataset.sites.len();
-    let third_dns = dataset
-        .sites
-        .iter()
-        .filter(|s| s.dns.state.is_some_and(|st| st.uses_third_party()))
-        .count();
-    let critical_dns = dataset
-        .sites
-        .iter()
-        .filter(|s| s.dns.state.is_some_and(|st| st.is_critical()))
-        .count();
-    let any_critical = dataset
-        .sites
-        .iter()
-        .filter(|s| {
-            s.dns.state.is_some_and(|st| st.is_critical())
-                || s.cdn.state.is_some_and(|st| st.is_critical())
-                || s.ca.state.is_some_and(|st| st.is_critical())
-        })
-        .count();
+    let n = dataset.len();
+    let sites_where = |f: fn(SiteView<'_>) -> bool| dataset.sites().filter(|&s| f(s)).count();
+    let third_dns = sites_where(|s| s.dns_state().is_some_and(|st| st.uses_third_party()));
+    let critical_dns = sites_where(|s| s.dns_state().is_some_and(|st| st.is_critical()));
+    let any_critical = sites_where(|s| {
+        s.dns_state().is_some_and(|st| st.is_critical())
+            || s.cdn_state().is_some_and(|st| st.is_critical())
+            || s.ca_state().is_some_and(|st| st.is_critical())
+    });
     println!("  sites measured:                  {n}");
     println!(
         "  third-party DNS:                 {third_dns} ({:.1}%)",

@@ -23,8 +23,8 @@ fn main() {
     // per risk level, preferring sites with hidden chains.
     let mut shown = 0;
     let mut seen_levels = Vec::new();
-    for site in &ds.sites {
-        let audit = audit_site(&graph, &ds, site.id);
+    for site in ds.sites() {
+        let audit = audit_site(&graph, &ds, site.id());
         let has_hidden = audit.chains.iter().any(|c| c.critical && c.hops.len() > 1);
         let interesting = match audit.risk {
             RiskLevel::High => has_hidden,
@@ -37,7 +37,7 @@ fn main() {
         seen_levels.push(audit.risk);
         shown += 1;
 
-        println!("== audit: {} (rank {}) ==", site.domain, site.rank);
+        println!("== audit: {} (rank {}) ==", site.domain(), site.rank());
         println!(
             "  risk: {:?} ({} critical providers)",
             audit.risk, audit.critical_providers
@@ -67,7 +67,7 @@ fn main() {
     let metrics = Metrics::new(&graph);
     let direct = metrics.critical_deps_per_site(&MetricOptions::direct_only());
     let full = metrics.critical_deps_per_site(&MetricOptions::full());
-    let n = ds.sites.len() as f64;
+    let n = ds.len() as f64;
     let ge3 = |m: &std::collections::HashMap<webdeps::model::SiteId, usize>| {
         100.0 * m.values().filter(|&&c| c >= 3).count() as f64 / n
     };

@@ -67,7 +67,7 @@ fn obs7_single_points_of_failure_exist() {
     let ds = &ctx().ds20;
     let graph = DepGraph::from_dataset(ds);
     let metrics = Metrics::new(&graph);
-    let n = ds.sites.len() as f64;
+    let n = ds.len() as f64;
     let opts = MetricOptions::direct_only();
     for kind in [ServiceKind::Dns, ServiceKind::Ca] {
         let ranking = metrics.ranking(kind, &opts);
@@ -134,7 +134,7 @@ fn obs11_cdn_dns_hop_changes_little() {
     let ds = &ctx().ds20;
     let graph = DepGraph::from_dataset(ds);
     let metrics = Metrics::new(&graph);
-    let n = ds.sites.len() as f64;
+    let n = ds.len() as f64;
     let ranking = metrics.ranking(ServiceKind::Dns, &MetricOptions::direct_only());
     let mut gain = 0usize;
     for score in ranking.iter().take(5) {
@@ -157,14 +157,13 @@ fn obs11_cdn_dns_hop_changes_little() {
 #[test]
 fn headline_critical_dependency_share() {
     let ds = &ctx().ds20;
-    let n = ds.sites.len();
+    let n = ds.len();
     let critical = ds
-        .sites
-        .iter()
+        .sites()
         .filter(|s| {
-            s.dns.state.is_some_and(|st| st.is_critical())
-                || s.cdn.state.is_some_and(|st| st.is_critical())
-                || s.ca.state.is_some_and(|st| st.is_critical())
+            s.dns_state().is_some_and(|st| st.is_critical())
+                || s.cdn_state().is_some_and(|st| st.is_critical())
+                || s.ca_state().is_some_and(|st| st.is_critical())
         })
         .count();
     let share = critical as f64 / n as f64;
@@ -178,18 +177,17 @@ fn headline_critical_dependency_share() {
 #[test]
 fn dead_sites_unresolvable_in_2020() {
     let c = ctx();
-    let domains20: std::collections::HashSet<&str> =
-        c.ds20.sites.iter().map(|s| s.domain.as_str()).collect();
+    let domains20: std::collections::HashSet<&str> = c.ds20.sites().map(|s| s.domain()).collect();
     let mut resolver = c.pair.y2020.resolver();
     let mut dead_checked = 0;
-    for s in &c.ds16.sites {
-        if !domains20.contains(s.domain.as_str()) {
+    for s in c.ds16.sites() {
+        if !domains20.contains(s.domain()) {
+            let domain = webdeps::model::DomainName::parse(s.domain()).expect("measured domain");
             assert!(
                 resolver
-                    .resolve(&s.domain, webdeps::dns::RecordType::A)
+                    .resolve(&domain, webdeps::dns::RecordType::A)
                     .is_err(),
-                "{} should not resolve in 2020",
-                s.domain
+                "{domain} should not resolve in 2020"
             );
             dead_checked += 1;
             if dead_checked >= 20 {

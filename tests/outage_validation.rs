@@ -58,14 +58,14 @@ fn check_dns_provider(key: &str) {
         if full_predicted.contains(site) {
             continue;
         }
-        let m = ds.sites.iter().find(|s| s.id == *site).expect("measured");
-        let excluded = m.dns.state.is_none() || m.cdn.state.is_none() || m.ca.state.is_none();
+        let m = ds.site(ds.row_of(*site).expect("measured"));
+        let excluded = m.dns_state().is_none() || m.cdn_state().is_none() || m.ca_state().is_none();
         if !excluded {
             unexplained += 1;
         }
     }
     assert!(
-        unexplained <= ds.sites.len() / 100,
+        unexplained <= ds.len() / 100,
         "{key}: {unexplained} sites broke outside the indirect closure"
     );
 }
@@ -95,21 +95,17 @@ fn cdn_outage_respects_redundancy() {
     let affected: HashSet<SiteId> = result.affected.iter().copied().collect();
     let mut crit = 0;
     let mut redundant = 0;
-    for m in &ds.sites {
-        let uses_akamai = m
-            .cdn
-            .cdns
-            .iter()
-            .any(|(k, _)| k.as_str() == "akamaiedge.net");
+    for m in ds.sites() {
+        let uses_akamai = m.cdns().any(|(k, _)| ds.name(k) == "akamaiedge.net");
         if !uses_akamai {
             continue;
         }
-        match m.cdn.state {
+        match m.cdn_state() {
             Some(webdeps::worldgen::CdnProfile::SingleThird) => {
                 assert!(
-                    affected.contains(&m.id),
+                    affected.contains(&m.id()),
                     "critical Akamai site {} survived",
-                    m.domain
+                    m.domain()
                 );
                 crit += 1;
             }
@@ -118,9 +114,9 @@ fn cdn_outage_respects_redundancy() {
                 // site ALSO depends on Akamai another way (e.g. its CA
                 // rides Akamai and... CA failures need hard-fail, so no).
                 assert!(
-                    !affected.contains(&m.id),
+                    !affected.contains(&m.id()),
                     "redundant site {} died",
-                    m.domain
+                    m.domain()
                 );
                 redundant += 1;
             }
