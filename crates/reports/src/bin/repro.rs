@@ -11,6 +11,9 @@
 use std::process::ExitCode;
 use webdeps_reports::{all_experiment_ids, run_experiment, Workspace};
 
+const USAGE: &str =
+    "usage: repro [--scale N] [--seed S] [--exp ID]... [--dot FILE] [--csv DIR] [--list]";
+
 struct Args {
     scale: usize,
     seed: u64,
@@ -35,6 +38,9 @@ fn parse_args() -> Result<Args, String> {
             "--scale" => {
                 let v = it.next().ok_or("--scale needs a value")?;
                 args.scale = v.parse().map_err(|_| format!("bad --scale {v:?}"))?;
+                if args.scale == 0 {
+                    return Err(format!("--scale must be at least 1\n{USAGE}"));
+                }
             }
             "--seed" => {
                 let v = it.next().ok_or("--seed needs a value")?;
@@ -47,12 +53,7 @@ fn parse_args() -> Result<Args, String> {
             "--list" => args.list = true,
             "--dot" => args.dot = Some(it.next().ok_or("--dot needs a path")?),
             "--csv" => args.csv = Some(it.next().ok_or("--csv needs a directory")?),
-            "--help" | "-h" => {
-                return Err(
-                    "usage: repro [--scale N] [--seed S] [--exp ID]... [--dot FILE] [--csv DIR] [--list]"
-                        .into(),
-                )
-            }
+            "--help" | "-h" => return Err(USAGE.into()),
             other => return Err(format!("unknown argument {other:?} (try --help)")),
         }
     }

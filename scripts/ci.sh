@@ -9,11 +9,10 @@ cd "$(dirname "$0")/.."
 echo "== cargo build --release --offline =="
 cargo build --release --offline
 
+# The workspace run includes tests/parallel_determinism.rs (byte-identical
+# results at any worker count): it is a test target of the root package.
 echo "== cargo test -q --offline --workspace (every crate's suite, not just the root package) =="
 cargo test -q --offline --workspace
-
-echo "== parallel determinism (byte-identical results at any worker count) =="
-cargo test -q --offline --test parallel_determinism
 
 echo "== webdeps-chaos --smoke (incident replays + invariant campaign) =="
 cargo run -q --release --offline -p webdeps-chaos -- --smoke
