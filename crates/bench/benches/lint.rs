@@ -1,12 +1,10 @@
-//! webdeps-lint driver benchmarks: the incremental lint driver over
-//! the repository's own workspace — cold serial, cold parallel, and
-//! warm (full cache replay) — so the cold-vs-warm and serial-vs-
-//! parallel speedups are tracked in the performance trajectory.
+//! webdeps-lint benchmark: one full lint pass over the repository's
+//! own workspace, tracked in the performance trajectory.
 
 use std::hint::black_box;
 use std::path::PathBuf;
 use webdeps_bench::harness::Harness;
-use webdeps_lint::{drive, Config, DriveOptions};
+use webdeps_lint::{lint_workspace, Config};
 
 fn lint_benches(h: &mut Harness) {
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
@@ -15,40 +13,10 @@ fn lint_benches(h: &mut Harness) {
     let mut group = h.benchmark_group("lint/driver");
     group.sample_size(10);
 
-    // Every file analyzed on one worker thread: the incremental
-    // driver's worst case and the baseline for both speedups.
+    // Every file read, parsed and linted in one serial pass; the name
+    // matches the earlier `BENCH_lint.json` entries.
     group.bench_function("cold_serial", |b| {
-        let opts = DriveOptions {
-            jobs: 1,
-            cache_path: None,
-            baseline_path: None,
-        };
-        b.iter(|| black_box(drive(&root, &cfg, &opts).expect("lint drive")));
-    });
-
-    // Same work fanned out across all available cores.
-    group.bench_function("cold_parallel", |b| {
-        let opts = DriveOptions {
-            jobs: 0,
-            cache_path: None,
-            baseline_path: None,
-        };
-        b.iter(|| black_box(drive(&root, &cfg, &opts).expect("lint drive")));
-    });
-
-    // Steady state: nothing changed since the priming run, so every
-    // file replays from the content-hash cache.
-    group.bench_function("warm_replay", |b| {
-        let cache =
-            std::env::temp_dir().join(format!("webdeps-lint-bench-{}.json", std::process::id()));
-        let opts = DriveOptions {
-            jobs: 0,
-            cache_path: Some(cache.clone()),
-            baseline_path: None,
-        };
-        drive(&root, &cfg, &opts).expect("prime lint cache");
-        b.iter(|| black_box(drive(&root, &cfg, &opts).expect("lint drive")));
-        std::fs::remove_file(&cache).ok();
+        b.iter(|| black_box(lint_workspace(&root, &cfg, None).expect("lint pass")));
     });
 
     group.finish();

@@ -165,7 +165,7 @@ pub struct GuardRegion {
 }
 
 /// Per-function concurrency facet, extracted alongside the hazard
-/// summary and cached with it by file content hash.
+/// summary.
 #[derive(Debug, Clone, Default)]
 pub struct ConcFacet {
     /// Guard regions in binding order.

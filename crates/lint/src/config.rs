@@ -291,7 +291,7 @@ pub const CRATE_DAG: &[(&str, &[&str])] = &[
             "reports",
         ],
     ),
-    ("lint", &["model"]),
+    ("lint", &[]),
 ];
 
 /// Crates that may never appear in another crate's `[dependencies]`.
@@ -363,22 +363,5 @@ impl Config {
             .filter(|r| self.enabled(r))
             .map(|r| (r.to_string(), self.severity(r)))
             .collect()
-    }
-
-    /// A stable fingerprint of everything that changes rule *output*:
-    /// disabled rules and severity overrides. Part of the cache key.
-    pub fn fingerprint(&self) -> u64 {
-        let mut s = String::new();
-        for d in &self.disabled {
-            s.push_str(d);
-            s.push('\u{1}');
-        }
-        for (r, sev) in &self.severity_overrides {
-            s.push_str(r);
-            s.push('=');
-            s.push_str(sev.label());
-            s.push('\u{1}');
-        }
-        crate::driver::hash_bytes(s.as_bytes())
     }
 }

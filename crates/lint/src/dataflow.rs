@@ -40,17 +40,6 @@ impl SigTable {
             result_fns: facts.into_iter().map(|s| s.to_string()).collect(),
         }
     }
-
-    /// A stable fingerprint of the table, for cache invalidation.
-    pub fn fingerprint(&self) -> u64 {
-        let joined: String = self
-            .result_fns
-            .iter()
-            .map(|s| s.as_str())
-            .collect::<Vec<_>>()
-            .join("\n");
-        crate::driver::hash_bytes(joined.as_bytes())
-    }
 }
 
 /// Extracts this file's signature facts: every fn (pub or private)

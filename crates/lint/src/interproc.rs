@@ -81,8 +81,7 @@ pub struct CallRef {
 }
 
 /// Per-function summary: everything propagation needs to know about
-/// one fn without re-reading its source. Summaries are cached by file
-/// content hash, so warm runs skip straight to graph propagation.
+/// one fn without re-reading its source.
 #[derive(Debug, Clone, Default)]
 pub struct FnSummary {
     /// Function name.
@@ -109,9 +108,9 @@ pub struct FnSummary {
     pub rng_line: u32,
     /// Line of the first unjustified unordered hash iteration (0 = none).
     pub unordered_line: u32,
-    /// Count of indexing sites (`name[…]`) in the body. Summarized for
-    /// the cache but not gated: without type information every slice
-    /// read would taint its callers.
+    /// Count of indexing sites (`name[…]`) in the body. Summarized but
+    /// not gated: without type information every slice read would taint
+    /// its callers.
     pub index_count: u32,
     /// Count of explicit `let _ =` discards in the body. The precise
     /// per-file `result-dropped` rule gates these; the summary keeps
@@ -149,7 +148,7 @@ impl FnSummary {
 
 /// A suppression directive naming at least one interprocedural rule.
 /// These are matched centrally (per-file passes cannot see reachability)
-/// and cached alongside the file's summaries.
+/// and travel with the file's summaries.
 #[derive(Debug, Clone)]
 pub struct InterprocAllow {
     /// The centrally-matched rules the directive names (interprocedural
@@ -165,7 +164,7 @@ pub struct InterprocAllow {
     /// Inclusive line range the directive covers.
     pub covers: (u32, u32),
     /// Whether the directive has discharged a hazard site or matched a
-    /// violation. Extraction-time discharges are cached with the file.
+    /// violation. Extraction-time discharges are recorded with the file.
     pub used: bool,
 }
 
@@ -273,8 +272,8 @@ fn site_justified(
 
 /// Call-position names that are never workspace functions: control
 /// keywords and the std prelude's tuple constructors. Filtering them
-/// keeps cached summaries small; anything else unresolvable simply
-/// produces no edge.
+/// keeps summaries small; anything else unresolvable simply produces
+/// no edge.
 pub(crate) const NON_CALLEES: &[&str] = &[
     "if", "while", "match", "for", "loop", "return", "in", "as", "let", "else", "move", "fn",
     "unsafe", "await", "Some", "None", "Ok", "Err",

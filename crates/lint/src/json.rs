@@ -1,11 +1,11 @@
-//! A minimal, panic-free JSON reader for the linter's own on-disk
-//! formats (the incremental cache and the baseline file). Writing JSON
-//! stays hand-rolled in the emitters; this module only parses.
+//! A minimal, panic-free JSON reader for the linter's baseline file.
+//! Writing JSON stays hand-rolled in the emitters; this module only
+//! parses.
 //!
 //! Deliberately small: no streaming, no number-precision guarantees
 //! beyond `f64`, a fixed recursion depth limit. A parse failure yields
-//! `None` and callers treat the file as absent (cold cache / empty
-//! baseline) — corruption can never fail a run.
+//! `None` and callers treat the file as absent (an empty baseline) —
+//! corruption can never fail a run.
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]

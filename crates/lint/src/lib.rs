@@ -37,9 +37,7 @@
 //!   return value that can carry wall-clock or hash-iteration-order
 //!   taint minted in a callee), and `seed-flow-transitive` (no pub fn
 //!   outside the seeded crates that can reach an RNG-minting site
-//!   through any call chain). Per-function summaries are cached by
-//!   content hash; only the cheap SCC-condensed graph propagation
-//!   re-runs warm;
+//!   through any call chain);
 //! * **layering & hygiene** — `layering` (crate edges follow the
 //!   declared DAG `model → {dns,tls,web} → worldgen → measure → core →
 //!   chaos → reports`, with `testkit`/`bench`/`lint` leaf-only),
@@ -49,10 +47,8 @@
 //! Rules carry a severity (`deny` fails the run, `warn` reports only);
 //! gradually-enforced rules start at `warn` and pre-existing findings
 //! can be absorbed by a committed `LINT_BASELINE.json`. The [`driver`]
-//! fans files out over scoped threads and replays unchanged files from
-//! an on-disk cache, merging diagnostics in path order so warm, cold,
-//! serial, and parallel runs all render byte-identical reports
-//! (schema `webdeps-lint/4`).
+//! lints the workspace in one serial pass in sorted-path order, so
+//! every run renders a byte-identical report (schema `webdeps-lint/4`).
 //!
 //! Violations can be suppressed inline, one per site:
 //!
@@ -83,5 +79,5 @@ pub mod workspace;
 
 pub use config::Config;
 pub use diag::{Report, Severity, Violation};
-pub use driver::{drive, DriveOptions, DriveOutcome};
-pub use workspace::{analyze_source, lint_source, lint_workspace};
+pub use driver::{lint_source, lint_workspace};
+pub use workspace::analyze_source;

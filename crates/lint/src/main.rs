@@ -6,8 +6,7 @@
 
 use std::path::PathBuf;
 use std::process::ExitCode;
-use webdeps_lint::driver::{self, DriveOptions};
-use webdeps_lint::{config, Config, Severity};
+use webdeps_lint::{config, driver, Config, Severity};
 
 const USAGE: &str = "\
 webdeps-lint — hermetic workspace static-analysis pass
@@ -25,10 +24,6 @@ OPTIONS:
     --severity <R=S>    Override a rule's severity (S: deny|warn)
     --deny-warnings     Exit 1 on warn violations and stale baseline
                         entries too
-    --jobs <N>          Worker threads (default: auto; 1 = serial)
-    --no-cache          Disable the incremental cache
-    --cache-file <F>    Cache location (default: target/lint-cache.json
-                        under the root)
     --baseline <FILE>   Baseline of accepted findings (default:
                         LINT_BASELINE.json under the root, if present)
     --no-baseline       Ignore any baseline file
@@ -48,9 +43,6 @@ struct Args {
     json_out: Option<PathBuf>,
     show_suppressions: bool,
     deny_warnings: bool,
-    jobs: usize,
-    no_cache: bool,
-    cache_file: Option<PathBuf>,
     baseline: Option<PathBuf>,
     no_baseline: bool,
     write_baseline: Option<PathBuf>,
@@ -64,9 +56,6 @@ fn parse_args() -> Result<Option<Args>, String> {
         json_out: None,
         show_suppressions: false,
         deny_warnings: false,
-        jobs: 0,
-        no_cache: false,
-        cache_file: None,
         baseline: None,
         no_baseline: false,
         write_baseline: None,
@@ -102,17 +91,6 @@ fn parse_args() -> Result<Option<Args>, String> {
                 args.cfg.severity_overrides.insert(rule.to_string(), sev);
             }
             "--deny-warnings" => args.deny_warnings = true,
-            "--jobs" => {
-                let n = it.next().ok_or("--jobs needs a number")?;
-                args.jobs = n
-                    .parse()
-                    .map_err(|_| format!("--jobs wants a number, got {n:?}"))?;
-            }
-            "--no-cache" => args.no_cache = true,
-            "--cache-file" => {
-                args.cache_file =
-                    Some(PathBuf::from(it.next().ok_or("--cache-file needs a path")?));
-            }
             "--baseline" => {
                 args.baseline = Some(PathBuf::from(it.next().ok_or("--baseline needs a path")?));
             }
@@ -177,15 +155,6 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let cache_path = if args.no_cache {
-        None
-    } else {
-        Some(
-            args.cache_file
-                .clone()
-                .unwrap_or_else(|| args.root.join("target/lint-cache.json")),
-        )
-    };
     // Baseline application is skipped entirely when *writing* one, so
     // the written file absorbs every current violation.
     let baseline_path = if args.no_baseline || args.write_baseline.is_some() {
@@ -199,23 +168,13 @@ fn main() -> ExitCode {
             }
         }
     };
-    let opts = DriveOptions {
-        jobs: args.jobs,
-        cache_path,
-        baseline_path,
-    };
-    let outcome = match driver::drive(&args.root, &args.cfg, &opts) {
-        Ok(o) => o,
+    let report = match driver::lint_workspace(&args.root, &args.cfg, baseline_path.as_deref()) {
+        Ok(r) => r,
         Err(e) => {
             eprintln!("webdeps-lint: scan failed: {e}");
             return ExitCode::from(2);
         }
     };
-    let report = outcome.report;
-    eprintln!(
-        "webdeps-lint: analyzed {} file(s), replayed {} from cache",
-        outcome.analyzed, outcome.cached
-    );
     if let Some(path) = &args.write_baseline {
         let body = driver::render_baseline(&report.violations);
         if let Err(e) = std::fs::write(path, body) {

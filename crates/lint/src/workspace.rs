@@ -2,13 +2,12 @@
 //!
 //! Discovery is deterministic: directory entries are sorted before
 //! visiting (the linter holds itself to the invariants it enforces).
-//! The parallel/incremental machinery lives in [`crate::driver`]; this
-//! module owns what happens to *one* file.
+//! The workspace-wide pass lives in [`crate::driver`]; this module
+//! owns discovery and what happens to *one* file.
 
 use crate::config::{self, Config};
 use crate::dataflow::{self, SigTable};
-use crate::diag::{Report, Suppressed};
-use crate::driver::{self, DriveOptions};
+use crate::diag::Suppressed;
 use crate::interproc::{self, FileSummaries};
 use crate::parser;
 use crate::rules;
@@ -17,9 +16,9 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// Everything one file's analysis produced, before workspace-level
-/// merging. This is the unit the incremental cache stores and replays.
-#[derive(Debug, Clone, Default)]
+/// Everything one file's rule passes produced, before workspace-level
+/// merging.
+#[derive(Debug, Default)]
 pub struct FileOutcome {
     /// Unsuppressed violations.
     pub violations: Vec<crate::diag::Violation>,
@@ -29,36 +28,9 @@ pub struct FileOutcome {
     pub unused_allows: Vec<u32>,
 }
 
-/// Lints the workspace rooted at `root`: the root package (if any),
-/// root `tests/` and `examples/`, and every crate under `crates/`.
-///
-/// Uses the parallel driver with no cache; a `LINT_BASELINE.json` at
-/// the root is applied automatically when present. The CLI exposes the
-/// cache and explicit baseline control.
-#[must_use]
-pub fn lint_workspace(root: &Path, cfg: &Config) -> io::Result<Report> {
-    let baseline = root.join("LINT_BASELINE.json");
-    let opts = DriveOptions {
-        jobs: 0,
-        cache_path: None,
-        baseline_path: baseline.is_file().then_some(baseline),
-    };
-    driver::drive(root, cfg, &opts).map(|o| o.report)
-}
-
-/// This file's contribution to the workspace [`SigTable`]: names of
-/// fns returning `Result`/`Report`. Phase 1 of the driver.
-pub fn collect_file_facts(src: &str) -> Vec<String> {
-    let ctx = FileCtx::new("", src);
-    let parsed = parser::parse(&ctx.code);
-    dataflow::collect_facts(&parsed)
-}
-
 /// Phase 1 of the driver in one lex+parse: signature facts for the
 /// [`SigTable`] plus this file's function summaries and
-/// interprocedural allows. Everything here depends only on file
-/// content and path, so the driver caches it by content hash and warm
-/// runs skip straight to graph propagation.
+/// interprocedural allows.
 pub fn collect_file_analysis(rel_path: &str, src: &str) -> (Vec<String>, FileSummaries) {
     let ctx = FileCtx::new(rel_path, src);
     let parsed = parser::parse(&ctx.code);
@@ -102,45 +74,6 @@ pub fn analyze_source(rel_path: &str, src: &str, cfg: &Config, sigs: &SigTable) 
         }
     }
     outcome
-}
-
-/// Convenience for tests: lints one source string in isolation and
-/// returns the finished (sorted) report. The signature table is built
-/// from this file alone, so cross-file `result-dropped` facts are
-/// limited to fns the snippet itself defines.
-#[must_use]
-pub fn lint_source(rel_path: &str, src: &str, cfg: &Config) -> Report {
-    let (facts, summaries) = collect_file_analysis(rel_path, src);
-    let sigs = SigTable::from_facts(facts.iter().map(|s| s.as_str()));
-    let outcome = analyze_source(rel_path, src, cfg, &sigs);
-    let mut report = Report {
-        files_scanned: 1,
-        severities: cfg.severity_map(),
-        ..Report::default()
-    };
-    report.violations = outcome.violations;
-    report.suppressed = outcome.suppressed;
-    for line in outcome.unused_allows {
-        report.unused_allows.push((rel_path.to_string(), line));
-    }
-    // The central passes over this one file's call graph.
-    let graph = interproc::CallGraph::build(summaries.fns);
-    let mut allows: Vec<(String, interproc::InterprocAllow)> = summaries
-        .allows
-        .into_iter()
-        .map(|a| (rel_path.to_string(), a))
-        .collect();
-    let (violations, suppressed) = interproc::evaluate(&graph, cfg, &mut allows);
-    report.violations.extend(violations);
-    report.suppressed.extend(suppressed);
-    let (cviolations, csuppressed) = crate::concurrency::evaluate(&graph, cfg, &mut allows);
-    report.violations.extend(cviolations);
-    report.suppressed.extend(csuppressed);
-    report
-        .unused_allows
-        .extend(interproc::unused_allows(&allows));
-    report.sort();
-    report
 }
 
 pub(crate) fn rel_path(root: &Path, file: &Path) -> String {

@@ -7,11 +7,17 @@
 
 use std::path::Path;
 
+/// The gate `webdeps-lint --root .` applies: the committed baseline.
+fn lint(root: &Path) -> webdeps_lint::Report {
+    let baseline = root.join("LINT_BASELINE.json");
+    webdeps_lint::lint_workspace(root, &webdeps_lint::Config::default(), Some(&baseline))
+        .expect("workspace scan")
+}
+
 #[test]
 fn live_workspace_is_lint_clean() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let report = webdeps_lint::lint_workspace(root, &webdeps_lint::Config::default())
-        .expect("workspace scan");
+    let report = lint(root);
     assert!(
         report.files_scanned > 100,
         "scan must cover the whole tree, saw only {} files",
@@ -34,8 +40,7 @@ fn live_workspace_is_lint_clean() {
 #[test]
 fn suppressions_all_carry_reasons() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let report = webdeps_lint::lint_workspace(root, &webdeps_lint::Config::default())
-        .expect("workspace scan");
+    let report = lint(root);
     for s in &report.suppressed {
         assert!(
             !s.reason.is_empty(),
