@@ -23,6 +23,10 @@ use webdeps_chaos::{
 use webdeps_worldgen::incidents::{dyn_incident_world, globalsign_incident_world};
 use webdeps_worldgen::World;
 
+const USAGE: &str = "usage: webdeps-chaos --replay dyn|globalsign [--seed S] [--sites N] | \
+                     --campaign [--seed S] [--schedules N] [--sites N] | \
+                     --replay-schedule --seed S [--sites N] | --smoke";
+
 struct Args {
     replay: Option<String>,
     campaign: bool,
@@ -57,19 +61,15 @@ fn parse_args() -> Result<Args, String> {
             "--sites" => {
                 let v = it.next().ok_or("--sites needs a value")?;
                 args.sites = v.parse().map_err(|_| format!("bad --sites {v:?}"))?;
+                if args.sites == 0 {
+                    return Err(format!("--sites must be at least 1\n{USAGE}"));
+                }
             }
             "--schedules" => {
                 let v = it.next().ok_or("--schedules needs a value")?;
                 args.schedules = v.parse().map_err(|_| format!("bad --schedules {v:?}"))?;
             }
-            "--help" | "-h" => {
-                return Err(
-                    "usage: webdeps-chaos --replay dyn|globalsign [--seed S] [--sites N] | \
-                     --campaign [--seed S] [--schedules N] [--sites N] | \
-                     --replay-schedule --seed S [--sites N] | --smoke"
-                        .into(),
-                )
-            }
+            "--help" | "-h" => return Err(USAGE.into()),
             other => return Err(format!("unknown argument {other:?} (try --help)")),
         }
     }

@@ -24,6 +24,10 @@ use webdeps_serve::server::{spawn, ServerConfig, ServerHandle};
 use webdeps_serve::torture::{run_torture, TortureConfig};
 use webdeps_worldgen::{World, WorldConfig};
 
+const USAGE: &str = "usage: webdeps-serve --serve [--addr A] [--seed S] [--sites N] [--workers W] \
+                     [--deadline-ms D] | --torture [--seed S] [--seeds K] [--connections C] \
+                     [--clients T] [--sites N] [--workers W] [--deadline-ms D] | --smoke";
+
 struct Args {
     serve: bool,
     torture: bool,
@@ -70,6 +74,9 @@ fn parse_args() -> Result<Args, String> {
             "--sites" => {
                 let v = it.next().ok_or("--sites needs a value")?;
                 args.sites = v.parse().map_err(|_| format!("bad --sites {v:?}"))?;
+                if args.sites == 0 {
+                    return Err(format!("--sites must be at least 1\n{USAGE}"));
+                }
             }
             "--connections" => {
                 let v = it.next().ok_or("--connections needs a value")?;
@@ -87,14 +94,7 @@ fn parse_args() -> Result<Args, String> {
                 let v = it.next().ok_or("--deadline-ms needs a value")?;
                 args.deadline_ms = v.parse().map_err(|_| format!("bad --deadline-ms {v:?}"))?;
             }
-            "--help" | "-h" => {
-                return Err(
-                    "usage: webdeps-serve --serve [--addr A] [--seed S] [--sites N] [--workers W] \
-                     [--deadline-ms D] | --torture [--seed S] [--seeds K] [--connections C] \
-                     [--clients T] [--sites N] [--workers W] [--deadline-ms D] | --smoke"
-                        .into(),
-                )
-            }
+            "--help" | "-h" => return Err(USAGE.into()),
             other => return Err(format!("unknown argument {other:?} (try --help)")),
         }
     }

@@ -163,3 +163,22 @@ fn torture_campaign_passes_on_a_small_world() {
     }
     handle.shutdown();
 }
+
+#[test]
+fn torture_rejects_a_zero_site_world() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_webdeps-serve"))
+        .args(["--torture", "--sites", "0", "--seeds", "1"])
+        .output()
+        .expect("the binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(
+        stderr.contains("usage: webdeps-serve"),
+        "usage line missing: {stderr}"
+    );
+    assert!(
+        out.stdout.is_empty(),
+        "printed {}",
+        String::from_utf8_lossy(&out.stdout)
+    );
+}
