@@ -14,6 +14,14 @@ cargo build --release --offline
 echo "== cargo test -q --offline --workspace (every crate's suite, not just the root package) =="
 cargo test -q --offline --workspace
 
+# perfbench is its own workspace, so the run above skips it. Its
+# self-tests check that the benchmark's replicas still match the
+# program (chaos per-tick counts, serve OUTAGE replies, repro incident
+# curves), plus its digest pins and metric schema. --locked fails
+# instead of rewriting perfbench/Cargo.lock.
+echo "== perfbench self-tests (replicas, digest pins, metric schema) =="
+cargo test -q --release --offline --locked --manifest-path perfbench/Cargo.toml
+
 echo "== webdeps-chaos --smoke (incident replays + invariant campaign) =="
 cargo run -q --release --offline -p webdeps-chaos -- --smoke
 
