@@ -1,8 +1,8 @@
 //! Deterministic parallel fan-out.
 //!
-//! Every parallel path in the workspace — the measurement crawl, the
-//! analysis-layer rankings and sweeps, the chaos campaign's
-//! availability probes, the lint driver — shares this one helper and
+//! Every parallel path in the workspace — world synthesis, the
+//! measurement crawl, the analysis-layer rankings and sweeps, and the
+//! chaos campaign's availability probes — shares this one helper and
 //! therefore one contract: **output is byte-identical at any worker
 //! count**, including one. The recipe is the only scheme that makes
 //! that trivially auditable:
@@ -18,8 +18,8 @@
 //!
 //! Worker-count policy is likewise centralized: [`resolve_jobs`] is the
 //! single knob (explicit value > `WEBDEPS_JOBS` env > detected
-//! parallelism, capped at [`MAX_AUTO_JOBS`]) shared by measure, core,
-//! chaos, and lint, replacing the per-crate policies that used to
+//! parallelism, capped at [`MAX_AUTO_JOBS`]) shared by worldgen,
+//! measure, core, and chaos, replacing the per-crate policies that used to
 //! disagree. Because every caller is deterministic at any worker
 //! count, the knob tunes *speed only* — it can never change results.
 
