@@ -10,8 +10,8 @@ use webdeps_dns::fault::Degradation;
 use webdeps_dns::{FaultSchedule, SimTime};
 use webdeps_worldgen::incidents::dyn_incident_world;
 
-/// One tick of the replay engine probes every listed site; 10 000 sites
-/// is the scale the sweep benchmark times.
+/// A replay tick probes only the incident's footprint; this sweep probes
+/// every one of 10 000 sites, the full-population cost pruning avoids.
 const SWEEP_SITES: usize = 10_000;
 
 fn chaos_benches(h: &mut Harness) {
@@ -48,7 +48,8 @@ fn chaos_benches(h: &mut Harness) {
     let mut group = h.benchmark_group("chaos/replay");
     group.sample_size(10);
 
-    // A truncated Dyn replay end to end (every tick, 1k-site probe).
+    // A truncated Dyn replay end to end over 1k sites: the footprint
+    // index build plus every tick.
     group.bench_function("dyn_two_wave_1k_sites", |b| {
         let mut incident = dyn_two_wave(&world, 42).expect("2016 world has Dyn");
         incident.options = ReplayOptions {

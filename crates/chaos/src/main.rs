@@ -8,7 +8,9 @@
 //! ```
 //!
 //! `--replay` prints the incident's per-tick availability curve; the
-//! output is byte-identical for identical arguments. `--campaign` runs
+//! output is byte-identical for identical arguments. On stderr it says
+//! how many sites each tick probed: the incident's footprint, the rest
+//! counting at their healthy baseline. `--campaign` runs
 //! a randomized invariant campaign and exits non-zero on any violation.
 //! `--replay-schedule` replays one campaign schedule by its seed — the
 //! exact command a campaign violation prints as its repro line.
@@ -105,6 +107,8 @@ fn build_incident(which: &str, seed: u64, sites: usize) -> Result<(World, Incide
 fn run_replay(which: &str, seed: u64, sites: usize) -> Result<(), String> {
     let (world, incident) = build_incident(which, seed, sites)?;
     let result = replay(&world, &incident);
+    let total = result.samples.first().map_or(0, |s| s.total);
+    eprintln!("probed {} of {total} sites per tick", result.probed);
     print!("{}", result.render());
     Ok(())
 }

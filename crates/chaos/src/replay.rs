@@ -2,16 +2,21 @@
 //!
 //! [`replay`] advances one persistent [`WebClient`] — DNS cache, OCSP
 //! response cache, and simulated clock intact — through an
-//! [`Incident`]'s timeline, probing every site's document fetch at each
-//! tick. Persistence is the engine's reason to exist: cached DNS
-//! answers let sites coast through the early minutes of an outage, and
-//! cached OCSP responses keep denying sites long after a PKI fault is
-//! fixed. A cache-free sweep (see
+//! [`Incident`]'s timeline. At each tick it probes the document fetch of
+//! every site the incident's faults can reach (their footprint, from a
+//! [`webdeps_core::OutageIndex`] recorded first) and counts every other
+//! site at its healthy baseline. Persistence is the engine's reason to
+//! exist: cached DNS answers let sites coast through the early minutes
+//! of an outage, and cached OCSP responses keep denying sites long after
+//! a PKI fault is fixed. A cache-free sweep (see
 //! [`webdeps_core::outage::simulate_outage_at`]) cannot show either
 //! effect.
 
 use crate::incident::Incident;
-use webdeps_dns::{SimTime, StalePolicy};
+use webdeps_core::outage::probe_site;
+use webdeps_core::OutageIndex;
+use webdeps_dns::{FaultTarget, SimTime, StalePolicy};
+use webdeps_model::{CaId, EntityId};
 use webdeps_tls::{Pki, RevocationPolicy};
 use webdeps_web::WebClient;
 use webdeps_worldgen::World;
@@ -31,7 +36,8 @@ pub struct ReplayOptions {
     pub probe_caching: bool,
     /// Enable RFC 8767 serve-stale on the probing resolver.
     pub serve_stale: bool,
-    /// Cap on probed sites (`0` probes the full population).
+    /// Cap on the replayed population, taken as the first `max_sites`
+    /// sites (`0` replays every site).
     pub max_sites: usize,
 }
 
@@ -55,12 +61,12 @@ pub struct TickSample {
     pub time: SimTime,
     /// Sites whose document fetch succeeded.
     pub up: usize,
-    /// Sites probed.
+    /// Sites replayed (probed, or counted at their healthy baseline).
     pub total: usize,
 }
 
 impl TickSample {
-    /// Fraction of probed sites up at this instant.
+    /// Fraction of replayed sites up at this instant.
     pub fn availability(&self) -> f64 {
         if self.total == 0 {
             1.0
@@ -79,6 +85,9 @@ pub struct ReplayResult {
     pub description: String,
     /// One sample per tick, in time order.
     pub samples: Vec<TickSample>,
+    /// Sites probed at each tick: the incident's footprint. The other
+    /// sites of each sample's `total` count at their healthy baseline.
+    pub probed: usize,
 }
 
 impl ReplayResult {
@@ -125,8 +134,57 @@ impl ReplayResult {
 /// Replays `incident` against `world` and returns the availability
 /// curve. Deterministic: same world, incident, and options → identical
 /// result (and identical [`ReplayResult::render`] bytes).
+///
+/// The samples equal those of probing every site at every tick. An
+/// [`OutageIndex`] recorded over the replayed sites (healthy, caches
+/// off, the replay's revocation policy) names the sites the incident's
+/// fault set can reach: the entities its schedule degrades (a server
+/// target counts as its operator), the CAs of its PKI phases, and the
+/// sites whose certificates expire within the horizon. Only those are
+/// probed. The persistent client cannot carry a fault to the rest: the
+/// clock moves only between ticks, loss draws are keyed on (seed,
+/// server, name, time, attempt) rather than on probe order, and a site
+/// outside the footprint never looks up a name or certificate status
+/// whose path touches a faulted entity or CA — if it did, the entity or
+/// CA would be in its footprint. `tests/replay_oracle.rs` holds the
+/// samples equal to a full probe's.
 pub fn replay(world: &World, incident: &Incident) -> ReplayResult {
     let opts = incident.options;
+    let policy = if opts.hard_fail {
+        RevocationPolicy::HardFail
+    } else {
+        RevocationPolicy::SoftFail
+    };
+    let mut total = world.truth.len();
+    if opts.max_sites > 0 {
+        total = total.min(opts.max_sites);
+    }
+    let tick = opts.tick_secs.max(1);
+    let last_tick = SimTime(opts.horizon_secs / tick * tick);
+
+    let index = OutageIndex::build_prefix(world, total, policy);
+    let entities: Vec<EntityId> = incident
+        .schedule
+        .phases()
+        .iter()
+        .map(|p| match p.target {
+            FaultTarget::Entity(e) => e,
+            FaultTarget::Server(s) => world.dns.server(s).operator,
+        })
+        .collect();
+    let cas: Vec<CaId> = incident.pki_phases.iter().map(|p| p.ca).collect();
+    let footprint = index.reach(&entities, &cas, last_tick);
+    let down_outside = index
+        .baseline_down()
+        .iter()
+        .filter(|id| footprint.binary_search(id).is_err())
+        .count();
+    let up_outside = total - footprint.len() - down_outside;
+    let probed: Vec<_> = footprint
+        .iter()
+        .map(|&id| world.site(id))
+        .map(|site| (site.document_hosts(), site.https()))
+        .collect();
 
     // Materialize one PKI view per scripted phase, cumulatively: each
     // phase edits the previous view, so clearing a fault at phase 2
@@ -141,10 +199,7 @@ pub fn replay(world: &World, incident: &Incident) -> ReplayResult {
         pki_views.push((phase.from, current.clone()));
     }
 
-    let mut client = WebClient::new(world.resolver(), &world.web, &world.pki);
-    if opts.hard_fail {
-        client = client.with_policy(RevocationPolicy::HardFail);
-    }
+    let mut client = WebClient::new(world.resolver(), &world.web, &world.pki).with_policy(policy);
     if !opts.probe_caching {
         client.resolver_mut().disable_cache();
     }
@@ -155,15 +210,9 @@ pub fn replay(world: &World, incident: &Incident) -> ReplayResult {
     }
     client.set_schedule(incident.schedule.clone());
 
-    let mut listings = world.listings();
-    if opts.max_sites > 0 {
-        listings.truncate(opts.max_sites);
-    }
-
     let mut samples = Vec::new();
     let mut next_view = 0;
     let mut t = 0u64;
-    let tick = opts.tick_secs.max(1);
     while t <= opts.horizon_secs {
         while next_view < pki_views.len() && pki_views[next_view].0.seconds() <= t {
             client.set_pki(&pki_views[next_view].1);
@@ -172,16 +221,14 @@ pub fn replay(world: &World, incident: &Incident) -> ReplayResult {
         let now = client.resolver().now().seconds();
         client.resolver_mut().advance_time(t - now);
 
-        let mut up = 0;
-        for l in &listings {
-            if webdeps_core::outage::probe_site(&mut client, &l.document_hosts, l.https) {
-                up += 1;
-            }
-        }
+        let up = probed
+            .iter()
+            .filter(|(hosts, https)| probe_site(&mut client, hosts, *https))
+            .count();
         samples.push(TickSample {
             time: SimTime(t),
-            up,
-            total: listings.len(),
+            up: up_outside + up,
+            total,
         });
         t += tick;
     }
@@ -190,6 +237,7 @@ pub fn replay(world: &World, incident: &Incident) -> ReplayResult {
         incident: incident.name.clone(),
         description: incident.description.clone(),
         samples,
+        probed: probed.len(),
     }
 }
 

@@ -7,12 +7,13 @@
 //! cross-validated (the Mirai-Dyn what-if, end to end).
 //!
 //! [`simulate_outage`] is the one-shot full sweep. [`OutageIndex`]
-//! answers the repeated single-entity question of a resident service:
-//! it records once which entities each site's healthy fetch consults,
-//! then probes only the sites a failed entity can reach.
+//! records once which entities and CAs each site's healthy fetch
+//! consults, then probes only the sites a fault can reach: a resident
+//! service's repeated single-entity question, and the chaos replay's
+//! incident fault set.
 
 use webdeps_dns::{FaultPlan, FaultSchedule, SimTime};
-use webdeps_model::{fan_out_chunked, DomainName, EntityId, ModelError, SiteId};
+use webdeps_model::{fan_out_chunked, CaId, DomainName, EntityId, ModelError, SiteId};
 use webdeps_tls::RevocationPolicy;
 use webdeps_web::{Scheme, Url, WebClient};
 use webdeps_worldgen::{SiteListing, SiteTruth, World};
@@ -191,108 +192,150 @@ pub fn simulate_outage_at_with_jobs(
     }
 }
 
-/// Per-entity outage footprints of one world, for answering many
-/// single-entity outages without sweeping every site each time.
+/// Outage footprints of one world, for answering many outages without
+/// sweeping every site each time.
 ///
 /// Built from one healthy, cache-off sweep that records each site's
-/// **footprint**: every entity the resolver consulted while probing it
+/// **footprint**: every entity the resolver consulted while probing it,
+/// and apart from those every CA whose PKI fault state the fetch read
 /// (see `Resolver::record_consults`). The probe path reads fault state
-/// only through those consults, so a site whose footprint lacks `E`
-/// walks its healthy path unchanged when `E` fails, and is down exactly
-/// when it was down at baseline. [`Self::affected`] therefore probes
-/// only `E`'s footprint sites and adds the baseline-down sites outside
-/// it; `tests/outage_validation.rs` holds it equal to
-/// [`simulate_outage`] for every catalog provider.
+/// only through those consults, so a site whose footprint lacks every
+/// entity and CA of a fault set walks its healthy path unchanged while
+/// they fail, and is down exactly when it was down at baseline.
+/// [`Self::affected`] therefore probes only one entity's footprint and
+/// adds the baseline-down sites outside it;
+/// `tests/outage_validation.rs` holds it equal to [`simulate_outage`]
+/// for every catalog provider.
 ///
-/// Scope: one failed entity, the default soft-fail client, no schedule,
-/// clock at 0. Server-level plans, schedules, hard-fail and
-/// multi-provider outages stay on [`simulate_outage`] and
+/// Scope: the recording is made at clock 0 under one revocation policy
+/// (soft-fail for [`Self::build`]). [`Self::affected`] answers one
+/// failed entity at that instant, as serve's `OUTAGE` asks.
+/// [`Self::reach`] answers a fault set — entities, and CAs whose PKI
+/// state changes — up to a later instant, adding the sites whose
+/// certificates change validity by then; the chaos replay probes what
+/// it returns through its persistent client. Server-level plans and
+/// multi-provider one-shot sweeps stay on [`simulate_outage`] and
 /// [`simulate_outage_at`].
 #[derive(Debug, Clone)]
 pub struct OutageIndex {
-    /// CSR offsets by entity id: the footprint of entity `e` is
-    /// `sites[start[e]..start[e + 1]]`, in site order.
-    start: Vec<u32>,
-    /// Footprint site lists, concatenated.
-    sites: Vec<SiteId>,
-    /// Sites unreachable on healthy infrastructure, in site order.
+    /// The revocation policy of the recording client.
+    policy: RevocationPolicy,
+    /// Footprints by entity id.
+    entities: Footprints,
+    /// PKI footprints by CA id: the sites whose fetch read that CA's
+    /// OCSP/CRL answers or staple.
+    cas: Footprints,
+    /// Recorded sites unreachable on healthy infrastructure, in site
+    /// order.
     baseline_down: Vec<SiteId>,
+    /// Per recorded site, by site id: the first instant after 0 at which
+    /// a certificate it presents enters or leaves its validity window.
+    cert_edges: Vec<SimTime>,
 }
 
 impl OutageIndex {
-    /// Runs the recording sweep over `world` (sharded across the
-    /// automatic worker count; the result is identical at any count).
-    /// Caches are flushed before every site, so a certificate or name
-    /// shared with an earlier site cannot hide part of a footprint
-    /// behind a cached answer.
+    /// Runs the recording sweep over every site of `world` with the
+    /// default soft-fail client (sharded across the automatic worker
+    /// count; the result is identical at any count).
     pub fn build(world: &World) -> OutageIndex {
-        let shards = fan_out_chunked(&world.truth.sites, 0, |shard| {
-            let mut client = world.client();
+        OutageIndex::build_prefix(world, world.truth.len(), RevocationPolicy::SoftFail)
+    }
+
+    /// The recording sweep over the first `sites` sites of `world` (the
+    /// population a replay with `max_sites` probes), through a client
+    /// with revocation `policy`: the policy decides which sites are down
+    /// at baseline. Caches are flushed before every site, so a
+    /// certificate or name shared with an earlier site cannot hide part
+    /// of a footprint behind a cached answer.
+    pub fn build_prefix(world: &World, sites: usize, policy: RevocationPolicy) -> OutageIndex {
+        let sites = &world.truth.sites[..sites.min(world.truth.len())];
+        let shards = fan_out_chunked(sites, 0, |shard| {
+            let mut client = world.client().with_policy(policy);
             client.resolver_mut().disable_cache();
             client.resolver_mut().record_consults();
-            let mut pairs: Vec<(EntityId, SiteId)> = Vec::new();
-            let mut down = Vec::new();
+            let mut rec = Recording::default();
             for site in shard {
                 client.flush_caches();
-                if !probe_truth(&mut client, site) {
-                    down.push(site.id);
+                let hosts = site.document_hosts();
+                if !probe_site(&mut client, &hosts, site.https()) {
+                    rec.down.push(site.id);
                 }
-                let mut consulted = client.resolver_mut().take_consults();
-                consulted.sort_unstable();
-                consulted.dedup();
-                pairs.extend(consulted.into_iter().map(|e| (e, site.id)));
+                rec.cert_edges.push(cert_edge(world, &hosts, site.https()));
+                let resolver = client.resolver_mut();
+                let entities = resolver.take_consults().into_iter().map(|e| e.0);
+                rec.entities
+                    .extend(distinct(entities).map(|e| (e, site.id)));
+                let cas = resolver.take_pki_consults().into_iter().map(|c| c.0);
+                rec.cas.extend(distinct(cas).map(|c| (c, site.id)));
             }
-            vec![(pairs, down)]
+            vec![rec]
         });
-
-        let entities = shards
-            .iter()
-            .flat_map(|(pairs, _)| pairs.iter().map(|(e, _)| e.index() + 1))
-            .max()
-            .unwrap_or(0);
-        // Counting sort by entity; shards arrive in site order, so each
-        // footprint list comes out in site order too.
-        let mut start = vec![0u32; entities + 1];
-        for (e, _) in shards.iter().flat_map(|(pairs, _)| pairs) {
-            start[e.index() + 1] += 1;
-        }
-        for i in 0..entities {
-            start[i + 1] += start[i];
-        }
-        let mut cursor = start.clone();
-        let mut sites = vec![SiteId(0); start[entities] as usize];
-        let mut baseline_down = Vec::new();
-        for (pairs, down) in shards {
-            for (e, site) in pairs {
-                let slot = &mut cursor[e.index()];
-                sites[*slot as usize] = site;
-                *slot += 1;
-            }
-            baseline_down.extend(down);
-        }
+        // Shards arrive in site order, so every list below is in site
+        // order too.
         OutageIndex {
-            start,
-            sites,
-            baseline_down,
+            policy,
+            entities: Footprints::from_pairs(shards.iter().map(|r| r.entities.as_slice())),
+            cas: Footprints::from_pairs(shards.iter().map(|r| r.cas.as_slice())),
+            baseline_down: shards.iter().flat_map(|r| r.down.iter().copied()).collect(),
+            cert_edges: shards
+                .iter()
+                .flat_map(|r| r.cert_edges.iter().copied())
+                .collect(),
         }
+    }
+
+    /// Recorded sites unreachable on healthy infrastructure at clock 0,
+    /// in site order.
+    pub fn baseline_down(&self) -> &[SiteId] {
+        &self.baseline_down
     }
 
     /// The sites whose healthy fetch consulted `entity`, in site order
     /// (empty for an entity no site consults). An outage of `entity`
     /// probes exactly these.
     pub fn footprint(&self, entity: EntityId) -> &[SiteId] {
-        let e = entity.index();
-        match (self.start.get(e), self.start.get(e + 1)) {
-            (Some(&lo), Some(&hi)) => &self.sites[lo as usize..hi as usize],
-            _ => &[],
-        }
+        self.entities.get(entity.index())
+    }
+
+    /// The sites a fault set can move off their recorded baseline at any
+    /// instant in `0..=until`, in site order: the footprints of
+    /// `entities`, the PKI footprints of `cas`, and the sites whose
+    /// certificates enter or leave their validity window by `until`.
+    ///
+    /// Every other recorded site walks its healthy path at each of those
+    /// instants, whatever the fault set does and whatever a persistent
+    /// client has cached: it reads no fault state of the set, and a
+    /// cached answer it reads concerns a name or certificate whose
+    /// lookup touches none of the set either, so it equals a fresh
+    /// healthy answer. It is down exactly when it is in
+    /// [`Self::baseline_down`].
+    pub fn reach(&self, entities: &[EntityId], cas: &[CaId], until: SimTime) -> Vec<SiteId> {
+        let expiring = self
+            .cert_edges
+            .iter()
+            .enumerate()
+            .filter(|&(_, &edge)| edge <= until)
+            .map(|(i, _)| SiteId::from_index(i));
+        let mut sites: Vec<SiteId> = entities
+            .iter()
+            .map(|e| self.footprint(*e))
+            .chain(cas.iter().map(|c| self.cas.get(c.index())))
+            .flatten()
+            .copied()
+            .chain(expiring)
+            .collect();
+        sites.sort_unstable();
+        sites.dedup();
+        sites
     }
 
     /// The outage of `entity` alone on `world` — which must be the world
     /// the index was built from — equal to
-    /// `simulate_outage(world, &[entity's provider], false)`. Probes the
-    /// footprint through one soft-fail, DNS-cache-off client whose OCSP
-    /// cache carries over between sites, as a full sweep's does.
+    /// `simulate_outage(world, &[entity's provider], hard_fail)` over the
+    /// recorded sites, `hard_fail` being the recording policy. Probes the
+    /// footprint through one client with that policy and the DNS cache
+    /// off, whose OCSP cache carries over between sites as a full
+    /// sweep's does.
     ///
     /// `proceed` is polled before each probe with the number of sites
     /// probed so far; returning `false` abandons the sweep with `None`,
@@ -304,7 +347,7 @@ impl OutageIndex {
         mut proceed: impl FnMut(usize) -> bool,
     ) -> Option<OutageResult> {
         let footprint = self.footprint(entity);
-        let mut client = world.client();
+        let mut client = world.client().with_policy(self.policy);
         client.set_faults(FaultPlan::healthy().fail_entity(entity));
         client.resolver_mut().disable_cache();
         let mut affected = Vec::new();
@@ -325,9 +368,86 @@ impl OutageIndex {
         Some(OutageResult {
             failed_entities: vec![entity],
             affected,
-            total: world.truth.len(),
+            total: self.cert_edges.len(),
         })
     }
+}
+
+/// What one shard of the recording sweep saw.
+#[derive(Default)]
+struct Recording {
+    /// `(entity id, site)` per distinct entity a site consulted.
+    entities: Vec<(u32, SiteId)>,
+    /// `(CA id, site)` per distinct CA whose PKI state a site read.
+    cas: Vec<(u32, SiteId)>,
+    /// Sites down at baseline.
+    down: Vec<SiteId>,
+    /// Each site's [`cert_edge`], in site order.
+    cert_edges: Vec<SimTime>,
+}
+
+/// `keys` sorted, without repeats.
+fn distinct(keys: impl Iterator<Item = u32>) -> impl Iterator<Item = u32> {
+    let mut keys: Vec<u32> = keys.collect();
+    keys.sort_unstable();
+    keys.dedup();
+    keys.into_iter()
+}
+
+/// Site lists keyed by a dense id, stored CSR-style: the list of key `k`
+/// is `sites[start[k]..start[k + 1]]`.
+#[derive(Debug, Clone)]
+struct Footprints {
+    start: Vec<u32>,
+    sites: Vec<SiteId>,
+}
+
+impl Footprints {
+    /// Counting sort of `(key, site)` pairs, given in parts, by key;
+    /// pairs that arrive in site order leave every list in site order.
+    fn from_pairs<'a>(parts: impl Iterator<Item = &'a [(u32, SiteId)]> + Clone) -> Footprints {
+        let pairs = || parts.clone().flatten().map(|&(k, site)| (k as usize, site));
+        let keys = pairs().map(|(k, _)| k + 1).max().unwrap_or(0);
+        let mut start = vec![0u32; keys + 1];
+        for (k, _) in pairs() {
+            start[k + 1] += 1;
+        }
+        for i in 0..keys {
+            start[i + 1] += start[i];
+        }
+        let mut cursor = start.clone();
+        let mut sites = vec![SiteId(0); start[keys] as usize];
+        for (k, site) in pairs() {
+            sites[cursor[k] as usize] = site;
+            cursor[k] += 1;
+        }
+        Footprints { start, sites }
+    }
+
+    /// The list of `key` (empty past the last key).
+    fn get(&self, key: usize) -> &[SiteId] {
+        match (self.start.get(key), self.start.get(key + 1)) {
+            (Some(&lo), Some(&hi)) => &self.sites[lo as usize..hi as usize],
+            _ => &[],
+        }
+    }
+}
+
+/// The first instant after 0 at which a certificate one of `hosts`
+/// presents enters or leaves its validity window — the only way a
+/// healthy fetch's outcome changes with the clock (`SimTime(u64::MAX)`
+/// for a plain-HTTP site or one without certificates).
+fn cert_edge(world: &World, hosts: &[DomainName], https: bool) -> SimTime {
+    if !https {
+        return SimTime(u64::MAX);
+    }
+    hosts
+        .iter()
+        .filter_map(|h| world.web.vhost(h)?.tls.as_ref())
+        .flat_map(|tls| [tls.certificate.not_before, tls.certificate.not_after])
+        .filter(|&t| t > SimTime::ZERO)
+        .min()
+        .unwrap_or(SimTime(u64::MAX))
 }
 
 /// [`probe_site`] over a site's ground-truth document hosts.

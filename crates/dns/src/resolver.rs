@@ -29,7 +29,7 @@ use crate::server::ServerId;
 use crate::zone::ZoneAnswer;
 use std::fmt;
 use std::net::Ipv4Addr;
-use webdeps_model::{DomainName, EntityId};
+use webdeps_model::{CaId, DomainName, EntityId};
 
 /// Maximum CNAME chain length before the resolver gives up (mirrors the
 /// chase limits of production resolvers).
@@ -272,8 +272,17 @@ pub struct Resolver<'n> {
     stale: StalePolicy,
     stats: ResolverStats,
     caching_enabled: bool,
-    /// Entities whose fault state was read, while recording is on.
-    consulted: Option<Vec<EntityId>>,
+    /// Fault-state reads, while recording is on.
+    consulted: Option<ConsultLog>,
+}
+
+/// The consult recorder's two logs. A CA's PKI fault and an outage of
+/// the CA's entity reach different sites (a stapling site reads the
+/// first but never contacts the second), so they are kept apart.
+#[derive(Debug, Clone, Default)]
+struct ConsultLog {
+    entities: Vec<EntityId>,
+    cas: Vec<CaId>,
 }
 
 impl<'n> Resolver<'n> {
@@ -335,7 +344,7 @@ impl<'n> Resolver<'n> {
     /// consult while recording (see [`Self::record_consults`]).
     pub fn entity_effectively_up(&mut self, entity: EntityId) -> bool {
         if let Some(log) = self.consulted.as_mut() {
-            log.push(entity);
+            log.entities.push(entity);
         }
         self.faults.entity_up(entity) && !self.schedule.entity_down_at(entity, self.clock.now())
     }
@@ -344,20 +353,40 @@ impl<'n> Resolver<'n> {
     /// life (it is off by default). From then on the resolver logs every
     /// entity whose fault state it reads: the operator of *every* server
     /// in each contacted tier's set, live or not, and every argument of
-    /// [`Self::entity_effectively_up`]. These are the only reads of the
-    /// fault state on the lookup and fetch paths, so a walk that never
-    /// consulted an entity takes the identical path when only that
-    /// entity fails — the soundness argument behind outage footprints.
+    /// [`Self::entity_effectively_up`]. The fetch path above it reports
+    /// its reads of a CA's PKI fault state through
+    /// [`Self::log_pki_consult`]. These are the only reads of fault state
+    /// on the lookup and fetch paths, so a walk that never consulted an
+    /// entity (or a CA) takes the identical path when only that one
+    /// fails — the soundness argument behind outage footprints.
     pub fn record_consults(&mut self) {
-        self.consulted.get_or_insert_with(Vec::new);
+        self.consulted.get_or_insert_with(ConsultLog::default);
     }
 
-    /// Drains the consult log (in consult order, with repeats; empty
-    /// while the recorder is off).
+    /// Logs a read of `ca`'s PKI fault state (its OCSP/CRL answers or
+    /// the staple its customers serve) while recording. The PKI lives
+    /// above this crate, so the fetch path that reads it reports the
+    /// read here; it is logged apart from [`Self::take_consults`].
+    pub fn log_pki_consult(&mut self, ca: CaId) {
+        if let Some(log) = self.consulted.as_mut() {
+            log.cas.push(ca);
+        }
+    }
+
+    /// Drains the entity consult log (in consult order, with repeats;
+    /// empty while the recorder is off).
     pub fn take_consults(&mut self) -> Vec<EntityId> {
         self.consulted
             .as_mut()
-            .map(std::mem::take)
+            .map(|log| std::mem::take(&mut log.entities))
+            .unwrap_or_default()
+    }
+
+    /// Drains the PKI consult log (see [`Self::log_pki_consult`]).
+    pub fn take_pki_consults(&mut self) -> Vec<CaId> {
+        self.consulted
+            .as_mut()
+            .map(|log| std::mem::take(&mut log.cas))
             .unwrap_or_default()
     }
 
@@ -418,7 +447,8 @@ impl<'n> Resolver<'n> {
         if let Some(log) = self.consulted.as_mut() {
             // Every server of the set, not just the first live one: the
             // live server a walk reaches depends on all of their states.
-            log.extend(dep.servers.iter().map(|&sid| network.server(sid).operator));
+            log.entities
+                .extend(dep.servers.iter().map(|&sid| network.server(sid).operator));
         }
         // Fast path: no schedule means the plan alone decides, with no
         // per-attempt randomness — the original binary semantics.
@@ -1021,6 +1051,10 @@ mod tests {
         );
         assert!(r.entity_effectively_up(EntityId(7)));
         assert_eq!(r.take_consults(), vec![EntityId(7)]);
+        // PKI reads land in their own log, never among the entities.
+        r.log_pki_consult(CaId(3));
+        assert!(r.take_consults().is_empty());
+        assert_eq!(r.take_pki_consults(), vec![CaId(3)]);
     }
 
     #[test]

@@ -11,8 +11,9 @@ use crate::table::TextTable;
 use crate::workspace::Workspace;
 use webdeps_chaos::{dyn_two_wave, globalsign_stale_week, replay, ReplayResult};
 
-/// Sites probed per tick; replay curves stabilize well below full
-/// population scale and the engine probes every site every tick.
+/// Sites each replay covers (`max_sites`); replay curves stabilize well
+/// below full population scale. The engine indexes these sites' fault
+/// footprints once, then probes only the incident's footprint each tick.
 const REPLAY_SITES: usize = 1_000;
 
 fn curve_table(result: &ReplayResult) -> TextTable {

@@ -170,6 +170,7 @@ impl OcspTransport for NetTransport<'_, '_> {
         serial: u64,
     ) -> Result<OcspResponse, ()> {
         self.reach_responder(endpoint, issuer)?;
+        self.resolver.log_pki_consult(issuer);
         self.pki
             .ocsp_answer(issuer, serial, self.resolver.now())
             .ok_or(())
@@ -181,6 +182,7 @@ impl OcspTransport for NetTransport<'_, '_> {
         issuer: webdeps_model::CaId,
     ) -> Result<webdeps_tls::Crl, ()> {
         self.reach_responder(endpoint, issuer)?;
+        self.resolver.log_pki_consult(issuer);
         self.pki.crl_for(issuer, self.resolver.now()).ok_or(())
     }
 }
@@ -303,8 +305,9 @@ impl<'n> WebClient<'n> {
             // held (its validity window outlives short incidents), but a
             // GlobalSign-style bad-response fault *is* faithfully
             // re-stapled — which is why that incident hit stapling sites
-            // too.
+            // too. Reading the issuer's fault state is a PKI consult.
             let stapled = if cfg.staple {
+                self.resolver.log_pki_consult(cert.issuer);
                 match self.pki.fault_of(cert.issuer) {
                     Some(OcspFault::Unreachable) | None => Some(OcspResponse {
                         serial: cert.serial,
@@ -369,7 +372,7 @@ mod tests {
     use webdeps_dns::zone::Zone;
     use webdeps_dns::DnsNetwork;
     use webdeps_model::name::dn;
-    use webdeps_model::SiteId;
+    use webdeps_model::{CaId, SiteId};
     use webdeps_tls::pki::OCSP_VALIDITY_SECS;
 
     const SITE_ENTITY: EntityId = EntityId(0);
@@ -522,6 +525,32 @@ mod tests {
             err,
             FetchError::Revocation(RevocationError::Revoked(_))
         ));
+    }
+
+    #[test]
+    fn pki_reads_are_logged_apart_from_entity_consults() {
+        let ca = CaId(0);
+        for (staple, entities) in [
+            // The staple answers the check: the issuer's fault state is
+            // read, its responder (and so its entity) never contacted.
+            (true, vec![SITE_ENTITY]),
+            (false, vec![SITE_ENTITY, CA_ENTITY]),
+        ] {
+            let w = world(staple, false);
+            let mut client = WebClient::new(Resolver::new(&w.dns), &w.web, &w.pki);
+            client.resolver_mut().disable_cache();
+            client.resolver_mut().record_consults();
+            client.fetch(&Url::https(dn("example.com"))).unwrap();
+            let mut consulted = client.resolver_mut().take_consults();
+            consulted.sort_unstable();
+            consulted.dedup();
+            assert_eq!(consulted, entities, "staple={staple}");
+            assert_eq!(
+                client.resolver_mut().take_pki_consults(),
+                vec![ca],
+                "staple={staple}"
+            );
+        }
     }
 
     #[test]
