@@ -3,11 +3,12 @@
 //! "How many providers serve 80% of the websites?" — computed the
 //! honest way: providers sorted by direct consumer count, coverage as
 //! the *union* of their consumer sets over the population of sites that
-//! use the service at all.
+//! use the service at all. One serial pass lists each provider's
+//! consumer rows, and the walk marks covered rows in one flag vector;
+//! no per-provider set is allocated.
 
-use crate::reach::SiteSet;
 use webdeps_measure::{MeasurementDataset, ProviderKey};
-use webdeps_model::{fan_out_chunked, NameId, ServiceKind};
+use webdeps_model::{NameId, ServiceKind};
 
 /// One point of the coverage curve.
 #[derive(Debug, Clone, PartialEq)]
@@ -20,86 +21,77 @@ pub struct CoveragePoint {
     pub key: ProviderKey,
 }
 
-/// Per-provider direct consumer sets: dense `NameId`-indexed
-/// [`SiteSet`] bitsets built per shard and merged by bitwise union.
-/// Union and popcount are order-independent, and the final ordering is
-/// a total sort (consumer count descending, then provider key
-/// ascending), so the result is identical at any worker count.
-fn consumer_sets(ds: &MeasurementDataset, kind: ServiceKind) -> Vec<(NameId, SiteSet)> {
-    let bound = ds.site_id_bound();
-    let idxs: Vec<usize> = (0..ds.len()).collect();
-    let partials = fan_out_chunked(&idxs, 0, |shard| {
-        let mut sets: Vec<Option<SiteSet>> = vec![None; ds.names_len()];
-        for &i in shard {
-            let site = ds.site(i);
-            for name in site.third_parties(kind) {
-                sets[name.index()]
-                    .get_or_insert_with(|| SiteSet::with_bound(bound))
-                    .insert(site.id());
-            }
-        }
-        vec![sets]
-    });
-    let mut merged: Vec<Option<SiteSet>> = vec![None; ds.names_len()];
-    for partial in partials {
-        for (slot, set) in merged.iter_mut().zip(partial) {
-            if let Some(set) = set {
-                match slot {
-                    Some(acc) => acc.union_with(&set),
-                    None => *slot = Some(set),
-                }
-            }
-        }
-    }
-    let mut sets: Vec<(NameId, SiteSet)> = merged
-        .into_iter()
-        .enumerate()
-        .filter_map(|(i, s)| Some((NameId::from_index(i), s?)))
-        .collect();
-    sets.sort_by(|a, b| {
-        b.1.count()
-            .cmp(&a.1.count())
-            .then_with(|| ds.name(a.0).cmp(ds.name(b.0)))
-    });
-    sets
-}
-
 /// The full coverage curve for a service: point `i` is the union
-/// coverage of the top `i+1` providers. The per-provider consumer sets
-/// are bitsets and coverage is a running popcount of their union.
+/// coverage of the top `i+1` providers, ordered by consumer count
+/// descending, then provider key ascending.
 pub fn coverage_curve(ds: &MeasurementDataset, kind: ServiceKind) -> Vec<CoveragePoint> {
-    let sets = consumer_sets(ds, kind);
-    let bound = ds.site_id_bound();
-    let mut total = SiteSet::with_bound(bound);
-    for (_, s) in &sets {
-        total.union_with(s);
+    // Each provider's consumer rows in CSR form, a site counted once
+    // per provider however often it lists it.
+    let names = ds.names_len();
+    let mut start = vec![0usize; names + 1];
+    let mut pairs: Vec<(usize, usize)> = Vec::new();
+    let mut total = 0usize;
+    for (row, site) in ds.sites().enumerate() {
+        let before = pairs.len();
+        for name in site.third_parties(kind) {
+            let p = name.index();
+            if !pairs[before..].iter().any(|&(q, _)| q == p) {
+                start[p + 1] += 1;
+                pairs.push((p, row));
+            }
+        }
+        total += usize::from(pairs.len() > before);
     }
-    let total = total.count();
     if total == 0 {
         return Vec::new();
     }
-    let mut covered = SiteSet::with_bound(bound);
-    let mut out = Vec::with_capacity(sets.len());
-    for (i, (name, consumers)) in sets.into_iter().enumerate() {
-        covered.union_with(&consumers);
-        out.push(CoveragePoint {
-            providers: i + 1,
-            coverage: covered.count() as f64 / total as f64,
-            key: ProviderKey::new(ds.name(name)),
-        });
+    for p in 0..names {
+        start[p + 1] += start[p];
     }
-    out
+    let mut fill = start.clone();
+    let mut rows = vec![0usize; pairs.len()];
+    for (p, row) in pairs {
+        rows[fill[p]] = row;
+        fill[p] += 1;
+    }
+    let count = |p: usize| start[p + 1] - start[p];
+    let mut order: Vec<usize> = (0..names).filter(|&p| count(p) > 0).collect();
+    order.sort_unstable_by(|&a, &b| {
+        count(b).cmp(&count(a)).then_with(|| {
+            ds.name(NameId::from_index(a))
+                .cmp(ds.name(NameId::from_index(b)))
+        })
+    });
+
+    let mut covered = vec![false; ds.len()];
+    let mut n_covered = 0usize;
+    order
+        .into_iter()
+        .enumerate()
+        .map(|(i, p)| {
+            for &row in &rows[start[p]..start[p + 1]] {
+                if !covered[row] {
+                    covered[row] = true;
+                    n_covered += 1;
+                }
+            }
+            CoveragePoint {
+                providers: i + 1,
+                coverage: n_covered as f64 / total as f64,
+                key: ProviderKey::new(ds.name(NameId::from_index(p))),
+            }
+        })
+        .collect()
 }
 
-/// The number of providers needed to cover `fraction` of the
-/// service-using sites — the paper's "54 providers serve 80% in 2020
-/// vs 2 705 in 2016" statistic.
-pub fn providers_for_coverage(ds: &MeasurementDataset, kind: ServiceKind, fraction: f64) -> usize {
-    coverage_curve(ds, kind)
+/// The number of top providers on `curve` needed to cover `fraction`
+/// of the service-using sites (0 if none) — the paper's "54 providers
+/// serve 80% in 2020 vs 2 705 in 2016" statistic.
+pub fn providers_for_coverage(curve: &[CoveragePoint], fraction: f64) -> usize {
+    curve
         .iter()
         .position(|p| p.coverage >= fraction)
-        .map(|i| i + 1)
-        .unwrap_or(0)
+        .map_or(0, |i| i + 1)
 }
 
 #[cfg(test)]
@@ -131,13 +123,14 @@ mod tests {
         let world = World::generate(WorldConfig::small(37));
         let ds = measure_world(&world);
         // 2020: concentrated markets everywhere.
-        let dns80 = providers_for_coverage(&ds, ServiceKind::Dns, 0.8);
-        let cdn80 = providers_for_coverage(&ds, ServiceKind::Cdn, 0.8);
-        let ca80 = providers_for_coverage(&ds, ServiceKind::Ca, 0.8);
+        let dns = coverage_curve(&ds, ServiceKind::Dns);
+        let dns80 = providers_for_coverage(&dns, 0.8);
+        let cdn80 = providers_for_coverage(&coverage_curve(&ds, ServiceKind::Cdn), 0.8);
+        let ca80 = providers_for_coverage(&coverage_curve(&ds, ServiceKind::Ca), 0.8);
         assert!(dns80 > 0 && cdn80 > 0 && ca80 > 0);
         assert!(ca80 <= 8, "CA market is the most concentrated: {ca80}");
         assert!(cdn80 <= 12, "CDN market: {cdn80}");
-        let dns_total = coverage_curve(&ds, ServiceKind::Dns).len();
+        let dns_total = dns.len();
         assert!(
             dns80 < dns_total / 2,
             "DNS: top providers dominate ({dns80}/{dns_total})"
@@ -148,7 +141,8 @@ mod tests {
     fn cloud_kind_is_empty() {
         let world = World::generate(WorldConfig::small(37));
         let ds = measure_world(&world);
-        assert!(coverage_curve(&ds, ServiceKind::Cloud).is_empty());
-        assert_eq!(providers_for_coverage(&ds, ServiceKind::Cloud, 0.8), 0);
+        let cloud = coverage_curve(&ds, ServiceKind::Cloud);
+        assert!(cloud.is_empty());
+        assert_eq!(providers_for_coverage(&cloud, 0.8), 0);
     }
 }

@@ -9,6 +9,11 @@
 //! streams contiguous arrays, and the same measurement always yields
 //! the same arenas.
 //!
+//! Beside the per-site columns the dataset keeps pass 1's nameserver
+//! concentration tallies (sites per NS registrable domain, the combined
+//! heuristic's concentration input) as a sorted table of their own, so
+//! validation reads them instead of re-observing the population.
+//!
 //! Sites are read through [`SiteView`], a copyable cursor over one row.
 //! Two fields are derived rather than stored: HTTPS is every CA state
 //! but `NoHttps`, and CDN use is every CDN state but `None` — the CA
@@ -18,8 +23,9 @@
 use crate::classify::Classification;
 use crate::dataset::{ProviderKey, SiteCaMeasurement, SiteCdnMeasurement, SiteDnsMeasurement};
 use crate::interservice::ProviderMeasurement;
+use std::cmp::Ordering;
 use std::collections::HashMap;
-use webdeps_model::{Interner, NameId, Rank, ServiceKind, SiteId};
+use webdeps_model::{DomainName, Interner, NameId, Rank, ServiceKind, SiteId};
 use webdeps_worldgen::profiles::{CaProfile, CdnProfile, DepState};
 use webdeps_worldgen::SiteListing;
 
@@ -122,8 +128,8 @@ fn dec_class(byte: u8) -> Classification {
 /// `u8` per service state, CSR ranges into the flat DNS and CDN
 /// provider columns, and one CA slot. Provider-key strings live once in
 /// the interner, shared by every column. Site order (and therefore
-/// every column's order) is the listing's rank order, so the same
-/// measurement always yields the same arenas.
+/// every column's order) is the listing's rank order, in which site ids
+/// ascend, so the same measurement always yields the same arenas.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MeasurementDataset {
     /// Interned provider identities (registrable domains).
@@ -162,6 +168,15 @@ pub struct MeasurementDataset {
     ca_class: Vec<u8>,
     /// Provider-level inter-service measurements (§3.4).
     providers: Vec<ProviderMeasurement>,
+    /// CSR offsets into `ns_names` (`ns_sites.len() + 1` entries, or
+    /// none before the tallies are set).
+    ns_start: Vec<u32>,
+    /// Every tallied NS registrable domain, concatenated in ascending
+    /// byte order. Kept apart from the provider interner, so tallying
+    /// moves no [`NameId`].
+    ns_names: String,
+    /// Sites served by each `ns_names` entry.
+    ns_sites: Vec<u32>,
 }
 
 impl MeasurementDataset {
@@ -191,6 +206,9 @@ impl MeasurementDataset {
             ca: Vec::with_capacity(n),
             ca_class: Vec::with_capacity(n),
             providers: Vec::new(),
+            ns_start: Vec::new(),
+            ns_names: String::new(),
+            ns_sites: Vec::new(),
         }
     }
 
@@ -296,6 +314,23 @@ impl MeasurementDataset {
         self.providers = providers;
     }
 
+    /// Installs pass 1's nameserver concentration tallies as a table
+    /// sorted by domain.
+    pub(crate) fn set_ns_concentration(&mut self, tallies: &HashMap<DomainName, usize>) {
+        let mut entries: Vec<(&str, usize)> =
+            tallies.iter().map(|(d, &n)| (d.as_str(), n)).collect();
+        entries.sort_unstable();
+        self.ns_names = String::with_capacity(entries.iter().map(|(d, _)| d.len()).sum());
+        self.ns_start = Vec::with_capacity(entries.len() + 1);
+        self.ns_start.push(0);
+        self.ns_sites = Vec::with_capacity(entries.len());
+        for (domain, n) in entries {
+            self.ns_names.push_str(domain);
+            self.ns_start.push(checked_offset(self.ns_names.len()));
+            self.ns_sites.push(checked_offset(n));
+        }
+    }
+
     /// Number of sites.
     pub fn len(&self) -> usize {
         self.site_ids.len()
@@ -321,18 +356,27 @@ impl MeasurementDataset {
         (0..self.len()).map(move |row| SiteView { ds: self, row })
     }
 
-    /// The row holding `site`, if it was measured.
+    /// The row holding `site`, if it was measured (a binary search:
+    /// site ids ascend with the rows).
     pub fn row_of(&self, site: SiteId) -> Option<usize> {
-        self.site_ids.iter().position(|&s| s == site)
+        self.site_ids.binary_search(&site).ok()
     }
 
-    /// Exclusive upper bound on raw [`SiteId`] indexes present.
-    pub fn site_id_bound(&self) -> usize {
-        self.site_ids
-            .iter()
-            .map(|s| s.index() + 1)
-            .max()
-            .unwrap_or(0)
+    /// How many measured sites list a nameserver under the registrable
+    /// domain `reg`: pass 1's tally, the combined heuristic's
+    /// concentration input (0 for a domain no site's nameservers use).
+    pub fn ns_concentration(&self, reg: &str) -> usize {
+        let (mut lo, mut hi) = (0, self.ns_sites.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            let name = &self.ns_names[self.ns_start[mid] as usize..self.ns_start[mid + 1] as usize];
+            match name.cmp(reg) {
+                Ordering::Less => lo = mid + 1,
+                Ordering::Greater => hi = mid,
+                Ordering::Equal => return self.ns_sites[mid] as usize,
+            }
+        }
+        0
     }
 
     /// The string behind an interned provider identity.
@@ -404,6 +448,9 @@ impl MeasurementDataset {
             + self.ca.capacity() * size_of::<NameId>()
             + self.ca_class.capacity()
             + provider_table
+            + self.ns_start.capacity() * size_of::<u32>()
+            + self.ns_names.capacity()
+            + self.ns_sites.capacity() * size_of::<u32>()
     }
 }
 
@@ -522,8 +569,8 @@ fn extend_offsets(out: &mut Vec<u32>, part: &[u32], base: usize) {
     out.extend(part[1..].iter().map(|&o| checked_offset(base + o as usize)));
 }
 
-/// Checked CSR offset: a flat column longer than `u32::MAX` would
-/// silently wrap the ranges.
+/// Checked CSR offset (or tally): a flat column longer than `u32::MAX`
+/// would silently wrap the ranges.
 fn checked_offset(len: usize) -> u32 {
     assert!(
         u32::try_from(len).is_ok(),

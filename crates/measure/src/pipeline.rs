@@ -187,8 +187,9 @@ pub fn measure_world(world: &World) -> MeasurementDataset {
 ///    observation, appending it to a shard-local dataset.
 ///
 /// Serial assembly then concatenates the shard datasets in shard order
-/// (= site order) and runs the §3.4 inter-service stage. The result is
-/// identical at any worker count.
+/// (= site order) and runs the §3.4 inter-service stage. The dataset
+/// keeps pass 1's tallies ([`MeasurementDataset::ns_concentration`]).
+/// The result is identical at any worker count.
 pub fn measure_world_with(world: &World, config: MeasureConfig) -> MeasurementDataset {
     let psl = &world.psl;
     let mut listings = world.listings();
@@ -285,6 +286,7 @@ pub fn measure_world_with(world: &World, config: MeasureConfig) -> MeasurementDa
         psl,
     );
     out.set_providers(providers);
+    out.set_ns_concentration(&concentration);
     out
 }
 

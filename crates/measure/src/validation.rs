@@ -1,15 +1,19 @@
 //! Heuristic validation against ground truth (§3's manual check).
 //!
 //! The only module allowed to read the world's answer key. It samples
+//! rows of a measured dataset, re-observes and re-crawls only those
 //! sites, re-derives each strategy's verdict for every observed pair,
 //! and scores it against the [`webdeps_model::EntityRegistry`] — the
 //! synthetic stand-in for the authors' manual verification of 100
-//! random sites. Reported per strategy: *accuracy* over decided pairs
-//! and *coverage* (share of pairs decided at all), reproducing the
-//! 100 / 97 / 56 (DNS), 100 / 96 / 94 (CA), and 100 / 97 / 83 (CDN)
-//! comparisons.
+//! random sites. The concentration signal is the dataset's own pass-1
+//! tally ([`MeasurementDataset::ns_concentration`]), so validation does
+//! not re-observe the population. Reported per strategy: *accuracy*
+//! over decided pairs and *coverage* (share of pairs decided at all),
+//! reproducing the 100 / 97 / 56 (DNS), 100 / 96 / 94 (CA), and
+//! 100 / 97 / 83 (CDN) comparisons.
 
 use crate::classify::{classify, Classification, ClassifierKind, Evidence};
+use crate::columnar::MeasurementDataset;
 use crate::dns;
 use std::collections::HashMap;
 use webdeps_dns::Dig;
@@ -18,7 +22,7 @@ use webdeps_web::Crawler;
 use webdeps_worldgen::World;
 
 /// Accuracy of one strategy on one pair population.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StrategyAccuracy {
     /// The strategy scored.
     pub strategy: ClassifierKind,
@@ -31,7 +35,7 @@ pub struct StrategyAccuracy {
 }
 
 /// Validation results for all three services.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ValidationReport {
     /// (site, nameserver) pair scoring.
     pub dns: Vec<StrategyAccuracy>,
@@ -109,15 +113,20 @@ fn truth_third(world: &World, site: &DomainName, candidate: &DomainName) -> Opti
     world.entities.same_owner(site, candidate).map(|same| !same)
 }
 
-/// Validates all strategies on a random sample of `sample_size` sites
-/// (the paper used 100).
-pub fn validate_world(world: &World, sample_size: usize, seed: u64) -> ValidationReport {
-    let listings = world.listings();
+/// Validates all strategies on a random sample of `sample_size` rows of
+/// `ds`, a measurement of `world` (the paper sampled 100 sites). For a
+/// dataset of the whole world, row `i` is listing `i`.
+pub fn validate_world(
+    world: &World,
+    ds: &MeasurementDataset,
+    sample_size: usize,
+    seed: u64,
+) -> ValidationReport {
     // lint:allow(seed-flow) — validation is a sampling root: the audit
     // sample is defined by its own seed, domain-separated from world
     // streams by the constant, so the stream is minted here.
     let mut rng = DetRng::new(seed ^ 0x7A11DA7E);
-    let indices = rng.sample_indices(listings.len(), sample_size);
+    let rows = rng.sample_indices(ds.len(), sample_size);
 
     let mut client = world.client();
     let mut dns_tallies: HashMap<ClassifierKind, Tally> = ClassifierKind::ALL
@@ -132,40 +141,27 @@ pub fn validate_world(world: &World, sample_size: usize, seed: u64) -> Validatio
         .iter()
         .map(|&k| (k, Tally::new()))
         .collect();
+    let threshold = ds.threshold();
 
-    // Validation reuses the site-level concentration signal; build it
-    // from the full population like the pipeline does.
-    let resolver = client.resolver_mut();
-    let observations: Vec<Option<dns::DnsObservation>> = listings
-        .iter()
-        .map(|l| dns::observe_site(resolver, &l.domain))
-        .collect();
-    let concentration = dns::ns_concentration(&observations, &world.psl);
-    let threshold = world.config.concentration_threshold();
-
-    for &i in &indices {
-        let listing = &listings[i];
-        let report = Crawler::crawl(
-            &mut client,
-            &listing.domain,
-            &listing.document_hosts,
-            listing.https,
-        );
+    for &row in &rows {
+        let site = world.site(ds.site(row).id());
+        let domain = &site.domain;
+        let observation = dns::observe_site(client.resolver_mut(), domain);
+        let report = Crawler::crawl(&mut client, domain, &site.document_hosts(), site.https());
         let san = report.certificate.as_ref().map(|c| c.san.clone());
 
         // DNS pairs.
-        if let Some(obs) = &observations[i] {
+        if let Some(obs) = &observation {
             for (host, ns_soa) in obs.ns_hosts.iter().zip(&obs.ns_soas) {
-                let Some(truth) = truth_third(world, &listing.domain, host) else {
+                let Some(truth) = truth_third(world, domain, host) else {
                     continue;
                 };
                 let conc = world
                     .psl
                     .registrable_domain(host)
-                    .and_then(|r| concentration.get(&r).copied())
-                    .unwrap_or(0);
+                    .map_or(0, |r| ds.ns_concentration(r.as_str()));
                 let ev = Evidence {
-                    site: &listing.domain,
+                    site: domain,
                     candidate: host,
                     san: san.as_deref(),
                     site_soa: obs.site_soa.as_ref(),
@@ -186,12 +182,12 @@ pub fn validate_world(world: &World, sample_size: usize, seed: u64) -> Validatio
         // CA pair.
         if let Some(cert) = &report.certificate {
             if let Some(ca_host) = cert.ocsp_urls.first().map(|e| &e.host) {
-                if let Some(truth) = truth_third(world, &listing.domain, ca_host) {
+                if let Some(truth) = truth_third(world, domain, ca_host) {
                     let resolver = client.resolver_mut();
-                    let site_soa = Dig::new(resolver).soa_of(&listing.domain).ok();
+                    let site_soa = Dig::new(resolver).soa_of(domain).ok();
                     let ca_soa = Dig::new(resolver).soa_of(ca_host).ok();
                     let ev = Evidence {
-                        site: &listing.domain,
+                        site: domain,
                         candidate: ca_host,
                         san: san.as_deref(),
                         site_soa: site_soa.as_ref(),
@@ -212,7 +208,7 @@ pub fn validate_world(world: &World, sample_size: usize, seed: u64) -> Validatio
 
         // CDN pairs: classify the CNAME witness of each internal host.
         for host in report.hostnames() {
-            if !crate::cdn::is_internal(&listing.domain, &host, san.as_deref(), &world.psl) {
+            if !crate::cdn::is_internal(domain, &host, san.as_deref(), &world.psl) {
                 continue;
             }
             let Some(chain) = report.chain_of(&host) else {
@@ -222,14 +218,14 @@ pub fn validate_world(world: &World, sample_size: usize, seed: u64) -> Validatio
             else {
                 continue;
             };
-            let Some(truth) = truth_third(world, &listing.domain, witness) else {
+            let Some(truth) = truth_third(world, domain, witness) else {
                 continue;
             };
             let resolver = client.resolver_mut();
-            let site_soa = Dig::new(resolver).soa_of(&listing.domain).ok();
+            let site_soa = Dig::new(resolver).soa_of(domain).ok();
             let witness_soa = Dig::new(resolver).soa_of(witness).ok();
             let ev = Evidence {
-                site: &listing.domain,
+                site: domain,
                 candidate: witness,
                 san: san.as_deref(),
                 site_soa: site_soa.as_ref(),
@@ -257,19 +253,20 @@ pub fn validate_world(world: &World, sample_size: usize, seed: u64) -> Validatio
         dns: collect(dns_tallies),
         ca: collect(ca_tallies),
         cdn: collect(cdn_tallies),
-        sample_size: indices.len(),
+        sample_size: rows.len(),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::measure_world;
     use webdeps_worldgen::WorldConfig;
 
     #[test]
     fn combined_heuristic_beats_both_strawmen() {
         let world = World::generate(WorldConfig::small(99));
-        let report = validate_world(&world, 150, 1);
+        let report = validate_world(&world, &measure_world(&world), 150, 1);
         assert_eq!(report.sample_size, 150);
 
         let combined = ValidationReport::row(&report.dns, ClassifierKind::Combined).unwrap();

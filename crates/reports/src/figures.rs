@@ -187,8 +187,8 @@ fn figure6_service(
         let curve = coverage_curve(ds, kind);
         t.row(vec![
             snap.into(),
-            providers_for_coverage(ds, kind, 0.5).to_string(),
-            providers_for_coverage(ds, kind, 0.8).to_string(),
+            providers_for_coverage(&curve, 0.5).to_string(),
+            providers_for_coverage(&curve, 0.8).to_string(),
             curve.len().to_string(),
             paper.into(),
         ]);

@@ -498,7 +498,7 @@ pub fn table11(_ws: &Workspace) -> Report {
 #[must_use]
 pub fn validation(ws: &Workspace) -> Report {
     let sample = 100.min(ws.ds20.len());
-    let report = validate_world(&ws.world20, sample, ws.seed);
+    let report = validate_world(&ws.world20, &ws.ds20, sample, ws.seed);
     let paper: HashMap<(&str, ClassifierKind), f64> = [
         (("DNS", ClassifierKind::Combined), 100.0),
         (("DNS", ClassifierKind::TldOnly), 97.0),

@@ -4,7 +4,8 @@
 
 use std::sync::OnceLock;
 use webdeps::core::{
-    ca_figure, cdn_figure, dns_figure, providers_for_coverage, DepGraph, MetricOptions, Metrics,
+    ca_figure, cdn_figure, coverage_curve, dns_figure, providers_for_coverage, DepGraph,
+    MetricOptions, Metrics,
 };
 use webdeps::measure::{measure_world, MeasurementDataset};
 use webdeps::model::ServiceKind;
@@ -83,14 +84,14 @@ fn obs7_single_points_of_failure_exist() {
 #[test]
 fn obs8_concentration_increased_for_dns_and_ca() {
     let c = ctx();
-    let dns16 = providers_for_coverage(&c.ds16, ServiceKind::Dns, 0.8);
-    let dns20 = providers_for_coverage(&c.ds20, ServiceKind::Dns, 0.8);
+    let dns16 = providers_for_coverage(&coverage_curve(&c.ds16, ServiceKind::Dns), 0.8);
+    let dns20 = providers_for_coverage(&coverage_curve(&c.ds20, ServiceKind::Dns), 0.8);
     assert!(
         dns20 < dns16,
         "fewer DNS providers needed for 80% in 2020: {dns16} → {dns20}"
     );
-    let ca16 = providers_for_coverage(&c.ds16, ServiceKind::Ca, 0.8);
-    let ca20 = providers_for_coverage(&c.ds20, ServiceKind::Ca, 0.8);
+    let ca16 = providers_for_coverage(&coverage_curve(&c.ds16, ServiceKind::Ca), 0.8);
+    let ca20 = providers_for_coverage(&coverage_curve(&c.ds20, ServiceKind::Ca), 0.8);
     assert!(ca20 <= ca16, "CA consolidation: {ca16} → {ca20}");
 }
 
