@@ -67,29 +67,11 @@ fn parse_args() -> Result<Args, String> {
                 let v = it.next().ok_or("--seed needs a value")?;
                 args.seed = v.parse().map_err(|_| format!("bad --seed {v:?}"))?;
             }
-            "--seeds" => {
-                let v = it.next().ok_or("--seeds needs a value")?;
-                args.seeds = v.parse().map_err(|_| format!("bad --seeds {v:?}"))?;
-            }
-            "--sites" => {
-                let v = it.next().ok_or("--sites needs a value")?;
-                args.sites = v.parse().map_err(|_| format!("bad --sites {v:?}"))?;
-                if args.sites == 0 {
-                    return Err(format!("--sites must be at least 1\n{USAGE}"));
-                }
-            }
-            "--connections" => {
-                let v = it.next().ok_or("--connections needs a value")?;
-                args.connections = v.parse().map_err(|_| format!("bad --connections {v:?}"))?;
-            }
-            "--clients" => {
-                let v = it.next().ok_or("--clients needs a value")?;
-                args.clients = v.parse().map_err(|_| format!("bad --clients {v:?}"))?;
-            }
-            "--workers" => {
-                let v = it.next().ok_or("--workers needs a value")?;
-                args.workers = v.parse().map_err(|_| format!("bad --workers {v:?}"))?;
-            }
+            "--seeds" => args.seeds = count("--seeds", it.next())?,
+            "--sites" => args.sites = count("--sites", it.next())?,
+            "--connections" => args.connections = count("--connections", it.next())?,
+            "--clients" => args.clients = count("--clients", it.next())?,
+            "--workers" => args.workers = count("--workers", it.next())?,
             "--deadline-ms" => {
                 let v = it.next().ok_or("--deadline-ms needs a value")?;
                 args.deadline_ms = v.parse().map_err(|_| format!("bad --deadline-ms {v:?}"))?;
@@ -102,6 +84,18 @@ fn parse_args() -> Result<Args, String> {
         return Err("pick one of --serve, --torture, --smoke (try --help)".into());
     }
     Ok(args)
+}
+
+/// Parses the value of a count flag. Zero is an error, in every mode:
+/// a run of zero seeds, connections, clients or workers would pass
+/// without checking anything.
+fn count(flag: &str, value: Option<String>) -> Result<usize, String> {
+    let v = value.ok_or_else(|| format!("{flag} needs a value"))?;
+    match v.parse() {
+        Ok(0) => Err(format!("{flag} must be at least 1\n{USAGE}")),
+        Ok(n) => Ok(n),
+        Err(_) => Err(format!("bad {flag} {v:?}")),
+    }
 }
 
 /// World seed is fixed per invocation mode; `--seed` varies only the
@@ -206,15 +200,15 @@ fn run_torture_cmd(args: &Args) -> Result<(), String> {
     println!(
         "torture: world sites={} providers(dns/cdn/ca) loaded, {} seed(s) from {}",
         engine.site_count(),
-        args.seeds.max(1),
+        args.seeds,
         args.seed
     );
-    for i in 0..args.seeds.max(1) {
+    for i in 0..args.seeds {
         let seed = args.seed.wrapping_add(i as u64);
         let line = torture_once(&engine, args, seed)?;
         println!("{line}");
     }
-    println!("torture: all {} seed(s) passed", args.seeds.max(1));
+    println!("torture: all {} seed(s) passed", args.seeds);
     Ok(())
 }
 

@@ -164,21 +164,76 @@ fn torture_campaign_passes_on_a_small_world() {
     handle.shutdown();
 }
 
-#[test]
-fn torture_rejects_a_zero_site_world() {
+/// Runs the binary and asserts it refused `args` while parsing: usage
+/// on stderr, nothing on stdout, exit 1.
+fn assert_rejected(args: &[&str]) {
     let out = std::process::Command::new(env!("CARGO_BIN_EXE_webdeps-serve"))
-        .args(["--torture", "--sites", "0", "--seeds", "1"])
+        .args(args)
         .output()
         .expect("the binary runs");
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert_eq!(out.status.code(), Some(1), "{args:?} stderr: {stderr}");
     assert!(
         stderr.contains("usage: webdeps-serve"),
-        "usage line missing: {stderr}"
+        "{args:?}: usage line missing: {stderr}"
     );
     assert!(
         out.stdout.is_empty(),
-        "printed {}",
+        "{args:?} printed {}",
         String::from_utf8_lossy(&out.stdout)
     );
+}
+
+#[test]
+fn torture_rejects_a_zero_site_world() {
+    assert_rejected(&["--torture", "--sites", "0", "--seeds", "1"]);
+}
+
+#[test]
+fn torture_rejects_zero_connections() {
+    assert_rejected(&["--torture", "--connections", "0", "--seeds", "1"]);
+}
+
+#[test]
+fn torture_rejects_zero_seeds() {
+    assert_rejected(&["--torture", "--seeds", "0"]);
+}
+
+#[test]
+fn torture_rejects_zero_clients() {
+    assert_rejected(&["--torture", "--clients", "0", "--seeds", "1"]);
+}
+
+#[test]
+fn zero_workers_is_rejected_in_every_mode() {
+    assert_rejected(&["--torture", "--workers", "0", "--seeds", "1"]);
+    assert_rejected(&["--serve", "--workers", "0"]);
+    assert_rejected(&["--smoke", "--workers", "0"]);
+}
+
+/// The control for the zero cases: one connection runs and passes.
+#[test]
+fn torture_runs_a_single_connection() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_webdeps-serve"))
+        .args([
+            "--torture",
+            "--connections",
+            "1",
+            "--seeds",
+            "1",
+            "--sites",
+            "200",
+        ])
+        .output()
+        .expect("the binary runs");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "stdout: {stdout} stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(stdout.contains(": PASS queries="), "{stdout}");
+    assert!(!stdout.contains("queries=0 "), "{stdout}");
+    assert!(stdout.contains("all 1 seed(s) passed"), "{stdout}");
 }
