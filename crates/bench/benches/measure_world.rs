@@ -31,7 +31,8 @@ mod alloc_probe;
 static ALLOC: alloc_probe::CountingAlloc = alloc_probe::CountingAlloc;
 
 /// Budget for the measurement dataset plus the CSR dependency graph.
-/// Measured: 113 B/site at 100k sites (dataset 49, graph 64).
+/// Measured: 117 B/site at 100k sites (dataset 52.5, of it 3.5 for
+/// pass 1's nameserver tallies; graph 64).
 const ARENA_BYTES_PER_SITE: usize = 128;
 
 /// Budget for the full core working set: arenas plus the two

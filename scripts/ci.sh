@@ -51,10 +51,10 @@ echo "== bench smoke (2 samples, scratch output; compiles + runs every target) =
 WEBDEPS_BENCH_OUT="$PWD/target" WEBDEPS_BENCH_SAMPLES=2 WEBDEPS_BENCH_SAMPLE_MS=5 \
     WEBDEPS_BENCH_WARMUP_MS=5 cargo bench -q --offline -p webdeps-bench \
     --bench analysis --bench pipeline --bench measure_world --bench lint \
-    --bench serve --bench chaos >/dev/null
+    --bench serve --bench chaos --bench experiments --bench substrate >/dev/null
 ls -l target/BENCH_analysis.json target/BENCH_pipeline.json \
     target/BENCH_measure_world.json target/BENCH_lint.json target/BENCH_serve.json \
-    target/BENCH_chaos.json
+    target/BENCH_chaos.json target/BENCH_experiments.json target/BENCH_substrate.json
 
 echo "== per-phase metrics present in BENCH_measure_world.json =="
 # The measure_world target must report where generate+measure time goes
