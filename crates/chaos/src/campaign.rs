@@ -84,8 +84,9 @@ pub struct Violation {
 impl Violation {
     /// A copy-pasteable `webdeps-chaos` invocation that replays this
     /// violation in isolation. Monotonicity violations replay a single
-    /// schedule by its seed; redundancy violations replay the sweep
-    /// alone (`--schedules 0`) under the campaign seed.
+    /// schedule by its seed; redundancy violations replay the campaign
+    /// seed with one schedule (`--schedules 1`, the fewest the CLI
+    /// takes): the redundancy sweep does not depend on the schedules.
     pub fn repro_command(&self, probe_sites: usize) -> String {
         match self.invariant {
             "monotonicity" => format!(
@@ -93,7 +94,7 @@ impl Violation {
                 self.seed
             ),
             _ => format!(
-                "webdeps-chaos --campaign --seed {} --schedules 0 --sites {probe_sites}",
+                "webdeps-chaos --campaign --seed {} --schedules 1 --sites {probe_sites}",
                 self.seed
             ),
         }
@@ -499,7 +500,7 @@ mod tests {
             "{text}"
         );
         assert!(
-            text.contains("repro: webdeps-chaos --campaign --seed 42 --schedules 0 --sites 40"),
+            text.contains("repro: webdeps-chaos --campaign --seed 42 --schedules 1 --sites 40"),
             "{text}"
         );
     }

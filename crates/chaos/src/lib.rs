@@ -11,7 +11,7 @@
 //! layer's [`webdeps_dns::FaultSchedule`], and records per-tick
 //! availability over the whole site population:
 //!
-//! * [`replay`] — the replay engine: one persistent client (caches
+//! * [`mod@replay`] — the replay engine: one persistent client (caches
 //!   carry over between ticks, which is the whole point), a simulated
 //!   clock stepped through the timeline, a PKI view swapped at scripted
 //!   phase boundaries. Ships two canonical incidents:

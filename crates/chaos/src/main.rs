@@ -60,17 +60,8 @@ fn parse_args() -> Result<Args, String> {
                 let v = it.next().ok_or("--seed needs a value")?;
                 args.seed = v.parse().map_err(|_| format!("bad --seed {v:?}"))?;
             }
-            "--sites" => {
-                let v = it.next().ok_or("--sites needs a value")?;
-                args.sites = v.parse().map_err(|_| format!("bad --sites {v:?}"))?;
-                if args.sites == 0 {
-                    return Err(format!("--sites must be at least 1\n{USAGE}"));
-                }
-            }
-            "--schedules" => {
-                let v = it.next().ok_or("--schedules needs a value")?;
-                args.schedules = v.parse().map_err(|_| format!("bad --schedules {v:?}"))?;
-            }
+            "--sites" => args.sites = count("--sites", it.next())?,
+            "--schedules" => args.schedules = count("--schedules", it.next())?,
             "--help" | "-h" => return Err(USAGE.into()),
             other => return Err(format!("unknown argument {other:?} (try --help)")),
         }
@@ -81,6 +72,18 @@ fn parse_args() -> Result<Args, String> {
         );
     }
     Ok(args)
+}
+
+/// Parses the value of a count flag. Zero is an error, in every mode: a
+/// replay of zero sites has no curve, and a campaign of zero schedules
+/// would pass without checking a schedule.
+fn count(flag: &str, value: Option<String>) -> Result<usize, String> {
+    let v = value.ok_or_else(|| format!("{flag} needs a value"))?;
+    match v.parse() {
+        Ok(0) => Err(format!("{flag} must be at least 1\n{USAGE}")),
+        Ok(n) => Ok(n),
+        Err(_) => Err(format!("bad {flag} {v:?}")),
+    }
 }
 
 /// World seed for fixture worlds: fixed so `--seed` varies only the

@@ -11,6 +11,22 @@ fn run(args: &[&str]) -> Output {
         .expect("the binary runs")
 }
 
+/// The run exits 1 with the usage line on stderr and prints nothing.
+fn assert_rejected(args: &[&str]) {
+    let out = run(args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{args:?}: stderr {stderr}");
+    assert!(
+        stderr.contains("usage: webdeps-chaos"),
+        "{args:?}: usage line missing: {stderr}"
+    );
+    assert!(
+        out.stdout.is_empty(),
+        "{args:?}: printed {}",
+        String::from_utf8_lossy(&out.stdout)
+    );
+}
+
 #[test]
 fn sites_zero_is_rejected_in_every_mode() {
     for args in [
@@ -20,19 +36,28 @@ fn sites_zero_is_rejected_in_every_mode() {
         &["--replay-schedule", "--seed", "5", "--sites", "0"][..],
         &["--smoke", "--sites", "0"][..],
     ] {
-        let out = run(args);
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(1), "{args:?}: stderr {stderr}");
-        assert!(
-            stderr.contains("usage: webdeps-chaos"),
-            "{args:?}: usage line missing: {stderr}"
-        );
-        assert!(
-            out.stdout.is_empty(),
-            "{args:?}: printed {}",
-            String::from_utf8_lossy(&out.stdout)
-        );
+        assert_rejected(args);
     }
+}
+
+/// A campaign of zero schedules checks no schedule, so it must not
+/// report that every invariant held.
+#[test]
+fn zero_schedules_is_rejected() {
+    assert_rejected(&["--campaign", "--schedules", "0"]);
+}
+
+#[test]
+fn one_schedule_campaign_runs() {
+    let out = run(&["--campaign", "--schedules", "1", "--sites", "20"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(stdout.contains("1 schedules"), "{stdout}");
+    assert!(stdout.contains("all invariants held"), "{stdout}");
 }
 
 #[test]

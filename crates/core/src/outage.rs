@@ -11,6 +11,34 @@
 //! consults, then probes only the sites a fault can reach: a resident
 //! service's repeated single-entity question, and the chaos replay's
 //! incident fault set.
+//!
+//! # Soft consults
+//!
+//! Under the browser-default soft-fail policy, a revocation check that
+//! passed on healthy infrastructure cannot be denied by an entity
+//! outage, so the entities it alone consulted are kept apart as *soft*
+//! and a single-entity outage ([`OutageIndex::affected`]) does not probe
+//! their sites:
+//!
+//! - Under soft-fail a check fails only by settling `Revoked` from a
+//!   source it reached (must-staple and `StapleRequired` failures never
+//!   use the transport). A check that fails keeps its consults: an
+//!   outage on its responder path can turn such a site *up*.
+//! - An entity fault removes sources but does not change what the PKI
+//!   answers. OCSP and CRL agree: neither reports `Revoked` unless the
+//!   other does, since both read the PKI status and the same injected
+//!   fault. So a passed check still passes under any entity-only fault,
+//!   with `Good` from a source it can still reach or with
+//!   `AcceptedUnchecked`. Its PKI reads stay hard: a PKI fault can
+//!   revoke.
+//! - In [`OutageIndex::affected`] the plan is static, the clock is 0 and
+//!   the DNS cache is off. Skipping a site could only change what the
+//!   OCSP/CRL cache holds for later sites, and under a static plan a
+//!   cached revocation answer equals a fresh one.
+//!
+//! A chaos replay's persistent DNS cache breaks that last step: a
+//! skipped site's transport would refresh entries that a probed site
+//! reads later. So [`OutageIndex::reach`] keeps soft consults.
 
 use webdeps_dns::{FaultPlan, FaultSchedule, SimTime};
 use webdeps_model::{fan_out_chunked, CaId, DomainName, EntityId, ModelError, SiteId};
@@ -202,10 +230,15 @@ pub fn simulate_outage_at_with_jobs(
 /// only through those consults, so a site whose footprint lacks every
 /// entity and CA of a fault set walks its healthy path unchanged while
 /// they fail, and is down exactly when it was down at baseline.
-/// [`Self::affected`] therefore probes only one entity's footprint and
-/// adds the baseline-down sites outside it;
+///
+/// Entities a site consulted only inside a passed soft-fail revocation
+/// check are stored apart, as its *soft* footprint (see the module
+/// docs): an outage of one of them cannot deny the site.
+/// [`Self::affected`] therefore probes only one entity's (hard)
+/// footprint and adds the baseline-down sites outside it;
 /// `tests/outage_validation.rs` holds it equal to [`simulate_outage`]
-/// for every catalog provider.
+/// for every catalog provider under both policies. [`Self::reach`]
+/// probes both footprints.
 ///
 /// Scope: the recording is made at clock 0 under one revocation policy
 /// (soft-fail for [`Self::build`]). [`Self::affected`] answers one
@@ -222,6 +255,9 @@ pub struct OutageIndex {
     policy: RevocationPolicy,
     /// Footprints by entity id.
     entities: Footprints,
+    /// Soft footprints by entity id: the sites that consulted the entity
+    /// only inside a soft-fail revocation check that passed.
+    soft: Footprints,
     /// PKI footprints by CA id: the sites whose fetch read that CA's
     /// OCSP/CRL answers or staple.
     cas: Footprints,
@@ -262,11 +298,14 @@ impl OutageIndex {
                 }
                 rec.cert_edges.push(cert_edge(world, &hosts, site.https()));
                 let resolver = client.resolver_mut();
-                let entities = resolver.take_consults().into_iter().map(|e| e.0);
-                rec.entities
-                    .extend(distinct(entities).map(|e| (e, site.id)));
-                let cas = resolver.take_pki_consults().into_iter().map(|c| c.0);
-                rec.cas.extend(distinct(cas).map(|c| (c, site.id)));
+                let hard = distinct(resolver.take_consults().into_iter().map(|e| e.0));
+                let soft = distinct(resolver.take_soft_consults().into_iter().map(|e| e.0));
+                let cas = distinct(resolver.take_pki_consults().into_iter().map(|c| c.0));
+                // An entity also read outside a passed check stays hard.
+                let soft_only = soft.into_iter().filter(|e| hard.binary_search(e).is_err());
+                rec.soft.extend(soft_only.map(|e| (e, site.id)));
+                rec.entities.extend(hard.into_iter().map(|e| (e, site.id)));
+                rec.cas.extend(cas.into_iter().map(|c| (c, site.id)));
             }
             vec![rec]
         });
@@ -275,6 +314,7 @@ impl OutageIndex {
         OutageIndex {
             policy,
             entities: Footprints::from_pairs(shards.iter().map(|r| r.entities.as_slice())),
+            soft: Footprints::from_pairs(shards.iter().map(|r| r.soft.as_slice())),
             cas: Footprints::from_pairs(shards.iter().map(|r| r.cas.as_slice())),
             baseline_down: shards.iter().flat_map(|r| r.down.iter().copied()).collect(),
             cert_edges: shards
@@ -290,17 +330,20 @@ impl OutageIndex {
         &self.baseline_down
     }
 
-    /// The sites whose healthy fetch consulted `entity`, in site order
-    /// (empty for an entity no site consults). An outage of `entity`
-    /// probes exactly these.
+    /// The sites whose healthy fetch consulted `entity` outside a passed
+    /// soft-fail revocation check, in site order (empty for an entity no
+    /// site consults). [`Self::affected`] probes exactly these for an
+    /// outage of `entity`; the sites that consulted it only softly stay
+    /// up.
     pub fn footprint(&self, entity: EntityId) -> &[SiteId] {
         self.entities.get(entity.index())
     }
 
     /// The sites a fault set can move off their recorded baseline at any
     /// instant in `0..=until`, in site order: the footprints of
-    /// `entities`, the PKI footprints of `cas`, and the sites whose
-    /// certificates enter or leave their validity window by `until`.
+    /// `entities` with their soft footprints, the PKI footprints of
+    /// `cas`, and the sites whose certificates enter or leave their
+    /// validity window by `until`.
     ///
     /// Every other recorded site walks its healthy path at each of those
     /// instants, whatever the fault set does and whatever a persistent
@@ -308,7 +351,9 @@ impl OutageIndex {
     /// cached answer it reads concerns a name or certificate whose
     /// lookup touches none of the set either, so it equals a fresh
     /// healthy answer. It is down exactly when it is in
-    /// [`Self::baseline_down`].
+    /// [`Self::baseline_down`]. Soft consults count here, unlike in
+    /// [`Self::affected`]: a softly consulted site's transport refreshes
+    /// the persistent DNS cache that a probed site may read later.
     pub fn reach(&self, entities: &[EntityId], cas: &[CaId], until: SimTime) -> Vec<SiteId> {
         let expiring = self
             .cert_edges
@@ -318,7 +363,7 @@ impl OutageIndex {
             .map(|(i, _)| SiteId::from_index(i));
         let mut sites: Vec<SiteId> = entities
             .iter()
-            .map(|e| self.footprint(*e))
+            .flat_map(|e| [self.footprint(*e), self.soft.get(e.index())])
             .chain(cas.iter().map(|c| self.cas.get(c.index())))
             .flatten()
             .copied()
@@ -333,9 +378,10 @@ impl OutageIndex {
     /// the index was built from — equal to
     /// `simulate_outage(world, &[entity's provider], hard_fail)` over the
     /// recorded sites, `hard_fail` being the recording policy. Probes the
-    /// footprint through one client with that policy and the DNS cache
-    /// off, whose OCSP cache carries over between sites as a full
-    /// sweep's does.
+    /// [`Self::footprint`] through one client with that policy and the
+    /// DNS cache off, whose OCSP cache carries over between sites as a
+    /// full sweep's does. The soft footprint is not probed: those sites
+    /// are up at baseline and stay up (see the module docs).
     ///
     /// `proceed` is polled before each probe with the number of sites
     /// probed so far; returning `false` abandons the sweep with `None`,
@@ -376,8 +422,12 @@ impl OutageIndex {
 /// What one shard of the recording sweep saw.
 #[derive(Default)]
 struct Recording {
-    /// `(entity id, site)` per distinct entity a site consulted.
+    /// `(entity id, site)` per distinct entity a site consulted outside
+    /// a passed soft-fail revocation check.
     entities: Vec<(u32, SiteId)>,
+    /// `(entity id, site)` per distinct entity a site consulted only
+    /// inside one.
+    soft: Vec<(u32, SiteId)>,
     /// `(CA id, site)` per distinct CA whose PKI state a site read.
     cas: Vec<(u32, SiteId)>,
     /// Sites down at baseline.
@@ -387,11 +437,11 @@ struct Recording {
 }
 
 /// `keys` sorted, without repeats.
-fn distinct(keys: impl Iterator<Item = u32>) -> impl Iterator<Item = u32> {
+fn distinct(keys: impl Iterator<Item = u32>) -> Vec<u32> {
     let mut keys: Vec<u32> = keys.collect();
     keys.sort_unstable();
     keys.dedup();
-    keys.into_iter()
+    keys
 }
 
 /// Site lists keyed by a dense id, stored CSR-style: the list of key `k`
@@ -530,6 +580,36 @@ mod tests {
             .affected(&world, nobody, |_| true)
             .expect("nothing to probe");
         assert!(r.affected.is_empty(), "healthy world, nothing down");
+    }
+
+    /// Softening only moves consults: on a healthy world, each entity's
+    /// footprint and soft footprint under soft-fail together equal its
+    /// footprint in a hard-fail recording, which softens nothing, and
+    /// `reach` still probes both.
+    #[test]
+    fn soft_and_hard_footprints_split_the_hard_fail_footprint() {
+        let world = World::generate(WorldConfig::small(71));
+        let n = world.truth.len();
+        let soft = OutageIndex::build_prefix(&world, n, RevocationPolicy::SoftFail);
+        let hard = OutageIndex::build_prefix(&world, n, RevocationPolicy::HardFail);
+        assert!(hard.soft.sites.is_empty(), "hard-fail softens nothing");
+        assert!(
+            !soft.soft.sites.is_empty(),
+            "soft-fail softens some consults"
+        );
+        let keys = [&soft.entities, &soft.soft, &hard.entities]
+            .iter()
+            .map(|f| f.start.len())
+            .max()
+            .unwrap_or(0);
+        for k in 0..keys {
+            let mut split = [soft.entities.get(k), soft.soft.get(k)].concat();
+            split.sort_unstable();
+            assert_eq!(split, hard.entities.get(k), "entity {k}");
+            let entity = EntityId(k as u32);
+            let reach = soft.reach(&[entity], &[], SimTime::ZERO);
+            assert_eq!(reach, hard.footprint(entity), "entity {k}: reach");
+        }
     }
 
     #[test]

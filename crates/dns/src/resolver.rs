@@ -276,12 +276,15 @@ pub struct Resolver<'n> {
     consulted: Option<ConsultLog>,
 }
 
-/// The consult recorder's two logs. A CA's PKI fault and an outage of
+/// The consult recorder's three logs. A CA's PKI fault and an outage of
 /// the CA's entity reach different sites (a stapling site reads the
-/// first but never contacts the second), so they are kept apart.
+/// first but never contacts the second), so they are kept apart. Entity
+/// consults the caller marks soft (see [`Resolver::soften_consults_since`])
+/// move to a log of their own.
 #[derive(Debug, Clone, Default)]
 struct ConsultLog {
     entities: Vec<EntityId>,
+    soft: Vec<EntityId>,
     cas: Vec<CaId>,
 }
 
@@ -358,7 +361,10 @@ impl<'n> Resolver<'n> {
     /// [`Self::log_pki_consult`]. These are the only reads of fault state
     /// on the lookup and fetch paths, so a walk that never consulted an
     /// entity (or a CA) takes the identical path when only that one
-    /// fails — the soundness argument behind outage footprints.
+    /// fails — the soundness argument behind outage footprints. The
+    /// fetch path moves the entity reads of a passed soft-fail
+    /// revocation check to a third, soft log
+    /// ([`Self::soften_consults_since`]).
     pub fn record_consults(&mut self) {
         self.consulted.get_or_insert_with(ConsultLog::default);
     }
@@ -387,6 +393,33 @@ impl<'n> Resolver<'n> {
         self.consulted
             .as_mut()
             .map(|log| std::mem::take(&mut log.cas))
+            .unwrap_or_default()
+    }
+
+    /// A mark in the entity consult log: the number of consults it holds
+    /// (0 while the recorder is off). Pass it to
+    /// [`Self::soften_consults_since`].
+    pub fn consult_mark(&self) -> usize {
+        self.consulted.as_ref().map_or(0, |log| log.entities.len())
+    }
+
+    /// Moves the entity consults logged since `mark` into the soft log.
+    /// The fetch path calls this for the reads a soft-fail revocation
+    /// check made when the check passed: no outage of those entities
+    /// can fail it. A no-op while the recorder is off.
+    pub fn soften_consults_since(&mut self, mark: usize) {
+        if let Some(log) = self.consulted.as_mut() {
+            let mark = mark.min(log.entities.len());
+            log.soft.extend(log.entities.drain(mark..));
+        }
+    }
+
+    /// Drains the soft consult log (in consult order, with repeats;
+    /// empty while the recorder is off).
+    pub fn take_soft_consults(&mut self) -> Vec<EntityId> {
+        self.consulted
+            .as_mut()
+            .map(|log| std::mem::take(&mut log.soft))
             .unwrap_or_default()
     }
 
@@ -1038,7 +1071,10 @@ mod tests {
         let mut r = Resolver::new(&net);
         r.disable_cache();
         assert!(r.is_resolvable(&dn("www.example.com")));
+        assert_eq!(r.consult_mark(), 0);
+        r.soften_consults_since(0);
         assert!(r.take_consults().is_empty(), "off by default");
+        assert!(r.take_soft_consults().is_empty(), "off by default");
 
         r.record_consults();
         assert!(r.is_resolvable(&dn("www.example.com")));
@@ -1055,6 +1091,15 @@ mod tests {
         r.log_pki_consult(CaId(3));
         assert!(r.take_consults().is_empty());
         assert_eq!(r.take_pki_consults(), vec![CaId(3)]);
+        // Consults after a mark move to the soft log; earlier ones stay.
+        assert!(r.entity_effectively_up(EntityId(4)));
+        let mark = r.consult_mark();
+        assert!(r.entity_effectively_up(EntityId(5)));
+        assert!(r.entity_effectively_up(EntityId(6)));
+        r.soften_consults_since(mark);
+        assert_eq!(r.take_consults(), vec![EntityId(4)]);
+        assert_eq!(r.take_soft_consults(), vec![EntityId(5), EntityId(6)]);
+        assert!(r.take_soft_consults().is_empty(), "drained");
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! transitive dependencies. This pass closes the lint stack's blind
 //! spot in three layers:
 //!
-//! 1. **Facet extraction** ([`scan_fn`], called from
+//! 1. **Facet extraction** (`scan_fn`, called from
 //!    [`crate::interproc::extract`]): every function summary gains a
 //!    [`ConcFacet`] — lock acquisition sites with a *coarse lock
 //!    identity* (see [`lock identity`](#lock-identity) below),

@@ -194,7 +194,8 @@ impl Engine {
 
     /// Behavioral outage probe — the long scan the deadline budget is
     /// for. Probes only the sites whose healthy fetch consulted the
-    /// provider's entity ([`OutageIndex`]); `probed=` counts them. The
+    /// provider's entity outside a passed soft-fail revocation check
+    /// ([`OutageIndex::footprint`]); `probed=` counts them. The
     /// first call builds the index with one healthy sweep, which the
     /// deadline does not cut: it is paid once, and any later call can
     /// use it. The world itself is immutable (churn patches the *index*,

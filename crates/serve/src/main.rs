@@ -3,6 +3,7 @@
 //! ```text
 //! webdeps-serve --serve   [--addr A] [--seed S] [--sites N] [--workers W]
 //! webdeps-serve --torture [--seed S] [--seeds K] [--connections C] [--clients T] [--sites N]
+//!                         [--workers W] [--deadline-ms D]
 //! webdeps-serve --smoke
 //! ```
 //!
@@ -42,7 +43,7 @@ struct Args {
     deadline_ms: u64,
 }
 
-fn parse_args() -> Result<Args, String> {
+fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let mut args = Args {
         serve: false,
         torture: false,
@@ -56,7 +57,7 @@ fn parse_args() -> Result<Args, String> {
         workers: 4,
         deadline_ms: 0,
     };
-    let mut it = std::env::args().skip(1);
+    let mut it = argv.into_iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--serve" => args.serve = true,
@@ -143,6 +144,18 @@ fn torture_client_config(
     }
 }
 
+/// The command that replays the torture run of `seed` under `args`. It
+/// names every flag that shapes the run: the world, the chaos stream,
+/// the client load, and the server's workers and (effective) deadline.
+fn replay_line(args: &Args, seed: u64) -> String {
+    let server = torture_server_config(args.workers, args.deadline_ms);
+    format!(
+        "webdeps-serve --torture --seed {seed} --seeds 1 --connections {} --clients {} \
+         --sites {} --workers {} --deadline-ms {}",
+        args.connections, args.clients, args.sites, server.workers, server.deadline_ms
+    )
+}
+
 /// Runs one torture campaign against a fresh server over `engine`.
 fn torture_once(engine: &Arc<Engine>, args: &Args, seed: u64) -> Result<String, String> {
     let handle = spawn(
@@ -163,9 +176,8 @@ fn torture_once(engine: &Arc<Engine>, args: &Args, seed: u64) -> Result<String, 
             msg.push('\n');
         }
         msg.push_str(&format!(
-            "torture FAILED at seed {seed}; replay with:\n  webdeps-serve --torture --seed {seed} \
-             --seeds 1 --connections {} --clients {} --sites {}\n",
-            args.connections, args.clients, args.sites
+            "torture FAILED at seed {seed}; replay with:\n  {}\n",
+            replay_line(args, seed)
         ));
         return Err(msg);
     }
@@ -268,7 +280,7 @@ fn parse_smoke_base(args: &Args) -> Args {
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
+    let args = match parse_args(std::env::args().skip(1)) {
         Ok(a) => a,
         Err(msg) => {
             eprintln!("{msg}");
@@ -287,6 +299,52 @@ fn main() -> ExitCode {
         Err(msg) => {
             eprintln!("{msg}");
             ExitCode::FAILURE
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Args {
+        let argv = line.split_ascii_whitespace().map(String::from);
+        parse_args(argv).unwrap_or_else(|e| panic!("{line}: {e}"))
+    }
+
+    /// What a torture run is made of, server config included.
+    fn shape(args: &Args) -> (usize, usize, usize, usize, u64) {
+        let server = torture_server_config(args.workers, args.deadline_ms);
+        (
+            args.sites,
+            args.connections,
+            args.clients,
+            server.workers,
+            server.deadline_ms,
+        )
+    }
+
+    #[test]
+    fn replay_line_names_every_flag_that_shapes_the_run() {
+        for (line, want) in [
+            (
+                "--torture --seed 9 --seeds 5 --connections 7 --clients 2 --sites 123 \
+                 --workers 1 --deadline-ms 2",
+                (123, 7, 2, 1, 2),
+            ),
+            // The default deadline is spelled out as its effective value.
+            (
+                "--torture --seed 9 --seeds 5 --connections 7 --clients 2 --sites 123 \
+                 --workers 3",
+                (123, 7, 2, 3, 60),
+            ),
+        ] {
+            let replay = replay_line(&parse(line), 11);
+            let cmd = replay.strip_prefix("webdeps-serve ").expect("program name");
+            let again = parse(cmd);
+            assert!(again.torture, "{replay}");
+            assert_eq!((again.seed, again.seeds), (11, 1), "{replay}");
+            assert_eq!(shape(&again), want, "{replay}");
         }
     }
 }

@@ -12,8 +12,14 @@
 //!   `OUTAGE` answers
 //!   `OK <epoch> OUTAGE <key> affected=<n> total=<n> probed=<n>`: sites
 //!   the outage takes down, sites in the world, and sites the sweep
-//!   probed — the provider's footprint, not the whole world (parsers
-//!   should pick tokens by their `name=` prefix, not by position);
+//!   probed — the provider's footprint, not the whole world, and not
+//!   the sites that consulted the provider only inside a soft-fail
+//!   revocation check that passed, which its outage cannot deny (see
+//!   `webdeps_core::outage`). Parsers should pick tokens by their
+//!   `name=` prefix, not by position. `STATS` ends with the pooled
+//!   latency quantiles `p50us=<n> p99us=<n>`, then the same two per
+//!   engine query kind: `rank_p50us=`, `rank_p99us=`, and likewise for
+//!   `sites`, `churn` and `outage`;
 //! * `BUSY retry-after-ms=<n>` — load shed at admission;
 //! * `DEADLINE <epoch>` — the query's time budget expired mid-scan;
 //! * `ERR <reason>` — malformed request, unknown provider, or a
@@ -71,7 +77,7 @@ fn parse_kind(tok: &str) -> Result<ServiceKind, String> {
     }
 }
 
-/// Renders a kind the way [`parse_kind`] reads it.
+/// Renders a kind the way the request parser reads it.
 pub fn kind_token(kind: ServiceKind) -> &'static str {
     match kind {
         ServiceKind::Dns => "dns",

@@ -32,7 +32,7 @@ use webdeps_model::{PoolBusy, PoolProbe, WorkerPool};
 use crate::engine::{Engine, Outcome};
 use crate::frame::{read_frame, write_frame, FrameError, DEFAULT_MAX_FRAME};
 use crate::proto::{parse_request, Request};
-use crate::stats::ServerStats;
+use crate::stats::{QueryKind, ServerStats};
 
 /// Tunables for one server instance.
 #[derive(Debug, Clone)]
@@ -310,9 +310,11 @@ fn handle_connection(
             Err(FrameError::Io(_)) => return,
         };
         let started = Instant::now();
-        let reply = answer(&payload, engine, stats, shutdown, probe, cfg);
+        let request = parse_request(&payload);
+        let kind = request.as_ref().ok().and_then(QueryKind::of);
+        let reply = answer(request, engine, stats, shutdown, probe, cfg);
         let micros = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
-        stats.latency.record_micros(micros);
+        stats.record_latency(kind, micros);
         if write_frame(&mut stream, reply.as_bytes()).is_err() {
             return;
         }
@@ -325,18 +327,18 @@ fn send_reply(stream: &mut TcpStream, text: &str) {
     }
 }
 
-/// Parses and executes one frame, returning the reply text. Never
-/// panics: execution runs under `catch_unwind` and a contained panic
-/// becomes an `ERR` reply plus a counter bump.
+/// Executes one parsed frame, returning the reply text. Never panics:
+/// execution runs under `catch_unwind` and a contained panic becomes an
+/// `ERR` reply plus a counter bump.
 fn answer(
-    payload: &[u8],
+    request: Result<Request, String>,
     engine: &Engine,
     stats: &ServerStats,
     shutdown: &AtomicBool,
     probe: &PoolProbe,
     cfg: &ServerConfig,
 ) -> String {
-    let req = match parse_request(payload) {
+    let req = match request {
         Ok(req) => req,
         Err(e) => {
             ServerStats::bump(&stats.parse_errors);
@@ -372,10 +374,22 @@ fn answer(
                 .map(|d| d.to_string())
                 .collect::<Vec<_>>()
                 .join(",");
+            let by_kind: String = QueryKind::ALL
+                .iter()
+                .map(|&kind| {
+                    let h = stats.kind_latency(kind);
+                    format!(
+                        " {k}_p50us={} {k}_p99us={}",
+                        h.quantile_micros(0.50),
+                        h.quantile_micros(0.99),
+                        k = kind.token()
+                    )
+                })
+                .collect();
             format!(
                 "OK {} STATS ok={} sheds={} deadlines={} contained_panics={} parse_errors={} \
                  churn_patched={patched} churn_rebuilt={rebuilt} queues=[{depths}] \
-                 p50us={} p99us={}",
+                 p50us={} p99us={}{by_kind}",
                 engine.current_epoch(),
                 ServerStats::read(&stats.ok_replies),
                 ServerStats::read(&stats.sheds),

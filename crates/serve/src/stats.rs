@@ -10,6 +10,8 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use crate::proto::Request;
+
 /// Number of power-of-two microsecond buckets: bucket `i` holds
 /// latencies in `[2^i, 2^(i+1))` µs, except bucket 0 (`< 2` µs) and the
 /// last bucket (everything above ~17 minutes).
@@ -66,6 +68,56 @@ impl LatencyHistogram {
     }
 }
 
+/// The engine query kinds whose latency `STATS` also reports apart.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum QueryKind {
+    /// `RANK`.
+    Rank,
+    /// `SITES`.
+    Sites,
+    /// `CHURN`.
+    Churn,
+    /// `OUTAGE`.
+    Outage,
+}
+
+impl QueryKind {
+    /// Every kind, in `STATS` order.
+    pub const ALL: [QueryKind; 4] = [
+        QueryKind::Rank,
+        QueryKind::Sites,
+        QueryKind::Churn,
+        QueryKind::Outage,
+    ];
+
+    /// The kind of an engine query; `None` for connection-level requests
+    /// and `POISON`.
+    pub fn of(req: &Request) -> Option<QueryKind> {
+        match req {
+            Request::Rank { .. } => Some(QueryKind::Rank),
+            Request::Sites { .. } => Some(QueryKind::Sites),
+            Request::Churn(_) => Some(QueryKind::Churn),
+            Request::Outage { .. } => Some(QueryKind::Outage),
+            Request::Ping
+            | Request::Health
+            | Request::Stats
+            | Request::Shutdown
+            | Request::Poison => None,
+        }
+    }
+
+    /// The prefix of this kind's `STATS` tokens (`outage` in
+    /// `outage_p50us=`).
+    pub fn token(self) -> &'static str {
+        match self {
+            QueryKind::Rank => "rank",
+            QueryKind::Sites => "sites",
+            QueryKind::Churn => "churn",
+            QueryKind::Outage => "outage",
+        }
+    }
+}
+
 /// All server-wide health counters, shared by workers, the accept loop,
 /// and the stats/health queries.
 #[derive(Debug, Default)]
@@ -86,8 +138,11 @@ pub struct ServerStats {
     pub churn_patched: AtomicU64,
     /// Churn deltas that forced a full rebuild.
     pub churn_rebuilt: AtomicU64,
-    /// Per-query latency distribution.
+    /// Per-query latency distribution, every request pooled.
     pub latency: LatencyHistogram,
+    /// The same latencies of engine queries, by [`QueryKind`] in
+    /// [`QueryKind::ALL`] order.
+    by_kind: [LatencyHistogram; 4],
 }
 
 impl ServerStats {
@@ -104,6 +159,20 @@ impl ServerStats {
     /// Convenience relaxed read.
     pub fn read(counter: &AtomicU64) -> u64 {
         counter.load(Ordering::Relaxed)
+    }
+
+    /// Records one request's latency: pooled, and under its kind when
+    /// it is an engine query.
+    pub fn record_latency(&self, kind: Option<QueryKind>, micros: u64) {
+        self.latency.record_micros(micros);
+        if let Some(kind) = kind {
+            self.by_kind[kind as usize].record_micros(micros);
+        }
+    }
+
+    /// The latency distribution of one query kind.
+    pub fn kind_latency(&self, kind: QueryKind) -> &LatencyHistogram {
+        &self.by_kind[kind as usize]
     }
 }
 

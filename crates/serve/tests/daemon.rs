@@ -60,6 +60,73 @@ fn answers_queries_with_stable_epochs_then_drains_on_shutdown() {
     handle.shutdown();
 }
 
+/// The value of token `name=` in a reply.
+fn token(reply: &str, name: &str) -> u64 {
+    let prefix = format!("{name}=");
+    reply
+        .split_ascii_whitespace()
+        .find_map(|t| t.strip_prefix(prefix.as_str()))
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| panic!("no {name}= in {reply}"))
+}
+
+#[test]
+fn stats_splits_latency_by_query_kind() {
+    let engine = tiny_engine(false, false);
+    let handle = spawn(Arc::clone(&engine), ServerConfig::default()).expect("bind");
+    let mut stream = connect(handle.addr(), 5_000).expect("connect");
+    let kinds = ["rank", "sites", "churn", "outage"];
+
+    let before = ask(&mut stream, "STATS");
+    for kind in kinds {
+        assert_eq!(token(&before, &format!("{kind}_p50us")), 0, "{before}");
+        assert_eq!(token(&before, &format!("{kind}_p99us")), 0, "{before}");
+    }
+
+    let key = engine.provider_keys(ServiceKind::Dns, 1).remove(0);
+    for (kind, req) in [
+        ("rank", "RANK dns 3".to_string()),
+        ("sites", format!("SITES dns {key}")),
+        ("churn", format!("CHURN ADD-SITE 0 dns {key} critical")),
+        ("outage", format!("OUTAGE {key}")),
+    ] {
+        let reply = ask(&mut stream, &req);
+        assert!(!reply.starts_with("ERR"), "{kind}: {reply}");
+    }
+
+    let after = ask(&mut stream, "STATS");
+    // The pooled tokens keep their names and order; the split follows.
+    let names: Vec<&str> = after
+        .split_ascii_whitespace()
+        .filter_map(|t| t.split_once('=').map(|(name, _)| name))
+        .collect();
+    let mut want = vec![
+        "ok",
+        "sheds",
+        "deadlines",
+        "contained_panics",
+        "parse_errors",
+        "churn_patched",
+        "churn_rebuilt",
+        "queues",
+        "p50us",
+        "p99us",
+    ];
+    let split: Vec<String> = kinds
+        .iter()
+        .flat_map(|k| [format!("{k}_p50us"), format!("{k}_p99us")])
+        .collect();
+    want.extend(split.iter().map(String::as_str));
+    assert_eq!(names, want, "{after}");
+    for kind in kinds {
+        let p50 = token(&after, &format!("{kind}_p50us"));
+        let p99 = token(&after, &format!("{kind}_p99us"));
+        assert!(p50 >= 1 && p50 <= p99, "{kind}: {after}");
+        assert!(p99 <= token(&after, "p99us"), "{kind}: {after}");
+    }
+    handle.shutdown();
+}
+
 #[test]
 fn full_queues_get_explicit_busy_and_recover() {
     let engine = tiny_engine(false, false);

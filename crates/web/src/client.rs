@@ -322,6 +322,7 @@ impl<'n> WebClient<'n> {
             } else {
                 None
             };
+            let mark = self.resolver.consult_mark();
             let mut transport = NetTransport {
                 resolver: &mut self.resolver,
                 web: self.web,
@@ -331,6 +332,14 @@ impl<'n> WebClient<'n> {
                 .checker
                 .check(cert, stapled.as_ref(), &mut transport, now)
                 .map_err(FetchError::Revocation)?;
+            // A soft-fail check that passed fails only by settling
+            // `Revoked` from a source it reaches, and an entity outage
+            // removes sources without changing what the PKI answers: it
+            // still passes, so its entity reads are soft. Its PKI reads
+            // stay in the CA log, since a PKI fault can revoke.
+            if self.checker.policy() == RevocationPolicy::SoftFail {
+                self.resolver.soften_consults_since(mark);
+            }
             Some(TlsSession {
                 certificate: cert.clone(),
                 stapled,
@@ -529,27 +538,63 @@ mod tests {
 
     #[test]
     fn pki_reads_are_logged_apart_from_entity_consults() {
+        use RevocationPolicy::{HardFail, SoftFail};
         let ca = CaId(0);
-        for (staple, entities) in [
+        let distinct = |mut v: Vec<EntityId>| {
+            v.sort_unstable();
+            v.dedup();
+            v
+        };
+        for (case, staple, policy, revoked, entities, soft) in [
             // The staple answers the check: the issuer's fault state is
             // read, its responder (and so its entity) never contacted.
-            (true, vec![SITE_ENTITY]),
-            (false, vec![SITE_ENTITY, CA_ENTITY]),
+            ("stapled", true, SoftFail, false, vec![SITE_ENTITY], vec![]),
+            // A soft-fail check that passed: no outage of the CA entity
+            // can fail it, so its consults are soft.
+            (
+                "soft-fail",
+                false,
+                SoftFail,
+                false,
+                vec![SITE_ENTITY],
+                vec![CA_ENTITY],
+            ),
+            // Under hard-fail a CA outage denies the site.
+            (
+                "hard-fail",
+                false,
+                HardFail,
+                false,
+                vec![SITE_ENTITY, CA_ENTITY],
+                vec![],
+            ),
+            // A failed check keeps its consults: a responder outage
+            // would turn `Revoked` into an unchecked accept.
+            (
+                "revoked",
+                false,
+                SoftFail,
+                true,
+                vec![SITE_ENTITY, CA_ENTITY],
+                vec![],
+            ),
         ] {
-            let w = world(staple, false);
-            let mut client = WebClient::new(Resolver::new(&w.dns), &w.web, &w.pki);
+            let mut w = world(staple, false);
+            if revoked {
+                let vhost = w.web.vhost(&dn("example.com")).unwrap();
+                w.pki
+                    .revoke(ca, vhost.tls.as_ref().unwrap().certificate.serial);
+            }
+            let mut client =
+                WebClient::new(Resolver::new(&w.dns), &w.web, &w.pki).with_policy(policy);
             client.resolver_mut().disable_cache();
             client.resolver_mut().record_consults();
-            client.fetch(&Url::https(dn("example.com"))).unwrap();
-            let mut consulted = client.resolver_mut().take_consults();
-            consulted.sort_unstable();
-            consulted.dedup();
-            assert_eq!(consulted, entities, "staple={staple}");
-            assert_eq!(
-                client.resolver_mut().take_pki_consults(),
-                vec![ca],
-                "staple={staple}"
-            );
+            let fetched = client.fetch(&Url::https(dn("example.com")));
+            assert_eq!(fetched.is_err(), revoked, "{case}");
+            let resolver = client.resolver_mut();
+            assert_eq!(distinct(resolver.take_consults()), entities, "{case}");
+            assert_eq!(distinct(resolver.take_soft_consults()), soft, "{case}");
+            assert_eq!(resolver.take_pki_consults(), vec![ca], "{case}");
         }
     }
 

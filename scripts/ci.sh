@@ -45,6 +45,11 @@ fi
 echo "== cargo fmt --check =="
 cargo fmt --check
 
+# The soundness arguments in the docs (outage footprints, soft consults)
+# rest on intra-doc links; a broken or ambiguous link fails CI.
+echo "== cargo doc (rustdoc warnings denied) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
+
 echo "== bench smoke (2 samples, scratch output; compiles + runs every target) =="
 # WEBDEPS_BENCH_OUT is resolved from the bench package's cwd, so it
 # must be absolute to land in the repo-root target/ scratch dir.

@@ -10,7 +10,7 @@ use webdeps::core::{simulate_outage, DepGraph, MetricOptions, Metrics, OutageInd
 use webdeps::measure::{measure_world, MeasurementDataset};
 use webdeps::model::{EntityId, ServiceKind, SiteId};
 use webdeps::serve::{Engine, Outcome, Request, ServerStats};
-use webdeps::tls::OcspFault;
+use webdeps::tls::{OcspFault, RevocationPolicy};
 use webdeps::worldgen::{SnapshotYear, World, WorldConfig};
 
 fn world() -> &'static (World, MeasurementDataset, DepGraph) {
@@ -178,25 +178,35 @@ fn catalog_entities(world: &World) -> Vec<(String, EntityId)> {
         .collect()
 }
 
-/// The footprint index answers every single-provider outage with the
-/// exact site list of the full sweep.
-fn check_index_matches_full_sweep(world: &World) {
-    let index = OutageIndex::build(world);
+/// The footprint index recorded under `policy` answers every
+/// single-provider outage with the exact site list of the full sweep
+/// under that policy. Under soft-fail the index leaves softly consulted
+/// sites unprobed; under hard-fail it must probe every consulting site.
+fn check_index_matches_full_sweep(world: &World, policy: RevocationPolicy) {
+    let index = OutageIndex::build_prefix(world, world.truth.len(), policy);
+    let hard_fail = policy == RevocationPolicy::HardFail;
     let providers = catalog_entities(world);
     assert!(providers.len() > 100, "{} providers", providers.len());
     for (name, entity) in &providers {
-        let full = simulate_outage(world, &[name], false).expect("catalog name");
+        let full = simulate_outage(world, &[name], hard_fail).expect("catalog name");
         let indexed = index
             .affected(world, *entity, |_| true)
             .expect("never abandoned");
-        assert_eq!(indexed.affected, full.affected, "{name}: index vs sweep");
+        assert_eq!(
+            indexed.affected, full.affected,
+            "{name} ({policy:?}): index vs sweep"
+        );
         assert_eq!(indexed.total, full.total);
     }
 }
 
+/// Both policies an outage sweep can run under.
+const POLICIES: [RevocationPolicy; 2] = [RevocationPolicy::SoftFail, RevocationPolicy::HardFail];
+
 /// Poisons GlobalSign's responders so its non-stapling sites are down
 /// on healthy infrastructure, then checks the index again: the
-/// baseline-down sites outside a footprint exercise the merge.
+/// baseline-down sites outside a footprint exercise the merge, and
+/// their failed revocation checks must keep their consults hard.
 fn check_index_matches_full_sweep_poisoned(mut world: World) {
     let globalsign = world.pki.ca_by_name("GlobalSign").expect("catalog CA").id;
     world
@@ -207,17 +217,25 @@ fn check_index_matches_full_sweep_poisoned(mut world: World) {
         !baseline.affected.is_empty(),
         "the poisoned world must have sites down at baseline"
     );
-    check_index_matches_full_sweep(&world);
+    for policy in POLICIES {
+        check_index_matches_full_sweep(&world, policy);
+    }
 }
 
 #[test]
 fn outage_index_matches_full_sweep_2016() {
-    check_index_matches_full_sweep(&footprint_world(SnapshotYear::Y2016));
+    let world = footprint_world(SnapshotYear::Y2016);
+    for policy in POLICIES {
+        check_index_matches_full_sweep(&world, policy);
+    }
 }
 
 #[test]
 fn outage_index_matches_full_sweep_2020() {
-    check_index_matches_full_sweep(&footprint_world(SnapshotYear::Y2020));
+    let world = footprint_world(SnapshotYear::Y2020);
+    for policy in POLICIES {
+        check_index_matches_full_sweep(&world, policy);
+    }
 }
 
 #[test]
