@@ -6,10 +6,11 @@
 //!
 //! * **Monotonicity** — adding a fault phase to a schedule never
 //!   *increases* availability. Checked cache-free (via
-//!   [`webdeps_core::outage::simulate_outage_at`]) because client-side
-//!   caching genuinely breaks monotonicity: an earlier fault can leave
-//!   a site with a fresher cached answer that later rides out a second
-//!   outage.
+//!   [`OutageIndex::affected_at`], which probes only the sites a
+//!   schedule can reach and counts the rest at their recorded baseline)
+//!   because client-side caching genuinely breaks monotonicity: an
+//!   earlier fault can leave a site with a fresher cached answer that
+//!   later rides out a second outage.
 //! * **Redundancy** — a site whose DNS sits on two or more *independent*
 //!   entities (or on a private deployment plus a third party) survives
 //!   any single-entity DNS outage. This is the paper's core mitigation
@@ -18,11 +19,13 @@
 //! Everything is derived from one seed, so a reported violation comes
 //! with the exact schedule seed that reproduces it.
 
-use webdeps_core::outage::{probe_site, simulate_outage_at_with_jobs};
+use webdeps_core::outage::probe_site;
+use webdeps_core::OutageIndex;
 use webdeps_dns::fault::Degradation;
 use webdeps_dns::{FaultPhase, FaultPlan, FaultSchedule, FaultTarget, SimTime};
 use webdeps_model::rng::DetRng;
 use webdeps_model::{fan_out_chunked, EntityId};
+use webdeps_tls::RevocationPolicy;
 use webdeps_worldgen::World;
 
 /// How much ground a campaign covers.
@@ -37,11 +40,6 @@ pub struct CampaignConfig {
     pub probe_sites: usize,
     /// Instants sampled per schedule pair.
     pub samples_per_schedule: usize,
-    /// Worker count for availability sweeps and the redundancy pass,
-    /// resolved through the workspace-wide knob
-    /// ([`webdeps_model::par::resolve_jobs`]): `0` = auto. Campaign
-    /// reports are byte-identical at any worker count.
-    pub jobs: usize,
 }
 
 impl Default for CampaignConfig {
@@ -51,7 +49,6 @@ impl Default for CampaignConfig {
             schedules: 12,
             probe_sites: 80,
             samples_per_schedule: 3,
-            jobs: 0,
         }
     }
 }
@@ -64,7 +61,6 @@ impl CampaignConfig {
             schedules: 4,
             probe_sites: 40,
             samples_per_schedule: 2,
-            jobs: 0,
         }
     }
 }
@@ -215,32 +211,30 @@ fn random_phase(entities: &[EntityId], rng: &mut DetRng) -> FaultPhase {
     }
 }
 
-/// Checks monotonicity for one schedule: extending `base` with one more
-/// phase must not raise the up-count at any sampled instant. Returns
-/// the comparisons performed and any violations. Draws (the extra
-/// phase and the sampled instants) come from `rng`, so the caller's
-/// stream — ultimately the campaign seed — fully determines the check.
-pub fn check_monotonicity(
-    world: &World,
-    base: &FaultSchedule,
-    rng: &mut DetRng,
-    samples: usize,
-    probe_sites: usize,
-) -> (usize, Vec<Violation>) {
-    check_monotonicity_with_jobs(world, base, rng, samples, probe_sites, 0)
+/// The index a campaign's monotonicity checks ask: the first
+/// `probe_sites` sites of `world` (`0` records every site), recorded
+/// under the browser-default soft-fail policy. Build it once per world
+/// and population; every schedule and instant reuses it.
+pub fn monotonicity_index(world: &World, probe_sites: usize) -> OutageIndex {
+    let sites = match probe_sites {
+        0 => world.truth.len(),
+        n => n,
+    };
+    OutageIndex::build(world, sites, RevocationPolicy::SoftFail)
 }
 
-/// [`check_monotonicity`] with an explicit worker count for the
-/// per-instant availability sweeps (`0` = auto). The sampled instants
-/// are drawn from `rng` *before* any probing, so the stream — and
-/// therefore the check — is untouched by the worker count.
-pub fn check_monotonicity_with_jobs(
+/// Checks monotonicity for one schedule: extending `base` with one more
+/// phase must not raise the up-count over `index`'s recorded sites (see
+/// [`monotonicity_index`]) at any sampled instant. Returns the
+/// comparisons performed and any violations. Draws (the extra phase and
+/// the sampled instants) come from `rng`, so the caller's stream —
+/// ultimately the campaign seed — fully determines the check.
+pub fn check_monotonicity(
     world: &World,
+    index: &OutageIndex,
     base: &FaultSchedule,
     rng: &mut DetRng,
     samples: usize,
-    probe_sites: usize,
-    jobs: usize,
 ) -> (usize, Vec<Violation>) {
     let entities = dns_provider_entities(world);
     if entities.is_empty() {
@@ -255,8 +249,8 @@ pub fn check_monotonicity_with_jobs(
         // Sample instants spread over the horizon, jittered so phase
         // boundaries get hit across the campaign.
         let t = SimTime(rng.below(HORIZON_SECS as usize + 3_600) as u64 + (i as u64));
-        let base_up = up_count(world, base, t, probe_sites, jobs);
-        let ext_up = up_count(world, &extended, t, probe_sites, jobs);
+        let base_up = up_count(world, index, base, t);
+        let ext_up = up_count(world, index, &extended, t);
         checks += 1;
         if ext_up > base_up {
             violations.push(Violation {
@@ -272,14 +266,8 @@ pub fn check_monotonicity_with_jobs(
     (checks, violations)
 }
 
-fn up_count(
-    world: &World,
-    schedule: &FaultSchedule,
-    at: SimTime,
-    probe_sites: usize,
-    jobs: usize,
-) -> usize {
-    let r = simulate_outage_at_with_jobs(world, schedule, at, false, probe_sites, jobs);
+fn up_count(world: &World, index: &OutageIndex, schedule: &FaultSchedule, at: SimTime) -> usize {
+    let r = index.affected_at(world, schedule, at);
     r.total - r.affected.len()
 }
 
@@ -287,22 +275,15 @@ fn up_count(
 /// provider entities (or a private deployment alongside a third party)
 /// must survive each single-entity outage among its own providers.
 /// Survival is probed on the site apex over HTTP, cache-free, so the
-/// check isolates the DNS layer from CDN and CA chains.
-pub fn check_redundancy(world: &World, seed: u64, max_sites: usize) -> (usize, Vec<Violation>) {
-    check_redundancy_with_jobs(world, seed, max_sites, 0)
-}
-
-/// [`check_redundancy`] with an explicit worker count (`0` = auto).
+/// check isolates the DNS layer from CDN and CA chains. (The
+/// [`OutageIndex`] records document fetches, not apex lookups, so this
+/// check probes every candidate.)
+///
 /// Candidate sites are collected serially (so `max_sites` caps the
 /// same population at any worker count), then the per-candidate
 /// single-entity outage probes fan across workers and merge in
 /// candidate order.
-pub fn check_redundancy_with_jobs(
-    world: &World,
-    seed: u64,
-    max_sites: usize,
-    jobs: usize,
-) -> (usize, Vec<Violation>) {
+pub fn check_redundancy(world: &World, seed: u64, max_sites: usize) -> (usize, Vec<Violation>) {
     // Serial candidate collection: redundant-DNS sites with their
     // deduplicated provider entities, capped exactly as a serial sweep
     // would cap them.
@@ -333,7 +314,7 @@ pub fn check_redundancy_with_jobs(
     }
 
     // Parallel survival probes, merged in candidate order.
-    let per_candidate = fan_out_chunked(&candidates, jobs, |shard| {
+    let per_candidate = fan_out_chunked(&candidates, 0, |shard| {
         shard
             .iter()
             .map(|(truth, provider_entities)| {
@@ -373,19 +354,19 @@ pub fn check_redundancy_with_jobs(
 /// the schedule seed alone: both the schedule *and* the sampling
 /// stream derive from it, so the `--replay-schedule` repro command a
 /// violation prints replays this exact check — same schedule, same
-/// sampled instants — with nothing else from the campaign.
+/// sampled instants — with nothing else from the campaign. `index` is
+/// the campaign's [`monotonicity_index`].
 pub fn check_schedule(
     world: &World,
+    index: &OutageIndex,
     schedule_seed: u64,
     samples: usize,
-    probe_sites: usize,
-    jobs: usize,
 ) -> (usize, Vec<Violation>) {
     let base = random_schedule(world, schedule_seed);
     // lint:allow(seed-flow) — the sampling stream is rooted in the
     // schedule seed on purpose: one u64 must replay one violation.
     let mut rng = DetRng::new(schedule_seed).fork("chaos-monotonicity");
-    check_monotonicity_with_jobs(world, &base, &mut rng, samples, probe_sites, jobs)
+    check_monotonicity(world, index, &base, &mut rng, samples)
 }
 
 /// Runs a full campaign: `config.schedules` randomized monotonicity
@@ -402,21 +383,16 @@ pub fn run_campaign(world: &World, config: &CampaignConfig) -> CampaignReport {
     // lint:allow(seed-flow) — the campaign entry point mints the master
     // stream from the configured seed; every draw below forks from it.
     let mut master = DetRng::new(config.seed).fork("chaos-campaign");
+    let index = monotonicity_index(world, config.probe_sites);
     for _ in 0..config.schedules {
         let schedule_seed = master.next_u64();
-        let (checks, violations) = check_schedule(
-            world,
-            schedule_seed,
-            config.samples_per_schedule,
-            config.probe_sites,
-            config.jobs,
-        );
+        let (checks, violations) =
+            check_schedule(world, &index, schedule_seed, config.samples_per_schedule);
         report.schedules_checked += 1;
         report.monotonicity_checks += checks;
         report.violations.extend(violations);
     }
-    let (checks, violations) =
-        check_redundancy_with_jobs(world, config.seed, config.probe_sites, config.jobs);
+    let (checks, violations) = check_redundancy(world, config.seed, config.probe_sites);
     report.redundancy_checks += checks;
     report.violations.extend(violations);
     report
@@ -513,8 +489,9 @@ mod tests {
         let w = world();
         let mut master = DetRng::new(42).fork("chaos-campaign");
         let first_seed = master.next_u64();
-        let (a_checks, a_viol) = check_schedule(w, first_seed, 2, 40, 0);
-        let (b_checks, b_viol) = check_schedule(w, first_seed, 2, 40, 0);
+        let index = monotonicity_index(w, 40);
+        let (a_checks, a_viol) = check_schedule(w, &index, first_seed, 2);
+        let (b_checks, b_viol) = check_schedule(w, &index, first_seed, 2);
         assert_eq!(a_checks, b_checks);
         assert_eq!(format!("{a_viol:?}"), format!("{b_viol:?}"));
     }

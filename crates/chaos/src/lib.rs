@@ -37,6 +37,8 @@ pub mod campaign;
 pub mod incident;
 pub mod replay;
 
-pub use campaign::{check_schedule, run_campaign, CampaignConfig, CampaignReport, Violation};
+pub use campaign::{
+    check_schedule, monotonicity_index, run_campaign, CampaignConfig, CampaignReport, Violation,
+};
 pub use incident::{dyn_two_wave, globalsign_stale_week, Incident, PkiPhase};
 pub use replay::{replay, ReplayOptions, ReplayResult, TickSample};

@@ -15,12 +15,13 @@
 //! `--replay-schedule` replays one campaign schedule by its seed — the
 //! exact command a campaign violation prints as its repro line.
 //! `--smoke` is the CI entry point: a small campaign plus truncated
-//! replays of both canonical incidents.
+//! replays of both canonical incidents. Exactly one mode flag is
+//! allowed.
 
 use std::process::ExitCode;
 use webdeps_chaos::{
-    check_schedule, dyn_two_wave, globalsign_stale_week, replay, run_campaign, CampaignConfig,
-    Incident,
+    check_schedule, dyn_two_wave, globalsign_stale_week, monotonicity_index, replay, run_campaign,
+    CampaignConfig, Incident,
 };
 use webdeps_worldgen::incidents::{dyn_incident_world, globalsign_incident_world};
 use webdeps_worldgen::World;
@@ -29,49 +30,68 @@ const USAGE: &str = "usage: webdeps-chaos --replay dyn|globalsign [--seed S] [--
                      --campaign [--seed S] [--schedules N] [--sites N] | \
                      --replay-schedule --seed S [--sites N] | --smoke";
 
+/// What a run does: the one mode flag it was given.
+enum Mode {
+    Replay(String),
+    Campaign,
+    ReplaySchedule,
+    Smoke,
+}
+
 struct Args {
-    replay: Option<String>,
-    campaign: bool,
-    replay_schedule: bool,
-    smoke: bool,
-    seed: u64,
+    mode: Mode,
+    seed: Option<u64>,
     sites: usize,
     schedules: usize,
 }
 
 fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        replay: None,
-        campaign: false,
-        replay_schedule: false,
-        smoke: false,
-        seed: 42,
-        sites: 1_500,
-        schedules: 8,
-    };
+    let mut mode = None;
+    let mut seed = None;
+    let mut sites = 1_500;
+    let mut schedules = 8;
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--replay" => args.replay = Some(it.next().ok_or("--replay needs dyn|globalsign")?),
-            "--campaign" => args.campaign = true,
-            "--replay-schedule" => args.replay_schedule = true,
-            "--smoke" => args.smoke = true,
+            "--replay" => {
+                let which = it.next().ok_or("--replay needs dyn|globalsign")?;
+                set_mode(&mut mode, Mode::Replay(which))?;
+            }
+            "--campaign" => set_mode(&mut mode, Mode::Campaign)?,
+            "--replay-schedule" => set_mode(&mut mode, Mode::ReplaySchedule)?,
+            "--smoke" => set_mode(&mut mode, Mode::Smoke)?,
             "--seed" => {
                 let v = it.next().ok_or("--seed needs a value")?;
-                args.seed = v.parse().map_err(|_| format!("bad --seed {v:?}"))?;
+                seed = Some(v.parse().map_err(|_| format!("bad --seed {v:?}"))?);
             }
-            "--sites" => args.sites = count("--sites", it.next())?,
-            "--schedules" => args.schedules = count("--schedules", it.next())?,
+            "--sites" => sites = count("--sites", it.next())?,
+            "--schedules" => schedules = count("--schedules", it.next())?,
             "--help" | "-h" => return Err(USAGE.into()),
             other => return Err(format!("unknown argument {other:?} (try --help)")),
         }
     }
-    if args.replay.is_none() && !args.campaign && !args.replay_schedule && !args.smoke {
-        return Err(
-            "pick one of --replay, --campaign, --replay-schedule, --smoke (try --help)".into(),
-        );
+    let mode =
+        mode.ok_or("pick one of --replay, --campaign, --replay-schedule, --smoke (try --help)")?;
+    if matches!(mode, Mode::ReplaySchedule) && seed.is_none() {
+        return Err(format!("--replay-schedule needs --seed\n{USAGE}"));
     }
-    Ok(args)
+    Ok(Args {
+        mode,
+        seed,
+        sites,
+        schedules,
+    })
+}
+
+/// Records the run's mode. A second mode flag is an error, even a
+/// repeated one: no flag silently beats another.
+fn set_mode(mode: &mut Option<Mode>, next: Mode) -> Result<(), String> {
+    match mode.replace(next) {
+        None => Ok(()),
+        Some(_) => Err(format!(
+            "pick only one of --replay, --campaign, --replay-schedule, --smoke\n{USAGE}"
+        )),
+    }
 }
 
 /// Parses the value of a count flag. Zero is an error, in every mode: a
@@ -175,7 +195,8 @@ fn run_smoke() -> Result<(), String> {
 fn run_replay_schedule(seed: u64, sites: usize) -> Result<(), String> {
     let world = World::generate(webdeps_worldgen::WorldConfig::small(WORLD_SEED));
     let probe_sites = sites.min(200);
-    let (checks, violations) = check_schedule(&world, seed, 3, probe_sites, 0);
+    let index = monotonicity_index(&world, probe_sites);
+    let (checks, violations) = check_schedule(&world, &index, seed, 3);
     println!(
         "schedule replay (seed {seed}): {checks} monotonicity checks, {} violation(s)",
         violations.len()
@@ -204,14 +225,12 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let outcome = if args.smoke {
-        run_smoke()
-    } else if let Some(which) = &args.replay {
-        run_replay(which, args.seed, args.sites)
-    } else if args.replay_schedule {
-        run_replay_schedule(args.seed, args.sites)
-    } else {
-        run_campaign_cmd(args.seed, args.schedules, args.sites)
+    let seed = args.seed.unwrap_or(42);
+    let outcome = match &args.mode {
+        Mode::Smoke => run_smoke(),
+        Mode::Replay(which) => run_replay(which, seed, args.sites),
+        Mode::ReplaySchedule => run_replay_schedule(seed, args.sites),
+        Mode::Campaign => run_campaign_cmd(seed, args.schedules, args.sites),
     };
     match outcome {
         Ok(()) => ExitCode::SUCCESS,

@@ -8,15 +8,15 @@
 //! site at its healthy baseline. Persistence is the engine's reason to
 //! exist: cached DNS answers let sites coast through the early minutes
 //! of an outage, and cached OCSP responses keep denying sites long after
-//! a PKI fault is fixed. A cache-free sweep (see
-//! [`webdeps_core::outage::simulate_outage_at`]) cannot show either
+//! a PKI fault is fixed. A cache-free question (see
+//! [`webdeps_core::OutageIndex::affected_at`]) cannot show either
 //! effect.
 
 use crate::incident::Incident;
-use webdeps_core::outage::probe_site;
+use webdeps_core::outage::{probe_site, schedule_entities};
 use webdeps_core::OutageIndex;
-use webdeps_dns::{FaultTarget, SimTime, StalePolicy};
-use webdeps_model::{CaId, EntityId};
+use webdeps_dns::{SimTime, StalePolicy};
+use webdeps_model::CaId;
 use webdeps_tls::{Pki, RevocationPolicy};
 use webdeps_web::WebClient;
 use webdeps_worldgen::World;
@@ -162,16 +162,8 @@ pub fn replay(world: &World, incident: &Incident) -> ReplayResult {
     let tick = opts.tick_secs.max(1);
     let last_tick = SimTime(opts.horizon_secs / tick * tick);
 
-    let index = OutageIndex::build_prefix(world, total, policy);
-    let entities: Vec<EntityId> = incident
-        .schedule
-        .phases()
-        .iter()
-        .map(|p| match p.target {
-            FaultTarget::Entity(e) => e,
-            FaultTarget::Server(s) => world.dns.server(s).operator,
-        })
-        .collect();
+    let index = OutageIndex::build(world, total, policy);
+    let entities = schedule_entities(world, &incident.schedule);
     let cas: Vec<CaId> = incident.pki_phases.iter().map(|p| p.ca).collect();
     let footprint = index.reach(&entities, &cas, last_tick);
     let down_outside = index

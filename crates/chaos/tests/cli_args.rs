@@ -47,6 +47,44 @@ fn zero_schedules_is_rejected() {
     assert_rejected(&["--campaign", "--schedules", "0"]);
 }
 
+/// Mode flags do not override one another: a run given two, or one
+/// twice, is a usage error instead of running whichever wins.
+#[test]
+fn a_second_mode_flag_is_rejected() {
+    for args in [
+        &["--campaign", "--replay", "dyn", "--sites", "50"][..],
+        &["--smoke", "--campaign"][..],
+        &["--replay", "dyn", "--smoke"][..],
+        &["--replay-schedule", "--seed", "5", "--campaign"][..],
+        &["--replay", "dyn", "--replay", "globalsign"][..],
+    ] {
+        assert_rejected(args);
+    }
+}
+
+/// `--replay-schedule` replays the schedule a seed names, so it has no
+/// default seed to fall back on.
+#[test]
+fn replay_schedule_needs_a_seed() {
+    assert_rejected(&["--replay-schedule"]);
+    assert_rejected(&["--replay-schedule", "--sites", "20"]);
+}
+
+#[test]
+fn replay_schedule_with_a_seed_runs() {
+    let out = run(&["--replay-schedule", "--seed", "5", "--sites", "20"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(
+        stdout.starts_with("schedule replay (seed 5): 3 monotonicity checks, 0 violation(s)"),
+        "{stdout}"
+    );
+}
+
 #[test]
 fn one_schedule_campaign_runs() {
     let out = run(&["--campaign", "--schedules", "1", "--sites", "20"]);

@@ -40,10 +40,7 @@ pub use dot::{to_dot, DotOptions};
 pub use evolution::{ca_trends, cdn_trends, dns_trends, provider_trends, TrendTable};
 pub use graph::{DepGraph, EdgeKind, GraphBuilder, NodeId, NodeKind, NodeRef};
 pub use metrics::{MetricOptions, Metrics, ProviderScore};
-pub use outage::{
-    probe_site, simulate_outage, simulate_outage_at, simulate_outage_at_with_jobs,
-    simulate_outage_with_jobs, OutageIndex, OutageResult,
-};
+pub use outage::{probe_site, simulate_outage, OutageIndex, OutageResult};
 pub use reach::{ApplyKind, Churn, ChurnError, MutableReach, ProviderRef, ReachIndex, SiteSet};
 pub use resilience::{audit_site, robustness_score, RiskLevel, SiteAudit};
 pub use stats::{

@@ -194,38 +194,28 @@ impl<'g> Metrics<'g> {
     }
 
     /// All providers of `kind`, scored and ordered by impact
-    /// (descending), then concentration. Memoized and parallel with an
-    /// auto worker count — see [`Metrics::ranking_with_jobs`].
-    pub fn ranking(&self, kind: ServiceKind, opts: &MetricOptions) -> Vec<ProviderScore> {
-        self.ranking_with_jobs(kind, opts, 0)
-    }
-
-    /// [`Metrics::ranking`] with an explicit worker count (`0` = auto).
+    /// (descending), then concentration.
     ///
     /// Instead of one full reverse BFS per provider, both metric
     /// configurations are indexed once ([`ReachIndex`], shared SCC
     /// condensation) and the per-provider pass is an O(1) table lookup
-    /// fanned across workers in `providers_of` order. The ordered merge
-    /// plus stable sort keep the ranking — including tie order —
-    /// byte-identical to the serial per-provider BFS at any `jobs`.
-    pub fn ranking_with_jobs(
-        &self,
-        kind: ServiceKind,
-        opts: &MetricOptions,
-        jobs: usize,
-    ) -> Vec<ProviderScore> {
+    /// fanned across the `WEBDEPS_JOBS` workers in `providers_of` order.
+    /// The ordered merge plus stable sort keep the ranking — including
+    /// tie order — byte-identical to the serial per-provider BFS at any
+    /// worker count.
+    pub fn ranking(&self, kind: ServiceKind, opts: &MetricOptions) -> Vec<ProviderScore> {
         let providers: Vec<NodeId> = self.graph.providers_of(kind).collect();
         // The two index builds are independent; overlap them (the
         // worker clamp caps this fan-out at two).
         let configs = [false, true];
-        let mut indexes = fan_out(&configs, jobs, |&c| ReachIndex::build(self.graph, c, opts));
+        let mut indexes = fan_out(&configs, 0, |&c| ReachIndex::build(self.graph, c, opts));
         let impact_index = indexes
             .pop()
             .unwrap_or_else(|| ReachIndex::build(self.graph, true, opts));
         let conc_index = indexes
             .pop()
             .unwrap_or_else(|| ReachIndex::build(self.graph, false, opts));
-        let mut out = fan_out(&providers, jobs, |&id| {
+        let mut out = fan_out(&providers, 0, |&id| {
             let key = match self.graph.node(id) {
                 NodeKind::Provider(name, _) => ProviderKey::new(self.graph.name(name)),
                 NodeKind::Site(_) => unreachable!("providers_of returns providers"),
@@ -247,23 +237,15 @@ impl<'g> Metrics<'g> {
     /// Number of *critical* dependencies each site has (direct plus, if
     /// allowed, transitive through critical provider chains) — the
     /// §8.1 "critical dependencies per website" distribution.
+    ///
+    /// One shared impact [`ReachIndex`] replaces the per-provider BFS,
+    /// and providers are fanned across the `WEBDEPS_JOBS` workers, each
+    /// chunk accumulating a dense per-site count vector; the merged
+    /// result is an elementwise sum, so it is identical at any worker
+    /// count.
     pub fn critical_deps_per_site(
         &self,
         opts: &MetricOptions,
-    ) -> std::collections::HashMap<SiteId, usize> {
-        self.critical_deps_per_site_with_jobs(opts, 0)
-    }
-
-    /// [`Metrics::critical_deps_per_site`] with an explicit worker
-    /// count (`0` = auto): one shared impact [`ReachIndex`] replaces
-    /// the per-provider BFS, and providers are fanned across workers,
-    /// each chunk accumulating a dense per-site count vector; the
-    /// merged result is an elementwise sum, so it is identical at any
-    /// `jobs`.
-    pub fn critical_deps_per_site_with_jobs(
-        &self,
-        opts: &MetricOptions,
-        jobs: usize,
     ) -> std::collections::HashMap<SiteId, usize> {
         let index = ReachIndex::build(self.graph, true, opts);
         let bound = self.graph.site_id_bound();
@@ -271,7 +253,7 @@ impl<'g> Metrics<'g> {
             .into_iter()
             .flat_map(|kind| self.graph.providers_of(kind).collect::<Vec<_>>())
             .collect();
-        let partials = fan_out_chunked(&providers, jobs, |chunk| {
+        let partials = fan_out_chunked(&providers, 0, |chunk| {
             let mut dense = vec![0usize; bound];
             for &p in chunk {
                 if let Some(set) = index.dependent_set(p) {

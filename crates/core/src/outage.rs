@@ -2,23 +2,28 @@
 //!
 //! The graph metrics *predict* which sites a provider outage denies;
 //! this module *replays* the outage in the simulator — fail the
-//! provider's entities, flush caches, and attempt every site's document
-//! fetch through the full Figure-1 request path — so the two can be
-//! cross-validated (the Mirai-Dyn what-if, end to end).
+//! provider's entities and attempt each site's document fetch through
+//! the full Figure-1 request path — so the two can be cross-validated
+//! (the Mirai-Dyn what-if, end to end).
 //!
-//! [`simulate_outage`] is the one-shot full sweep. [`OutageIndex`]
-//! records once which entities and CAs each site's healthy fetch
-//! consults, then probes only the sites a fault can reach: a resident
-//! service's repeated single-entity question, and the chaos replay's
-//! incident fault set.
+//! [`OutageIndex`] is the one engine. It records once which entities
+//! and CAs each site's healthy fetch consults, then probes only the
+//! sites a fault can reach and counts every other site at its recorded
+//! baseline. It answers a static plan of failed entities
+//! ([`OutageIndex::affected`]: serve's `OUTAGE` and [`simulate_outage`]),
+//! a schedule at one instant ([`OutageIndex::affected_at`]: the chaos
+//! campaign's monotonicity check), and the fault set of an incident
+//! ([`OutageIndex::reach`]: the chaos replay, which probes it through
+//! its persistent client). `tests/outage_validation.rs` holds the first
+//! two equal to probing every site.
 //!
 //! # Soft consults
 //!
 //! Under the browser-default soft-fail policy, a revocation check that
 //! passed on healthy infrastructure cannot be denied by an entity
 //! outage, so the entities it alone consulted are kept apart as *soft*
-//! and a single-entity outage ([`OutageIndex::affected`]) does not probe
-//! their sites:
+//! and a plan of failed entities ([`OutageIndex::affected`]) does not
+//! probe their sites:
 //!
 //! - Under soft-fail a check fails only by settling `Revoked` from a
 //!   source it reached (must-staple and `StapleRequired` failures never
@@ -38,13 +43,15 @@
 //!
 //! A chaos replay's persistent DNS cache breaks that last step: a
 //! skipped site's transport would refresh entries that a probed site
-//! reads later. So [`OutageIndex::reach`] keeps soft consults.
+//! reads later. So [`OutageIndex::reach`] keeps soft consults, and so
+//! does [`OutageIndex::affected_at`], which asks it.
 
-use webdeps_dns::{FaultPlan, FaultSchedule, SimTime};
+use std::borrow::Cow;
+use webdeps_dns::{FaultPlan, FaultSchedule, FaultTarget, SimTime};
 use webdeps_model::{fan_out_chunked, CaId, DomainName, EntityId, ModelError, SiteId};
 use webdeps_tls::RevocationPolicy;
 use webdeps_web::{Scheme, Url, WebClient};
-use webdeps_worldgen::{SiteListing, SiteTruth, World};
+use webdeps_worldgen::World;
 
 /// Result of one simulated outage.
 #[derive(Debug, Clone)]
@@ -78,9 +85,17 @@ pub fn provider_entity(world: &World, provider: &str) -> Option<EntityId> {
     world.entities.owner_of(&domain)
 }
 
-/// Simulates an outage of the given providers and probes every site.
-/// `hard_fail` selects the strict revocation policy under which CA
-/// unavailability denies service (the paper's criticality model).
+/// Simulates an outage of the given providers over every site of
+/// `world`. `hard_fail` selects the strict revocation policy under
+/// which CA unavailability denies service (the paper's criticality
+/// model).
+///
+/// Records an [`OutageIndex`] under that policy and asks it
+/// [`OutageIndex::affected`]: the sites whose footprint holds a failed
+/// entity are probed, and every other site counts at its recorded
+/// baseline. The answer equals probing every site with the DNS cache
+/// off (`tests/outage_validation.rs`). A caller with many questions
+/// about one world builds the index once and asks it directly.
 ///
 /// Fails with [`ModelError::UnknownProvider`] when a provider
 /// reference matches neither a catalog name nor a wire identity.
@@ -90,29 +105,6 @@ pub fn simulate_outage(
     providers: &[&str],
     hard_fail: bool,
 ) -> Result<OutageResult, ModelError> {
-    simulate_outage_with_jobs(world, providers, hard_fail, 0)
-}
-
-/// [`simulate_outage`] with an explicit worker count (`0` = auto).
-///
-/// The probe sweep shards the site list across workers, each with its
-/// own client. Per-site probes are independent here: the resolver cache
-/// is disabled and the fault plan is time-invariant. The OCSP/CRL cache
-/// is *not* disabled — each client's carries over between the sites of
-/// its shard — but it cannot change an outcome either. It only holds
-/// answers a live fetch returned, every certificate of a CA embeds the
-/// same responder and CRL hosts, and under a static plan at a fixed
-/// instant a fresh fetch over those hosts would return the identical
-/// answer. So shard boundaries cannot change outcomes and the affected
-/// list (merged in site order) is identical at any `jobs`;
-/// `tests/parallel_determinism.rs` holds this to account.
-#[must_use]
-pub fn simulate_outage_with_jobs(
-    world: &World,
-    providers: &[&str],
-    hard_fail: bool,
-    jobs: usize,
-) -> Result<OutageResult, ModelError> {
     let entities: Vec<EntityId> = providers
         .iter()
         .map(|p| {
@@ -121,107 +113,34 @@ pub fn simulate_outage_with_jobs(
             })
         })
         .collect::<Result<_, _>>()?;
-
-    let mut plan = FaultPlan::healthy();
-    for &e in &entities {
-        plan = plan.fail_entity(e);
-    }
-
-    let listings = world.listings();
-    let affected = probe_sweep(&listings, jobs, || {
-        let mut client = world.client();
-        if hard_fail {
-            client = client.with_policy(RevocationPolicy::HardFail);
-        }
-        client.set_faults(plan.clone());
-        client.resolver_mut().disable_cache();
-        client
-    });
-    Ok(OutageResult {
-        failed_entities: entities,
-        affected,
-        total: listings.len(),
-    })
+    let policy = if hard_fail {
+        RevocationPolicy::HardFail
+    } else {
+        RevocationPolicy::SoftFail
+    };
+    let index = OutageIndex::build(world, world.truth.len(), policy);
+    // lint:allow(panic) — a sweep whose `proceed` always answers true is never abandoned
+    Ok(index
+        .affected(world, &entities, |_| true)
+        .expect("never abandoned"))
 }
 
-/// Shards `listings` across workers, probes each site through a
-/// per-shard client built by `make_client`, and returns the affected
-/// sites in listing order.
-fn probe_sweep<'w, F>(listings: &[SiteListing], jobs: usize, make_client: F) -> Vec<SiteId>
-where
-    F: Fn() -> WebClient<'w> + Sync,
-{
-    fan_out_chunked(listings, jobs, |shard| {
-        let mut client = make_client();
-        let mut affected = Vec::new();
-        for l in shard {
-            if !probe_site(&mut client, &l.document_hosts, l.https) {
-                affected.push(l.id);
-            }
-        }
-        affected
-    })
-}
-
-/// Probes every site under `schedule`, evaluated at the instant `at` —
-/// the schedule-aware sibling of [`simulate_outage`]. Probing is
-/// cache-free (each site sees the instant's conditions, not history);
-/// the incident-replay engine in `webdeps-chaos` layers cache carry-over
-/// on top of this. Infallible: the schedule already names entities, so
-/// there is no provider lookup to fail.
-///
-/// `max_sites` caps the probed population (`0` probes everything) so
-/// invariant sweeps over many schedules stay fast.
-pub fn simulate_outage_at(
-    world: &World,
-    schedule: &FaultSchedule,
-    at: SimTime,
-    hard_fail: bool,
-    max_sites: usize,
-) -> OutageResult {
-    simulate_outage_at_with_jobs(world, schedule, at, hard_fail, max_sites, 0)
-}
-
-/// [`simulate_outage_at`] with an explicit worker count (`0` = auto).
-///
-/// Safe to shard for the same reason probing is cache-free: every
-/// worker's client is pinned to the instant `at` with its resolver
-/// cache disabled, so a site's probe outcome is a function of the
-/// schedule and the instant alone, never of which sites shared its
-/// worker. The chaos replay engine deliberately does *not* use this —
-/// its persistent client carries caches across sites and ticks, which
-/// is the semantics being studied there.
-pub fn simulate_outage_at_with_jobs(
-    world: &World,
-    schedule: &FaultSchedule,
-    at: SimTime,
-    hard_fail: bool,
-    max_sites: usize,
-    jobs: usize,
-) -> OutageResult {
-    let mut listings = world.listings();
-    if max_sites > 0 {
-        listings.truncate(max_sites);
-    }
-    let affected = probe_sweep(&listings, jobs, || {
-        let mut client = world.client();
-        if hard_fail {
-            client = client.with_policy(RevocationPolicy::HardFail);
-        }
-        client.set_schedule(schedule.clone());
-        client.resolver_mut().disable_cache();
-        client.resolver_mut().advance_time(at.seconds());
-        client
-    });
-    OutageResult {
-        failed_entities: schedule.entities_active_at(at),
-        affected,
-        total: listings.len(),
-    }
+/// The entities `schedule` degrades, in phase order, a server target
+/// counting as its operator: the entity side of the fault set that
+/// [`OutageIndex::reach`] takes.
+pub fn schedule_entities(world: &World, schedule: &FaultSchedule) -> Vec<EntityId> {
+    schedule
+        .phases()
+        .iter()
+        .map(|p| match p.target {
+            FaultTarget::Entity(e) => e,
+            FaultTarget::Server(s) => world.dns.server(s).operator,
+        })
+        .collect()
 }
 
 /// Outage footprints of one world, for answering many outages without
-/// sweeping every site each time.
+/// probing every site each time.
 ///
 /// Built from one healthy, cache-off sweep that records each site's
 /// **footprint**: every entity the resolver consulted while probing it,
@@ -233,22 +152,19 @@ pub fn simulate_outage_at_with_jobs(
 ///
 /// Entities a site consulted only inside a passed soft-fail revocation
 /// check are stored apart, as its *soft* footprint (see the module
-/// docs): an outage of one of them cannot deny the site.
-/// [`Self::affected`] therefore probes only one entity's (hard)
-/// footprint and adds the baseline-down sites outside it;
-/// `tests/outage_validation.rs` holds it equal to [`simulate_outage`]
-/// for every catalog provider under both policies. [`Self::reach`]
-/// probes both footprints.
+/// docs): an outage of them cannot deny the site. [`Self::affected`]
+/// therefore probes only the (hard) footprints of a plan's entities and
+/// adds the baseline-down sites outside them. [`Self::reach`] and
+/// [`Self::affected_at`] probe both footprints.
 ///
-/// Scope: the recording is made at clock 0 under one revocation policy
-/// (soft-fail for [`Self::build`]). [`Self::affected`] answers one
-/// failed entity at that instant, as serve's `OUTAGE` asks.
-/// [`Self::reach`] answers a fault set — entities, and CAs whose PKI
-/// state changes — up to a later instant, adding the sites whose
-/// certificates change validity by then; the chaos replay probes what
-/// it returns through its persistent client. Server-level plans and
-/// multi-provider one-shot sweeps stay on [`simulate_outage`] and
-/// [`simulate_outage_at`].
+/// Scope: the recording is made at clock 0 under one revocation policy,
+/// and every question is answered under that policy.
+/// [`Self::affected`] answers a static plan of failed entities at that
+/// instant. [`Self::reach`] names the sites a fault set — entities, and
+/// CAs whose PKI state changes — can move up to a later instant, adding
+/// the sites whose certificates change validity by then;
+/// [`Self::affected_at`] probes them for a schedule at one instant, and
+/// the chaos replay probes them through its persistent client.
 #[derive(Debug, Clone)]
 pub struct OutageIndex {
     /// The revocation policy of the recording client.
@@ -270,20 +186,15 @@ pub struct OutageIndex {
 }
 
 impl OutageIndex {
-    /// Runs the recording sweep over every site of `world` with the
-    /// default soft-fail client (sharded across the automatic worker
-    /// count; the result is identical at any count).
-    pub fn build(world: &World) -> OutageIndex {
-        OutageIndex::build_prefix(world, world.truth.len(), RevocationPolicy::SoftFail)
-    }
-
-    /// The recording sweep over the first `sites` sites of `world` (the
-    /// population a replay with `max_sites` probes), through a client
-    /// with revocation `policy`: the policy decides which sites are down
-    /// at baseline. Caches are flushed before every site, so a
-    /// certificate or name shared with an earlier site cannot hide part
-    /// of a footprint behind a cached answer.
-    pub fn build_prefix(world: &World, sites: usize, policy: RevocationPolicy) -> OutageIndex {
+    /// Runs the recording sweep over the first `sites` sites of `world`
+    /// (every site when `sites` is at least the world's size) through a
+    /// client with revocation `policy`, which decides the sites down at
+    /// baseline and the consults that are soft. The sweep is sharded
+    /// across the `WEBDEPS_JOBS` worker count; the index is identical at
+    /// any count. Caches are flushed before every site, so a certificate
+    /// or name shared with an earlier site cannot hide part of a
+    /// footprint behind a cached answer.
+    pub fn build(world: &World, sites: usize, policy: RevocationPolicy) -> OutageIndex {
         let sites = &world.truth.sites[..sites.min(world.truth.len())];
         let shards = fan_out_chunked(sites, 0, |shard| {
             let mut client = world.client().with_policy(policy);
@@ -361,27 +272,26 @@ impl OutageIndex {
             .enumerate()
             .filter(|&(_, &edge)| edge <= until)
             .map(|(i, _)| SiteId::from_index(i));
-        let mut sites: Vec<SiteId> = entities
-            .iter()
-            .flat_map(|e| [self.footprint(*e), self.soft.get(e.index())])
-            .chain(cas.iter().map(|c| self.cas.get(c.index())))
-            .flatten()
-            .copied()
-            .chain(expiring)
-            .collect();
-        sites.sort_unstable();
-        sites.dedup();
-        sites
+        distinct(
+            entities
+                .iter()
+                .flat_map(|e| [self.footprint(*e), self.soft.get(e.index())])
+                .chain(cas.iter().map(|c| self.cas.get(c.index())))
+                .flatten()
+                .copied()
+                .chain(expiring),
+        )
     }
 
-    /// The outage of `entity` alone on `world` — which must be the world
-    /// the index was built from — equal to
-    /// `simulate_outage(world, &[entity's provider], hard_fail)` over the
-    /// recorded sites, `hard_fail` being the recording policy. Probes the
-    /// [`Self::footprint`] through one client with that policy and the
-    /// DNS cache off, whose OCSP cache carries over between sites as a
-    /// full sweep's does. The soft footprint is not probed: those sites
-    /// are up at baseline and stay up (see the module docs).
+    /// The outage of `entities` together, as a static plan at clock 0,
+    /// on `world` — which must be the world the index was built from:
+    /// equal to probing every recorded site through a client with the
+    /// recording policy and the DNS cache off. Probes the union of the
+    /// entities' [`Self::footprint`]s through one such client, whose
+    /// OCSP cache carries over between sites as a full sweep's does, and
+    /// counts every other site at its baseline. With one entity its
+    /// footprint is probed in place. Soft footprints are not probed:
+    /// those sites are up at baseline and stay up (see the module docs).
     ///
     /// `proceed` is polled before each probe with the number of sites
     /// probed so far; returning `false` abandons the sweep with `None`,
@@ -389,30 +299,79 @@ impl OutageIndex {
     pub fn affected(
         &self,
         world: &World,
-        entity: EntityId,
+        entities: &[EntityId],
+        proceed: impl FnMut(usize) -> bool,
+    ) -> Option<OutageResult> {
+        let sites = match entities {
+            [entity] => Cow::Borrowed(self.footprint(*entity)),
+            _ => Cow::Owned(distinct(
+                entities.iter().flat_map(|e| self.footprint(*e)).copied(),
+            )),
+        };
+        let plan = entities
+            .iter()
+            .fold(FaultPlan::healthy(), |plan, &e| plan.fail_entity(e));
+        let mut client = world.client().with_policy(self.policy);
+        client.set_faults(plan);
+        client.resolver_mut().disable_cache();
+        self.sweep(world, &mut client, &sites, entities.to_vec(), proceed)
+    }
+
+    /// The sites down under `schedule` at the instant `at`, on `world` —
+    /// which must be the world the index was built from: equal to
+    /// probing every recorded site at `at` through a client with the
+    /// recording policy and the DNS cache off, so each site sees the
+    /// instant's conditions and no history. Probes [`Self::reach`] of
+    /// the schedule's [`schedule_entities`] up to `at` through one such
+    /// client and counts every other site at its baseline.
+    /// `failed_entities` are the entities active at `at`.
+    pub fn affected_at(
+        &self,
+        world: &World,
+        schedule: &FaultSchedule,
+        at: SimTime,
+    ) -> OutageResult {
+        let sites = self.reach(&schedule_entities(world, schedule), &[], at);
+        let mut client = world.client().with_policy(self.policy);
+        client.set_schedule(schedule.clone());
+        client.resolver_mut().disable_cache();
+        client.resolver_mut().advance_time(at.seconds());
+        let active = schedule.entities_active_at(at);
+        let result = self.sweep(world, &mut client, &sites, active, |_| true);
+        // lint:allow(panic) — a sweep whose `proceed` always answers true is never abandoned
+        result.expect("never abandoned")
+    }
+
+    /// Probes `sites` (in site order) through `client`, then adds the
+    /// recorded sites down at baseline outside them: the outage of
+    /// `failed_entities` over the recorded sites. `None` when `proceed`
+    /// stops the sweep.
+    fn sweep(
+        &self,
+        world: &World,
+        client: &mut WebClient<'_>,
+        sites: &[SiteId],
+        failed_entities: Vec<EntityId>,
         mut proceed: impl FnMut(usize) -> bool,
     ) -> Option<OutageResult> {
-        let footprint = self.footprint(entity);
-        let mut client = world.client().with_policy(self.policy);
-        client.set_faults(FaultPlan::healthy().fail_entity(entity));
-        client.resolver_mut().disable_cache();
         let mut affected = Vec::new();
-        for (probed, &id) in footprint.iter().enumerate() {
+        for (probed, &id) in sites.iter().enumerate() {
             if !proceed(probed) {
                 return None;
             }
-            if !probe_truth(&mut client, world.site(id)) {
+            let site = world.site(id);
+            if !probe_site(client, &site.document_hosts(), site.https()) {
                 affected.push(id);
             }
         }
         affected.extend(
             self.baseline_down
                 .iter()
-                .filter(|id| footprint.binary_search(id).is_err()),
+                .filter(|id| sites.binary_search(id).is_err()),
         );
         affected.sort_unstable();
         Some(OutageResult {
-            failed_entities: vec![entity],
+            failed_entities,
             affected,
             total: self.cert_edges.len(),
         })
@@ -437,8 +396,8 @@ struct Recording {
 }
 
 /// `keys` sorted, without repeats.
-fn distinct(keys: impl Iterator<Item = u32>) -> Vec<u32> {
-    let mut keys: Vec<u32> = keys.collect();
+fn distinct<T: Ord>(keys: impl Iterator<Item = T>) -> Vec<T> {
+    let mut keys: Vec<T> = keys.collect();
     keys.sort_unstable();
     keys.dedup();
     keys
@@ -500,11 +459,6 @@ fn cert_edge(world: &World, hosts: &[DomainName], https: bool) -> SimTime {
         .unwrap_or(SimTime(u64::MAX))
 }
 
-/// [`probe_site`] over a site's ground-truth document hosts.
-fn probe_truth(client: &mut WebClient<'_>, site: &SiteTruth) -> bool {
-    probe_site(client, &site.document_hosts(), site.https())
-}
-
 /// Whether any of a site's document hosts answers through `client`.
 pub fn probe_site(client: &mut WebClient<'_>, hosts: &[DomainName], https: bool) -> bool {
     let scheme = if https { Scheme::Https } else { Scheme::Http };
@@ -536,10 +490,16 @@ mod tests {
         assert_eq!(result.total, world.truth.len());
     }
 
+    /// The whole world under the default soft-fail policy.
+    fn soft_index(world: &World) -> OutageIndex {
+        OutageIndex::build(world, world.truth.len(), RevocationPolicy::SoftFail)
+    }
+
     #[test]
     fn scheduled_outage_matches_plan_outage_inside_its_window() {
         use webdeps_dns::fault::Degradation;
         let world = World::generate(WorldConfig::small(71));
+        let index = soft_index(&world);
         let dyn_entity = world.provider_entity("Dyn").expect("Dyn exists");
         let schedule = FaultSchedule::seeded(9).fail_entity_during(
             dyn_entity,
@@ -547,11 +507,11 @@ mod tests {
             SimTime(7_200),
             Degradation::Down,
         );
-        let before = simulate_outage_at(&world, &schedule, SimTime(0), false, 0);
+        let before = index.affected_at(&world, &schedule, SimTime(0));
         assert!(before.affected.is_empty(), "no fault active yet");
         assert!(before.failed_entities.is_empty());
 
-        let during = simulate_outage_at(&world, &schedule, SimTime(5_000), false, 0);
+        let during = index.affected_at(&world, &schedule, SimTime(5_000));
         assert_eq!(during.failed_entities, vec![dyn_entity]);
         let plan_view = simulate_outage(&world, &["Dyn"], false).expect("catalog name");
         assert_eq!(
@@ -559,25 +519,26 @@ mod tests {
             "inside the window the schedule is exactly the binary outage"
         );
 
-        let after = simulate_outage_at(&world, &schedule, SimTime(7_200), false, 0);
+        let after = index.affected_at(&world, &schedule, SimTime(7_200));
         assert!(after.affected.is_empty(), "window is half-open");
     }
 
     #[test]
     fn max_sites_caps_the_probe() {
         let world = World::generate(WorldConfig::small(71));
-        let r = simulate_outage_at(&world, &FaultSchedule::empty(), SimTime(0), false, 25);
+        let index = OutageIndex::build(&world, 25, RevocationPolicy::SoftFail);
+        let r = index.affected_at(&world, &FaultSchedule::empty(), SimTime(0));
         assert_eq!(r.total, 25);
     }
 
     #[test]
     fn unconsulted_entity_leaves_the_baseline() {
         let world = World::generate(WorldConfig::small(71));
-        let index = OutageIndex::build(&world);
+        let index = soft_index(&world);
         let nobody = EntityId(u32::MAX);
         assert!(index.footprint(nobody).is_empty());
         let r = index
-            .affected(&world, nobody, |_| true)
+            .affected(&world, &[nobody], |_| true)
             .expect("nothing to probe");
         assert!(r.affected.is_empty(), "healthy world, nothing down");
     }
@@ -590,8 +551,8 @@ mod tests {
     fn soft_and_hard_footprints_split_the_hard_fail_footprint() {
         let world = World::generate(WorldConfig::small(71));
         let n = world.truth.len();
-        let soft = OutageIndex::build_prefix(&world, n, RevocationPolicy::SoftFail);
-        let hard = OutageIndex::build_prefix(&world, n, RevocationPolicy::HardFail);
+        let soft = OutageIndex::build(&world, n, RevocationPolicy::SoftFail);
+        let hard = OutageIndex::build(&world, n, RevocationPolicy::HardFail);
         assert!(hard.soft.sites.is_empty(), "hard-fail softens nothing");
         assert!(
             !soft.soft.sites.is_empty(),
@@ -615,10 +576,10 @@ mod tests {
     #[test]
     fn outage_index_sweep_can_be_abandoned() {
         let world = World::generate(WorldConfig::small(71));
-        let index = OutageIndex::build(&world);
+        let index = soft_index(&world);
         let dyn_entity = provider_entity(&world, "Dyn").expect("catalog name");
         let mut polls = 0;
-        let cut = index.affected(&world, dyn_entity, |probed| {
+        let cut = index.affected(&world, &[dyn_entity], |probed| {
             polls += 1;
             probed < 3
         });

@@ -29,10 +29,10 @@
 //! lifetime, so it can never observe a stale graph — rebuilding after a
 //! mutation is enforced at compile time (the columnar [`DepGraph`] is
 //! immutable once built). The index also deliberately has no hooks into
-//! the *behavioral* layer: schedule-aware sweeps (`simulate_outage_at`)
-//! probe the simulator afresh at every instant precisely because
-//! availability at time `t` is not a graph property, so nothing cached
-//! here can go stale across ticks.
+//! the *behavioral* layer: schedule-aware outage questions
+//! (`OutageIndex::affected_at`) probe the simulator afresh at every
+//! instant precisely because availability at time `t` is not a graph
+//! property, so nothing cached here can go stale across ticks.
 
 use crate::graph::{DepGraph, NodeId, NodeKind};
 use crate::metrics::MetricOptions;

@@ -46,18 +46,10 @@ pub fn observe_site(resolver: &mut Resolver<'_>, site: &DomainName) -> Option<Dn
 }
 
 /// Dataset-wide nameserver concentration: how many sites each
-/// nameserver registrable-domain serves.
+/// nameserver registrable-domain serves. `cache` is the caller's memo:
+/// provider registrable domains recur across a whole shard, so counting
+/// only allocates a key the first time a domain is seen.
 pub fn ns_concentration(
-    observations: &[Option<DnsObservation>],
-    psl: &PublicSuffixList,
-) -> HashMap<DomainName, usize> {
-    ns_concentration_cached(observations, psl, &mut ClassifyCache::new())
-}
-
-/// [`ns_concentration`] with a caller-owned memo — the hot-path entry
-/// point: provider registrable domains recur across the whole shard, so
-/// counting only allocates a key the first time a domain is seen.
-pub fn ns_concentration_cached(
     observations: &[Option<DnsObservation>],
     psl: &PublicSuffixList,
     cache: &mut ClassifyCache,
@@ -496,7 +488,7 @@ mod tests {
             "a.com",
         );
         let o2 = obs("b.com", &[("ns1.big.net", "big.net")], "b.com");
-        let counts = ns_concentration(&[Some(o1), Some(o2), None], &psl);
+        let counts = ns_concentration(&[Some(o1), Some(o2), None], &psl, &mut ClassifyCache::new());
         assert_eq!(counts[&dn("big.net")], 2, "two sites, not three pairs");
     }
 
@@ -511,7 +503,7 @@ mod tests {
             .iter()
             .map(|l| observe_site(client.resolver_mut(), &l.domain))
             .collect();
-        let concentration = ns_concentration(&observations, &world.psl);
+        let concentration = ns_concentration(&observations, &world.psl, &mut ClassifyCache::new());
         let threshold = world.config.concentration_threshold();
         let mut unknown_pairs = 0usize;
         for (l, obs) in listings.iter().zip(&observations) {

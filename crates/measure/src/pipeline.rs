@@ -32,6 +32,12 @@ use webdeps_worldgen::{SiteListing, World};
 const RESOLVER_CACHE_BOUND: usize = 1 << 16;
 
 /// Pipeline tuning knobs.
+///
+/// The crawl/observation stage runs on the workspace-wide worker count
+/// ([`webdeps_model::par::resolve_jobs`]: `WEBDEPS_JOBS`, else detected
+/// parallelism capped at [`webdeps_model::par::MAX_AUTO_JOBS`]). Each
+/// worker runs its own client (own DNS + OCSP caches), so results are
+/// identical at any worker count.
 #[derive(Debug, Clone, Copy)]
 pub struct MeasureConfig {
     /// Concentration threshold for the combined heuristic (50 at the
@@ -39,23 +45,15 @@ pub struct MeasureConfig {
     pub threshold: usize,
     /// Optional cap on the number of sites measured (test runs).
     pub max_sites: Option<usize>,
-    /// Worker threads for the crawl/observation stage, resolved through
-    /// the workspace-wide knob ([`webdeps_model::par::resolve_jobs`]):
-    /// `0` = auto (`WEBDEPS_JOBS` env override, else detected
-    /// parallelism capped at [`webdeps_model::par::MAX_AUTO_JOBS`]).
-    /// Each worker runs its own client (own DNS + OCSP caches), so
-    /// results are identical at any thread count.
-    pub threads: usize,
 }
 
 impl MeasureConfig {
     /// The configuration matching a world's scale: threshold scaled to
-    /// the population, crawl parallelism left on the shared auto knob.
+    /// the population, every site measured.
     pub fn for_world(world: &World) -> Self {
         MeasureConfig {
             threshold: world.config.concentration_threshold(),
             max_sites: None,
-            threads: 0,
         }
     }
 }
@@ -203,7 +201,7 @@ pub fn measure_world_with(world: &World, config: MeasureConfig) -> MeasurementDa
     // instead of re-digging every site.
     let observe_scope = timing::scope("measure/observe");
     let n_sites = listings.len();
-    let partials = fan_out_chunked(&listings, config.threads, |shard| {
+    let partials = fan_out_chunked(&listings, 0, |shard| {
         let mut client = world.client();
         client.resolver_mut().bound_cache(RESOLVER_CACHE_BOUND);
         let mut cache = ClassifyCache::new();
@@ -211,7 +209,7 @@ pub fn measure_world_with(world: &World, config: MeasureConfig) -> MeasurementDa
             .iter()
             .map(|l| dns::observe_site(client.resolver_mut(), &l.domain))
             .collect();
-        let counts = dns::ns_concentration_cached(&observations, psl, &mut cache);
+        let counts = dns::ns_concentration(&observations, psl, &mut cache);
         vec![(observations, counts)]
     });
     let mut concentration: HashMap<DomainName, usize> = HashMap::new();
@@ -230,7 +228,7 @@ pub fn measure_world_with(world: &World, config: MeasureConfig) -> MeasurementDa
     let classify_scope = timing::scope("measure/classify");
     let items: Vec<(SiteListing, Option<dns::DnsObservation>)> =
         listings.into_iter().zip(observations).collect();
-    let shards = fan_out_chunked(&items, config.threads, |shard| {
+    let shards = fan_out_chunked(&items, 0, |shard| {
         vec![classify_shard(
             world,
             shard,
@@ -489,31 +487,8 @@ mod tests {
             MeasureConfig {
                 threshold: 3,
                 max_sites: Some(50),
-                threads: 1,
             },
         );
         assert_eq!(ds.len(), 50);
-    }
-
-    #[test]
-    fn parallel_and_serial_measurements_agree() {
-        let world = World::generate(WorldConfig::small(79));
-        let serial = measure_world_with(
-            &world,
-            MeasureConfig {
-                threshold: 3,
-                max_sites: Some(400),
-                threads: 1,
-            },
-        );
-        let parallel = measure_world_with(
-            &world,
-            MeasureConfig {
-                threshold: 3,
-                max_sites: Some(400),
-                threads: 8,
-            },
-        );
-        assert_eq!(serial, parallel);
     }
 }

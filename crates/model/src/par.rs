@@ -17,10 +17,10 @@
 //!   produced.
 //!
 //! Worker-count policy is likewise centralized: [`resolve_jobs`] is the
-//! single knob (explicit value > `WEBDEPS_JOBS` env > detected
-//! parallelism, capped at [`MAX_AUTO_JOBS`]) shared by worldgen,
-//! measure, core, and chaos, replacing the per-crate policies that used to
-//! disagree. Because every caller is deterministic at any worker
+//! single knob (`WEBDEPS_JOBS` env > detected parallelism, capped at
+//! [`MAX_AUTO_JOBS`]) shared by worldgen, measure, core, and chaos,
+//! which all pass `0` (auto); an explicit count is for this module's
+//! own tests. Because every caller is deterministic at any worker
 //! count, the knob tunes *speed only* — it can never change results.
 
 use std::thread;

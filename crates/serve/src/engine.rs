@@ -209,10 +209,11 @@ impl Engine {
         if Instant::now() >= deadline {
             return Outcome::Deadline(epoch);
         }
-        let index = self
-            .outage_index
-            .get_or_init(|| OutageIndex::build(&self.world));
-        let swept = index.affected(&self.world, entity, |probed| {
+        // Every site, under the browser-default soft-fail policy.
+        let index = self.outage_index.get_or_init(|| {
+            OutageIndex::build(&self.world, self.world.truth.len(), Default::default())
+        });
+        let swept = index.affected(&self.world, &[entity], |probed| {
             probed % DEADLINE_STRIDE != 0 || Instant::now() < deadline
         });
         let Some(result) = swept else {

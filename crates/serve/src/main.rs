@@ -13,6 +13,7 @@
 //! consecutive seeds and exits non-zero on any invariant violation,
 //! printing a copy-pasteable replay line first. `--smoke` is the CI
 //! entry point: a small world, a short torture, strict invariants.
+//! Exactly one mode flag is allowed.
 
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -29,10 +30,16 @@ const USAGE: &str = "usage: webdeps-serve --serve [--addr A] [--seed S] [--sites
                      [--deadline-ms D] | --torture [--seed S] [--seeds K] [--connections C] \
                      [--clients T] [--sites N] [--workers W] [--deadline-ms D] | --smoke";
 
+/// What a run does: the one mode flag it was given.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Mode {
+    Serve,
+    Torture,
+    Smoke,
+}
+
 struct Args {
-    serve: bool,
-    torture: bool,
-    smoke: bool,
+    mode: Mode,
     addr: String,
     seed: u64,
     seeds: usize,
@@ -44,10 +51,9 @@ struct Args {
 }
 
 fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
+    let mut mode = None;
     let mut args = Args {
-        serve: false,
-        torture: false,
-        smoke: false,
+        mode: Mode::Serve,
         addr: "127.0.0.1:0".to_string(),
         seed: 42,
         seeds: 64,
@@ -60,9 +66,9 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let mut it = argv.into_iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--serve" => args.serve = true,
-            "--torture" => args.torture = true,
-            "--smoke" => args.smoke = true,
+            "--serve" => set_mode(&mut mode, Mode::Serve)?,
+            "--torture" => set_mode(&mut mode, Mode::Torture)?,
+            "--smoke" => set_mode(&mut mode, Mode::Smoke)?,
             "--addr" => args.addr = it.next().ok_or("--addr needs host:port")?,
             "--seed" => {
                 let v = it.next().ok_or("--seed needs a value")?;
@@ -81,10 +87,19 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
             other => return Err(format!("unknown argument {other:?} (try --help)")),
         }
     }
-    if !args.serve && !args.torture && !args.smoke {
-        return Err("pick one of --serve, --torture, --smoke (try --help)".into());
-    }
+    args.mode = mode.ok_or("pick one of --serve, --torture, --smoke (try --help)")?;
     Ok(args)
+}
+
+/// Records the run's mode. A second mode flag is an error, even a
+/// repeated one: no flag silently beats another.
+fn set_mode(mode: &mut Option<Mode>, next: Mode) -> Result<(), String> {
+    match mode.replace(next) {
+        None => Ok(()),
+        Some(_) => Err(format!(
+            "pick only one of --serve, --torture, --smoke\n{USAGE}"
+        )),
+    }
 }
 
 /// Parses the value of a count flag. Zero is an error, in every mode:
@@ -265,9 +280,7 @@ fn run_smoke(args: &Args) -> Result<(), String> {
 
 fn parse_smoke_base(args: &Args) -> Args {
     Args {
-        serve: false,
-        torture: false,
-        smoke: true,
+        mode: Mode::Smoke,
         addr: "127.0.0.1:0".to_string(),
         seed: args.seed,
         seeds: 2,
@@ -287,12 +300,10 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let outcome = if args.smoke {
-        run_smoke(&args)
-    } else if args.torture {
-        run_torture_cmd(&args)
-    } else {
-        run_serve_cmd(&args)
+    let outcome = match args.mode {
+        Mode::Smoke => run_smoke(&args),
+        Mode::Torture => run_torture_cmd(&args),
+        Mode::Serve => run_serve_cmd(&args),
     };
     match outcome {
         Ok(()) => ExitCode::SUCCESS,
@@ -342,9 +353,34 @@ mod tests {
             let replay = replay_line(&parse(line), 11);
             let cmd = replay.strip_prefix("webdeps-serve ").expect("program name");
             let again = parse(cmd);
-            assert!(again.torture, "{replay}");
+            assert_eq!(again.mode, Mode::Torture, "{replay}");
             assert_eq!((again.seed, again.seeds), (11, 1), "{replay}");
             assert_eq!(shape(&again), want, "{replay}");
+        }
+    }
+
+    /// More than one mode flag is a usage error, whichever flags they
+    /// are: none silently beats another.
+    #[test]
+    fn a_second_mode_flag_is_rejected() {
+        for line in [
+            "--smoke --torture",
+            "--torture --serve",
+            "--serve --smoke",
+            "--torture --seeds 2 --torture",
+        ] {
+            let argv = line.split_ascii_whitespace().map(String::from);
+            match parse_args(argv) {
+                Ok(_) => panic!("{line}: accepted"),
+                Err(e) => assert!(e.contains("usage: webdeps-serve"), "{line}: {e}"),
+            }
+        }
+        for (line, mode) in [
+            ("--serve", Mode::Serve),
+            ("--torture", Mode::Torture),
+            ("--smoke", Mode::Smoke),
+        ] {
+            assert_eq!(parse(line).mode, mode, "{line}");
         }
     }
 }

@@ -75,23 +75,12 @@ impl World {
     /// `WEBDEPS_JOBS` workers (auto-detected when unset); output is
     /// byte-identical at any worker count.
     pub fn generate(config: WorldConfig) -> World {
-        World::generate_with_jobs(config, 0)
+        World::from_plan(plan_snapshot(&config))
     }
 
-    /// [`Self::generate`] with an explicit worker count (`0` = auto).
-    /// The job count is a speed knob only — results are identical.
-    pub fn generate_with_jobs(config: WorldConfig, jobs: usize) -> World {
-        World::from_plan_with_jobs(plan_snapshot(&config), jobs)
-    }
-
-    /// Materializes a prepared plan.
+    /// Materializes a prepared plan, sharded as [`Self::generate`] is.
     pub fn from_plan(plan: SnapshotPlan) -> World {
-        World::from_plan_with_jobs(plan, 0)
-    }
-
-    /// [`Self::from_plan`] with an explicit worker count (`0` = auto).
-    pub fn from_plan_with_jobs(plan: SnapshotPlan, jobs: usize) -> World {
-        Builder::new(plan, jobs).build()
+        Builder::new(plan).build()
     }
 
     /// A fresh resolver bound to this world.
@@ -148,14 +137,12 @@ pub struct Builder {
     ca_ids: BTreeMap<String, CaId>,
     provider_entities: BTreeMap<String, EntityId>,
     serial: u32,
-    jobs: usize,
 }
 
 impl Builder {
-    fn new(plan: SnapshotPlan, jobs: usize) -> Builder {
+    fn new(plan: SnapshotPlan) -> Builder {
         let seed = plan.config.seed;
         Builder {
-            jobs,
             plan,
             entities: EntityRegistry::new(),
             dns_b: DnsNetwork::builder(),
@@ -670,7 +657,7 @@ impl Builder {
             entity: self.entities.len(),
             cert_serial: pki.next_serial(),
         };
-        let jobs = webdeps_model::par::effective_jobs(self.jobs, sites.len());
+        let jobs = webdeps_model::par::effective_jobs(0, sites.len());
         let chunk = sites.len().div_ceil(jobs).max(1);
         let mut cursor = start;
         let mut shards: Vec<(SiteCursor, &[SiteTruth])> = Vec::with_capacity(jobs);

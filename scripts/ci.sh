@@ -28,6 +28,16 @@ cargo run -q --release --offline -p webdeps-chaos -- --smoke
 echo "== webdeps-serve --smoke (daemon torture: shed/deadline/poison invariants) =="
 cargo run -q --release --offline -p webdeps-serve -- --smoke
 
+# The workspace test run compiles the examples but does not run them.
+# Run each one, so an engine change behind an example cannot break it
+# unseen; `set -e` fails CI on a non-zero exit.
+echo "== examples (every examples/*.rs, release) =="
+for example in examples/*.rs; do
+    name="$(basename "$example" .rs)"
+    echo "-- $name"
+    cargo run -q --release --offline --example "$name" >/dev/null
+done
+
 echo "== webdeps-lint v4 (static-analysis pass, warnings denied) =="
 cargo run -q --release --offline -p webdeps-lint -- --root . --deny-warnings --json-out LINT_REPORT.json
 ls -l LINT_REPORT.json

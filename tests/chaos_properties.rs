@@ -5,13 +5,15 @@
 //! * **Monotonicity** — adding a fault phase to any schedule never
 //!   increases availability (checked cache-free; client-side caching
 //!   legitimately breaks this, which is exactly why the check runs
-//!   through `simulate_outage_at`).
+//!   through `OutageIndex::affected_at`).
 //! * **Redundancy** — any site with two or more independent DNS
 //!   provider entities (or a private deployment beside a third party)
 //!   survives every single-entity DNS outage among its own providers.
 
 use std::sync::OnceLock;
-use webdeps::chaos::campaign::{check_monotonicity, dns_provider_entities, random_schedule};
+use webdeps::chaos::campaign::{
+    check_monotonicity, dns_provider_entities, monotonicity_index, random_schedule,
+};
 use webdeps::core::probe_site;
 use webdeps::dns::FaultPlan;
 use webdeps::model::{DetRng, EntityId};
@@ -64,6 +66,7 @@ fn property_config() -> Config {
 #[test]
 fn adding_faults_never_increases_availability() {
     let world = world();
+    let index = monotonicity_index(world, 40);
     check_with(
         &property_config(),
         "adding_faults_never_increases_availability",
@@ -71,7 +74,7 @@ fn adding_faults_never_increases_availability() {
         |&seed| {
             let base = random_schedule(world, seed);
             let mut rng = DetRng::new(seed).fork("chaos-extend");
-            let (checks, violations) = check_monotonicity(world, &base, &mut rng, 2, 40);
+            let (checks, violations) = check_monotonicity(world, &index, &base, &mut rng, 2);
             tk_assert!(checks > 0, "the check must compare at least one instant");
             if let Some(v) = violations.first() {
                 return Err(format!("monotonicity violated: {}", v.detail));

@@ -1,17 +1,79 @@
 //! Cross-validation of graph-derived impact against behavioral outage
 //! simulation, across provider kinds — the strongest evidence that the
 //! measurement + analysis stack models the world it measures.
+//!
+//! The outage engine ([`OutageIndex`], behind `simulate_outage`, serve's
+//! `OUTAGE` and the chaos campaign) probes only the sites a fault set
+//! can reach. Its oracle here probes every site, in two forms: a static
+//! plan of failed entities at clock 0, and a schedule at one instant
+//! over a prefix of the sites. Every answer must equal the oracle's.
 
 use std::collections::{BTreeSet, HashSet};
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
-use webdeps::core::outage::provider_entity;
-use webdeps::core::{simulate_outage, DepGraph, MetricOptions, Metrics, OutageIndex};
+use webdeps::chaos::campaign::random_schedule;
+use webdeps::chaos::monotonicity_index;
+use webdeps::core::outage::{provider_entity, schedule_entities};
+use webdeps::core::{probe_site, simulate_outage, DepGraph, MetricOptions, Metrics, OutageIndex};
+use webdeps::dns::{FaultPlan, FaultSchedule, SimTime};
 use webdeps::measure::{measure_world, MeasurementDataset};
-use webdeps::model::{EntityId, ServiceKind, SiteId};
+use webdeps::model::{fan_out_chunked, DetRng, EntityId, ServiceKind, SiteId};
 use webdeps::serve::{Engine, Outcome, Request, ServerStats};
 use webdeps::tls::{OcspFault, RevocationPolicy};
+use webdeps::web::WebClient;
 use webdeps::worldgen::{SnapshotYear, World, WorldConfig};
+
+/// The oracle: each of the first `sites` sites probed through a client
+/// made by `client` — whose DNS cache is off, so a site's outcome is a
+/// function of the fault conditions alone — and the unreachable ones
+/// returned in site order. The sites are sharded across workers, each
+/// with its own client, as the full sweep the index replaced was.
+fn full_sweep<'w>(
+    world: &'w World,
+    sites: usize,
+    client: impl Fn() -> WebClient<'w> + Sync,
+) -> Vec<SiteId> {
+    let mut listings = world.listings();
+    listings.truncate(sites);
+    fan_out_chunked(&listings, 0, |shard| {
+        let mut client = client();
+        client.resolver_mut().disable_cache();
+        shard
+            .iter()
+            .filter(|l| !probe_site(&mut client, &l.document_hosts, l.https))
+            .map(|l| l.id)
+            .collect()
+    })
+}
+
+/// The oracle for a static plan: every site, `entities` failed, at
+/// clock 0.
+fn plan_sweep(world: &World, entities: &[EntityId], policy: RevocationPolicy) -> Vec<SiteId> {
+    let plan = entities
+        .iter()
+        .fold(FaultPlan::healthy(), |plan, &e| plan.fail_entity(e));
+    full_sweep(world, world.truth.len(), || {
+        let mut client = world.client().with_policy(policy);
+        client.set_faults(plan.clone());
+        client
+    })
+}
+
+/// The oracle for a schedule at the instant `at`, over the first
+/// `sites` sites, under soft-fail.
+fn schedule_sweep(
+    world: &World,
+    sites: usize,
+    schedule: &FaultSchedule,
+    at: SimTime,
+) -> Vec<SiteId> {
+    full_sweep(world, sites, || {
+        let mut client = world.client();
+        client.set_schedule(schedule.clone());
+        client.resolver_mut().advance_time(at.seconds());
+        client
+    })
+}
 
 fn world() -> &'static (World, MeasurementDataset, DepGraph) {
     static W: OnceLock<(World, MeasurementDataset, DepGraph)> = OnceLock::new();
@@ -178,26 +240,49 @@ fn catalog_entities(world: &World) -> Vec<(String, EntityId)> {
         .collect()
 }
 
-/// The footprint index recorded under `policy` answers every
-/// single-provider outage with the exact site list of the full sweep
-/// under that policy. Under soft-fail the index leaves softly consulted
-/// sites unprobed; under hard-fail it must probe every consulting site.
+/// Under `policy`, `simulate_outage` answers every single-provider
+/// outage with the oracle's site list, and an index recorded once
+/// answers random multi-entity plans and the empty plan the same way.
+/// Under soft-fail the index leaves softly consulted sites unprobed;
+/// under hard-fail it must probe every consulting site.
 fn check_index_matches_full_sweep(world: &World, policy: RevocationPolicy) {
-    let index = OutageIndex::build_prefix(world, world.truth.len(), policy);
     let hard_fail = policy == RevocationPolicy::HardFail;
     let providers = catalog_entities(world);
     assert!(providers.len() > 100, "{} providers", providers.len());
     for (name, entity) in &providers {
-        let full = simulate_outage(world, &[name], hard_fail).expect("catalog name");
-        let indexed = index
-            .affected(world, *entity, |_| true)
-            .expect("never abandoned");
+        let indexed = simulate_outage(world, &[name], hard_fail).expect("catalog name");
+        let full = plan_sweep(world, &[*entity], policy);
         assert_eq!(
-            indexed.affected, full.affected,
+            indexed.affected, full,
             "{name} ({policy:?}): index vs sweep"
         );
-        assert_eq!(indexed.total, full.total);
+        assert_eq!(indexed.total, world.truth.len());
     }
+
+    let index = OutageIndex::build(world, world.truth.len(), policy);
+    let empty = index
+        .affected(world, &[], |_| true)
+        .expect("never abandoned");
+    assert_eq!(
+        empty.affected,
+        plan_sweep(world, &[], policy),
+        "{policy:?}: empty plan"
+    );
+    let mut rng = DetRng::new(world.config.seed).fork("outage-sets");
+    let mut down = 0;
+    for case in 0..32 {
+        let set: Vec<EntityId> = (0..2 + rng.below(2))
+            .map(|_| rng.pick(&providers).1)
+            .collect();
+        let indexed = index
+            .affected(world, &set, |_| true)
+            .expect("never abandoned");
+        let full = plan_sweep(world, &set, policy);
+        assert_eq!(indexed.affected, full, "set {case} {set:?} ({policy:?})");
+        assert_eq!(indexed.failed_entities, set);
+        down += full.len();
+    }
+    assert!(down > 0, "{policy:?}: no random set takes a site down");
 }
 
 /// Both policies an outage sweep can run under.
@@ -212,9 +297,9 @@ fn check_index_matches_full_sweep_poisoned(mut world: World) {
     world
         .pki
         .inject_fault(globalsign, OcspFault::MarksEverythingRevoked);
-    let baseline = simulate_outage(&world, &[], false).expect("no providers");
+    let baseline = plan_sweep(&world, &[], RevocationPolicy::SoftFail);
     assert!(
-        !baseline.affected.is_empty(),
+        !baseline.is_empty(),
         "the poisoned world must have sites down at baseline"
     );
     for policy in POLICIES {
@@ -262,7 +347,7 @@ fn reply_count(reply: &str, name: &str) -> usize {
 fn serve_outage_replies_match_the_full_sweep() {
     let engine = Engine::from_world(footprint_world(SnapshotYear::Y2020), false, false);
     let world = footprint_world(SnapshotYear::Y2020);
-    let index = OutageIndex::build(&world);
+    let index = OutageIndex::build(&world, world.truth.len(), RevocationPolicy::SoftFail);
     let stats = ServerStats::new();
     let far = Instant::now() + Duration::from_secs(600);
     for kind in [ServiceKind::Dns, ServiceKind::Cdn, ServiceKind::Ca] {
@@ -273,17 +358,65 @@ fn serve_outage_replies_match_the_full_sweep() {
                 other => panic!("OUTAGE {key}: {other:?}"),
             };
             assert!(reply.starts_with(&format!("OK 0 OUTAGE {key} ")), "{reply}");
-            let full = simulate_outage(&world, &[&key], false).expect("observed provider");
-            assert_eq!(
-                reply_count(&reply, "affected="),
-                full.affected.len(),
-                "{reply}"
-            );
-            assert_eq!(reply_count(&reply, "total="), full.total, "{reply}");
             let entity = provider_entity(&world, &key).expect("observed provider");
+            let full = plan_sweep(&world, &[entity], RevocationPolicy::SoftFail);
+            assert_eq!(reply_count(&reply, "affected="), full.len(), "{reply}");
+            let total = world.truth.len();
+            assert_eq!(reply_count(&reply, "total="), total, "{reply}");
             let probed = reply_count(&reply, "probed=");
             assert_eq!(probed, index.footprint(entity).len(), "{reply}");
-            assert!(probed <= full.total, "{reply}");
+            assert!(probed <= total, "{reply}");
         }
     }
+}
+
+/// The campaign's fixed-instant question over the first `sites` sites
+/// of `world`: for 64 random schedules at four sampled instants each,
+/// its index probes only what the schedule can reach and must count
+/// exactly the oracle's down sites.
+fn check_schedules_at_an_instant(world: &World, sites: usize) {
+    let index = monotonicity_index(world, sites);
+    let mut rng = DetRng::new(sites as u64).fork("outage-instants");
+    let (mut probed, mut down, mut cases) = (0, 0, 0);
+    for seed in 0..64 {
+        let schedule = random_schedule(world, seed);
+        for _ in 0..4 {
+            let at = SimTime(rng.below(25_200) as u64);
+            let indexed = index.affected_at(world, &schedule, at);
+            let full = schedule_sweep(world, sites, &schedule, at);
+            assert_eq!(
+                indexed.affected, full,
+                "schedule {seed} at {at:?} over {sites}"
+            );
+            assert_eq!(indexed.total, sites);
+            assert_eq!(indexed.failed_entities, schedule.entities_active_at(at));
+            let reach = index.reach(&schedule_entities(world, &schedule), &[], at);
+            probed += reach.len();
+            down += full.len();
+            cases += 1;
+        }
+    }
+    assert!(down > 0, "over {sites}: no schedule takes a site down");
+    assert!(
+        probed < cases * sites,
+        "over {sites}: every case probed every site"
+    );
+}
+
+/// The campaign's default population.
+#[test]
+fn schedules_at_an_instant_match_full_sweep_over_40_sites() {
+    check_schedules_at_an_instant(campaign_world(), 40);
+}
+
+/// The CLI's largest campaign population.
+#[test]
+fn schedules_at_an_instant_match_full_sweep_over_200_sites() {
+    check_schedules_at_an_instant(campaign_world(), 200);
+}
+
+/// The world `webdeps-chaos --campaign` checks.
+fn campaign_world() -> &'static World {
+    static W: OnceLock<World> = OnceLock::new();
+    W.get_or_init(|| World::generate(WorldConfig::small(71)))
 }

@@ -1,30 +1,40 @@
-//! Cross-worker-count determinism properties for every parallel stage
-//! built on the shared fan-out (`webdeps_model::par`).
+//! Cross-worker-count determinism for every stage that fans out on the
+//! shared helper (`webdeps_model::par`).
 //!
-//! The workspace contract is that worker count is a *speed* knob, never
-//! a *results* knob: chunked fan-outs merge shard results in shard
-//! order, so datasets, rankings, sweeps, and campaign reports must be
-//! byte-identical at any `jobs`/`threads` value. These properties pin
-//! that contract for:
+//! The workspace contract is that the worker count tunes speed, never
+//! results: chunked fan-outs merge shard results in shard order, so
+//! worlds, datasets, rankings, outage answers and campaign reports must
+//! be byte-identical at any count. The count has one knob,
+//! `WEBDEPS_JOBS`, read from the environment, so each comparison re-runs
+//! this test binary under `WEBDEPS_JOBS=1`, `2` and `8`: the ignored
+//! `stage_digests` test prints one digest per stage, and the tests below
+//! compare the three runs stage by stage. The stages:
 //!
-//! * the crawl/observation stage (`measure_world_with`),
+//! * world generation (sharded site synthesis),
+//! * the crawl/observation stage at several `max_sites` caps (caps move
+//!   the shard boundaries),
 //! * provider rankings and the per-site critical-dependency sweep
-//!   (memoized reachability fanned per provider),
-//! * schedule-aware outage sweeps (`simulate_outage_at_with_jobs`),
-//! * chaos campaigns (`CampaignConfig::jobs`) and incident replay.
+//!   (memoized reachability fanned per provider), on a measured world
+//!   and on churned random graphs,
+//! * `simulate_outage` under both revocation policies and the chaos
+//!   campaign's fixed-instant outage question (both record an
+//!   `OutageIndex` across workers),
+//! * the chaos campaign render.
 //!
-//! Each parallel result is additionally cross-checked against an
-//! independent naive reference (`score_bfs`) where one exists, so a
-//! bug that made *every* worker count agree on a wrong answer would
+//! Each stage is additionally cross-checked in this process against an
+//! independent naive reference where one exists (`score_bfs`, a
+//! provider-by-provider accumulation, patched `MutableReach` counts), so
+//! a bug that made every worker count agree on a wrong answer would
 //! still fail here.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
+use std::process::{Command, Stdio};
 use std::sync::OnceLock;
 use webdeps::chaos::campaign::random_schedule;
-use webdeps::chaos::{dyn_two_wave, replay, run_campaign, CampaignConfig};
+use webdeps::chaos::{dyn_two_wave, monotonicity_index, replay, run_campaign, CampaignConfig};
 use webdeps::core::{
-    simulate_outage_at_with_jobs, simulate_outage_with_jobs, DepGraph, MetricOptions, Metrics,
-    NodeRef,
+    simulate_outage, Churn, DepGraph, EdgeKind, GraphBuilder, MetricOptions, Metrics, MutableReach,
+    NodeRef, ProviderRef,
 };
 use webdeps::dns::SimTime;
 use webdeps::measure::{measure_world_with, MeasureConfig, MeasurementDataset};
@@ -32,8 +42,10 @@ use webdeps::model::{ServiceKind, SiteId};
 use webdeps::worldgen::{SnapshotYear, World, WorldConfig};
 use webdeps_testkit::{check_with, gen, tk_assert, Config};
 
-/// A small world for the crawl-stage property: measured repeatedly, so
-/// it stays well under the campaign/analysis world below.
+const KINDS: [ServiceKind; 3] = [ServiceKind::Dns, ServiceKind::Cdn, ServiceKind::Ca];
+
+/// A small world for the crawl stage and the campaign: measured
+/// repeatedly, so it stays well under the analysis world below.
 fn crawl_world() -> &'static World {
     static W: OnceLock<World> = OnceLock::new();
     W.get_or_init(|| {
@@ -46,7 +58,7 @@ fn crawl_world() -> &'static World {
 }
 
 /// The analysis world and its measured dataset, shared across the
-/// ranking/sweep/outage properties.
+/// ranking/sweep/outage stages.
 fn analysis_world() -> &'static World {
     static W: OnceLock<World> = OnceLock::new();
     W.get_or_init(|| {
@@ -71,8 +83,7 @@ fn analysis_graph() -> &'static DepGraph {
     G.get_or_init(|| DepGraph::from_dataset(analysis_dataset()))
 }
 
-/// The option sets the paper's tables actually use, as a seed-indexed
-/// pool for the properties below.
+/// The option sets the paper's tables actually use.
 fn option_pool() -> Vec<MetricOptions> {
     vec![
         MetricOptions::full(),
@@ -81,90 +92,215 @@ fn option_pool() -> Vec<MetricOptions> {
     ]
 }
 
+// ---- the stages, each rendered to the text its digest is taken of ----
+
 /// Sharded world generation: site synthesis fans out across shards
 /// with predicted ids/IPs/serials, so a generated world must be
-/// byte-identical at 1, 2, and 8 shards — same registries and zone
-/// counts, and (the strong check) an identical measured dataset, since
-/// measurement reads every wire-visible artifact the shards built:
-/// zones, SOAs, CNAME chains, certificates, pages.
+/// identical at any count — same registries and zone counts, and (the
+/// strong check) an identical measured dataset, since measurement reads
+/// every wire-visible artifact the shards built: zones, SOAs, CNAME
+/// chains, certificates, pages.
+fn worldgen_stage() -> String {
+    let world = World::generate(WorldConfig {
+        seed: 77,
+        n_sites: 500,
+        year: SnapshotYear::Y2020,
+    });
+    format!(
+        "{} {} {} {:?}",
+        world.entities.len(),
+        world.dns.zone_count(),
+        world.web.vhost_count(),
+        measure_world_with(&world, MeasureConfig::for_world(&world))
+    )
+}
+
+/// The crawl: every site, provider and classification, in order, at
+/// several site caps (caps move the shard boundaries).
+fn measure_stage() -> String {
+    let world = crawl_world();
+    [Some(120), Some(163), Some(211), Some(279), None]
+        .into_iter()
+        .map(|max_sites| {
+            let config = MeasureConfig {
+                max_sites,
+                ..MeasureConfig::for_world(world)
+            };
+            format!("{:?}\n", measure_world_with(world, config))
+        })
+        .collect()
+}
+
+/// Every kind's ranking under every option set.
+fn rankings_stage() -> String {
+    let metrics = Metrics::new(analysis_graph());
+    let mut out = String::new();
+    for kind in KINDS {
+        for opts in &option_pool() {
+            out.push_str(&format!("{:?}\n", metrics.ranking(kind, opts)));
+        }
+    }
+    out
+}
+
+/// The per-site critical-dependency counts, in site order.
+fn critical_deps_stage() -> String {
+    let metrics = Metrics::new(analysis_graph());
+    let counts: BTreeMap<SiteId, usize> = metrics
+        .critical_deps_per_site(&MetricOptions::full())
+        .into_iter()
+        .collect();
+    format!("{counts:?}")
+}
+
+/// A Cloudflare outage under both revocation policies.
+fn outage_stage() -> String {
+    [false, true]
+        .into_iter()
+        .map(|hard_fail| {
+            let result = simulate_outage(analysis_world(), &["Cloudflare"], hard_fail);
+            format!("{result:?}\n")
+        })
+        .collect()
+}
+
+/// The campaign's fixed-instant question: random schedules at varied
+/// instants over a 200-site prefix.
+fn outage_at_stage() -> String {
+    let world = analysis_world();
+    let index = monotonicity_index(world, 200);
+    (0..12u64)
+        .map(|seed| {
+            let at = SimTime(seed * 7_919 % 25_200);
+            let result = index.affected_at(world, &random_schedule(world, seed), at);
+            format!("{result:?}\n")
+        })
+        .collect()
+}
+
+/// A full smoke campaign: its monotonicity and redundancy passes fan
+/// out, and its report merges in schedule/site order.
+fn campaign_stage() -> String {
+    run_campaign(crawl_world(), &CampaignConfig::smoke(42)).render()
+}
+
+/// Fresh rankings of 64 churned random graphs.
+fn churned_rankings_stage() -> String {
+    let opts = MetricOptions::full();
+    let mut out = String::new();
+    for seed in 0..64 {
+        let (_, _, churned) = churn_case(seed);
+        let metrics = Metrics::new(&churned);
+        for kind in KINDS {
+            out.push_str(&format!("{:?}\n", metrics.ranking(kind, &opts)));
+        }
+    }
+    out
+}
+
+/// Every stage, by the name its digest line carries.
+const STAGES: [(&str, fn() -> String); 8] = [
+    ("worldgen", worldgen_stage),
+    ("measure", measure_stage),
+    ("rankings", rankings_stage),
+    ("critical_deps", critical_deps_stage),
+    ("outage", outage_stage),
+    ("outage_at", outage_at_stage),
+    ("campaign", campaign_stage),
+    ("churned_rankings", churned_rankings_stage),
+];
+
+/// FNV-1a, 64-bit.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Prints `digest <stage> <hex>` per stage at this process's worker
+/// count. Run by [`runs`] under each count, not on its own.
 #[test]
-fn worldgen_identical_at_any_job_count() {
-    let make = |jobs: usize| {
-        World::generate_with_jobs(
-            WorldConfig {
-                seed: 77,
-                n_sites: 500,
-                year: SnapshotYear::Y2020,
-            },
-            jobs,
-        )
+#[ignore = "a child run of the cross-worker-count tests, which set WEBDEPS_JOBS"]
+fn stage_digests() {
+    for (stage, render) in STAGES {
+        println!("digest {stage} {:016x}", fnv1a(render().as_bytes()));
+    }
+}
+
+/// Worker counts every stage is compared at.
+const JOBS: [usize; 3] = [1, 2, 8];
+
+/// The stdout of `stage_digests` under each of [`JOBS`], from one child
+/// run of this test binary per count, run side by side once for every
+/// test here. A failed child run is kept as an error, so the tests
+/// report it without running the children again.
+fn runs() -> &'static Result<Vec<(usize, String)>, String> {
+    static RUNS: OnceLock<Result<Vec<(usize, String)>, String>> = OnceLock::new();
+    RUNS.get_or_init(|| {
+        let exe = std::env::current_exe().expect("the test binary's path");
+        let children: Vec<_> = JOBS
+            .iter()
+            .map(|jobs| {
+                let child = Command::new(&exe)
+                    .args(["stage_digests", "--exact", "--ignored", "--nocapture"])
+                    .env("WEBDEPS_JOBS", jobs.to_string())
+                    .stdout(Stdio::piped())
+                    .stderr(Stdio::piped())
+                    .spawn()
+                    .expect("the test binary re-runs");
+                (*jobs, child)
+            })
+            .collect();
+        children
+            .into_iter()
+            .map(|(jobs, child)| {
+                let out = child.wait_with_output().expect("the child run exits");
+                let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+                if out.status.success() {
+                    Ok((jobs, stdout))
+                } else {
+                    let stderr = String::from_utf8_lossy(&out.stderr);
+                    Err(format!(
+                        "stage_digests failed at WEBDEPS_JOBS={jobs}:\n{stdout}{stderr}"
+                    ))
+                }
+            })
+            .collect()
+    })
+}
+
+/// Asserts `stage` printed one digest, the same at every worker count.
+fn assert_identical_across_jobs(stage: &str) {
+    let digest = |out: &str| {
+        out.lines()
+            .find_map(|l| {
+                l.strip_prefix("digest ")?
+                    .strip_prefix(stage)?
+                    .strip_prefix(' ')
+            })
+            .map(str::to_string)
     };
-    let measure = |world: &World| {
-        let config = MeasureConfig {
-            threads: 1,
-            ..MeasureConfig::for_world(world)
-        };
-        format!("{:?}", measure_world_with(world, config))
-    };
-    let serial = make(1);
-    let serial_ds = measure(&serial);
-    for jobs in [2usize, 8] {
-        let sharded = make(jobs);
+    let runs = runs().as_ref().unwrap_or_else(|e| panic!("{e}"));
+    let (first_jobs, first) = &runs[0];
+    let want = digest(first)
+        .unwrap_or_else(|| panic!("no {stage} digest at WEBDEPS_JOBS={first_jobs}:\n{first}"));
+    for (jobs, out) in &runs[1..] {
         assert_eq!(
-            serial.entities.len(),
-            sharded.entities.len(),
-            "entity count diverged at jobs={jobs}"
-        );
-        assert_eq!(
-            serial.dns.zone_count(),
-            sharded.dns.zone_count(),
-            "zone count diverged at jobs={jobs}"
-        );
-        assert_eq!(
-            serial.web.vhost_count(),
-            sharded.web.vhost_count(),
-            "vhost count diverged at jobs={jobs}"
-        );
-        assert_eq!(
-            serial_ds,
-            measure(&sharded),
-            "measured dataset diverged at jobs={jobs}"
+            digest(out).as_deref(),
+            Some(want.as_str()),
+            "{stage} diverged at WEBDEPS_JOBS={jobs} from WEBDEPS_JOBS={first_jobs}"
         );
     }
 }
 
-/// Crawl + observation: the sharded pipeline must produce a dataset
-/// whose *debug rendering* — every site, provider, and classification,
-/// in order — is identical at 1, 2, and 8 workers, across varying
-/// site caps (caps move the shard boundaries).
+#[test]
+fn worldgen_identical_at_any_job_count() {
+    assert_identical_across_jobs("worldgen");
+}
+
 #[test]
 fn measurement_dataset_identical_at_any_thread_count() {
-    let world = crawl_world();
-    check_with(
-        &Config {
-            cases: 4,
-            ..Config::default()
-        },
-        "measurement_dataset_identical_at_any_thread_count",
-        &gen::u64_any(),
-        |&seed| {
-            let cap = 120 + (seed % 160) as usize;
-            let config = |threads: usize| MeasureConfig {
-                max_sites: Some(cap),
-                threads,
-                ..MeasureConfig::for_world(world)
-            };
-            let serial = format!("{:?}", measure_world_with(world, config(1)));
-            for threads in [2usize, 8] {
-                let sharded = format!("{:?}", measure_world_with(world, config(threads)));
-                tk_assert!(
-                    serial == sharded,
-                    "dataset diverged at threads={threads} with cap={cap}"
-                );
-            }
-            Ok(())
-        },
-    );
+    assert_identical_across_jobs("measure");
 }
 
 /// Impact predicted from the columnar dataset's graph is confirmed by
@@ -181,8 +317,8 @@ fn columnar_graph_impact_is_confirmed_by_outage_simulation() {
         .provider(provider_key, ServiceKind::Dns)
         .expect("observed provider");
     let predicted = metrics.dependent_sites(node, true, &MetricOptions::direct_only());
-    let result = simulate_outage_with_jobs(world, &[provider_key], false, 4)
-        .expect("provider is in the world catalog");
+    let result =
+        simulate_outage(world, &[provider_key], false).expect("provider is in the world catalog");
     let simulated: std::collections::HashSet<_> = result.affected.iter().copied().collect();
     for site in &predicted {
         assert!(
@@ -204,6 +340,7 @@ fn columnar_graph_impact_is_confirmed_by_outage_simulation() {
 /// only by agreeing with `score_bfs`.
 #[test]
 fn ranking_identical_across_jobs_and_matches_bfs() {
+    assert_identical_across_jobs("rankings");
     let graph = analysis_graph();
     let metrics = Metrics::new(graph);
     let opts_pool = option_pool();
@@ -215,19 +352,11 @@ fn ranking_identical_across_jobs_and_matches_bfs() {
         "ranking_identical_across_jobs_and_matches_bfs",
         &gen::u64_any(),
         |&seed| {
-            let kind = [ServiceKind::Dns, ServiceKind::Cdn, ServiceKind::Ca][(seed % 3) as usize];
+            let kind = KINDS[(seed % 3) as usize];
             let opts = &opts_pool[(seed / 3 % 3) as usize];
-            let serial = metrics.ranking_with_jobs(kind, opts, 1);
-            for jobs in [2usize, 8] {
-                let fanned = metrics.ranking_with_jobs(kind, opts, jobs);
-                tk_assert!(
-                    serial == fanned,
-                    "ranking for {kind:?} diverged at jobs={jobs}"
-                );
-            }
             // Spot-check scores against the naive engine (the full
             // population is covered by the reach-index unit tests).
-            for score in serial.iter().take(12) {
+            for score in metrics.ranking(kind, opts).iter().take(12) {
                 let id = graph
                     .find(&NodeRef::Provider(score.key.clone(), kind))
                     .ok_or_else(|| format!("ranked provider {} not in graph", score.key))?;
@@ -251,97 +380,43 @@ fn ranking_identical_across_jobs_and_matches_bfs() {
 /// count and equals a provider-by-provider naive accumulation.
 #[test]
 fn critical_deps_per_site_identical_and_matches_naive() {
+    assert_identical_across_jobs("critical_deps");
     let graph = analysis_graph();
     let metrics = Metrics::new(graph);
     let opts = MetricOptions::full();
-    let serial = metrics.critical_deps_per_site_with_jobs(&opts, 1);
-    for jobs in [2usize, 8] {
-        assert_eq!(
-            serial,
-            metrics.critical_deps_per_site_with_jobs(&opts, jobs),
-            "critical_deps_per_site diverged at jobs={jobs}"
-        );
-    }
     let mut naive: HashMap<SiteId, usize> = HashMap::new();
-    for kind in [ServiceKind::Dns, ServiceKind::Cdn, ServiceKind::Ca] {
+    for kind in KINDS {
         for provider in graph.providers_of(kind) {
             for site in metrics.score_bfs(provider, true, &opts) {
                 *naive.entry(site).or_insert(0) += 1;
             }
         }
     }
-    assert_eq!(serial, naive, "sweep disagrees with naive accumulation");
-}
-
-/// Schedule-aware outage sweeps: the sharded probe sweep returns the
-/// same affected-site list (same order, same contents) at 1, 2, and 5
-/// workers, for random schedules sampled at random instants.
-#[test]
-fn outage_at_identical_across_jobs() {
-    let world = analysis_world();
-    check_with(
-        &Config {
-            cases: 12,
-            ..Config::default()
-        },
-        "outage_at_identical_across_jobs",
-        &gen::u64_any(),
-        |&seed| {
-            let schedule = random_schedule(world, seed);
-            let at = SimTime(seed % 100_000);
-            let probe = |jobs: usize| {
-                format!(
-                    "{:?}",
-                    simulate_outage_at_with_jobs(world, &schedule, at, false, 200, jobs)
-                )
-            };
-            let serial = probe(1);
-            for jobs in [2usize, 5] {
-                tk_assert!(
-                    serial == probe(jobs),
-                    "outage sweep diverged at jobs={jobs}, t={at}"
-                );
-            }
-            Ok(())
-        },
+    assert_eq!(
+        metrics.critical_deps_per_site(&opts),
+        naive,
+        "sweep disagrees with naive accumulation"
     );
 }
 
-/// The schedule-free outage entry point shares the same probe sweep;
-/// pin it too, under both revocation policies.
+/// The campaign's fixed-instant outage question, for random schedules
+/// sampled at varied instants, returns the same result at every worker
+/// count (`tests/outage_validation.rs` holds it equal to probing every
+/// site).
 #[test]
-fn outage_identical_across_jobs() {
-    let world = analysis_world();
-    for hard_fail in [false, true] {
-        let serial = format!(
-            "{:?}",
-            simulate_outage_with_jobs(world, &["Cloudflare"], hard_fail, 1)
-        );
-        let fanned = format!(
-            "{:?}",
-            simulate_outage_with_jobs(world, &["Cloudflare"], hard_fail, 4)
-        );
-        assert_eq!(serial, fanned, "outage diverged (hard_fail={hard_fail})");
-    }
+fn outage_at_identical_across_jobs() {
+    assert_identical_across_jobs("outage_at");
 }
 
-/// A full chaos campaign renders byte-identically at 1 and 3 workers:
-/// the monotonicity and redundancy passes fan out, but their reports
-/// merge in schedule/site order.
+/// `simulate_outage`, under both revocation policies.
+#[test]
+fn outage_identical_across_jobs() {
+    assert_identical_across_jobs("outage");
+}
+
 #[test]
 fn campaign_render_identical_across_jobs() {
-    let world = crawl_world();
-    let run = |jobs: usize| {
-        run_campaign(
-            world,
-            &CampaignConfig {
-                jobs,
-                ..CampaignConfig::smoke(42)
-            },
-        )
-        .render()
-    };
-    assert_eq!(run(1), run(3), "campaign report depends on worker count");
+    assert_identical_across_jobs("campaign");
 }
 
 /// Incident replay is serial *by design* (the persistent client's
@@ -357,67 +432,164 @@ fn replay_render_is_reproducible() {
     assert_eq!(first, second, "replay rendering is not reproducible");
 }
 
+/// Mirror state of a random graph: providers are (key, kind); edges are
+/// index triples.
+struct Mirror {
+    sites: u32,
+    providers: Vec<(String, ServiceKind)>,
+    site_edges: Vec<(u32, usize, bool)>,
+    prov_edges: Vec<(usize, usize, bool)>,
+}
+
+impl Mirror {
+    fn build(&self) -> DepGraph {
+        let mut b = GraphBuilder::new();
+        for s in 0..self.sites {
+            b.intern_site(SiteId(s));
+        }
+        for (key, kind) in &self.providers {
+            b.intern_provider(key, *kind);
+        }
+        let mut g = b;
+        for &(site, p, critical) in &self.site_edges {
+            let from = g.intern_site(SiteId(site));
+            let (key, kind) = &self.providers[p];
+            let to = g.intern_provider(key, *kind);
+            g.add_edge(
+                from,
+                to,
+                EdgeKind {
+                    service: *kind,
+                    critical,
+                },
+            );
+        }
+        for &(f, t, critical) in &self.prov_edges {
+            let (fk, fkind) = &self.providers[f];
+            let (tk, tkind) = &self.providers[t];
+            let from = g.intern_provider(fk, *fkind);
+            let to = g.intern_provider(tk, *tkind);
+            g.add_edge(
+                from,
+                to,
+                EdgeKind {
+                    service: *tkind,
+                    critical,
+                },
+            );
+        }
+        g.build()
+    }
+
+    fn provider(&self, p: usize) -> ProviderRef {
+        let (key, kind) = &self.providers[p];
+        ProviderRef::new(key.clone(), *kind)
+    }
+}
+
+/// A random graph and a stream of up to 12 churn deltas over it, fully
+/// determined by `seed`: the graph before, the deltas, and the graph
+/// rebuilt from scratch after them.
+fn churn_case(seed: u64) -> (DepGraph, Vec<Churn>, DepGraph) {
+    let mut state = seed | 1;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    let mut mirror = Mirror {
+        sites: 20 + (next() % 20) as u32,
+        providers: Vec::new(),
+        site_edges: Vec::new(),
+        prov_edges: Vec::new(),
+    };
+    for kind in KINDS {
+        for i in 0..(2 + next() % 2) {
+            mirror
+                .providers
+                .push((format!("{kind:?}{i}.example").to_lowercase(), kind));
+        }
+    }
+    let n_prov = mirror.providers.len();
+    for _ in 0..(10 + next() % 24) {
+        mirror.site_edges.push((
+            (next() % mirror.sites as u64) as u32,
+            (next() % n_prov as u64) as usize,
+            next() % 2 == 0,
+        ));
+    }
+    for _ in 0..(next() % 6) {
+        let f = (next() % n_prov as u64) as usize;
+        let t = (next() % n_prov as u64) as usize;
+        if f != t {
+            mirror.prov_edges.push((f, t, next() % 2 == 0));
+        }
+    }
+
+    let initial = mirror.build();
+    let mut deltas = Vec::new();
+    for _ in 0..12 {
+        let delta = match next() % 4 {
+            0 => {
+                let site = (next() % mirror.sites as u64) as u32;
+                let p = (next() % n_prov as u64) as usize;
+                let critical = next() % 2 == 0;
+                mirror.site_edges.push((site, p, critical));
+                Churn::AddSiteEdge {
+                    site: SiteId(site),
+                    provider: mirror.provider(p),
+                    critical,
+                }
+            }
+            1 if !mirror.site_edges.is_empty() => {
+                let i = (next() % mirror.site_edges.len() as u64) as usize;
+                let (site, p, critical) = mirror.site_edges.swap_remove(i);
+                Churn::RemoveSiteEdge {
+                    site: SiteId(site),
+                    provider: mirror.provider(p),
+                    critical,
+                }
+            }
+            2 => {
+                let f = (next() % n_prov as u64) as usize;
+                let t = (next() % n_prov as u64) as usize;
+                if f == t {
+                    continue;
+                }
+                let critical = next() % 2 == 0;
+                mirror.prov_edges.push((f, t, critical));
+                Churn::AddProviderEdge {
+                    from: mirror.provider(f),
+                    to: mirror.provider(t),
+                    critical,
+                }
+            }
+            _ if !mirror.prov_edges.is_empty() => {
+                let i = (next() % mirror.prov_edges.len() as u64) as usize;
+                let (f, t, critical) = mirror.prov_edges.swap_remove(i);
+                Churn::RemoveProviderEdge {
+                    from: mirror.provider(f),
+                    to: mirror.provider(t),
+                    critical,
+                }
+            }
+            _ => continue,
+        };
+        deltas.push(delta);
+    }
+    (initial, deltas, mirror.build())
+}
+
 /// Incremental recompute must not be a results knob either: after a
 /// seeded stream of churn deltas, the patched [`MutableReach`] pair
 /// (impact + concentration) scores every provider byte-identically to
 /// rankings computed from a freshly rebuilt graph — and those fresh
-/// rankings are themselves byte-identical at 1, 2, and 8 workers. Runs
+/// rankings are themselves byte-identical at every worker count. Runs
 /// 64 independent delta streams.
 #[test]
 fn churned_mutable_reach_matches_fresh_rankings_at_any_jobs() {
-    use webdeps::core::{Churn, EdgeKind, GraphBuilder, MutableReach, ProviderRef};
-
-    const KINDS: [ServiceKind; 3] = [ServiceKind::Dns, ServiceKind::Cdn, ServiceKind::Ca];
-
-    // Mirror state: providers are (key, kind); edges are index triples.
-    struct Mirror {
-        sites: u32,
-        providers: Vec<(String, ServiceKind)>,
-        site_edges: Vec<(u32, usize, bool)>,
-        prov_edges: Vec<(usize, usize, bool)>,
-    }
-
-    impl Mirror {
-        fn build(&self) -> DepGraph {
-            let mut b = GraphBuilder::new();
-            for s in 0..self.sites {
-                b.intern_site(SiteId(s));
-            }
-            for (key, kind) in &self.providers {
-                b.intern_provider(key, *kind);
-            }
-            let mut g = b;
-            for &(site, p, critical) in &self.site_edges {
-                let from = g.intern_site(SiteId(site));
-                let (key, kind) = &self.providers[p];
-                let to = g.intern_provider(key, *kind);
-                g.add_edge(
-                    from,
-                    to,
-                    EdgeKind {
-                        service: *kind,
-                        critical,
-                    },
-                );
-            }
-            for &(f, t, critical) in &self.prov_edges {
-                let (fk, fkind) = &self.providers[f];
-                let (tk, tkind) = &self.providers[t];
-                let from = g.intern_provider(fk, *fkind);
-                let to = g.intern_provider(tk, *tkind);
-                g.add_edge(
-                    from,
-                    to,
-                    EdgeKind {
-                        service: *tkind,
-                        critical,
-                    },
-                );
-            }
-            g.build()
-        }
-    }
-
+    assert_identical_across_jobs("churned_rankings");
     check_with(
         &Config {
             cases: 64,
@@ -426,118 +598,21 @@ fn churned_mutable_reach_matches_fresh_rankings_at_any_jobs() {
         "churned_mutable_reach_matches_fresh_rankings_at_any_jobs",
         &gen::u64_any(),
         |&seed| {
-            let mut state = seed | 1;
-            let mut next = move || {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                state
-            };
             let opts = MetricOptions::full();
-            let mut mirror = Mirror {
-                sites: 20 + (next() % 20) as u32,
-                providers: Vec::new(),
-                site_edges: Vec::new(),
-                prov_edges: Vec::new(),
-            };
-            for kind in KINDS {
-                for i in 0..(2 + next() % 2) {
-                    mirror
-                        .providers
-                        .push((format!("{kind:?}{i}.example").to_lowercase(), kind));
-                }
-            }
-            let n_prov = mirror.providers.len();
-            for _ in 0..(10 + next() % 24) {
-                mirror.site_edges.push((
-                    (next() % mirror.sites as u64) as u32,
-                    (next() % n_prov as u64) as usize,
-                    next() % 2 == 0,
-                ));
-            }
-            for _ in 0..(next() % 6) {
-                let f = (next() % n_prov as u64) as usize;
-                let t = (next() % n_prov as u64) as usize;
-                if f != t {
-                    mirror.prov_edges.push((f, t, next() % 2 == 0));
-                }
-            }
-
-            let initial = mirror.build();
+            let (initial, deltas, churned) = churn_case(seed);
             let mut impact = MutableReach::from_graph(&initial, true, &opts);
             let mut conc = MutableReach::from_graph(&initial, false, &opts);
-
-            let pref = |mirror: &Mirror, p: usize| {
-                let (key, kind) = &mirror.providers[p];
-                ProviderRef::new(key.clone(), *kind)
-            };
-            for _ in 0..12 {
-                let delta = match next() % 4 {
-                    0 => {
-                        let site = (next() % mirror.sites as u64) as u32;
-                        let p = (next() % n_prov as u64) as usize;
-                        let critical = next() % 2 == 0;
-                        mirror.site_edges.push((site, p, critical));
-                        Churn::AddSiteEdge {
-                            site: SiteId(site),
-                            provider: pref(&mirror, p),
-                            critical,
-                        }
-                    }
-                    1 if !mirror.site_edges.is_empty() => {
-                        let i = (next() % mirror.site_edges.len() as u64) as usize;
-                        let (site, p, critical) = mirror.site_edges.swap_remove(i);
-                        Churn::RemoveSiteEdge {
-                            site: SiteId(site),
-                            provider: pref(&mirror, p),
-                            critical,
-                        }
-                    }
-                    2 => {
-                        let f = (next() % n_prov as u64) as usize;
-                        let t = (next() % n_prov as u64) as usize;
-                        if f == t {
-                            continue;
-                        }
-                        let critical = next() % 2 == 0;
-                        mirror.prov_edges.push((f, t, critical));
-                        Churn::AddProviderEdge {
-                            from: pref(&mirror, f),
-                            to: pref(&mirror, t),
-                            critical,
-                        }
-                    }
-                    _ if !mirror.prov_edges.is_empty() => {
-                        let i = (next() % mirror.prov_edges.len() as u64) as usize;
-                        let (f, t, critical) = mirror.prov_edges.swap_remove(i);
-                        Churn::RemoveProviderEdge {
-                            from: pref(&mirror, f),
-                            to: pref(&mirror, t),
-                            critical,
-                        }
-                    }
-                    _ => continue,
-                };
-                if let Err(e) = impact.apply(&delta) {
+            for delta in &deltas {
+                if let Err(e) = impact.apply(delta) {
                     return Err(format!("impact rejected a mirrored delta: {e}"));
                 }
-                if let Err(e) = conc.apply(&delta) {
+                if let Err(e) = conc.apply(delta) {
                     return Err(format!("concentration rejected a mirrored delta: {e}"));
                 }
             }
-
-            let churned = mirror.build();
             let metrics = Metrics::new(&churned);
             for kind in KINDS {
-                let baseline = metrics.ranking_with_jobs(kind, &opts, 1);
-                for jobs in [2usize, 8] {
-                    let fanned = metrics.ranking_with_jobs(kind, &opts, jobs);
-                    tk_assert!(
-                        fanned == baseline,
-                        "fresh ranking for {kind:?} diverged at jobs={jobs}"
-                    );
-                }
-                for score in &baseline {
+                for score in &metrics.ranking(kind, &opts) {
                     let patched_impact = impact.dependent_count(score.key.as_str(), kind);
                     let patched_conc = conc.dependent_count(score.key.as_str(), kind);
                     tk_assert!(

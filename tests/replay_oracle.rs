@@ -12,9 +12,10 @@ use webdeps::chaos::campaign::random_schedule;
 use webdeps::chaos::{
     dyn_two_wave, globalsign_stale_week, replay, Incident, ReplayOptions, ReplayResult, TickSample,
 };
-use webdeps::core::probe_site;
+use webdeps::core::{probe_site, OutageIndex};
 use webdeps::dns::fault::Degradation;
 use webdeps::dns::{FaultSchedule, SimTime, StalePolicy};
+use webdeps::model::EntityId;
 use webdeps::tls::{Pki, RevocationPolicy};
 use webdeps::web::WebClient;
 use webdeps::worldgen::incidents::{dyn_incident_world, globalsign_incident_world};
@@ -216,4 +217,44 @@ fn globalsign_over_120_days_sees_certificates_expire() {
         up(80),
         up(90)
     );
+}
+
+/// An entity that some sites consult only inside a passed soft-fail
+/// revocation check (the DNS operator of a CA's OCSP host, say) puts
+/// those soft-only sites into the replay's reach. Downing it with
+/// caches on must still match the full probe, and the case is not
+/// vacuous: the reach holds sites outside the entity's footprint.
+#[test]
+fn soft_only_sites_in_reach_match_full_probe() {
+    let world = dyn_world();
+    let sites = 1_000;
+    let index = OutageIndex::build(world, sites, RevocationPolicy::SoftFail);
+    let soft_only =
+        |e: EntityId| index.reach(&[e], &[], SimTime::ZERO).len() - index.footprint(e).len();
+    let (name, entity) = world
+        .provider_entities()
+        .max_by_key(|&(_, e)| soft_only(e))
+        .expect("the world has providers");
+    assert!(soft_only(entity) > 0, "no entity has soft-only sites");
+    let schedule = FaultSchedule::seeded(42).fail_entity_during(
+        entity,
+        SimTime(3_600),
+        SimTime(10_800),
+        Degradation::Down,
+    );
+    let incident = Incident {
+        name: format!("{name} down"),
+        description: String::new(),
+        schedule,
+        pki_phases: Vec::new(),
+        options: ReplayOptions {
+            tick_secs: 1_800,
+            horizon_secs: 14_400,
+            max_sites: sites,
+            ..ReplayOptions::default()
+        },
+    };
+    assert!(incident.options.probe_caching);
+    let result = check(world, &incident, &format!("{name} with soft-only sites"));
+    assert!(result.probed > index.footprint(entity).len(), "{name}");
 }

@@ -11,7 +11,9 @@ use std::collections::HashMap;
 use std::sync::OnceLock;
 use webdeps::core::{coverage_curve, CoveragePoint, SiteSet};
 use webdeps::dns::Dig;
-use webdeps::measure::classify::{classify, Classification, ClassifierKind, Evidence};
+use webdeps::measure::classify::{
+    classify, Classification, ClassifierKind, ClassifyCache, Evidence,
+};
 use webdeps::measure::{
     cdn, dns, measure_world, measure_world_with, validate_world, MeasureConfig, MeasurementDataset,
     ProviderKey, StrategyAccuracy, ValidationReport,
@@ -95,7 +97,7 @@ fn full_observation(
         .iter()
         .map(|l| dns::observe_site(resolver, &l.domain))
         .collect();
-    let concentration = dns::ns_concentration(&observations, &world.psl);
+    let concentration = dns::ns_concentration(&observations, &world.psl, &mut ClassifyCache::new());
     (observations, concentration)
 }
 
