@@ -1,14 +1,14 @@
-//! Analysis-layer benchmarks and ablations: the three classification
-//! strategies, the two concentration/impact engines (reverse BFS vs
-//! the paper's literal recursion), graph construction, and coverage
-//! CDFs.
+//! Analysis-layer benchmarks: the three classification strategies
+//! through the memoized classifier, the paper's nameserver grouping,
+//! the per-provider reverse BFS against full rankings over the shared
+//! reach index, graph construction, and coverage CDFs.
 
 use std::hint::black_box;
 use webdeps_bench::bench_workspace;
 use webdeps_bench::harness::Harness;
 use webdeps_core::{coverage_curve, DepGraph, MetricOptions, Metrics};
 use webdeps_dns::Soa;
-use webdeps_measure::classify::{classify, ClassifierKind, Evidence};
+use webdeps_measure::classify::{ClassifierKind, ClassifyCache, Evidence};
 use webdeps_model::name::dn;
 use webdeps_model::{PublicSuffixList, ServiceKind};
 
@@ -34,6 +34,9 @@ fn heuristic_ablation(h: &mut Harness) {
         group.bench_function(
             format!("classify_{}", kind.label().replace(' ', "_")),
             |b| {
+                // One memo across iterations, as a pipeline shard
+                // keeps one across its sites.
+                let mut cache = ClassifyCache::new();
                 let mut i = 0usize;
                 b.iter(|| {
                     let candidate = &candidates[i % candidates.len()];
@@ -47,7 +50,7 @@ fn heuristic_ablation(h: &mut Harness) {
                         concentration: Some(120),
                         threshold: 50,
                     };
-                    black_box(classify(kind, &ev, &psl));
+                    black_box(cache.classify(kind, &ev, &psl));
                 });
             },
         );
@@ -55,8 +58,8 @@ fn heuristic_ablation(h: &mut Harness) {
     group.finish();
 }
 
-fn grouping_ablation(h: &mut Harness) {
-    use webdeps_measure::dns::{classify_site_with_grouping, DnsObservation, GroupingStrategy};
+fn nameserver_grouping(h: &mut Harness) {
+    use webdeps_measure::dns::{classify_site, DnsObservation};
     let psl = PublicSuffixList::builtin();
     let obs = DnsObservation {
         site: dn("example-shop.com"),
@@ -96,23 +99,19 @@ fn grouping_ablation(h: &mut Harness) {
     };
     let conc = std::collections::HashMap::new();
     let mut group = h.benchmark_group("analysis/grouping");
-    for (name, strategy) in [
-        ("tld_and_soa", GroupingStrategy::TldAndSoa),
-        ("tld_only", GroupingStrategy::TldOnly),
-    ] {
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                black_box(classify_site_with_grouping(
-                    black_box(&obs),
-                    None,
-                    &conc,
-                    50,
-                    &psl,
-                    strategy,
-                ))
-            });
+    group.bench_function("tld_and_soa", |b| {
+        let mut cache = ClassifyCache::new();
+        b.iter(|| {
+            black_box(classify_site(
+                black_box(&obs),
+                None,
+                &conc,
+                50,
+                &psl,
+                &mut cache,
+            ))
         });
-    }
+    });
     group.finish();
 }
 
@@ -129,15 +128,7 @@ fn metric_engine_ablation(h: &mut Harness) {
         b.iter(|| {
             let p = providers[i % providers.len()];
             i += 1;
-            black_box(metrics.score_bfs(p, true, &opts));
-        });
-    });
-    group.bench_function("impact_paper_recursion", |b| {
-        let mut i = 0usize;
-        b.iter(|| {
-            let p = providers[i % providers.len()];
-            i += 1;
-            black_box(metrics.score_recursive(p, true, &opts));
+            black_box(metrics.dependent_sites(p, true, &opts));
         });
     });
     group.bench_function("full_ranking_dns", |b| {
@@ -169,7 +160,7 @@ fn metric_engine_ablation(h: &mut Harness) {
 fn main() {
     let mut h = Harness::new("analysis");
     heuristic_ablation(&mut h);
-    grouping_ablation(&mut h);
+    nameserver_grouping(&mut h);
     metric_engine_ablation(&mut h);
     h.finish();
 }

@@ -9,9 +9,10 @@
 //!   direct and inter-service edges, criticality flags), built by the
 //!   one serial [`DepGraph::from_dataset`].
 //! * [`metrics`] — **concentration** `C_p` and **impact** `I_p` (§2.2),
-//!   with and without indirect dependencies, as both a literal
-//!   implementation of the paper's recursive set unions and an
-//!   equivalent reverse-BFS (the ablation pair).
+//!   with and without indirect dependencies: a reverse BFS per
+//!   provider, and rankings over one shared SCC condensation
+//!   ([`ReachIndex`]). The paper's literal recursive set unions are a
+//!   test oracle in `tests/properties.rs`.
 //! * [`stats`] — rank-stratified percentages behind Figures 2, 3, 4.
 //! * [`concentration`] — provider coverage CDFs behind Figure 6.
 //! * [`evolution`] — 2016→2020 transition tables (Tables 3, 4, 5 for

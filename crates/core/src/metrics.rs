@@ -4,15 +4,12 @@
 //! through inter-service chains. *Impact* `I_p`: websites *critically*
 //! depending on `p` — every edge on the chain must be critical.
 //!
-//! Two interchangeable implementations:
-//!
-//! * [`Metrics::score_bfs`] — reverse breadth-first search from the
-//!   provider over consumer edges (the production path);
-//! * [`Metrics::score_recursive`] — a literal transcription of the
-//!   paper's `f_c`/`f_i` recursive set unions with the `\ {p}`
-//!   exclusion generalized to the whole recursion path (the paper's
-//!   formula as written only excludes the root, which would loop on
-//!   longer provider cycles).
+//! [`Metrics::dependent_sites`] answers one provider with a reverse
+//! breadth-first search over consumer edges; the rankings and
+//! per-site counts read a shared [`ReachIndex`] instead, and the tests
+//! hold every index set equal to the BFS. The paper's `f_c`/`f_i`
+//! recursive set unions are transcribed literally only as a test
+//! oracle (`tests/properties.rs` holds the BFS equal to them).
 //!
 //! [`MetricOptions`] restricts which inter-service edge types may be
 //! traversed — Figures 7, 8, 9 each consider exactly one of CA→DNS,
@@ -85,19 +82,10 @@ impl<'g> Metrics<'g> {
         Metrics { graph }
     }
 
-    /// The set of sites depending on `provider` under `opts`.
+    /// The set of sites depending on `provider` under `opts`, by one
+    /// reverse BFS from the provider over consumer edges.
     /// `critical_only = true` computes impact, `false` concentration.
     pub fn dependent_sites(
-        &self,
-        provider: NodeId,
-        critical_only: bool,
-        opts: &MetricOptions,
-    ) -> HashSet<SiteId> {
-        self.score_bfs(provider, critical_only, opts)
-    }
-
-    /// Reverse-BFS implementation.
-    pub fn score_bfs(
         &self,
         provider: NodeId,
         critical_only: bool,
@@ -132,65 +120,14 @@ impl<'g> Metrics<'g> {
         sites
     }
 
-    /// Literal `f_c` / `f_i` recursion (ablation reference).
-    pub fn score_recursive(
-        &self,
-        provider: NodeId,
-        critical_only: bool,
-        opts: &MetricOptions,
-    ) -> HashSet<SiteId> {
-        let mut excluded = HashSet::new();
-        self.recurse(provider, critical_only, opts, &mut excluded)
-    }
-
-    fn recurse(
-        &self,
-        provider: NodeId,
-        critical_only: bool,
-        opts: &MetricOptions,
-        excluded: &mut HashSet<NodeId>,
-    ) -> HashSet<SiteId> {
-        excluded.insert(provider);
-        let NodeKind::Provider(_, node_kind) = self.graph.node(provider) else {
-            return HashSet::new();
-        };
-        // D_w^p (direct site consumers) …
-        let mut result: HashSet<SiteId> = HashSet::new();
-        let mut provider_consumers: Vec<NodeId> = Vec::new();
-        for (consumer, kind) in self.graph.consumers_of(provider) {
-            if critical_only && !kind.critical {
-                continue;
-            }
-            match self.graph.node(consumer) {
-                NodeKind::Site(site) => {
-                    result.insert(site);
-                }
-                NodeKind::Provider(_, consumer_kind) => {
-                    if opts.allows(consumer_kind, node_kind) && !excluded.contains(&consumer) {
-                        provider_consumers.push(consumer);
-                    }
-                }
-            }
-        }
-        // … ∪ ⋃_{k ∈ D_s^p} f(D_w^k, D_s^k \ path).
-        for k in provider_consumers {
-            if excluded.contains(&k) {
-                continue;
-            }
-            let sub = self.recurse(k, critical_only, opts, excluded);
-            result.extend(sub);
-        }
-        result
-    }
-
     /// Concentration of a provider.
     pub fn concentration(&self, provider: NodeId, opts: &MetricOptions) -> usize {
-        self.score_bfs(provider, false, opts).len()
+        self.dependent_sites(provider, false, opts).len()
     }
 
     /// Impact of a provider.
     pub fn impact(&self, provider: NodeId, opts: &MetricOptions) -> usize {
-        self.score_bfs(provider, true, opts).len()
+        self.dependent_sites(provider, true, opts).len()
     }
 
     /// All providers of `kind`, scored and ordered by impact
@@ -363,23 +300,6 @@ mod tests {
     }
 
     #[test]
-    fn recursive_equals_bfs_on_toy() {
-        let (g, ca, dnsme) = toy_graph();
-        let m = Metrics::new(&g);
-        for provider in [ca, dnsme] {
-            for critical in [false, true] {
-                for opts in [MetricOptions::direct_only(), MetricOptions::full()] {
-                    assert_eq!(
-                        m.score_bfs(provider, critical, &opts),
-                        m.score_recursive(provider, critical, &opts),
-                        "provider {provider:?} critical={critical} opts={opts:?}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn cycles_terminate() {
         // A ↔ B provider cycle plus one site each.
         let mut g = GraphBuilder::new();
@@ -444,16 +364,14 @@ mod tests {
         // which the paper's inter-service set never includes, so only
         // B's direct consumer is reached.
         assert_eq!(
-            m.score_recursive(
+            m.impact(
                 g.find(&NodeRef::Provider(
                     ProviderKey::new("b.com"),
                     ServiceKind::Cdn
                 ))
                 .unwrap(),
-                true,
                 &opts
-            )
-            .len(),
+            ),
             1
         );
     }

@@ -1,9 +1,9 @@
 //! Memoized reverse reachability.
 //!
-//! [`crate::metrics::Metrics::score_bfs`] answers "which sites depend
-//! on provider `p`?" with one reverse BFS per provider — ranking every
-//! provider of a kind repeats the same frontier expansions over and
-//! over, so a full ranking scales as (providers × full BFS). A
+//! [`crate::metrics::Metrics::dependent_sites`] answers "which sites
+//! depend on provider `p`?" with one reverse BFS per provider — ranking
+//! every provider of a kind repeats the same frontier expansions over
+//! and over, so a full ranking scales as (providers × full BFS). A
 //! [`ReachIndex`] shares that work: it condenses the provider-consumer
 //! subgraph into strongly connected components once, then computes each
 //! component's dependent-site set in a single pass over the
@@ -16,14 +16,19 @@
 //! exactly the same sites, and Tarjan's algorithm emits components in
 //! reverse topological order — all consumer components of `C` are
 //! finished before `C` itself — so one union pass suffices. The result
-//! equals `score_bfs` for every provider, which the metrics tests and
+//! equals the BFS for every provider, which the tests here and
 //! `tests/parallel_determinism.rs` assert.
 //!
-//! Storage is columnar end to end: the DFS walks the graph's CSR
-//! in-edge rows directly (no adjacency materialization), and the only
-//! per-provider state is a [`SiteSet`] bitset per component — at 1M
-//! sites that is the difference between an index that fits in cache
-//! lines and one that chases a `Vec<Vec<_>>` per node.
+//! One routine does the condensation for both indexes. `condense` runs
+//! the iterative Tarjan pass and builds each component's set as the
+//! component is emitted; it reads consumer rows through the small
+//! `ConsumerRows` abstraction, implemented once for [`DepGraph`]'s CSR
+//! in-edge rows (no adjacency materialization) and once for
+//! [`MutableReach`]'s owned rows, and is monomorphized for each. The
+//! edge filter (criticality and the option-allowed hop kinds) and the
+//! per-component set builder exist once and are shared by the Tarjan
+//! pass and by `MutableReach`'s patches. The only per-provider state is
+//! a [`SiteSet`] bitset per component.
 //!
 //! Invalidation: an index borrows its graph immutably for its entire
 //! lifetime, so it can never observe a stale graph — rebuilding after a
@@ -36,7 +41,7 @@
 
 use crate::graph::{DepGraph, NodeId, NodeKind};
 use crate::metrics::MetricOptions;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use webdeps_model::{ServiceKind, SiteId};
 
 /// A dense bitset over [`SiteId`]s.
@@ -89,9 +94,9 @@ impl SiteSet {
     /// Sites in ascending id order. Iteration is proportional to the
     /// *population*, not the bound: each word yields its set bits via
     /// `trailing_zeros` and clear-lowest-bit, and zero words cost one
-    /// comparison — this is the hot loop under `dependent_sites`, where
-    /// the old 64-probe-per-word scan burned a fixed 64× overhead on
-    /// sparse sets.
+    /// comparison — this is the hot loop under serve's `SITES` and the
+    /// per-site critical-dependency counts, where a 64-probe-per-word
+    /// scan would burn a fixed 64× overhead on sparse sets.
     pub fn iter(&self) -> impl Iterator<Item = SiteId> + '_ {
         self.words.iter().enumerate().flat_map(|(wi, &word)| {
             let mut rest = word;
@@ -112,6 +117,282 @@ impl SiteSet {
     }
 }
 
+/// Sentinel kind byte for site nodes.
+const SITE_KIND: u8 = u8::MAX;
+
+/// Sentinel for "no value" in dense u32 columns.
+const NONE_U32: u32 = u32::MAX;
+
+fn kind_byte(kind: ServiceKind) -> u8 {
+    kind as u8
+}
+
+fn kind_back(b: u8) -> ServiceKind {
+    match b {
+        0 => ServiceKind::Dns,
+        1 => ServiceKind::Cdn,
+        2 => ServiceKind::Ca,
+        _ => ServiceKind::Cloud,
+    }
+}
+
+/// The edges one index configuration traverses — the BFS's traversal
+/// filter, in one place for the Tarjan pass and every patch.
+struct EdgeFilter {
+    /// `true` indexes impact, `false` concentration.
+    critical_only: bool,
+    opts: MetricOptions,
+}
+
+impl EdgeFilter {
+    /// Whether an edge of this criticality participates at all; a site
+    /// edge needs nothing more.
+    fn admits(&self, critical: bool) -> bool {
+        critical || !self.critical_only
+    }
+
+    /// Whether a consumer of kind byte `consumer` reaches a provider of
+    /// kind byte `provider` through an edge of this criticality: the
+    /// consumer must be a provider and the hop an allowed one.
+    fn step(&self, consumer: u8, provider: u8, critical: bool) -> bool {
+        self.admits(critical)
+            && consumer != SITE_KIND
+            && self.opts.allows(kind_back(consumer), kind_back(provider))
+    }
+}
+
+/// Consumer rows of a provider-consumer graph, as the condensation
+/// reads them: row `v` lists the edges into node `v`, each resolving
+/// to `(consumer node, critical)`.
+trait ConsumerRows {
+    /// One entry of a row.
+    type Edge: Copy;
+    /// Number of nodes.
+    fn node_count(&self) -> usize;
+    /// Provider kind byte of node `v`; [`SITE_KIND`] for a site.
+    fn kind(&self, v: usize) -> u8;
+    /// The site of node `v`; `None` for a provider.
+    fn site(&self, v: usize) -> Option<SiteId>;
+    /// Node `v`'s row.
+    fn row(&self, v: usize) -> &[Self::Edge];
+    /// The consumer node and criticality of one row entry.
+    fn consumer(&self, e: Self::Edge) -> (u32, bool);
+}
+
+/// [`DepGraph`]'s CSR in-edge rows, with the provider kinds unpacked
+/// once into a byte column.
+struct CsrRows<'g> {
+    graph: &'g DepGraph,
+    kinds: Vec<u8>,
+}
+
+impl<'g> CsrRows<'g> {
+    fn new(graph: &'g DepGraph) -> Self {
+        let kinds = (0..graph.node_count())
+            .map(|v| match graph.node(NodeId(v as u32)) {
+                NodeKind::Provider(_, k) => kind_byte(k),
+                NodeKind::Site(_) => SITE_KIND,
+            })
+            .collect();
+        CsrRows { graph, kinds }
+    }
+}
+
+impl ConsumerRows for CsrRows<'_> {
+    /// An edge id into the graph's edge columns.
+    type Edge = u32;
+
+    fn node_count(&self) -> usize {
+        self.kinds.len()
+    }
+
+    fn kind(&self, v: usize) -> u8 {
+        self.kinds[v]
+    }
+
+    fn site(&self, v: usize) -> Option<SiteId> {
+        match self.graph.node(NodeId(v as u32)) {
+            NodeKind::Site(site) => Some(site),
+            NodeKind::Provider(..) => None,
+        }
+    }
+
+    fn row(&self, v: usize) -> &[u32] {
+        self.graph.in_edge_ids(v)
+    }
+
+    fn consumer(&self, e: u32) -> (u32, bool) {
+        let (w, ek) = self.graph.edge_source(e);
+        (w, ek.critical)
+    }
+}
+
+/// [`MutableReach`]'s owned graph: per-node columns plus one consumer
+/// row per node (node `i` is node `i` of the graph it was copied from).
+struct OwnedRows {
+    /// Per node: provider kind byte, [`SITE_KIND`] for sites.
+    kinds: Vec<u8>,
+    /// Per node: raw site index for site nodes ([`NONE_U32`] otherwise).
+    site_of: Vec<u32>,
+    /// Per node: consumer edges `(consumer node, critical)`.
+    in_edges: Vec<Vec<(u32, bool)>>,
+}
+
+impl ConsumerRows for OwnedRows {
+    type Edge = (u32, bool);
+
+    fn node_count(&self) -> usize {
+        self.kinds.len()
+    }
+
+    fn kind(&self, v: usize) -> u8 {
+        self.kinds[v]
+    }
+
+    fn site(&self, v: usize) -> Option<SiteId> {
+        (self.kinds[v] == SITE_KIND).then(|| SiteId(self.site_of[v]))
+    }
+
+    fn row(&self, v: usize) -> &[(u32, bool)] {
+        &self.in_edges[v]
+    }
+
+    fn consumer(&self, e: (u32, bool)) -> (u32, bool) {
+        e
+    }
+}
+
+/// One condensation: each node's component ([`NONE_U32`] for sites)
+/// and, per component in Tarjan emission order, its member nodes,
+/// dependent-site set and set size.
+struct Condensation {
+    comp_of: Vec<u32>,
+    members: Vec<Vec<u32>>,
+    sets: Vec<SiteSet>,
+    counts: Vec<usize>,
+}
+
+/// The one Tarjan pass: iterative Tarjan over the provider nodes of
+/// `rows` along the hops `filter` admits, building each component's
+/// dependent-site set as the component is emitted. Tarjan emits
+/// components in reverse topological order, so every consumer
+/// component's set is final before a component reads it.
+fn condense<R: ConsumerRows>(rows: &R, filter: &EdgeFilter, bound: usize) -> Condensation {
+    let n = rows.node_count();
+    // `index_of` doubles as the visited marker (0 = unvisited, else
+    // DFS index + 1).
+    let mut index_of = vec![0u32; n];
+    let mut low = vec![0u32; n];
+    let mut on_stack = vec![false; n];
+    let mut stack: Vec<u32> = Vec::new();
+    let mut next_index = 1u32;
+    let mut out = Condensation {
+        comp_of: vec![NONE_U32; n],
+        members: Vec::new(),
+        sets: Vec::new(),
+        counts: Vec::new(),
+    };
+    for start in 0..n {
+        if index_of[start] != 0 || rows.kind(start) == SITE_KIND {
+            continue;
+        }
+        index_of[start] = next_index;
+        low[start] = next_index;
+        next_index += 1;
+        stack.push(start as u32);
+        on_stack[start] = true;
+        // DFS frame: (node, position within its row).
+        let mut dfs: Vec<(usize, usize)> = vec![(start, 0)];
+        while let Some(frame) = dfs.last_mut() {
+            let v = frame.0;
+            let (row, kind) = (rows.row(v), rows.kind(v));
+            let mut descended = false;
+            while frame.1 < row.len() {
+                let (w, critical) = rows.consumer(row[frame.1]);
+                frame.1 += 1;
+                let w = w as usize;
+                if !filter.step(rows.kind(w), kind, critical) {
+                    continue;
+                }
+                if index_of[w] == 0 {
+                    index_of[w] = next_index;
+                    low[w] = next_index;
+                    next_index += 1;
+                    stack.push(w as u32);
+                    on_stack[w] = true;
+                    dfs.push((w, 0));
+                    descended = true;
+                    break;
+                } else if on_stack[w] {
+                    low[v] = low[v].min(index_of[w]);
+                }
+            }
+            if descended {
+                continue;
+            }
+            dfs.pop();
+            if let Some(parent) = dfs.last() {
+                low[parent.0] = low[parent.0].min(low[v]);
+            }
+            if low[v] != index_of[v] {
+                continue;
+            }
+            let comp = out.sets.len() as u32;
+            let mut members: Vec<u32> = Vec::new();
+            while let Some(w) = stack.pop() {
+                on_stack[w as usize] = false;
+                out.comp_of[w as usize] = comp;
+                members.push(w);
+                if w as usize == v {
+                    break;
+                }
+            }
+            let set = component_set(rows, filter, bound, &members, &out.comp_of, |c| {
+                &out.sets[c as usize]
+            });
+            out.counts.push(set.count());
+            out.sets.push(set);
+            out.members.push(members);
+        }
+    }
+    out
+}
+
+/// One component's dependent-site set: the sites its members' rows
+/// admit, unioned with the set of every other component one of whose
+/// members consumes a member through an admitted hop. `set_of` hands
+/// back those consumer components' finished sets.
+fn component_set<'s, R: ConsumerRows>(
+    rows: &R,
+    filter: &EdgeFilter,
+    bound: usize,
+    members: &[u32],
+    comp_of: &[u32],
+    set_of: impl Fn(u32) -> &'s SiteSet,
+) -> SiteSet {
+    let mut set = SiteSet::with_bound(bound);
+    for &m in members {
+        let m = m as usize;
+        let kind = rows.kind(m);
+        for &e in rows.row(m) {
+            let (w, critical) = rows.consumer(e);
+            if !filter.admits(critical) {
+                continue;
+            }
+            if let Some(site) = rows.site(w as usize) {
+                set.insert(site);
+            } else if filter.step(rows.kind(w as usize), kind, critical) {
+                let c = comp_of[w as usize];
+                if c != comp_of[m] {
+                    debug_assert_ne!(c, NONE_U32, "consumer component emitted first");
+                    set.union_with(set_of(c));
+                }
+            }
+        }
+    }
+    set
+}
+
 /// Shared reverse-reachability over one `(critical_only, opts)`
 /// configuration of a graph.
 pub struct ReachIndex<'g> {
@@ -129,152 +410,20 @@ impl<'g> ReachIndex<'g> {
     /// provider-consumer subgraph, then one dependent-site set per
     /// component. `critical_only = true` indexes impact, `false`
     /// concentration — the same switch as
-    /// [`crate::metrics::Metrics::score_bfs`].
-    ///
-    /// The DFS streams the CSR in-edge rows directly, applying the
-    /// traversal filter (criticality, option-allowed hop kinds,
-    /// provider-consumer) per edge — the filter is evaluated at most
-    /// twice per edge (tree walk + component emission), which beats
-    /// materializing a filtered adjacency first at every scale.
+    /// [`crate::metrics::Metrics::dependent_sites`]. The DFS streams the
+    /// CSR in-edge rows directly and applies the traversal filter per
+    /// edge.
     pub fn build(graph: &'g DepGraph, critical_only: bool, opts: &MetricOptions) -> Self {
-        let n = graph.node_count();
-        let bound = graph.site_id_bound();
-
-        // Per-node provider kind (service-kind column), u8-packed;
-        // `NONE` marks site nodes.
-        const NONE: u8 = u8::MAX;
-        let kind_of: Vec<u8> = (0..n)
-            .map(|v| match graph.node(NodeId(v as u32)) {
-                NodeKind::Provider(_, k) => k as u8,
-                NodeKind::Site(_) => NONE,
-            })
-            .collect();
-        let kind_back = |b: u8| -> ServiceKind {
-            match b {
-                0 => ServiceKind::Dns,
-                1 => ServiceKind::Cdn,
-                2 => ServiceKind::Ca,
-                _ => ServiceKind::Cloud,
-            }
+        let filter = EdgeFilter {
+            critical_only,
+            opts: opts.clone(),
         };
-
-        // The allowed provider→provider-consumer step, mirroring the
-        // BFS traversal filter exactly: from edge `e` into node `v`,
-        // yield the consumer node if it passes.
-        let step = |v: usize, e: u32| -> Option<usize> {
-            let (w, ek) = graph.edge_source(e);
-            if critical_only && !ek.critical {
-                return None;
-            }
-            let wk = kind_of[w as usize];
-            if wk == NONE {
-                return None;
-            }
-            if !opts.allows(kind_back(wk), kind_back(kind_of[v])) {
-                return None;
-            }
-            Some(w as usize)
-        };
-
-        // Iterative Tarjan over provider nodes. `index_of` doubles as
-        // the visited marker (0 = unvisited, else DFS index + 1).
-        let mut index_of = vec![0u32; n];
-        let mut low = vec![0u32; n];
-        let mut on_stack = vec![false; n];
-        let mut stack: Vec<u32> = Vec::new();
-        let mut comp_of = vec![u32::MAX; n];
-        let mut sets: Vec<SiteSet> = Vec::new();
-        let mut counts: Vec<usize> = Vec::new();
-        let mut next_index = 1u32;
-
-        for start in 0..n {
-            if index_of[start] != 0 || kind_of[start] == NONE {
-                continue;
-            }
-            index_of[start] = next_index;
-            low[start] = next_index;
-            next_index += 1;
-            stack.push(start as u32);
-            on_stack[start] = true;
-            // DFS frame: (node, position within its CSR in-edge row).
-            let mut dfs: Vec<(usize, usize)> = vec![(start, 0)];
-            while let Some(frame) = dfs.last_mut() {
-                let v = frame.0;
-                let row = graph.in_edge_ids(v);
-                let mut descended = false;
-                while frame.1 < row.len() {
-                    let e = row[frame.1];
-                    frame.1 += 1;
-                    let Some(w) = step(v, e) else {
-                        continue;
-                    };
-                    if index_of[w] == 0 {
-                        index_of[w] = next_index;
-                        low[w] = next_index;
-                        next_index += 1;
-                        stack.push(w as u32);
-                        on_stack[w] = true;
-                        dfs.push((w, 0));
-                        descended = true;
-                        break;
-                    } else if on_stack[w] {
-                        low[v] = low[v].min(index_of[w]);
-                    }
-                }
-                if descended {
-                    continue;
-                }
-                dfs.pop();
-                if let Some(parent) = dfs.last() {
-                    low[parent.0] = low[parent.0].min(low[v]);
-                }
-                if low[v] == index_of[v] {
-                    // Emit the component rooted at v. Tarjan's
-                    // reverse-topological emission order guarantees
-                    // every cross-component successor already has its
-                    // set computed.
-                    let comp = sets.len() as u32;
-                    let mut members: Vec<u32> = Vec::new();
-                    loop {
-                        let w = match stack.pop() {
-                            Some(w) => w,
-                            None => break,
-                        };
-                        on_stack[w as usize] = false;
-                        comp_of[w as usize] = comp;
-                        members.push(w);
-                        if w as usize == v {
-                            break;
-                        }
-                    }
-                    let mut set = SiteSet::with_bound(bound);
-                    for &m in &members {
-                        for &e in graph.in_edge_ids(m as usize) {
-                            let (src, ek) = graph.edge_source(e);
-                            if critical_only && !ek.critical {
-                                continue;
-                            }
-                            if let NodeKind::Site(site) = graph.node(NodeId(src)) {
-                                set.insert(site);
-                            }
-                        }
-                        for &e in graph.in_edge_ids(m as usize) {
-                            let Some(w) = step(m as usize, e) else {
-                                continue;
-                            };
-                            let c = comp_of[w];
-                            if c != comp {
-                                debug_assert_ne!(c, u32::MAX, "successor emitted first");
-                                set.union_with(&sets[c as usize]);
-                            }
-                        }
-                    }
-                    counts.push(set.count());
-                    sets.push(set);
-                }
-            }
-        }
-
+        let Condensation {
+            comp_of,
+            sets,
+            counts,
+            ..
+        } = condense(&CsrRows::new(graph), &filter, graph.site_id_bound());
         ReachIndex {
             graph,
             comp_of,
@@ -283,9 +432,9 @@ impl<'g> ReachIndex<'g> {
         }
     }
 
-    /// Number of sites depending on `provider` — equals
-    /// `score_bfs(provider, …).len()` for the index's configuration.
-    /// Non-provider nodes score 0, like the BFS.
+    /// Number of sites depending on `provider` — the size of
+    /// [`ReachIndex::dependent_set`]. Non-provider nodes score 0, like
+    /// the BFS.
     pub fn dependent_count(&self, provider: NodeId) -> usize {
         match self.comp_of.get(provider.index()) {
             Some(&c) if c != u32::MAX => self.counts[c as usize],
@@ -300,14 +449,6 @@ impl<'g> ReachIndex<'g> {
             Some(&c) if c != u32::MAX => Some(&self.sets[c as usize]),
             _ => None,
         }
-    }
-
-    /// The dependent sites of `provider` as a hash set — drop-in for
-    /// [`crate::metrics::Metrics::dependent_sites`].
-    pub fn dependent_sites(&self, provider: NodeId) -> HashSet<SiteId> {
-        self.dependent_set(provider)
-            .map(|s| s.iter().collect())
-            .unwrap_or_default()
     }
 
     /// The graph this index was built over.
@@ -423,33 +564,14 @@ pub enum ApplyKind {
     Rebuilt,
 }
 
-/// Sentinel kind byte for site nodes inside [`MutableReach`].
-const SITE_KIND: u8 = u8::MAX;
-
-/// Sentinel for "no value" in dense u32 columns.
-const NONE_U32: u32 = u32::MAX;
-
-fn kind_byte(kind: ServiceKind) -> u8 {
-    kind as u8
-}
-
-fn kind_back(b: u8) -> ServiceKind {
-    match b {
-        0 => ServiceKind::Dns,
-        1 => ServiceKind::Cdn,
-        2 => ServiceKind::Ca,
-        _ => ServiceKind::Cloud,
-    }
-}
-
-/// An **epoch-versioned, incrementally patchable** sibling of
-/// [`ReachIndex`] — the index a resident query service keeps warm
-/// across churn instead of rebuilding per query.
+/// An **epoch-versioned, incrementally patchable** reach index — the
+/// index a resident query service keeps warm across churn instead of
+/// rebuilding per query.
 ///
-/// The structure mirrors `ReachIndex` (SCC condensation of the allowed
-/// provider-consumer subgraph, one dependent-site bitset per
-/// component) but owns its graph, so it has no lifetime tie to a
-/// [`DepGraph`] and can absorb [`Churn`] deltas in place:
+/// It runs the same condensation as [`ReachIndex`] (one SCC pass over
+/// the allowed provider-consumer subgraph, one dependent-site bitset
+/// per component) over its own copy of the graph, so it has no lifetime
+/// tie to a [`DepGraph`] and can absorb [`Churn`] deltas in place:
 ///
 /// * **site edge add** — sites are never SCC members, so the
 ///   condensation is untouched; the new site bit is ORed into the
@@ -457,8 +579,8 @@ fn kind_back(b: u8) -> ServiceKind {
 ///   consumes.
 /// * **site edge remove / cross-component provider edge remove** — the
 ///   condensation is still valid; the affected downstream components'
-///   sets are recomputed from direct site consumers plus consumer
-///   components, in topological order.
+///   sets are rebuilt, in topological order, by the same per-component
+///   set builder the Tarjan pass uses.
 /// * **provider edge add** — if the new edge closes a cycle between
 ///   two existing components the condensation would merge SCCs, so the
 ///   index **falls back to a full Tarjan rebuild**; otherwise the
@@ -473,36 +595,21 @@ fn kind_back(b: u8) -> ServiceKind {
 /// epoch or the complete next one. [`MutableReach::verify_fresh`]
 /// recomputes the condensation from scratch and diffs it against the
 /// patched state — the serve daemon's paranoid mode runs it after
-/// every patch, and the cross-check suite in
-/// `tests/parallel_determinism.rs` holds patched scores byte-identical
-/// to a fresh [`ReachIndex::build`].
+/// every patch, and the churn property tests hold every patched set
+/// equal to a fresh [`ReachIndex::build`] and to the BFS.
 pub struct MutableReach {
-    critical_only: bool,
-    opts: MetricOptions,
-    /// Per node: provider service kind byte, [`SITE_KIND`] for sites.
-    kinds: Vec<u8>,
-    /// Per node: raw site index for site nodes ([`NONE_U32`] otherwise).
-    site_of: Vec<u32>,
-    /// Per node: provider key (empty for sites).
-    keys: Vec<String>,
+    filter: EdgeFilter,
+    rows: OwnedRows,
     /// `(key, kind byte)` → node.
     provider_index: BTreeMap<(String, u8), u32>,
     /// Raw site index → node.
     site_index: BTreeMap<u32, u32>,
-    /// Per node: consumer edges `(consumer node, critical)`.
-    in_edges: Vec<Vec<(u32, bool)>>,
     /// Exclusive upper bound on raw site indexes (bitset capacity).
     site_bound: usize,
     /// Monotonic version; bumped once per applied delta.
     epoch: u64,
-    /// Node → condensation component (`NONE_U32` for sites).
-    comp_of: Vec<u32>,
-    /// Per-component member nodes.
-    comp_members: Vec<Vec<u32>>,
-    /// Per-component dependent-site sets.
-    sets: Vec<SiteSet>,
-    /// Per-component popcounts.
-    counts: Vec<usize>,
+    /// The current condensation, patched in place between rebuilds.
+    cond: Condensation,
     /// Condensation out-edges with multiplicity: `comp_deps[x][y]` =
     /// number of visible edges from members of consumer component `x`
     /// into members of component `y` (i.e. `x` consumes `y`).
@@ -522,57 +629,53 @@ impl MutableReach {
     /// running one full condensation pass. Epoch starts at 0.
     pub fn from_graph(graph: &DepGraph, critical_only: bool, opts: &MetricOptions) -> Self {
         let n = graph.node_count();
-        let mut mr = MutableReach {
-            critical_only,
-            opts: opts.clone(),
+        let mut rows = OwnedRows {
             kinds: Vec::with_capacity(n),
             site_of: Vec::with_capacity(n),
-            keys: Vec::with_capacity(n),
-            provider_index: BTreeMap::new(),
-            site_index: BTreeMap::new(),
             in_edges: vec![Vec::new(); n],
-            site_bound: graph.site_id_bound(),
+        };
+        let mut provider_index = BTreeMap::new();
+        let mut site_index = BTreeMap::new();
+        let mut site_bound = graph.site_id_bound();
+        for v in 0..n {
+            match graph.node(NodeId(v as u32)) {
+                NodeKind::Site(site) => {
+                    rows.kinds.push(SITE_KIND);
+                    rows.site_of.push(site.0);
+                    site_index.insert(site.0, v as u32);
+                    site_bound = site_bound.max(site.index() + 1);
+                }
+                NodeKind::Provider(name, kind) => {
+                    rows.kinds.push(kind_byte(kind));
+                    rows.site_of.push(NONE_U32);
+                    provider_index
+                        .insert((graph.name(name).to_string(), kind_byte(kind)), v as u32);
+                }
+            }
+            for (consumer, ek) in graph.consumers_of(NodeId(v as u32)) {
+                rows.in_edges[v].push((consumer.0, ek.critical));
+            }
+        }
+        let filter = EdgeFilter {
+            critical_only,
+            opts: opts.clone(),
+        };
+        let cond = condense(&rows, &filter, site_bound);
+        let mut mr = MutableReach {
+            filter,
+            rows,
+            provider_index,
+            site_index,
+            site_bound,
             epoch: 0,
-            comp_of: Vec::new(),
-            comp_members: Vec::new(),
-            sets: Vec::new(),
-            counts: Vec::new(),
+            cond,
             comp_deps: Vec::new(),
             comp_consumers: Vec::new(),
             patches: 0,
             rebuilds: 0,
         };
-        for v in 0..n {
-            match graph.node(NodeId(v as u32)) {
-                NodeKind::Site(site) => {
-                    mr.kinds.push(SITE_KIND);
-                    mr.site_of.push(site.0);
-                    mr.keys.push(String::new());
-                    mr.site_index.insert(site.0, v as u32);
-                    mr.site_bound = mr.site_bound.max(site.index() + 1);
-                }
-                NodeKind::Provider(name, kind) => {
-                    let key = graph.name(name).to_string();
-                    mr.kinds.push(kind_byte(kind));
-                    mr.site_of.push(NONE_U32);
-                    mr.provider_index
-                        .insert((key.clone(), kind_byte(kind)), v as u32);
-                    mr.keys.push(key);
-                }
-            }
-        }
-        for v in 0..n {
-            for (consumer, ek) in graph.consumers_of(NodeId(v as u32)) {
-                mr.in_edges[v].push((consumer.0, ek.critical));
-            }
-        }
-        mr.rebuild_condensation();
+        mr.count_comp_edges();
         mr
-    }
-
-    /// The configuration the index answers for (`true` = impact).
-    pub fn critical_only(&self) -> bool {
-        self.critical_only
     }
 
     /// The index's current epoch. Every applied delta bumps it by one,
@@ -595,7 +698,7 @@ impl MutableReach {
     /// current epoch; 0 for unknown providers.
     pub fn dependent_count(&self, key: &str, kind: ServiceKind) -> usize {
         self.provider_node(key, kind)
-            .map(|v| self.counts[self.comp_of[v as usize] as usize])
+            .map(|v| self.cond.counts[self.cond.comp_of[v as usize] as usize])
             .unwrap_or(0)
     }
 
@@ -603,7 +706,7 @@ impl MutableReach {
     /// for unknown providers.
     pub fn dependent_set(&self, key: &str, kind: ServiceKind) -> Option<&SiteSet> {
         self.provider_node(key, kind)
-            .map(|v| &self.sets[self.comp_of[v as usize] as usize])
+            .map(|v| &self.cond.sets[self.cond.comp_of[v as usize] as usize])
     }
 
     /// All provider keys of `kind`, in key order, with their dependent
@@ -613,7 +716,10 @@ impl MutableReach {
         self.provider_index
             .iter()
             .filter(move |((_, k), _)| *k == kb)
-            .map(|((key, _), &v)| (key.as_str(), self.counts[self.comp_of[v as usize] as usize]))
+            .map(|((key, _), &v)| {
+                let comp = self.cond.comp_of[v as usize];
+                (key.as_str(), self.cond.counts[comp as usize])
+            })
             .collect()
     }
 
@@ -650,16 +756,19 @@ impl MutableReach {
     }
 
     /// Recomputes the condensation from scratch into a fresh state and
-    /// diffs every component map entry, set, and count against the
-    /// patched state. Returns a description of the first divergence —
-    /// the executable form of "every patched epoch is cross-checked
-    /// against a fresh build".
+    /// diffs every provider's set and count against the patched state.
+    /// Returns a description of the first divergence — the executable
+    /// form of "every patched epoch is cross-checked against a fresh
+    /// build".
     #[must_use]
     pub fn verify_fresh(&self) -> Result<(), String> {
-        let fresh = self.condense();
+        let fresh = condense(&self.rows, &self.filter, self.site_bound);
         for (&(ref key, kb), &v) in &self.provider_index {
-            let patched = &self.sets[self.comp_of[v as usize] as usize];
-            let rebuilt = &fresh.sets[fresh.comp_of[v as usize] as usize];
+            let (pc, fc) = (
+                self.cond.comp_of[v as usize] as usize,
+                fresh.comp_of[v as usize] as usize,
+            );
+            let (patched, rebuilt) = (&self.cond.sets[pc], &fresh.sets[fc]);
             if patched != rebuilt {
                 return Err(format!(
                     "provider {key}/{:?}: patched set (|{}|) != fresh set (|{}|)",
@@ -668,8 +777,7 @@ impl MutableReach {
                     rebuilt.count()
                 ));
             }
-            let patched_n = self.counts[self.comp_of[v as usize] as usize];
-            let fresh_n = fresh.counts[fresh.comp_of[v as usize] as usize];
+            let (patched_n, fresh_n) = (self.cond.counts[pc], fresh.counts[fc]);
             if patched_n != fresh_n {
                 return Err(format!(
                     "provider {key}/{:?}: patched count {patched_n} != fresh count {fresh_n}",
@@ -690,22 +798,6 @@ impl MutableReach {
         self.rebuilds += 1;
     }
 
-    /// Bytes of heap owned by the index (graph columns + condensation).
-    pub fn heap_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.kinds.capacity()
-            + self.site_of.capacity() * size_of::<u32>()
-            + self.keys.iter().map(|k| k.capacity()).sum::<usize>()
-            + self
-                .in_edges
-                .iter()
-                .map(|row| row.capacity() * size_of::<(u32, bool)>())
-                .sum::<usize>()
-            + self.comp_of.capacity() * size_of::<u32>()
-            + self.sets.iter().map(|s| s.heap_bytes()).sum::<usize>()
-            + self.counts.capacity() * size_of::<usize>()
-    }
-
     // ---- node plumbing ----
 
     fn provider_node(&self, key: &str, kind: ServiceKind) -> Option<u32> {
@@ -720,10 +812,10 @@ impl MutableReach {
         if let Some(&v) = self.site_index.get(&site.0) {
             return v;
         }
-        let v = self.push_node(SITE_KIND, site.0, String::new());
+        let v = self.push_node(SITE_KIND, site.0);
         self.site_index.insert(site.0, v);
         self.site_bound = self.site_bound.max(site.index() + 1);
-        self.comp_of.push(NONE_U32);
+        self.cond.comp_of.push(NONE_U32);
         v
     }
 
@@ -731,47 +823,40 @@ impl MutableReach {
         if let Some(v) = self.provider_node(&p.key, p.kind) {
             return v;
         }
-        let v = self.push_node(kind_byte(p.kind), NONE_U32, p.key.clone());
+        let v = self.push_node(kind_byte(p.kind), NONE_U32);
         self.provider_index
             .insert((p.key.clone(), kind_byte(p.kind)), v);
         // A brand-new provider is its own singleton component with an
         // empty dependent set — no structural invariant can break.
-        let comp = self.sets.len() as u32;
-        self.comp_of.push(comp);
-        self.comp_members.push(vec![v]);
-        self.sets.push(SiteSet::with_bound(self.site_bound));
-        self.counts.push(0);
+        let comp = self.cond.sets.len() as u32;
+        self.cond.comp_of.push(comp);
+        self.cond.members.push(vec![v]);
+        self.cond.sets.push(SiteSet::with_bound(self.site_bound));
+        self.cond.counts.push(0);
         self.comp_deps.push(BTreeMap::new());
         self.comp_consumers.push(BTreeMap::new());
         v
     }
 
-    fn push_node(&mut self, kind: u8, site_raw: u32, key: String) -> u32 {
+    fn push_node(&mut self, kind: u8, site_raw: u32) -> u32 {
         assert!(
-            u32::try_from(self.kinds.len()).is_ok(),
+            u32::try_from(self.rows.kinds.len()).is_ok(),
             "mutable reach overflow: {} nodes exhaust the u32 id space",
-            self.kinds.len()
+            self.rows.kinds.len()
         );
-        let v = self.kinds.len() as u32;
-        self.kinds.push(kind);
-        self.site_of.push(site_raw);
-        self.keys.push(key);
-        self.in_edges.push(Vec::new());
+        let v = self.rows.kinds.len() as u32;
+        self.rows.kinds.push(kind);
+        self.rows.site_of.push(site_raw);
+        self.rows.in_edges.push(Vec::new());
         v
     }
 
-    /// Whether a site→provider edge participates in this index.
-    fn site_edge_visible(&self, critical: bool) -> bool {
-        !(self.critical_only && !critical)
-    }
-
-    /// Whether a provider→provider edge participates in this index.
+    /// Whether the provider→provider edge `from → to` participates in
+    /// this index.
     fn provider_edge_visible(&self, from: u32, to: u32, critical: bool) -> bool {
-        self.site_edge_visible(critical)
-            && self.opts.allows(
-                kind_back(self.kinds[from as usize]),
-                kind_back(self.kinds[to as usize]),
-            )
+        let kinds = &self.rows.kinds;
+        self.filter
+            .step(kinds[from as usize], kinds[to as usize], critical)
     }
 
     // ---- patch operations ----
@@ -779,16 +864,16 @@ impl MutableReach {
     fn add_site_edge(&mut self, site: SiteId, provider: &ProviderRef, critical: bool) -> ApplyKind {
         let s = self.ensure_site(site);
         let p = self.ensure_provider(provider);
-        self.in_edges[p as usize].push((s, critical));
-        if self.site_edge_visible(critical) {
+        self.rows.in_edges[p as usize].push((s, critical));
+        if self.filter.admits(critical) {
             // The site now reaches p's component and, transitively,
             // every component p consumes. Sites are never SCC members,
             // so the condensation itself cannot change: pure bit OR.
-            for comp in self.downstream_of(self.comp_of[p as usize]) {
-                let set = &mut self.sets[comp as usize];
+            for comp in self.downstream_of(self.cond.comp_of[p as usize]) {
+                let set = &mut self.cond.sets[comp as usize];
                 if !set.contains(site) {
                     set.insert(site);
-                    self.counts[comp as usize] += 1;
+                    self.cond.counts[comp as usize] += 1;
                 }
             }
         }
@@ -810,18 +895,18 @@ impl MutableReach {
         let p = self
             .provider_node(&provider.key, provider.kind)
             .ok_or_else(|| missing(format!("provider {} is unknown", provider.key)))?;
-        let row = &mut self.in_edges[p as usize];
+        let row = &mut self.rows.in_edges[p as usize];
         let pos = row
             .iter()
             .position(|&(w, c)| w == s && c == critical)
             .ok_or_else(|| missing(format!("{site} -> {} (critical={critical})", provider.key)))?;
         row.remove(pos);
-        if self.site_edge_visible(critical) {
+        if self.filter.admits(critical) {
             // The site may still reach the affected components via
             // other edges; recompute their sets from scratch, in
             // topological order, leaving the condensation untouched
             // (site edges never define SCCs).
-            self.recompute_downstream(self.comp_of[p as usize]);
+            self.recompute_downstream(self.cond.comp_of[p as usize]);
         }
         Ok(ApplyKind::Patched)
     }
@@ -834,19 +919,19 @@ impl MutableReach {
     ) -> ApplyKind {
         let w = self.ensure_provider(from);
         let v = self.ensure_provider(to);
-        self.in_edges[v as usize].push((w, critical));
+        self.rows.in_edges[v as usize].push((w, critical));
         if !self.provider_edge_visible(w, v, critical) {
             // Recorded for future rebuilds, invisible to this
             // configuration — nothing cached can change.
             return ApplyKind::Patched;
         }
-        let (cw, cv) = (self.comp_of[w as usize], self.comp_of[v as usize]);
+        let (cw, cv) = (self.cond.comp_of[w as usize], self.cond.comp_of[v as usize]);
         if cw == cv {
             // An extra edge inside one component changes neither the
             // condensation nor any set.
             return ApplyKind::Patched;
         }
-        if self.reaches(cv, cw) {
+        if self.downstream_of(cv).contains(&cw) {
             // to ⇒ … ⇒ from already exists, so from → to closes a
             // cycle: components must merge. Condensation invariant
             // invalidated — full rebuild.
@@ -858,16 +943,16 @@ impl MutableReach {
         *self.comp_consumers[cv as usize].entry(cw).or_insert(0) += 1;
         // Everything the consumer component reaches flows into cv and
         // everything cv consumes. Stage the unions, then commit.
-        let source = self.sets[cw as usize].clone();
+        let source = self.cond.sets[cw as usize].clone();
         let mut staged: Vec<(u32, SiteSet)> = Vec::new();
         for comp in self.downstream_of(cv) {
-            let mut merged = self.sets[comp as usize].clone();
+            let mut merged = self.cond.sets[comp as usize].clone();
             merged.union_with(&source);
             staged.push((comp, merged));
         }
         for (comp, set) in staged {
-            self.counts[comp as usize] = set.count();
-            self.sets[comp as usize] = set;
+            self.cond.counts[comp as usize] = set.count();
+            self.cond.sets[comp as usize] = set;
         }
         ApplyKind::Patched
     }
@@ -885,7 +970,7 @@ impl MutableReach {
         let v = self
             .provider_node(&to.key, to.kind)
             .ok_or_else(|| missing(format!("provider {} is unknown", to.key)))?;
-        let row = &mut self.in_edges[v as usize];
+        let row = &mut self.rows.in_edges[v as usize];
         let pos = row
             .iter()
             .position(|&(x, c)| x == w && c == critical)
@@ -894,7 +979,7 @@ impl MutableReach {
         if !self.provider_edge_visible(w, v, critical) {
             return Ok(ApplyKind::Patched);
         }
-        let (cw, cv) = (self.comp_of[w as usize], self.comp_of[v as usize]);
+        let (cw, cv) = (self.cond.comp_of[w as usize], self.cond.comp_of[v as usize]);
         if cw == cv {
             // Removing an intra-component edge can split the SCC:
             // always rebuild.
@@ -942,34 +1027,10 @@ impl MutableReach {
         order
     }
 
-    /// Whether component `from` reaches component `to` along
-    /// consumption edges.
-    fn reaches(&self, from: u32, to: u32) -> bool {
-        if from == to {
-            return true;
-        }
-        let mut seen: Vec<u32> = vec![from];
-        let mut stack = vec![from];
-        while let Some(c) = stack.pop() {
-            for (&next, _) in &self.comp_deps[c as usize] {
-                if next == to {
-                    return true;
-                }
-                if !seen.contains(&next) {
-                    seen.push(next);
-                    stack.push(next);
-                }
-            }
-        }
-        false
-    }
-
-    /// Recomputes the dependent sets of every component downstream of
-    /// `start` (inclusive) from first principles — direct site
-    /// consumers of the members, unioned with consumer components'
-    /// sets — processing the affected sub-DAG in topological order so
-    /// each recomputation reads only finished inputs. Staged, then
-    /// committed.
+    /// Rebuilds the dependent sets of every component downstream of
+    /// `start` (inclusive) with the Tarjan pass's set builder,
+    /// processing the affected sub-DAG in topological order so each
+    /// set reads only finished inputs. Staged, then committed.
     fn recompute_downstream(&mut self, start: u32) {
         let affected = self.downstream_of(start);
         let in_affected = |c: u32| affected.contains(&c);
@@ -988,24 +1049,16 @@ impl MutableReach {
             .map(|(&c, _)| c)
             .collect();
         let mut staged: BTreeMap<u32, SiteSet> = BTreeMap::new();
-        let mut done: Vec<u32> = Vec::new();
         while let Some(c) = ready.pop() {
-            let mut set = SiteSet::with_bound(self.site_bound);
-            for &m in &self.comp_members[c as usize] {
-                for &(src, crit) in &self.in_edges[m as usize] {
-                    if self.kinds[src as usize] == SITE_KIND && self.site_edge_visible(crit) {
-                        set.insert(SiteId(self.site_of[src as usize]));
-                    }
-                }
-            }
-            for &x in self.comp_consumers[c as usize].keys() {
-                match staged.get(&x) {
-                    Some(s) => set.union_with(s),
-                    None => set.union_with(&self.sets[x as usize]),
-                }
-            }
+            let set = component_set(
+                &self.rows,
+                &self.filter,
+                self.site_bound,
+                &self.cond.members[c as usize],
+                &self.cond.comp_of,
+                |x| staged.get(&x).unwrap_or(&self.cond.sets[x as usize]),
+            );
             staged.insert(c, set);
-            done.push(c);
             for &next in self.comp_deps[c as usize].keys() {
                 if let Some(d) = indeg.get_mut(&next) {
                     *d -= 1;
@@ -1015,185 +1068,62 @@ impl MutableReach {
                 }
             }
         }
-        debug_assert_eq!(done.len(), affected.len(), "condensation must be acyclic");
+        debug_assert_eq!(staged.len(), affected.len(), "condensation must be acyclic");
         for (comp, set) in staged {
-            self.counts[comp as usize] = set.count();
-            self.sets[comp as usize] = set;
+            self.cond.counts[comp as usize] = set.count();
+            self.cond.sets[comp as usize] = set;
         }
     }
 
-    /// The full Tarjan pass over the owned adjacency — the same
-    /// algorithm as [`ReachIndex::build`], plus condensation edge
-    /// multiplicities for the patch paths.
-    fn condense(&self) -> Condensation {
-        let n = self.kinds.len();
-        let step = |v: usize, w: u32, critical: bool| -> Option<usize> {
-            if self.critical_only && !critical {
-                return None;
-            }
-            let wk = self.kinds[w as usize];
-            if wk == SITE_KIND {
-                return None;
-            }
-            if !self.opts.allows(kind_back(wk), kind_back(self.kinds[v])) {
-                return None;
-            }
-            Some(w as usize)
-        };
-
-        let mut index_of = vec![0u32; n];
-        let mut low = vec![0u32; n];
-        let mut on_stack = vec![false; n];
-        let mut stack: Vec<u32> = Vec::new();
-        let mut comp_of = vec![NONE_U32; n];
-        let mut comp_members: Vec<Vec<u32>> = Vec::new();
-        let mut sets: Vec<SiteSet> = Vec::new();
-        let mut counts: Vec<usize> = Vec::new();
-        let mut next_index = 1u32;
-
-        for start in 0..n {
-            if index_of[start] != 0 || self.kinds[start] == SITE_KIND {
+    /// Counts the condensation's edges with multiplicity, in one pass
+    /// over the visible inter-component provider edges — the state the
+    /// patch paths keep beside the condensation.
+    fn count_comp_edges(&mut self) {
+        let ncomp = self.cond.sets.len();
+        let mut deps: Vec<BTreeMap<u32, u32>> = vec![BTreeMap::new(); ncomp];
+        let mut consumers: Vec<BTreeMap<u32, u32>> = vec![BTreeMap::new(); ncomp];
+        for (v, row) in self.rows.in_edges.iter().enumerate() {
+            let cv = self.cond.comp_of[v];
+            if cv == NONE_U32 {
                 continue;
             }
-            index_of[start] = next_index;
-            low[start] = next_index;
-            next_index += 1;
-            stack.push(start as u32);
-            on_stack[start] = true;
-            let mut dfs: Vec<(usize, usize)> = vec![(start, 0)];
-            while let Some(frame) = dfs.last_mut() {
-                let v = frame.0;
-                let row = &self.in_edges[v];
-                let mut descended = false;
-                while frame.1 < row.len() {
-                    let (wraw, crit) = row[frame.1];
-                    frame.1 += 1;
-                    let Some(w) = step(v, wraw, crit) else {
-                        continue;
-                    };
-                    if index_of[w] == 0 {
-                        index_of[w] = next_index;
-                        low[w] = next_index;
-                        next_index += 1;
-                        stack.push(w as u32);
-                        on_stack[w] = true;
-                        dfs.push((w, 0));
-                        descended = true;
-                        break;
-                    } else if on_stack[w] {
-                        low[v] = low[v].min(index_of[w]);
-                    }
-                }
-                if descended {
+            for &(w, critical) in row {
+                if !self.provider_edge_visible(w, v as u32, critical) {
                     continue;
                 }
-                dfs.pop();
-                if let Some(parent) = dfs.last() {
-                    low[parent.0] = low[parent.0].min(low[v]);
-                }
-                if low[v] == index_of[v] {
-                    let comp = sets.len() as u32;
-                    let mut members: Vec<u32> = Vec::new();
-                    loop {
-                        let w = match stack.pop() {
-                            Some(w) => w,
-                            None => break,
-                        };
-                        on_stack[w as usize] = false;
-                        comp_of[w as usize] = comp;
-                        members.push(w);
-                        if w as usize == v {
-                            break;
-                        }
-                    }
-                    let mut set = SiteSet::with_bound(self.site_bound);
-                    for &m in &members {
-                        for &(src, crit) in &self.in_edges[m as usize] {
-                            if self.kinds[src as usize] == SITE_KIND && self.site_edge_visible(crit)
-                            {
-                                set.insert(SiteId(self.site_of[src as usize]));
-                            }
-                        }
-                        for &(src, crit) in &self.in_edges[m as usize] {
-                            let Some(w) = step(m as usize, src, crit) else {
-                                continue;
-                            };
-                            let c = comp_of[w];
-                            if c != comp {
-                                debug_assert_ne!(c, NONE_U32, "successor emitted first");
-                                set.union_with(&sets[c as usize]);
-                            }
-                        }
-                    }
-                    counts.push(set.count());
-                    sets.push(set);
-                    comp_members.push(members);
-                }
-            }
-        }
-
-        // Condensation edges with multiplicity, derived in one pass
-        // over the visible inter-component edges.
-        let ncomp = sets.len();
-        let mut comp_deps: Vec<BTreeMap<u32, u32>> = vec![BTreeMap::new(); ncomp];
-        let mut comp_consumers: Vec<BTreeMap<u32, u32>> = vec![BTreeMap::new(); ncomp];
-        for v in 0..n {
-            if self.kinds[v] == SITE_KIND {
-                continue;
-            }
-            let cv = comp_of[v];
-            for &(src, crit) in &self.in_edges[v] {
-                if step(v, src, crit).is_none() {
-                    continue;
-                }
-                let cw = comp_of[src as usize];
+                let cw = self.cond.comp_of[w as usize];
                 if cw != cv {
-                    *comp_deps[cw as usize].entry(cv).or_insert(0) += 1;
-                    *comp_consumers[cv as usize].entry(cw).or_insert(0) += 1;
+                    *deps[cw as usize].entry(cv).or_insert(0) += 1;
+                    *consumers[cv as usize].entry(cw).or_insert(0) += 1;
                 }
             }
         }
-
-        Condensation {
-            comp_of,
-            comp_members,
-            sets,
-            counts,
-            comp_deps,
-            comp_consumers,
-        }
+        self.comp_deps = deps;
+        self.comp_consumers = consumers;
     }
 
     fn rebuild_condensation(&mut self) {
-        let fresh = self.condense();
-        self.comp_of = fresh.comp_of;
-        self.comp_members = fresh.comp_members;
-        self.sets = fresh.sets;
-        self.counts = fresh.counts;
-        self.comp_deps = fresh.comp_deps;
-        self.comp_consumers = fresh.comp_consumers;
+        self.cond = condense(&self.rows, &self.filter, self.site_bound);
+        self.count_comp_edges();
     }
-}
-
-/// One fully recomputed condensation (the staging result of
-/// [`MutableReach::condense`]).
-struct Condensation {
-    comp_of: Vec<u32>,
-    comp_members: Vec<Vec<u32>>,
-    sets: Vec<SiteSet>,
-    counts: Vec<usize>,
-    comp_deps: Vec<BTreeMap<u32, u32>>,
-    comp_consumers: Vec<BTreeMap<u32, u32>>,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::graph::{EdgeKind, GraphBuilder, NodeRef};
+    use crate::metrics::Metrics;
+    use std::collections::HashSet;
     use webdeps_measure::{measure_world, ProviderKey};
     use webdeps_model::ServiceKind;
     use webdeps_testkit::{check_with, gen, tk_assert, Config};
     use webdeps_worldgen::{World, WorldConfig};
+
+    /// A bitset's members as a hash set (empty for `None`), the shape
+    /// of [`Metrics::dependent_sites`].
+    fn members(set: Option<&SiteSet>) -> HashSet<SiteId> {
+        set.map(|s| s.iter().collect()).unwrap_or_default()
+    }
 
     #[test]
     fn site_set_basics() {
@@ -1272,7 +1202,7 @@ mod tests {
         let world = World::generate(WorldConfig::small(123));
         let ds = measure_world(&world);
         let g = crate::graph::DepGraph::from_dataset(&ds);
-        let m = crate::metrics::Metrics::new(&g);
+        let m = Metrics::new(&g);
         for critical in [false, true] {
             for opts in [
                 MetricOptions::direct_only(),
@@ -1282,7 +1212,7 @@ mod tests {
                 let index = ReachIndex::build(&g, critical, &opts);
                 for kind in [ServiceKind::Dns, ServiceKind::Cdn, ServiceKind::Ca] {
                     for p in g.providers_of(kind) {
-                        let bfs = m.score_bfs(p, critical, &opts);
+                        let bfs = m.dependent_sites(p, critical, &opts);
                         assert_eq!(
                             index.dependent_count(p),
                             bfs.len(),
@@ -1290,7 +1220,7 @@ mod tests {
                             g.node_ref(p)
                         );
                         assert_eq!(
-                            index.dependent_sites(p),
+                            members(index.dependent_set(p)),
                             bfs,
                             "set mismatch at {:?} critical={critical}",
                             g.node_ref(p)
@@ -1334,9 +1264,15 @@ mod tests {
         let index = ReachIndex::build(&g, true, &opts);
         assert_eq!(index.dependent_count(a), 2);
         assert_eq!(index.dependent_count(bp), 2);
-        let m = crate::metrics::Metrics::new(&g);
-        assert_eq!(index.dependent_sites(a), m.score_bfs(a, true, &opts));
-        assert_eq!(index.dependent_sites(bp), m.score_bfs(bp, true, &opts));
+        let m = Metrics::new(&g);
+        assert_eq!(
+            members(index.dependent_set(a)),
+            m.dependent_sites(a, true, &opts)
+        );
+        assert_eq!(
+            members(index.dependent_set(bp)),
+            m.dependent_sites(bp, true, &opts)
+        );
         // Site nodes score zero, like the BFS.
         assert_eq!(index.dependent_count(s0), 0);
         assert!(index.dependent_set(s0).is_none());
@@ -1388,6 +1324,7 @@ mod tests {
         ctx: &str,
     ) -> Result<(), String> {
         let fresh = ReachIndex::build(g, critical, opts);
+        let bfs = Metrics::new(g);
         for kind in [
             ServiceKind::Dns,
             ServiceKind::Cdn,
@@ -1403,22 +1340,27 @@ mod tests {
                     "{ctx}: {key}/{kind} patched count {count} != fresh {}",
                     fresh.dependent_count(node)
                 );
-                let patched: HashSet<SiteId> = mr
-                    .dependent_set(key, kind)
-                    .map(|s| s.iter().collect())
-                    .unwrap_or_default();
+                let patched = members(mr.dependent_set(key, kind));
                 tk_assert!(
-                    patched == fresh.dependent_sites(node),
+                    patched == members(fresh.dependent_set(node)),
                     "{ctx}: {key}/{kind} patched set diverged from fresh build"
+                );
+                // The BFS shares no code with the condensation, so the
+                // patched sets are never checked only against the
+                // routine that produced them.
+                tk_assert!(
+                    patched == bfs.dependent_sites(node, critical, opts),
+                    "{ctx}: {key}/{kind} patched set diverged from the BFS"
                 );
             }
         }
         mr.verify_fresh().map_err(|e| format!("{ctx}: {e}"))
     }
 
-    /// The tentpole cross-check: random churn streams applied to
+    /// The churn cross-check: random churn streams applied to
     /// `MutableReach`, with every patched epoch compared exhaustively
-    /// against `ReachIndex::build` over a freshly assembled graph.
+    /// against `ReachIndex::build` and the BFS over a freshly assembled
+    /// graph.
     #[test]
     fn mutable_reach_matches_fresh_build_under_churn() {
         let sites: Vec<SiteId> = (0..10).map(SiteId).collect();

@@ -26,9 +26,9 @@
 //!    deliberately not blocking either — they collide with RwLock
 //!    acquisition spelling; the exact-buffer forms are covered instead.
 //! 2. **Propagation** ([`evaluate`]): three facts flow callee→caller
-//!    over the same SCC-condensed call graph the hazard rules use
-//!    (iterative Tarjan, components in reverse topological order,
-//!    minimum-id sources — byte-identical at any worker count):
+//!    over the same SCC condensation the hazard rules use (the lint's
+//!    one Tarjan pass, `interproc::sccs`; components callee-first,
+//!    minimum-id sources, so the result is independent of edge order):
 //!    the set of locks a call can transitively acquire, whether a call
 //!    can transitively block, and whether it can transitively enter a
 //!    `par::fan_out`/`fan_out_chunked` (any fn *named* like the fan-out
@@ -36,9 +36,10 @@
 //! 3. **Lock-order graph**: every guard region contributes edges
 //!    `held lock -> acquired lock` — directly for acquisitions inside
 //!    the region, and through the propagated lock sets for calls made
-//!    inside it. Cycles of the resulting graph (size ≥ 2; same-lock
-//!    edges are excluded by construction, so re-entrant same-lock
-//!    acquisition is out of scope) are reported as potential deadlocks
+//!    inside it. Cycles of the resulting graph — its components of
+//!    size ≥ 2, found by the same `sccs` pass (same-lock edges are
+//!    excluded by construction, so re-entrant same-lock acquisition is
+//!    out of scope) — are reported as potential deadlocks
 //!    with a witness chain naming, for each hop, the holding function,
 //!    the site, and the call that reaches the next acquisition.
 //!
@@ -63,7 +64,9 @@
 
 use crate::config::Config;
 use crate::diag::{Suppressed, Violation};
-use crate::interproc::{CallGraph, CallRef, FnSummary, InterprocAllow, Resolver, NON_CALLEES};
+use crate::interproc::{
+    sccs, CallGraph, CallRef, FnSummary, InterprocAllow, Resolver, NON_CALLEES,
+};
 use crate::lexer::{Tok, TokKind};
 use crate::parser::{Block, FnItem, StmtKind};
 use crate::scan::FileCtx;
@@ -893,16 +896,16 @@ pub fn evaluate(
         for &(a, b) in ledges.keys() {
             ladj[a as usize].push(b);
         }
-        let comp_of = lock_sccs(&ladj);
-        let mut members: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
-        for (l, &c) in comp_of.iter().enumerate() {
-            members.entry(c).or_default().push(l as u32);
-        }
-        for group in members.values() {
+        let (comp_of, comps) = sccs(&ladj);
+        for group in &comps {
+            // One report per cycle, started at its smallest lock id.
+            let Some(&first) = group.iter().min() else {
+                continue;
+            };
             if group.len() < 2 {
                 continue;
             }
-            let cycle = shortest_cycle(&ladj, &comp_of, group[0]);
+            let cycle = shortest_cycle(&ladj, &comp_of, first);
             if cycle.len() < 2 {
                 continue;
             }
@@ -1168,165 +1171,46 @@ fn emit(
 }
 
 /// Propagates `(lock set, can block, can fan out)` callee→caller over
-/// the SCC condensation — the same iterative Tarjan pattern as
-/// [`crate::interproc`]'s hazard propagation and `core`'s `ReachIndex`.
-/// Sources kept per component are minimum node ids, so the result is
-/// independent of traversal order and worker count.
+/// the SCC condensation, in [`sccs`]'s callee-first order — the same
+/// pass shape as [`crate::interproc`]'s hazard propagation. Sources kept
+/// per component are minimum node ids, so the result is independent
+/// of traversal order.
 fn propagate_conc(own: &[(BTreeSet<u32>, bool, bool)], edges: &[Vec<u32>]) -> ConcReach {
-    let n = own.len();
-    let mut index_of = vec![0u32; n];
-    let mut low = vec![0u32; n];
-    let mut on_stack = vec![false; n];
-    let mut stack: Vec<u32> = Vec::new();
-    let mut comp_of = vec![u32::MAX; n];
-    let mut comp_locks: Vec<BTreeSet<u32>> = Vec::new();
-    let mut comp_blk: Vec<u32> = Vec::new();
-    let mut comp_fan: Vec<u32> = Vec::new();
-    let mut next_index = 1u32;
-    let mut dfs: Vec<(u32, usize)> = Vec::new();
-
-    for root in 0..n as u32 {
-        if index_of[root as usize] != 0 {
-            continue;
-        }
-        dfs.push((root, 0));
-        index_of[root as usize] = next_index;
-        low[root as usize] = next_index;
-        next_index += 1;
-        stack.push(root);
-        on_stack[root as usize] = true;
-
-        while let Some(&mut (v, ref mut row)) = dfs.last_mut() {
-            let vu = v as usize;
-            if let Some(&w) = edges[vu].get(*row) {
-                *row += 1;
-                let wu = w as usize;
-                if index_of[wu] == 0 {
-                    index_of[wu] = next_index;
-                    low[wu] = next_index;
-                    next_index += 1;
-                    stack.push(w);
-                    on_stack[wu] = true;
-                    dfs.push((w, 0));
-                } else if on_stack[wu] {
-                    low[vu] = low[vu].min(index_of[wu]);
-                }
-                continue;
-            }
-            dfs.pop();
-            if let Some(&(p, _)) = dfs.last() {
-                let pu = p as usize;
-                low[pu] = low[pu].min(low[vu]);
-            }
-            if low[vu] != index_of[vu] {
-                continue;
-            }
-            let c = comp_locks.len() as u32;
-            let mut members: Vec<u32> = Vec::new();
-            while let Some(w) = stack.pop() {
-                on_stack[w as usize] = false;
-                comp_of[w as usize] = c;
-                members.push(w);
-                if w == v {
-                    break;
-                }
-            }
-            let mut locks: BTreeSet<u32> = BTreeSet::new();
-            let mut blk = NONE;
-            let mut fan = NONE;
-            for &m in &members {
-                let mu = m as usize;
-                locks.extend(own[mu].0.iter().copied());
-                if own[mu].1 {
-                    blk = blk.min(m);
-                }
-                if own[mu].2 {
-                    fan = fan.min(m);
-                }
-                for &w in &edges[mu] {
-                    let wc = comp_of[w as usize];
-                    if wc == c {
-                        continue;
-                    }
-                    locks.extend(comp_locks[wc as usize].iter().copied());
-                    blk = blk.min(comp_blk[wc as usize]);
-                    fan = fan.min(comp_fan[wc as usize]);
-                }
-            }
-            comp_locks.push(locks);
-            comp_blk.push(blk);
-            comp_fan.push(fan);
-        }
-    }
-
-    ConcReach {
+    let (comp_of, comps) = sccs(edges);
+    let mut reach = ConcReach {
         comp_of,
-        locks: comp_locks,
-        blk: comp_blk,
-        fan: comp_fan,
-    }
-}
-
-/// SCC component ids of the lock-order graph (plain iterative Tarjan,
-/// no payload).
-fn lock_sccs(edges: &[Vec<u32>]) -> Vec<u32> {
-    let n = edges.len();
-    let mut index_of = vec![0u32; n];
-    let mut low = vec![0u32; n];
-    let mut on_stack = vec![false; n];
-    let mut stack: Vec<u32> = Vec::new();
-    let mut comp_of = vec![u32::MAX; n];
-    let mut ncomps = 0u32;
-    let mut next_index = 1u32;
-    let mut dfs: Vec<(u32, usize)> = Vec::new();
-
-    for root in 0..n as u32 {
-        if index_of[root as usize] != 0 {
-            continue;
-        }
-        dfs.push((root, 0));
-        index_of[root as usize] = next_index;
-        low[root as usize] = next_index;
-        next_index += 1;
-        stack.push(root);
-        on_stack[root as usize] = true;
-
-        while let Some(&mut (v, ref mut row)) = dfs.last_mut() {
-            let vu = v as usize;
-            if let Some(&w) = edges[vu].get(*row) {
-                *row += 1;
-                let wu = w as usize;
-                if index_of[wu] == 0 {
-                    index_of[wu] = next_index;
-                    low[wu] = next_index;
-                    next_index += 1;
-                    stack.push(w);
-                    on_stack[wu] = true;
-                    dfs.push((w, 0));
-                } else if on_stack[wu] {
-                    low[vu] = low[vu].min(index_of[wu]);
+        locks: Vec::with_capacity(comps.len()),
+        blk: Vec::with_capacity(comps.len()),
+        fan: Vec::with_capacity(comps.len()),
+    };
+    for (c, members) in comps.iter().enumerate() {
+        let mut locks: BTreeSet<u32> = BTreeSet::new();
+        let mut blk = NONE;
+        let mut fan = NONE;
+        for &m in members {
+            let mu = m as usize;
+            locks.extend(own[mu].0.iter().copied());
+            if own[mu].1 {
+                blk = blk.min(m);
+            }
+            if own[mu].2 {
+                fan = fan.min(m);
+            }
+            for &w in &edges[mu] {
+                let wc = reach.comp_of[w as usize] as usize;
+                if wc == c {
+                    continue;
                 }
-                continue;
+                locks.extend(reach.locks[wc].iter().copied());
+                blk = blk.min(reach.blk[wc]);
+                fan = fan.min(reach.fan[wc]);
             }
-            dfs.pop();
-            if let Some(&(p, _)) = dfs.last() {
-                let pu = p as usize;
-                low[pu] = low[pu].min(low[vu]);
-            }
-            if low[vu] != index_of[vu] {
-                continue;
-            }
-            while let Some(w) = stack.pop() {
-                on_stack[w as usize] = false;
-                comp_of[w as usize] = ncomps;
-                if w == v {
-                    break;
-                }
-            }
-            ncomps += 1;
         }
+        reach.locks.push(locks);
+        reach.blk.push(blk);
+        reach.fan.push(fan);
     }
-    comp_of
+    reach
 }
 
 /// The shortest cycle through `start` inside its SCC, as the node

@@ -25,12 +25,13 @@
 //!    bodies are scanned as part of their enclosing fn, so calls made
 //!    through closures are over-approximated as direct.
 //! 3. **Propagation** ([`CallGraph::build`] + [`evaluate`]): hazards
-//!    flow callee→caller over the condensation of the graph, computed
-//!    with the same iterative Tarjan SCC pattern as
-//!    `ReachIndex` in `crates/core/src/reach.rs`. Components finish in
-//!    reverse topological order, so one linear pass suffices; the
-//!    recorded source for each hazard is the minimum node id, which
-//!    makes the result independent of edge order and worker count.
+//!    flow callee→caller over the condensation of the graph. The
+//!    condensation comes from `sccs`, the lint's one iterative Tarjan
+//!    pass, which the concurrency layer shares for its call-graph
+//!    facts and its lock-order cycles. Components come callee-first,
+//!    so one linear pass suffices; the recorded source for each hazard
+//!    is the minimum node id, which makes the result independent of
+//!    edge order.
 //!
 //! Three rules read the propagated state: `panic-reachable` (a pub fn
 //! outside bench/testkit can reach a panic site beyond its own body),
@@ -586,20 +587,22 @@ impl CallGraph {
     }
 }
 
-/// Propagates hazard sources callee→caller over the SCC condensation,
-/// using the iterative Tarjan pattern from `core::reach::ReachIndex`:
-/// components are emitted in reverse topological order (every callee
-/// component before its callers), so each component's sources are
-/// final the moment it pops. The source kept per component is the
-/// minimum contributing node id — independent of traversal order.
-fn propagate(nodes: &[FnSummary], edges: &[Vec<u32>]) -> Vec<[u32; NHAZ]> {
-    let n = nodes.len();
+/// Strongly connected components of a graph given as successor lists,
+/// by iterative Tarjan — the lint's one SCC pass. Returns each node's
+/// component id and each component's members. Components come in
+/// emission order, which is callee-first: a component comes after every
+/// other component its members have edges into, so a pass in this
+/// order sees each callee's result before any caller needs it. Roots
+/// are tried in node-id order and edges in list order, so the
+/// numbering is a function of the graph alone.
+pub(crate) fn sccs(edges: &[Vec<u32>]) -> (Vec<u32>, Vec<Vec<u32>>) {
+    let n = edges.len();
     let mut index_of = vec![0u32; n];
     let mut low = vec![0u32; n];
     let mut on_stack = vec![false; n];
     let mut stack: Vec<u32> = Vec::new();
     let mut comp_of = vec![u32::MAX; n];
-    let mut comp_sources: Vec<[u32; NHAZ]> = Vec::new();
+    let mut comps: Vec<Vec<u32>> = Vec::new();
     let mut next_index = 1u32;
     let mut dfs: Vec<(u32, usize)> = Vec::new();
 
@@ -641,7 +644,7 @@ fn propagate(nodes: &[FnSummary], edges: &[Vec<u32>]) -> Vec<[u32; NHAZ]> {
             if low[vu] != index_of[vu] {
                 continue;
             }
-            let c = comp_sources.len() as u32;
+            let c = comps.len() as u32;
             let mut members: Vec<u32> = Vec::new();
             while let Some(w) = stack.pop() {
                 on_stack[w as usize] = false;
@@ -651,31 +654,41 @@ fn propagate(nodes: &[FnSummary], edges: &[Vec<u32>]) -> Vec<[u32; NHAZ]> {
                     break;
                 }
             }
-            let mut src = [NONE; NHAZ];
-            for &m in &members {
-                let mu = m as usize;
-                for h in 0..NHAZ {
-                    if nodes[mu].own_site(h) != 0 {
-                        src[h] = src[h].min(m);
-                    }
-                }
-                for &w in &edges[mu] {
-                    let wc = comp_of[w as usize];
-                    if wc == c {
-                        continue;
-                    }
-                    debug_assert_ne!(wc, u32::MAX, "callee component emitted first");
-                    let callee = comp_sources[wc as usize];
-                    for h in 0..NHAZ {
-                        src[h] = src[h].min(callee[h]);
-                    }
-                }
-            }
-            comp_sources.push(src);
+            comps.push(members);
         }
     }
+    (comp_of, comps)
+}
 
-    (0..n).map(|v| comp_sources[comp_of[v] as usize]).collect()
+/// Propagates hazard sources callee→caller over the SCC condensation:
+/// in [`sccs`]'s callee-first order each component's sources are final
+/// the moment it is reached. The source kept per component is the
+/// minimum contributing node id — independent of traversal order.
+fn propagate(nodes: &[FnSummary], edges: &[Vec<u32>]) -> Vec<[u32; NHAZ]> {
+    let (comp_of, comps) = sccs(edges);
+    let mut comp_sources: Vec<[u32; NHAZ]> = Vec::with_capacity(comps.len());
+    for (c, members) in comps.iter().enumerate() {
+        let mut src = [NONE; NHAZ];
+        for &m in members {
+            let mu = m as usize;
+            for (h, s) in src.iter_mut().enumerate() {
+                if nodes[mu].own_site(h) != 0 {
+                    *s = (*s).min(m);
+                }
+            }
+            for &w in &edges[mu] {
+                let wc = comp_of[w as usize] as usize;
+                if wc == c {
+                    continue;
+                }
+                for (s, callee) in src.iter_mut().zip(comp_sources[wc]) {
+                    *s = (*s).min(callee);
+                }
+            }
+        }
+        comp_sources.push(src);
+    }
+    comp_of.iter().map(|&c| comp_sources[c as usize]).collect()
 }
 
 /// The three interprocedural hazard rules, evaluated over the
@@ -814,4 +827,33 @@ fn crate_of(rel: &str) -> Option<String> {
     rel.strip_prefix("crates/")
         .and_then(|rest| rest.split('/').next())
         .map(|s| s.to_string())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::sccs;
+
+    /// Two cycles joined by a chain, plus a caller of the first cycle
+    /// that no earlier root reaches: `5 → {0 ⇄ 1} → 2 → {3 ⇄ 4}`.
+    #[test]
+    fn sccs_emits_components_callee_first() {
+        let edges: Vec<Vec<u32>> = vec![
+            vec![1],    // 0
+            vec![0, 2], // 1
+            vec![3],    // 2
+            vec![4],    // 3
+            vec![3],    // 4
+            vec![0],    // 5
+        ];
+        let (comp_of, comps) = sccs(&edges);
+        assert_eq!(comp_of, vec![2, 2, 1, 0, 0, 3]);
+        assert_eq!(comps, vec![vec![4, 3], vec![2], vec![1, 0], vec![5]]);
+        // Callee-first: every edge stays inside its component or leads
+        // to one emitted earlier.
+        for (v, out) in edges.iter().enumerate() {
+            for &w in out {
+                assert!(comp_of[w as usize] <= comp_of[v], "{v} -> {w}");
+            }
+        }
+    }
 }

@@ -13,18 +13,9 @@ use webdeps_model::{DomainName, PublicSuffixList};
 use webdeps_web::CrawlReport;
 use webdeps_worldgen::profiles::CaProfile;
 
-/// Classifies a crawled site's CA dependency.
+/// Classifies a crawled site's CA dependency. `cache` is the caller's
+/// memo; results do not depend on its state.
 pub fn classify_site(
-    report: &CrawlReport,
-    resolver: &mut Resolver<'_>,
-    psl: &PublicSuffixList,
-) -> SiteCaMeasurement {
-    classify_site_cached(report, resolver, psl, &mut ClassifyCache::new())
-}
-
-/// [`classify_site`] with a caller-owned registrable-domain memo (the
-/// per-shard hot path); results are independent of cache state.
-pub fn classify_site_cached(
     report: &CrawlReport,
     resolver: &mut Resolver<'_>,
     psl: &PublicSuffixList,
@@ -107,7 +98,12 @@ mod tests {
             listing.https,
         );
         let mut resolver = world.resolver();
-        let m = classify_site(&report, &mut resolver, &world.psl);
+        let m = classify_site(
+            &report,
+            &mut resolver,
+            &world.psl,
+            &mut ClassifyCache::new(),
+        );
         (report, m)
     }
 

@@ -7,7 +7,7 @@
 //! External resources (fonts, ads, widgets) are deliberately ignored no
 //! matter how CDN-flavoured their chains look.
 
-use crate::classify::{san_covers, Classification, ClassifierKind, ClassifyCache, Evidence};
+use crate::classify::{Classification, ClassifierKind, ClassifyCache, Evidence};
 use crate::dataset::{ProviderKey, SiteCdnMeasurement};
 use std::collections::HashMap;
 use webdeps_dns::{Dig, Resolver};
@@ -22,31 +22,15 @@ pub fn is_internal(
     host: &DomainName,
     san: Option<&[DomainName]>,
     psl: &PublicSuffixList,
+    cache: &mut ClassifyCache,
 ) -> bool {
-    if psl.same_registrable_domain(site, host) {
-        return true;
-    }
-    if let Some(san) = san {
-        if san_covers(san, host, psl) {
-            return true;
-        }
-    }
-    false
+    cache.same_registrable_domain(site, host, psl)
+        || san.is_some_and(|san| cache.san_covers(san, host, psl))
 }
 
-/// Classifies a crawled site's CDN usage.
+/// Classifies a crawled site's CDN usage. `cache` is the caller's
+/// memo; results do not depend on its state.
 pub fn classify_site(
-    report: &CrawlReport,
-    cname_map: &CnameToCdnMap,
-    resolver: &mut Resolver<'_>,
-    psl: &PublicSuffixList,
-) -> SiteCdnMeasurement {
-    classify_site_cached(report, cname_map, resolver, psl, &mut ClassifyCache::new())
-}
-
-/// [`classify_site`] with a caller-owned registrable-domain memo (the
-/// per-shard hot path); results are independent of cache state.
-pub fn classify_site_cached(
     report: &CrawlReport,
     cname_map: &CnameToCdnMap,
     resolver: &mut Resolver<'_>,
@@ -61,9 +45,7 @@ pub fn classify_site_cached(
     let mut order: Vec<ProviderKey> = Vec::new();
 
     for host in report.hostnames() {
-        let internal = cache.same_registrable_domain(&report.site, &host, psl)
-            || san.is_some_and(|san| cache.san_covers(san, &host, psl));
-        if !internal {
+        if !is_internal(&report.site, &host, san, psl, cache) {
             continue;
         }
         let Some(chain) = report.chain_of(&host) else {
@@ -133,12 +115,21 @@ mod tests {
     #[test]
     fn internal_detection_rules() {
         let psl = PublicSuffixList::builtin();
+        let mut cache = ClassifyCache::new();
         let site = dn("shop.com");
-        assert!(is_internal(&site, &dn("static.shop.com"), None, &psl));
-        assert!(!is_internal(&site, &dn("static.fontserve.com"), None, &psl));
         let san = vec![dn("shop.com"), dn("*.shopimg.net")];
-        assert!(is_internal(&site, &dn("a.shopimg.net"), Some(&san), &psl));
-        assert!(!is_internal(&site, &dn("a.shopimg.net"), None, &psl));
+        for (host, san, internal) in [
+            ("static.shop.com", None, true),
+            ("static.fontserve.com", None, false),
+            ("a.shopimg.net", Some(san.as_slice()), true),
+            ("a.shopimg.net", None, false),
+        ] {
+            assert_eq!(
+                is_internal(&site, &dn(host), san, &psl, &mut cache),
+                internal,
+                "{host} with SAN {san:?}"
+            );
+        }
     }
 
     fn measure(world: &World, idx: usize) -> SiteCdnMeasurement {
@@ -151,7 +142,13 @@ mod tests {
             listing.https,
         );
         let mut resolver = world.resolver();
-        classify_site(&report, &world.cname_map, &mut resolver, &world.psl)
+        classify_site(
+            &report,
+            &world.cname_map,
+            &mut resolver,
+            &world.psl,
+            &mut ClassifyCache::new(),
+        )
     }
 
     #[test]

@@ -10,6 +10,11 @@
 //!   then certificate SAN evidence, then SOA mismatch, then (for DNS
 //!   only) the concentration-≥-threshold rule; anything left is
 //!   `Unknown` and excluded from analysis.
+//!
+//! [`ClassifyCache::classify`] is the one classifier: every service's
+//! `classify_site`, the inter-service probes and validation decide
+//! through a cache. An uncached transcription of the same rules lives
+//! in `tests/report_oracles.rs` as the oracle the cache is held to.
 
 use webdeps_dns::Soa;
 use webdeps_model::{DomainName, Interner, PublicSuffixList};
@@ -76,26 +81,6 @@ pub struct Evidence<'a> {
     pub threshold: usize,
 }
 
-/// Whether two SOAs denote the same administrative authority: matching
-/// MNAME or RNAME registrable domains (the paper's §3.1 grouping rule).
-pub fn soa_same_authority(a: &Soa, b: &Soa, psl: &PublicSuffixList) -> bool {
-    psl.same_registrable_domain(&a.mname, &b.mname)
-        || psl.same_registrable_domain(&a.rname, &b.rname)
-}
-
-/// Whether the SAN list covers the candidate's registrable domain
-/// ("all TLDs present in the SAN list belong to the same logical
-/// entity", §3.1).
-pub fn san_covers(san: &[DomainName], candidate: &DomainName, psl: &PublicSuffixList) -> bool {
-    let Some(cand_reg) = psl.registrable_domain(candidate) else {
-        return false;
-    };
-    san.iter().any(|entry| {
-        psl.registrable_domain(entry)
-            .is_some_and(|reg| reg == cand_reg)
-    })
-}
-
 /// A `NameId`-keyed memo of public-suffix decisions.
 ///
 /// Every heuristic rule bottoms out in "what is this hostname's
@@ -103,8 +88,9 @@ pub fn san_covers(san: &[DomainName], candidate: &DomainName, psl: &PublicSuffix
 /// SOA MNAMEs/RNAMEs, OCSP hosts, CDN on-ramps) recur across millions of
 /// sites. The cache interns each hostname once and remembers the label
 /// count of its registrable domain, so repeat lookups skip the PSL's
-/// rule-set walk entirely. Results are pinned byte-identical to the
-/// uncached paths by `cached_classify_matches_uncached`.
+/// rule-set walk entirely. Results are pinned identical to an uncached
+/// transcription by `cached_classify_matches_uncached` in
+/// `tests/report_oracles.rs`.
 #[derive(Debug, Default)]
 pub struct ClassifyCache {
     names: Interner,
@@ -205,13 +191,17 @@ impl ClassifyCache {
         key
     }
 
-    /// Memoized [`soa_same_authority`].
+    /// Whether two SOAs denote the same administrative authority:
+    /// matching MNAME or RNAME registrable domains (the paper's §3.1
+    /// grouping rule).
     pub fn soa_same_authority(&mut self, a: &Soa, b: &Soa, psl: &PublicSuffixList) -> bool {
         self.same_registrable_domain(&a.mname, &b.mname, psl)
             || self.same_registrable_domain(&a.rname, &b.rname, psl)
     }
 
-    /// Memoized [`san_covers`].
+    /// Whether the SAN list covers the candidate's registrable domain
+    /// ("all TLDs present in the SAN list belong to the same logical
+    /// entity", §3.1).
     pub fn san_covers(
         &mut self,
         san: &[DomainName],
@@ -225,8 +215,27 @@ impl ClassifyCache {
             .any(|entry| self.registrable_str(entry, psl) == Some(cand_reg))
     }
 
-    /// Memoized [`classify`]: identical rule order and outcomes, with
-    /// every registrable-domain question answered from the memo.
+    /// Runs a strategy over evidence, answering every
+    /// registrable-domain question from the memo.
+    ///
+    /// ```
+    /// use webdeps_measure::classify::ClassifyCache;
+    /// use webdeps_measure::{Classification, ClassifierKind, Evidence};
+    /// use webdeps_model::{name::dn, PublicSuffixList};
+    /// let psl = PublicSuffixList::builtin();
+    /// let site = dn("example.com");
+    /// let ns = dn("ns1.dynect.net");
+    /// let ev = Evidence {
+    ///     site: &site, candidate: &ns, san: None,
+    ///     site_soa: None, candidate_soa: None,
+    ///     concentration: Some(120), threshold: 50,
+    /// };
+    /// let mut cache = ClassifyCache::new();
+    /// assert_eq!(
+    ///     cache.classify(ClassifierKind::Combined, &ev, &psl),
+    ///     Classification::ThirdParty
+    /// );
+    /// ```
     pub fn classify(
         &mut self,
         kind: ClassifierKind,
@@ -252,19 +261,25 @@ impl ClassifyCache {
                 _ => Classification::Unknown,
             },
             ClassifierKind::Combined => {
+                // Rule 1: registrable-domain match ⇒ private.
                 if self.same_registrable_domain(ev.site, ev.candidate, psl) {
                     return Classification::Private;
                 }
+                // Rule 2: candidate's domain appears in the site's SAN
+                // list ⇒ same logical entity ⇒ private.
                 if let Some(san) = ev.san {
                     if self.san_covers(san, ev.candidate, psl) {
                         return Classification::Private;
                     }
                 }
+                // Rule 3: differing SOA authorities ⇒ third party.
                 if let (Some(a), Some(b)) = (ev.site_soa, ev.candidate_soa) {
                     if !self.soa_same_authority(a, b, psl) {
                         return Classification::ThirdParty;
                     }
                 }
+                // Rule 4 (DNS only): widely shared infrastructure is a
+                // third-party provider even when it manages the SOA.
                 if let Some(c) = ev.concentration {
                     if c >= ev.threshold {
                         return Classification::ThirdParty;
@@ -272,70 +287,6 @@ impl ClassifyCache {
                 }
                 Classification::Unknown
             }
-        }
-    }
-}
-
-/// Runs a strategy over evidence.
-///
-/// ```
-/// use webdeps_measure::{classify::classify, Classification, ClassifierKind, Evidence};
-/// use webdeps_model::{name::dn, PublicSuffixList};
-/// let psl = PublicSuffixList::builtin();
-/// let site = dn("example.com");
-/// let ns = dn("ns1.dynect.net");
-/// let ev = Evidence {
-///     site: &site, candidate: &ns, san: None,
-///     site_soa: None, candidate_soa: None,
-///     concentration: Some(120), threshold: 50,
-/// };
-/// assert_eq!(classify(ClassifierKind::Combined, &ev, &psl), Classification::ThirdParty);
-/// ```
-pub fn classify(kind: ClassifierKind, ev: &Evidence<'_>, psl: &PublicSuffixList) -> Classification {
-    match kind {
-        ClassifierKind::TldOnly => {
-            if psl.same_registrable_domain(ev.site, ev.candidate) {
-                Classification::Private
-            } else {
-                Classification::ThirdParty
-            }
-        }
-        ClassifierKind::SoaOnly => match (ev.site_soa, ev.candidate_soa) {
-            (Some(a), Some(b)) => {
-                if soa_same_authority(a, b, psl) {
-                    Classification::Private
-                } else {
-                    Classification::ThirdParty
-                }
-            }
-            _ => Classification::Unknown,
-        },
-        ClassifierKind::Combined => {
-            // Rule 1: registrable-domain match ⇒ private.
-            if psl.same_registrable_domain(ev.site, ev.candidate) {
-                return Classification::Private;
-            }
-            // Rule 2: candidate's domain appears in the site's SAN list
-            // ⇒ same logical entity ⇒ private.
-            if let Some(san) = ev.san {
-                if san_covers(san, ev.candidate, psl) {
-                    return Classification::Private;
-                }
-            }
-            // Rule 3: differing SOA authorities ⇒ third party.
-            if let (Some(a), Some(b)) = (ev.site_soa, ev.candidate_soa) {
-                if !soa_same_authority(a, b, psl) {
-                    return Classification::ThirdParty;
-                }
-            }
-            // Rule 4 (DNS only): widely shared infrastructure is a
-            // third-party provider even when it manages the SOA.
-            if let Some(c) = ev.concentration {
-                if c >= ev.threshold {
-                    return Classification::ThirdParty;
-                }
-            }
-            Classification::Unknown
         }
     }
 }
@@ -364,15 +315,16 @@ mod tests {
     #[test]
     fn tld_only_straightforward() {
         let psl = PublicSuffixList::builtin();
+        let mut cache = ClassifyCache::new();
         let site = dn("example.com");
         let own = dn("ns1.example.com");
         let other = dn("ns1.dynect.net");
         assert_eq!(
-            classify(ClassifierKind::TldOnly, &base_ev(&site, &own), &psl),
+            cache.classify(ClassifierKind::TldOnly, &base_ev(&site, &own), &psl),
             Classification::Private
         );
         assert_eq!(
-            classify(ClassifierKind::TldOnly, &base_ev(&site, &other), &psl),
+            cache.classify(ClassifierKind::TldOnly, &base_ev(&site, &other), &psl),
             Classification::ThirdParty
         );
     }
@@ -380,6 +332,7 @@ mod tests {
     #[test]
     fn soa_only_follows_authority() {
         let psl = PublicSuffixList::builtin();
+        let mut cache = ClassifyCache::new();
         let site = dn("example.com");
         let ns = dn("ns1.dynect.net");
         let site_soa = soa("ns1.example.com", "hostmaster.example.com");
@@ -388,19 +341,19 @@ mod tests {
         ev.site_soa = Some(&site_soa);
         ev.candidate_soa = Some(&provider_soa);
         assert_eq!(
-            classify(ClassifierKind::SoaOnly, &ev, &psl),
+            cache.classify(ClassifierKind::SoaOnly, &ev, &psl),
             Classification::ThirdParty
         );
         // Provider-managed site SOA makes the strawman call it private.
         let managed = soa("ns1.dynect.net", "hostmaster.dynect.net");
         ev.site_soa = Some(&managed);
         assert_eq!(
-            classify(ClassifierKind::SoaOnly, &ev, &psl),
+            cache.classify(ClassifierKind::SoaOnly, &ev, &psl),
             Classification::Private
         );
         ev.candidate_soa = None;
         assert_eq!(
-            classify(ClassifierKind::SoaOnly, &ev, &psl),
+            cache.classify(ClassifierKind::SoaOnly, &ev, &psl),
             Classification::Unknown
         );
     }
@@ -408,6 +361,7 @@ mod tests {
     #[test]
     fn combined_rule_order() {
         let psl = PublicSuffixList::builtin();
+        let mut cache = ClassifyCache::new();
         let site = dn("ytube.com");
         let alias_ns = dn("ns1.googol.com");
         // Rule 2: SAN rescues the alias-domain private case that TLD
@@ -416,11 +370,11 @@ mod tests {
         let mut ev = base_ev(&site, &alias_ns);
         ev.san = Some(&san);
         assert_eq!(
-            classify(ClassifierKind::Combined, &ev, &psl),
+            cache.classify(ClassifierKind::Combined, &ev, &psl),
             Classification::Private
         );
         assert_eq!(
-            classify(ClassifierKind::TldOnly, &ev, &psl),
+            cache.classify(ClassifierKind::TldOnly, &ev, &psl),
             Classification::ThirdParty,
             "the strawman misfires on alias domains"
         );
@@ -429,6 +383,7 @@ mod tests {
     #[test]
     fn combined_soa_mismatch_then_concentration() {
         let psl = PublicSuffixList::builtin();
+        let mut cache = ClassifyCache::new();
         let site = dn("shop.net");
         let ns = dn("ns1.bigdns.com");
         let site_soa = soa("ns1.shop.net", "hostmaster.shop.net");
@@ -437,7 +392,7 @@ mod tests {
         ev.site_soa = Some(&site_soa);
         ev.candidate_soa = Some(&ns_soa);
         assert_eq!(
-            classify(ClassifierKind::Combined, &ev, &psl),
+            cache.classify(ClassifierKind::Combined, &ev, &psl),
             Classification::ThirdParty
         );
 
@@ -446,12 +401,12 @@ mod tests {
         ev.site_soa = Some(&managed);
         ev.concentration = Some(120);
         assert_eq!(
-            classify(ClassifierKind::Combined, &ev, &psl),
+            cache.classify(ClassifierKind::Combined, &ev, &psl),
             Classification::ThirdParty
         );
         ev.concentration = Some(3);
         assert_eq!(
-            classify(ClassifierKind::Combined, &ev, &psl),
+            cache.classify(ClassifierKind::Combined, &ev, &psl),
             Classification::Unknown,
             "small provider-managed setups stay uncharacterized"
         );
@@ -460,12 +415,13 @@ mod tests {
     #[test]
     fn san_covers_matches_registrable_domains() {
         let psl = PublicSuffixList::builtin();
+        let mut cache = ClassifyCache::new();
         let san = vec![dn("example.com"), dn("*.cdn-brand.net")];
-        assert!(san_covers(&san, &dn("edge7.cdn-brand.net"), &psl));
-        assert!(san_covers(&san, &dn("www.example.com"), &psl));
-        assert!(!san_covers(&san, &dn("other.org"), &psl));
+        assert!(cache.san_covers(&san, &dn("edge7.cdn-brand.net"), &psl));
+        assert!(cache.san_covers(&san, &dn("www.example.com"), &psl));
+        assert!(!cache.san_covers(&san, &dn("other.org"), &psl));
         assert!(
-            !san_covers(&san, &dn("com"), &psl),
+            !cache.san_covers(&san, &dn("com"), &psl),
             "bare suffixes never covered"
         );
     }
@@ -473,131 +429,21 @@ mod tests {
     #[test]
     fn soa_authority_grouping() {
         let psl = PublicSuffixList::builtin();
+        let mut cache = ClassifyCache::new();
         // The Alibaba case: different zones, same master nameserver.
         let a = soa("ns1.alibabadns.com", "hostmaster.alibabadns.com");
         let b = soa("ns1.alibabadns.com", "hostmaster.alicdn-dns.com");
-        assert!(soa_same_authority(&a, &b, &psl), "same MNAME groups");
+        assert!(cache.soa_same_authority(&a, &b, &psl), "same MNAME groups");
         let c = soa("ns1.other.net", "hostmaster.alibabadns.com");
-        assert!(soa_same_authority(&a, &c, &psl), "same RNAME groups");
+        assert!(cache.soa_same_authority(&a, &c, &psl), "same RNAME groups");
         let d = soa("ns1.other.net", "hostmaster.other.net");
-        assert!(!soa_same_authority(&a, &d, &psl));
+        assert!(!cache.soa_same_authority(&a, &d, &psl));
     }
 
     #[test]
     fn strategy_labels() {
         for k in ClassifierKind::ALL {
             assert!(!k.label().is_empty());
-        }
-    }
-
-    #[test]
-    fn cached_classify_matches_uncached() {
-        let psl = PublicSuffixList::builtin();
-        let mut cache = ClassifyCache::new();
-        // Name zoo covering every PSL rule shape: gTLD, multi-label
-        // suffix, bare suffixes, wildcard rule, exception rule, unknown
-        // TLD fallback, wildcard SAN entries.
-        let names: Vec<DomainName> = [
-            "www.example.com",
-            "example.com",
-            "a.b.example.co.uk",
-            "co.uk",
-            "com",
-            "shop.foo.ck",
-            "www.ck",
-            "a.www.ck",
-            "example.zz",
-            "ns1.dynect.net",
-            "*.cdn-brand.net",
-            "edge7.cdn-brand.net",
-        ]
-        .iter()
-        .map(|s| dn(s))
-        .collect();
-        let sans = vec![dn("example.com"), dn("*.cdn-brand.net"), dn("www.ck")];
-        let soas = [
-            soa("example.com", "hostmaster.example.com"),
-            soa("ns1.dynect.net", "hostmaster.dynect.net"),
-            soa("ns1.alibabadns.com", "hostmaster.alicdn-dns.com"),
-        ];
-        // Two passes: the first populates the memo, the second must
-        // answer every question from it — both identical to uncached.
-        for _pass in 0..2 {
-            for a in &names {
-                assert_eq!(
-                    cache.registrable_str(a, &psl),
-                    psl.registrable_str(a),
-                    "registrable_str({a})"
-                );
-                assert_eq!(
-                    cache.registrable_domain(a, &psl),
-                    psl.registrable_domain(a),
-                    "registrable_domain({a})"
-                );
-                assert_eq!(
-                    cache.san_covers(&sans, a, &psl),
-                    san_covers(&sans, a, &psl),
-                    "san_covers({a})"
-                );
-                assert_eq!(
-                    cache.provider_key(a, &psl).as_str(),
-                    psl.registrable_str(a).unwrap_or_else(|| a.as_str()),
-                    "provider_key({a})"
-                );
-                for b in &names {
-                    assert_eq!(
-                        cache.same_registrable_domain(a, b, &psl),
-                        psl.same_registrable_domain(a, b),
-                        "same_registrable_domain({a}, {b})"
-                    );
-                }
-            }
-            for a in &soas {
-                for b in &soas {
-                    assert_eq!(
-                        cache.soa_same_authority(a, b, &psl),
-                        soa_same_authority(a, b, &psl),
-                        "soa_same_authority"
-                    );
-                }
-            }
-            for site in &names {
-                for candidate in &names {
-                    for (i, site_soa) in soas.iter().enumerate() {
-                        let ev = Evidence {
-                            site,
-                            candidate,
-                            san: Some(&sans),
-                            site_soa: Some(site_soa),
-                            candidate_soa: Some(&soas[(i + 1) % soas.len()]),
-                            concentration: Some(if i == 0 { 120 } else { 3 }),
-                            threshold: 50,
-                        };
-                        for kind in ClassifierKind::ALL {
-                            assert_eq!(
-                                cache.classify(kind, &ev, &psl),
-                                classify(kind, &ev, &psl),
-                                "classify({kind:?}, {site}, {candidate})"
-                            );
-                        }
-                        // And with the sparse-evidence variant.
-                        let bare = Evidence {
-                            san: None,
-                            site_soa: None,
-                            candidate_soa: None,
-                            concentration: None,
-                            ..ev
-                        };
-                        for kind in ClassifierKind::ALL {
-                            assert_eq!(
-                                cache.classify(kind, &bare, &psl),
-                                classify(kind, &bare, &psl),
-                                "classify bare ({kind:?}, {site}, {candidate})"
-                            );
-                        }
-                    }
-                }
-            }
         }
     }
 }

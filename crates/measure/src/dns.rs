@@ -81,89 +81,18 @@ pub fn ns_concentration(
     counts
 }
 
-/// How nameservers are merged into operator entities when measuring
-/// redundancy (§3.1 "Measuring Redundancy").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum GroupingStrategy {
-    /// The paper's rule: same registrable domain ∨ same SOA MNAME ∨
-    /// same SOA RNAME.
-    #[default]
-    TldAndSoa,
-    /// Ablation baseline: registrable-domain match only — overcounts
-    /// redundancy for multi-domain operators (the Alibaba
-    /// `alibabadns.com` / `alicdn-dns.com` case).
-    TldOnly,
-}
-
-/// Pass two: classify one site's pairs and derive its dependency state
-/// with the paper's grouping rule.
+/// Pass two: classify one site's (site, nameserver) pairs with the
+/// combined heuristic, merge the nameservers into operator entities
+/// with the paper's rule (same registrable domain ∨ same SOA MNAME ∨
+/// same SOA RNAME, §3.1 "Measuring Redundancy"), and derive the site's
+/// dependency state. `cache` is the caller's memo; results do not
+/// depend on its state.
 pub fn classify_site(
     obs: &DnsObservation,
     san: Option<&[DomainName]>,
     concentration: &HashMap<DomainName, usize>,
     threshold: usize,
     psl: &PublicSuffixList,
-) -> SiteDnsMeasurement {
-    classify_site_with_grouping(
-        obs,
-        san,
-        concentration,
-        threshold,
-        psl,
-        GroupingStrategy::TldAndSoa,
-    )
-}
-
-/// [`classify_site`] with a caller-owned registrable-domain memo (the
-/// per-shard hot path).
-pub fn classify_site_cached(
-    obs: &DnsObservation,
-    san: Option<&[DomainName]>,
-    concentration: &HashMap<DomainName, usize>,
-    threshold: usize,
-    psl: &PublicSuffixList,
-    cache: &mut ClassifyCache,
-) -> SiteDnsMeasurement {
-    classify_site_with_grouping_cached(
-        obs,
-        san,
-        concentration,
-        threshold,
-        psl,
-        GroupingStrategy::TldAndSoa,
-        cache,
-    )
-}
-
-/// [`classify_site`] with a selectable grouping strategy (ablations).
-pub fn classify_site_with_grouping(
-    obs: &DnsObservation,
-    san: Option<&[DomainName]>,
-    concentration: &HashMap<DomainName, usize>,
-    threshold: usize,
-    psl: &PublicSuffixList,
-    grouping: GroupingStrategy,
-) -> SiteDnsMeasurement {
-    classify_site_with_grouping_cached(
-        obs,
-        san,
-        concentration,
-        threshold,
-        psl,
-        grouping,
-        &mut ClassifyCache::new(),
-    )
-}
-
-/// [`classify_site_with_grouping`] against a caller-owned memo; results
-/// are independent of cache state (pinned by the classify-cache test).
-pub fn classify_site_with_grouping_cached(
-    obs: &DnsObservation,
-    san: Option<&[DomainName]>,
-    concentration: &HashMap<DomainName, usize>,
-    threshold: usize,
-    psl: &PublicSuffixList,
-    grouping: GroupingStrategy,
     cache: &mut ClassifyCache,
 ) -> SiteDnsMeasurement {
     // Classify each (site, ns) pair with the combined heuristic.
@@ -202,11 +131,10 @@ pub fn classify_site_with_grouping_cached(
     for i in 0..n {
         for j in (i + 1)..n {
             let same_reg = cache.same_registrable_domain(&obs.ns_hosts[i], &obs.ns_hosts[j], psl);
-            let same_soa = grouping == GroupingStrategy::TldAndSoa
-                && match (&obs.ns_soas[i], &obs.ns_soas[j]) {
-                    (Some(a), Some(b)) => cache.soa_same_authority(a, b, psl),
-                    _ => false,
-                };
+            let same_soa = match (&obs.ns_soas[i], &obs.ns_soas[j]) {
+                (Some(a), Some(b)) => cache.soa_same_authority(a, b, psl),
+                _ => false,
+            };
             if same_reg || same_soa {
                 let (ri, rj) = (find(&mut parent, i), find(&mut parent, j));
                 if ri != rj {
@@ -313,7 +241,7 @@ mod tests {
             ],
             "example.com",
         );
-        let m = classify_site(&o, None, &empty_conc(), 50, &psl);
+        let m = classify_site(&o, None, &empty_conc(), 50, &psl, &mut ClassifyCache::new());
         assert_eq!(m.state, Some(DepState::Private));
         assert_eq!(m.groups.len(), 1);
     }
@@ -329,7 +257,7 @@ mod tests {
             ],
             "example.com",
         );
-        let m = classify_site(&o, None, &empty_conc(), 50, &psl);
+        let m = classify_site(&o, None, &empty_conc(), 50, &psl, &mut ClassifyCache::new());
         assert_eq!(m.state, Some(DepState::SingleThird));
         assert_eq!(m.groups[0].key.as_str(), "dynect.net");
     }
@@ -344,10 +272,10 @@ mod tests {
             "bigdns.net",
         );
         let mut conc = empty_conc();
-        let m = classify_site(&o, None, &conc, 50, &psl);
+        let m = classify_site(&o, None, &conc, 50, &psl, &mut ClassifyCache::new());
         assert_eq!(m.state, None, "small provider-managed → uncharacterized");
         conc.insert(dn("bigdns.net"), 500);
-        let m = classify_site(&o, None, &conc, 50, &psl);
+        let m = classify_site(&o, None, &conc, 50, &psl, &mut ClassifyCache::new());
         assert_eq!(m.state, Some(DepState::SingleThird));
     }
 
@@ -362,59 +290,9 @@ mod tests {
             ],
             "example.com",
         );
-        let m = classify_site(&o, None, &empty_conc(), 50, &psl);
+        let m = classify_site(&o, None, &empty_conc(), 50, &psl, &mut ClassifyCache::new());
         assert_eq!(m.state, Some(DepState::MultiThird));
         assert_eq!(m.groups.len(), 2);
-    }
-
-    #[test]
-    fn tld_only_grouping_overcounts_redundancy() {
-        // The ablation DESIGN.md calls out: without SOA grouping, the
-        // Alibaba two-domain setup is miscounted as redundant.
-        let psl = PublicSuffixList::builtin();
-        let o = DnsObservation {
-            site: dn("example.com"),
-            ns_hosts: vec![dn("ns1.alibabadns.com"), dn("ns1.alicdn-dns.com")],
-            site_soa: Some(soa("example.com")),
-            ns_soas: vec![
-                Some(Soa::standard(
-                    dn("ns1.alibabadns.com"),
-                    dn("hostmaster.alibabadns.com"),
-                    1,
-                )),
-                Some(Soa::standard(
-                    dn("ns1.alibabadns.com"),
-                    dn("hostmaster.alibabadns.com"),
-                    2,
-                )),
-            ],
-        };
-        let full = classify_site_with_grouping(
-            &o,
-            None,
-            &empty_conc(),
-            50,
-            &psl,
-            GroupingStrategy::TldAndSoa,
-        );
-        assert_eq!(
-            full.state,
-            Some(DepState::SingleThird),
-            "truth: one operator"
-        );
-        let tld_only = classify_site_with_grouping(
-            &o,
-            None,
-            &empty_conc(),
-            50,
-            &psl,
-            GroupingStrategy::TldOnly,
-        );
-        assert_eq!(
-            tld_only.state,
-            Some(DepState::MultiThird),
-            "TLD-only grouping fabricates redundancy"
-        );
     }
 
     #[test]
@@ -438,7 +316,14 @@ mod tests {
                 )),
             ],
         };
-        let m = classify_site(&o, None, &empty_conc(), 50, &psl);
+        // The two hosts sit under different registrable domains, so a
+        // TLD-only grouping would split the one operator into two and
+        // count the site as redundant.
+        assert_ne!(
+            psl.registrable_domain(&o.ns_hosts[0]),
+            psl.registrable_domain(&o.ns_hosts[1])
+        );
+        let m = classify_site(&o, None, &empty_conc(), 50, &psl, &mut ClassifyCache::new());
         assert_eq!(m.groups.len(), 1, "same MNAME must merge");
         assert_eq!(m.state, Some(DepState::SingleThird));
         assert_eq!(m.groups[0].key.as_str(), "alibabadns.com");
@@ -455,7 +340,7 @@ mod tests {
             ],
             "example.com",
         );
-        let m = classify_site(&o, None, &empty_conc(), 50, &psl);
+        let m = classify_site(&o, None, &empty_conc(), 50, &psl, &mut ClassifyCache::new());
         assert_eq!(m.state, Some(DepState::PrivatePlusThird));
     }
 
@@ -471,7 +356,14 @@ mod tests {
             "googol.com",
         );
         let san = vec![dn("ytube.com"), dn("*.googol.com")];
-        let m = classify_site(&o, Some(&san), &empty_conc(), 50, &psl);
+        let m = classify_site(
+            &o,
+            Some(&san),
+            &empty_conc(),
+            50,
+            &psl,
+            &mut ClassifyCache::new(),
+        );
         assert_eq!(
             m.state,
             Some(DepState::Private),
@@ -503,7 +395,8 @@ mod tests {
             .iter()
             .map(|l| observe_site(client.resolver_mut(), &l.domain))
             .collect();
-        let concentration = ns_concentration(&observations, &world.psl, &mut ClassifyCache::new());
+        let mut cache = ClassifyCache::new();
+        let concentration = ns_concentration(&observations, &world.psl, &mut cache);
         let threshold = world.config.concentration_threshold();
         let mut unknown_pairs = 0usize;
         for (l, obs) in listings.iter().zip(&observations) {
@@ -512,7 +405,7 @@ mod tests {
             };
             let report = Crawler::crawl(&mut client, &l.domain, &l.document_hosts, l.https);
             let san = report.certificate.as_ref().map(|c| c.san.as_slice());
-            let m = classify_site(obs, san, &concentration, threshold, &world.psl);
+            let m = classify_site(obs, san, &concentration, threshold, &world.psl, &mut cache);
             let unknown = |c: Classification| c == Classification::Unknown;
             if m.pairs.iter().any(|p| unknown(p.class)) {
                 unknown_pairs += 1;

@@ -7,7 +7,7 @@
 //! *observed in the site measurements* — the pipeline probes exactly
 //! the providers the crawl surfaced, like the paper did.
 
-use crate::classify::{classify, Classification, ClassifierKind, Evidence};
+use crate::classify::{Classification, ClassifierKind, ClassifyCache, Evidence};
 use crate::dataset::ProviderKey;
 use crate::dns::{classify_site as classify_dns, DnsObservation};
 use std::collections::HashMap;
@@ -85,6 +85,7 @@ pub fn measure_dns_dep(
     concentration: &HashMap<DomainName, usize>,
     threshold: usize,
     psl: &PublicSuffixList,
+    cache: &mut ClassifyCache,
 ) -> Option<InterServiceDep> {
     let (zone_apex, ns_hosts) = zone_ns_of(resolver, rep_host)?;
     let site_soa: Option<Soa> = Dig::new(resolver).soa_of(&zone_apex).ok();
@@ -98,7 +99,7 @@ pub fn measure_dns_dep(
         site_soa,
         ns_soas,
     };
-    let m = classify_dns(&obs, None, concentration, threshold, psl);
+    let m = classify_dns(&obs, None, concentration, threshold, psl, cache);
     let providers = m.third_parties().cloned().collect();
     InterServiceDep::from_dns_state(m.state, providers)
 }
@@ -111,6 +112,7 @@ pub fn measure_cdn_dep(
     responder_hosts: &[DomainName],
     cname_map: &CnameToCdnMap,
     psl: &PublicSuffixList,
+    cache: &mut ClassifyCache,
 ) -> Option<InterServiceDep> {
     let site_soa = Dig::new(resolver).soa_of(ca_domain).ok();
     let mut third: Vec<ProviderKey> = Vec::new();
@@ -134,11 +136,8 @@ pub fn measure_cdn_dep(
             concentration: None,
             threshold: usize::MAX,
         };
-        let key = match psl.registrable_str(suffix) {
-            Some(reg) => ProviderKey::new(reg),
-            None => ProviderKey::new(suffix.as_str()),
-        };
-        match classify(ClassifierKind::Combined, &ev, psl) {
+        let key = cache.provider_key(suffix, psl);
+        match cache.classify(ClassifierKind::Combined, &ev, psl) {
             Classification::ThirdParty => {
                 if !third.contains(&key) {
                     third.push(key);
@@ -162,6 +161,7 @@ pub fn measure_cdn_dep(
 
 /// Probes every observed provider. `cdn_reps` maps CDN keys to a
 /// witness edge host; `ca_reps` maps CA keys to (responder hosts).
+/// One memo serves every probe of the call.
 pub fn measure_providers(
     resolver: &mut Resolver<'_>,
     cdn_reps: &HashMap<ProviderKey, (DomainName, usize)>,
@@ -172,11 +172,12 @@ pub fn measure_providers(
     cname_map: &CnameToCdnMap,
     psl: &PublicSuffixList,
 ) -> Vec<ProviderMeasurement> {
+    let mut cache = ClassifyCache::new();
     let mut out = Vec::new();
     let mut cdns: Vec<_> = cdn_reps.iter().collect();
     cdns.sort_by(|a, b| a.0.cmp(b.0));
     for (key, (witness, count)) in cdns {
-        let dns_dep = measure_dns_dep(resolver, witness, concentration, threshold, psl);
+        let dns_dep = measure_dns_dep(resolver, witness, concentration, threshold, psl, &mut cache);
         out.push(ProviderMeasurement {
             key: key.clone(),
             kind: ServiceKind::Cdn,
@@ -200,10 +201,13 @@ pub fn measure_providers(
             continue;
         };
         let zone = zone_ns_of(resolver, &rep).map(|(apex, _)| apex);
-        let ca_domain =
-            zone.unwrap_or_else(|| psl.registrable_domain(&rep).unwrap_or_else(|| rep.clone()));
-        let dns_dep = measure_dns_dep(resolver, &rep, concentration, threshold, psl);
-        let cdn_dep = measure_cdn_dep(resolver, &ca_domain, responders, cname_map, psl);
+        let ca_domain = zone.unwrap_or_else(|| {
+            cache
+                .registrable_domain(&rep, psl)
+                .unwrap_or_else(|| rep.clone())
+        });
+        let dns_dep = measure_dns_dep(resolver, &rep, concentration, threshold, psl, &mut cache);
+        let cdn_dep = measure_cdn_dep(resolver, &ca_domain, responders, cname_map, psl, &mut cache);
         out.push(ProviderMeasurement {
             key: key.clone(),
             kind: ServiceKind::Ca,
@@ -259,8 +263,15 @@ mod tests {
         let mut conc = HashMap::new();
         conc.insert(webdeps_model::name::dn("dnsmadeeasy.com"), 100);
         let rep = webdeps_model::name::dn("ocsp.digicert.com");
-        let dep = measure_dns_dep(&mut resolver, &rep, &conc, 5, &world.psl)
-            .expect("DigiCert zone is characterizable");
+        let dep = measure_dns_dep(
+            &mut resolver,
+            &rep,
+            &conc,
+            5,
+            &world.psl,
+            &mut ClassifyCache::new(),
+        )
+        .expect("DigiCert zone is characterizable");
         assert!(dep.uses_third && dep.critical, "dep: {dep:?}");
         assert_eq!(dep.providers[0].as_str(), "dnsmadeeasy.com");
     }
@@ -277,6 +288,7 @@ mod tests {
             &responders,
             &world.cname_map,
             &world.psl,
+            &mut ClassifyCache::new(),
         )
         .expect("DigiCert responders ride a CDN");
         assert!(dep.uses_third && dep.critical);
@@ -290,8 +302,15 @@ mod tests {
         let conc = HashMap::new();
         // Akamai runs its own DNS.
         let rep = webdeps_model::name::dn("e1.akamaiedge.net");
-        let dep = measure_dns_dep(&mut resolver, &rep, &conc, 5, &world.psl)
-            .expect("Akamai zone is characterizable");
+        let dep = measure_dns_dep(
+            &mut resolver,
+            &rep,
+            &conc,
+            5,
+            &world.psl,
+            &mut ClassifyCache::new(),
+        )
+        .expect("Akamai zone is characterizable");
         assert!(!dep.uses_third, "dep: {dep:?}");
         // Akamai's responderless zone has no CDN dependency.
         let ca_domain = webdeps_model::name::dn("amazontrust.com");
@@ -302,6 +321,7 @@ mod tests {
             &responders,
             &world.cname_map,
             &world.psl,
+            &mut ClassifyCache::new(),
         );
         assert!(dep.is_none(), "Amazon Trust serves responders directly");
     }
@@ -312,8 +332,15 @@ mod tests {
         let mut resolver = world.resolver();
         let conc = HashMap::new();
         let rep = webdeps_model::name::dn("cust-x.fastly.net");
-        let dep = measure_dns_dep(&mut resolver, &rep, &conc, 5, &world.psl)
-            .expect("Fastly zone is characterizable");
+        let dep = measure_dns_dep(
+            &mut resolver,
+            &rep,
+            &conc,
+            5,
+            &world.psl,
+            &mut ClassifyCache::new(),
+        )
+        .expect("Fastly zone is characterizable");
         assert!(dep.uses_third, "Fastly uses Dyn");
         assert!(
             dep.redundant && !dep.critical,

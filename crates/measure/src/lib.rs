@@ -43,7 +43,6 @@ pub mod validation;
 pub use classify::{Classification, ClassifierKind, Evidence};
 pub use columnar::{MeasurementDataset, SiteView};
 pub use dataset::{ProviderKey, SiteCaMeasurement, SiteCdnMeasurement, SiteDnsMeasurement};
-pub use dns::GroupingStrategy;
 pub use interservice::{InterServiceDep, ProviderMeasurement};
 pub use pipeline::{measure_world, measure_world_with, MeasureConfig};
 pub use summary::{summarize, summarize_pair, ComparisonSummary, DatasetSummary};

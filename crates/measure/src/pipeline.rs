@@ -104,9 +104,7 @@ fn classify_shard(
         );
         let san = report.certificate.as_ref().map(|c| c.san.as_slice());
         let dns_m = match obs {
-            Some(obs) => {
-                dns::classify_site_cached(obs, san, concentration, threshold, psl, &mut cache)
-            }
+            Some(obs) => dns::classify_site(obs, san, concentration, threshold, psl, &mut cache),
             None => SiteDnsMeasurement {
                 pairs: Vec::new(),
                 groups: Vec::new(),
@@ -114,8 +112,8 @@ fn classify_shard(
             },
         };
         let resolver = client.resolver_mut();
-        let ca_m = ca::classify_site_cached(&report, resolver, psl, &mut cache);
-        let cdn_m = cdn::classify_site_cached(&report, &world.cname_map, resolver, psl, &mut cache);
+        let ca_m = ca::classify_site(&report, resolver, psl, &mut cache);
+        let cdn_m = cdn::classify_site(&report, &world.cname_map, resolver, psl, &mut cache);
 
         for key in dns_m.third_parties() {
             match dns_direct_idx.get(key) {

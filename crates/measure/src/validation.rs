@@ -12,7 +12,7 @@
 //! reproducing the 100 / 97 / 56 (DNS), 100 / 96 / 94 (CA), and
 //! 100 / 97 / 83 (CDN) comparisons.
 
-use crate::classify::{classify, Classification, ClassifierKind, Evidence};
+use crate::classify::{Classification, ClassifierKind, ClassifyCache, Evidence};
 use crate::columnar::MeasurementDataset;
 use crate::dns;
 use std::collections::HashMap;
@@ -129,6 +129,8 @@ pub fn validate_world(
     let rows = rng.sample_indices(ds.len(), sample_size);
 
     let mut client = world.client();
+    let mut cache = ClassifyCache::new();
+    let psl = &world.psl;
     let mut dns_tallies: HashMap<ClassifierKind, Tally> = ClassifierKind::ALL
         .iter()
         .map(|&k| (k, Tally::new()))
@@ -156,10 +158,9 @@ pub fn validate_world(
                 let Some(truth) = truth_third(world, domain, host) else {
                     continue;
                 };
-                let conc = world
-                    .psl
-                    .registrable_domain(host)
-                    .map_or(0, |r| ds.ns_concentration(r.as_str()));
+                let conc = cache
+                    .registrable_str(host, psl)
+                    .map_or(0, |r| ds.ns_concentration(r));
                 let ev = Evidence {
                     site: domain,
                     candidate: host,
@@ -170,7 +171,7 @@ pub fn validate_world(
                     threshold,
                 };
                 for kind in ClassifierKind::ALL {
-                    let verdict = classify(kind, &ev, &world.psl);
+                    let verdict = cache.classify(kind, &ev, psl);
                     dns_tallies
                         .entry(kind)
                         .or_insert_with(Tally::new)
@@ -196,7 +197,7 @@ pub fn validate_world(
                         threshold: usize::MAX,
                     };
                     for kind in ClassifierKind::ALL {
-                        let verdict = classify(kind, &ev, &world.psl);
+                        let verdict = cache.classify(kind, &ev, psl);
                         ca_tallies
                             .entry(kind)
                             .or_insert_with(Tally::new)
@@ -208,7 +209,7 @@ pub fn validate_world(
 
         // CDN pairs: classify the CNAME witness of each internal host.
         for host in report.hostnames() {
-            if !crate::cdn::is_internal(domain, &host, san.as_deref(), &world.psl) {
+            if !crate::cdn::is_internal(domain, &host, san.as_deref(), psl, &mut cache) {
                 continue;
             }
             let Some(chain) = report.chain_of(&host) else {
@@ -234,7 +235,7 @@ pub fn validate_world(
                 threshold: usize::MAX,
             };
             for kind in ClassifierKind::ALL {
-                let verdict = classify(kind, &ev, &world.psl);
+                let verdict = cache.classify(kind, &ev, psl);
                 cdn_tallies
                     .entry(kind)
                     .or_insert_with(Tally::new)

@@ -228,6 +228,17 @@ impl Engine {
     }
 
     fn churn(&self, delta: &Churn, stats: &ServerStats) -> Outcome {
+        // Site ids name sites of the resident world. An id past it
+        // would widen every component bitset of both indexes to that
+        // id, so it is refused before either index is touched.
+        if let Churn::AddSiteEdge { site, .. } | Churn::RemoveSiteEdge { site, .. } = delta {
+            if site.index() >= self.site_count() {
+                return Outcome::Error(format!(
+                    "churn rejected: site {site} is outside the world ({} sites)",
+                    self.site_count()
+                ));
+            }
+        }
         let mut pair = write_indexes(&self.indexes);
         let kind = match pair.impact.apply(delta) {
             Ok(kind) => kind,
@@ -333,6 +344,45 @@ mod tests {
         }
         assert_eq!(engine.current_epoch(), 1);
         assert_eq!(ServerStats::read(&stats.churn_patched), 1);
+    }
+
+    #[test]
+    fn churn_outside_the_world_is_refused_before_the_indexes() {
+        let engine = tiny_engine();
+        let stats = ServerStats::new();
+        let key = engine.provider_keys(ServiceKind::Cdn, 1)[0].clone();
+        let provider = ProviderRef::new(key, ServiceKind::Cdn);
+        let n = engine.site_count() as u32;
+        for site in [n, n + 1_000_000] {
+            for delta in [
+                Churn::AddSiteEdge {
+                    site: webdeps_model::SiteId(site),
+                    provider: provider.clone(),
+                    critical: true,
+                },
+                Churn::RemoveSiteEdge {
+                    site: webdeps_model::SiteId(site),
+                    provider: provider.clone(),
+                    critical: true,
+                },
+            ] {
+                match engine.execute(&Request::Churn(delta), far_deadline(), &stats) {
+                    Outcome::Error(e) => assert!(e.contains("outside the world"), "got: {e}"),
+                    other => panic!("site {site}: out-of-world churn answered {other:?}"),
+                }
+                assert_eq!(engine.current_epoch(), 0, "site {site} moved the epoch");
+            }
+        }
+        // The last site of the world still churns.
+        let delta = Churn::AddSiteEdge {
+            site: webdeps_model::SiteId(n - 1),
+            provider,
+            critical: true,
+        };
+        match engine.execute(&Request::Churn(delta), far_deadline(), &stats) {
+            Outcome::Ok(reply) => assert!(reply.starts_with("OK 1 CHURN "), "got: {reply}"),
+            other => panic!("in-world churn failed: {other:?}"),
+        }
     }
 
     #[test]

@@ -6,13 +6,15 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "== cargo build --release --offline =="
-cargo build --release --offline
+# --locked fails the run on a Cargo.lock that no longer matches the
+# manifests, instead of rewriting it.
+echo "== cargo build --release --offline --locked =="
+cargo build --release --offline --locked
 
 # The workspace run includes tests/parallel_determinism.rs (byte-identical
 # results at any worker count): it is a test target of the root package.
-echo "== cargo test -q --offline --workspace (every crate's suite, not just the root package) =="
-cargo test -q --offline --workspace
+echo "== cargo test -q --offline --locked --workspace (every crate's suite, not just the root package) =="
+cargo test -q --offline --locked --workspace
 
 # perfbench is its own workspace, so the run above skips it. Its
 # self-tests check that the benchmark's replicas still match the

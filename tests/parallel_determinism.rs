@@ -22,10 +22,10 @@
 //! * the chaos campaign render.
 //!
 //! Each stage is additionally cross-checked in this process against an
-//! independent naive reference where one exists (`score_bfs`, a
-//! provider-by-provider accumulation, patched `MutableReach` counts), so
-//! a bug that made every worker count agree on a wrong answer would
-//! still fail here.
+//! independent naive reference where one exists (the BFS of
+//! `Metrics::dependent_sites`, a provider-by-provider accumulation,
+//! patched `MutableReach` counts), so a bug that made every worker
+//! count agree on a wrong answer would still fail here.
 
 use std::collections::{BTreeMap, HashMap};
 use std::process::{Command, Stdio};
@@ -337,7 +337,7 @@ fn columnar_graph_impact_is_confirmed_by_outage_simulation() {
 /// Rankings are identical at every worker count *and* agree with the
 /// naive per-provider reverse-BFS reference — so the memoized
 /// reachability index and the per-provider fan-out can both be wrong
-/// only by agreeing with `score_bfs`.
+/// only by agreeing with the BFS (`Metrics::dependent_sites`).
 #[test]
 fn ranking_identical_across_jobs_and_matches_bfs() {
     assert_identical_across_jobs("rankings");
@@ -361,13 +361,13 @@ fn ranking_identical_across_jobs_and_matches_bfs() {
                     .find(&NodeRef::Provider(score.key.clone(), kind))
                     .ok_or_else(|| format!("ranked provider {} not in graph", score.key))?;
                 tk_assert!(
-                    score.impact == metrics.score_bfs(id, true, opts).len(),
-                    "impact for {} disagrees with score_bfs",
+                    score.impact == metrics.dependent_sites(id, true, opts).len(),
+                    "impact for {} disagrees with the BFS",
                     score.key
                 );
                 tk_assert!(
-                    score.concentration == metrics.score_bfs(id, false, opts).len(),
-                    "concentration for {} disagrees with score_bfs",
+                    score.concentration == metrics.dependent_sites(id, false, opts).len(),
+                    "concentration for {} disagrees with the BFS",
                     score.key
                 );
             }
@@ -387,7 +387,7 @@ fn critical_deps_per_site_identical_and_matches_naive() {
     let mut naive: HashMap<SiteId, usize> = HashMap::new();
     for kind in KINDS {
         for provider in graph.providers_of(kind) {
-            for site in metrics.score_bfs(provider, true, &opts) {
+            for site in metrics.dependent_sites(provider, true, &opts) {
                 *naive.entry(site).or_insert(0) += 1;
             }
         }

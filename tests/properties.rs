@@ -3,7 +3,10 @@
 //! for `proptest`): every case is a pure function of the base seed, and
 //! failures report a reproducing `TESTKIT_SEED` plus a shrunk input.
 
-use webdeps::core::{EdgeKind, GraphBuilder, MetricOptions, Metrics, NodeRef};
+use std::collections::HashSet;
+use webdeps::core::{
+    DepGraph, EdgeKind, GraphBuilder, MetricOptions, Metrics, NodeId, NodeKind, NodeRef,
+};
 use webdeps::dns::{SimTime, Ttl};
 use webdeps::measure::ProviderKey;
 use webdeps::model::name::dn;
@@ -136,6 +139,60 @@ fn weighted_index_in_range() {
     });
 }
 
+/// The paper's `f_c` / `f_i` recursive set unions, transcribed
+/// literally: the oracle for [`Metrics::dependent_sites`]. The `\ {p}`
+/// exclusion is generalized to the whole recursion path (the formula as
+/// written excludes only the root, which would loop on longer provider
+/// cycles).
+fn recursive_dependents(
+    graph: &DepGraph,
+    provider: NodeId,
+    critical_only: bool,
+    opts: &MetricOptions,
+) -> HashSet<SiteId> {
+    fn recurse(
+        graph: &DepGraph,
+        provider: NodeId,
+        critical_only: bool,
+        opts: &MetricOptions,
+        excluded: &mut HashSet<NodeId>,
+    ) -> HashSet<SiteId> {
+        excluded.insert(provider);
+        let NodeKind::Provider(_, node_kind) = graph.node(provider) else {
+            return HashSet::new();
+        };
+        // D_w^p (direct site consumers) …
+        let mut result: HashSet<SiteId> = HashSet::new();
+        let mut provider_consumers: Vec<NodeId> = Vec::new();
+        for (consumer, kind) in graph.consumers_of(provider) {
+            if critical_only && !kind.critical {
+                continue;
+            }
+            match graph.node(consumer) {
+                NodeKind::Site(site) => {
+                    result.insert(site);
+                }
+                NodeKind::Provider(_, consumer_kind) => {
+                    if opts.interservice.contains(&(consumer_kind, node_kind))
+                        && !excluded.contains(&consumer)
+                    {
+                        provider_consumers.push(consumer);
+                    }
+                }
+            }
+        }
+        // … ∪ ⋃_{k ∈ D_s^p} f(D_w^k, D_s^k \ path).
+        for k in provider_consumers {
+            if excluded.contains(&k) {
+                continue;
+            }
+            result.extend(recurse(graph, k, critical_only, opts, excluded));
+        }
+        result
+    }
+    recurse(graph, provider, critical_only, opts, &mut HashSet::new())
+}
+
 /// Metrics invariants on random bipartite-ish graphs:
 /// impact ⊆ concentration, and BFS == literal recursion.
 #[test]
@@ -201,11 +258,11 @@ fn metrics_bfs_equals_recursion() {
             let metrics = Metrics::new(&g);
             for opts in [MetricOptions::direct_only(), MetricOptions::full()] {
                 for &p in &providers {
-                    let conc = metrics.score_bfs(p, false, &opts);
-                    let imp = metrics.score_bfs(p, true, &opts);
+                    let conc = metrics.dependent_sites(p, false, &opts);
+                    let imp = metrics.dependent_sites(p, true, &opts);
                     tk_assert!(imp.is_subset(&conc), "impact must be within concentration");
-                    tk_assert_eq!(&conc, &metrics.score_recursive(p, false, &opts));
-                    tk_assert_eq!(&imp, &metrics.score_recursive(p, true, &opts));
+                    tk_assert_eq!(&conc, &recursive_dependents(&g, p, false, &opts));
+                    tk_assert_eq!(&imp, &recursive_dependents(&g, p, true, &opts));
                 }
             }
             Ok(())

@@ -1,24 +1,29 @@
-//! The report phase's two whole-population paths against their oracles.
+//! The report phase's whole-population paths and the §3 classifier
+//! against their oracles.
 //!
 //! Validation reads the dataset's pass-1 nameserver tallies and
 //! observes only its sample; the oracle re-observes every listed site
 //! on one client and recounts with `dns::ns_concentration`, as
-//! validation once did. The coverage curve walks one CSR list of
-//! consumer rows; the oracle builds one `SiteSet` bitset per provider
-//! and unions them. Each pair must agree exactly.
+//! validation once did, and classifies with the uncached rules below.
+//! The coverage curve walks one CSR list of consumer rows; the oracle
+//! builds one `SiteSet` bitset per provider and unions them. The
+//! library classifies only through `ClassifyCache`; `classify`,
+//! `san_covers` and `soa_same_authority` here are a plain transcription
+//! of the §3 rules against the public-suffix list, and the cache must
+//! answer every question exactly as they do. Each pair must agree
+//! exactly.
 
 use std::collections::HashMap;
 use std::sync::OnceLock;
 use webdeps::core::{coverage_curve, CoveragePoint, SiteSet};
-use webdeps::dns::Dig;
-use webdeps::measure::classify::{
-    classify, Classification, ClassifierKind, ClassifyCache, Evidence,
-};
+use webdeps::dns::{Dig, Soa};
+use webdeps::measure::classify::{Classification, ClassifierKind, ClassifyCache, Evidence};
 use webdeps::measure::{
     cdn, dns, measure_world, measure_world_with, validate_world, MeasureConfig, MeasurementDataset,
     ProviderKey, StrategyAccuracy, ValidationReport,
 };
-use webdeps::model::{DetRng, DomainName, NameId, ServiceKind, SiteId};
+use webdeps::model::name::dn;
+use webdeps::model::{DetRng, DomainName, NameId, PublicSuffixList, ServiceKind, SiteId};
 use webdeps::web::{Crawler, WebClient};
 use webdeps::worldgen::verticals::hospital_world;
 use webdeps::worldgen::{World, WorldPair};
@@ -29,6 +34,82 @@ const SERVICES: [ServiceKind; 4] = [
     ServiceKind::Ca,
     ServiceKind::Cloud,
 ];
+
+/// Whether two SOAs denote the same administrative authority: matching
+/// MNAME or RNAME registrable domains (§3.1's grouping rule).
+fn soa_same_authority(a: &Soa, b: &Soa, psl: &PublicSuffixList) -> bool {
+    psl.same_registrable_domain(&a.mname, &b.mname)
+        || psl.same_registrable_domain(&a.rname, &b.rname)
+}
+
+/// Whether the SAN list covers the candidate's registrable domain.
+fn san_covers(san: &[DomainName], candidate: &DomainName, psl: &PublicSuffixList) -> bool {
+    let Some(cand_reg) = psl.registrable_domain(candidate) else {
+        return false;
+    };
+    san.iter().any(|entry| {
+        psl.registrable_domain(entry)
+            .is_some_and(|reg| reg == cand_reg)
+    })
+}
+
+/// The §3 strategies, uncached: the oracle for `ClassifyCache::classify`.
+fn classify(kind: ClassifierKind, ev: &Evidence<'_>, psl: &PublicSuffixList) -> Classification {
+    match kind {
+        ClassifierKind::TldOnly => {
+            if psl.same_registrable_domain(ev.site, ev.candidate) {
+                Classification::Private
+            } else {
+                Classification::ThirdParty
+            }
+        }
+        ClassifierKind::SoaOnly => match (ev.site_soa, ev.candidate_soa) {
+            (Some(a), Some(b)) => {
+                if soa_same_authority(a, b, psl) {
+                    Classification::Private
+                } else {
+                    Classification::ThirdParty
+                }
+            }
+            _ => Classification::Unknown,
+        },
+        ClassifierKind::Combined => {
+            // Rule 1: registrable-domain match ⇒ private.
+            if psl.same_registrable_domain(ev.site, ev.candidate) {
+                return Classification::Private;
+            }
+            // Rule 2: SAN evidence ⇒ same logical entity ⇒ private.
+            if let Some(san) = ev.san {
+                if san_covers(san, ev.candidate, psl) {
+                    return Classification::Private;
+                }
+            }
+            // Rule 3: differing SOA authorities ⇒ third party.
+            if let (Some(a), Some(b)) = (ev.site_soa, ev.candidate_soa) {
+                if !soa_same_authority(a, b, psl) {
+                    return Classification::ThirdParty;
+                }
+            }
+            // Rule 4 (DNS only): concentration at or above threshold.
+            if let Some(c) = ev.concentration {
+                if c >= ev.threshold {
+                    return Classification::ThirdParty;
+                }
+            }
+            Classification::Unknown
+        }
+    }
+}
+
+/// Whether a page resource host is internal to the site, uncached.
+fn is_internal(
+    site: &DomainName,
+    host: &DomainName,
+    san: Option<&[DomainName]>,
+    psl: &PublicSuffixList,
+) -> bool {
+    psl.same_registrable_domain(site, host) || san.is_some_and(|san| san_covers(san, host, psl))
+}
 
 /// The 2016 and 2020 worlds of a 2k-site pair with their datasets.
 fn pair(seed: u64) -> &'static [(World, MeasurementDataset); 2] {
@@ -222,7 +303,7 @@ fn oracle_validation(
             }
         }
         for host in report.hostnames() {
-            if !cdn::is_internal(site, &host, san.as_deref(), &world.psl) {
+            if !is_internal(site, &host, san.as_deref(), &world.psl) {
                 continue;
             }
             let Some(chain) = report.chain_of(&host) else {
@@ -383,5 +464,125 @@ fn pipeline_rows_ascend_by_site_id() {
         let absent = SiteId::from_index(ds.len());
         assert!(absent.index() <= world.truth.len());
         assert_eq!(ds.row_of(absent), None, "{label}: {absent:?}");
+    }
+}
+
+fn soa(mname: &str, rname: &str) -> Soa {
+    Soa::standard(dn(mname), dn(rname), 1)
+}
+
+#[test]
+fn cached_classify_matches_uncached() {
+    let psl = PublicSuffixList::builtin();
+    let mut cache = ClassifyCache::new();
+    // Name zoo covering every PSL rule shape: gTLD, multi-label
+    // suffix, bare suffixes, wildcard rule, exception rule, unknown
+    // TLD fallback, wildcard SAN entries.
+    let names: Vec<DomainName> = [
+        "www.example.com",
+        "example.com",
+        "a.b.example.co.uk",
+        "co.uk",
+        "com",
+        "shop.foo.ck",
+        "www.ck",
+        "a.www.ck",
+        "example.zz",
+        "ns1.dynect.net",
+        "*.cdn-brand.net",
+        "edge7.cdn-brand.net",
+    ]
+    .iter()
+    .map(|s| dn(s))
+    .collect();
+    let sans = vec![dn("example.com"), dn("*.cdn-brand.net"), dn("www.ck")];
+    let soas = [
+        soa("example.com", "hostmaster.example.com"),
+        soa("ns1.dynect.net", "hostmaster.dynect.net"),
+        soa("ns1.alibabadns.com", "hostmaster.alicdn-dns.com"),
+    ];
+    // Two passes: the first populates the memo, the second must
+    // answer every question from it — both identical to uncached.
+    for _pass in 0..2 {
+        for a in &names {
+            assert_eq!(
+                cache.registrable_str(a, &psl),
+                psl.registrable_str(a),
+                "registrable_str({a})"
+            );
+            assert_eq!(
+                cache.registrable_domain(a, &psl),
+                psl.registrable_domain(a),
+                "registrable_domain({a})"
+            );
+            assert_eq!(
+                cache.san_covers(&sans, a, &psl),
+                san_covers(&sans, a, &psl),
+                "san_covers({a})"
+            );
+            assert_eq!(
+                cache.provider_key(a, &psl).as_str(),
+                psl.registrable_str(a).unwrap_or_else(|| a.as_str()),
+                "provider_key({a})"
+            );
+            for b in &names {
+                assert_eq!(
+                    cache.same_registrable_domain(a, b, &psl),
+                    psl.same_registrable_domain(a, b),
+                    "same_registrable_domain({a}, {b})"
+                );
+                for san in [None, Some(sans.as_slice())] {
+                    assert_eq!(
+                        cdn::is_internal(a, b, san, &psl, &mut cache),
+                        is_internal(a, b, san, &psl),
+                        "is_internal({a}, {b}, {san:?})"
+                    );
+                }
+            }
+        }
+        for a in &soas {
+            for b in &soas {
+                assert_eq!(
+                    cache.soa_same_authority(a, b, &psl),
+                    soa_same_authority(a, b, &psl),
+                    "soa_same_authority"
+                );
+            }
+        }
+        for site in &names {
+            for candidate in &names {
+                for (i, site_soa) in soas.iter().enumerate() {
+                    let ev = Evidence {
+                        site,
+                        candidate,
+                        san: Some(&sans),
+                        site_soa: Some(site_soa),
+                        candidate_soa: Some(&soas[(i + 1) % soas.len()]),
+                        concentration: Some(if i == 0 { 120 } else { 3 }),
+                        threshold: 50,
+                    };
+                    // And with the sparse-evidence variant.
+                    let bare = Evidence {
+                        san: None,
+                        site_soa: None,
+                        candidate_soa: None,
+                        concentration: None,
+                        ..ev
+                    };
+                    for kind in ClassifierKind::ALL {
+                        assert_eq!(
+                            cache.classify(kind, &ev, &psl),
+                            classify(kind, &ev, &psl),
+                            "classify({kind:?}, {site}, {candidate})"
+                        );
+                        assert_eq!(
+                            cache.classify(kind, &bare, &psl),
+                            classify(kind, &bare, &psl),
+                            "classify bare ({kind:?}, {site}, {candidate})"
+                        );
+                    }
+                }
+            }
+        }
     }
 }
