@@ -97,7 +97,6 @@ fn nameserver_grouping(h: &mut Harness) {
             )),
         ],
     };
-    let conc = std::collections::HashMap::new();
     let mut group = h.benchmark_group("analysis/grouping");
     group.bench_function("tld_and_soa", |b| {
         let mut cache = ClassifyCache::new();
@@ -105,10 +104,11 @@ fn nameserver_grouping(h: &mut Harness) {
             black_box(classify_site(
                 black_box(&obs),
                 None,
-                &conc,
+                &|_| 0,
                 50,
                 &psl,
                 &mut cache,
+                &mut |_, _| {},
             ))
         });
     });

@@ -45,10 +45,26 @@ use std::collections::BTreeMap;
 use webdeps_model::{ServiceKind, SiteId};
 
 /// A dense bitset over [`SiteId`]s.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default)]
 pub struct SiteSet {
     words: Vec<u64>,
 }
+
+/// Sets are equal when they hold the same sites, whatever their
+/// bounds: words past the end of the shorter set read as zero.
+impl PartialEq for SiteSet {
+    fn eq(&self, other: &Self) -> bool {
+        let (short, long) = if self.words.len() <= other.words.len() {
+            (&self.words, &other.words)
+        } else {
+            (&other.words, &self.words)
+        };
+        let (head, tail) = long.split_at(short.len());
+        head == short.as_slice() && tail.iter().all(|&w| w == 0)
+    }
+}
+
+impl Eq for SiteSet {}
 
 impl SiteSet {
     /// An empty set with room for raw site indexes `< bound`.
@@ -1144,6 +1160,16 @@ mod tests {
         t.insert(SiteId(100));
         t.union_with(&s);
         assert_eq!(t.count(), 3);
+
+        // Equality ignores the bound.
+        let (mut narrow, mut wide) = (SiteSet::with_bound(10), SiteSet::with_bound(1_000));
+        narrow.insert(SiteId(3));
+        wide.insert(SiteId(3));
+        assert_eq!(narrow, wide);
+        assert_eq!(wide, narrow);
+        wide.insert(SiteId(999));
+        assert_ne!(narrow, wide);
+        assert_ne!(wide, narrow);
     }
 
     #[test]
@@ -1584,5 +1610,28 @@ mod tests {
         assert_eq!(mr.patch_count(), 3);
         assert_eq!(mr.epoch(), 3);
         mr.verify_fresh().expect("patched epochs cross-check");
+    }
+
+    #[test]
+    fn churn_past_the_site_bound_verifies_fresh() {
+        // Adding a site far past the bound widens one patched set; the
+        // fresh rebuild sizes every set to the new bound.
+        let sites = [SiteId(0), SiteId(1)];
+        let d = ProviderRef::new("d.com", ServiceKind::Dns);
+        let c = ProviderRef::new("c.com", ServiceKind::Cdn);
+        let edges = vec![
+            MirrorEdge::Site(sites[0], d.clone(), true),
+            MirrorEdge::Site(sites[1], c.clone(), true),
+        ];
+        let g = fresh_graph(&sites, &[d, c.clone()], &edges);
+        let mut mr = MutableReach::from_graph(&g, true, &MetricOptions::full());
+        mr.apply(&Churn::AddSiteEdge {
+            site: SiteId(1_000),
+            provider: c,
+            critical: true,
+        })
+        .expect("site add applies");
+        assert_eq!(mr.dependent_count("c.com", ServiceKind::Cdn), 2);
+        assert_eq!(mr.verify_fresh(), Ok(()));
     }
 }

@@ -3,11 +3,12 @@
 //! Analysis runs in two phases because the cross-file `result-dropped`
 //! rule needs every file's signatures before any rule runs:
 //!
-//! 1. **facts** — every source is parsed to extract its signature facts
-//!    (which fns return `Result`/`Report`) and its per-function
-//!    interprocedural summaries ([`crate::interproc`]).
+//! 1. **facts** — every source is lexed and parsed once, and the parse
+//!    yields its signature facts (which fns return `Result`/`Report`)
+//!    and its per-function interprocedural summaries
+//!    ([`crate::interproc`]).
 //! 2. **rules** — the per-file fact lists merge into a [`SigTable`],
-//!    and the rule passes run per file.
+//!    and the rule passes run per file over phase 1's parses.
 //!
 //! After phase 2, the summaries merge into one workspace call graph and
 //! the interprocedural and concurrency rules evaluate centrally. Files
@@ -15,11 +16,13 @@
 //! every run.
 
 use crate::config::Config;
-use crate::dataflow::SigTable;
+use crate::dataflow::{self, SigTable};
 use crate::diag::{self, Report, StaleBaseline, Violation};
 use crate::interproc;
 use crate::json::{self, Json};
 use crate::layering;
+use crate::parser;
+use crate::scan::FileCtx;
 use crate::workspace;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -70,15 +73,20 @@ fn lint_files(
     sources: &[(String, String)],
     cfg: &Config,
 ) -> Report {
-    // Phase 1: every source's signature facts and fn summaries.
+    // Phase 1: lex and parse every source once, keeping the parse for
+    // phase 2; collect its signature facts and fn summaries.
+    let mut files = Vec::with_capacity(sources.len());
     let mut facts = Vec::new();
     let mut nodes = Vec::new();
     let mut allows = Vec::new();
     for (rel, src) in sources {
-        let (file_facts, summaries) = workspace::collect_file_analysis(rel, src);
-        facts.extend(file_facts);
+        let ctx = FileCtx::new(rel, src);
+        let parsed = parser::parse(&ctx.code);
+        facts.extend(dataflow::collect_facts(&parsed));
+        let summaries = interproc::extract(&ctx, &parsed);
         nodes.extend(summaries.fns);
         allows.extend(summaries.allows.into_iter().map(|a| (rel.clone(), a)));
+        files.push((ctx, parsed));
     }
     let sigs = SigTable::from_facts(facts.iter().map(String::as_str));
 
@@ -94,12 +102,12 @@ fn lint_files(
             .violations
             .extend(layering::lint_manifest(rel, src, krate.as_deref(), cfg));
     }
-    for (rel, src) in sources {
-        let outcome = workspace::analyze_source(rel, src, cfg, &sigs);
+    for (ctx, parsed) in &files {
+        let outcome = workspace::analyze_file(ctx, parsed, cfg, &sigs);
         report.violations.extend(outcome.violations);
         report.suppressed.extend(outcome.suppressed);
         for line in outcome.unused_allows {
-            report.unused_allows.push((rel.clone(), line));
+            report.unused_allows.push((ctx.rel_path.clone(), line));
         }
     }
 

@@ -80,4 +80,3 @@ pub mod workspace;
 pub use config::Config;
 pub use diag::{Report, Severity, Violation};
 pub use driver::{lint_source, lint_workspace};
-pub use workspace::analyze_source;

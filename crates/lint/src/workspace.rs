@@ -8,8 +8,7 @@
 use crate::config::{self, Config};
 use crate::dataflow::{self, SigTable};
 use crate::diag::Suppressed;
-use crate::interproc::{self, FileSummaries};
-use crate::parser;
+use crate::parser::ParsedFile;
 use crate::rules;
 use crate::scan::FileCtx;
 use std::fs;
@@ -28,24 +27,16 @@ pub struct FileOutcome {
     pub unused_allows: Vec<u32>,
 }
 
-/// Phase 1 of the driver in one lex+parse: signature facts for the
-/// [`SigTable`] plus this file's function summaries and
-/// interprocedural allows.
-pub fn collect_file_analysis(rel_path: &str, src: &str) -> (Vec<String>, FileSummaries) {
-    let ctx = FileCtx::new(rel_path, src);
-    let parsed = parser::parse(&ctx.code);
-    let facts = dataflow::collect_facts(&parsed);
-    let summaries = interproc::extract(&ctx, &parsed);
-    (facts, summaries)
-}
-
-/// Runs every rule pass (token + dataflow) over one source file and
-/// applies its suppressions. Phase 2 of the driver.
-pub fn analyze_source(rel_path: &str, src: &str, cfg: &Config, sigs: &SigTable) -> FileOutcome {
-    let ctx = FileCtx::new(rel_path, src);
-    let parsed = parser::parse(&ctx.code);
-    let mut raw = rules::run_all(&ctx, cfg);
-    raw.extend(dataflow::run_all(&ctx, &parsed, sigs, cfg));
+/// Runs every rule pass (token + dataflow) over one lexed and parsed
+/// source file and applies its suppressions. Phase 2 of the driver.
+pub(crate) fn analyze_file(
+    ctx: &FileCtx,
+    parsed: &ParsedFile,
+    cfg: &Config,
+    sigs: &SigTable,
+) -> FileOutcome {
+    let mut raw = rules::run_all(ctx, cfg);
+    raw.extend(dataflow::run_all(ctx, parsed, sigs, cfg));
     raw.sort_by(|a, b| (a.line, &a.rule).cmp(&(b.line, &b.rule)));
     let mut outcome = FileOutcome::default();
     let mut used = vec![false; ctx.suppressions.len()];

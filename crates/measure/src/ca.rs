@@ -9,17 +9,19 @@
 use crate::classify::{Classification, ClassifierKind, ClassifyCache, Evidence};
 use crate::dataset::SiteCaMeasurement;
 use webdeps_dns::{Dig, Resolver};
-use webdeps_model::{DomainName, PublicSuffixList};
+use webdeps_model::{DomainName, PublicSuffixList, ServiceKind};
 use webdeps_web::CrawlReport;
 use webdeps_worldgen::profiles::CaProfile;
 
-/// Classifies a crawled site's CA dependency. `cache` is the caller's
-/// memo; results do not depend on its state.
+/// Classifies a crawled site's CA dependency, passing the (site, CA
+/// endpoint) pair's evidence to `on_pair` where it is classified.
+/// `cache` is the caller's memo; results do not depend on its state.
 pub fn classify_site(
     report: &CrawlReport,
     resolver: &mut Resolver<'_>,
     psl: &PublicSuffixList,
     cache: &mut ClassifyCache,
+    on_pair: &mut dyn FnMut(ServiceKind, &Evidence<'_>),
 ) -> SiteCaMeasurement {
     let Some(cert) = &report.certificate else {
         return SiteCaMeasurement {
@@ -59,6 +61,7 @@ pub fn classify_site(
         concentration: None,
         threshold: usize::MAX,
     };
+    on_pair(ServiceKind::Ca, &ev);
     let class = cache.classify(ClassifierKind::Combined, &ev, psl);
     let key = cache.provider_key(ca_host, psl);
 
@@ -103,6 +106,7 @@ mod tests {
             &mut resolver,
             &world.psl,
             &mut ClassifyCache::new(),
+            &mut |_, _| {},
         );
         (report, m)
     }

@@ -11,7 +11,7 @@ use crate::classify::{Classification, ClassifierKind, ClassifyCache, Evidence};
 use crate::dataset::{ProviderKey, SiteCdnMeasurement};
 use std::collections::HashMap;
 use webdeps_dns::{Dig, Resolver};
-use webdeps_model::{DomainName, PublicSuffixList};
+use webdeps_model::{DomainName, PublicSuffixList, ServiceKind};
 use webdeps_web::{CnameToCdnMap, CrawlReport};
 use webdeps_worldgen::profiles::CdnProfile;
 
@@ -28,14 +28,16 @@ pub fn is_internal(
         || san.is_some_and(|san| cache.san_covers(san, host, psl))
 }
 
-/// Classifies a crawled site's CDN usage. `cache` is the caller's
-/// memo; results do not depend on its state.
+/// Classifies a crawled site's CDN usage, passing each (site, CNAME
+/// witness) pair's evidence to `on_pair` where it is classified.
+/// `cache` is the caller's memo; results do not depend on its state.
 pub fn classify_site(
     report: &CrawlReport,
     cname_map: &CnameToCdnMap,
     resolver: &mut Resolver<'_>,
     psl: &PublicSuffixList,
     cache: &mut ClassifyCache,
+    on_pair: &mut dyn FnMut(ServiceKind, &Evidence<'_>),
 ) -> SiteCdnMeasurement {
     let san = report.certificate.as_ref().map(|c| c.san.as_slice());
     let site_soa = Dig::new(resolver).soa_of(&report.site).ok();
@@ -66,6 +68,7 @@ pub fn classify_site(
             concentration: None,
             threshold: usize::MAX,
         };
+        on_pair(ServiceKind::Cdn, &ev);
         let class = cache.classify(ClassifierKind::Combined, &ev, psl);
         match detected.entry(key.clone()) {
             std::collections::hash_map::Entry::Vacant(v) => {
@@ -148,6 +151,7 @@ mod tests {
             &mut resolver,
             &world.psl,
             &mut ClassifyCache::new(),
+            &mut |_, _| {},
         )
     }
 

@@ -134,8 +134,6 @@ fn dec_class(byte: u8) -> Classification {
 pub struct MeasurementDataset {
     /// Interned provider identities (registrable domains).
     names: Interner,
-    /// Concentration threshold used by the combined heuristic.
-    threshold: usize,
     /// Site ids, in dataset (rank) order.
     site_ids: Vec<SiteId>,
     /// Popularity rank from the input list.
@@ -181,7 +179,7 @@ pub struct MeasurementDataset {
 
 impl MeasurementDataset {
     /// An empty dataset pre-sized for `n` sites.
-    pub(crate) fn with_capacity(n: usize, threshold: usize) -> MeasurementDataset {
+    pub(crate) fn with_capacity(n: usize) -> MeasurementDataset {
         let offsets = || {
             let mut v = Vec::with_capacity(n + 1);
             v.push(0);
@@ -189,7 +187,6 @@ impl MeasurementDataset {
         };
         MeasurementDataset {
             names: Interner::with_capacity(64),
-            threshold,
             site_ids: Vec::with_capacity(n),
             ranks: Vec::with_capacity(n),
             domain_start: offsets(),
@@ -266,10 +263,10 @@ impl MeasurementDataset {
     /// *in id order* reproduces exactly the interning order a serial
     /// site walk would — one hash probe per distinct shard name, not
     /// one per site key. Provider tables are not carried over.
-    pub(crate) fn concat(parts: &[&MeasurementDataset], threshold: usize) -> MeasurementDataset {
+    pub(crate) fn concat(parts: &[&MeasurementDataset]) -> MeasurementDataset {
         let total = |f: fn(&MeasurementDataset) -> usize| parts.iter().map(|p| f(p)).sum::<usize>();
         let n = total(|p| p.len());
-        let mut out = MeasurementDataset::with_capacity(n, threshold);
+        let mut out = MeasurementDataset::with_capacity(n);
         out.domains.reserve_exact(total(|p| p.domains.len()));
         out.dns_providers
             .reserve_exact(total(|p| p.dns_providers.len()));
@@ -339,11 +336,6 @@ impl MeasurementDataset {
     /// Whether the dataset is empty.
     pub fn is_empty(&self) -> bool {
         self.site_ids.is_empty()
-    }
-
-    /// Concentration threshold used by the combined heuristic.
-    pub fn threshold(&self) -> usize {
-        self.threshold
     }
 
     /// The site of row `i`.

@@ -62,7 +62,7 @@ pub struct NsGroup {
 }
 
 /// DNS measurement of one site (§3.1).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SiteDnsMeasurement {
     /// Raw (site, nameserver) observations.
     pub pairs: Vec<NsPair>,

@@ -12,7 +12,7 @@ use crate::classify::{Classification, ClassifierKind, ClassifyCache, Evidence};
 use crate::dataset::{NsGroup, NsPair, ProviderKey, SiteDnsMeasurement};
 use std::collections::HashMap;
 use webdeps_dns::{Dig, Resolver, Soa};
-use webdeps_model::{DomainName, PublicSuffixList};
+use webdeps_model::{DomainName, PublicSuffixList, ServiceKind};
 use webdeps_worldgen::profiles::DepState;
 
 /// Per-site raw inputs collected before classification.
@@ -85,15 +85,18 @@ pub fn ns_concentration(
 /// combined heuristic, merge the nameservers into operator entities
 /// with the paper's rule (same registrable domain ∨ same SOA MNAME ∨
 /// same SOA RNAME, §3.1 "Measuring Redundancy"), and derive the site's
-/// dependency state. `cache` is the caller's memo; results do not
-/// depend on its state.
+/// dependency state. `concentration` maps a nameserver's registrable
+/// domain to the number of sites it serves (0 when unseen). Each
+/// pair's evidence goes to `on_pair` where it is classified. `cache`
+/// is the caller's memo; results do not depend on its state.
 pub fn classify_site(
     obs: &DnsObservation,
     san: Option<&[DomainName]>,
-    concentration: &HashMap<DomainName, usize>,
+    concentration: &dyn Fn(&str) -> usize,
     threshold: usize,
     psl: &PublicSuffixList,
     cache: &mut ClassifyCache,
+    on_pair: &mut dyn FnMut(ServiceKind, &Evidence<'_>),
 ) -> SiteDnsMeasurement {
     // Classify each (site, ns) pair with the combined heuristic.
     let classes: Vec<Classification> = obs
@@ -101,10 +104,7 @@ pub fn classify_site(
         .iter()
         .zip(&obs.ns_soas)
         .map(|(host, ns_soa)| {
-            let conc = cache
-                .registrable_str(host, psl)
-                .and_then(|reg| concentration.get(reg).copied())
-                .unwrap_or(0);
+            let conc = cache.registrable_str(host, psl).map_or(0, concentration);
             let ev = Evidence {
                 site: &obs.site,
                 candidate: host,
@@ -114,6 +114,7 @@ pub fn classify_site(
                 concentration: Some(conc),
                 threshold,
             };
+            on_pair(ServiceKind::Dns, &ev);
             cache.classify(ClassifierKind::Combined, &ev, psl)
         })
         .collect();
@@ -226,13 +227,31 @@ mod tests {
         }
     }
 
-    fn empty_conc() -> HashMap<DomainName, usize> {
-        HashMap::new()
+    /// No nameserver domain is concentrated.
+    fn no_conc(_: &str) -> usize {
+        0
+    }
+
+    /// Classifies at threshold 50 with a fresh memo and no pair hook.
+    fn classify(
+        o: &DnsObservation,
+        san: Option<&[DomainName]>,
+        conc: &dyn Fn(&str) -> usize,
+    ) -> SiteDnsMeasurement {
+        let psl = PublicSuffixList::builtin();
+        classify_site(
+            o,
+            san,
+            conc,
+            50,
+            &psl,
+            &mut ClassifyCache::new(),
+            &mut |_, _| {},
+        )
     }
 
     #[test]
     fn private_site_classified_private() {
-        let psl = PublicSuffixList::builtin();
         let o = obs(
             "example.com",
             &[
@@ -241,14 +260,13 @@ mod tests {
             ],
             "example.com",
         );
-        let m = classify_site(&o, None, &empty_conc(), 50, &psl, &mut ClassifyCache::new());
+        let m = classify(&o, None, &no_conc);
         assert_eq!(m.state, Some(DepState::Private));
         assert_eq!(m.groups.len(), 1);
     }
 
     #[test]
     fn single_third_party_detected_by_soa_mismatch() {
-        let psl = PublicSuffixList::builtin();
         let o = obs(
             "example.com",
             &[
@@ -257,31 +275,27 @@ mod tests {
             ],
             "example.com",
         );
-        let m = classify_site(&o, None, &empty_conc(), 50, &psl, &mut ClassifyCache::new());
+        let m = classify(&o, None, &no_conc);
         assert_eq!(m.state, Some(DepState::SingleThird));
         assert_eq!(m.groups[0].key.as_str(), "dynect.net");
     }
 
     #[test]
     fn provider_managed_soa_needs_concentration() {
-        let psl = PublicSuffixList::builtin();
         // Site SOA is provider-managed → SOA rule can't fire.
         let o = obs(
             "example.com",
             &[("ns1.bigdns.net", "bigdns.net")],
             "bigdns.net",
         );
-        let mut conc = empty_conc();
-        let m = classify_site(&o, None, &conc, 50, &psl, &mut ClassifyCache::new());
+        let m = classify(&o, None, &no_conc);
         assert_eq!(m.state, None, "small provider-managed → uncharacterized");
-        conc.insert(dn("bigdns.net"), 500);
-        let m = classify_site(&o, None, &conc, 50, &psl, &mut ClassifyCache::new());
+        let m = classify(&o, None, &|reg| if reg == "bigdns.net" { 500 } else { 0 });
         assert_eq!(m.state, Some(DepState::SingleThird));
     }
 
     #[test]
     fn multi_provider_redundancy_detected() {
-        let psl = PublicSuffixList::builtin();
         let o = obs(
             "example.com",
             &[
@@ -290,7 +304,7 @@ mod tests {
             ],
             "example.com",
         );
-        let m = classify_site(&o, None, &empty_conc(), 50, &psl, &mut ClassifyCache::new());
+        let m = classify(&o, None, &no_conc);
         assert_eq!(m.state, Some(DepState::MultiThird));
         assert_eq!(m.groups.len(), 2);
     }
@@ -323,7 +337,7 @@ mod tests {
             psl.registrable_domain(&o.ns_hosts[0]),
             psl.registrable_domain(&o.ns_hosts[1])
         );
-        let m = classify_site(&o, None, &empty_conc(), 50, &psl, &mut ClassifyCache::new());
+        let m = classify(&o, None, &no_conc);
         assert_eq!(m.groups.len(), 1, "same MNAME must merge");
         assert_eq!(m.state, Some(DepState::SingleThird));
         assert_eq!(m.groups[0].key.as_str(), "alibabadns.com");
@@ -331,7 +345,6 @@ mod tests {
 
     #[test]
     fn private_plus_third_is_redundant() {
-        let psl = PublicSuffixList::builtin();
         let o = obs(
             "example.com",
             &[
@@ -340,13 +353,12 @@ mod tests {
             ],
             "example.com",
         );
-        let m = classify_site(&o, None, &empty_conc(), 50, &psl, &mut ClassifyCache::new());
+        let m = classify(&o, None, &no_conc);
         assert_eq!(m.state, Some(DepState::PrivatePlusThird));
     }
 
     #[test]
     fn san_rescues_alias_ns() {
-        let psl = PublicSuffixList::builtin();
         let o = obs(
             "ytube.com",
             &[
@@ -356,14 +368,7 @@ mod tests {
             "googol.com",
         );
         let san = vec![dn("ytube.com"), dn("*.googol.com")];
-        let m = classify_site(
-            &o,
-            Some(&san),
-            &empty_conc(),
-            50,
-            &psl,
-            &mut ClassifyCache::new(),
-        );
+        let m = classify(&o, Some(&san), &no_conc);
         assert_eq!(
             m.state,
             Some(DepState::Private),
@@ -405,7 +410,16 @@ mod tests {
             };
             let report = Crawler::crawl(&mut client, &l.domain, &l.document_hosts, l.https);
             let san = report.certificate.as_ref().map(|c| c.san.as_slice());
-            let m = classify_site(obs, san, &concentration, threshold, &world.psl, &mut cache);
+            let conc = |reg: &str| concentration.get(reg).copied().unwrap_or(0);
+            let m = classify_site(
+                obs,
+                san,
+                &conc,
+                threshold,
+                &world.psl,
+                &mut cache,
+                &mut |_, _| {},
+            );
             let unknown = |c: Classification| c == Classification::Unknown;
             if m.pairs.iter().any(|p| unknown(p.class)) {
                 unknown_pairs += 1;

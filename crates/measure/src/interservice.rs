@@ -9,9 +9,9 @@
 
 use crate::classify::{Classification, ClassifierKind, ClassifyCache, Evidence};
 use crate::dataset::ProviderKey;
-use crate::dns::{classify_site as classify_dns, DnsObservation};
+use crate::dns;
 use std::collections::HashMap;
-use webdeps_dns::{Dig, Resolver, Soa};
+use webdeps_dns::{Dig, Resolver};
 use webdeps_model::{DomainName, PublicSuffixList, ServiceKind};
 use webdeps_web::CnameToCdnMap;
 use webdeps_worldgen::profiles::DepState;
@@ -58,27 +58,26 @@ pub struct ProviderMeasurement {
     pub cdn_dep: Option<InterServiceDep>,
 }
 
-/// Finds the advertised NS set of the zone enclosing `host` by walking
-/// up the name hierarchy (what `dig NS` + retries does in practice).
-/// Returns the zone apex probed together with the NS hosts.
-pub fn zone_ns_of(
-    resolver: &mut Resolver<'_>,
-    host: &DomainName,
-) -> Option<(DomainName, Vec<DomainName>)> {
+/// Finds the apex of the zone enclosing `host` by walking up the name
+/// hierarchy to the first name advertising NS records (what `dig NS` +
+/// retries does in practice).
+pub fn zone_apex_of(resolver: &mut Resolver<'_>, host: &DomainName) -> Option<DomainName> {
     let mut cur = Some(host.clone());
     while let Some(name) = cur {
-        if let Ok(hosts) = Dig::new(resolver).ns(&name) {
-            if !hosts.is_empty() {
-                return Some((name, hosts));
-            }
+        if Dig::new(resolver)
+            .ns(&name)
+            .is_ok_and(|hosts| !hosts.is_empty())
+        {
+            return Some(name);
         }
         cur = name.parent();
     }
     None
 }
 
-/// Measures one provider's DNS dependency: NS + SOA observation of its
-/// zone, then the standard combined classification and entity grouping.
+/// Measures one provider's DNS dependency: its zone apex observed like
+/// a site ([`dns::observe_site`]), then the standard combined
+/// classification and entity grouping.
 pub fn measure_dns_dep(
     resolver: &mut Resolver<'_>,
     rep_host: &DomainName,
@@ -87,19 +86,10 @@ pub fn measure_dns_dep(
     psl: &PublicSuffixList,
     cache: &mut ClassifyCache,
 ) -> Option<InterServiceDep> {
-    let (zone_apex, ns_hosts) = zone_ns_of(resolver, rep_host)?;
-    let site_soa: Option<Soa> = Dig::new(resolver).soa_of(&zone_apex).ok();
-    let ns_soas: Vec<Option<Soa>> = ns_hosts
-        .iter()
-        .map(|h| Dig::new(resolver).soa_of(h).ok())
-        .collect();
-    let obs = DnsObservation {
-        site: zone_apex,
-        ns_hosts,
-        site_soa,
-        ns_soas,
-    };
-    let m = classify_dns(&obs, None, concentration, threshold, psl, cache);
+    let apex = zone_apex_of(resolver, rep_host)?;
+    let obs = dns::observe_site(resolver, &apex)?;
+    let conc = |reg: &str| concentration.get(reg).copied().unwrap_or(0);
+    let m = dns::classify_site(&obs, None, &conc, threshold, psl, cache, &mut |_, _| {});
     let providers = m.third_parties().cloned().collect();
     InterServiceDep::from_dns_state(m.state, providers)
 }
@@ -200,8 +190,7 @@ pub fn measure_providers(
         else {
             continue;
         };
-        let zone = zone_ns_of(resolver, &rep).map(|(apex, _)| apex);
-        let ca_domain = zone.unwrap_or_else(|| {
+        let ca_domain = zone_apex_of(resolver, &rep).unwrap_or_else(|| {
             cache
                 .registrable_domain(&rep, psl)
                 .unwrap_or_else(|| rep.clone())
@@ -248,9 +237,8 @@ mod tests {
         // Any site works; its apex advertises NS records.
         let listing = &world.listings()[0];
         let deep = listing.domain.child("a").unwrap().child("b").unwrap();
-        let (apex, hosts) = zone_ns_of(&mut resolver, &deep).expect("walk finds the zone");
+        let apex = zone_apex_of(&mut resolver, &deep).expect("walk finds the zone");
         assert_eq!(apex, listing.domain);
-        assert!(!hosts.is_empty());
     }
 
     #[test]

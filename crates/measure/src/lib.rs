@@ -5,9 +5,10 @@
 //! queries, TLS handshakes, and headless crawls — and never touches the
 //! world generator's ground truth. The one exception is
 //! [`validation`], which replays the paper's manual-verification step:
-//! it samples sites, compares each classification strategy against
-//! ground truth, and reports per-strategy accuracy (the 100% / 97% /
-//! 56% table of §3.1).
+//! it samples rows of a measured dataset, measures those sites again
+//! through the pipeline's own per-site path, scores every pair the
+//! classifiers decide with each strategy against ground truth, and
+//! reports per-strategy accuracy (the 100% / 97% / 56% table of §3.1).
 //!
 //! Pipeline stages:
 //!
@@ -23,8 +24,10 @@
 //! 5. **Inter-service** (§3.4): the same classifiers applied to the
 //!    observed providers themselves (CDN→DNS, CA→DNS, CA→CDN).
 //!
-//! [`measure_world`] runs them all and returns the one
-//! [`MeasurementDataset`] every table, audit, graph and the daemon read.
+//! [`measure_world`], the only entry point, runs them all and returns
+//! the one [`MeasurementDataset`] every table, audit, graph and the
+//! daemon read. It takes no settings: the concentration threshold is
+//! the world's and the worker count is `WEBDEPS_JOBS`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -44,6 +47,6 @@ pub use classify::{Classification, ClassifierKind, Evidence};
 pub use columnar::{MeasurementDataset, SiteView};
 pub use dataset::{ProviderKey, SiteCaMeasurement, SiteCdnMeasurement, SiteDnsMeasurement};
 pub use interservice::{InterServiceDep, ProviderMeasurement};
-pub use pipeline::{measure_world, measure_world_with, MeasureConfig};
+pub use pipeline::measure_world;
 pub use summary::{summarize, summarize_pair, ComparisonSummary, DatasetSummary};
 pub use validation::{validate_world, StrategyAccuracy, ValidationReport};

@@ -7,13 +7,13 @@
 //! web plane, PKI, CNAME-to-CDN map, public-suffix list, site list);
 //! ground truth never flows in.
 
-use crate::classify::ClassifyCache;
+use crate::classify::{ClassifyCache, Evidence};
 use crate::columnar::MeasurementDataset;
-use crate::dataset::{ProviderKey, SiteDnsMeasurement};
+use crate::dataset::{ProviderKey, SiteCaMeasurement, SiteCdnMeasurement, SiteDnsMeasurement};
 use crate::{ca, cdn, dns, interservice};
 use std::collections::HashMap;
-use webdeps_model::{fan_out_chunked, timing, DomainName};
-use webdeps_web::Crawler;
+use webdeps_model::{fan_out_chunked, timing, DomainName, ServiceKind};
+use webdeps_web::{CrawlReport, Crawler, WebClient};
 use webdeps_worldgen::{SiteListing, World};
 
 /// Distinct-name bound on every crawl-path resolver cache.
@@ -31,33 +31,6 @@ use webdeps_worldgen::{SiteListing, World};
 /// determinism checksums and the repro output digest).
 const RESOLVER_CACHE_BOUND: usize = 1 << 16;
 
-/// Pipeline tuning knobs.
-///
-/// The crawl/observation stage runs on the workspace-wide worker count
-/// ([`webdeps_model::par::resolve_jobs`]: `WEBDEPS_JOBS`, else detected
-/// parallelism capped at [`webdeps_model::par::MAX_AUTO_JOBS`]). Each
-/// worker runs its own client (own DNS + OCSP caches), so results are
-/// identical at any worker count.
-#[derive(Debug, Clone, Copy)]
-pub struct MeasureConfig {
-    /// Concentration threshold for the combined heuristic (50 at the
-    /// paper's 100K scale; scaled for smaller worlds).
-    pub threshold: usize,
-    /// Optional cap on the number of sites measured (test runs).
-    pub max_sites: Option<usize>,
-}
-
-impl MeasureConfig {
-    /// The configuration matching a world's scale: threshold scaled to
-    /// the population, every site measured.
-    pub fn for_world(world: &World) -> Self {
-        MeasureConfig {
-            threshold: world.config.concentration_threshold(),
-            max_sites: None,
-        }
-    }
-}
-
 /// One shard's streamed output: the shard's sites as a dataset keyed by
 /// a shard-local interner, plus the provider witness/count maps the
 /// §3.4 stage needs (insertion-ordered). Shards merge in site order, so
@@ -67,6 +40,51 @@ struct Shard {
     cdn_reps: Vec<(ProviderKey, (DomainName, usize))>,
     ca_reps: Vec<(ProviderKey, (Vec<DomainName>, usize))>,
     dns_direct: Vec<(ProviderKey, usize)>,
+}
+
+/// One site's crawl report and its §3 classifications.
+pub(crate) struct SiteMeasurement {
+    report: CrawlReport,
+    dns: SiteDnsMeasurement,
+    ca: SiteCaMeasurement,
+    cdn: SiteCdnMeasurement,
+}
+
+/// Crawls one listing and classifies its DNS (against its pass-1
+/// observation `obs` and the nameserver `concentration` lookup), CA and
+/// CDN dependencies, passing every pair's evidence to `on_pair` where
+/// it is classified. The pipeline and validation measure a site only
+/// through here.
+pub(crate) fn measure_site(
+    world: &World,
+    client: &mut WebClient<'_>,
+    listing: &SiteListing,
+    obs: Option<&dns::DnsObservation>,
+    concentration: &dyn Fn(&str) -> usize,
+    cache: &mut ClassifyCache,
+    on_pair: &mut dyn FnMut(ServiceKind, &Evidence<'_>),
+) -> SiteMeasurement {
+    let psl = &world.psl;
+    let report = Crawler::crawl(
+        client,
+        &listing.domain,
+        &listing.document_hosts,
+        listing.https,
+    );
+    let san = report.certificate.as_ref().map(|c| c.san.as_slice());
+    let threshold = world.config.concentration_threshold();
+    let dns = obs.map_or_else(SiteDnsMeasurement::default, |obs| {
+        dns::classify_site(obs, san, concentration, threshold, psl, cache, on_pair)
+    });
+    let resolver = client.resolver_mut();
+    let ca = ca::classify_site(&report, resolver, psl, cache, on_pair);
+    let cdn = cdn::classify_site(&report, &world.cname_map, resolver, psl, cache, on_pair);
+    SiteMeasurement {
+        report,
+        dns,
+        ca,
+        cdn,
+    }
 }
 
 /// Crawls and classifies one shard of listings against the pass-1
@@ -80,14 +98,13 @@ fn classify_shard(
     world: &World,
     shard: &[(SiteListing, Option<dns::DnsObservation>)],
     concentration: &HashMap<DomainName, usize>,
-    threshold: usize,
 ) -> Shard {
     let psl = &world.psl;
     let mut client = world.client();
     client.resolver_mut().bound_cache(RESOLVER_CACHE_BOUND);
     let mut cache = ClassifyCache::new();
     let mut out = Shard {
-        sites: MeasurementDataset::with_capacity(shard.len(), threshold),
+        sites: MeasurementDataset::with_capacity(shard.len()),
         cdn_reps: Vec::new(),
         ca_reps: Vec::new(),
         dns_direct: Vec::new(),
@@ -95,27 +112,19 @@ fn classify_shard(
     let mut cdn_rep_idx: HashMap<ProviderKey, usize> = HashMap::new();
     let mut ca_rep_idx: HashMap<ProviderKey, usize> = HashMap::new();
     let mut dns_direct_idx: HashMap<ProviderKey, usize> = HashMap::new();
+    let concentration = |reg: &str| concentration.get(reg).copied().unwrap_or(0);
     for (listing, obs) in shard {
-        let report = Crawler::crawl(
+        let m = measure_site(
+            world,
             &mut client,
-            &listing.domain,
-            &listing.document_hosts,
-            listing.https,
+            listing,
+            obs.as_ref(),
+            &concentration,
+            &mut cache,
+            &mut |_, _| {},
         );
-        let san = report.certificate.as_ref().map(|c| c.san.as_slice());
-        let dns_m = match obs {
-            Some(obs) => dns::classify_site(obs, san, concentration, threshold, psl, &mut cache),
-            None => SiteDnsMeasurement {
-                pairs: Vec::new(),
-                groups: Vec::new(),
-                state: None,
-            },
-        };
-        let resolver = client.resolver_mut();
-        let ca_m = ca::classify_site(&report, resolver, psl, &mut cache);
-        let cdn_m = cdn::classify_site(&report, &world.cname_map, resolver, psl, &mut cache);
 
-        for key in dns_m.third_parties() {
+        for key in m.dns.third_parties() {
             match dns_direct_idx.get(key) {
                 Some(&i) => out.dns_direct[i].1 += 1,
                 None => {
@@ -126,15 +135,15 @@ fn classify_shard(
         }
         // Witness host: the first chain host under each detected CDN
         // (the hostname list is built once per site, not once per CDN).
-        let hosts = if cdn_m.cdns.is_empty() {
+        let hosts = if m.cdn.cdns.is_empty() {
             Vec::new()
         } else {
-            report.hostnames()
+            m.report.hostnames()
         };
-        for (key, _) in &cdn_m.cdns {
+        for (key, _) in &m.cdn.cdns {
             let witness = hosts
                 .iter()
-                .filter_map(|h| report.chain_of(h))
+                .filter_map(|h| m.report.chain_of(h))
                 .flat_map(|chain| chain.iter())
                 .find(|c| cache.registrable_str(c, psl) == Some(key.as_str()))
                 .cloned();
@@ -148,30 +157,26 @@ fn classify_shard(
                 }
             }
         }
-        if let Some((key, _)) = &ca_m.ca {
+        if let Some((key, _)) = &m.ca.ca {
             match ca_rep_idx.get(key) {
                 Some(&i) => out.ca_reps[i].1 .1 += 1,
                 None => {
                     ca_rep_idx.insert(key.clone(), out.ca_reps.len());
                     out.ca_reps
-                        .push((key.clone(), (ca_m.ocsp_hosts.clone(), 1)));
+                        .push((key.clone(), (m.ca.ocsp_hosts.clone(), 1)));
                 }
             }
         }
 
         out.sites
-            .push_classified(listing, report.reachable(), &dns_m, &cdn_m, &ca_m);
+            .push_classified(listing, m.report.reachable(), &m.dns, &m.cdn, &m.ca);
     }
     out
 }
 
-/// Runs the complete pipeline with the world-default configuration.
-pub fn measure_world(world: &World) -> MeasurementDataset {
-    measure_world_with(world, MeasureConfig::for_world(world))
-}
-
 /// Runs the complete pipeline, classifying each site straight into the
-/// dataset's columns.
+/// dataset's columns. The combined heuristic's concentration threshold
+/// is the world's ([`webdeps_worldgen::WorldConfig::concentration_threshold`]).
 ///
 /// Two passes over the site list, both sharded on the deterministic
 /// fan-out:
@@ -185,13 +190,12 @@ pub fn measure_world(world: &World) -> MeasurementDataset {
 /// Serial assembly then concatenates the shard datasets in shard order
 /// (= site order) and runs the §3.4 inter-service stage. The dataset
 /// keeps pass 1's tallies ([`MeasurementDataset::ns_concentration`]).
-/// The result is identical at any worker count.
-pub fn measure_world_with(world: &World, config: MeasureConfig) -> MeasurementDataset {
+/// The crawl and observation stages run on the workspace-wide worker
+/// count ([`webdeps_model::par::resolve_jobs`]), each worker on its own
+/// client, so the result is identical at any worker count.
+pub fn measure_world(world: &World) -> MeasurementDataset {
     let psl = &world.psl;
-    let mut listings = world.listings();
-    if let Some(cap) = config.max_sites {
-        listings.truncate(cap);
-    }
+    let listings = world.listings();
 
     // Pass 1: observe every site and tally dataset-wide nameserver
     // concentration (each worker owns a client; tallies sum across
@@ -227,12 +231,7 @@ pub fn measure_world_with(world: &World, config: MeasureConfig) -> MeasurementDa
     let items: Vec<(SiteListing, Option<dns::DnsObservation>)> =
         listings.into_iter().zip(observations).collect();
     let shards = fan_out_chunked(&items, 0, |shard| {
-        vec![classify_shard(
-            world,
-            shard,
-            &concentration,
-            config.threshold,
-        )]
+        vec![classify_shard(world, shard, &concentration)]
     });
     drop(classify_scope);
     drop(items);
@@ -240,7 +239,7 @@ pub fn measure_world_with(world: &World, config: MeasureConfig) -> MeasurementDa
     // Serial assembly in shard (= site) order.
     let assemble_scope = timing::scope("measure/assemble");
     let parts: Vec<&MeasurementDataset> = shards.iter().map(|s| &s.sites).collect();
-    let mut out = MeasurementDataset::concat(&parts, config.threshold);
+    let mut out = MeasurementDataset::concat(&parts);
     let mut cdn_reps: HashMap<ProviderKey, (DomainName, usize)> = HashMap::new();
     let mut ca_reps: HashMap<ProviderKey, (Vec<DomainName>, usize)> = HashMap::new();
     let mut dns_direct: HashMap<ProviderKey, usize> = HashMap::new();
@@ -277,7 +276,7 @@ pub fn measure_world_with(world: &World, config: MeasureConfig) -> MeasurementDa
         &ca_reps,
         &dns_direct,
         &concentration,
-        config.threshold,
+        world.config.concentration_threshold(),
         &world.cname_map,
         psl,
     );
@@ -475,18 +474,5 @@ mod tests {
             (0.40..=0.95).contains(&crate_),
             "critical of users {crate_}"
         );
-    }
-
-    #[test]
-    fn max_sites_cap_limits_work() {
-        let world = World::generate(WorldConfig::small(78));
-        let ds = measure_world_with(
-            &world,
-            MeasureConfig {
-                threshold: 3,
-                max_sites: Some(50),
-            },
-        );
-        assert_eq!(ds.len(), 50);
     }
 }

@@ -1,24 +1,26 @@
 //! Heuristic validation against ground truth (§3's manual check).
 //!
 //! The only module allowed to read the world's answer key. It samples
-//! rows of a measured dataset, re-observes and re-crawls only those
-//! sites, re-derives each strategy's verdict for every observed pair,
-//! and scores it against the [`webdeps_model::EntityRegistry`] — the
-//! synthetic stand-in for the authors' manual verification of 100
-//! random sites. The concentration signal is the dataset's own pass-1
-//! tally ([`MeasurementDataset::ns_concentration`]), so validation does
-//! not re-observe the population. Reported per strategy: *accuracy*
-//! over decided pairs and *coverage* (share of pairs decided at all),
+//! rows of a measured dataset and measures each sampled site again
+//! through the pipeline's own per-site path: observation
+//! ([`dns::observe_site`]), crawl and the three `classify_site`s. Every
+//! (site, candidate) pair they classify arrives at validation's hook
+//! with the evidence the pipeline decided it on, is classified with
+//! each strategy and is scored against the
+//! [`webdeps_model::EntityRegistry`] — the synthetic stand-in for the
+//! authors' manual verification of 100 random sites. The concentration
+//! signal is the dataset's own pass-1 tally
+//! ([`MeasurementDataset::ns_concentration`]), so validation does not
+//! re-observe the population. Reported per strategy: *accuracy* over
+//! decided pairs and *coverage* (share of pairs decided at all),
 //! reproducing the 100 / 97 / 56 (DNS), 100 / 96 / 94 (CA), and
 //! 100 / 97 / 83 (CDN) comparisons.
 
 use crate::classify::{Classification, ClassifierKind, ClassifyCache, Evidence};
 use crate::columnar::MeasurementDataset;
 use crate::dns;
-use std::collections::HashMap;
-use webdeps_dns::Dig;
-use webdeps_model::{DetRng, DomainName};
-use webdeps_web::Crawler;
+use crate::pipeline::measure_site;
+use webdeps_model::{DetRng, ServiceKind};
 use webdeps_worldgen::World;
 
 /// Accuracy of one strategy on one pair population.
@@ -54,6 +56,7 @@ impl ValidationReport {
     }
 }
 
+#[derive(Default)]
 struct Tally {
     correct: usize,
     decided: usize,
@@ -61,29 +64,17 @@ struct Tally {
 }
 
 impl Tally {
-    fn new() -> Self {
-        Tally {
-            correct: 0,
-            decided: 0,
-            total: 0,
-        }
-    }
-
     fn record(&mut self, verdict: Classification, truth_third: bool) {
         self.total += 1;
         match verdict {
             Classification::Unknown => {}
             Classification::ThirdParty => {
                 self.decided += 1;
-                if truth_third {
-                    self.correct += 1;
-                }
+                self.correct += usize::from(truth_third);
             }
             Classification::Private => {
                 self.decided += 1;
-                if !truth_third {
-                    self.correct += 1;
-                }
+                self.correct += usize::from(!truth_third);
             }
         }
     }
@@ -106,16 +97,9 @@ impl Tally {
     }
 }
 
-/// Ground truth for one (site, candidate host) pair: is the candidate a
-/// third party? `None` when ownership of the candidate is unknown to
-/// the registry (shouldn't happen in generated worlds).
-fn truth_third(world: &World, site: &DomainName, candidate: &DomainName) -> Option<bool> {
-    world.entities.same_owner(site, candidate).map(|same| !same)
-}
-
 /// Validates all strategies on a random sample of `sample_size` rows of
-/// `ds`, a measurement of `world` (the paper sampled 100 sites). For a
-/// dataset of the whole world, row `i` is listing `i`.
+/// `ds`, a measurement of `world` (the paper sampled 100 sites). A
+/// pair whose candidate the registry does not know is not scored.
 pub fn validate_world(
     world: &World,
     ds: &MeasurementDataset,
@@ -128,132 +112,52 @@ pub fn validate_world(
     let mut rng = DetRng::new(seed ^ 0x7A11DA7E);
     let rows = rng.sample_indices(ds.len(), sample_size);
 
+    let fresh = || ClassifierKind::ALL.map(|_| Tally::default());
+    let (mut dns_t, mut ca_t, mut cdn_t) = (fresh(), fresh(), fresh());
+    let mut scorer = ClassifyCache::new();
+    let mut score = |service: ServiceKind, ev: &Evidence<'_>| {
+        let Some(same) = world.entities.same_owner(ev.site, ev.candidate) else {
+            return;
+        };
+        let tallies = match service {
+            ServiceKind::Dns => &mut dns_t,
+            ServiceKind::Ca => &mut ca_t,
+            ServiceKind::Cdn => &mut cdn_t,
+            ServiceKind::Cloud => return,
+        };
+        for (tally, kind) in tallies.iter_mut().zip(ClassifierKind::ALL) {
+            tally.record(scorer.classify(kind, ev, &world.psl), !same);
+        }
+    };
+
     let mut client = world.client();
     let mut cache = ClassifyCache::new();
-    let psl = &world.psl;
-    let mut dns_tallies: HashMap<ClassifierKind, Tally> = ClassifierKind::ALL
-        .iter()
-        .map(|&k| (k, Tally::new()))
-        .collect();
-    let mut ca_tallies: HashMap<ClassifierKind, Tally> = ClassifierKind::ALL
-        .iter()
-        .map(|&k| (k, Tally::new()))
-        .collect();
-    let mut cdn_tallies: HashMap<ClassifierKind, Tally> = ClassifierKind::ALL
-        .iter()
-        .map(|&k| (k, Tally::new()))
-        .collect();
-    let threshold = ds.threshold();
-
+    let concentration = |reg: &str| ds.ns_concentration(reg);
     for &row in &rows {
-        let site = world.site(ds.site(row).id());
-        let domain = &site.domain;
-        let observation = dns::observe_site(client.resolver_mut(), domain);
-        let report = Crawler::crawl(&mut client, domain, &site.document_hosts(), site.https());
-        let san = report.certificate.as_ref().map(|c| c.san.clone());
-
-        // DNS pairs.
-        if let Some(obs) = &observation {
-            for (host, ns_soa) in obs.ns_hosts.iter().zip(&obs.ns_soas) {
-                let Some(truth) = truth_third(world, domain, host) else {
-                    continue;
-                };
-                let conc = cache
-                    .registrable_str(host, psl)
-                    .map_or(0, |r| ds.ns_concentration(r));
-                let ev = Evidence {
-                    site: domain,
-                    candidate: host,
-                    san: san.as_deref(),
-                    site_soa: obs.site_soa.as_ref(),
-                    candidate_soa: ns_soa.as_ref(),
-                    concentration: Some(conc),
-                    threshold,
-                };
-                for kind in ClassifierKind::ALL {
-                    let verdict = cache.classify(kind, &ev, psl);
-                    dns_tallies
-                        .entry(kind)
-                        .or_insert_with(Tally::new)
-                        .record(verdict, truth);
-                }
-            }
-        }
-
-        // CA pair.
-        if let Some(cert) = &report.certificate {
-            if let Some(ca_host) = cert.ocsp_urls.first().map(|e| &e.host) {
-                if let Some(truth) = truth_third(world, domain, ca_host) {
-                    let resolver = client.resolver_mut();
-                    let site_soa = Dig::new(resolver).soa_of(domain).ok();
-                    let ca_soa = Dig::new(resolver).soa_of(ca_host).ok();
-                    let ev = Evidence {
-                        site: domain,
-                        candidate: ca_host,
-                        san: san.as_deref(),
-                        site_soa: site_soa.as_ref(),
-                        candidate_soa: ca_soa.as_ref(),
-                        concentration: None,
-                        threshold: usize::MAX,
-                    };
-                    for kind in ClassifierKind::ALL {
-                        let verdict = cache.classify(kind, &ev, psl);
-                        ca_tallies
-                            .entry(kind)
-                            .or_insert_with(Tally::new)
-                            .record(verdict, truth);
-                    }
-                }
-            }
-        }
-
-        // CDN pairs: classify the CNAME witness of each internal host.
-        for host in report.hostnames() {
-            if !crate::cdn::is_internal(domain, &host, san.as_deref(), psl, &mut cache) {
-                continue;
-            }
-            let Some(chain) = report.chain_of(&host) else {
-                continue;
-            };
-            let Some((_, _, witness)) = world.cname_map.classify_chain_detailed(chain.iter())
-            else {
-                continue;
-            };
-            let Some(truth) = truth_third(world, domain, witness) else {
-                continue;
-            };
-            let resolver = client.resolver_mut();
-            let site_soa = Dig::new(resolver).soa_of(domain).ok();
-            let witness_soa = Dig::new(resolver).soa_of(witness).ok();
-            let ev = Evidence {
-                site: domain,
-                candidate: witness,
-                san: san.as_deref(),
-                site_soa: site_soa.as_ref(),
-                candidate_soa: witness_soa.as_ref(),
-                concentration: None,
-                threshold: usize::MAX,
-            };
-            for kind in ClassifierKind::ALL {
-                let verdict = cache.classify(kind, &ev, psl);
-                cdn_tallies
-                    .entry(kind)
-                    .or_insert_with(Tally::new)
-                    .record(verdict, truth);
-            }
-        }
+        let listing = world.site(ds.site(row).id()).listing();
+        let obs = dns::observe_site(client.resolver_mut(), &listing.domain);
+        measure_site(
+            world,
+            &mut client,
+            &listing,
+            obs.as_ref(),
+            &concentration,
+            &mut cache,
+            &mut score,
+        );
     }
 
-    let collect = |mut tallies: HashMap<ClassifierKind, Tally>| {
-        ClassifierKind::ALL
-            .iter()
-            .map(|&k| tallies.remove(&k).unwrap_or_else(Tally::new).into_row(k))
+    let rows_of = |tallies: [Tally; 3]| {
+        tallies
+            .into_iter()
+            .zip(ClassifierKind::ALL)
+            .map(|(t, k)| t.into_row(k))
             .collect::<Vec<_>>()
     };
     ValidationReport {
-        dns: collect(dns_tallies),
-        ca: collect(ca_tallies),
-        cdn: collect(cdn_tallies),
+        dns: rows_of(dns_t),
+        ca: rows_of(ca_t),
+        cdn: rows_of(cdn_t),
         sample_size: rows.len(),
     }
 }

@@ -73,6 +73,17 @@ impl SiteTruth {
         self.ca.state.is_https()
     }
 
+    /// The site's row of the public site list.
+    pub fn listing(&self) -> SiteListing {
+        SiteListing {
+            id: self.id,
+            rank: self.rank,
+            domain: self.domain.clone(),
+            document_hosts: self.document_hosts(),
+            https: self.https(),
+        }
+    }
+
     /// The document hosts a browser would discover, in priority order.
     pub fn document_hosts(&self) -> Vec<DomainName> {
         match self.cdn.state {
@@ -131,16 +142,7 @@ impl GroundTruth {
 
     /// The public site list (what the measurement pipeline is given).
     pub fn listings(&self) -> Vec<SiteListing> {
-        self.sites
-            .iter()
-            .map(|s| SiteListing {
-                id: s.id,
-                rank: s.rank,
-                domain: s.domain.clone(),
-                document_hosts: s.document_hosts(),
-                https: s.https(),
-            })
-            .collect()
+        self.sites.iter().map(SiteTruth::listing).collect()
     }
 }
 

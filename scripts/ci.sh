@@ -78,7 +78,7 @@ echo "== per-phase metrics present in BENCH_measure_world.json =="
 # (timing::scope instrumentation drained through record_metric); a
 # missing phase means the observability layer regressed. The B/site
 # arena + core budget asserts run inside the bench binary itself.
-for phase in gen/plan gen/sites measure/observe measure/classify measure/assemble; do
+for phase in gen/plan gen/sites measure/observe measure/classify measure/assemble measure/interservice; do
     if ! grep -q "\"name\":\"$phase\"" target/BENCH_measure_world.json; then
         echo "error: per-phase metric '$phase' missing from BENCH_measure_world.json" >&2
         exit 1

@@ -11,8 +11,8 @@
 //! compare the three runs stage by stage. The stages:
 //!
 //! * world generation (sharded site synthesis),
-//! * the crawl/observation stage at several `max_sites` caps (caps move
-//!   the shard boundaries),
+//! * the crawl/observation stage over worlds of several sizes (sizes
+//!   move the shard boundaries),
 //! * provider rankings and the per-site critical-dependency sweep
 //!   (memoized reachability fanned per provider), on a measured world
 //!   and on churned random graphs,
@@ -37,15 +37,15 @@ use webdeps::core::{
     NodeRef, ProviderRef,
 };
 use webdeps::dns::SimTime;
-use webdeps::measure::{measure_world_with, MeasureConfig, MeasurementDataset};
+use webdeps::measure::{measure_world, MeasurementDataset};
 use webdeps::model::{ServiceKind, SiteId};
 use webdeps::worldgen::{SnapshotYear, World, WorldConfig};
 use webdeps_testkit::{check_with, gen, tk_assert, Config};
 
 const KINDS: [ServiceKind; 3] = [ServiceKind::Dns, ServiceKind::Cdn, ServiceKind::Ca];
 
-/// A small world for the crawl stage and the campaign: measured
-/// repeatedly, so it stays well under the analysis world below.
+/// A small world for the campaign and the replay check, kept well
+/// under the analysis world below.
 fn crawl_world() -> &'static World {
     static W: OnceLock<World> = OnceLock::new();
     W.get_or_init(|| {
@@ -72,10 +72,7 @@ fn analysis_world() -> &'static World {
 
 fn analysis_dataset() -> &'static MeasurementDataset {
     static D: OnceLock<MeasurementDataset> = OnceLock::new();
-    D.get_or_init(|| {
-        let world = analysis_world();
-        measure_world_with(world, MeasureConfig::for_world(world))
-    })
+    D.get_or_init(|| measure_world(analysis_world()))
 }
 
 fn analysis_graph() -> &'static DepGraph {
@@ -111,22 +108,22 @@ fn worldgen_stage() -> String {
         world.entities.len(),
         world.dns.zone_count(),
         world.web.vhost_count(),
-        measure_world_with(&world, MeasureConfig::for_world(&world))
+        measure_world(&world)
     )
 }
 
-/// The crawl: every site, provider and classification, in order, at
-/// several site caps (caps move the shard boundaries).
+/// The crawl: every site, provider and classification, in order, for
+/// worlds of several sizes (sizes move the shard boundaries).
 fn measure_stage() -> String {
-    let world = crawl_world();
-    [Some(120), Some(163), Some(211), Some(279), None]
+    [120, 163, 211, 279, 400]
         .into_iter()
-        .map(|max_sites| {
-            let config = MeasureConfig {
-                max_sites,
-                ..MeasureConfig::for_world(world)
-            };
-            format!("{:?}\n", measure_world_with(world, config))
+        .map(|n_sites| {
+            let world = World::generate(WorldConfig {
+                seed: 58,
+                n_sites,
+                year: SnapshotYear::Y2020,
+            });
+            format!("{:?}\n", measure_world(&world))
         })
         .collect()
 }

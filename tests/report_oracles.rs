@@ -19,8 +19,8 @@ use webdeps::core::{coverage_curve, CoveragePoint, SiteSet};
 use webdeps::dns::{Dig, Soa};
 use webdeps::measure::classify::{Classification, ClassifierKind, ClassifyCache, Evidence};
 use webdeps::measure::{
-    cdn, dns, measure_world, measure_world_with, validate_world, MeasureConfig, MeasurementDataset,
-    ProviderKey, StrategyAccuracy, ValidationReport,
+    cdn, dns, measure_world, validate_world, MeasurementDataset, ProviderKey, StrategyAccuracy,
+    ValidationReport,
 };
 use webdeps::model::name::dn;
 use webdeps::model::{DetRng, DomainName, NameId, PublicSuffixList, ServiceKind, SiteId};
@@ -139,19 +139,6 @@ fn hospitals() -> &'static (World, MeasurementDataset) {
     })
 }
 
-/// The first 500 listings of the seed-42 2020 world, measured alone.
-fn capped() -> &'static MeasurementDataset {
-    static C: OnceLock<MeasurementDataset> = OnceLock::new();
-    C.get_or_init(|| {
-        let world = &pair(42)[1].0;
-        let config = MeasureConfig {
-            max_sites: Some(500),
-            ..MeasureConfig::for_world(world)
-        };
-        measure_world_with(world, config)
-    })
-}
-
 /// Every fixture dataset with its world and a label.
 fn datasets() -> Vec<(&'static str, &'static World, &'static MeasurementDataset)> {
     let mut out = Vec::new();
@@ -162,7 +149,6 @@ fn datasets() -> Vec<(&'static str, &'static World, &'static MeasurementDataset)
     }
     let (world, ds) = hospitals();
     out.push(("hospitals", world, ds));
-    out.push(("2020@42 capped at 500", &pair(42)[1].0, capped()));
     out
 }
 
@@ -420,17 +406,13 @@ fn validation_matches_full_population_oracle() {
             }
         }
     }
-}
-
-#[test]
-fn capped_validation_samples_only_measured_rows() {
-    let world = &pair(42)[1].0;
-    let ds = capped();
-    assert_eq!(ds.len(), 500);
-    for k in [100, 500, 2_000] {
-        let report = validate_world(world, ds, k, 42);
-        assert_eq!(report.sample_size, k.min(500), "sample {k}");
-        assert_eq!(report, oracle_validation(world, 500, k, 42), "sample {k}");
+    let (world, ds) = hospitals();
+    for k in [100, 200] {
+        assert_eq!(
+            validate_world(world, ds, k, 42),
+            oracle_validation(world, world.listings().len(), k, 42),
+            "hospitals, sample {k}"
+        );
     }
 }
 
