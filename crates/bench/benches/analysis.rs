@@ -1,12 +1,12 @@
 //! Analysis-layer benchmarks: the three classification strategies
 //! through the memoized classifier, the paper's nameserver grouping,
-//! the per-provider reverse BFS against full rankings over the shared
-//! reach index, graph construction, and coverage CDFs.
+//! rankings and per-site counts over the reach index (each entry
+//! includes the index build), graph construction, and coverage CDFs.
 
 use std::hint::black_box;
 use webdeps_bench::bench_workspace;
 use webdeps_bench::harness::Harness;
-use webdeps_core::{coverage_curve, DepGraph, MetricOptions, Metrics};
+use webdeps_core::{coverage_curve, DepGraph, MetricOptions, ReachIndex};
 use webdeps_dns::Soa;
 use webdeps_measure::classify::{ClassifierKind, ClassifyCache, Evidence};
 use webdeps_model::name::dn;
@@ -118,26 +118,19 @@ fn nameserver_grouping(h: &mut Harness) {
 fn metric_engine_ablation(h: &mut Harness) {
     let ws = bench_workspace();
     let graph = &ws.graph20;
-    let metrics = Metrics::new(graph);
-    let providers: Vec<_> = graph.providers_of(ServiceKind::Dns).take(16).collect();
     let opts = MetricOptions::full();
 
+    // Every entry builds the index it asks: one row copy and both
+    // metrics' condensations.
     let mut group = h.benchmark_group("analysis/metrics");
-    group.bench_function("impact_reverse_bfs", |b| {
-        let mut i = 0usize;
-        b.iter(|| {
-            let p = providers[i % providers.len()];
-            i += 1;
-            black_box(metrics.dependent_sites(p, true, &opts));
-        });
-    });
     group.bench_function("full_ranking_dns", |b| {
-        b.iter(|| black_box(metrics.ranking(ServiceKind::Dns, &opts)));
+        b.iter(|| black_box(ReachIndex::build(graph, &opts).ranking(ServiceKind::Dns)));
     });
     group.bench_function("full_ranking_all_kinds", |b| {
         b.iter(|| {
+            let index = ReachIndex::build(graph, &opts);
             for kind in [ServiceKind::Dns, ServiceKind::Cdn, ServiceKind::Ca] {
-                black_box(metrics.ranking(kind, &opts));
+                black_box(index.ranking(kind));
             }
         });
     });
@@ -152,7 +145,7 @@ fn metric_engine_ablation(h: &mut Harness) {
         b.iter(|| black_box(coverage_curve(&ws.ds20, ServiceKind::Dns)));
     });
     group.bench_function("critical_deps_per_site_full", |b| {
-        b.iter(|| black_box(metrics.critical_deps_per_site(&opts)));
+        b.iter(|| black_box(ReachIndex::build(graph, &opts).critical_deps_per_site()));
     });
     group.finish();
 }

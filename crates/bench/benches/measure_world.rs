@@ -7,8 +7,9 @@
 //! Besides timing, this target *asserts* the columnar memory budget
 //! documented in README.md: the analysis arenas (measurement dataset +
 //! CSR graph) must stay within [`ARENA_BYTES_PER_SITE`] and the whole
-//! core working set (arenas + both reachability indexes) within
-//! [`CORE_BYTES_PER_SITE`], at every benched scale.
+//! core working set (arenas + the reach index: its row copy and both
+//! metrics' condensations) within [`CORE_BYTES_PER_SITE`], at every
+//! benched scale.
 //!
 //! After the timed benches, one extra generate+measure run executes
 //! with `webdeps_model::timing` enabled; the drained per-phase wall
@@ -19,7 +20,7 @@
 
 use std::hint::black_box;
 use webdeps_bench::harness::Harness;
-use webdeps_core::{DepGraph, MetricOptions, Metrics, ReachIndex};
+use webdeps_core::{DepGraph, MetricOptions, ReachIndex};
 use webdeps_measure::measure_world;
 use webdeps_model::{timing, ServiceKind};
 use webdeps_worldgen::{SnapshotYear, World, WorldConfig};
@@ -35,10 +36,11 @@ static ALLOC: alloc_probe::CountingAlloc = alloc_probe::CountingAlloc;
 /// pass 1's nameserver tallies; graph 64).
 const ARENA_BYTES_PER_SITE: usize = 128;
 
-/// Budget for the full core working set: arenas plus the two
-/// reachability indexes. The reach indexes are per-provider site
-/// bitsets, so they grow with the provider tail: measured 203 B/site
-/// at 100k and 745 B/site at 1M.
+/// Budget for the full core working set: arenas plus the reach index.
+/// The index is mostly site bitsets, one per provider component and
+/// metric, so it grows with the provider tail: measured 236 B/site
+/// at 100k (index 119.6, of it ~15 for the row copy); the last 1M run,
+/// before the dataset's report columns, measured 745 B/site.
 const CORE_BYTES_PER_SITE: usize = 832;
 
 fn bench_scale(h: &mut Harness, label: &str, n: usize) {
@@ -67,29 +69,31 @@ fn bench_scale(h: &mut Harness, label: &str, n: usize) {
     });
     let graph = DepGraph::from_dataset(&ds);
 
+    // `reach_build` copies the rows and condenses both metrics;
+    // `rank_dns` is that build plus one ranking.
     let opts = MetricOptions::full();
     group.bench_function("reach_build", |b| {
-        b.iter(|| black_box(ReachIndex::build(&graph, false, &opts)));
+        b.iter(|| black_box(ReachIndex::build(&graph, &opts)));
     });
     group.bench_function("rank_dns", |b| {
-        let metrics = Metrics::new(&graph);
-        b.iter(|| black_box(metrics.ranking(ServiceKind::Dns, &opts)));
+        b.iter(|| black_box(ReachIndex::build(&graph, &opts).ranking(ServiceKind::Dns)));
     });
     group.finish();
 
     // Memory budget (untimed): the documented ceilings from README.md.
-    let full = ReachIndex::build(&graph, false, &opts);
-    let crit = ReachIndex::build(&graph, true, &opts);
+    let index = ReachIndex::build(&graph, &opts);
     let arena = ds.heap_bytes() + graph.heap_bytes();
-    let core = arena + full.heap_bytes() + crit.heap_bytes();
+    let core = arena + index.heap_bytes();
     let per_site = |bytes: usize| bytes as f64 / n as f64;
     eprintln!(
         "  measure_world/{label}: arenas {:.1} B/site (dataset {:.1} + graph {:.1}; \
-         budget {ARENA_BYTES_PER_SITE}), core {:.1} B/site (budget {CORE_BYTES_PER_SITE})",
+         budget {ARENA_BYTES_PER_SITE}), core {:.1} B/site (index {:.1}; \
+         budget {CORE_BYTES_PER_SITE})",
         per_site(arena),
         per_site(ds.heap_bytes()),
         per_site(graph.heap_bytes()),
         per_site(core),
+        per_site(index.heap_bytes()),
     );
     assert!(
         arena <= ARENA_BYTES_PER_SITE * n,
@@ -105,8 +109,7 @@ fn bench_scale(h: &mut Harness, label: &str, n: usize) {
     // Release the benchmark's working set before the instrumented run
     // below regenerates the world (at 1M the two worlds would not fit
     // side by side in RSS).
-    drop(full);
-    drop(crit);
+    drop(index);
     drop(graph);
     drop(ds);
     drop(world);

@@ -314,7 +314,7 @@ pub fn check_redundancy(world: &World, seed: u64, max_sites: usize) -> (usize, V
     }
 
     // Parallel survival probes, merged in candidate order.
-    let per_candidate = fan_out_chunked(&candidates, 0, |shard| {
+    let per_candidate = fan_out_chunked(&candidates, |shard| {
         shard
             .iter()
             .map(|(truth, provider_entities)| {

@@ -402,22 +402,6 @@ impl DepGraph {
         })
     }
 
-    /// The raw incoming CSR row of a node, as edge indexes into the
-    /// edge columns — the zero-iterator form of
-    /// [`DepGraph::consumers_of`] for hot loops like the reachability
-    /// index's DFS.
-    #[inline]
-    pub(crate) fn in_edge_ids(&self, v: usize) -> &[u32] {
-        &self.in_edges[self.in_start[v] as usize..self.in_start[v + 1] as usize]
-    }
-
-    /// Edge source + kind by raw edge id (pairs with
-    /// [`DepGraph::in_edge_ids`]).
-    #[inline]
-    pub(crate) fn edge_source(&self, e: u32) -> (u32, EdgeKind) {
-        (self.edge_from[e as usize], self.edge_kind[e as usize])
-    }
-
     /// Bytes of heap owned by the graph's arenas and indexes.
     pub fn heap_bytes(&self) -> usize {
         use std::mem::size_of;

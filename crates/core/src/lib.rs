@@ -8,11 +8,14 @@
 //! * [`graph`] — the typed dependency graph (websites and providers,
 //!   direct and inter-service edges, criticality flags), built by the
 //!   one serial [`DepGraph::from_dataset`].
-//! * [`metrics`] — **concentration** `C_p` and **impact** `I_p` (§2.2),
-//!   with and without indirect dependencies: a reverse BFS per
-//!   provider, and rankings over one shared SCC condensation
-//!   ([`ReachIndex`]). The paper's literal recursive set unions are a
-//!   test oracle in `tests/properties.rs`.
+//! * [`metrics`] — the options and scores of **concentration** `C_p`
+//!   and **impact** `I_p` (§2.2), with and without indirect
+//!   dependencies.
+//! * [`reach`] — [`ReachIndex`], the one index that answers both: one
+//!   copy of the consumer rows and one SCC condensation per metric,
+//!   patched in place under churn. A reverse BFS (in its tests) and the
+//!   paper's literal recursive set unions (in `tests/properties.rs`)
+//!   are its oracles.
 //! * [`stats`] — rank-stratified percentages behind Figures 2, 3, 4.
 //! * [`concentration`] — provider coverage CDFs behind Figure 6.
 //! * [`evolution`] — 2016→2020 transition tables (Tables 3, 4, 5 for
@@ -40,9 +43,9 @@ pub use concentration::{coverage_curve, providers_for_coverage, CoveragePoint};
 pub use dot::{to_dot, DotOptions};
 pub use evolution::{ca_trends, cdn_trends, dns_trends, provider_trends, TrendTable};
 pub use graph::{DepGraph, EdgeKind, GraphBuilder, NodeId, NodeKind, NodeRef};
-pub use metrics::{MetricOptions, Metrics, ProviderScore};
+pub use metrics::{MetricOptions, ProviderScore};
 pub use outage::{probe_site, simulate_outage, OutageIndex, OutageResult};
-pub use reach::{ApplyKind, Churn, ChurnError, MutableReach, ProviderRef, ReachIndex, SiteSet};
+pub use reach::{Applied, ApplyKind, Churn, ChurnError, Metric, ProviderRef, ReachIndex, SiteSet};
 pub use resilience::{audit_site, robustness_score, RiskLevel, SiteAudit};
 pub use stats::{
     ca_figure, cdn_figure, dns_figure, top_providers_in_bucket, CaFigure, CdnFigure, DnsFigure,

@@ -196,7 +196,7 @@ impl OutageIndex {
     /// footprint behind a cached answer.
     pub fn build(world: &World, sites: usize, policy: RevocationPolicy) -> OutageIndex {
         let sites = &world.truth.sites[..sites.min(world.truth.len())];
-        let shards = fan_out_chunked(sites, 0, |shard| {
+        let shards = fan_out_chunked(sites, |shard| {
             let mut client = world.client().with_policy(policy);
             client.resolver_mut().disable_cache();
             client.resolver_mut().record_consults();
@@ -477,7 +477,8 @@ pub fn probe_site(client: &mut WebClient<'_>, hosts: &[DomainName], https: bool)
 mod tests {
     use super::*;
     use crate::graph::DepGraph;
-    use crate::metrics::{MetricOptions, Metrics};
+    use crate::metrics::MetricOptions;
+    use crate::reach::{Metric, ReachIndex};
     use webdeps_measure::measure_world;
     use webdeps_model::ServiceKind;
     use webdeps_worldgen::{World, WorldConfig};
@@ -603,14 +604,15 @@ mod tests {
         let world = World::generate(WorldConfig::small(71));
         let ds = measure_world(&world);
         let graph = DepGraph::from_dataset(&ds);
-        let metrics = Metrics::new(&graph);
+        let index = ReachIndex::build(&graph, &MetricOptions::direct_only());
 
         // Pick a mid-sized provider so the test stays fast but nonempty.
         let provider_key = "domaincontrol.com"; // GoDaddy
-        let node = graph
-            .provider(provider_key, ServiceKind::Dns)
-            .expect("observed provider");
-        let predicted = metrics.dependent_sites(node, true, &MetricOptions::direct_only());
+        let predicted: Vec<_> = index
+            .dependent_set(Metric::Impact, provider_key, ServiceKind::Dns)
+            .expect("observed provider")
+            .iter()
+            .collect();
 
         let result = simulate_outage(&world, &[provider_key], false)
             .expect("providers are from the world catalog");

@@ -1,13 +1,17 @@
-//! Memoized reverse reachability.
+//! Memoized reverse reachability: the one index behind concentration
+//! `C_p` and impact `I_p` (§2.2).
 //!
-//! [`crate::metrics::Metrics::dependent_sites`] answers "which sites
-//! depend on provider `p`?" with one reverse BFS per provider — ranking
-//! every provider of a kind repeats the same frontier expansions over
-//! and over, so a full ranking scales as (providers × full BFS). A
-//! [`ReachIndex`] shares that work: it condenses the provider-consumer
-//! subgraph into strongly connected components once, then computes each
-//! component's dependent-site set in a single pass over the
-//! condensation, so every provider's answer is a table lookup.
+//! Both metrics ask one question — which sites reach provider `p` over
+//! consumer edges? — concentration over every edge, impact over
+//! critical edges only, with [`MetricOptions`] choosing the allowed
+//! provider → provider hops. A reverse BFS per provider would repeat the
+//! same frontier expansions for every provider, so a full ranking would
+//! scale as (providers × full BFS). A [`ReachIndex`] shares that work:
+//! [`ReachIndex::build`] copies the graph's consumer rows once, then, for
+//! each metric, condenses the provider-consumer subgraph into strongly
+//! connected components and computes each component's dependent-site
+//! set in a single pass over the condensation, so every provider's
+//! answer under either metric is a table lookup.
 //!
 //! Correctness under cycles is the point of the SCC step: naive
 //! per-provider memoization is wrong when providers depend on each
@@ -15,33 +19,30 @@
 //! `p`'s direct consumers alone), but every member of an SCC reaches
 //! exactly the same sites, and Tarjan's algorithm emits components in
 //! reverse topological order — all consumer components of `C` are
-//! finished before `C` itself — so one union pass suffices. The result
-//! equals the BFS for every provider, which the tests here and
-//! `tests/parallel_determinism.rs` assert.
+//! finished before `C` itself — so one union pass suffices. The tests
+//! here hold every set equal to a reverse BFS, and `tests/properties.rs`
+//! holds the index equal to the paper's literal recursion.
 //!
-//! One routine does the condensation for both indexes. `condense` runs
-//! the iterative Tarjan pass and builds each component's set as the
-//! component is emitted; it reads consumer rows through the small
-//! `ConsumerRows` abstraction, implemented once for [`DepGraph`]'s CSR
-//! in-edge rows (no adjacency materialization) and once for
-//! [`MutableReach`]'s owned rows, and is monomorphized for each. The
-//! edge filter (criticality and the option-allowed hop kinds) and the
-//! per-component set builder exist once and are shared by the Tarjan
-//! pass and by `MutableReach`'s patches. The only per-provider state is
-//! a [`SiteSet`] bitset per component.
+//! Rows exist only for providers, since sites consume but are never
+//! consumed; a row names each consumer as a site id or a provider slot.
+//! The index owns them, so it has no lifetime tie to the [`DepGraph`] it
+//! was built from and absorbs [`Churn`] deltas in place (see
+//! [`ReachIndex::apply`]). One routine, `condense`, runs the iterative
+//! Tarjan pass for the build, every rebuild and
+//! [`ReachIndex::verify_fresh`], and its per-component set builder also
+//! rebuilds the sets a patch touches. The only per-provider state is a
+//! [`SiteSet`] bitset per component.
 //!
-//! Invalidation: an index borrows its graph immutably for its entire
-//! lifetime, so it can never observe a stale graph — rebuilding after a
-//! mutation is enforced at compile time (the columnar [`DepGraph`] is
-//! immutable once built). The index also deliberately has no hooks into
-//! the *behavioral* layer: schedule-aware outage questions
-//! (`OutageIndex::affected_at`) probe the simulator afresh at every
-//! instant precisely because availability at time `t` is not a graph
-//! property, so nothing cached here can go stale across ticks.
+//! The index deliberately has no hooks into the *behavioral* layer:
+//! schedule-aware outage questions (`OutageIndex::affected_at`) probe
+//! the simulator afresh at every instant, because availability at time
+//! `t` is not a graph property, so nothing cached here can go stale
+//! across ticks.
 
 use crate::graph::{DepGraph, NodeId, NodeKind};
-use crate::metrics::MetricOptions;
-use std::collections::BTreeMap;
+use crate::metrics::{MetricOptions, ProviderScore};
+use std::collections::{BTreeMap, HashMap};
+use webdeps_measure::ProviderKey;
 use webdeps_model::{ServiceKind, SiteId};
 
 /// A dense bitset over [`SiteId`]s.
@@ -133,168 +134,101 @@ impl SiteSet {
     }
 }
 
-/// Sentinel kind byte for site nodes.
-const SITE_KIND: u8 = u8::MAX;
-
-/// Sentinel for "no value" in dense u32 columns.
+/// Sentinel for a component not yet emitted by the Tarjan pass.
 const NONE_U32: u32 = u32::MAX;
 
-fn kind_byte(kind: ServiceKind) -> u8 {
-    kind as u8
+/// One of the paper's two reach metrics (§2.2).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Metric {
+    /// Concentration `C_p`: sites reaching `p` over any consumer edges.
+    Concentration,
+    /// Impact `I_p`: sites reaching `p` over critical edges only.
+    Impact,
 }
 
-fn kind_back(b: u8) -> ServiceKind {
-    match b {
-        0 => ServiceKind::Dns,
-        1 => ServiceKind::Cdn,
-        2 => ServiceKind::Ca,
-        _ => ServiceKind::Cloud,
-    }
+impl Metric {
+    /// Both metrics, in the order an index keeps their condensations.
+    pub const ALL: [Metric; 2] = [Metric::Concentration, Metric::Impact];
 }
 
-/// The edges one index configuration traverses — the BFS's traversal
-/// filter, in one place for the Tarjan pass and every patch.
-struct EdgeFilter {
-    /// `true` indexes impact, `false` concentration.
+/// One entry of a provider's consumer row.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct Consumer {
+    /// A raw site index, or a provider slot when `provider` is set.
+    id: u32,
+    provider: bool,
+    critical: bool,
+}
+
+/// A provider and the edges into it, in the graph's CSR order.
+struct Provider {
+    key: ProviderKey,
+    kind: ServiceKind,
+    row: Vec<Consumer>,
+}
+
+/// The provider rows as one metric traverses them: the metric's edge
+/// filter, in one place for the Tarjan pass and every patch, plus the
+/// bound new site sets are sized to.
+struct Rows<'a> {
+    providers: &'a [Provider],
     critical_only: bool,
-    opts: MetricOptions,
+    opts: &'a MetricOptions,
+    bound: usize,
 }
 
-impl EdgeFilter {
+impl<'a> Rows<'a> {
+    fn new(
+        metric: Metric,
+        providers: &'a [Provider],
+        opts: &'a MetricOptions,
+        bound: usize,
+    ) -> Self {
+        Rows {
+            providers,
+            critical_only: metric == Metric::Impact,
+            opts,
+            bound,
+        }
+    }
+
     /// Whether an edge of this criticality participates at all; a site
     /// edge needs nothing more.
     fn admits(&self, critical: bool) -> bool {
         critical || !self.critical_only
     }
 
-    /// Whether a consumer of kind byte `consumer` reaches a provider of
-    /// kind byte `provider` through an edge of this criticality: the
-    /// consumer must be a provider and the hop an allowed one.
-    fn step(&self, consumer: u8, provider: u8, critical: bool) -> bool {
-        self.admits(critical)
-            && consumer != SITE_KIND
-            && self.opts.allows(kind_back(consumer), kind_back(provider))
+    /// Whether consumer `c` reaches a provider of kind `kind` through
+    /// its edge: the consumer must be a provider and the hop an allowed
+    /// one.
+    fn step(&self, c: Consumer, kind: ServiceKind) -> bool {
+        self.admits(c.critical)
+            && c.provider
+            && self.opts.allows(self.providers[c.id as usize].kind, kind)
     }
 }
 
-/// Consumer rows of a provider-consumer graph, as the condensation
-/// reads them: row `v` lists the edges into node `v`, each resolving
-/// to `(consumer node, critical)`.
-trait ConsumerRows {
-    /// One entry of a row.
-    type Edge: Copy;
-    /// Number of nodes.
-    fn node_count(&self) -> usize;
-    /// Provider kind byte of node `v`; [`SITE_KIND`] for a site.
-    fn kind(&self, v: usize) -> u8;
-    /// The site of node `v`; `None` for a provider.
-    fn site(&self, v: usize) -> Option<SiteId>;
-    /// Node `v`'s row.
-    fn row(&self, v: usize) -> &[Self::Edge];
-    /// The consumer node and criticality of one row entry.
-    fn consumer(&self, e: Self::Edge) -> (u32, bool);
-}
-
-/// [`DepGraph`]'s CSR in-edge rows, with the provider kinds unpacked
-/// once into a byte column.
-struct CsrRows<'g> {
-    graph: &'g DepGraph,
-    kinds: Vec<u8>,
-}
-
-impl<'g> CsrRows<'g> {
-    fn new(graph: &'g DepGraph) -> Self {
-        let kinds = (0..graph.node_count())
-            .map(|v| match graph.node(NodeId(v as u32)) {
-                NodeKind::Provider(_, k) => kind_byte(k),
-                NodeKind::Site(_) => SITE_KIND,
-            })
-            .collect();
-        CsrRows { graph, kinds }
-    }
-}
-
-impl ConsumerRows for CsrRows<'_> {
-    /// An edge id into the graph's edge columns.
-    type Edge = u32;
-
-    fn node_count(&self) -> usize {
-        self.kinds.len()
-    }
-
-    fn kind(&self, v: usize) -> u8 {
-        self.kinds[v]
-    }
-
-    fn site(&self, v: usize) -> Option<SiteId> {
-        match self.graph.node(NodeId(v as u32)) {
-            NodeKind::Site(site) => Some(site),
-            NodeKind::Provider(..) => None,
-        }
-    }
-
-    fn row(&self, v: usize) -> &[u32] {
-        self.graph.in_edge_ids(v)
-    }
-
-    fn consumer(&self, e: u32) -> (u32, bool) {
-        let (w, ek) = self.graph.edge_source(e);
-        (w, ek.critical)
-    }
-}
-
-/// [`MutableReach`]'s owned graph: per-node columns plus one consumer
-/// row per node (node `i` is node `i` of the graph it was copied from).
-struct OwnedRows {
-    /// Per node: provider kind byte, [`SITE_KIND`] for sites.
-    kinds: Vec<u8>,
-    /// Per node: raw site index for site nodes ([`NONE_U32`] otherwise).
-    site_of: Vec<u32>,
-    /// Per node: consumer edges `(consumer node, critical)`.
-    in_edges: Vec<Vec<(u32, bool)>>,
-}
-
-impl ConsumerRows for OwnedRows {
-    type Edge = (u32, bool);
-
-    fn node_count(&self) -> usize {
-        self.kinds.len()
-    }
-
-    fn kind(&self, v: usize) -> u8 {
-        self.kinds[v]
-    }
-
-    fn site(&self, v: usize) -> Option<SiteId> {
-        (self.kinds[v] == SITE_KIND).then(|| SiteId(self.site_of[v]))
-    }
-
-    fn row(&self, v: usize) -> &[(u32, bool)] {
-        &self.in_edges[v]
-    }
-
-    fn consumer(&self, e: (u32, bool)) -> (u32, bool) {
-        e
-    }
-}
-
-/// One condensation: each node's component ([`NONE_U32`] for sites)
-/// and, per component in Tarjan emission order, its member nodes,
-/// dependent-site set and set size.
+/// One metric's condensation: each provider slot's component and, per
+/// component in Tarjan emission order, its member slots, dependent-site
+/// set and set size, plus the condensation's edges.
 struct Condensation {
     comp_of: Vec<u32>,
     members: Vec<Vec<u32>>,
     sets: Vec<SiteSet>,
     counts: Vec<usize>,
+    /// `deps[x][y]` = number of traversed edges from members of
+    /// consumer component `x` into members of component `y` (`x`
+    /// consumes `y`), kept for the patches.
+    deps: Vec<BTreeMap<u32, u32>>,
 }
 
-/// The one Tarjan pass: iterative Tarjan over the provider nodes of
-/// `rows` along the hops `filter` admits, building each component's
-/// dependent-site set as the component is emitted. Tarjan emits
-/// components in reverse topological order, so every consumer
-/// component's set is final before a component reads it.
-fn condense<R: ConsumerRows>(rows: &R, filter: &EdgeFilter, bound: usize) -> Condensation {
-    let n = rows.node_count();
+/// The one Tarjan pass: iterative Tarjan over the provider slots along
+/// the hops `rows` traverses, building each component's dependent-site
+/// set as the component is emitted, then counting the condensation's
+/// edges. Tarjan emits components in reverse topological order, so
+/// every consumer component's set is final before a component reads it.
+fn condense(rows: &Rows) -> Condensation {
+    let n = rows.providers.len();
     // `index_of` doubles as the visited marker (0 = unvisited, else
     // DFS index + 1).
     let mut index_of = vec![0u32; n];
@@ -307,9 +241,10 @@ fn condense<R: ConsumerRows>(rows: &R, filter: &EdgeFilter, bound: usize) -> Con
         members: Vec::new(),
         sets: Vec::new(),
         counts: Vec::new(),
+        deps: Vec::new(),
     };
     for start in 0..n {
-        if index_of[start] != 0 || rows.kind(start) == SITE_KIND {
+        if index_of[start] != 0 {
             continue;
         }
         index_of[start] = next_index;
@@ -317,19 +252,19 @@ fn condense<R: ConsumerRows>(rows: &R, filter: &EdgeFilter, bound: usize) -> Con
         next_index += 1;
         stack.push(start as u32);
         on_stack[start] = true;
-        // DFS frame: (node, position within its row).
+        // DFS frame: (slot, position within its row).
         let mut dfs: Vec<(usize, usize)> = vec![(start, 0)];
         while let Some(frame) = dfs.last_mut() {
             let v = frame.0;
-            let (row, kind) = (rows.row(v), rows.kind(v));
+            let provider = &rows.providers[v];
             let mut descended = false;
-            while frame.1 < row.len() {
-                let (w, critical) = rows.consumer(row[frame.1]);
+            while frame.1 < provider.row.len() {
+                let c = provider.row[frame.1];
                 frame.1 += 1;
-                let w = w as usize;
-                if !filter.step(rows.kind(w), kind, critical) {
+                if !rows.step(c, provider.kind) {
                     continue;
                 }
+                let w = c.id as usize;
                 if index_of[w] == 0 {
                     index_of[w] = next_index;
                     low[w] = next_index;
@@ -363,12 +298,22 @@ fn condense<R: ConsumerRows>(rows: &R, filter: &EdgeFilter, bound: usize) -> Con
                     break;
                 }
             }
-            let set = component_set(rows, filter, bound, &members, &out.comp_of, |c| {
-                &out.sets[c as usize]
-            });
+            let set = component_set(rows, &members, &out.comp_of, |c| &out.sets[c as usize]);
             out.counts.push(set.count());
             out.sets.push(set);
             out.members.push(members);
+        }
+    }
+    out.deps = vec![BTreeMap::new(); out.sets.len()];
+    for (v, provider) in rows.providers.iter().enumerate() {
+        let cv = out.comp_of[v];
+        for &c in &provider.row {
+            if rows.step(c, provider.kind) {
+                let cw = out.comp_of[c.id as usize];
+                if cw != cv {
+                    *out.deps[cw as usize].entry(cv).or_insert(0) += 1;
+                }
+            }
         }
     }
     out
@@ -376,32 +321,28 @@ fn condense<R: ConsumerRows>(rows: &R, filter: &EdgeFilter, bound: usize) -> Con
 
 /// One component's dependent-site set: the sites its members' rows
 /// admit, unioned with the set of every other component one of whose
-/// members consumes a member through an admitted hop. `set_of` hands
+/// members consumes a member through a traversed hop. `set_of` hands
 /// back those consumer components' finished sets.
-fn component_set<'s, R: ConsumerRows>(
-    rows: &R,
-    filter: &EdgeFilter,
-    bound: usize,
+fn component_set<'s>(
+    rows: &Rows,
     members: &[u32],
     comp_of: &[u32],
     set_of: impl Fn(u32) -> &'s SiteSet,
 ) -> SiteSet {
-    let mut set = SiteSet::with_bound(bound);
+    let mut set = SiteSet::with_bound(rows.bound);
     for &m in members {
-        let m = m as usize;
-        let kind = rows.kind(m);
-        for &e in rows.row(m) {
-            let (w, critical) = rows.consumer(e);
-            if !filter.admits(critical) {
+        let provider = &rows.providers[m as usize];
+        for &c in &provider.row {
+            if !rows.admits(c.critical) {
                 continue;
             }
-            if let Some(site) = rows.site(w as usize) {
-                set.insert(site);
-            } else if filter.step(rows.kind(w as usize), kind, critical) {
-                let c = comp_of[w as usize];
-                if c != comp_of[m] {
-                    debug_assert_ne!(c, NONE_U32, "consumer component emitted first");
-                    set.union_with(set_of(c));
+            if !c.provider {
+                set.insert(SiteId(c.id));
+            } else if rows.step(c, provider.kind) {
+                let comp = comp_of[c.id as usize];
+                if comp != comp_of[m as usize] {
+                    debug_assert_ne!(comp, NONE_U32, "consumer component emitted first");
+                    set.union_with(set_of(comp));
                 }
             }
         }
@@ -409,77 +350,675 @@ fn component_set<'s, R: ConsumerRows>(
     set
 }
 
-/// Shared reverse-reachability over one `(critical_only, opts)`
-/// configuration of a graph.
-pub struct ReachIndex<'g> {
-    graph: &'g DepGraph,
-    /// Node → condensation component (`u32::MAX` for non-providers).
-    comp_of: Vec<u32>,
-    /// Per-component dependent-site sets, in Tarjan emission order.
-    sets: Vec<SiteSet>,
-    /// Per-component popcounts, precomputed so scoring is O(1).
-    counts: Vec<usize>,
+/// A churn delta after its row edit: the slots it touched.
+#[derive(Clone, Copy)]
+enum Edit {
+    /// A site edge into provider `p` was added or removed.
+    Site {
+        p: u32,
+        site: SiteId,
+        critical: bool,
+        added: bool,
+    },
+    /// An edge from provider `w` into provider `v` was added or removed.
+    Provider {
+        w: u32,
+        v: u32,
+        critical: bool,
+        added: bool,
+    },
 }
 
-impl<'g> ReachIndex<'g> {
-    /// Builds the index: SCC condensation of the allowed
-    /// provider-consumer subgraph, then one dependent-site set per
-    /// component. `critical_only = true` indexes impact, `false`
-    /// concentration — the same switch as
-    /// [`crate::metrics::Metrics::dependent_sites`]. The DFS streams the
-    /// CSR in-edge rows directly and applies the traversal filter per
-    /// edge.
-    pub fn build(graph: &'g DepGraph, critical_only: bool, opts: &MetricOptions) -> Self {
-        let filter = EdgeFilter {
-            critical_only,
-            opts: opts.clone(),
-        };
-        let Condensation {
-            comp_of,
-            sets,
-            counts,
-            ..
-        } = condense(&CsrRows::new(graph), &filter, graph.site_id_bound());
-        ReachIndex {
-            graph,
-            comp_of,
-            sets,
-            counts,
+impl Condensation {
+    fn set(&self, slot: usize) -> &SiteSet {
+        &self.sets[self.comp_of[slot] as usize]
+    }
+
+    fn count(&self, slot: usize) -> usize {
+        self.counts[self.comp_of[slot] as usize]
+    }
+
+    /// Adds a new provider as its own singleton component with an empty
+    /// dependent set — no structural invariant can break.
+    fn push_singleton(&mut self, slot: u32, bound: usize) {
+        self.comp_of.push(self.sets.len() as u32);
+        self.members.push(vec![slot]);
+        self.sets.push(SiteSet::with_bound(bound));
+        self.counts.push(0);
+        self.deps.push(BTreeMap::new());
+    }
+
+    /// Absorbs one row edit already made to `rows`, patching the
+    /// affected sets or rebuilding the whole condensation when the edit
+    /// could merge or split components.
+    fn patch(&mut self, rows: &Rows, edit: Edit) -> ApplyKind {
+        match edit {
+            Edit::Site {
+                p,
+                site,
+                critical,
+                added,
+            } => {
+                if !rows.admits(critical) {
+                    return ApplyKind::Patched;
+                }
+                let comp = self.comp_of[p as usize];
+                if added {
+                    // The site now reaches p's component and,
+                    // transitively, every component p consumes. Sites
+                    // are never SCC members, so the condensation itself
+                    // cannot change: pure bit OR.
+                    for c in self.downstream_of(comp) {
+                        let set = &mut self.sets[c as usize];
+                        if !set.contains(site) {
+                            set.insert(site);
+                            self.counts[c as usize] += 1;
+                        }
+                    }
+                } else {
+                    // The site may still reach the affected components
+                    // via other edges; recompute their sets.
+                    self.recompute_downstream(rows, comp);
+                }
+                ApplyKind::Patched
+            }
+            Edit::Provider {
+                w,
+                v,
+                critical,
+                added,
+            } => {
+                let edge = Consumer {
+                    id: w,
+                    provider: true,
+                    critical,
+                };
+                if !rows.step(edge, rows.providers[v as usize].kind) {
+                    // Recorded for future rebuilds, invisible to this
+                    // metric — nothing cached can change.
+                    return ApplyKind::Patched;
+                }
+                let (cw, cv) = (self.comp_of[w as usize], self.comp_of[v as usize]);
+                if added {
+                    if cw == cv {
+                        // An extra edge inside one component changes
+                        // neither the condensation nor any set.
+                        return ApplyKind::Patched;
+                    }
+                    if self.downstream_of(cv).contains(&cw) {
+                        // to ⇒ … ⇒ from already exists, so from → to
+                        // closes a cycle: components must merge.
+                        *self = condense(rows);
+                        return ApplyKind::Rebuilt;
+                    }
+                    // The condensation stays a DAG and gains one edge
+                    // cw → cv. Everything the consumer component reaches
+                    // flows into cv and everything cv consumes. Stage
+                    // the unions, then commit.
+                    *self.deps[cw as usize].entry(cv).or_insert(0) += 1;
+                    let source = &self.sets[cw as usize];
+                    let staged: Vec<(u32, SiteSet)> = self
+                        .downstream_of(cv)
+                        .into_iter()
+                        .map(|c| {
+                            let mut merged = self.sets[c as usize].clone();
+                            merged.union_with(source);
+                            (c, merged)
+                        })
+                        .collect();
+                    for (c, set) in staged {
+                        self.counts[c as usize] = set.count();
+                        self.sets[c as usize] = set;
+                    }
+                    ApplyKind::Patched
+                } else {
+                    if cw == cv {
+                        // Removing an intra-component edge can split
+                        // the SCC: always rebuild.
+                        *self = condense(rows);
+                        return ApplyKind::Rebuilt;
+                    }
+                    // Cross-component removal keeps the condensation a
+                    // DAG; drop one unit of edge multiplicity and
+                    // recompute the downstream sets.
+                    let deps = &mut self.deps[cw as usize];
+                    if let Some(n) = deps.get_mut(&cv) {
+                        *n -= 1;
+                        if *n == 0 {
+                            deps.remove(&cv);
+                        }
+                    }
+                    self.recompute_downstream(rows, cv);
+                    ApplyKind::Patched
+                }
+            }
         }
     }
 
-    /// Number of sites depending on `provider` — the size of
-    /// [`ReachIndex::dependent_set`]. Non-provider nodes score 0, like
-    /// the BFS.
-    pub fn dependent_count(&self, provider: NodeId) -> usize {
-        match self.comp_of.get(provider.index()) {
-            Some(&c) if c != u32::MAX => self.counts[c as usize],
-            _ => 0,
+    /// Components reachable from `start` (inclusive) along consumption
+    /// edges — exactly the components whose dependent sets include
+    /// every site that reaches `start`.
+    fn downstream_of(&self, start: u32) -> Vec<u32> {
+        let mut seen: Vec<u32> = vec![start];
+        let mut order: Vec<u32> = Vec::new();
+        let mut stack = vec![start];
+        while let Some(c) = stack.pop() {
+            order.push(c);
+            for &next in self.deps[c as usize].keys() {
+                if !seen.contains(&next) {
+                    seen.push(next);
+                    stack.push(next);
+                }
+            }
+        }
+        order
+    }
+
+    /// Rebuilds the dependent sets of every component downstream of
+    /// `start` (inclusive) with the Tarjan pass's set builder,
+    /// processing the affected sub-DAG in topological order so each
+    /// set reads only finished inputs. Staged, then committed.
+    fn recompute_downstream(&mut self, rows: &Rows, start: u32) {
+        let affected = self.downstream_of(start);
+        // Kahn over the affected sub-DAG (consumer → consumed edges).
+        // It is closed under `deps`, so every edge out of it lands in it.
+        let mut indeg: BTreeMap<u32, usize> = affected.iter().map(|&c| (c, 0)).collect();
+        for &c in &affected {
+            for next in self.deps[c as usize].keys() {
+                if let Some(d) = indeg.get_mut(next) {
+                    *d += 1;
+                }
+            }
+        }
+        let mut ready: Vec<u32> = indeg
+            .iter()
+            .filter(|(_, &d)| d == 0)
+            .map(|(&c, _)| c)
+            .collect();
+        let mut staged: BTreeMap<u32, SiteSet> = BTreeMap::new();
+        while let Some(c) = ready.pop() {
+            let set = component_set(rows, &self.members[c as usize], &self.comp_of, |x| {
+                staged.get(&x).unwrap_or(&self.sets[x as usize])
+            });
+            staged.insert(c, set);
+            for &next in self.deps[c as usize].keys() {
+                if let Some(d) = indeg.get_mut(&next) {
+                    *d -= 1;
+                    if *d == 0 {
+                        ready.push(next);
+                    }
+                }
+            }
+        }
+        debug_assert_eq!(staged.len(), affected.len(), "condensation must be acyclic");
+        for (c, set) in staged {
+            self.counts[c as usize] = set.count();
+            self.sets[c as usize] = set;
         }
     }
 
-    /// The dependent-site bitset of `provider`, or `None` for
-    /// non-provider nodes.
-    pub fn dependent_set(&self, provider: NodeId) -> Option<&SiteSet> {
-        match self.comp_of.get(provider.index()) {
-            Some(&c) if c != u32::MAX => Some(&self.sets[c as usize]),
-            _ => None,
-        }
-    }
-
-    /// The graph this index was built over.
-    pub fn graph(&self) -> &'g DepGraph {
-        self.graph
-    }
-
-    /// Bytes of heap owned by the index (component map, popcounts, and
-    /// every component bitset).
-    pub fn heap_bytes(&self) -> usize {
+    fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
         self.comp_of.capacity() * size_of::<u32>()
-            + self.counts.capacity() * size_of::<usize>()
+            + self.members.capacity() * size_of::<Vec<u32>>()
+            + self
+                .members
+                .iter()
+                .map(|m| m.capacity() * size_of::<u32>())
+                .sum::<usize>()
             + self.sets.capacity() * size_of::<SiteSet>()
-            + self.sets.iter().map(|s| s.heap_bytes()).sum::<usize>()
+            + self.sets.iter().map(SiteSet::heap_bytes).sum::<usize>()
+            + self.counts.capacity() * size_of::<usize>()
+            + self.deps.capacity() * size_of::<BTreeMap<u32, u32>>()
+            + self
+                .deps
+                .iter()
+                .map(|d| d.len() * 2 * size_of::<u32>())
+                .sum::<usize>()
+    }
+}
+
+/// How one delta was absorbed by each metric's condensation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Applied {
+    /// The concentration condensation's path.
+    pub concentration: ApplyKind,
+    /// The impact condensation's path.
+    pub impact: ApplyKind,
+}
+
+/// Concentration and impact for every provider of one graph under one
+/// [`MetricOptions`] — an **epoch-versioned, incrementally patchable**
+/// index that a report builds once and asks everything, and that a
+/// resident query service keeps warm across churn.
+///
+/// It keeps one copy of the consumer rows and, side by side, one
+/// condensation per [`Metric`]. [`ReachIndex::apply`] edits the rows
+/// once, then patches or rebuilds each condensation:
+///
+/// * **site edge add** — sites are never SCC members, so the
+///   condensation is untouched; the new site bit is ORed into the
+///   provider's component and every component it transitively
+///   consumes.
+/// * **site edge remove / cross-component provider edge remove** — the
+///   condensation is still valid; the affected downstream components'
+///   sets are rebuilt, in topological order, by the same per-component
+///   set builder the Tarjan pass uses.
+/// * **provider edge add** — if the new edge closes a cycle between
+///   two existing components the condensation would merge SCCs, so it
+///   **falls back to a full Tarjan rebuild**; otherwise the
+///   condensation gains one DAG edge and the consumer component's set
+///   is ORed downstream.
+/// * **intra-component provider edge remove** — could split an SCC:
+///   always a full rebuild.
+///
+/// A delta takes the same path in both condensations except where the
+/// metrics see different edges: a non-critical provider edge that
+/// closes a cycle is invisible to impact, which patches, while
+/// concentration merges components and rebuilds.
+///
+/// Every successful apply bumps the one **epoch**, so an answer tagged
+/// with an epoch names exactly one graph state. Each patch stages its
+/// set recomputations and commits them at the end.
+/// [`ReachIndex::verify_fresh`] recomputes both condensations from
+/// scratch and diffs them against the patched state — the serve
+/// daemon's paranoid mode runs it after every patch, and the churn
+/// property tests hold every patched set equal to a fresh
+/// [`ReachIndex::build`] and to a reverse BFS.
+pub struct ReachIndex {
+    opts: MetricOptions,
+    /// Provider slots: the graph's providers in node order, then the
+    /// providers churn introduced, in arrival order.
+    providers: Vec<Provider>,
+    /// `(kind, key)` → slot.
+    slots: BTreeMap<(ServiceKind, ProviderKey), u32>,
+    /// Exclusive upper bound on raw site indexes (bitset capacity).
+    site_bound: usize,
+    /// Monotonic version; bumped once per applied delta.
+    epoch: u64,
+    /// One condensation per metric, in [`Metric::ALL`] order.
+    conds: [Condensation; 2],
+    /// Condensation patches, summed over both metrics.
+    patches: u64,
+    /// Full Tarjan rebuilds, summed over both metrics.
+    rebuilds: u64,
+}
+
+impl ReachIndex {
+    /// Builds the index: copies each provider's consumer row from the
+    /// graph once (provider slots in node order, so rankings break ties
+    /// in node order), then condenses the rows once per metric. Epoch
+    /// starts at 0.
+    pub fn build(graph: &DepGraph, opts: &MetricOptions) -> Self {
+        let nodes: Vec<(NodeId, ProviderKey, ServiceKind)> = (0..graph.node_count() as u32)
+            .map(NodeId)
+            .filter_map(|v| match graph.node(v) {
+                NodeKind::Provider(name, kind) => {
+                    Some((v, ProviderKey::new(graph.name(name)), kind))
+                }
+                NodeKind::Site(_) => None,
+            })
+            .collect();
+        let mut slot_of = vec![NONE_U32; graph.node_count()];
+        for (slot, (v, ..)) in nodes.iter().enumerate() {
+            slot_of[v.index()] = slot as u32;
+        }
+        let providers: Vec<Provider> = nodes
+            .into_iter()
+            .map(|(v, key, kind)| Provider {
+                key,
+                kind,
+                row: graph
+                    .consumers_of(v)
+                    .map(|(w, edge)| match graph.node(w) {
+                        NodeKind::Site(site) => Consumer {
+                            id: site.0,
+                            provider: false,
+                            critical: edge.critical,
+                        },
+                        NodeKind::Provider(..) => Consumer {
+                            id: slot_of[w.index()],
+                            provider: true,
+                            critical: edge.critical,
+                        },
+                    })
+                    .collect(),
+            })
+            .collect();
+        let slots = providers
+            .iter()
+            .enumerate()
+            .map(|(slot, p)| ((p.kind, p.key.clone()), slot as u32))
+            .collect();
+        let site_bound = graph.site_id_bound();
+        let conds =
+            Metric::ALL.map(|metric| condense(&Rows::new(metric, &providers, opts, site_bound)));
+        ReachIndex {
+            opts: opts.clone(),
+            providers,
+            slots,
+            site_bound,
+            epoch: 0,
+            conds,
+            patches: 0,
+            rebuilds: 0,
+        }
+    }
+
+    /// The index's current epoch. Every applied delta bumps it by one,
+    /// so an answer tagged with an epoch names exactly one graph state.
+    pub fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
+    /// Condensation patches so far, summed over both metrics (a delta
+    /// counts once per metric).
+    pub fn patch_count(&self) -> u64 {
+        self.patches
+    }
+
+    /// Full Tarjan rebuilds so far, summed over both metrics.
+    pub fn rebuild_count(&self) -> u64 {
+        self.rebuilds
+    }
+
+    /// Number of sites depending on provider `(key, kind)` under
+    /// `metric` at the current epoch; 0 for unknown providers.
+    pub fn dependent_count(&self, metric: Metric, key: &str, kind: ServiceKind) -> usize {
+        self.slot(key, kind)
+            .map_or(0, |slot| self.conds[metric as usize].count(slot))
+    }
+
+    /// The dependent-site bitset of provider `(key, kind)` under
+    /// `metric`, or `None` for unknown providers.
+    pub fn dependent_set(&self, metric: Metric, key: &str, kind: ServiceKind) -> Option<&SiteSet> {
+        self.slot(key, kind)
+            .map(|slot| self.conds[metric as usize].set(slot))
+    }
+
+    /// All providers of `kind`, scored and ordered by impact
+    /// (descending), then concentration; ties keep graph node order.
+    pub fn ranking(&self, kind: ServiceKind) -> Vec<ProviderScore> {
+        let mut out: Vec<ProviderScore> = (0..self.providers.len())
+            .filter(|&slot| self.providers[slot].kind == kind)
+            .map(|slot| self.score(slot))
+            .collect();
+        out.sort_by(|a, b| {
+            b.impact
+                .cmp(&a.impact)
+                .then(b.concentration.cmp(&a.concentration))
+        });
+        out
+    }
+
+    /// All providers of `kind`, in key order, with both counts at the
+    /// current epoch.
+    pub fn providers_of(&self, kind: ServiceKind) -> Vec<ProviderScore> {
+        self.slots
+            .iter()
+            .filter(|((k, _), _)| *k == kind)
+            .map(|(_, &slot)| self.score(slot as usize))
+            .collect()
+    }
+
+    /// Number of *critical* dependencies each site has (direct plus, if
+    /// the options allow, transitive through critical provider chains)
+    /// — the §8.1 "critical dependencies per website" distribution: one
+    /// pass over the DNS, CDN and CA providers' impact sets.
+    pub fn critical_deps_per_site(&self) -> HashMap<SiteId, usize> {
+        let impact = &self.conds[Metric::Impact as usize];
+        let mut dense = vec![0usize; self.site_bound];
+        for (slot, provider) in self.providers.iter().enumerate() {
+            if ServiceKind::WEB_SERVICES.contains(&provider.kind) {
+                for site in impact.set(slot).iter() {
+                    dense[site.index()] += 1;
+                }
+            }
+        }
+        dense
+            .into_iter()
+            .enumerate()
+            .filter(|&(_, n)| n > 0)
+            .map(|(idx, n)| (SiteId::from_index(idx), n))
+            .collect()
+    }
+
+    /// Applies one churn delta: edits the rows once, then patches or
+    /// rebuilds each metric's condensation. On success the epoch
+    /// advances by one and the returned [`Applied`] says which path each
+    /// condensation took; on error the index is unchanged (same epoch,
+    /// same answers).
+    #[must_use]
+    pub fn apply(&mut self, delta: &Churn) -> Result<Applied, ChurnError> {
+        let edit = self.edit_rows(delta)?;
+        let mut kinds = [ApplyKind::Patched; 2];
+        for ((kind, cond), metric) in kinds.iter_mut().zip(&mut self.conds).zip(Metric::ALL) {
+            *kind = cond.patch(
+                &Rows::new(metric, &self.providers, &self.opts, self.site_bound),
+                edit,
+            );
+            match kind {
+                ApplyKind::Patched => self.patches += 1,
+                ApplyKind::Rebuilt => self.rebuilds += 1,
+            }
+        }
+        self.epoch += 1;
+        let [concentration, impact] = kinds;
+        Ok(Applied {
+            concentration,
+            impact,
+        })
+    }
+
+    /// Recomputes both condensations from scratch and diffs every
+    /// provider's set and count against the patched state. Returns a
+    /// description of the first divergence — the executable form of
+    /// "every patched epoch is cross-checked against a fresh build".
+    #[must_use]
+    pub fn verify_fresh(&self) -> Result<(), String> {
+        for (cond, metric) in self.conds.iter().zip(Metric::ALL) {
+            let fresh = condense(&Rows::new(
+                metric,
+                &self.providers,
+                &self.opts,
+                self.site_bound,
+            ));
+            for ((kind, key), &slot) in &self.slots {
+                let slot = slot as usize;
+                let (patched, rebuilt) = (cond.set(slot), fresh.set(slot));
+                if patched != rebuilt {
+                    return Err(format!(
+                        "{metric:?} of {key}/{kind:?}: patched set (|{}|) != fresh set (|{}|)",
+                        patched.count(),
+                        rebuilt.count()
+                    ));
+                }
+                let (patched_n, fresh_n) = (cond.count(slot), fresh.count(slot));
+                if patched_n != fresh_n {
+                    return Err(format!(
+                        "{metric:?} of {key}/{kind:?}: patched count {patched_n} != fresh count {fresh_n}"
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Discards both cached condensations and rebuilds them from the
+    /// owned rows. The logical graph state is unchanged, so the epoch
+    /// does not advance — this is the recovery hammer a resident
+    /// service reaches for if [`ReachIndex::verify_fresh`] ever reports
+    /// a divergence. Counts one rebuild per metric.
+    pub fn force_rebuild(&mut self) {
+        for (cond, metric) in self.conds.iter_mut().zip(Metric::ALL) {
+            *cond = condense(&Rows::new(
+                metric,
+                &self.providers,
+                &self.opts,
+                self.site_bound,
+            ));
+            self.rebuilds += 1;
+        }
+    }
+
+    /// Bytes of heap owned by the index: the row copy, the provider
+    /// keys and lookup table, and both condensations (component maps,
+    /// popcounts, condensation edges and every component bitset).
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.providers.capacity() * size_of::<Provider>()
+            + self
+                .providers
+                .iter()
+                .map(|p| p.row.capacity() * size_of::<Consumer>() + p.key.as_str().len())
+                .sum::<usize>()
+            + self.slots.len() * (size_of::<(ServiceKind, ProviderKey)>() + size_of::<u32>())
+            + self
+                .conds
+                .iter()
+                .map(Condensation::heap_bytes)
+                .sum::<usize>()
+    }
+
+    // ---- lookups and row edits ----
+
+    fn slot(&self, key: &str, kind: ServiceKind) -> Option<usize> {
+        self.slots
+            .get(&(kind, ProviderKey::new(key)))
+            .map(|&slot| slot as usize)
+    }
+
+    fn score(&self, slot: usize) -> ProviderScore {
+        ProviderScore {
+            key: self.providers[slot].key.clone(),
+            concentration: self.conds[Metric::Concentration as usize].count(slot),
+            impact: self.conds[Metric::Impact as usize].count(slot),
+        }
+    }
+
+    fn ensure_provider(&mut self, p: &ProviderRef) -> u32 {
+        if let Some(slot) = self.slot(&p.key, p.kind) {
+            return slot as u32;
+        }
+        assert!(
+            u32::try_from(self.providers.len()).is_ok(),
+            "reach index overflow: {} providers exhaust the u32 slot space",
+            self.providers.len()
+        );
+        let slot = self.providers.len() as u32;
+        let key = ProviderKey::new(p.key.as_str());
+        self.slots.insert((p.kind, key.clone()), slot);
+        self.providers.push(Provider {
+            key,
+            kind: p.kind,
+            row: Vec::new(),
+        });
+        for cond in &mut self.conds {
+            cond.push_singleton(slot, self.site_bound);
+        }
+        slot
+    }
+
+    /// Makes a delta's one row edit, or fails with the index untouched.
+    fn edit_rows(&mut self, delta: &Churn) -> Result<Edit, ChurnError> {
+        let missing = |detail: String| ChurnError::NoSuchEdge { detail };
+        let known = |index: &Self, p: &ProviderRef| {
+            index
+                .slot(&p.key, p.kind)
+                .map(|slot| slot as u32)
+                .ok_or_else(|| missing(format!("provider {} is unknown", p.key)))
+        };
+        Ok(match *delta {
+            Churn::AddSiteEdge {
+                site,
+                ref provider,
+                critical,
+            } => {
+                let p = self.ensure_provider(provider);
+                self.providers[p as usize].row.push(Consumer {
+                    id: site.0,
+                    provider: false,
+                    critical,
+                });
+                self.site_bound = self.site_bound.max(site.index() + 1);
+                Edit::Site {
+                    p,
+                    site,
+                    critical,
+                    added: true,
+                }
+            }
+            Churn::RemoveSiteEdge {
+                site,
+                ref provider,
+                critical,
+            } => {
+                let p = known(self, provider)?;
+                let edge = Consumer {
+                    id: site.0,
+                    provider: false,
+                    critical,
+                };
+                self.remove_from_row(p, edge).ok_or_else(|| {
+                    missing(format!("{site} -> {} (critical={critical})", provider.key))
+                })?;
+                Edit::Site {
+                    p,
+                    site,
+                    critical,
+                    added: false,
+                }
+            }
+            Churn::AddProviderEdge {
+                ref from,
+                ref to,
+                critical,
+            } => {
+                let w = self.ensure_provider(from);
+                let v = self.ensure_provider(to);
+                self.providers[v as usize].row.push(Consumer {
+                    id: w,
+                    provider: true,
+                    critical,
+                });
+                Edit::Provider {
+                    w,
+                    v,
+                    critical,
+                    added: true,
+                }
+            }
+            Churn::RemoveProviderEdge {
+                ref from,
+                ref to,
+                critical,
+            } => {
+                let w = known(self, from)?;
+                let v = known(self, to)?;
+                let edge = Consumer {
+                    id: w,
+                    provider: true,
+                    critical,
+                };
+                self.remove_from_row(v, edge).ok_or_else(|| {
+                    missing(format!("{} -> {} (critical={critical})", from.key, to.key))
+                })?;
+                Edit::Provider {
+                    w,
+                    v,
+                    critical,
+                    added: false,
+                }
+            }
+        })
+    }
+
+    /// Removes one instance of `edge` from provider `p`'s row.
+    fn remove_from_row(&mut self, p: u32, edge: Consumer) -> Option<()> {
+        let row = &mut self.providers[p as usize].row;
+        let pos = row.iter().position(|&c| c == edge)?;
+        row.remove(pos);
+        Some(())
     }
 }
 
@@ -580,565 +1119,86 @@ pub enum ApplyKind {
     Rebuilt,
 }
 
-/// An **epoch-versioned, incrementally patchable** reach index — the
-/// index a resident query service keeps warm across churn instead of
-/// rebuilding per query.
-///
-/// It runs the same condensation as [`ReachIndex`] (one SCC pass over
-/// the allowed provider-consumer subgraph, one dependent-site bitset
-/// per component) over its own copy of the graph, so it has no lifetime
-/// tie to a [`DepGraph`] and can absorb [`Churn`] deltas in place:
-///
-/// * **site edge add** — sites are never SCC members, so the
-///   condensation is untouched; the new site bit is ORed into the
-///   provider's component and every component it transitively
-///   consumes.
-/// * **site edge remove / cross-component provider edge remove** — the
-///   condensation is still valid; the affected downstream components'
-///   sets are rebuilt, in topological order, by the same per-component
-///   set builder the Tarjan pass uses.
-/// * **provider edge add** — if the new edge closes a cycle between
-///   two existing components the condensation would merge SCCs, so the
-///   index **falls back to a full Tarjan rebuild**; otherwise the
-///   condensation gains one DAG edge and the consumer component's set
-///   is ORed downstream.
-/// * **intra-component provider edge remove** — could split an SCC:
-///   always a full rebuild.
-///
-/// Every successful apply bumps the **epoch**. Patch computations are
-/// staged and committed at the end, so a panic mid-patch can never
-/// leave a half-written epoch behind: readers either see the previous
-/// epoch or the complete next one. [`MutableReach::verify_fresh`]
-/// recomputes the condensation from scratch and diffs it against the
-/// patched state — the serve daemon's paranoid mode runs it after
-/// every patch, and the churn property tests hold every patched set
-/// equal to a fresh [`ReachIndex::build`] and to the BFS.
-pub struct MutableReach {
-    filter: EdgeFilter,
-    rows: OwnedRows,
-    /// `(key, kind byte)` → node.
-    provider_index: BTreeMap<(String, u8), u32>,
-    /// Raw site index → node.
-    site_index: BTreeMap<u32, u32>,
-    /// Exclusive upper bound on raw site indexes (bitset capacity).
-    site_bound: usize,
-    /// Monotonic version; bumped once per applied delta.
-    epoch: u64,
-    /// The current condensation, patched in place between rebuilds.
-    cond: Condensation,
-    /// Condensation out-edges with multiplicity: `comp_deps[x][y]` =
-    /// number of visible edges from members of consumer component `x`
-    /// into members of component `y` (i.e. `x` consumes `y`).
-    comp_deps: Vec<BTreeMap<u32, u32>>,
-    /// Condensation in-edges with multiplicity (reverse of
-    /// [`MutableReach::comp_deps`]).
-    comp_consumers: Vec<BTreeMap<u32, u32>>,
-    /// Deltas absorbed by SCC-local patching.
-    patches: u64,
-    /// Deltas that forced a full Tarjan rebuild.
-    rebuilds: u64,
-}
-
-impl MutableReach {
-    /// Builds the mutable index from a frozen graph, copying nodes and
-    /// edges into owned columns (node `i` here is node `i` there) and
-    /// running one full condensation pass. Epoch starts at 0.
-    pub fn from_graph(graph: &DepGraph, critical_only: bool, opts: &MetricOptions) -> Self {
-        let n = graph.node_count();
-        let mut rows = OwnedRows {
-            kinds: Vec::with_capacity(n),
-            site_of: Vec::with_capacity(n),
-            in_edges: vec![Vec::new(); n],
-        };
-        let mut provider_index = BTreeMap::new();
-        let mut site_index = BTreeMap::new();
-        let mut site_bound = graph.site_id_bound();
-        for v in 0..n {
-            match graph.node(NodeId(v as u32)) {
-                NodeKind::Site(site) => {
-                    rows.kinds.push(SITE_KIND);
-                    rows.site_of.push(site.0);
-                    site_index.insert(site.0, v as u32);
-                    site_bound = site_bound.max(site.index() + 1);
-                }
-                NodeKind::Provider(name, kind) => {
-                    rows.kinds.push(kind_byte(kind));
-                    rows.site_of.push(NONE_U32);
-                    provider_index
-                        .insert((graph.name(name).to_string(), kind_byte(kind)), v as u32);
-                }
-            }
-            for (consumer, ek) in graph.consumers_of(NodeId(v as u32)) {
-                rows.in_edges[v].push((consumer.0, ek.critical));
-            }
-        }
-        let filter = EdgeFilter {
-            critical_only,
-            opts: opts.clone(),
-        };
-        let cond = condense(&rows, &filter, site_bound);
-        let mut mr = MutableReach {
-            filter,
-            rows,
-            provider_index,
-            site_index,
-            site_bound,
-            epoch: 0,
-            cond,
-            comp_deps: Vec::new(),
-            comp_consumers: Vec::new(),
-            patches: 0,
-            rebuilds: 0,
-        };
-        mr.count_comp_edges();
-        mr
-    }
-
-    /// The index's current epoch. Every applied delta bumps it by one,
-    /// so an answer tagged with an epoch names exactly one graph state.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Deltas absorbed without touching the condensation structure.
-    pub fn patch_count(&self) -> u64 {
-        self.patches
-    }
-
-    /// Deltas that forced a full Tarjan rebuild.
-    pub fn rebuild_count(&self) -> u64 {
-        self.rebuilds
-    }
-
-    /// Number of sites depending on provider `(key, kind)` at the
-    /// current epoch; 0 for unknown providers.
-    pub fn dependent_count(&self, key: &str, kind: ServiceKind) -> usize {
-        self.provider_node(key, kind)
-            .map(|v| self.cond.counts[self.cond.comp_of[v as usize] as usize])
-            .unwrap_or(0)
-    }
-
-    /// The dependent-site bitset of provider `(key, kind)`, or `None`
-    /// for unknown providers.
-    pub fn dependent_set(&self, key: &str, kind: ServiceKind) -> Option<&SiteSet> {
-        self.provider_node(key, kind)
-            .map(|v| &self.cond.sets[self.cond.comp_of[v as usize] as usize])
-    }
-
-    /// All provider keys of `kind`, in key order, with their dependent
-    /// counts at the current epoch.
-    pub fn providers_of(&self, kind: ServiceKind) -> Vec<(&str, usize)> {
-        let kb = kind_byte(kind);
-        self.provider_index
-            .iter()
-            .filter(move |((_, k), _)| *k == kb)
-            .map(|((key, _), &v)| {
-                let comp = self.cond.comp_of[v as usize];
-                (key.as_str(), self.cond.counts[comp as usize])
-            })
-            .collect()
-    }
-
-    /// Applies one churn delta. On success the epoch advances by one
-    /// and the returned [`ApplyKind`] says whether the delta was
-    /// SCC-locally patched or forced a rebuild; on error the index is
-    /// unchanged (same epoch, same answers).
-    #[must_use]
-    pub fn apply(&mut self, delta: &Churn) -> Result<ApplyKind, ChurnError> {
-        let kind = match delta {
-            Churn::AddSiteEdge {
-                site,
-                provider,
-                critical,
-            } => self.add_site_edge(*site, provider, *critical),
-            Churn::RemoveSiteEdge {
-                site,
-                provider,
-                critical,
-            } => self.remove_site_edge(*site, provider, *critical)?,
-            Churn::AddProviderEdge { from, to, critical } => {
-                self.add_provider_edge(from, to, *critical)
-            }
-            Churn::RemoveProviderEdge { from, to, critical } => {
-                self.remove_provider_edge(from, to, *critical)?
-            }
-        };
-        self.epoch += 1;
-        match kind {
-            ApplyKind::Patched => self.patches += 1,
-            ApplyKind::Rebuilt => self.rebuilds += 1,
-        }
-        Ok(kind)
-    }
-
-    /// Recomputes the condensation from scratch into a fresh state and
-    /// diffs every provider's set and count against the patched state.
-    /// Returns a description of the first divergence — the executable
-    /// form of "every patched epoch is cross-checked against a fresh
-    /// build".
-    #[must_use]
-    pub fn verify_fresh(&self) -> Result<(), String> {
-        let fresh = condense(&self.rows, &self.filter, self.site_bound);
-        for (&(ref key, kb), &v) in &self.provider_index {
-            let (pc, fc) = (
-                self.cond.comp_of[v as usize] as usize,
-                fresh.comp_of[v as usize] as usize,
-            );
-            let (patched, rebuilt) = (&self.cond.sets[pc], &fresh.sets[fc]);
-            if patched != rebuilt {
-                return Err(format!(
-                    "provider {key}/{:?}: patched set (|{}|) != fresh set (|{}|)",
-                    kind_back(kb),
-                    patched.count(),
-                    rebuilt.count()
-                ));
-            }
-            let (patched_n, fresh_n) = (self.cond.counts[pc], fresh.counts[fc]);
-            if patched_n != fresh_n {
-                return Err(format!(
-                    "provider {key}/{:?}: patched count {patched_n} != fresh count {fresh_n}",
-                    kind_back(kb)
-                ));
-            }
-        }
-        Ok(())
-    }
-
-    /// Discards the cached condensation and rebuilds it from the owned
-    /// edge list. The logical graph state is unchanged, so the epoch
-    /// does not advance — this is the recovery hammer a resident
-    /// service reaches for if [`MutableReach::verify_fresh`] ever
-    /// reports a divergence.
-    pub fn force_rebuild(&mut self) {
-        self.rebuild_condensation();
-        self.rebuilds += 1;
-    }
-
-    // ---- node plumbing ----
-
-    fn provider_node(&self, key: &str, kind: ServiceKind) -> Option<u32> {
-        // BTreeMap<(String, u8)> lookups need an owned key; provider
-        // churn is rare enough that the allocation is irrelevant.
-        self.provider_index
-            .get(&(key.to_string(), kind_byte(kind)))
-            .copied()
-    }
-
-    fn ensure_site(&mut self, site: SiteId) -> u32 {
-        if let Some(&v) = self.site_index.get(&site.0) {
-            return v;
-        }
-        let v = self.push_node(SITE_KIND, site.0);
-        self.site_index.insert(site.0, v);
-        self.site_bound = self.site_bound.max(site.index() + 1);
-        self.cond.comp_of.push(NONE_U32);
-        v
-    }
-
-    fn ensure_provider(&mut self, p: &ProviderRef) -> u32 {
-        if let Some(v) = self.provider_node(&p.key, p.kind) {
-            return v;
-        }
-        let v = self.push_node(kind_byte(p.kind), NONE_U32);
-        self.provider_index
-            .insert((p.key.clone(), kind_byte(p.kind)), v);
-        // A brand-new provider is its own singleton component with an
-        // empty dependent set — no structural invariant can break.
-        let comp = self.cond.sets.len() as u32;
-        self.cond.comp_of.push(comp);
-        self.cond.members.push(vec![v]);
-        self.cond.sets.push(SiteSet::with_bound(self.site_bound));
-        self.cond.counts.push(0);
-        self.comp_deps.push(BTreeMap::new());
-        self.comp_consumers.push(BTreeMap::new());
-        v
-    }
-
-    fn push_node(&mut self, kind: u8, site_raw: u32) -> u32 {
-        assert!(
-            u32::try_from(self.rows.kinds.len()).is_ok(),
-            "mutable reach overflow: {} nodes exhaust the u32 id space",
-            self.rows.kinds.len()
-        );
-        let v = self.rows.kinds.len() as u32;
-        self.rows.kinds.push(kind);
-        self.rows.site_of.push(site_raw);
-        self.rows.in_edges.push(Vec::new());
-        v
-    }
-
-    /// Whether the provider→provider edge `from → to` participates in
-    /// this index.
-    fn provider_edge_visible(&self, from: u32, to: u32, critical: bool) -> bool {
-        let kinds = &self.rows.kinds;
-        self.filter
-            .step(kinds[from as usize], kinds[to as usize], critical)
-    }
-
-    // ---- patch operations ----
-
-    fn add_site_edge(&mut self, site: SiteId, provider: &ProviderRef, critical: bool) -> ApplyKind {
-        let s = self.ensure_site(site);
-        let p = self.ensure_provider(provider);
-        self.rows.in_edges[p as usize].push((s, critical));
-        if self.filter.admits(critical) {
-            // The site now reaches p's component and, transitively,
-            // every component p consumes. Sites are never SCC members,
-            // so the condensation itself cannot change: pure bit OR.
-            for comp in self.downstream_of(self.cond.comp_of[p as usize]) {
-                let set = &mut self.cond.sets[comp as usize];
-                if !set.contains(site) {
-                    set.insert(site);
-                    self.cond.counts[comp as usize] += 1;
-                }
-            }
-        }
-        ApplyKind::Patched
-    }
-
-    fn remove_site_edge(
-        &mut self,
-        site: SiteId,
-        provider: &ProviderRef,
-        critical: bool,
-    ) -> Result<ApplyKind, ChurnError> {
-        let missing = |detail: String| ChurnError::NoSuchEdge { detail };
-        let s = self
-            .site_index
-            .get(&site.0)
-            .copied()
-            .ok_or_else(|| missing(format!("site {site} has no node")))?;
-        let p = self
-            .provider_node(&provider.key, provider.kind)
-            .ok_or_else(|| missing(format!("provider {} is unknown", provider.key)))?;
-        let row = &mut self.rows.in_edges[p as usize];
-        let pos = row
-            .iter()
-            .position(|&(w, c)| w == s && c == critical)
-            .ok_or_else(|| missing(format!("{site} -> {} (critical={critical})", provider.key)))?;
-        row.remove(pos);
-        if self.filter.admits(critical) {
-            // The site may still reach the affected components via
-            // other edges; recompute their sets from scratch, in
-            // topological order, leaving the condensation untouched
-            // (site edges never define SCCs).
-            self.recompute_downstream(self.cond.comp_of[p as usize]);
-        }
-        Ok(ApplyKind::Patched)
-    }
-
-    fn add_provider_edge(
-        &mut self,
-        from: &ProviderRef,
-        to: &ProviderRef,
-        critical: bool,
-    ) -> ApplyKind {
-        let w = self.ensure_provider(from);
-        let v = self.ensure_provider(to);
-        self.rows.in_edges[v as usize].push((w, critical));
-        if !self.provider_edge_visible(w, v, critical) {
-            // Recorded for future rebuilds, invisible to this
-            // configuration — nothing cached can change.
-            return ApplyKind::Patched;
-        }
-        let (cw, cv) = (self.cond.comp_of[w as usize], self.cond.comp_of[v as usize]);
-        if cw == cv {
-            // An extra edge inside one component changes neither the
-            // condensation nor any set.
-            return ApplyKind::Patched;
-        }
-        if self.downstream_of(cv).contains(&cw) {
-            // to ⇒ … ⇒ from already exists, so from → to closes a
-            // cycle: components must merge. Condensation invariant
-            // invalidated — full rebuild.
-            self.rebuild_condensation();
-            return ApplyKind::Rebuilt;
-        }
-        // The condensation stays a DAG and gains one edge cw → cv.
-        *self.comp_deps[cw as usize].entry(cv).or_insert(0) += 1;
-        *self.comp_consumers[cv as usize].entry(cw).or_insert(0) += 1;
-        // Everything the consumer component reaches flows into cv and
-        // everything cv consumes. Stage the unions, then commit.
-        let source = self.cond.sets[cw as usize].clone();
-        let mut staged: Vec<(u32, SiteSet)> = Vec::new();
-        for comp in self.downstream_of(cv) {
-            let mut merged = self.cond.sets[comp as usize].clone();
-            merged.union_with(&source);
-            staged.push((comp, merged));
-        }
-        for (comp, set) in staged {
-            self.cond.counts[comp as usize] = set.count();
-            self.cond.sets[comp as usize] = set;
-        }
-        ApplyKind::Patched
-    }
-
-    fn remove_provider_edge(
-        &mut self,
-        from: &ProviderRef,
-        to: &ProviderRef,
-        critical: bool,
-    ) -> Result<ApplyKind, ChurnError> {
-        let missing = |detail: String| ChurnError::NoSuchEdge { detail };
-        let w = self
-            .provider_node(&from.key, from.kind)
-            .ok_or_else(|| missing(format!("provider {} is unknown", from.key)))?;
-        let v = self
-            .provider_node(&to.key, to.kind)
-            .ok_or_else(|| missing(format!("provider {} is unknown", to.key)))?;
-        let row = &mut self.rows.in_edges[v as usize];
-        let pos = row
-            .iter()
-            .position(|&(x, c)| x == w && c == critical)
-            .ok_or_else(|| missing(format!("{} -> {} (critical={critical})", from.key, to.key)))?;
-        row.remove(pos);
-        if !self.provider_edge_visible(w, v, critical) {
-            return Ok(ApplyKind::Patched);
-        }
-        let (cw, cv) = (self.cond.comp_of[w as usize], self.cond.comp_of[v as usize]);
-        if cw == cv {
-            // Removing an intra-component edge can split the SCC:
-            // always rebuild.
-            self.rebuild_condensation();
-            return Ok(ApplyKind::Rebuilt);
-        }
-        // Cross-component removal keeps the condensation a DAG; drop
-        // one unit of edge multiplicity and recompute downstream sets.
-        let gone = {
-            let slot = self.comp_deps[cw as usize].entry(cv).or_insert(0);
-            *slot = slot.saturating_sub(1);
-            *slot == 0
-        };
-        if gone {
-            self.comp_deps[cw as usize].remove(&cv);
-            let slot = self.comp_consumers[cv as usize].entry(cw).or_insert(0);
-            *slot = slot.saturating_sub(1);
-            self.comp_consumers[cv as usize].remove(&cw);
-        } else {
-            let slot = self.comp_consumers[cv as usize].entry(cw).or_insert(0);
-            *slot = slot.saturating_sub(1);
-        }
-        self.recompute_downstream(cv);
-        Ok(ApplyKind::Patched)
-    }
-
-    // ---- condensation plumbing ----
-
-    /// Components reachable from `start` (inclusive) along consumption
-    /// edges — exactly the components whose dependent sets include
-    /// every site that reaches `start`.
-    fn downstream_of(&self, start: u32) -> Vec<u32> {
-        let mut seen: Vec<u32> = vec![start];
-        let mut order: Vec<u32> = Vec::new();
-        let mut stack = vec![start];
-        while let Some(c) = stack.pop() {
-            order.push(c);
-            for (&next, _) in &self.comp_deps[c as usize] {
-                if !seen.contains(&next) {
-                    seen.push(next);
-                    stack.push(next);
-                }
-            }
-        }
-        order
-    }
-
-    /// Rebuilds the dependent sets of every component downstream of
-    /// `start` (inclusive) with the Tarjan pass's set builder,
-    /// processing the affected sub-DAG in topological order so each
-    /// set reads only finished inputs. Staged, then committed.
-    fn recompute_downstream(&mut self, start: u32) {
-        let affected = self.downstream_of(start);
-        let in_affected = |c: u32| affected.contains(&c);
-        // Kahn over the affected sub-DAG (consumer → consumed edges).
-        let mut indeg: BTreeMap<u32, usize> = BTreeMap::new();
-        for &c in &affected {
-            let d = self.comp_consumers[c as usize]
-                .keys()
-                .filter(|&&x| in_affected(x))
-                .count();
-            indeg.insert(c, d);
-        }
-        let mut ready: Vec<u32> = indeg
-            .iter()
-            .filter(|(_, &d)| d == 0)
-            .map(|(&c, _)| c)
-            .collect();
-        let mut staged: BTreeMap<u32, SiteSet> = BTreeMap::new();
-        while let Some(c) = ready.pop() {
-            let set = component_set(
-                &self.rows,
-                &self.filter,
-                self.site_bound,
-                &self.cond.members[c as usize],
-                &self.cond.comp_of,
-                |x| staged.get(&x).unwrap_or(&self.cond.sets[x as usize]),
-            );
-            staged.insert(c, set);
-            for &next in self.comp_deps[c as usize].keys() {
-                if let Some(d) = indeg.get_mut(&next) {
-                    *d -= 1;
-                    if *d == 0 {
-                        ready.push(next);
-                    }
-                }
-            }
-        }
-        debug_assert_eq!(staged.len(), affected.len(), "condensation must be acyclic");
-        for (comp, set) in staged {
-            self.cond.counts[comp as usize] = set.count();
-            self.cond.sets[comp as usize] = set;
-        }
-    }
-
-    /// Counts the condensation's edges with multiplicity, in one pass
-    /// over the visible inter-component provider edges — the state the
-    /// patch paths keep beside the condensation.
-    fn count_comp_edges(&mut self) {
-        let ncomp = self.cond.sets.len();
-        let mut deps: Vec<BTreeMap<u32, u32>> = vec![BTreeMap::new(); ncomp];
-        let mut consumers: Vec<BTreeMap<u32, u32>> = vec![BTreeMap::new(); ncomp];
-        for (v, row) in self.rows.in_edges.iter().enumerate() {
-            let cv = self.cond.comp_of[v];
-            if cv == NONE_U32 {
-                continue;
-            }
-            for &(w, critical) in row {
-                if !self.provider_edge_visible(w, v as u32, critical) {
-                    continue;
-                }
-                let cw = self.cond.comp_of[w as usize];
-                if cw != cv {
-                    *deps[cw as usize].entry(cv).or_insert(0) += 1;
-                    *consumers[cv as usize].entry(cw).or_insert(0) += 1;
-                }
-            }
-        }
-        self.comp_deps = deps;
-        self.comp_consumers = consumers;
-    }
-
-    fn rebuild_condensation(&mut self) {
-        self.cond = condense(&self.rows, &self.filter, self.site_bound);
-        self.count_comp_edges();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::graph::{EdgeKind, GraphBuilder, NodeRef};
-    use crate::metrics::Metrics;
     use std::collections::HashSet;
-    use webdeps_measure::{measure_world, ProviderKey};
-    use webdeps_model::ServiceKind;
+    use webdeps_measure::measure_world;
     use webdeps_testkit::{check_with, gen, tk_assert, Config};
     use webdeps_worldgen::{World, WorldConfig};
 
+    /// The reference every index set is held to: the sites depending on
+    /// `provider` under `metric`, by one reverse BFS from the provider
+    /// over the graph's consumer edges. It shares no code with the
+    /// condensation, so a patched set is never checked only against the
+    /// routine that produced it.
+    fn bfs(
+        graph: &DepGraph,
+        provider: NodeId,
+        metric: Metric,
+        opts: &MetricOptions,
+    ) -> HashSet<SiteId> {
+        let mut sites = HashSet::new();
+        let mut visited: HashSet<NodeId> = HashSet::from([provider]);
+        let mut frontier = vec![provider];
+        while let Some(node) = frontier.pop() {
+            // Consumers reach `node` via edges of the service it provides.
+            let NodeKind::Provider(_, node_kind) = graph.node(node) else {
+                continue;
+            };
+            for (consumer, kind) in graph.consumers_of(node) {
+                if metric == Metric::Impact && !kind.critical {
+                    continue;
+                }
+                match graph.node(consumer) {
+                    NodeKind::Site(site) => {
+                        sites.insert(site);
+                    }
+                    NodeKind::Provider(_, consumer_kind) => {
+                        if opts.allows(consumer_kind, node_kind) && visited.insert(consumer) {
+                            frontier.push(consumer);
+                        }
+                    }
+                }
+            }
+        }
+        sites
+    }
+
     /// A bitset's members as a hash set (empty for `None`), the shape
-    /// of [`Metrics::dependent_sites`].
+    /// of [`bfs`].
     fn members(set: Option<&SiteSet>) -> HashSet<SiteId> {
         set.map(|s| s.iter().collect()).unwrap_or_default()
+    }
+
+    /// Every provider of `g` scores under both metrics exactly what the
+    /// BFS finds.
+    fn assert_matches_bfs(
+        index: &ReachIndex,
+        g: &DepGraph,
+        opts: &MetricOptions,
+        ctx: &str,
+    ) -> Result<(), String> {
+        for v in (0..g.node_count() as u32).map(NodeId) {
+            let NodeKind::Provider(name, kind) = g.node(v) else {
+                continue;
+            };
+            let key = g.name(name);
+            for metric in Metric::ALL {
+                let want = bfs(g, v, metric, opts);
+                tk_assert!(
+                    index.dependent_count(metric, key, kind) == want.len(),
+                    "{ctx}: {metric:?} count of {key}/{kind} != BFS ({})",
+                    want.len()
+                );
+                tk_assert!(
+                    members(index.dependent_set(metric, key, kind)) == want,
+                    "{ctx}: {metric:?} set of {key}/{kind} diverged from the BFS"
+                );
+            }
+        }
+        Ok(())
     }
 
     #[test]
@@ -1227,33 +1287,15 @@ mod tests {
     fn index_matches_bfs_on_measured_world() {
         let world = World::generate(WorldConfig::small(123));
         let ds = measure_world(&world);
-        let g = crate::graph::DepGraph::from_dataset(&ds);
-        let m = Metrics::new(&g);
-        for critical in [false, true] {
-            for opts in [
-                MetricOptions::direct_only(),
-                MetricOptions::full(),
-                MetricOptions::only(ServiceKind::Ca, ServiceKind::Dns),
-            ] {
-                let index = ReachIndex::build(&g, critical, &opts);
-                for kind in [ServiceKind::Dns, ServiceKind::Cdn, ServiceKind::Ca] {
-                    for p in g.providers_of(kind) {
-                        let bfs = m.dependent_sites(p, critical, &opts);
-                        assert_eq!(
-                            index.dependent_count(p),
-                            bfs.len(),
-                            "count mismatch at {:?} critical={critical}",
-                            g.node_ref(p)
-                        );
-                        assert_eq!(
-                            members(index.dependent_set(p)),
-                            bfs,
-                            "set mismatch at {:?} critical={critical}",
-                            g.node_ref(p)
-                        );
-                    }
-                }
-            }
+        let g = DepGraph::from_dataset(&ds);
+        for opts in [
+            MetricOptions::direct_only(),
+            MetricOptions::full(),
+            MetricOptions::only(ServiceKind::Ca, ServiceKind::Dns),
+        ] {
+            let index = ReachIndex::build(&g, &opts);
+            assert_matches_bfs(&index, &g, &opts, &format!("{opts:?}"))
+                .unwrap_or_else(|e| panic!("{e}"));
         }
     }
 
@@ -1263,14 +1305,8 @@ mod tests {
         let mut b = GraphBuilder::new();
         let s0 = b.intern(NodeRef::Site(SiteId(0)));
         let s1 = b.intern(NodeRef::Site(SiteId(1)));
-        let a = b.intern(NodeRef::Provider(
-            ProviderKey::new("a.com"),
-            ServiceKind::Dns,
-        ));
-        let bp = b.intern(NodeRef::Provider(
-            ProviderKey::new("b.com"),
-            ServiceKind::Cdn,
-        ));
+        let a = b.intern_provider("a.com", ServiceKind::Dns);
+        let bp = b.intern_provider("b.com", ServiceKind::Cdn);
         let crit = |service| EdgeKind {
             service,
             critical: true,
@@ -1280,31 +1316,37 @@ mod tests {
         b.add_edge(a, bp, crit(ServiceKind::Cdn));
         b.add_edge(bp, a, crit(ServiceKind::Dns));
         let g = b.build();
-        // Both hop kinds allowed → a true 2-cycle.
-        let opts = MetricOptions {
+        let index = ReachIndex::build(&g, &both_hops());
+        assert_eq!(
+            index.dependent_count(Metric::Impact, "a.com", ServiceKind::Dns),
+            2
+        );
+        assert_eq!(
+            index.dependent_count(Metric::Impact, "b.com", ServiceKind::Cdn),
+            2
+        );
+        assert_matches_bfs(&index, &g, &both_hops(), "2-cycle").unwrap_or_else(|e| panic!("{e}"));
+        // Unknown providers score zero, like the BFS from a non-provider.
+        assert_eq!(
+            index.dependent_count(Metric::Impact, "a.com", ServiceKind::Cdn),
+            0
+        );
+        assert!(index
+            .dependent_set(Metric::Concentration, "nope.com", ServiceKind::Dns)
+            .is_none());
+    }
+
+    // ---- churn ----
+
+    /// CDN → DNS and DNS → CDN both allowed, so provider cycles count.
+    fn both_hops() -> MetricOptions {
+        MetricOptions {
             interservice: vec![
                 (ServiceKind::Cdn, ServiceKind::Dns),
                 (ServiceKind::Dns, ServiceKind::Cdn),
             ],
-        };
-        let index = ReachIndex::build(&g, true, &opts);
-        assert_eq!(index.dependent_count(a), 2);
-        assert_eq!(index.dependent_count(bp), 2);
-        let m = Metrics::new(&g);
-        assert_eq!(
-            members(index.dependent_set(a)),
-            m.dependent_sites(a, true, &opts)
-        );
-        assert_eq!(
-            members(index.dependent_set(bp)),
-            m.dependent_sites(bp, true, &opts)
-        );
-        // Site nodes score zero, like the BFS.
-        assert_eq!(index.dependent_count(s0), 0);
-        assert!(index.dependent_set(s0).is_none());
+        }
     }
-
-    // ---- MutableReach ----
 
     /// A churn delta plus the edge universe it ran against, mirrored
     /// outside the index so a fresh graph can be rebuilt per step.
@@ -1317,22 +1359,22 @@ mod tests {
     fn fresh_graph(sites: &[SiteId], providers: &[ProviderRef], edges: &[MirrorEdge]) -> DepGraph {
         let mut b = GraphBuilder::new();
         for &s in sites {
-            b.intern(NodeRef::Site(s));
+            b.intern_site(s);
         }
         for p in providers {
-            b.intern(NodeRef::Provider(ProviderKey::new(p.key.as_str()), p.kind));
+            b.intern_provider(&p.key, p.kind);
         }
         for e in edges {
             let (from, to, critical, service) = match e {
                 MirrorEdge::Site(s, p, c) => (
-                    b.intern(NodeRef::Site(*s)),
-                    b.intern(NodeRef::Provider(ProviderKey::new(p.key.as_str()), p.kind)),
+                    b.intern_site(*s),
+                    b.intern_provider(&p.key, p.kind),
                     *c,
                     p.kind,
                 ),
                 MirrorEdge::Prov(f, t, c) => (
-                    b.intern(NodeRef::Provider(ProviderKey::new(f.key.as_str()), f.kind)),
-                    b.intern(NodeRef::Provider(ProviderKey::new(t.key.as_str()), t.kind)),
+                    b.intern_provider(&f.key, f.kind),
+                    b.intern_provider(&t.key, t.kind),
                     *c,
                     t.kind,
                 ),
@@ -1342,53 +1384,47 @@ mod tests {
         b.build()
     }
 
+    /// Both metrics of a patched index equal a fresh build over the
+    /// mirrored graph and the BFS, for every provider, and
+    /// `verify_fresh` agrees.
     fn assert_matches_fresh(
-        mr: &MutableReach,
+        index: &ReachIndex,
         g: &DepGraph,
-        critical: bool,
         opts: &MetricOptions,
         ctx: &str,
     ) -> Result<(), String> {
-        let fresh = ReachIndex::build(g, critical, opts);
-        let bfs = Metrics::new(g);
+        let fresh = ReachIndex::build(g, opts);
         for kind in [
             ServiceKind::Dns,
             ServiceKind::Cdn,
             ServiceKind::Ca,
             ServiceKind::Cloud,
         ] {
-            for (key, count) in mr.providers_of(kind) {
-                let node = g
-                    .find(&NodeRef::Provider(ProviderKey::new(key), kind))
-                    .ok_or_else(|| format!("{ctx}: provider {key}/{kind} missing from mirror"))?;
-                tk_assert!(
-                    count == fresh.dependent_count(node),
-                    "{ctx}: {key}/{kind} patched count {count} != fresh {}",
-                    fresh.dependent_count(node)
-                );
-                let patched = members(mr.dependent_set(key, kind));
-                tk_assert!(
-                    patched == members(fresh.dependent_set(node)),
-                    "{ctx}: {key}/{kind} patched set diverged from fresh build"
-                );
-                // The BFS shares no code with the condensation, so the
-                // patched sets are never checked only against the
-                // routine that produced them.
-                tk_assert!(
-                    patched == bfs.dependent_sites(node, critical, opts),
-                    "{ctx}: {key}/{kind} patched set diverged from the BFS"
-                );
+            tk_assert!(
+                index.providers_of(kind) == fresh.providers_of(kind),
+                "{ctx}: {kind} providers or counts diverged from a fresh build"
+            );
+            for score in index.providers_of(kind) {
+                let key = score.key.as_str();
+                for metric in Metric::ALL {
+                    tk_assert!(
+                        index.dependent_set(metric, key, kind)
+                            == fresh.dependent_set(metric, key, kind),
+                        "{ctx}: {metric:?} set of {key}/{kind} diverged from a fresh build"
+                    );
+                }
             }
         }
-        mr.verify_fresh().map_err(|e| format!("{ctx}: {e}"))
+        assert_matches_bfs(index, g, opts, ctx)?;
+        index.verify_fresh().map_err(|e| format!("{ctx}: {e}"))
     }
 
-    /// The churn cross-check: random churn streams applied to
-    /// `MutableReach`, with every patched epoch compared exhaustively
-    /// against `ReachIndex::build` and the BFS over a freshly assembled
-    /// graph.
+    /// The churn cross-check: random churn streams applied to one
+    /// index, with both metrics of every patched epoch compared
+    /// exhaustively against `ReachIndex::build` and the BFS over a
+    /// freshly assembled graph.
     #[test]
-    fn mutable_reach_matches_fresh_build_under_churn() {
+    fn index_matches_fresh_build_under_churn() {
         let sites: Vec<SiteId> = (0..10).map(SiteId).collect();
         let providers: Vec<ProviderRef> = vec![
             ProviderRef::new("d0.com", ServiceKind::Dns),
@@ -1402,7 +1438,7 @@ mod tests {
                 cases: 48,
                 ..Config::default()
             },
-            "mutable_reach_matches_fresh_build_under_churn",
+            "index_matches_fresh_build_under_churn",
             &gen::u64_any(),
             |&seed| {
                 let mut state = seed | 1;
@@ -1412,11 +1448,10 @@ mod tests {
                     state ^= state << 17;
                     state
                 };
-                let critical = next() % 2 == 0;
-                let opts = if next() % 2 == 0 {
-                    MetricOptions::full()
-                } else {
-                    MetricOptions::direct_only()
+                let opts = match next() % 3 {
+                    0 => MetricOptions::full(),
+                    1 => MetricOptions::direct_only(),
+                    _ => both_hops(),
                 };
                 let mut edges: Vec<MirrorEdge> = Vec::new();
                 for _ in 0..(next() % 12) {
@@ -1425,8 +1460,8 @@ mod tests {
                     edges.push(MirrorEdge::Site(s, p, next() % 2 == 0));
                 }
                 let g0 = fresh_graph(&sites, &providers, &edges);
-                let mut mr = MutableReach::from_graph(&g0, critical, &opts);
-                tk_assert!(mr.epoch() == 0, "fresh index must start at epoch 0");
+                let mut index = ReachIndex::build(&g0, &opts);
+                tk_assert!(index.epoch() == 0, "fresh index must start at epoch 0");
 
                 for step in 0..24 {
                     let op = next() % 4;
@@ -1461,15 +1496,15 @@ mod tests {
                             // edges left, exercise the error path.
                             if edges.is_empty() {
                                 let p = providers[0].clone();
-                                let before = mr.epoch();
-                                let r = mr.apply(&Churn::RemoveSiteEdge {
+                                let before = index.epoch();
+                                let r = index.apply(&Churn::RemoveSiteEdge {
                                     site: sites[0],
                                     provider: p,
                                     critical: true,
                                 });
                                 tk_assert!(r.is_err(), "phantom removal must fail");
                                 tk_assert!(
-                                    mr.epoch() == before,
+                                    index.epoch() == before,
                                     "failed apply must not advance the epoch"
                                 );
                                 continue;
@@ -1489,21 +1524,20 @@ mod tests {
                             }
                         }
                     };
-                    let before = mr.epoch();
-                    mr.apply(&delta)
+                    let before = (index.epoch(), index.patch_count() + index.rebuild_count());
+                    index
+                        .apply(&delta)
                         .map_err(|e| format!("step {step}: apply failed: {e}"))?;
                     tk_assert!(
-                        mr.epoch() == before + 1,
+                        index.epoch() == before.0 + 1,
                         "each applied delta must bump the epoch by exactly one"
                     );
+                    tk_assert!(
+                        index.patch_count() + index.rebuild_count() == before.1 + 2,
+                        "each applied delta counts once per metric"
+                    );
                     let g = fresh_graph(&sites, &providers, &edges);
-                    assert_matches_fresh(
-                        &mr,
-                        &g,
-                        critical,
-                        &opts,
-                        &format!("step {step} critical={critical}"),
-                    )?;
+                    assert_matches_fresh(&index, &g, &opts, &format!("step {step} {opts:?}"))?;
                 }
                 Ok(())
             },
@@ -1518,50 +1552,136 @@ mod tests {
         let sites = [SiteId(0), SiteId(1)];
         let d = ProviderRef::new("d.com", ServiceKind::Dns);
         let c = ProviderRef::new("c.com", ServiceKind::Cdn);
-        let edges = vec![
+        let mut edges = vec![
             MirrorEdge::Site(sites[0], d.clone(), true),
             MirrorEdge::Site(sites[1], c.clone(), true),
             MirrorEdge::Prov(c.clone(), d.clone(), true),
         ];
         let providers = [d.clone(), c.clone()];
         let g = fresh_graph(&sites, &providers, &edges);
-        // Both hop directions allowed → the reverse edge is a cycle.
-        let opts = MetricOptions {
-            interservice: vec![
-                (ServiceKind::Cdn, ServiceKind::Dns),
-                (ServiceKind::Dns, ServiceKind::Cdn),
-            ],
-        };
-        let mut mr = MutableReach::from_graph(&g, true, &opts);
-        assert_eq!(mr.dependent_count("d.com", ServiceKind::Dns), 2);
-        assert_eq!(mr.dependent_count("c.com", ServiceKind::Cdn), 1);
+        let mut index = ReachIndex::build(&g, &both_hops());
+        assert_eq!(
+            index.dependent_count(Metric::Impact, "d.com", ServiceKind::Dns),
+            2
+        );
+        assert_eq!(
+            index.dependent_count(Metric::Impact, "c.com", ServiceKind::Cdn),
+            1
+        );
 
-        let kind = mr
+        let applied = index
             .apply(&Churn::AddProviderEdge {
                 from: d.clone(),
                 to: c.clone(),
                 critical: true,
             })
             .expect("cycle edge applies");
-        assert_eq!(kind, ApplyKind::Rebuilt);
-        assert_eq!(mr.rebuild_count(), 1);
-        assert_eq!(mr.dependent_count("c.com", ServiceKind::Cdn), 2);
-        assert_eq!(mr.dependent_count("d.com", ServiceKind::Dns), 2);
-        mr.verify_fresh().expect("rebuilt epoch cross-checks");
+        // A critical edge is visible to both metrics: both merge.
+        assert_eq!(
+            applied,
+            Applied {
+                concentration: ApplyKind::Rebuilt,
+                impact: ApplyKind::Rebuilt,
+            }
+        );
+        assert_eq!(index.rebuild_count(), 2);
+        assert_eq!(
+            index.dependent_count(Metric::Impact, "c.com", ServiceKind::Cdn),
+            2
+        );
+        assert_eq!(
+            index.dependent_count(Metric::Impact, "d.com", ServiceKind::Dns),
+            2
+        );
+        edges.push(MirrorEdge::Prov(d.clone(), c.clone(), true));
+        let g = fresh_graph(&sites, &providers, &edges);
+        assert_matches_fresh(&index, &g, &both_hops(), "merged").unwrap_or_else(|e| panic!("{e}"));
 
         // Removing an intra-component edge can split the SCC — also a
         // rebuild. With c → d gone, only d → c remains.
-        let kind = mr
+        let applied = index
             .apply(&Churn::RemoveProviderEdge {
-                from: c,
-                to: d,
+                from: c.clone(),
+                to: d.clone(),
                 critical: true,
             })
             .expect("intra-component removal applies");
-        assert_eq!(kind, ApplyKind::Rebuilt);
-        assert_eq!(mr.dependent_count("c.com", ServiceKind::Cdn), 2);
-        assert_eq!(mr.dependent_count("d.com", ServiceKind::Dns), 1);
-        mr.verify_fresh().expect("post-split epoch cross-checks");
+        assert_eq!(applied.impact, ApplyKind::Rebuilt);
+        assert_eq!(applied.concentration, ApplyKind::Rebuilt);
+        assert_eq!(
+            index.dependent_count(Metric::Impact, "c.com", ServiceKind::Cdn),
+            2
+        );
+        assert_eq!(
+            index.dependent_count(Metric::Impact, "d.com", ServiceKind::Dns),
+            1
+        );
+        edges.remove(2);
+        let g = fresh_graph(&sites, &providers, &edges);
+        assert_matches_fresh(&index, &g, &both_hops(), "split").unwrap_or_else(|e| panic!("{e}"));
+    }
+
+    #[test]
+    fn non_critical_cycle_edge_patches_impact_and_rebuilds_concentration() {
+        // c.com (CDN) critically consumes d.com (DNS). A non-critical
+        // d → c edge closes a cycle only for concentration: impact
+        // never sees it and patches, concentration merges the two
+        // components and rebuilds — then splits them again on removal.
+        let sites = [SiteId(0), SiteId(1)];
+        let d = ProviderRef::new("d.com", ServiceKind::Dns);
+        let c = ProviderRef::new("c.com", ServiceKind::Cdn);
+        let providers = [d.clone(), c.clone()];
+        let mut edges = vec![
+            MirrorEdge::Site(sites[0], d.clone(), true),
+            MirrorEdge::Site(sites[1], c.clone(), true),
+            MirrorEdge::Prov(c.clone(), d.clone(), true),
+        ];
+        let opts = both_hops();
+        let mut index = ReachIndex::build(&fresh_graph(&sites, &providers, &edges), &opts);
+        let split = Applied {
+            concentration: ApplyKind::Rebuilt,
+            impact: ApplyKind::Patched,
+        };
+
+        let applied = index
+            .apply(&Churn::AddProviderEdge {
+                from: d.clone(),
+                to: c.clone(),
+                critical: false,
+            })
+            .expect("non-critical cycle edge applies");
+        assert_eq!(applied, split);
+        assert_eq!((index.patch_count(), index.rebuild_count()), (1, 1));
+        assert_eq!(index.epoch(), 1);
+        assert_eq!(
+            index.dependent_count(Metric::Concentration, "c.com", ServiceKind::Cdn),
+            2
+        );
+        assert_eq!(
+            index.dependent_count(Metric::Impact, "c.com", ServiceKind::Cdn),
+            1
+        );
+        edges.push(MirrorEdge::Prov(d.clone(), c.clone(), false));
+        let g = fresh_graph(&sites, &providers, &edges);
+        assert_matches_fresh(&index, &g, &opts, "added").unwrap_or_else(|e| panic!("{e}"));
+
+        let applied = index
+            .apply(&Churn::RemoveProviderEdge {
+                from: d,
+                to: c,
+                critical: false,
+            })
+            .expect("non-critical cycle edge removes");
+        assert_eq!(applied, split);
+        assert_eq!((index.patch_count(), index.rebuild_count()), (2, 2));
+        assert_eq!(index.epoch(), 2);
+        assert_eq!(
+            index.dependent_count(Metric::Concentration, "c.com", ServiceKind::Cdn),
+            1
+        );
+        edges.pop();
+        let g = fresh_graph(&sites, &providers, &edges);
+        assert_matches_fresh(&index, &g, &opts, "removed").unwrap_or_else(|e| panic!("{e}"));
     }
 
     #[test]
@@ -1577,39 +1697,44 @@ mod tests {
             MirrorEdge::Prov(c.clone(), d.clone(), true),
         ];
         let g = fresh_graph(&sites, &providers, &edges);
-        let opts = MetricOptions::full();
-        let mut mr = MutableReach::from_graph(&g, true, &opts);
-        assert_eq!(mr.dependent_count("d.com", ServiceKind::Dns), 1);
+        let mut index = ReachIndex::build(&g, &MetricOptions::full());
+        let impact = |index: &ReachIndex, p: &ProviderRef| {
+            index.dependent_count(Metric::Impact, &p.key, p.kind)
+        };
+        assert_eq!(impact(&index, &d), 1);
         // Site 1 adopts the DNS provider directly: pure bit OR.
-        mr.apply(&Churn::AddSiteEdge {
-            site: sites[1],
-            provider: d.clone(),
-            critical: true,
-        })
-        .expect("site add applies");
+        index
+            .apply(&Churn::AddSiteEdge {
+                site: sites[1],
+                provider: d.clone(),
+                critical: true,
+            })
+            .expect("site add applies");
         // Site 2 adopts the CDN: reaches the DNS operator transitively.
-        mr.apply(&Churn::AddSiteEdge {
-            site: sites[2],
-            provider: c.clone(),
-            critical: true,
-        })
-        .expect("site add applies");
-        assert_eq!(mr.dependent_count("c.com", ServiceKind::Cdn), 2);
-        assert_eq!(mr.dependent_count("d.com", ServiceKind::Dns), 3);
+        index
+            .apply(&Churn::AddSiteEdge {
+                site: sites[2],
+                provider: c.clone(),
+                critical: true,
+            })
+            .expect("site add applies");
+        assert_eq!(impact(&index, &c), 2);
+        assert_eq!(impact(&index, &d), 3);
         // Site 0 drops the CDN: d.com keeps its direct consumer and
         // the remaining transitive one.
-        mr.apply(&Churn::RemoveSiteEdge {
-            site: sites[0],
-            provider: c,
-            critical: true,
-        })
-        .expect("site removal applies");
-        assert_eq!(mr.dependent_count("c.com", ServiceKind::Cdn), 1);
-        assert_eq!(mr.dependent_count("d.com", ServiceKind::Dns), 2);
-        assert_eq!(mr.rebuild_count(), 0, "site churn never rebuilds");
-        assert_eq!(mr.patch_count(), 3);
-        assert_eq!(mr.epoch(), 3);
-        mr.verify_fresh().expect("patched epochs cross-check");
+        index
+            .apply(&Churn::RemoveSiteEdge {
+                site: sites[0],
+                provider: c.clone(),
+                critical: true,
+            })
+            .expect("site removal applies");
+        assert_eq!(impact(&index, &c), 1);
+        assert_eq!(impact(&index, &d), 2);
+        assert_eq!(index.rebuild_count(), 0, "site churn never rebuilds");
+        assert_eq!(index.patch_count(), 6, "three deltas, two metrics each");
+        assert_eq!(index.epoch(), 3);
+        index.verify_fresh().expect("patched epochs cross-check");
     }
 
     #[test]
@@ -1624,14 +1749,19 @@ mod tests {
             MirrorEdge::Site(sites[1], c.clone(), true),
         ];
         let g = fresh_graph(&sites, &[d, c.clone()], &edges);
-        let mut mr = MutableReach::from_graph(&g, true, &MetricOptions::full());
-        mr.apply(&Churn::AddSiteEdge {
-            site: SiteId(1_000),
-            provider: c,
-            critical: true,
-        })
-        .expect("site add applies");
-        assert_eq!(mr.dependent_count("c.com", ServiceKind::Cdn), 2);
-        assert_eq!(mr.verify_fresh(), Ok(()));
+        let mut index = ReachIndex::build(&g, &MetricOptions::full());
+        index
+            .apply(&Churn::AddSiteEdge {
+                site: SiteId(1_000),
+                provider: c,
+                critical: true,
+            })
+            .expect("site add applies");
+        assert_eq!(
+            index.dependent_count(Metric::Impact, "c.com", ServiceKind::Cdn),
+            2
+        );
+        assert_eq!(index.verify_fresh(), Ok(()));
+        assert_eq!(index.critical_deps_per_site().get(&SiteId(1_000)), Some(&1));
     }
 }

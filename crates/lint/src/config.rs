@@ -182,7 +182,7 @@ pub const RULES: &[RuleInfo] = &[
         severity: Severity::Deny,
         summary: "no lock guard live across a par::fan_out/fan_out_chunked call",
         rationale: "fan_out blocks until every worker joins; a guard held across it serializes the whole pool behind one lock, and a worker that needs the same lock deadlocks outright. Fan-out entry propagates callee→caller, so wrapping the call in a helper does not hide it. Split the work: read what you need, drop the guard, then fan out.",
-        example: "let g = state.lock()…; let parts = fan_out(&items, jobs, work);",
+        example: "let g = state.lock()…; let parts = fan_out(&items, work);",
         allow_hint: "// lint:allow(guard-across-fanout) — <why workers cannot touch this lock>",
     },
     RuleInfo {

@@ -203,7 +203,7 @@ pub fn measure_world(world: &World) -> MeasurementDataset {
     // instead of re-digging every site.
     let observe_scope = timing::scope("measure/observe");
     let n_sites = listings.len();
-    let partials = fan_out_chunked(&listings, 0, |shard| {
+    let partials = fan_out_chunked(&listings, |shard| {
         let mut client = world.client();
         client.resolver_mut().bound_cache(RESOLVER_CACHE_BOUND);
         let mut cache = ClassifyCache::new();
@@ -230,7 +230,7 @@ pub fn measure_world(world: &World) -> MeasurementDataset {
     let classify_scope = timing::scope("measure/classify");
     let items: Vec<(SiteListing, Option<dns::DnsObservation>)> =
         listings.into_iter().zip(observations).collect();
-    let shards = fan_out_chunked(&items, 0, |shard| {
+    let shards = fan_out_chunked(&items, |shard| {
         vec![classify_shard(world, shard, &concentration)]
     });
     drop(classify_scope);

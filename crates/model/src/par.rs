@@ -1,14 +1,15 @@
 //! Deterministic parallel fan-out.
 //!
 //! Every parallel path in the workspace — world synthesis, the
-//! measurement crawl, the analysis-layer rankings and sweeps, and the
+//! measurement crawl, the outage index's recording sweep, and the
 //! chaos campaign's availability probes — shares this one helper and
 //! therefore one contract: **output is byte-identical at any worker
 //! count**, including one. The recipe is the only scheme that makes
 //! that trivially auditable:
 //!
 //! * the item list is split into at most `jobs` *contiguous, statically
-//!   sized* chunks (`len.div_ceil(jobs)` items each, in input order);
+//!   sized* chunks (`len.div_ceil(jobs)` items each, in input order),
+//!   `jobs` being the resolved worker count;
 //! * each `std::thread::scope` worker owns one chunk and **returns**
 //!   its results — workers never write through shared state, so there
 //!   is no accumulator whose fill order could leak scheduling;
@@ -18,10 +19,10 @@
 //!
 //! Worker-count policy is likewise centralized: [`resolve_jobs`] is the
 //! single knob (`WEBDEPS_JOBS` env > detected parallelism, capped at
-//! [`MAX_AUTO_JOBS`]) shared by worldgen, measure, core, and chaos,
-//! which all pass `0` (auto); an explicit count is for this module's
-//! own tests. Because every caller is deterministic at any worker
-//! count, the knob tunes *speed only* — it can never change results.
+//! [`MAX_AUTO_JOBS`]) shared by worldgen, measure, core, and chaos. The
+//! fan-out helpers take no count; only this module's tests pin one.
+//! Because every caller is deterministic at any worker count, the knob
+//! tunes *speed only* — it can never change results.
 
 use std::thread;
 
@@ -57,15 +58,15 @@ pub fn resolve_jobs(requested: usize) -> usize {
     }
 }
 
-/// [`resolve_jobs`] clamped to the work available: never more than one
-/// worker per item, never less than one.
-pub fn effective_jobs(requested: usize, nitems: usize) -> usize {
-    resolve_jobs(requested).clamp(1, nitems.max(1))
+/// The resolved worker count clamped to the work available: never more
+/// than one worker per item, never less than one.
+pub fn effective_jobs(nitems: usize) -> usize {
+    resolve_jobs(0).clamp(1, nitems.max(1))
 }
 
-/// Runs `f` once per contiguous chunk of `items` across at most `jobs`
-/// scoped-thread workers (`0` = auto, see [`resolve_jobs`]) and
-/// concatenates the returned vectors in chunk order.
+/// Runs `f` once per contiguous chunk of `items` across at most
+/// [`effective_jobs`] scoped-thread workers and concatenates the
+/// returned vectors in chunk order.
 ///
 /// `f` sees each chunk exactly once and may return any number of
 /// results per chunk; per-item mappings should return one result per
@@ -79,13 +80,24 @@ pub fn effective_jobs(requested: usize, nitems: usize) -> usize {
 /// workers panic, the payload of the *first chunk in input order* is the
 /// one re-raised — so the surfaced error is deterministic at any worker
 /// count (the serial path would have hit that item first, too).
-pub fn fan_out_chunked<T, R, F>(items: &[T], jobs: usize, f: F) -> Vec<R>
+pub fn fan_out_chunked<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(&[T]) -> Vec<R> + Sync,
 {
-    let jobs = effective_jobs(jobs, items.len());
+    chunked_across(effective_jobs(items.len()), items, f)
+}
+
+/// [`fan_out_chunked`] at a fixed worker count (clamped to one per
+/// item), kept apart so this module's tests can pin the count.
+fn chunked_across<T, R, F>(jobs: usize, items: &[T], f: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&[T]) -> Vec<R> + Sync,
+{
+    let jobs = jobs.min(items.len());
     if jobs <= 1 {
         return f(items);
     }
@@ -120,16 +132,16 @@ where
     })
 }
 
-/// Runs `f` over every item of `items` across at most `jobs`
-/// scoped-thread workers (`0` = auto) and returns the results in input
-/// order — a parallel, order-preserving `map`.
-pub fn fan_out<T, R, F>(items: &[T], jobs: usize, f: F) -> Vec<R>
+/// Runs `f` over every item of `items` across at most
+/// [`effective_jobs`] scoped-thread workers and returns the results in
+/// input order — a parallel, order-preserving `map`.
+pub fn fan_out<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    fan_out_chunked(items, jobs, |part| part.iter().map(&f).collect())
+    fan_out_chunked(items, |part| part.iter().map(&f).collect())
 }
 
 // ---- resident worker pool ----
@@ -395,29 +407,45 @@ fn worker_loop(queue: Arc<JobQueue>, panics: Arc<AtomicU64>, executed: Arc<Atomi
 mod tests {
     use super::*;
 
+    /// [`fan_out`] at a fixed worker count.
+    fn map_across<T: Sync, R: Send>(
+        jobs: usize,
+        items: &[T],
+        f: impl Fn(&T) -> R + Sync,
+    ) -> Vec<R> {
+        chunked_across(jobs, items, |part| part.iter().map(&f).collect())
+    }
+
     #[test]
     fn fan_out_matches_serial_map_at_any_job_count() {
         let items: Vec<u64> = (0..1_003).collect();
         let expect: Vec<u64> = items.iter().map(|x| x * 3 + 1).collect();
         for jobs in [1, 2, 3, 7, 16, 64] {
-            assert_eq!(fan_out(&items, jobs, |x| x * 3 + 1), expect, "jobs={jobs}");
+            assert_eq!(
+                map_across(jobs, &items, |x| x * 3 + 1),
+                expect,
+                "jobs={jobs}"
+            );
         }
+        assert_eq!(fan_out(&items, |x| x * 3 + 1), expect, "resolved count");
     }
 
     #[test]
     fn fan_out_chunked_concatenates_in_chunk_order() {
         let items: Vec<usize> = (0..100).collect();
         for jobs in [1, 3, 8] {
-            let got = fan_out_chunked(&items, jobs, |part| part.to_vec());
+            let got = chunked_across(jobs, &items, |part| part.to_vec());
             assert_eq!(got, items, "jobs={jobs}");
         }
+        assert_eq!(fan_out_chunked(&items, |part| part.to_vec()), items);
     }
 
     #[test]
     fn empty_input_yields_empty_output() {
         let items: Vec<u32> = Vec::new();
-        assert!(fan_out(&items, 8, |x| *x).is_empty());
-        assert!(fan_out_chunked(&items, 8, |p| p.to_vec()).is_empty());
+        assert!(map_across(8, &items, |x| *x).is_empty());
+        assert!(chunked_across(8, &items, |p| p.to_vec()).is_empty());
+        assert!(fan_out(&items, |x| *x).is_empty());
     }
 
     #[test]
@@ -425,7 +453,7 @@ mod tests {
         let items: Vec<u64> = (1..=100).collect();
         for jobs in [1, 2, 4, 9] {
             let partials =
-                fan_out_chunked(&items, jobs, |part| vec![part.iter().copied().sum::<u64>()]);
+                chunked_across(jobs, &items, |part| vec![part.iter().copied().sum::<u64>()]);
             assert!(partials.len() <= jobs.max(1));
             assert_eq!(partials.iter().sum::<u64>(), 5_050, "jobs={jobs}");
         }
@@ -433,10 +461,10 @@ mod tests {
 
     #[test]
     fn effective_jobs_never_exceeds_items() {
-        assert_eq!(effective_jobs(8, 3), 3);
-        assert_eq!(effective_jobs(2, 100), 2);
-        assert_eq!(effective_jobs(5, 0), 1);
-        assert!(effective_jobs(0, 1_000) >= 1);
+        assert_eq!(effective_jobs(0), 1);
+        assert_eq!(effective_jobs(1), 1);
+        assert!(effective_jobs(3) <= 3);
+        assert!(effective_jobs(1_000) >= 1);
     }
 
     #[test]
@@ -456,7 +484,7 @@ mod tests {
         let items: Vec<u32> = (0..40).collect();
         for _ in 0..16 {
             let result = std::panic::catch_unwind(|| {
-                fan_out(&items, 4, |x| {
+                map_across(4, &items, |x| {
                     assert!(*x != 5, "first chunk failed");
                     assert!(*x != 35, "last chunk failed");
                     *x
@@ -479,7 +507,7 @@ mod tests {
     fn worker_panic_is_propagated() {
         let items: Vec<u32> = (0..40).collect();
         let result = std::panic::catch_unwind(|| {
-            fan_out(&items, 4, |x| {
+            map_across(4, &items, |x| {
                 assert!(*x != 33, "boom");
                 *x
             })

@@ -50,7 +50,12 @@ fn parse_args() -> Result<Args, String> {
                 .ranks
                 .push(take("--rank")?.parse().map_err(|_| "bad --rank")?),
             "--domain" => args.domains.push(take("--domain")?),
-            "--worst" => args.worst = take("--worst")?.parse().map_err(|_| "bad --worst")?,
+            "--worst" => {
+                args.worst = take("--worst")?.parse().map_err(|_| "bad --worst")?;
+                if args.worst == 0 {
+                    return Err(format!("--worst must be at least 1\n{USAGE}"));
+                }
+            }
             "--help" | "-h" => return Err(USAGE.into()),
             other => return Err(format!("unknown argument {other:?} (try --help)")),
         }

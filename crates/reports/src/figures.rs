@@ -6,8 +6,8 @@ use crate::names::pretty;
 use crate::table::{pct, TextTable};
 use crate::workspace::Workspace;
 use webdeps_core::{
-    ca_figure, cdn_figure, coverage_curve, dns_figure, providers_for_coverage, MetricOptions,
-    Metrics,
+    ca_figure, cdn_figure, coverage_curve, dns_figure, providers_for_coverage, Metric,
+    MetricOptions, ProviderScore, ReachIndex, SiteSet,
 };
 use webdeps_measure::MeasurementDataset;
 use webdeps_model::ServiceKind;
@@ -109,13 +109,11 @@ pub fn figure4(ws: &Workspace) -> Report {
 
 fn top5_table(
     ds: &MeasurementDataset,
-    graph: &webdeps_core::DepGraph,
+    index: &ReachIndex,
     kind: ServiceKind,
-    opts: &MetricOptions,
     caption: &str,
 ) -> TextTable {
-    let metrics = Metrics::new(graph);
-    let ranking = metrics.ranking(kind, opts);
+    let ranking = index.ranking(kind);
     let n = ds.len() as f64;
     let mut t = TextTable::new(caption, &["provider", "C (concentration)", "I (impact)"]);
     for score in ranking.iter().take(5) {
@@ -135,32 +133,19 @@ fn top5_table(
 /// Figure 5: top providers by direct concentration and impact.
 #[must_use]
 pub fn figure5(ws: &Workspace) -> Report {
-    let opts = MetricOptions::direct_only();
+    let index = ReachIndex::build(&ws.graph20, &MetricOptions::direct_only());
     Report::new(
         "figure5",
         "Direct dependency graphs: top-5 providers (paper Figure 5a/b/c)",
     )
     .table(top5_table(
         &ws.ds20,
-        &ws.graph20,
+        &index,
         ServiceKind::Dns,
-        &opts,
         "5a — DNS providers",
     ))
-    .table(top5_table(
-        &ws.ds20,
-        &ws.graph20,
-        ServiceKind::Cdn,
-        &opts,
-        "5b — CDNs",
-    ))
-    .table(top5_table(
-        &ws.ds20,
-        &ws.graph20,
-        ServiceKind::Ca,
-        &opts,
-        "5c — CAs",
-    ))
+    .table(top5_table(&ws.ds20, &index, ServiceKind::Cdn, "5b — CDNs"))
+    .table(top5_table(&ws.ds20, &index, ServiceKind::Ca, "5c — CAs"))
     .note("paper 5a: Cloudflare C=24% I=23% of the top-100K; top-3 DNS impact ≈ 40%")
     .note("paper 5b: CloudFront ≈ 30% of CDN users; top-3 ≈ 56% of users (18.6% of all sites)")
     .note("paper 5c: DigiCert C=32% of sites; top-3 CA impact 46.25% of sites")
@@ -210,6 +195,17 @@ pub fn figure6(ws: &Workspace) -> Report {
     .note("absolute provider counts scale with the world (tail pools shrink on small worlds)")
 }
 
+/// Sites in the union of the impact sets of a ranking's top three.
+fn top3_impact(index: &ReachIndex, ranking: &[ProviderScore], kind: ServiceKind) -> usize {
+    let mut union = SiteSet::default();
+    for score in ranking.iter().take(3) {
+        if let Some(set) = index.dependent_set(Metric::Impact, score.key.as_str(), kind) {
+            union.union_with(set);
+        }
+    }
+    union.count()
+}
+
 fn indirect_figure(
     ws: &Workspace,
     id: &str,
@@ -218,11 +214,10 @@ fn indirect_figure(
     hop: (ServiceKind, ServiceKind),
     notes: &[&str],
 ) -> Report {
-    let direct = MetricOptions::direct_only();
-    let with = MetricOptions::only(hop.0, hop.1);
-    let metrics = Metrics::new(&ws.graph20);
+    let direct = ReachIndex::build(&ws.graph20, &MetricOptions::direct_only());
+    let with = ReachIndex::build(&ws.graph20, &MetricOptions::only(hop.0, hop.1));
     let n = ws.ds20.len() as f64;
-    let ranking = metrics.ranking(target, &with);
+    let ranking = with.ranking(target);
     let mut t = TextTable::new(
         "Top-5 by impact with the inter-service hop (direct-only in brackets)",
         &[
@@ -234,41 +229,23 @@ fn indirect_figure(
         ],
     );
     for score in ranking.iter().take(5) {
-        // Ranked providers come from this very graph; a miss means the
-        // row has nothing to show, not that the report should die.
-        let Some(node) = ws.graph20.provider(score.key.as_str(), target) else {
-            continue;
-        };
-        let c_direct = metrics.concentration(node, &direct);
-        let i_direct = metrics.impact(node, &direct);
+        let key = score.key.as_str();
+        let c_direct = direct.dependent_count(Metric::Concentration, key, target);
+        let i_direct = direct.dependent_count(Metric::Impact, key, target);
         t.row(vec![
-            pretty(score.key.as_str()).to_string(),
+            pretty(key).to_string(),
             pct(100.0 * score.concentration as f64 / n),
             pct(100.0 * c_direct as f64 / n),
             pct(100.0 * score.impact as f64 / n),
             pct(100.0 * i_direct as f64 / n),
         ]);
     }
-    // Top-3 aggregate impact (union of dependent sites).
-    let mut top3: std::collections::HashSet<webdeps_model::SiteId> = Default::default();
-    let mut top3_direct: std::collections::HashSet<webdeps_model::SiteId> = Default::default();
-    for score in ranking.iter().take(3) {
-        let Some(node) = ws.graph20.provider(score.key.as_str(), target) else {
-            continue;
-        };
-        top3.extend(metrics.dependent_sites(node, true, &with));
-    }
-    let direct_ranking = metrics.ranking(target, &direct);
-    for score in direct_ranking.iter().take(3) {
-        let Some(node) = ws.graph20.provider(score.key.as_str(), target) else {
-            continue;
-        };
-        top3_direct.extend(metrics.dependent_sites(node, true, &direct));
-    }
+    let top3 = top3_impact(&with, &ranking, target);
+    let top3_direct = top3_impact(&direct, &direct.ranking(target), target);
     let mut report = Report::new(id, title).table(t).note(format!(
         "top-3 {target} impact: {:.1}% of sites with the hop vs {:.1}% direct-only",
-        100.0 * top3.len() as f64 / n,
-        100.0 * top3_direct.len() as f64 / n
+        100.0 * top3 as f64 / n,
+        100.0 * top3_direct as f64 / n
     ));
     for n in notes {
         report = report.note(*n);
@@ -327,10 +304,9 @@ pub fn figure9(ws: &Workspace) -> Report {
 /// §8.1 amplification headlines.
 #[must_use]
 pub fn amplification(ws: &Workspace) -> Report {
-    let metrics = Metrics::new(&ws.graph20);
     let n = ws.ds20.len() as f64;
-    let direct = MetricOptions::direct_only();
-    let full = MetricOptions::full();
+    let direct = ReachIndex::build(&ws.graph20, &MetricOptions::direct_only());
+    let full = ReachIndex::build(&ws.graph20, &MetricOptions::full());
 
     let mut t = TextTable::new(
         "Impact amplification through indirect dependencies",
@@ -346,32 +322,30 @@ pub fn amplification(ws: &Workspace) -> Report {
             "7% → 30% (concentration)",
         ),
     ] {
-        let Some(node) = ws.graph20.provider(key, kind) else {
+        if ws.graph20.provider(key, kind).is_none() {
             continue;
-        };
-        let i_direct = metrics.impact(node, &direct);
-        let i_full = metrics.impact(node, &full);
-        let amp = if i_direct == 0 {
-            f64::INFINITY
-        } else {
-            i_full as f64 / i_direct as f64
+        }
+        let i_direct = direct.dependent_count(Metric::Impact, key, kind);
+        let i_full = full.dependent_count(Metric::Impact, key, kind);
+        // No impact either way amplifies nothing; impact from nothing
+        // is unbounded.
+        let amplification = match (i_direct, i_full) {
+            (0, 0) => "—".into(),
+            (0, _) => "∞".into(),
+            _ => format!("{:.1}x", i_full as f64 / i_direct as f64),
         };
         t.row(vec![
             pretty(key).to_string(),
             pct(100.0 * i_direct as f64 / n),
             pct(100.0 * i_full as f64 / n),
-            if amp.is_finite() {
-                format!("{amp:.1}x")
-            } else {
-                "∞".into()
-            },
+            amplification,
             paper.into(),
         ]);
     }
 
     // Critical dependencies per site (the 9.6% → 25% with ≥3 claim).
-    let direct_counts = metrics.critical_deps_per_site(&direct);
-    let full_counts = metrics.critical_deps_per_site(&full);
+    let direct_counts = direct.critical_deps_per_site();
+    let full_counts = full.critical_deps_per_site();
     let ge3 = |m: &std::collections::HashMap<webdeps_model::SiteId, usize>| {
         m.values().filter(|&&c| c >= 3).count()
     };
@@ -413,16 +387,22 @@ mod tests {
         }
     }
 
+    /// Impact of `(key, kind)` under `opts` over the test workspace.
+    fn impact(key: &str, kind: ServiceKind, opts: &MetricOptions) -> usize {
+        ReachIndex::build(&ws().graph20, opts).dependent_count(Metric::Impact, key, kind)
+    }
+
     #[test]
     fn figure7_amplifies_dnsmadeeasy() {
-        let metrics = Metrics::new(&ws().graph20);
-        let node = ws()
-            .graph20
-            .provider("dnsmadeeasy.com", ServiceKind::Dns)
-            .expect("DNSMadeEasy observed");
-        let direct = metrics.impact(node, &MetricOptions::direct_only());
-        let with_ca = metrics.impact(
-            node,
+        let (key, kind) = ("dnsmadeeasy.com", ServiceKind::Dns);
+        assert!(
+            ws().graph20.provider(key, kind).is_some(),
+            "DNSMadeEasy observed"
+        );
+        let direct = impact(key, kind, &MetricOptions::direct_only());
+        let with_ca = impact(
+            key,
+            kind,
             &MetricOptions::only(ServiceKind::Ca, ServiceKind::Dns),
         );
         assert!(
@@ -433,14 +413,15 @@ mod tests {
 
     #[test]
     fn figure8_amplifies_incapsula() {
-        let metrics = Metrics::new(&ws().graph20);
-        let node = ws()
-            .graph20
-            .provider("incapdns.net", ServiceKind::Cdn)
-            .expect("Incapsula observed");
-        let direct = metrics.impact(node, &MetricOptions::direct_only());
-        let with_ca = metrics.impact(
-            node,
+        let (key, kind) = ("incapdns.net", ServiceKind::Cdn);
+        assert!(
+            ws().graph20.provider(key, kind).is_some(),
+            "Incapsula observed"
+        );
+        let direct = impact(key, kind, &MetricOptions::direct_only());
+        let with_ca = impact(
+            key,
+            kind,
             &MetricOptions::only(ServiceKind::Ca, ServiceKind::Cdn),
         );
         assert!(
@@ -451,20 +432,19 @@ mod tests {
 
     #[test]
     fn figure9_changes_little() {
-        let metrics = Metrics::new(&ws().graph20);
         let n = ws().ds20.len() as f64;
-        let direct = MetricOptions::direct_only();
-        let with_cdn = MetricOptions::only(ServiceKind::Cdn, ServiceKind::Dns);
+        let direct = ReachIndex::build(&ws().graph20, &MetricOptions::direct_only());
+        let with_cdn = ReachIndex::build(
+            &ws().graph20,
+            &MetricOptions::only(ServiceKind::Cdn, ServiceKind::Dns),
+        );
         // Aggregate over the top-5 direct DNS providers: the hop adds
         // little because major CDNs run private DNS.
-        let ranking = metrics.ranking(ServiceKind::Dns, &direct);
         let mut gain = 0.0;
-        for score in ranking.iter().take(5) {
-            let node = ws()
-                .graph20
-                .provider(score.key.as_str(), ServiceKind::Dns)
-                .unwrap();
-            gain += (metrics.impact(node, &with_cdn) - score.impact) as f64;
+        for score in direct.ranking(ServiceKind::Dns).iter().take(5) {
+            let with =
+                with_cdn.dependent_count(Metric::Impact, score.key.as_str(), ServiceKind::Dns);
+            gain += (with - score.impact) as f64;
         }
         assert!(
             gain / n < 0.05,
@@ -474,9 +454,9 @@ mod tests {
 
     #[test]
     fn amplification_full_exceeds_direct() {
-        let metrics = Metrics::new(&ws().graph20);
-        let d = metrics.critical_deps_per_site(&MetricOptions::direct_only());
-        let f = metrics.critical_deps_per_site(&MetricOptions::full());
+        let deps = |opts| ReachIndex::build(&ws().graph20, &opts).critical_deps_per_site();
+        let d = deps(MetricOptions::direct_only());
+        let f = deps(MetricOptions::full());
         let sum = |m: &std::collections::HashMap<webdeps_model::SiteId, usize>| -> usize {
             m.values().sum()
         };
@@ -484,5 +464,33 @@ mod tests {
             sum(&f) > sum(&d),
             "indirect chains add critical dependencies"
         );
+    }
+
+    #[test]
+    fn amplification_of_no_impact_is_not_infinite() {
+        // Three sites leave most providers with no impact either way:
+        // such a row amplifies nothing, so it reads `—`, never `∞`.
+        let ws = Workspace::new(42, 3);
+        let text = amplification(&ws).render();
+        // Cells of a table row: provider, I direct, I full,
+        // amplification, paper.
+        let rows: Vec<Vec<&str>> = text
+            .lines()
+            .filter(|l| l.starts_with("| "))
+            .map(|l| {
+                l.split('|')
+                    .map(str::trim)
+                    .filter(|c| !c.is_empty())
+                    .collect()
+            })
+            .collect();
+        let zero: Vec<&Vec<&str>> = rows
+            .iter()
+            .filter(|cells| cells[1] == "0.0%" && cells[2] == "0.0%")
+            .collect();
+        assert!(!zero.is_empty(), "no 0/0 row at 3 sites:\n{text}");
+        for cells in zero {
+            assert_eq!(cells[3], "—", "0/0 row: {cells:?}");
+        }
     }
 }

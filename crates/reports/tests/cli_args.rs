@@ -31,6 +31,15 @@ fn audit_rejects_scale_zero() {
 }
 
 #[test]
+fn audit_rejects_worst_zero() {
+    let out = run(
+        env!("CARGO_BIN_EXE_audit"),
+        &["--scale", "50", "--worst", "0"],
+    );
+    assert_usage_error(&out, "usage: audit");
+}
+
+#[test]
 fn audit_selector_matching_nothing_fails_without_population_view() {
     let audit = env!("CARGO_BIN_EXE_audit");
     for args in [

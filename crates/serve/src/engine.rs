@@ -1,25 +1,24 @@
-//! Resident query engine: one world, two epoch-locked indexes.
+//! Resident query engine: one world, one epoch-locked index.
 //!
-//! The engine loads a world once, measures it once, and keeps a pair of
-//! [`MutableReach`] indexes warm — impact (`critical_only = true`) and
-//! concentration (`false`) — behind a single `RwLock`. Queries take the
-//! read side and tag every answer with the epoch it was computed from;
-//! churn deltas take the write side, patch **both** indexes, and bump
-//! their epochs in lockstep, so a reader can never observe a half-new
-//! state: it either runs before the write lock (previous epoch) or
-//! after it (next epoch), never between the two index updates.
+//! The engine loads a world once, measures it once, and keeps one
+//! [`ReachIndex`] warm — impact and concentration side by side over one
+//! copy of the graph — behind a single `RwLock`. Queries take the read
+//! side and tag every answer with the epoch it was computed from; a
+//! churn delta takes the write side and is applied once, patching both
+//! metrics under one epoch, so a reader either runs before the write
+//! lock (previous epoch) or after it (next epoch), never between.
 //!
 //! In `verify_patches` mode (torture/smoke) every applied delta is
-//! followed by [`MutableReach::verify_fresh`] on both indexes while the
-//! write lock is still held — a diverging patch is repaired with
-//! [`MutableReach::force_rebuild`] before any reader can consume it,
-//! and the failure is reported to the client as `ERR`.
+//! followed by [`ReachIndex::verify_fresh`] while the write lock is
+//! still held — a diverging patch is repaired with
+//! [`ReachIndex::force_rebuild`] before any reader can consume it, and
+//! the failure is reported to the client as `ERR`.
 
 use std::sync::{OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Instant;
 
 use webdeps_core::outage::provider_entity;
-use webdeps_core::{ApplyKind, Churn, DepGraph, MetricOptions, MutableReach, OutageIndex};
+use webdeps_core::{ApplyKind, Churn, DepGraph, Metric, MetricOptions, OutageIndex, ReachIndex};
 use webdeps_measure::pipeline::measure_world;
 use webdeps_model::ServiceKind;
 use webdeps_worldgen::World;
@@ -48,11 +47,6 @@ const SITES_LISTED: usize = 24;
 /// well under a millisecond.
 const DEADLINE_STRIDE: usize = 16;
 
-struct IndexPair {
-    impact: MutableReach,
-    concentration: MutableReach,
-}
-
 /// The resident engine. Cheap to share (`Arc<Engine>`); its interior
 /// mutability is the index lock and the lazily built outage index.
 pub struct Engine {
@@ -60,67 +54,60 @@ pub struct Engine {
     /// Per-entity outage footprints, built by the first `OUTAGE` so a
     /// cold start pays nothing for them.
     outage_index: OnceLock<OutageIndex>,
-    indexes: RwLock<IndexPair>,
+    index: RwLock<ReachIndex>,
     verify_patches: bool,
     allow_poison: bool,
 }
 
-fn read_indexes(lock: &RwLock<IndexPair>) -> RwLockReadGuard<'_, IndexPair> {
+fn read_index(lock: &RwLock<ReachIndex>) -> RwLockReadGuard<'_, ReachIndex> {
     lock.read().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-fn write_indexes(lock: &RwLock<IndexPair>) -> RwLockWriteGuard<'_, IndexPair> {
+fn write_index(lock: &RwLock<ReachIndex>) -> RwLockWriteGuard<'_, ReachIndex> {
     lock.write()
         .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 impl Engine {
     /// Builds the engine from a generated world: measure, assemble the
-    /// dependency graph, condense both index configurations, then drop
-    /// the intermediate dataset (the indexes own everything they need).
+    /// dependency graph, build the index, then drop the intermediate
+    /// dataset and graph (the index owns everything it needs).
     pub fn from_world(world: World, verify_patches: bool, allow_poison: bool) -> Self {
         let dataset = measure_world(&world);
         let graph = DepGraph::from_dataset(&dataset);
-        let opts = MetricOptions::full();
-        let impact = MutableReach::from_graph(&graph, true, &opts);
-        let concentration = MutableReach::from_graph(&graph, false, &opts);
+        let index = ReachIndex::build(&graph, &MetricOptions::full());
         Engine {
             world,
             outage_index: OnceLock::new(),
-            indexes: RwLock::new(IndexPair {
-                impact,
-                concentration,
-            }),
+            index: RwLock::new(index),
             verify_patches,
             allow_poison,
         }
     }
 
     /// The epoch queries currently answer from. Named distinctly from
-    /// `MutableReach::epoch` so the lint call graph's conservative
+    /// `ReachIndex::epoch` so the lint call graph's conservative
     /// method resolution does not alias the two — a call to this fn
-    /// reaches the engine's RwLock; a call on an index does not.
+    /// reaches the engine's RwLock; a call on the index does not.
     pub fn current_epoch(&self) -> u64 {
-        read_indexes(&self.indexes).impact.epoch()
+        read_index(&self.index).epoch()
     }
 
-    /// Patch/rebuild totals across both indexes (for `/stats`).
+    /// Patch/rebuild totals, summed over the impact and concentration
+    /// condensations (for `/stats`).
     pub fn recompute_counters(&self) -> (u64, u64) {
-        let pair = read_indexes(&self.indexes);
-        (
-            pair.impact.patch_count() + pair.concentration.patch_count(),
-            pair.impact.rebuild_count() + pair.concentration.rebuild_count(),
-        )
+        let index = read_index(&self.index);
+        (index.patch_count(), index.rebuild_count())
     }
 
-    /// Provider keys of a kind, for seeding torture/bench query mixes.
+    /// Provider keys of a kind, in key order, for seeding torture/bench
+    /// query mixes.
     pub fn provider_keys(&self, kind: ServiceKind, limit: usize) -> Vec<String> {
-        read_indexes(&self.indexes)
-            .impact
+        read_index(&self.index)
             .providers_of(kind)
             .into_iter()
             .take(limit)
-            .map(|(key, _)| key.to_string())
+            .map(|score| score.key.to_string())
             .collect()
     }
 
@@ -155,34 +142,36 @@ impl Engine {
     }
 
     fn rank(&self, kind: ServiceKind, top: usize, deadline: Instant) -> Outcome {
-        let pair = read_indexes(&self.indexes);
+        let index = read_index(&self.index);
         if Instant::now() >= deadline {
             // Queued past the budget: shed before scanning.
-            return Outcome::Deadline(pair.impact.epoch());
+            return Outcome::Deadline(index.epoch());
         }
-        let mut rows = pair.impact.providers_of(kind);
-        rows.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(b.0)));
+        let mut rows = index.providers_of(kind);
+        rows.sort_by(|a, b| b.impact.cmp(&a.impact).then_with(|| a.key.cmp(&b.key)));
         rows.truncate(top);
         let mut reply = format!(
             "OK {} RANK {} {}",
-            pair.impact.epoch(),
+            index.epoch(),
             kind_token(kind),
             rows.len()
         );
-        for (key, impact) in rows {
-            let conc = pair.concentration.dependent_count(key, kind);
-            reply.push_str(&format!(" {key}={impact}/{conc}"));
+        for row in rows {
+            reply.push_str(&format!(
+                " {}={}/{}",
+                row.key, row.impact, row.concentration
+            ));
         }
         Outcome::Ok(reply)
     }
 
     fn sites(&self, kind: ServiceKind, key: &str) -> Outcome {
-        let pair = read_indexes(&self.indexes);
-        let Some(set) = pair.concentration.dependent_set(key, kind) else {
+        let index = read_index(&self.index);
+        let Some(set) = index.dependent_set(Metric::Concentration, key, kind) else {
             return Outcome::Error(format!("unknown provider {key}/{}", kind_token(kind)));
         };
         let count = set.count();
-        let mut reply = format!("OK {} SITES {key} {count}", pair.impact.epoch());
+        let mut reply = format!("OK {} SITES {key} {count}", index.epoch());
         for site in set.iter().take(SITES_LISTED) {
             reply.push_str(&format!(" {}", site.0));
         }
@@ -229,8 +218,8 @@ impl Engine {
 
     fn churn(&self, delta: &Churn, stats: &ServerStats) -> Outcome {
         // Site ids name sites of the resident world. An id past it
-        // would widen every component bitset of both indexes to that
-        // id, so it is refused before either index is touched.
+        // would widen every component bitset of the index to that id,
+        // so it is refused before the index is touched.
         if let Churn::AddSiteEdge { site, .. } | Churn::RemoveSiteEdge { site, .. } = delta {
             if site.index() >= self.site_count() {
                 return Outcome::Error(format!(
@@ -239,40 +228,28 @@ impl Engine {
                 ));
             }
         }
-        let mut pair = write_indexes(&self.indexes);
-        let kind = match pair.impact.apply(delta) {
-            Ok(kind) => kind,
+        let mut index = write_index(&self.index);
+        // The reply and the patched/rebuilt counters follow the impact
+        // condensation's path.
+        let kind = match index.apply(delta) {
+            Ok(applied) => applied.impact,
             Err(e) => return Outcome::Error(format!("churn rejected: {e}")),
         };
-        // Both indexes record the identical edge multiset, so a delta
-        // the impact index accepted cannot fail on the concentration
-        // index; if it ever does, repair and refuse the answer.
-        if let Err(e) = pair.concentration.apply(delta) {
-            pair.impact.force_rebuild();
-            pair.concentration.force_rebuild();
-            return Outcome::Error(format!("index divergence repaired: {e}"));
-        }
         match kind {
             ApplyKind::Patched => ServerStats::bump(&stats.churn_patched),
             ApplyKind::Rebuilt => ServerStats::bump(&stats.churn_rebuilt),
         }
         if self.verify_patches {
-            let pair = &mut *pair;
-            for (name, index) in [
-                ("impact", &mut pair.impact),
-                ("concentration", &mut pair.concentration),
-            ] {
-                if let Err(d) = index.verify_fresh() {
-                    index.force_rebuild();
-                    return Outcome::Error(format!("cross-check failed ({name}): {d}"));
-                }
+            if let Err(d) = index.verify_fresh() {
+                index.force_rebuild();
+                return Outcome::Error(format!("cross-check failed: {d}"));
             }
         }
         let label = match kind {
             ApplyKind::Patched => "patched",
             ApplyKind::Rebuilt => "rebuilt",
         };
-        Outcome::Ok(format!("OK {} CHURN {label}", pair.impact.epoch()))
+        Outcome::Ok(format!("OK {} CHURN {label}", index.epoch()))
     }
 }
 
@@ -347,7 +324,7 @@ mod tests {
     }
 
     #[test]
-    fn churn_outside_the_world_is_refused_before_the_indexes() {
+    fn churn_outside_the_world_is_refused_before_the_index() {
         let engine = tiny_engine();
         let stats = ServerStats::new();
         let key = engine.provider_keys(ServiceKind::Cdn, 1)[0].clone();
@@ -383,6 +360,54 @@ mod tests {
             Outcome::Ok(reply) => assert!(reply.starts_with("OK 1 CHURN "), "got: {reply}"),
             other => panic!("in-world churn failed: {other:?}"),
         }
+    }
+
+    /// One apply serves both metrics: the reply names the impact
+    /// condensation's path, and `recompute_counters` sums both. The
+    /// engine's full() hops (CA→DNS, CA→CDN, CDN→DNS) form a DAG over
+    /// service kinds, so no provider edge can close a cycle here and
+    /// every delta patches both condensations; a DNS provider consuming
+    /// a CA (the reverse of the measured CA→DNS edges) is invisible to
+    /// both.
+    #[test]
+    fn churn_reply_follows_impact_and_counters_sum_both_metrics() {
+        let engine = tiny_engine();
+        let stats = ServerStats::new();
+        let from = ProviderRef::new(
+            engine.provider_keys(ServiceKind::Dns, 1)[0].clone(),
+            ServiceKind::Dns,
+        );
+        let to = ProviderRef::new(
+            engine.provider_keys(ServiceKind::Ca, 1)[0].clone(),
+            ServiceKind::Ca,
+        );
+        let deltas = [
+            Churn::AddProviderEdge {
+                from: from.clone(),
+                to: to.clone(),
+                critical: false,
+            },
+            Churn::RemoveProviderEdge {
+                from,
+                to,
+                critical: false,
+            },
+        ];
+        for (epoch, delta) in (1..).zip(deltas) {
+            let before = engine.recompute_counters();
+            match engine.execute(&Request::Churn(delta), far_deadline(), &stats) {
+                Outcome::Ok(reply) => assert_eq!(reply, format!("OK {epoch} CHURN patched")),
+                other => panic!("churn failed: {other:?}"),
+            }
+            let after = engine.recompute_counters();
+            assert_eq!(
+                (after.0 - before.0, after.1 - before.1),
+                (2, 0),
+                "one patch per metric"
+            );
+        }
+        assert_eq!(ServerStats::read(&stats.churn_patched), 2);
+        assert_eq!(ServerStats::read(&stats.churn_rebuilt), 0);
     }
 
     #[test]

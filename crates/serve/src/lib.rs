@@ -2,10 +2,10 @@
 //!
 //! A fault-tolerant resident query daemon over the dependency-graph
 //! analyses of Kashaf et al. (IMC 2020). The daemon loads a synthetic
-//! world once, builds a pair of incremental [`MutableReach`] indexes
-//! (critical-only impact and all-edge concentration), and answers
-//! concurrent ranking / consumer-set / outage-simulation queries over
-//! a tiny length-prefixed TCP protocol.
+//! world once, builds one incremental [`ReachIndex`] (critical-only
+//! impact and all-edge concentration over one copy of the graph), and
+//! answers concurrent ranking / consumer-set / outage-simulation
+//! queries over a tiny length-prefixed TCP protocol.
 //!
 //! The crate is organised as the daemon's robustness layers:
 //!
@@ -16,14 +16,14 @@
 //!   without panics in the style of the lint JSON reader;
 //! * [`stats`] — lock-free health counters and a power-of-two latency
 //!   histogram behind `/health`-style queries;
-//! * [`engine`] — query execution over epoch-versioned indexes with
+//! * [`engine`] — query execution over the epoch-versioned index with
 //!   per-query deadline budgets and churn cross-checking;
 //! * [`server`] — bounded admission, explicit `BUSY` shedding,
 //!   per-query `catch_unwind` isolation, and graceful drain;
 //! * [`torture`] — the deterministic seeded chaos client that asserts
 //!   zero panics, zero wrong-epoch answers, and bounded shed-vs-hang.
 //!
-//! [`MutableReach`]: webdeps_core::MutableReach
+//! [`ReachIndex`]: webdeps_core::ReachIndex
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

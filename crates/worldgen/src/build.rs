@@ -657,7 +657,7 @@ impl Builder {
             entity: self.entities.len(),
             cert_serial: pki.next_serial(),
         };
-        let jobs = webdeps_model::par::effective_jobs(0, sites.len());
+        let jobs = webdeps_model::par::effective_jobs(sites.len());
         let chunk = sites.len().div_ceil(jobs).max(1);
         let mut cursor = start;
         let mut shards: Vec<(SiteCursor, &[SiteTruth])> = Vec::with_capacity(jobs);
@@ -686,7 +686,7 @@ impl Builder {
                 content_hosts: &content_hosts,
                 pki,
             };
-            webdeps_model::par::fan_out(&shards, shards.len(), |&(shard_start, part)| {
+            webdeps_model::par::fan_out(&shards, |&(shard_start, part)| {
                 planner.plan_shard(shard_start, part)
             })
         };

@@ -5,7 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use webdeps::core::{DepGraph, MetricOptions, Metrics};
+use webdeps::core::{DepGraph, MetricOptions, ReachIndex};
 use webdeps::measure::{measure_world, SiteView};
 use webdeps::model::ServiceKind;
 use webdeps::worldgen::{SnapshotYear, World, WorldConfig};
@@ -59,10 +59,10 @@ fn main() {
 
     // Who are the single points of failure?
     let graph = DepGraph::from_dataset(&dataset);
-    let metrics = Metrics::new(&graph);
+    let index = ReachIndex::build(&graph, &MetricOptions::full());
     for kind in [ServiceKind::Dns, ServiceKind::Cdn, ServiceKind::Ca] {
         println!("\ntop-3 {kind} providers by impact (with indirect dependencies):");
-        for score in metrics.ranking(kind, &MetricOptions::full()).iter().take(3) {
+        for score in index.ranking(kind).iter().take(3) {
             println!(
                 "  {:24} impact {:6} ({:.1}%)   concentration {:6} ({:.1}%)",
                 score.key.as_str(),

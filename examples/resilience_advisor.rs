@@ -63,10 +63,9 @@ fn main() {
 
     // Population view: how many critical deps does a site carry once
     // hidden chains are counted? (§8.1: 9.6% → 25% with ≥3.)
-    use webdeps::core::{MetricOptions, Metrics};
-    let metrics = Metrics::new(&graph);
-    let direct = metrics.critical_deps_per_site(&MetricOptions::direct_only());
-    let full = metrics.critical_deps_per_site(&MetricOptions::full());
+    use webdeps::core::{MetricOptions, ReachIndex};
+    let direct = ReachIndex::build(&graph, &MetricOptions::direct_only()).critical_deps_per_site();
+    let full = ReachIndex::build(&graph, &MetricOptions::full()).critical_deps_per_site();
     let n = ds.len() as f64;
     let ge3 = |m: &std::collections::HashMap<webdeps::model::SiteId, usize>| {
         100.0 * m.values().filter(|&&c| c >= 3).count() as f64 / n

@@ -31,13 +31,24 @@ echo "== webdeps-serve --smoke (daemon torture: shed/deadline/poison invariants)
 cargo run -q --release --offline -p webdeps-serve -- --smoke
 
 # The workspace test run compiles the examples but does not run them.
-# Run each one, so an engine change behind an example cannot break it
-# unseen; `set -e` fails CI on a non-zero exit.
-echo "== examples (every examples/*.rs, release) =="
+# Run each one at one and at eight workers, so an engine change behind
+# an example cannot break it unseen (`set -e` fails CI on a non-zero
+# exit) and a nondeterministic one cannot pass: the two stdouts must be
+# byte-identical.
+echo "== examples (every examples/*.rs, release, WEBDEPS_JOBS=1 vs 8) =="
+mkdir -p target/examples-stdout
 for example in examples/*.rs; do
     name="$(basename "$example" .rs)"
     echo "-- $name"
-    cargo run -q --release --offline --example "$name" >/dev/null
+    for jobs in 1 8; do
+        WEBDEPS_JOBS=$jobs cargo run -q --release --offline --example "$name" \
+            >"target/examples-stdout/$name.jobs$jobs.txt"
+    done
+    if ! cmp -s "target/examples-stdout/$name.jobs1.txt" "target/examples-stdout/$name.jobs8.txt"; then
+        echo "error: example $name prints different output at WEBDEPS_JOBS=1 and 8" >&2
+        diff "target/examples-stdout/$name.jobs1.txt" "target/examples-stdout/$name.jobs8.txt" >&2 || true
+        exit 1
+    fi
 done
 
 echo "== webdeps-lint v4 (static-analysis pass, warnings denied) =="

@@ -30,7 +30,7 @@
 //! ```
 //! use webdeps::worldgen::{SnapshotYear, World, WorldConfig};
 //! use webdeps::measure::measure_world;
-//! use webdeps::core::{DepGraph, Metrics, MetricOptions};
+//! use webdeps::core::{DepGraph, MetricOptions, ReachIndex};
 //! use webdeps::model::ServiceKind;
 //!
 //! // 1. A small calibrated Internet (2020 snapshot).
@@ -41,8 +41,8 @@
 //!
 //! // 3. Analyze: who is the single point of failure?
 //! let graph = DepGraph::from_dataset(&dataset);
-//! let metrics = Metrics::new(&graph);
-//! let top = metrics.ranking(ServiceKind::Dns, &MetricOptions::full());
+//! let index = ReachIndex::build(&graph, &MetricOptions::full());
+//! let top = index.ranking(ServiceKind::Dns);
 //! assert!(!top.is_empty());
 //! println!("highest-impact DNS provider: {} ({} sites)", top[0].key, top[0].impact);
 //! ```

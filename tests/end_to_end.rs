@@ -4,8 +4,8 @@
 
 use std::sync::OnceLock;
 use webdeps::core::{
-    ca_figure, cdn_figure, coverage_curve, dns_figure, providers_for_coverage, DepGraph,
-    MetricOptions, Metrics,
+    ca_figure, cdn_figure, coverage_curve, dns_figure, providers_for_coverage, DepGraph, Metric,
+    MetricOptions, ReachIndex,
 };
 use webdeps::measure::{measure_world, MeasurementDataset};
 use webdeps::model::ServiceKind;
@@ -67,11 +67,10 @@ fn obs5_stapling_low_everywhere() {
 fn obs7_single_points_of_failure_exist() {
     let ds = &ctx().ds20;
     let graph = DepGraph::from_dataset(ds);
-    let metrics = Metrics::new(&graph);
+    let index = ReachIndex::build(&graph, &MetricOptions::direct_only());
     let n = ds.len() as f64;
-    let opts = MetricOptions::direct_only();
     for kind in [ServiceKind::Dns, ServiceKind::Ca] {
-        let ranking = metrics.ranking(kind, &opts);
+        let ranking = index.ranking(kind);
         let top3: usize = ranking.iter().take(3).map(|s| s.impact).sum();
         assert!(
             top3 as f64 / n > 0.25,
@@ -100,14 +99,16 @@ fn obs8_concentration_increased_for_dns_and_ca() {
 fn obs9_10_indirect_amplification() {
     let ds = &ctx().ds20;
     let graph = DepGraph::from_dataset(ds);
-    let metrics = Metrics::new(&graph);
+    let impact = |key: &str, kind, opts: &MetricOptions| {
+        assert!(graph.provider(key, kind).is_some(), "{key} observed");
+        ReachIndex::build(&graph, opts).dependent_count(Metric::Impact, key, kind)
+    };
 
-    let dnsme = graph
-        .provider("dnsmadeeasy.com", ServiceKind::Dns)
-        .expect("observed");
-    let direct = metrics.impact(dnsme, &MetricOptions::direct_only());
-    let with_ca = metrics.impact(
-        dnsme,
+    let dnsme = ("dnsmadeeasy.com", ServiceKind::Dns);
+    let direct = impact(dnsme.0, dnsme.1, &MetricOptions::direct_only());
+    let with_ca = impact(
+        dnsme.0,
+        dnsme.1,
         &MetricOptions::only(ServiceKind::Ca, ServiceKind::Dns),
     );
     assert!(
@@ -115,12 +116,11 @@ fn obs9_10_indirect_amplification() {
         "DNSMadeEasy: {direct} → {with_ca}"
     );
 
-    let incapsula = graph
-        .provider("incapdns.net", ServiceKind::Cdn)
-        .expect("observed");
-    let direct = metrics.impact(incapsula, &MetricOptions::direct_only());
-    let with_ca = metrics.impact(
-        incapsula,
+    let incapsula = ("incapdns.net", ServiceKind::Cdn);
+    let direct = impact(incapsula.0, incapsula.1, &MetricOptions::direct_only());
+    let with_ca = impact(
+        incapsula.0,
+        incapsula.1,
         &MetricOptions::only(ServiceKind::Ca, ServiceKind::Cdn),
     );
     assert!(
@@ -134,18 +134,16 @@ fn obs9_10_indirect_amplification() {
 fn obs11_cdn_dns_hop_changes_little() {
     let ds = &ctx().ds20;
     let graph = DepGraph::from_dataset(ds);
-    let metrics = Metrics::new(&graph);
     let n = ds.len() as f64;
-    let ranking = metrics.ranking(ServiceKind::Dns, &MetricOptions::direct_only());
+    let direct = ReachIndex::build(&graph, &MetricOptions::direct_only());
+    let with_cdn = ReachIndex::build(
+        &graph,
+        &MetricOptions::only(ServiceKind::Cdn, ServiceKind::Dns),
+    );
     let mut gain = 0usize;
-    for score in ranking.iter().take(5) {
-        let node = graph
-            .provider(score.key.as_str(), ServiceKind::Dns)
-            .unwrap();
-        gain += metrics.impact(
-            node,
-            &MetricOptions::only(ServiceKind::Cdn, ServiceKind::Dns),
-        ) - score.impact;
+    for score in direct.ranking(ServiceKind::Dns).iter().take(5) {
+        gain += with_cdn.dependent_count(Metric::Impact, score.key.as_str(), ServiceKind::Dns)
+            - score.impact;
     }
     assert!(
         (gain as f64) / n < 0.05,

@@ -14,7 +14,9 @@ use std::time::{Duration, Instant};
 use webdeps::chaos::campaign::random_schedule;
 use webdeps::chaos::monotonicity_index;
 use webdeps::core::outage::{provider_entity, schedule_entities};
-use webdeps::core::{probe_site, simulate_outage, DepGraph, MetricOptions, Metrics, OutageIndex};
+use webdeps::core::{
+    probe_site, simulate_outage, DepGraph, Metric, MetricOptions, OutageIndex, ReachIndex,
+};
 use webdeps::dns::{FaultPlan, FaultSchedule, SimTime};
 use webdeps::measure::{measure_world, MeasurementDataset};
 use webdeps::model::{fan_out_chunked, DetRng, EntityId, ServiceKind, SiteId};
@@ -35,7 +37,7 @@ fn full_sweep<'w>(
 ) -> Vec<SiteId> {
     let mut listings = world.listings();
     listings.truncate(sites);
-    fan_out_chunked(&listings, 0, |shard| {
+    fan_out_chunked(&listings, |shard| {
         let mut client = client();
         client.resolver_mut().disable_cache();
         shard
@@ -94,14 +96,17 @@ fn world() -> &'static (World, MeasurementDataset, DepGraph) {
 /// measurement excluded but the simulator still breaks).
 fn check_dns_provider(key: &str) {
     let (world, ds, graph) = world();
-    let metrics = Metrics::new(graph);
-    let Some(node) = graph.provider(key, ServiceKind::Dns) else {
-        panic!("provider {key} not observed");
+    let predicted = |opts: &MetricOptions| -> HashSet<SiteId> {
+        ReachIndex::build(graph, opts)
+            .dependent_set(Metric::Impact, key, ServiceKind::Dns)
+            .unwrap_or_else(|| panic!("provider {key} not observed"))
+            .iter()
+            .collect()
     };
-    let direct_predicted = metrics.dependent_sites(node, true, &MetricOptions::direct_only());
+    let direct_predicted = predicted(&MetricOptions::direct_only());
     // Upper bound: the full indirect closure — a site can fall because
     // its CDN's DNS rides the failed provider (the Fastly-Dyn pattern).
-    let full_predicted = metrics.dependent_sites(node, true, &MetricOptions::full());
+    let full_predicted = predicted(&MetricOptions::full());
     let result =
         simulate_outage(world, &[key], false).expect("providers are from the world catalog");
     let simulated: HashSet<SiteId> = result.affected.iter().copied().collect();
@@ -197,12 +202,21 @@ fn cdn_outage_respects_redundancy() {
 #[test]
 fn dnsmadeeasy_outage_amplified_through_digicert() {
     let (world, _, graph) = world();
-    let metrics = Metrics::new(graph);
-    let node = graph
-        .provider("dnsmadeeasy.com", ServiceKind::Dns)
-        .expect("observed");
-    let direct = metrics.impact(node, &MetricOptions::direct_only());
-    let full = metrics.impact(node, &MetricOptions::full());
+    assert!(
+        graph
+            .provider("dnsmadeeasy.com", ServiceKind::Dns)
+            .is_some(),
+        "observed"
+    );
+    let impact = |opts: &MetricOptions| {
+        ReachIndex::build(graph, opts).dependent_count(
+            Metric::Impact,
+            "dnsmadeeasy.com",
+            ServiceKind::Dns,
+        )
+    };
+    let direct = impact(&MetricOptions::direct_only());
+    let full = impact(&MetricOptions::full());
 
     let result = simulate_outage(world, &["DNSMadeEasy"], true)
         .expect("providers are from the world catalog");

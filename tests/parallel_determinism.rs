@@ -14,27 +14,27 @@
 //! * the crawl/observation stage over worlds of several sizes (sizes
 //!   move the shard boundaries),
 //! * provider rankings and the per-site critical-dependency sweep
-//!   (memoized reachability fanned per provider), on a measured world
-//!   and on churned random graphs,
+//!   (one reach index per option set), on a measured world and on
+//!   churned random graphs,
 //! * `simulate_outage` under both revocation policies and the chaos
 //!   campaign's fixed-instant outage question (both record an
 //!   `OutageIndex` across workers),
 //! * the chaos campaign render.
 //!
 //! Each stage is additionally cross-checked in this process against an
-//! independent naive reference where one exists (the BFS of
-//! `Metrics::dependent_sites`, a provider-by-provider accumulation,
-//! patched `MutableReach` counts), so a bug that made every worker
-//! count agree on a wrong answer would still fail here.
+//! independent naive reference where one exists (a per-provider reverse
+//! BFS, a provider-by-provider accumulation, a fresh index over the
+//! churned graph), so a bug that made every worker count agree on a
+//! wrong answer would still fail here.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::process::{Command, Stdio};
 use std::sync::OnceLock;
 use webdeps::chaos::campaign::random_schedule;
 use webdeps::chaos::{dyn_two_wave, monotonicity_index, replay, run_campaign, CampaignConfig};
 use webdeps::core::{
-    simulate_outage, Churn, DepGraph, EdgeKind, GraphBuilder, MetricOptions, Metrics, MutableReach,
-    NodeRef, ProviderRef,
+    simulate_outage, Churn, DepGraph, EdgeKind, GraphBuilder, Metric, MetricOptions, NodeId,
+    NodeKind, ProviderRef, ReachIndex,
 };
 use webdeps::dns::SimTime;
 use webdeps::measure::{measure_world, MeasurementDataset};
@@ -78,6 +78,42 @@ fn analysis_dataset() -> &'static MeasurementDataset {
 fn analysis_graph() -> &'static DepGraph {
     static G: OnceLock<DepGraph> = OnceLock::new();
     G.get_or_init(|| DepGraph::from_dataset(analysis_dataset()))
+}
+
+/// The naive reference for the index: the sites depending on `provider`
+/// under `metric`, by one reverse BFS over the graph's consumer edges.
+fn bfs_dependents(
+    graph: &DepGraph,
+    provider: NodeId,
+    metric: Metric,
+    opts: &MetricOptions,
+) -> HashSet<SiteId> {
+    let mut sites = HashSet::new();
+    let mut visited = HashSet::from([provider]);
+    let mut frontier = vec![provider];
+    while let Some(node) = frontier.pop() {
+        let NodeKind::Provider(_, node_kind) = graph.node(node) else {
+            continue;
+        };
+        for (consumer, kind) in graph.consumers_of(node) {
+            if metric == Metric::Impact && !kind.critical {
+                continue;
+            }
+            match graph.node(consumer) {
+                NodeKind::Site(site) => {
+                    sites.insert(site);
+                }
+                NodeKind::Provider(_, consumer_kind) => {
+                    if opts.interservice.contains(&(consumer_kind, node_kind))
+                        && visited.insert(consumer)
+                    {
+                        frontier.push(consumer);
+                    }
+                }
+            }
+        }
+    }
+    sites
 }
 
 /// The option sets the paper's tables actually use.
@@ -130,11 +166,14 @@ fn measure_stage() -> String {
 
 /// Every kind's ranking under every option set.
 fn rankings_stage() -> String {
-    let metrics = Metrics::new(analysis_graph());
+    let indexes: Vec<ReachIndex> = option_pool()
+        .iter()
+        .map(|opts| ReachIndex::build(analysis_graph(), opts))
+        .collect();
     let mut out = String::new();
     for kind in KINDS {
-        for opts in &option_pool() {
-            out.push_str(&format!("{:?}\n", metrics.ranking(kind, opts)));
+        for index in &indexes {
+            out.push_str(&format!("{:?}\n", index.ranking(kind)));
         }
     }
     out
@@ -142,11 +181,11 @@ fn rankings_stage() -> String {
 
 /// The per-site critical-dependency counts, in site order.
 fn critical_deps_stage() -> String {
-    let metrics = Metrics::new(analysis_graph());
-    let counts: BTreeMap<SiteId, usize> = metrics
-        .critical_deps_per_site(&MetricOptions::full())
-        .into_iter()
-        .collect();
+    let counts: BTreeMap<SiteId, usize> =
+        ReachIndex::build(analysis_graph(), &MetricOptions::full())
+            .critical_deps_per_site()
+            .into_iter()
+            .collect();
     format!("{counts:?}")
 }
 
@@ -181,15 +220,17 @@ fn campaign_stage() -> String {
     run_campaign(crawl_world(), &CampaignConfig::smoke(42)).render()
 }
 
-/// Fresh rankings of 64 churned random graphs.
+/// The rankings of one index per random graph after its churn stream
+/// was applied.
 fn churned_rankings_stage() -> String {
-    let opts = MetricOptions::full();
     let mut out = String::new();
     for seed in 0..64 {
-        let (_, _, churned) = churn_case(seed);
-        let metrics = Metrics::new(&churned);
+        let (initial, deltas, _) = churn_case(seed);
+        let Ok(index) = churned_index(&initial, &deltas) else {
+            return format!("seed {seed}: a mirrored delta was rejected");
+        };
         for kind in KINDS {
-            out.push_str(&format!("{:?}\n", metrics.ranking(kind, &opts)));
+            out.push_str(&format!("{:?}\n", index.ranking(kind)));
         }
     }
     out
@@ -308,12 +349,12 @@ fn columnar_graph_impact_is_confirmed_by_outage_simulation() {
     let world = analysis_world();
     let ds = analysis_dataset();
     let graph = analysis_graph();
-    let metrics = Metrics::new(graph);
     let provider_key = "domaincontrol.com";
-    let node = graph
-        .provider(provider_key, ServiceKind::Dns)
-        .expect("observed provider");
-    let predicted = metrics.dependent_sites(node, true, &MetricOptions::direct_only());
+    let predicted: HashSet<SiteId> = ReachIndex::build(graph, &MetricOptions::direct_only())
+        .dependent_set(Metric::Impact, provider_key, ServiceKind::Dns)
+        .expect("observed provider")
+        .iter()
+        .collect();
     let result =
         simulate_outage(world, &[provider_key], false).expect("provider is in the world catalog");
     let simulated: std::collections::HashSet<_> = result.affected.iter().copied().collect();
@@ -333,14 +374,16 @@ fn columnar_graph_impact_is_confirmed_by_outage_simulation() {
 
 /// Rankings are identical at every worker count *and* agree with the
 /// naive per-provider reverse-BFS reference — so the memoized
-/// reachability index and the per-provider fan-out can both be wrong
-/// only by agreeing with the BFS (`Metrics::dependent_sites`).
+/// reachability index can be wrong only by agreeing with the BFS.
 #[test]
 fn ranking_identical_across_jobs_and_matches_bfs() {
     assert_identical_across_jobs("rankings");
     let graph = analysis_graph();
-    let metrics = Metrics::new(graph);
     let opts_pool = option_pool();
+    let indexes: Vec<ReachIndex> = opts_pool
+        .iter()
+        .map(|opts| ReachIndex::build(graph, opts))
+        .collect();
     check_with(
         &Config {
             cases: 24,
@@ -350,20 +393,22 @@ fn ranking_identical_across_jobs_and_matches_bfs() {
         &gen::u64_any(),
         |&seed| {
             let kind = KINDS[(seed % 3) as usize];
-            let opts = &opts_pool[(seed / 3 % 3) as usize];
+            let pick = (seed / 3 % 3) as usize;
+            let opts = &opts_pool[pick];
             // Spot-check scores against the naive engine (the full
             // population is covered by the reach-index unit tests).
-            for score in metrics.ranking(kind, opts).iter().take(12) {
+            for score in indexes[pick].ranking(kind).iter().take(12) {
                 let id = graph
-                    .find(&NodeRef::Provider(score.key.clone(), kind))
+                    .provider(score.key.as_str(), kind)
                     .ok_or_else(|| format!("ranked provider {} not in graph", score.key))?;
                 tk_assert!(
-                    score.impact == metrics.dependent_sites(id, true, opts).len(),
+                    score.impact == bfs_dependents(graph, id, Metric::Impact, opts).len(),
                     "impact for {} disagrees with the BFS",
                     score.key
                 );
                 tk_assert!(
-                    score.concentration == metrics.dependent_sites(id, false, opts).len(),
+                    score.concentration
+                        == bfs_dependents(graph, id, Metric::Concentration, opts).len(),
                     "concentration for {} disagrees with the BFS",
                     score.key
                 );
@@ -379,18 +424,17 @@ fn ranking_identical_across_jobs_and_matches_bfs() {
 fn critical_deps_per_site_identical_and_matches_naive() {
     assert_identical_across_jobs("critical_deps");
     let graph = analysis_graph();
-    let metrics = Metrics::new(graph);
     let opts = MetricOptions::full();
     let mut naive: HashMap<SiteId, usize> = HashMap::new();
     for kind in KINDS {
         for provider in graph.providers_of(kind) {
-            for site in metrics.dependent_sites(provider, true, &opts) {
+            for site in bfs_dependents(graph, provider, Metric::Impact, &opts) {
                 *naive.entry(site).or_insert(0) += 1;
             }
         }
     }
     assert_eq!(
-        metrics.critical_deps_per_site(&opts),
+        ReachIndex::build(graph, &opts).critical_deps_per_site(),
         naive,
         "sweep disagrees with naive accumulation"
     );
@@ -578,12 +622,24 @@ fn churn_case(seed: u64) -> (DepGraph, Vec<Churn>, DepGraph) {
     (initial, deltas, mirror.build())
 }
 
+/// One index over `initial` under the full options, with `deltas`
+/// applied in order.
+fn churned_index(initial: &DepGraph, deltas: &[Churn]) -> Result<ReachIndex, String> {
+    let mut index = ReachIndex::build(initial, &MetricOptions::full());
+    for delta in deltas {
+        index
+            .apply(delta)
+            .map_err(|e| format!("the index rejected a mirrored delta: {e}"))?;
+    }
+    Ok(index)
+}
+
 /// Incremental recompute must not be a results knob either: after a
-/// seeded stream of churn deltas, the patched [`MutableReach`] pair
-/// (impact + concentration) scores every provider byte-identically to
-/// rankings computed from a freshly rebuilt graph — and those fresh
-/// rankings are themselves byte-identical at every worker count. Runs
-/// 64 independent delta streams.
+/// seeded stream of churn deltas, the patched index (impact and
+/// concentration) ranks every provider byte-identically to an index
+/// built fresh over the rebuilt graph — and the patched rankings are
+/// themselves byte-identical at every worker count. Runs 64
+/// independent delta streams.
 #[test]
 fn churned_mutable_reach_matches_fresh_rankings_at_any_jobs() {
     assert_identical_across_jobs("churned_rankings");
@@ -595,36 +651,16 @@ fn churned_mutable_reach_matches_fresh_rankings_at_any_jobs() {
         "churned_mutable_reach_matches_fresh_rankings_at_any_jobs",
         &gen::u64_any(),
         |&seed| {
-            let opts = MetricOptions::full();
             let (initial, deltas, churned) = churn_case(seed);
-            let mut impact = MutableReach::from_graph(&initial, true, &opts);
-            let mut conc = MutableReach::from_graph(&initial, false, &opts);
-            for delta in &deltas {
-                if let Err(e) = impact.apply(delta) {
-                    return Err(format!("impact rejected a mirrored delta: {e}"));
-                }
-                if let Err(e) = conc.apply(delta) {
-                    return Err(format!("concentration rejected a mirrored delta: {e}"));
-                }
-            }
-            let metrics = Metrics::new(&churned);
+            let patched = churned_index(&initial, &deltas)?;
+            let fresh = ReachIndex::build(&churned, &MetricOptions::full());
             for kind in KINDS {
-                for score in &metrics.ranking(kind, &opts) {
-                    let patched_impact = impact.dependent_count(score.key.as_str(), kind);
-                    let patched_conc = conc.dependent_count(score.key.as_str(), kind);
-                    tk_assert!(
-                        patched_impact == score.impact,
-                        "impact mismatch for {} ({kind:?}): patched {patched_impact} vs fresh {}",
-                        score.key.as_str(),
-                        score.impact
-                    );
-                    tk_assert!(
-                        patched_conc == score.concentration,
-                        "concentration mismatch for {} ({kind:?}): patched {patched_conc} vs fresh {}",
-                        score.key.as_str(),
-                        score.concentration
-                    );
-                }
+                tk_assert!(
+                    patched.ranking(kind) == fresh.ranking(kind),
+                    "{kind:?}: patched ranking {:?} vs fresh {:?}",
+                    patched.ranking(kind),
+                    fresh.ranking(kind)
+                );
             }
             Ok(())
         },

@@ -5,7 +5,7 @@
 
 use std::collections::HashSet;
 use webdeps::core::{
-    DepGraph, EdgeKind, GraphBuilder, MetricOptions, Metrics, NodeId, NodeKind, NodeRef,
+    DepGraph, EdgeKind, GraphBuilder, Metric, MetricOptions, NodeId, NodeKind, NodeRef, ReachIndex,
 };
 use webdeps::dns::{SimTime, Ttl};
 use webdeps::measure::ProviderKey;
@@ -140,7 +140,7 @@ fn weighted_index_in_range() {
 }
 
 /// The paper's `f_c` / `f_i` recursive set unions, transcribed
-/// literally: the oracle for [`Metrics::dependent_sites`]. The `\ {p}`
+/// literally: the oracle for [`ReachIndex`]. The `\ {p}`
 /// exclusion is generalized to the whole recursion path (the formula as
 /// written excludes only the root, which would loop on longer provider
 /// cycles).
@@ -193,25 +193,34 @@ fn recursive_dependents(
     recurse(graph, provider, critical_only, opts, &mut HashSet::new())
 }
 
-/// Metrics invariants on random bipartite-ish graphs:
-/// impact ⊆ concentration, and BFS == literal recursion.
+/// Reach-index invariants on random graphs with provider cycles:
+/// impact ⊆ concentration, and every provider's set under either metric
+/// equals the literal recursion — including under hop sets that let
+/// those cycles be traversed.
 #[test]
-fn metrics_bfs_equals_recursion() {
+fn reach_index_equals_recursion() {
     let inputs = gen::tuple4(
         gen::u64_any(),
         gen::usize_range(1, 30),
         gen::usize_range(1, 10),
         gen::usize_range(0, 80),
     );
+    let kinds = [ServiceKind::Dns, ServiceKind::Cdn, ServiceKind::Ca];
+    let every_hop = MetricOptions {
+        interservice: kinds
+            .iter()
+            .flat_map(|&a| kinds.iter().map(move |&b| (a, b)))
+            .filter(|(a, b)| a != b)
+            .collect(),
+    };
     check(
-        "metrics_bfs_equals_recursion",
+        "reach_index_equals_recursion",
         &inputs,
         |&(seed, n_sites, n_providers, n_edges)| {
             let mut g = GraphBuilder::new();
             let sites: Vec<_> = (0..n_sites)
                 .map(|i| g.intern(NodeRef::Site(SiteId(i as u32))))
                 .collect();
-            let kinds = [ServiceKind::Dns, ServiceKind::Cdn, ServiceKind::Ca];
             let providers: Vec<_> = (0..n_providers)
                 .map(|i| {
                     g.intern(NodeRef::Provider(
@@ -255,11 +264,21 @@ fn metrics_bfs_equals_recursion() {
                 }
             }
             let g = g.build();
-            let metrics = Metrics::new(&g);
-            for opts in [MetricOptions::direct_only(), MetricOptions::full()] {
+            for opts in [
+                MetricOptions::direct_only(),
+                MetricOptions::full(),
+                every_hop.clone(),
+            ] {
+                let index = ReachIndex::build(&g, &opts);
                 for &p in &providers {
-                    let conc = metrics.dependent_sites(p, false, &opts);
-                    let imp = metrics.dependent_sites(p, true, &opts);
+                    let key = g.provider_key_of(p).unwrap_or_default();
+                    let sites = |metric| -> HashSet<SiteId> {
+                        index
+                            .dependent_set(metric, key, kind_of[&p])
+                            .map(|set| set.iter().collect())
+                            .unwrap_or_default()
+                    };
+                    let (conc, imp) = (sites(Metric::Concentration), sites(Metric::Impact));
                     tk_assert!(imp.is_subset(&conc), "impact must be within concentration");
                     tk_assert_eq!(&conc, &recursive_dependents(&g, p, false, &opts));
                     tk_assert_eq!(&imp, &recursive_dependents(&g, p, true, &opts));
