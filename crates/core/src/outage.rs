@@ -286,10 +286,11 @@ impl OutageIndex {
     /// The outage of `entities` together, as a static plan at clock 0,
     /// on `world` — which must be the world the index was built from:
     /// equal to probing every recorded site through a client with the
-    /// recording policy and the DNS cache off. Probes the union of the
-    /// entities' [`Self::footprint`]s through one such client, whose
-    /// OCSP cache carries over between sites as a full sweep's does, and
-    /// counts every other site at its baseline. With one entity its
+    /// recording policy and the DNS cache off, whose one fault schedule
+    /// is the plan's `Down` phases over all time (see [`FaultPlan`]).
+    /// Probes the union of the entities' [`Self::footprint`]s through
+    /// one such client, whose OCSP cache carries over between sites as a
+    /// full sweep's does, and counts every other site at its baseline. With one entity its
     /// footprint is probed in place. Soft footprints are not probed:
     /// those sites are up at baseline and stay up (see the module docs).
     ///

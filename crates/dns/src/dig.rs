@@ -223,7 +223,11 @@ mod tests {
         let net = network();
         let mut r = Resolver::new(&net);
         r.disable_cache();
-        r.set_faults(crate::fault::FaultPlan::healthy().fail_entity(EntityId(0)));
+        r.set_schedule(
+            crate::fault::FaultPlan::healthy()
+                .fail_entity(EntityId(0))
+                .into(),
+        );
         assert!(Dig::new(&mut r)
             .cname_chain(&dn("static.shop.com"))
             .is_err());

@@ -1,21 +1,19 @@
 //! Fault injection.
 //!
-//! Two layers model unavailability:
-//!
-//! * [`FaultPlan`] — the original *binary* view: an entity or server is
-//!   either up or down for the whole run. The resolver consults the plan
-//!   on every query, so an outage manifests exactly as it would on the
-//!   wire: SERVFAIL/timeouts for names whose entire nameserver set is
-//!   unreachable, while names with a surviving provider keep resolving —
-//!   which is precisely the paper's notion of redundancy.
-//! * [`FaultSchedule`] — the *temporal* view: per-entity/per-server
-//!   fault **phases** over [`SimTime`] windows with degradation modes
-//!   ([`Degradation`]): hard-down, probabilistic packet loss, added
-//!   latency, and flapping. Real incidents (the Mirai-Dyn attack came in
-//!   waves with partial loss; Route 53 degraded rather than vanished)
-//!   unfold in time and in degrees, and the incident-replay engine in
-//!   `webdeps-chaos` drives the simulator through exactly such
-//!   schedules.
+//! One model covers unavailability: a [`FaultSchedule`] of fault
+//! **phases**, each degrading an entity or one server over a
+//! [`SimTime`] window in one of four modes ([`Degradation`]): hard-down,
+//! probabilistic packet loss, added latency, and flapping. Real
+//! incidents unfold in time and in degrees (the Mirai-Dyn attack came
+//! in waves with partial loss; Route 53 degraded rather than vanished),
+//! and the incident-replay engine in `webdeps-chaos` drives the
+//! simulator through exactly such schedules. A static outage ("this
+//! provider is down") is the special case of `Down` phases over all
+//! time, which [`FaultPlan`] builds. The resolver holds one schedule and
+//! reads it on every query, so an outage manifests as it would on the
+//! wire: SERVFAIL/timeouts for names whose entire nameserver set is
+//! unreachable, while names with a surviving provider keep resolving —
+//! which is precisely the paper's notion of redundancy.
 //!
 //! Every probabilistic decision in a schedule is a pure function of
 //! `(schedule seed, server, query name, time, attempt)` — no global
@@ -30,11 +28,13 @@ use std::collections::BTreeSet;
 use webdeps_model::rng::stable_hash;
 use webdeps_model::{DetRng, EntityId};
 
-/// Declarative description of what is down (binary, time-invariant).
+/// Builder of a static outage: a [`FaultSchedule`] that takes whole
+/// entities [`Degradation::Down`] over all time. Install it with
+/// `WebClient::set_faults`, or turn it into the schedule it builds with
+/// [`FaultSchedule::from`].
 #[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
-    down_entities: BTreeSet<EntityId>,
-    down_servers: BTreeSet<ServerId>,
+    schedule: FaultSchedule,
 }
 
 impl FaultPlan {
@@ -43,67 +43,23 @@ impl FaultPlan {
         Self::default()
     }
 
-    /// Takes down every server operated by `entity` (builder form).
-    pub fn fail_entity(mut self, entity: EntityId) -> Self {
-        self.set_entity_down(entity);
-        self
+    /// Takes down every server, webserver and responder operated by
+    /// `entity`, from time 0 to the end of simulated time.
+    pub fn fail_entity(self, entity: EntityId) -> Self {
+        FaultPlan {
+            schedule: self.schedule.fail_entity_during(
+                entity,
+                SimTime::ZERO,
+                SimTime(u64::MAX),
+                Degradation::Down,
+            ),
+        }
     }
+}
 
-    /// Takes down a single server (builder form).
-    pub fn fail_server(mut self, server: ServerId) -> Self {
-        self.set_server_down(server);
-        self
-    }
-
-    /// Takes down every server operated by `entity` (in-place form, for
-    /// editing an already-built plan while replaying a timeline).
-    pub fn set_entity_down(&mut self, entity: EntityId) {
-        self.down_entities.insert(entity);
-    }
-
-    /// Takes down a single server (in-place form).
-    pub fn set_server_down(&mut self, server: ServerId) {
-        self.down_servers.insert(server);
-    }
-
-    /// Restores an entity (in-place form, the inverse of
-    /// [`Self::set_entity_down`]).
-    pub fn restore_entity(&mut self, entity: EntityId) {
-        self.down_entities.remove(&entity);
-    }
-
-    /// Restores a single server (in-place form, the inverse of
-    /// [`Self::set_server_down`]).
-    pub fn restore_server(&mut self, server: ServerId) {
-        self.down_servers.remove(&server);
-    }
-
-    /// Whether a server with the given operator is reachable.
-    pub fn server_up(&self, server: ServerId, operator: EntityId) -> bool {
-        !self.down_servers.contains(&server) && !self.down_entities.contains(&operator)
-    }
-
-    /// Whether an entity's infrastructure is up (used by non-DNS
-    /// substrates — webservers, OCSP responders — whose availability is
-    /// attributed to their operator).
-    pub fn entity_up(&self, entity: EntityId) -> bool {
-        !self.down_entities.contains(&entity)
-    }
-
-    /// Whether any fault is active at all (fast path for the resolver).
-    pub fn is_healthy(&self) -> bool {
-        self.down_entities.is_empty() && self.down_servers.is_empty()
-    }
-
-    /// Entities currently failed.
-    pub fn failed_entities(&self) -> impl Iterator<Item = EntityId> + '_ {
-        self.down_entities.iter().copied()
-    }
-
-    /// Servers currently failed individually (entity-level failures are
-    /// not expanded here).
-    pub fn failed_servers(&self) -> impl Iterator<Item = ServerId> + '_ {
-        self.down_servers.iter().copied()
+impl From<FaultPlan> for FaultSchedule {
+    fn from(plan: FaultPlan) -> FaultSchedule {
+        plan.schedule
     }
 }
 
@@ -119,8 +75,8 @@ pub enum FaultTarget {
 /// How the target misbehaves while a phase is active.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Degradation {
-    /// Hard down: every query fails immediately (the classic
-    /// [`FaultPlan`] semantics).
+    /// Hard down: every query fails immediately (what a [`FaultPlan`]
+    /// does to an entity).
     Down,
     /// Each query attempt is independently dropped with `probability`
     /// (clamped to `[0, 1]`). Retries against other servers — or the
@@ -278,8 +234,7 @@ impl FaultSchedule {
         })
     }
 
-    /// Adds a phase (in-place form — timelines can be edited both ways,
-    /// mirroring the [`FaultPlan`] surface).
+    /// Adds a phase (in-place form).
     pub fn push_phase(&mut self, phase: FaultPhase) {
         self.phases.push(phase);
     }
@@ -431,61 +386,31 @@ mod tests {
     use super::*;
 
     #[test]
-    fn healthy_plan_keeps_everything_up() {
-        let plan = FaultPlan::healthy();
-        assert!(plan.is_healthy());
-        assert!(plan.server_up(ServerId(0), EntityId(0)));
-    }
-
-    #[test]
-    fn entity_failure_downs_all_its_servers() {
-        let plan = FaultPlan::healthy().fail_entity(EntityId(7));
-        assert!(!plan.server_up(ServerId(0), EntityId(7)));
-        assert!(!plan.server_up(ServerId(1), EntityId(7)));
-        assert!(plan.server_up(ServerId(2), EntityId(8)));
-        assert!(!plan.is_healthy());
-    }
-
-    #[test]
-    fn single_server_failure() {
-        let plan = FaultPlan::healthy().fail_server(ServerId(3));
-        assert!(!plan.server_up(ServerId(3), EntityId(0)));
-        assert!(plan.server_up(ServerId(4), EntityId(0)));
-    }
-
-    #[test]
-    fn restore_entity_brings_it_back() {
-        let mut plan = FaultPlan::healthy().fail_entity(EntityId(1));
-        assert!(!plan.server_up(ServerId(0), EntityId(1)));
-        plan.restore_entity(EntityId(1));
-        assert!(plan.server_up(ServerId(0), EntityId(1)));
-    }
-
-    #[test]
-    fn restore_server_mirrors_restore_entity() {
-        let mut plan = FaultPlan::healthy().fail_server(ServerId(3));
-        assert!(!plan.server_up(ServerId(3), EntityId(0)));
-        plan.restore_server(ServerId(3));
-        assert!(plan.server_up(ServerId(3), EntityId(0)));
-        assert!(plan.is_healthy());
-    }
-
-    #[test]
-    fn in_place_and_builder_forms_agree() {
-        let built = FaultPlan::healthy()
-            .fail_entity(EntityId(1))
-            .fail_server(ServerId(2));
-        let mut edited = FaultPlan::healthy();
-        edited.set_entity_down(EntityId(1));
-        edited.set_server_down(ServerId(2));
-        assert_eq!(
-            built.failed_entities().collect::<Vec<_>>(),
-            edited.failed_entities().collect::<Vec<_>>()
-        );
-        assert_eq!(
-            built.failed_servers().collect::<Vec<_>>(),
-            edited.failed_servers().collect::<Vec<_>>()
-        );
+    fn plan_downs_its_entities_over_all_time() {
+        let healthy: FaultSchedule = FaultPlan::healthy().into();
+        assert!(healthy.is_empty());
+        let sched: FaultSchedule = FaultPlan::healthy()
+            .fail_entity(EntityId(7))
+            .fail_entity(EntityId(9))
+            .into();
+        for t in [0, 1, 86_400, u64::MAX - 1] {
+            for (server, operator) in [(0, 7), (1, 7), (2, 9)] {
+                let cond =
+                    sched.server_condition_at(ServerId(server), EntityId(operator), SimTime(t));
+                assert_eq!(
+                    cond,
+                    ServerCondition {
+                        down: true,
+                        ..ServerCondition::HEALTHY
+                    }
+                );
+            }
+            assert!(sched.entity_down_at(EntityId(7), SimTime(t)));
+            assert!(!sched.entity_down_at(EntityId(8), SimTime(t)));
+            assert!(sched
+                .server_condition_at(ServerId(3), EntityId(8), SimTime(t))
+                .is_healthy());
+        }
     }
 
     #[test]

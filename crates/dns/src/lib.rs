@@ -11,8 +11,12 @@
 //!   chases CNAME chains, and honours glue,
 //! * a **TTL cache** with a simulated clock (caching is how the
 //!   GlobalSign revocation incident persisted for a week),
-//! * **fault injection**: take a provider's entire server fleet down
-//!   (the Mirai-Dyn scenario) and observe which resolutions fail.
+//! * **fault injection** through one model, a [`FaultSchedule`] per
+//!   resolver: entities or servers go down, drop packets, answer late
+//!   or flap over time windows (the Mirai-Dyn waves), and a static
+//!   outage — a provider's entire fleet down, as [`FaultPlan`] builds
+//!   it — is `Down` phases over all time; observe which resolutions
+//!   fail, or [`Resolver::trace`] the walk a lookup takes.
 //!
 //! The API mirrors the `dig` workflow the paper's scripts used:
 //! [`dig::Dig`] offers `ns`, `soa`, and `cname_chain` lookups returning
@@ -39,7 +43,7 @@ pub use dig::Dig;
 pub use fault::{Degradation, FaultPhase, FaultPlan, FaultSchedule, FaultTarget, ServerCondition};
 pub use network::{DnsNetwork, NetworkBuilder};
 pub use record::{RecordData, RecordType, ResourceRecord, Soa};
-pub use resolver::{Resolution, ResolveError, Resolver, ResolverStats, RetryPolicy, StalePolicy};
+pub use resolver::{Resolution, ResolveError, Resolver, ResolverStats, StalePolicy};
 pub use server::{AuthoritativeServer, ServerId};
 pub use trace::{Trace, TraceEvent};
 pub use zone::{Zone, ZoneAnswer};

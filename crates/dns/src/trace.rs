@@ -1,13 +1,13 @@
 //! Resolution tracing (`dig +trace` for the simulator).
 //!
-//! [`Resolver::trace`] re-runs an iterative resolution while recording
-//! every authority tier contacted, which server answered (or why none
-//! could), and each CNAME hop — the debugging view operators reach for
-//! when "why doesn't this resolve during the outage?" comes up.
+//! [`Resolver::trace`] runs an iterative resolution — the walk
+//! [`Resolver::resolve`] takes on a cache miss — while recording every
+//! authority tier contacted, which server answered (or why none could),
+//! and each CNAME hop: the debugging view operators reach for when "why
+//! doesn't this resolve during the outage?" comes up.
 
 use crate::record::RecordType;
-use crate::resolver::{ResolveError, Resolver};
-use crate::zone::ZoneAnswer;
+use crate::resolver::Resolver;
 use webdeps_model::DomainName;
 
 /// What happened at one step of the walk.
@@ -41,7 +41,8 @@ pub enum TraceEvent {
         /// Alias target.
         to: DomainName,
     },
-    /// A terminal negative or error outcome.
+    /// A terminal negative or error outcome: the last event of a failed
+    /// trace.
     Failed {
         /// Rendered error.
         error: String,
@@ -95,85 +96,24 @@ impl Trace {
 
 impl Resolver<'_> {
     /// Traces an iterative resolution without touching the answer cache
-    /// (a diagnostic should always show the live wire). Each tier is
-    /// contacted through the same reachability check as resolution —
-    /// fault plan, fault schedule and retries at the resolver's clock —
-    /// so a trace succeeds exactly when an uncached resolve would, and
-    /// its contacts count in the resolver's stats like any query.
+    /// (a diagnostic should always show the live wire). The events come
+    /// from the walk an uncached [`Resolver::resolve`] takes — same
+    /// fault schedule, retries and clock — so a trace succeeds exactly
+    /// when that resolve would, a failed one ends on the resolve error,
+    /// and its contacts count in the resolver's stats like any query.
     pub fn trace(&mut self, qname: &DomainName, qtype: RecordType) -> Trace {
-        let network = self.network();
         let mut events = Vec::new();
-        let mut current = qname.clone();
-        let mut success = false;
-
-        'chase: for _hop in 0..=8 {
-            let tiers = network.authority_chain(&current);
-            if tiers.is_empty() {
-                events.push(TraceEvent::Failed {
-                    error: ResolveError::UnknownZone {
-                        name: current.clone(),
-                    }
-                    .to_string(),
-                });
-                break;
-            }
-            for dep in &tiers {
-                match self.contact_tier(dep, &current) {
-                    Ok(sid) => events.push(TraceEvent::Tier {
-                        zone: dep.zone.origin().clone(),
-                        server: network.server(sid).hostname.clone(),
-                    }),
-                    Err(ResolveError::AllServersDown { .. }) => {
-                        events.push(TraceEvent::TierDown {
-                            zone: dep.zone.origin().clone(),
-                            servers_tried: dep.servers.len(),
-                        });
-                        break 'chase;
-                    }
-                    Err(error) => {
-                        events.push(TraceEvent::Failed {
-                            error: error.to_string(),
-                        });
-                        break 'chase;
-                    }
-                }
-            }
-            // lint:allow(panic) — infallible: emptiness is checked immediately above
-            let deepest = tiers.last().expect("non-empty");
-            match deepest.zone.lookup(&current, qtype) {
-                ZoneAnswer::Answer(records) => {
-                    events.push(TraceEvent::Answer {
-                        zone: deepest.zone.origin().clone(),
-                        records: records.len(),
-                    });
-                    success = true;
-                    break;
-                }
-                ZoneAnswer::CnameRedirect { target, .. } => {
-                    events.push(TraceEvent::CnameHop {
-                        from: current.clone(),
-                        to: target.clone(),
-                    });
-                    current = target;
-                }
-                other => {
-                    let error = match other {
-                        ZoneAnswer::NoData { .. } => format!("NODATA for {current}"),
-                        ZoneAnswer::NxDomain { .. } => format!("NXDOMAIN for {current}"),
-                        ZoneAnswer::Referral { cut, .. } => format!("lame delegation at {cut}"),
-                        _ => "unexpected answer".to_string(),
-                    };
-                    events.push(TraceEvent::Failed { error });
-                    break;
-                }
-            }
+        let result = self.walk_chain(qname, qtype, Some(&mut events));
+        if let Err(error) = &result {
+            events.push(TraceEvent::Failed {
+                error: error.to_string(),
+            });
         }
-
         Trace {
             qname: qname.clone(),
             qtype,
             events,
-            success,
+            success: result.is_ok(),
         }
     }
 }
@@ -236,7 +176,7 @@ mod tests {
     fn trace_pinpoints_the_dead_tier() {
         let net = network();
         let mut r = Resolver::new(&net);
-        r.set_faults(FaultPlan::healthy().fail_entity(EntityId(1)));
+        r.set_schedule(FaultPlan::healthy().fail_entity(EntityId(1)).into());
         let trace = r.trace(&dn("www.shop.com"), RecordType::A);
         assert!(!trace.success);
         assert!(trace.events.contains(&TraceEvent::TierDown {
@@ -248,7 +188,7 @@ mod tests {
     }
 
     /// Inside a scheduled hard-down window the trace must fail where
-    /// resolution fails, not report the plan-only view.
+    /// resolution fails.
     #[test]
     fn trace_honours_a_scheduled_down_window() {
         use crate::clock::SimTime;
@@ -308,5 +248,70 @@ mod tests {
         assert!(trace.render().contains("NXDOMAIN"));
         let trace = r.trace(&dn("unknown.zz"), RecordType::A);
         assert!(trace.render().contains("no authority known"));
+    }
+
+    /// A zone of CNAMEs: each `(alias, target)` pair under `chain.com`,
+    /// plus an A record for `end`.
+    fn cname_network(links: &[(&str, &str)], end: &str) -> DnsNetwork {
+        let mut b = DnsNetwork::builder();
+        let s = b.add_server(
+            dn("ns1.chain.com"),
+            Ipv4Addr::new(192, 0, 2, 1),
+            EntityId(0),
+        );
+        let mut z = Zone::new(
+            dn("chain.com"),
+            Soa::standard(dn("ns1.chain.com"), dn("h.chain.com"), 1),
+        );
+        for (alias, target) in links {
+            z.add(dn(alias), RecordData::Cname(dn(target)));
+        }
+        z.add(dn(end), RecordData::A(Ipv4Addr::new(192, 0, 2, 80)));
+        b.add_zone(z, vec![s]);
+        b.build()
+    }
+
+    /// Traces and resolves `qname` on fresh resolvers: both fail alike,
+    /// the trace ends on the resolve error, and both contact as many
+    /// tiers. Returns that count.
+    fn assert_trace_agrees_with_resolve(net: &DnsNetwork, qname: &str) -> u64 {
+        let mut r = Resolver::new(net);
+        let trace = r.trace(&dn(qname), RecordType::A);
+        let traced = r.stats().queries_sent;
+        let mut r = Resolver::new(net);
+        let resolved = r.resolve(&dn(qname), RecordType::A);
+        assert_eq!(trace.success, resolved.is_ok(), "{}", trace.render());
+        let error = resolved.expect_err("the chain cannot resolve").to_string();
+        assert_eq!(
+            trace.events.last(),
+            Some(&TraceEvent::Failed { error }),
+            "{}",
+            trace.render()
+        );
+        assert_eq!(traced, r.stats().queries_sent, "{}", trace.render());
+        traced
+    }
+
+    #[test]
+    fn trace_fails_on_a_cname_loop_like_resolve() {
+        let net = cname_network(
+            &[
+                ("a.chain.com", "b.chain.com"),
+                ("b.chain.com", "a.chain.com"),
+            ],
+            "c.chain.com",
+        );
+        assert_eq!(assert_trace_agrees_with_resolve(&net, "a.chain.com"), 2);
+    }
+
+    #[test]
+    fn trace_fails_on_an_over_long_chain_like_resolve() {
+        let names: Vec<String> = (0..=10).map(|i| format!("h{i}.chain.com")).collect();
+        let links: Vec<(&str, &str)> = names
+            .windows(2)
+            .map(|w| (w[0].as_str(), w[1].as_str()))
+            .collect();
+        let net = cname_network(&links, &names[10]);
+        assert_eq!(assert_trace_agrees_with_resolve(&net, "h0.chain.com"), 9);
     }
 }

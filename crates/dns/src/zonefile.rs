@@ -283,6 +283,7 @@ pub fn format_zone(zone: &Zone) -> String {
             RecordData::Ns(h) => format!("NS {h}."),
             RecordData::Cname(t) => format!("CNAME {t}."),
             RecordData::Txt(t) => format!("TXT \"{t}\""),
+            // lint:allow(panic) — infallible: the loop skips SOA records before this match
             RecordData::Soa(_) => unreachable!("skipped above"),
         };
         out.push_str(&format!("{owner} {} IN {data}\n", rr.ttl.seconds()));

@@ -173,3 +173,25 @@ pub fn tick() {
 pub fn ticks() -> u64 {
     TICKS.load(Ordering::SeqCst)
 }
+
+// `unreachable!` is a panic site too: unjustified in a pub fn, and
+// hidden in a private helper behind one.
+
+pub fn decode(byte: u8) -> bool {
+    match byte {
+        0 => false,
+        1 => true,
+        other => unreachable!("invalid flag byte {other}"),
+    }
+}
+
+fn hidden_unreachable(byte: u8) -> u8 {
+    if byte > 1 {
+        unreachable!("checked by every caller");
+    }
+    byte
+}
+
+pub fn decode_flag(byte: u8) -> u8 {
+    hidden_unreachable(byte)
+}

@@ -1,4 +1,4 @@
-//! Fixture: clean library code plus exactly one justified suppression.
+//! Fixture: clean library code plus exactly two justified suppressions.
 
 use std::collections::BTreeMap;
 
@@ -20,6 +20,21 @@ pub fn first(xs: &[u32]) -> u32 {
 /// interprocedural `panic-reachable` rule stays quiet here.
 pub fn head(xs: &[u32]) -> u32 {
     first(xs)
+}
+
+/// Encodes a flag as a byte.
+pub fn encode(flag: bool) -> u8 {
+    u8::from(flag)
+}
+
+/// Decodes a byte [`encode`] wrote.
+pub fn decode(byte: u8) -> bool {
+    match byte {
+        0 => false,
+        1 => true,
+        // lint:allow(panic) — fixture invariant: every decoded byte comes from `encode`
+        other => unreachable!("invalid flag byte {other}"),
+    }
 }
 
 use std::sync::atomic::{AtomicU64, Ordering};

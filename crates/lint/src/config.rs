@@ -28,7 +28,7 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         name: "panic",
         severity: Severity::Deny,
-        summary: "no unwrap()/expect()/panic! in non-test library code; propagate typed errors instead",
+        summary: "no unwrap()/expect()/panic!/unreachable! in non-test library code; propagate typed errors instead",
         rationale: "A panic in library code aborts the whole analysis run instead of surfacing a typed, testable error. The reproduction's pipeline is expected to process millions of adversarial generated sites; any reachable panic is a denial-of-service on the measurement itself.",
         example: "let site = sites.get(&id).unwrap();",
         allow_hint: "expr.expect(\"why\"); // lint:allow(panic) — <why the site cannot fire>",

@@ -9,8 +9,8 @@
 //! 1. **Summaries** ([`extract`]): for every function in a file,
 //!    record its declaration (name, enclosing impl type, visibility,
 //!    whether it returns a value) and the first *unjustified* hazard
-//!    site of each kind in its body — panic (`panic!`/`unwrap`/
-//!    `expect`), wall-clock (`Instant`/`SystemTime`), RNG minting
+//!    site of each kind in its body — panic (`panic!`/`unreachable!`/
+//!    `unwrap`/`expect`), wall-clock (`Instant`/`SystemTime`), RNG minting
 //!    (`DetRng::new`, `Xoshiro256pp::seed_from_u64`/`from_seed`), and
 //!    unordered hash iteration — plus every call it makes. Indexing
 //!    sites and explicit `let _ =` discards are counted as summary
@@ -310,7 +310,7 @@ fn scan_body(
         if !panic_site_exempt
             && s.panic_line == 0
             && ((prev_dot && next_paren && (t.is_ident("unwrap") || t.is_ident("expect")))
-                || (t.is_ident("panic") && next_bang))
+                || ((t.is_ident("panic") || t.is_ident("unreachable")) && next_bang))
             && !site_justified(ctx, allows, t.line, "panic", "panic-reachable")
         {
             s.panic_line = t.line;

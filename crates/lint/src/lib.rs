@@ -15,8 +15,8 @@
 //!   code), `seed-flow` (randomness flows through `&mut DetRng`; no
 //!   minting fresh streams outside worldgen/testkit/bench), and
 //!   `float-ord` (no partially-ordered float comparators or keys);
-//! * **panic-safety** — `panic` (no `unwrap()`/`expect()`/`panic!` in
-//!   non-test library code);
+//! * **panic-safety** — `panic` (no `unwrap()`/`expect()`/`panic!`/
+//!   `unreachable!` in non-test library code);
 //! * **error discipline** — `result-dropped` (no discarding calls to
 //!   workspace fns returning `Result`/`Report`) and `must-use-api`
 //!   (pub `Result`/`Report` fns carry `#[must_use]`);

@@ -104,8 +104,8 @@ fn rule_lock_poison(ctx: &FileCtx) -> Vec<Violation> {
     out
 }
 
-/// `panic`: `.unwrap()`, `.expect(…)`, and `panic!` in non-test
-/// library code. Binaries, bench code, and test trees are exempt; so
+/// `panic`: `.unwrap()`, `.expect(…)`, `panic!` and `unreachable!` in
+/// non-test library code. Binaries, bench code, and test trees are exempt; so
 /// is anything inside `#[cfg(test)]` / `#[test]` regions.
 fn rule_panic(ctx: &FileCtx) -> Vec<Violation> {
     let mut out = Vec::new();
@@ -131,12 +131,12 @@ fn rule_panic(ctx: &FileCtx) -> Vec<Violation> {
                     t.text
                 ),
             ));
-        } else if t.is_ident("panic") && next_bang {
+        } else if (t.is_ident("panic") || t.is_ident("unreachable")) && next_bang {
             out.push(violation(
                 ctx,
                 "panic",
                 t.line,
-                "panic! in library code; return a typed error instead".to_string(),
+                format!("{}! in library code; return a typed error instead", t.text),
             ));
         }
     }

@@ -30,10 +30,16 @@ pub fn g(v: Option<u32>) -> u32 {
 pub fn h() {
     panic!("boom");
 }
+pub fn k(byte: u8) -> bool {
+    match byte {
+        0 => false,
+        _ => unreachable!("invalid byte"),
+    }
+}
 "#;
     assert_eq!(
         rules_hit("crates/model/src/x.rs", src),
-        vec!["panic", "panic", "panic"]
+        vec!["panic", "panic", "panic", "panic"]
     );
 }
 

@@ -55,6 +55,7 @@ fn dec_dns(byte: u8) -> Option<DepState> {
         2 => Some(DepState::SingleThird),
         3 => Some(DepState::MultiThird),
         4 => Some(DepState::PrivatePlusThird),
+        // lint:allow(panic) — infallible: the column holds only bytes `enc_dns` writes
         other => unreachable!("invalid packed DepState {other}"),
     }
 }
@@ -77,6 +78,7 @@ fn dec_cdn(byte: u8) -> Option<CdnProfile> {
         2 => Some(CdnProfile::Private),
         3 => Some(CdnProfile::SingleThird),
         4 => Some(CdnProfile::Multi),
+        // lint:allow(panic) — infallible: the column holds only bytes `enc_cdn` writes
         other => unreachable!("invalid packed CdnProfile {other}"),
     }
 }
@@ -99,6 +101,7 @@ fn dec_ca(byte: u8) -> Option<CaProfile> {
         2 => Some(CaProfile::PrivateCa),
         3 => Some(CaProfile::ThirdStapled),
         4 => Some(CaProfile::ThirdNoStaple),
+        // lint:allow(panic) — infallible: the column holds only bytes `enc_ca` writes
         other => unreachable!("invalid packed CaProfile {other}"),
     }
 }
@@ -117,6 +120,8 @@ fn dec_class(byte: u8) -> Classification {
         0 => Classification::Private,
         1 => Classification::ThirdParty,
         2 => Classification::Unknown,
+        // lint:allow(panic) — infallible: the columns hold only bytes `enc_class` writes
+        // and the 0 a site without a CA name stores
         other => unreachable!("invalid packed Classification {other}"),
     }
 }

@@ -36,14 +36,15 @@ impl OcspResponse {
     }
 }
 
-/// Injected responder misbehavior, per CA.
+/// Injected responder misbehavior, per CA: what the CA *answers*. An
+/// unreachable responder is an outage of the CA's entity in the fault
+/// schedule instead, which fails every OCSP and CRL fetch and leaves
+/// staples alone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OcspFault {
     /// The GlobalSign-2016 failure: the responder answers, but marks
     /// *every* certificate revoked.
     MarksEverythingRevoked,
-    /// The responder is unreachable (DDoS on the CA infrastructure).
-    Unreachable,
 }
 
 #[cfg(test)]

@@ -123,30 +123,20 @@ impl Pki {
         self.faults.remove(&ca);
     }
 
-    /// The currently injected fault of a CA, if any.
-    pub fn fault_of(&self, ca: CaId) -> Option<OcspFault> {
-        self.faults.get(&ca).copied()
-    }
-
     /// Serves an OCSP query *at the responder itself* (transport-level
     /// reachability of the responder host is the caller's problem —
-    /// the web crate models that path). Returns `None` when the
-    /// responder infrastructure is unreachable by fault injection.
-    pub fn ocsp_answer(&self, ca: CaId, serial: u64, now: SimTime) -> Option<OcspResponse> {
-        match self.faults.get(&ca) {
-            Some(OcspFault::Unreachable) => None,
-            Some(OcspFault::MarksEverythingRevoked) => Some(OcspResponse {
-                serial,
-                status: CertStatus::Revoked,
-                produced_at: now,
-                next_update: now.plus(OCSP_VALIDITY_SECS),
-            }),
-            None => Some(OcspResponse {
-                serial,
-                status: self.status_of(ca, serial),
-                produced_at: now,
-                next_update: now.plus(OCSP_VALIDITY_SECS),
-            }),
+    /// the web crate models that path, where an outage of the CA's
+    /// entity fails the fetch).
+    pub fn ocsp_answer(&self, ca: CaId, serial: u64, now: SimTime) -> OcspResponse {
+        let status = match self.faults.get(&ca) {
+            Some(OcspFault::MarksEverythingRevoked) => CertStatus::Revoked,
+            None => self.status_of(ca, serial),
+        };
+        OcspResponse {
+            serial,
+            status,
+            produced_at: now,
+            next_update: now.plus(OCSP_VALIDITY_SECS),
         }
     }
 
@@ -155,33 +145,27 @@ impl Pki {
         self.cas[ca.index()].entity
     }
 
-    /// Serves the CA's current CRL. Returns `None` when the responder
-    /// infrastructure is unreachable; under a GlobalSign-style fault the
-    /// list (mis)includes every certificate the CA ever issued.
-    pub fn crl_for(&self, ca: CaId, now: SimTime) -> Option<Crl> {
-        let collect = |only_revoked: bool| {
-            self.status
+    /// Serves the CA's current CRL (reachability of the distribution
+    /// point is, as for [`Self::ocsp_answer`], the caller's problem).
+    /// Under a GlobalSign-style fault the list (mis)includes every
+    /// certificate the CA ever issued.
+    pub fn crl_for(&self, ca: CaId, now: SimTime) -> Crl {
+        let only_revoked = match self.faults.get(&ca) {
+            Some(OcspFault::MarksEverythingRevoked) => false,
+            None => true,
+        };
+        Crl {
+            issuer: ca,
+            revoked: self
+                .status
                 .iter()
                 .filter(|((issuer, _), status)| {
                     *issuer == ca && (!only_revoked || **status == CertStatus::Revoked)
                 })
                 .map(|((_, serial), _)| *serial)
-                .collect()
-        };
-        match self.faults.get(&ca) {
-            Some(OcspFault::Unreachable) => None,
-            Some(OcspFault::MarksEverythingRevoked) => Some(Crl {
-                issuer: ca,
-                revoked: collect(false),
-                this_update: now,
-                next_update: now.plus(OCSP_VALIDITY_SECS),
-            }),
-            None => Some(Crl {
-                issuer: ca,
-                revoked: collect(true),
-                this_update: now,
-                next_update: now.plus(OCSP_VALIDITY_SECS),
-            }),
+                .collect(),
+            this_update: now,
+            next_update: now.plus(OCSP_VALIDITY_SECS),
         }
     }
 }
@@ -246,7 +230,7 @@ mod tests {
         let (mut pki, ca) = pki();
         let cert = pki.issue(ca, dn("example.com"), vec![], SimTime(0), false);
         assert_eq!(pki.status_of(ca, cert.serial), CertStatus::Good);
-        let resp = pki.ocsp_answer(ca, cert.serial, SimTime(10)).unwrap();
+        let resp = pki.ocsp_answer(ca, cert.serial, SimTime(10));
         assert_eq!(resp.status, CertStatus::Good);
         assert_eq!(resp.next_update, SimTime(10 + OCSP_VALIDITY_SECS));
     }
@@ -257,7 +241,7 @@ mod tests {
         let cert = pki.issue(ca, dn("example.com"), vec![], SimTime(0), false);
         pki.revoke(ca, cert.serial);
         assert_eq!(
-            pki.ocsp_answer(ca, cert.serial, SimTime(1)).unwrap().status,
+            pki.ocsp_answer(ca, cert.serial, SimTime(1)).status,
             CertStatus::Revoked
         );
     }
@@ -267,7 +251,7 @@ mod tests {
         let (pki, ca) = pki();
         assert_eq!(pki.status_of(ca, 999), CertStatus::Unknown);
         assert_eq!(
-            pki.ocsp_answer(ca, 999, SimTime(0)).unwrap().status,
+            pki.ocsp_answer(ca, 999, SimTime(0)).status,
             CertStatus::Unknown
         );
     }
@@ -277,7 +261,7 @@ mod tests {
         let (mut pki, ca) = pki();
         let cert = pki.issue(ca, dn("example.com"), vec![], SimTime(0), false);
         pki.inject_fault(ca, OcspFault::MarksEverythingRevoked);
-        let resp = pki.ocsp_answer(ca, cert.serial, SimTime(5)).unwrap();
+        let resp = pki.ocsp_answer(ca, cert.serial, SimTime(5));
         assert_eq!(
             resp.status,
             CertStatus::Revoked,
@@ -285,16 +269,9 @@ mod tests {
         );
         pki.clear_fault(ca);
         assert_eq!(
-            pki.ocsp_answer(ca, cert.serial, SimTime(6)).unwrap().status,
+            pki.ocsp_answer(ca, cert.serial, SimTime(6)).status,
             CertStatus::Good
         );
-    }
-
-    #[test]
-    fn unreachable_fault_drops_answers() {
-        let (mut pki, ca) = pki();
-        pki.inject_fault(ca, OcspFault::Unreachable);
-        assert!(pki.ocsp_answer(ca, 0, SimTime(0)).is_none());
     }
 
     #[test]
@@ -303,17 +280,15 @@ mod tests {
         let a = pki.issue(ca, dn("a.com"), vec![], SimTime(0), false);
         let b = pki.issue(ca, dn("b.com"), vec![], SimTime(0), false);
         pki.revoke(ca, a.serial);
-        let crl = pki.crl_for(ca, SimTime(10)).expect("reachable");
+        let crl = pki.crl_for(ca, SimTime(10));
         assert_eq!(crl.status_of(a.serial), CertStatus::Revoked);
         assert_eq!(crl.status_of(b.serial), CertStatus::Good);
         assert_eq!(crl.len(), 1);
         assert_eq!(crl.next_update, SimTime(10 + OCSP_VALIDITY_SECS));
         // GlobalSign-style fault revokes the world.
         pki.inject_fault(ca, OcspFault::MarksEverythingRevoked);
-        let bad = pki.crl_for(ca, SimTime(11)).expect("still answering");
+        let bad = pki.crl_for(ca, SimTime(11));
         assert_eq!(bad.len(), 2, "every issued serial appears revoked");
-        pki.inject_fault(ca, OcspFault::Unreachable);
-        assert!(pki.crl_for(ca, SimTime(12)).is_none());
     }
 
     #[test]

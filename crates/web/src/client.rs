@@ -17,7 +17,7 @@ use webdeps_dns::{FaultPlan, FaultSchedule, ResolveError, Resolver};
 use webdeps_model::{DomainName, EntityId};
 use webdeps_tls::revocation::{OcspTransport, StatusSource};
 use webdeps_tls::{
-    Certificate, Endpoint, OcspFault, OcspResponse, Pki, RevocationChecker, RevocationError,
+    Certificate, Endpoint, OcspResponse, Pki, RevocationChecker, RevocationError,
     RevocationOutcome, RevocationPolicy,
 };
 
@@ -171,9 +171,7 @@ impl OcspTransport for NetTransport<'_, '_> {
     ) -> Result<OcspResponse, ()> {
         self.reach_responder(endpoint, issuer)?;
         self.resolver.log_pki_consult(issuer);
-        self.pki
-            .ocsp_answer(issuer, serial, self.resolver.now())
-            .ok_or(())
+        Ok(self.pki.ocsp_answer(issuer, serial, self.resolver.now()))
     }
 
     fn fetch_crl(
@@ -183,7 +181,7 @@ impl OcspTransport for NetTransport<'_, '_> {
     ) -> Result<webdeps_tls::Crl, ()> {
         self.reach_responder(endpoint, issuer)?;
         self.resolver.log_pki_consult(issuer);
-        self.pki.crl_for(issuer, self.resolver.now()).ok_or(())
+        Ok(self.pki.crl_for(issuer, self.resolver.now()))
     }
 }
 
@@ -213,13 +211,18 @@ impl<'n> WebClient<'n> {
         self
     }
 
-    /// Applies a fault plan to every layer this client touches.
+    /// Replaces the client's one fault schedule with the static outage
+    /// `faults` builds: its entities are down over all time. Like
+    /// [`Self::set_schedule`], it replaces whatever schedule was set
+    /// before; the two do not combine.
     pub fn set_faults(&mut self, faults: FaultPlan) {
-        self.resolver.set_faults(faults);
+        self.resolver.set_schedule(faults.into());
     }
 
-    /// Applies a time-varying fault schedule to every layer this client
-    /// touches; conditions are evaluated at the resolver's clock.
+    /// Replaces the client's one fault schedule, which every layer this
+    /// client touches reads (DNS servers, webservers, OCSP and CRL
+    /// responders), at the resolver's clock. It replaces a plan set by
+    /// [`Self::set_faults`] too.
     pub fn set_schedule(&mut self, schedule: FaultSchedule) {
         self.resolver.set_schedule(schedule);
     }
@@ -300,25 +303,15 @@ impl<'n> WebClient<'n> {
             if !cert.covers(&url.host) || !cert.valid_at(now) {
                 return Err(FetchError::CertificateInvalid(url.host.clone()));
             }
-            // A stapling server serves its most recent staple. A plain
-            // responder *outage* does not invalidate the staple already
-            // held (its validity window outlives short incidents), but a
+            // A stapling server staples what the CA answers. An outage
+            // of the CA's entity does not reach the staple already held
+            // (its validity window outlives short incidents), but a
             // GlobalSign-style bad-response fault *is* faithfully
             // re-stapled — which is why that incident hit stapling sites
-            // too. Reading the issuer's fault state is a PKI consult.
+            // too. Reading the issuer's answer is a PKI consult.
             let stapled = if cfg.staple {
                 self.resolver.log_pki_consult(cert.issuer);
-                match self.pki.fault_of(cert.issuer) {
-                    Some(OcspFault::Unreachable) | None => Some(OcspResponse {
-                        serial: cert.serial,
-                        status: self.pki.status_of(cert.issuer, cert.serial),
-                        produced_at: now,
-                        next_update: now.plus(webdeps_tls::pki::OCSP_VALIDITY_SECS),
-                    }),
-                    Some(OcspFault::MarksEverythingRevoked) => {
-                        self.pki.ocsp_answer(cert.issuer, cert.serial, now)
-                    }
-                }
+                Some(self.pki.ocsp_answer(cert.issuer, cert.serial, now))
             } else {
                 None
             };
@@ -383,6 +376,7 @@ mod tests {
     use webdeps_model::name::dn;
     use webdeps_model::{CaId, SiteId};
     use webdeps_tls::pki::OCSP_VALIDITY_SECS;
+    use webdeps_tls::OcspFault;
 
     const SITE_ENTITY: EntityId = EntityId(0);
     const CA_ENTITY: EntityId = EntityId(1);
@@ -696,8 +690,8 @@ mod tests {
             "degraded-but-alive must be distinguishable, got {err:?}"
         );
         assert!(err.is_outage());
-        // A hard-down plan for the same entity fails as SERVFAIL-shaped.
-        client.set_schedule(FaultSchedule::empty());
+        // A hard-down plan for the same entity replaces the schedule and
+        // fails as SERVFAIL-shaped.
         client.set_faults(FaultPlan::healthy().fail_entity(SITE_ENTITY));
         let err = client.fetch(&Url::https(dn("example.com"))).unwrap_err();
         assert!(matches!(err, FetchError::Dns(_)), "got {err:?}");

@@ -24,8 +24,21 @@ cargo test -q --offline --locked --workspace
 echo "== perfbench self-tests (replicas, digest pins, metric schema) =="
 cargo test -q --release --offline --locked --manifest-path perfbench/Cargo.toml
 
-echo "== webdeps-chaos --smoke (incident replays + invariant campaign) =="
-cargo run -q --release --offline -p webdeps-chaos -- --smoke
+# The smoke runs at one and at eight workers, and the two stdouts must
+# be byte-identical, as for the examples below. (webdeps-serve --smoke is
+# not compared: its ok=/err= split depends on how the torture clients'
+# threads interleave.)
+echo "== webdeps-chaos --smoke (incident replays + invariant campaign, WEBDEPS_JOBS=1 vs 8) =="
+mkdir -p target/chaos-stdout
+for jobs in 1 8; do
+    WEBDEPS_JOBS=$jobs cargo run -q --release --offline -p webdeps-chaos -- --smoke \
+        >"target/chaos-stdout/smoke.jobs$jobs.txt"
+done
+if ! cmp -s target/chaos-stdout/smoke.jobs1.txt target/chaos-stdout/smoke.jobs8.txt; then
+    echo "error: webdeps-chaos --smoke prints different output at WEBDEPS_JOBS=1 and 8" >&2
+    diff target/chaos-stdout/smoke.jobs1.txt target/chaos-stdout/smoke.jobs8.txt >&2 || true
+    exit 1
+fi
 
 echo "== webdeps-serve --smoke (daemon torture: shed/deadline/poison invariants) =="
 cargo run -q --release --offline -p webdeps-serve -- --smoke

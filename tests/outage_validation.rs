@@ -7,6 +7,12 @@
 //! can reach. Its oracle here probes every site, in two forms: a static
 //! plan of failed entities at clock 0, and a schedule at one instant
 //! over a prefix of the sites. Every answer must equal the oracle's.
+//!
+//! Both sides run through the same resolver, so a change to what a fault
+//! phase does to a server would move both and still agree. The answers
+//! are therefore also folded into FNV-1a 64 digests and pinned, as
+//! `tests/repro_digest.rs` pins `repro`'s output: the random schedules
+//! run `Loss`, `Latency` and `Flapping` phases as well as `Down`.
 
 use std::collections::{BTreeSet, HashSet};
 use std::sync::OnceLock;
@@ -24,6 +30,31 @@ use webdeps::serve::{Engine, Outcome, Request, ServerStats};
 use webdeps::tls::{OcspFault, RevocationPolicy};
 use webdeps::web::WebClient;
 use webdeps::worldgen::{SnapshotYear, World, WorldConfig};
+
+/// FNV-1a 64 — the digest `tests/repro_digest.rs` pins outputs with.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Appends one answer to `answers`: its label, then the down sites' ids.
+fn push_answer(answers: &mut String, label: &str, down: &[SiteId]) {
+    answers.push_str(label);
+    for site in down {
+        answers.push_str(&format!(" {}", site.0));
+    }
+    answers.push('\n');
+}
+
+/// Asserts that the digest of `answers` is `pinned`.
+fn assert_pinned(what: &str, answers: &str, pinned: u64) {
+    let digest = fnv1a(answers.as_bytes());
+    assert_eq!(
+        digest, pinned,
+        "{what}: answers digest {digest:#018x}, pinned {pinned:#018x}"
+    );
+}
 
 /// The oracle: each of the first `sites` sites probed through a client
 /// made by `client` — whose DNS cache is off, so a site's outcome is a
@@ -258,8 +289,9 @@ fn catalog_entities(world: &World) -> Vec<(String, EntityId)> {
 /// outage with the oracle's site list, and an index recorded once
 /// answers random multi-entity plans and the empty plan the same way.
 /// Under soft-fail the index leaves softly consulted sites unprobed;
-/// under hard-fail it must probe every consulting site.
-fn check_index_matches_full_sweep(world: &World, policy: RevocationPolicy) {
+/// under hard-fail it must probe every consulting site. Each answer is
+/// appended to `answers`.
+fn check_index_matches_full_sweep(world: &World, policy: RevocationPolicy, answers: &mut String) {
     let hard_fail = policy == RevocationPolicy::HardFail;
     let providers = catalog_entities(world);
     assert!(providers.len() > 100, "{} providers", providers.len());
@@ -271,6 +303,7 @@ fn check_index_matches_full_sweep(world: &World, policy: RevocationPolicy) {
             "{name} ({policy:?}): index vs sweep"
         );
         assert_eq!(indexed.total, world.truth.len());
+        push_answer(answers, &format!("{policy:?} {name}"), &full);
     }
 
     let index = OutageIndex::build(world, world.truth.len(), policy);
@@ -282,6 +315,7 @@ fn check_index_matches_full_sweep(world: &World, policy: RevocationPolicy) {
         plan_sweep(world, &[], policy),
         "{policy:?}: empty plan"
     );
+    push_answer(answers, &format!("{policy:?} empty"), &empty.affected);
     let mut rng = DetRng::new(world.config.seed).fork("outage-sets");
     let mut down = 0;
     for case in 0..32 {
@@ -294,6 +328,7 @@ fn check_index_matches_full_sweep(world: &World, policy: RevocationPolicy) {
         let full = plan_sweep(world, &set, policy);
         assert_eq!(indexed.affected, full, "set {case} {set:?} ({policy:?})");
         assert_eq!(indexed.failed_entities, set);
+        push_answer(answers, &format!("{policy:?} set {case} {set:?}"), &full);
         down += full.len();
     }
     assert!(down > 0, "{policy:?}: no random set takes a site down");
@@ -306,7 +341,7 @@ const POLICIES: [RevocationPolicy; 2] = [RevocationPolicy::SoftFail, RevocationP
 /// on healthy infrastructure, then checks the index again: the
 /// baseline-down sites outside a footprint exercise the merge, and
 /// their failed revocation checks must keep their consults hard.
-fn check_index_matches_full_sweep_poisoned(mut world: World) {
+fn check_index_matches_full_sweep_poisoned(mut world: World, pinned: u64) {
     let globalsign = world.pki.ca_by_name("GlobalSign").expect("catalog CA").id;
     world
         .pki
@@ -316,35 +351,52 @@ fn check_index_matches_full_sweep_poisoned(mut world: World) {
         !baseline.is_empty(),
         "the poisoned world must have sites down at baseline"
     );
-    for policy in POLICIES {
-        check_index_matches_full_sweep(&world, policy);
-    }
+    check_both_policies(&world, "poisoned", pinned);
 }
+
+/// Runs [`check_index_matches_full_sweep`] under both policies and
+/// asserts the digest of every answer.
+fn check_both_policies(world: &World, what: &str, pinned: u64) {
+    let mut answers = String::new();
+    for policy in POLICIES {
+        check_index_matches_full_sweep(world, policy, &mut answers);
+    }
+    assert_pinned(what, &answers, pinned);
+}
+
+/// Digests of every answer of the four full-sweep tests below, computed
+/// before the fault path became one schedule.
+const FULL_SWEEP_2016: u64 = 0x9953_6e09_f68a_f022;
+const FULL_SWEEP_2020: u64 = 0x8434_20a5_5464_d8e2;
+const FULL_SWEEP_2016_POISONED: u64 = 0x8996_4d34_4183_f34c;
+const FULL_SWEEP_2020_POISONED: u64 = 0x4225_d5c0_e01b_86b2;
 
 #[test]
 fn outage_index_matches_full_sweep_2016() {
     let world = footprint_world(SnapshotYear::Y2016);
-    for policy in POLICIES {
-        check_index_matches_full_sweep(&world, policy);
-    }
+    check_both_policies(&world, "2016", FULL_SWEEP_2016);
 }
 
 #[test]
 fn outage_index_matches_full_sweep_2020() {
     let world = footprint_world(SnapshotYear::Y2020);
-    for policy in POLICIES {
-        check_index_matches_full_sweep(&world, policy);
-    }
+    check_both_policies(&world, "2020", FULL_SWEEP_2020);
 }
 
 #[test]
 fn outage_index_matches_full_sweep_2016_poisoned_pki() {
-    check_index_matches_full_sweep_poisoned(footprint_world(SnapshotYear::Y2016));
+    check_index_matches_full_sweep_poisoned(
+        footprint_world(SnapshotYear::Y2016),
+        FULL_SWEEP_2016_POISONED,
+    );
 }
 
 #[test]
 fn outage_index_matches_full_sweep_2020_poisoned_pki() {
-    check_index_matches_full_sweep_poisoned(footprint_world(SnapshotYear::Y2020));
+    check_index_matches_full_sweep_poisoned(
+        footprint_world(SnapshotYear::Y2020),
+        FULL_SWEEP_2020_POISONED,
+    );
 }
 
 fn reply_count(reply: &str, name: &str) -> usize {
@@ -387,11 +439,12 @@ fn serve_outage_replies_match_the_full_sweep() {
 /// The campaign's fixed-instant question over the first `sites` sites
 /// of `world`: for 64 random schedules at four sampled instants each,
 /// its index probes only what the schedule can reach and must count
-/// exactly the oracle's down sites.
-fn check_schedules_at_an_instant(world: &World, sites: usize) {
+/// exactly the oracle's down sites, whose digest is `pinned`.
+fn check_schedules_at_an_instant(world: &World, sites: usize, pinned: u64) {
     let index = monotonicity_index(world, sites);
     let mut rng = DetRng::new(sites as u64).fork("outage-instants");
     let (mut probed, mut down, mut cases) = (0, 0, 0);
+    let mut answers = String::new();
     for seed in 0..64 {
         let schedule = random_schedule(world, seed);
         for _ in 0..4 {
@@ -404,6 +457,7 @@ fn check_schedules_at_an_instant(world: &World, sites: usize) {
             );
             assert_eq!(indexed.total, sites);
             assert_eq!(indexed.failed_entities, schedule.entities_active_at(at));
+            push_answer(&mut answers, &format!("schedule {seed} at {at:?}"), &full);
             let reach = index.reach(&schedule_entities(world, &schedule), &[], at);
             probed += reach.len();
             down += full.len();
@@ -415,18 +469,24 @@ fn check_schedules_at_an_instant(world: &World, sites: usize) {
         probed < cases * sites,
         "over {sites}: every case probed every site"
     );
+    assert_pinned(&format!("schedules over {sites}"), &answers, pinned);
 }
+
+/// Digests of every answer of the two schedule tests below, computed
+/// before the fault path became one schedule.
+const SCHEDULES_40: u64 = 0x4a74_ac13_d3f3_c014;
+const SCHEDULES_200: u64 = 0x77ab_2b2f_d14d_986a;
 
 /// The campaign's default population.
 #[test]
 fn schedules_at_an_instant_match_full_sweep_over_40_sites() {
-    check_schedules_at_an_instant(campaign_world(), 40);
+    check_schedules_at_an_instant(campaign_world(), 40, SCHEDULES_40);
 }
 
 /// The CLI's largest campaign population.
 #[test]
 fn schedules_at_an_instant_match_full_sweep_over_200_sites() {
-    check_schedules_at_an_instant(campaign_world(), 200);
+    check_schedules_at_an_instant(campaign_world(), 200, SCHEDULES_200);
 }
 
 /// The world `webdeps-chaos --campaign` checks.

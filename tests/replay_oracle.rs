@@ -6,6 +6,11 @@
 //! client, configured as `replay` configures its client. Pruning may
 //! change what a replay costs, never its samples: every case below
 //! asserts the two curves are equal, tick by tick.
+//!
+//! Both sides run through the same resolver, so each test also folds
+//! its curves into an FNV-1a 64 digest and pins it, as
+//! `tests/repro_digest.rs` pins `repro`'s output: a change to what a
+//! fault phase does moves the pin even when both sides agree.
 
 use std::sync::OnceLock;
 use webdeps::chaos::campaign::random_schedule;
@@ -88,16 +93,55 @@ fn full_replay(world: &World, incident: &Incident) -> Vec<TickSample> {
     samples
 }
 
-/// Asserts `replay` equals the oracle on `incident` and returns its
-/// result.
-fn check(world: &World, incident: &Incident, case: &str) -> ReplayResult {
-    let pruned = replay(world, incident);
-    let full = full_replay(world, incident);
-    assert_eq!(pruned.samples, full, "{case}: pruned replay vs full probe");
-    let total = full.first().map_or(0, |s| s.total);
-    assert!(pruned.probed <= total, "{case}: probed {}", pruned.probed);
-    pruned
+/// FNV-1a 64 — the digest `tests/repro_digest.rs` pins outputs with.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
 }
+
+/// The curves one test checked, one line per case.
+#[derive(Default)]
+struct Curves(String);
+
+impl Curves {
+    /// Asserts `replay` equals the oracle on `incident`, appends the
+    /// curve under `case` and returns the replay's result.
+    fn check(&mut self, world: &World, incident: &Incident, case: &str) -> ReplayResult {
+        let pruned = replay(world, incident);
+        let full = full_replay(world, incident);
+        assert_eq!(pruned.samples, full, "{case}: pruned replay vs full probe");
+        let total = full.first().map_or(0, |s| s.total);
+        assert!(pruned.probed <= total, "{case}: probed {}", pruned.probed);
+        self.0.push_str(case);
+        for s in &full {
+            self.0
+                .push_str(&format!(" {}:{}/{}", s.time.seconds(), s.up, s.total));
+        }
+        self.0.push('\n');
+        pruned
+    }
+
+    /// Asserts that the digest of every curve checked is `pinned`.
+    fn assert_pinned(&self, pinned: u64) {
+        let digest = fnv1a(self.0.as_bytes());
+        assert_eq!(
+            digest, pinned,
+            "curves digest {digest:#018x}, pinned {pinned:#018x}"
+        );
+    }
+}
+
+/// The pinned curve digest of each test below, computed before the
+/// fault path became one schedule.
+const DYN_BOTH_SEEDS: u64 = 0xde85_27b0_7ae6_0dfa;
+const GLOBALSIGN: u64 = 0xb602_aa4c_276d_607a;
+const RANDOM_SCHEDULES: u64 = 0x25e3_9728_22e4_fb6b;
+const SERVER_PHASES: u64 = 0xd7f3_d59c_2b65_683b;
+const CACHE_FREE_AND_SERVE_STALE: u64 = 0xd96e_c990_cf96_0939;
+const MAX_SITES_PREFIX: u64 = 0x2045_b27e_468a_d13c;
+const GLOBALSIGN_120_DAYS: u64 = 0xef95_2e75_4d8f_9120;
+const SOFT_ONLY_SITES: u64 = 0x81d9_1a13_a0ac_55fb;
 
 fn dyn_incident(seed: u64) -> Incident {
     dyn_two_wave(dyn_world(), seed).expect("2016 world has Dyn")
@@ -105,9 +149,10 @@ fn dyn_incident(seed: u64) -> Incident {
 
 #[test]
 fn dyn_replay_matches_full_probe_at_both_seeds() {
+    let mut curves = Curves::default();
     for seed in [42, 7] {
         let case = format!("dyn seed {seed}");
-        let result = check(dyn_world(), &dyn_incident(seed), &case);
+        let result = curves.check(dyn_world(), &dyn_incident(seed), &case);
         let samples = &result.samples;
         assert!(
             samples.iter().any(|s| s.up < samples[0].up),
@@ -116,6 +161,7 @@ fn dyn_replay_matches_full_probe_at_both_seeds() {
         let probed = result.probed;
         assert!(probed < samples[0].total / 4, "{case}: probed {probed}");
     }
+    curves.assert_pinned(DYN_BOTH_SEEDS);
 }
 
 #[test]
@@ -131,13 +177,16 @@ fn globalsign_replay_matches_full_probe_with_stapling_customers() {
         .filter(|s| s.ca.state == CaProfile::ThirdStapled)
         .count();
     assert!(staplers > 0, "GlobalSign needs stapling customers here");
-    let samples = check(world, &incident, "globalsign").samples;
+    let mut curves = Curves::default();
+    let samples = curves.check(world, &incident, "globalsign").samples;
     assert!(samples.iter().any(|s| s.up < s.total));
+    curves.assert_pinned(GLOBALSIGN);
 }
 
 #[test]
 fn random_schedules_match_full_probe() {
     let world = dyn_world();
+    let mut curves = Curves::default();
     for seed in 0..16 {
         let incident = Incident {
             name: format!("random-{seed}"),
@@ -151,8 +200,9 @@ fn random_schedules_match_full_probe() {
                 ..ReplayOptions::default()
             },
         };
-        check(world, &incident, &format!("random schedule {seed}"));
+        curves.check(world, &incident, &format!("random schedule {seed}"));
     }
+    curves.assert_pinned(RANDOM_SCHEDULES);
 }
 
 /// Server targets reach the sites of the server's operator: downing
@@ -178,27 +228,35 @@ fn server_phases_match_full_probe() {
     let mut incident = dyn_incident(42);
     incident.schedule = schedule;
     incident.options.horizon_secs = 14_400;
-    let samples = check(world, &incident, "dyn servers").samples;
+    let mut curves = Curves::default();
+    let samples = curves.check(world, &incident, "dyn servers").samples;
     assert!(samples.iter().any(|s| s.up < samples[0].up));
+    curves.assert_pinned(SERVER_PHASES);
 }
 
 #[test]
 fn cache_free_and_serve_stale_replays_match_full_probe() {
+    let mut curves = Curves::default();
     let mut incident = dyn_incident(42);
     incident.options.probe_caching = false;
-    check(dyn_world(), &incident, "dyn without caching");
+    curves.check(dyn_world(), &incident, "dyn without caching");
 
     let mut incident = dyn_incident(42);
     incident.options.serve_stale = true;
-    check(dyn_world(), &incident, "dyn with serve-stale");
+    curves.check(dyn_world(), &incident, "dyn with serve-stale");
+    curves.assert_pinned(CACHE_FREE_AND_SERVE_STALE);
 }
 
 #[test]
 fn max_sites_prefix_matches_full_probe() {
     let mut incident = dyn_incident(7);
     incident.options.max_sites = 700;
-    let samples = check(dyn_world(), &incident, "dyn over 700 sites").samples;
+    let mut curves = Curves::default();
+    let samples = curves
+        .check(dyn_world(), &incident, "dyn over 700 sites")
+        .samples;
     assert!(samples.iter().all(|s| s.total == 700));
+    curves.assert_pinned(MAX_SITES_PREFIX);
 }
 
 /// Past 90 days the Let's Encrypt certificates expire, far outside
@@ -209,7 +267,10 @@ fn globalsign_over_120_days_sees_certificates_expire() {
     let mut incident = globalsign_stale_week(world).expect("world has GlobalSign");
     incident.options.tick_secs = 10 * DAY;
     incident.options.horizon_secs = 120 * DAY;
-    let samples = check(world, &incident, "globalsign over 120 days").samples;
+    let mut curves = Curves::default();
+    let samples = curves
+        .check(world, &incident, "globalsign over 120 days")
+        .samples;
     let up = |days: u64| samples[(days / 10) as usize].up;
     assert!(
         up(90) < up(80),
@@ -217,6 +278,7 @@ fn globalsign_over_120_days_sees_certificates_expire() {
         up(80),
         up(90)
     );
+    curves.assert_pinned(GLOBALSIGN_120_DAYS);
 }
 
 /// An entity that some sites consult only inside a passed soft-fail
@@ -255,6 +317,8 @@ fn soft_only_sites_in_reach_match_full_probe() {
         },
     };
     assert!(incident.options.probe_caching);
-    let result = check(world, &incident, &format!("{name} with soft-only sites"));
+    let mut curves = Curves::default();
+    let result = curves.check(world, &incident, &format!("{name} with soft-only sites"));
     assert!(result.probed > index.footprint(entity).len(), "{name}");
+    curves.assert_pinned(SOFT_ONLY_SITES);
 }
