@@ -121,7 +121,7 @@ fn metric_engine_ablation(h: &mut Harness) {
     let opts = MetricOptions::full();
 
     // Every entry builds the index it asks: one row copy and both
-    // metrics' condensations.
+    // metrics' layered sets.
     let mut group = h.benchmark_group("analysis/metrics");
     group.bench_function("full_ranking_dns", |b| {
         b.iter(|| black_box(ReachIndex::build(graph, &opts).ranking(ServiceKind::Dns)));

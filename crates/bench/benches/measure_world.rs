@@ -8,7 +8,7 @@
 //! documented in README.md: the analysis arenas (measurement dataset +
 //! CSR graph) must stay within [`ARENA_BYTES_PER_SITE`] and the whole
 //! core working set (arenas + the reach index: its row copy and both
-//! metrics' condensations) within [`CORE_BYTES_PER_SITE`], at every
+//! metrics' site sets) within [`CORE_BYTES_PER_SITE`], at every
 //! benched scale.
 //!
 //! After the timed benches, one extra generate+measure run executes
@@ -37,9 +37,9 @@ static ALLOC: alloc_probe::CountingAlloc = alloc_probe::CountingAlloc;
 const ARENA_BYTES_PER_SITE: usize = 128;
 
 /// Budget for the full core working set: arenas plus the reach index.
-/// The index is mostly site bitsets, one per provider component and
-/// metric, so it grows with the provider tail: measured 236 B/site
-/// at 100k (index 119.6, of it ~15 for the row copy); the last 1M run,
+/// The index is mostly site bitsets, one per provider and metric, so
+/// it grows with the provider tail: measured 236 B/site at 100k
+/// (index 119.0, of it ~15 for the row copy); the last 1M run,
 /// before the dataset's report columns, measured 745 B/site.
 const CORE_BYTES_PER_SITE: usize = 832;
 
@@ -69,7 +69,7 @@ fn bench_scale(h: &mut Harness, label: &str, n: usize) {
     });
     let graph = DepGraph::from_dataset(&ds);
 
-    // `reach_build` copies the rows and condenses both metrics;
+    // `reach_build` copies the rows and builds both metrics' sets;
     // `rank_dns` is that build plus one ranking.
     let opts = MetricOptions::full();
     group.bench_function("reach_build", |b| {

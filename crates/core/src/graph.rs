@@ -39,8 +39,7 @@ const NO_NODE: u32 = u32::MAX;
 
 /// What a node is — the compact, copyable payload stored in the node
 /// column. Provider identities are interned; resolve them with
-/// [`DepGraph::name`] (or go through [`DepGraph::node_ref`] for the
-/// owned form).
+/// [`DepGraph::name`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum NodeKind {
     /// A website from the measured population.
@@ -314,17 +313,6 @@ impl DepGraph {
     #[inline]
     pub fn node(&self, id: NodeId) -> NodeKind {
         self.nodes[id.index()]
-    }
-
-    /// Node payload in owned, display form (allocates for providers;
-    /// prefer [`DepGraph::node`] on hot paths).
-    pub fn node_ref(&self, id: NodeId) -> NodeRef {
-        match self.node(id) {
-            NodeKind::Site(site) => NodeRef::Site(site),
-            NodeKind::Provider(name, kind) => {
-                NodeRef::Provider(ProviderKey::new(self.names.resolve(name)), kind)
-            }
-        }
     }
 
     /// The string behind an interned provider identity.

@@ -12,10 +12,10 @@
 //!   and **impact** `I_p` (§2.2), with and without indirect
 //!   dependencies.
 //! * [`reach`] — [`ReachIndex`], the one index that answers both: one
-//!   copy of the consumer rows and one SCC condensation per metric,
-//!   patched in place under churn. A reverse BFS (in its tests) and the
-//!   paper's literal recursive set unions (in `tests/properties.rs`)
-//!   are its oracles.
+//!   copy of the consumer rows and one site set per provider and
+//!   metric, built layer by layer (CA, CDN, DNS) and patched in place
+//!   under churn. A reverse BFS (in its tests) and the paper's literal
+//!   recursive set unions (in `tests/properties.rs`) are its oracles.
 //! * [`stats`] — rank-stratified percentages behind Figures 2, 3, 4.
 //! * [`concentration`] — provider coverage CDFs behind Figure 6.
 //! * [`evolution`] — 2016→2020 transition tables (Tables 3, 4, 5 for
@@ -43,9 +43,9 @@ pub use concentration::{coverage_curve, providers_for_coverage, CoveragePoint};
 pub use dot::{to_dot, DotOptions};
 pub use evolution::{ca_trends, cdn_trends, dns_trends, provider_trends, TrendTable};
 pub use graph::{DepGraph, EdgeKind, GraphBuilder, NodeId, NodeKind, NodeRef};
-pub use metrics::{MetricOptions, ProviderScore};
+pub use metrics::{Hop, MetricOptions, ProviderScore};
 pub use outage::{probe_site, simulate_outage, OutageIndex, OutageResult};
-pub use reach::{Applied, ApplyKind, Churn, ChurnError, Metric, ProviderRef, ReachIndex, SiteSet};
+pub use reach::{Churn, ChurnError, Metric, ProviderRef, ReachIndex, SiteSet};
 pub use resilience::{audit_site, robustness_score, RiskLevel, SiteAudit};
 pub use stats::{
     ca_figure, cdn_figure, dns_figure, top_providers_in_bucket, CaFigure, CdnFigure, DnsFigure,

@@ -11,49 +11,90 @@
 //! `f_c`/`f_i` recursive set unions are transcribed literally only as
 //! the oracle of `tests/properties.rs`.
 //!
-//! [`MetricOptions`] restricts which inter-service edge types may be
-//! traversed — Figures 7, 8, 9 each consider exactly one of CA→DNS,
-//! CA→CDN, CDN→DNS on top of the direct site edges.
+//! [`MetricOptions`] is a subset of the paper's three inter-service
+//! [`Hop`]s (Table 6) on top of the direct site edges: none for the §4
+//! analysis, all three for §8.1, and exactly one for each of Figures 7,
+//! 8 and 9. All three hops point down the kind order CA → CDN → DNS,
+//! and no other provider → provider hop can be written, so no choice of
+//! options lets a chain of traversed hops return to a provider it left.
 
+use std::fmt;
 use webdeps_measure::ProviderKey;
 use webdeps_model::ServiceKind;
 
-/// Which inter-service (provider → provider) hops are considered.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One of the paper's three inter-service hops: a provider of one kind
+/// consuming a service of a kind further down CA → CDN → DNS.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Hop {
+    /// A CA's revocation hosts served by a DNS provider (Figure 7).
+    CaDns,
+    /// A CA's revocation hosts served by a CDN (Figure 8).
+    CaCdn,
+    /// A CDN's own names served by a DNS provider (Figure 9).
+    CdnDns,
+}
+
+impl Hop {
+    /// The three hops.
+    pub const ALL: [Hop; 3] = [Hop::CaDns, Hop::CaCdn, Hop::CdnDns];
+
+    /// `(consumer provider kind, consumed service)`.
+    pub fn kinds(self) -> (ServiceKind, ServiceKind) {
+        match self {
+            Hop::CaDns => (ServiceKind::Ca, ServiceKind::Dns),
+            Hop::CaCdn => (ServiceKind::Ca, ServiceKind::Cdn),
+            Hop::CdnDns => (ServiceKind::Cdn, ServiceKind::Dns),
+        }
+    }
+}
+
+/// Which inter-service hops are traversed: any subset of [`Hop::ALL`].
+#[derive(Clone, Copy, PartialEq, Eq)]
 pub struct MetricOptions {
-    /// Allowed `(consumer provider kind, consumed service)` hops.
-    /// Empty = direct dependencies only.
-    pub interservice: Vec<(ServiceKind, ServiceKind)>,
+    /// Indexed by `Hop as usize`.
+    hops: [bool; 3],
 }
 
 impl MetricOptions {
     /// Direct dependencies only (the §4 analysis).
     pub fn direct_only() -> Self {
-        MetricOptions {
-            interservice: vec![],
-        }
+        MetricOptions::of(&[])
     }
 
-    /// Everything (the §8.1 "full picture" numbers).
+    /// Every hop (the §8.1 "full picture" numbers).
     pub fn full() -> Self {
-        MetricOptions {
-            interservice: vec![
-                (ServiceKind::Ca, ServiceKind::Dns),
-                (ServiceKind::Ca, ServiceKind::Cdn),
-                (ServiceKind::Cdn, ServiceKind::Dns),
-            ],
-        }
+        MetricOptions::of(&Hop::ALL)
     }
 
-    /// Exactly one inter-service type (Figures 7, 8, 9).
-    pub fn only(consumer: ServiceKind, service: ServiceKind) -> Self {
-        MetricOptions {
-            interservice: vec![(consumer, service)],
-        }
+    /// Exactly one hop (Figures 7, 8, 9).
+    pub fn only(hop: Hop) -> Self {
+        MetricOptions::of(&[hop])
     }
 
-    pub(crate) fn allows(&self, consumer_kind: ServiceKind, service: ServiceKind) -> bool {
-        self.interservice.contains(&(consumer_kind, service))
+    /// Exactly the given hops.
+    pub fn of(hops: &[Hop]) -> Self {
+        let mut on = [false; 3];
+        for &hop in hops {
+            on[hop as usize] = true;
+        }
+        MetricOptions { hops: on }
+    }
+
+    /// Whether a provider of kind `consumer` reaches the `service` it
+    /// consumes over a traversed hop.
+    pub fn allows(&self, consumer: ServiceKind, service: ServiceKind) -> bool {
+        Hop::ALL
+            .into_iter()
+            .any(|hop| self.hops[hop as usize] && hop.kinds() == (consumer, service))
+    }
+}
+
+/// The traversed hops, e.g. `{CaDns, CdnDns}`.
+impl fmt::Debug for MetricOptions {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_set()
+            .entries(Hop::ALL.into_iter().filter(|&hop| self.hops[hop as usize]))
+            .finish()
     }
 }
 
@@ -114,21 +155,19 @@ mod tests {
         // Concentration picks up site0 and site2 through the CA; impact
         // requires critical edges end to end: site2's CA edge is not
         // critical, so only site0 and site1.
-        assert_eq!(
-            dnsme(&MetricOptions::only(ServiceKind::Ca, ServiceKind::Dns)),
-            (3, 2)
-        );
+        assert_eq!(dnsme(&MetricOptions::only(Hop::CaDns)), (3, 2));
     }
 
     #[test]
     fn wrong_interservice_kind_does_not_traverse() {
-        let (concentration, _) = dnsme(&MetricOptions::only(ServiceKind::Cdn, ServiceKind::Dns));
+        let (concentration, _) = dnsme(&MetricOptions::only(Hop::CdnDns));
         assert_eq!(concentration, 1, "CA→DNS hop not allowed");
     }
 
     #[test]
-    fn cycles_terminate() {
-        // A ↔ B provider cycle plus one site each.
+    fn upward_edge_is_not_traversed() {
+        // A (DNS) ↔ B (CDN) plus one site each: B → A is the CDN→DNS
+        // hop, A → B an upward DNS→CDN edge that no hop names.
         let mut g = GraphBuilder::new();
         let s0 = g.intern_site(SiteId(0));
         let s1 = g.intern_site(SiteId(1));
@@ -143,14 +182,13 @@ mod tests {
         g.add_edge(a, b, edge(ServiceKind::Cdn));
         g.add_edge(b, a, edge(ServiceKind::Dns));
         let index = ReachIndex::build(&g.build(), &MetricOptions::full());
-        // Both sites depend on A through the cycle.
+        // Both sites depend on A, site 1 through B.
         assert_eq!(
             index.dependent_count(Metric::Impact, "a.com", ServiceKind::Dns),
             2
         );
-        // From B the cycle back through A needs a DNS-provider→CDN hop,
-        // which the paper's inter-service set never includes, so only
-        // B's direct consumer is reached.
+        // Reaching B through A would take the upward edge, so only B's
+        // direct consumer counts.
         assert_eq!(
             index.dependent_count(Metric::Impact, "b.com", ServiceKind::Cdn),
             1

@@ -3,35 +3,38 @@
 //!
 //! Both metrics ask one question — which sites reach provider `p` over
 //! consumer edges? — concentration over every edge, impact over
-//! critical edges only, with [`MetricOptions`] choosing the allowed
-//! provider → provider hops. A reverse BFS per provider would repeat the
-//! same frontier expansions for every provider, so a full ranking would
-//! scale as (providers × full BFS). A [`ReachIndex`] shares that work:
-//! [`ReachIndex::build`] copies the graph's consumer rows once, then, for
-//! each metric, condenses the provider-consumer subgraph into strongly
-//! connected components and computes each component's dependent-site
-//! set in a single pass over the condensation, so every provider's
-//! answer under either metric is a table lookup.
+//! critical edges only, with [`MetricOptions`] choosing which of the
+//! paper's three inter-service [`Hop`](crate::metrics::Hop)s are traversed. A reverse BFS per
+//! provider would repeat the same frontier expansions for every
+//! provider, so a full ranking would scale as (providers × full BFS). A
+//! [`ReachIndex`] shares that work: [`ReachIndex::build`] copies the
+//! graph's consumer rows once, then builds one dependent-site set per
+//! provider and metric, so every provider's answer under either metric
+//! is a table lookup.
 //!
-//! Correctness under cycles is the point of the SCC step: naive
-//! per-provider memoization is wrong when providers depend on each
-//! other mutually (the set "reachable from `p`" is not a function of
-//! `p`'s direct consumers alone), but every member of an SCC reaches
-//! exactly the same sites, and Tarjan's algorithm emits components in
-//! reverse topological order — all consumer components of `C` are
-//! finished before `C` itself — so one union pass suffices. The tests
-//! here hold every set equal to a reverse BFS, and `tests/properties.rs`
-//! holds the index equal to the paper's literal recursion.
+//! The sets are built layer by layer. Every `Hop` runs from a provider
+//! kind to a later one in the order CA, CDN, DNS, and [`MetricOptions`]
+//! can name nothing but those hops, so a traversed provider → provider
+//! edge always leaves an earlier layer for a later one: the traversed
+//! graph is acyclic and at most two hops deep. A provider's set is the
+//! sites in its row plus the sets of the provider consumers the metric
+//! traverses, and those consumers sit in earlier layers, so building the
+//! layers in order (CA, CDN, DNS, then Cloud, which no hop reaches)
+//! reads only finished sets. Rows may still hold edges no hop names
+//! (a DNS provider consuming a CDN, one CDN consuming another); they are
+//! kept for the churn that may remove them and never traversed. The
+//! tests here hold every set equal to a reverse BFS, and
+//! `tests/properties.rs` holds the index equal to the paper's literal
+//! recursion under all eight hop subsets.
 //!
 //! Rows exist only for providers, since sites consume but are never
 //! consumed; a row names each consumer as a site id or a provider slot.
 //! The index owns them, so it has no lifetime tie to the [`DepGraph`] it
 //! was built from and absorbs [`Churn`] deltas in place (see
-//! [`ReachIndex::apply`]). One routine, `condense`, runs the iterative
-//! Tarjan pass for the build, every rebuild and
-//! [`ReachIndex::verify_fresh`], and its per-component set builder also
-//! rebuilds the sets a patch touches. The only per-provider state is a
-//! [`SiteSet`] bitset per component.
+//! [`ReachIndex::apply`]). One routine, `provider_set`, builds a
+//! provider's set for the build, every churn recompute and
+//! [`ReachIndex::verify_fresh`]. The per-provider state is a [`SiteSet`]
+//! bitset and its size per metric.
 //!
 //! The index deliberately has no hooks into the *behavioral* layer:
 //! schedule-aware outage questions (`OutageIndex::affected_at`) probe
@@ -134,7 +137,7 @@ impl SiteSet {
     }
 }
 
-/// Sentinel for a component not yet emitted by the Tarjan pass.
+/// Sentinel in the build's node → slot map for a site node.
 const NONE_U32: u32 = u32::MAX;
 
 /// One of the paper's two reach metrics (§2.2).
@@ -147,8 +150,19 @@ pub enum Metric {
 }
 
 impl Metric {
-    /// Both metrics, in the order an index keeps their condensations.
+    /// Both metrics, in the order an index keeps their sets.
     pub const ALL: [Metric; 2] = [Metric::Concentration, Metric::Impact];
+}
+
+/// A provider kind's layer: every `Hop` runs from a lower layer to a
+/// higher one, so sets built in layer order read only finished sets.
+fn layer(kind: ServiceKind) -> u8 {
+    match kind {
+        ServiceKind::Ca => 0,
+        ServiceKind::Cdn => 1,
+        ServiceKind::Dns => 2,
+        ServiceKind::Cloud => 3,
+    }
 }
 
 /// One entry of a provider's consumer row.
@@ -160,16 +174,22 @@ struct Consumer {
     critical: bool,
 }
 
-/// A provider and the edges into it, in the graph's CSR order.
+/// A provider, the edges into it in the graph's CSR order, and the
+/// edges out of it.
 struct Provider {
     key: ProviderKey,
     kind: ServiceKind,
     row: Vec<Consumer>,
+    /// One `(slot, critical)` entry per provider edge out of this
+    /// provider — the rows' provider entries seen from the consumer
+    /// side, so a churn delta finds the providers below the one it
+    /// edits without scanning rows.
+    consumes: Vec<(u32, bool)>,
 }
 
 /// The provider rows as one metric traverses them: the metric's edge
-/// filter, in one place for the Tarjan pass and every patch, plus the
-/// bound new site sets are sized to.
+/// filter, in one place for every set build, plus the bound new sets
+/// are sized to.
 struct Rows<'a> {
     providers: &'a [Provider],
     critical_only: bool,
@@ -198,393 +218,118 @@ impl<'a> Rows<'a> {
         critical || !self.critical_only
     }
 
-    /// Whether consumer `c` reaches a provider of kind `kind` through
-    /// its edge: the consumer must be a provider and the hop an allowed
-    /// one.
-    fn step(&self, c: Consumer, kind: ServiceKind) -> bool {
-        self.admits(c.critical)
-            && c.provider
-            && self.opts.allows(self.providers[c.id as usize].kind, kind)
+    /// Whether the metric traverses an edge of this criticality from a
+    /// provider of kind `from` into one of kind `to`.
+    fn hop(&self, critical: bool, from: ServiceKind, to: ServiceKind) -> bool {
+        self.admits(critical) && self.opts.allows(from, to)
     }
-}
 
-/// One metric's condensation: each provider slot's component and, per
-/// component in Tarjan emission order, its member slots, dependent-site
-/// set and set size, plus the condensation's edges.
-struct Condensation {
-    comp_of: Vec<u32>,
-    members: Vec<Vec<u32>>,
-    sets: Vec<SiteSet>,
-    counts: Vec<usize>,
-    /// `deps[x][y]` = number of traversed edges from members of
-    /// consumer component `x` into members of component `y` (`x`
-    /// consumes `y`), kept for the patches.
-    deps: Vec<BTreeMap<u32, u32>>,
-}
-
-/// The one Tarjan pass: iterative Tarjan over the provider slots along
-/// the hops `rows` traverses, building each component's dependent-site
-/// set as the component is emitted, then counting the condensation's
-/// edges. Tarjan emits components in reverse topological order, so
-/// every consumer component's set is final before a component reads it.
-fn condense(rows: &Rows) -> Condensation {
-    let n = rows.providers.len();
-    // `index_of` doubles as the visited marker (0 = unvisited, else
-    // DFS index + 1).
-    let mut index_of = vec![0u32; n];
-    let mut low = vec![0u32; n];
-    let mut on_stack = vec![false; n];
-    let mut stack: Vec<u32> = Vec::new();
-    let mut next_index = 1u32;
-    let mut out = Condensation {
-        comp_of: vec![NONE_U32; n],
-        members: Vec::new(),
-        sets: Vec::new(),
-        counts: Vec::new(),
-        deps: Vec::new(),
-    };
-    for start in 0..n {
-        if index_of[start] != 0 {
-            continue;
-        }
-        index_of[start] = next_index;
-        low[start] = next_index;
-        next_index += 1;
-        stack.push(start as u32);
-        on_stack[start] = true;
-        // DFS frame: (slot, position within its row).
-        let mut dfs: Vec<(usize, usize)> = vec![(start, 0)];
-        while let Some(frame) = dfs.last_mut() {
-            let v = frame.0;
-            let provider = &rows.providers[v];
-            let mut descended = false;
-            while frame.1 < provider.row.len() {
-                let c = provider.row[frame.1];
-                frame.1 += 1;
-                if !rows.step(c, provider.kind) {
-                    continue;
-                }
-                let w = c.id as usize;
-                if index_of[w] == 0 {
-                    index_of[w] = next_index;
-                    low[w] = next_index;
-                    next_index += 1;
-                    stack.push(w as u32);
-                    on_stack[w] = true;
-                    dfs.push((w, 0));
-                    descended = true;
-                    break;
-                } else if on_stack[w] {
-                    low[v] = low[v].min(index_of[w]);
-                }
-            }
-            if descended {
+    /// `p` and every provider it reaches over traversed hops — the
+    /// sets a change to `p`'s set flows into — with `p` first and the
+    /// rest in layer order, so each comes after its consumers among
+    /// them. A slot past the last provider (one the delta being staged
+    /// introduces) consumes nothing yet.
+    fn below(&self, p: u32) -> Vec<u32> {
+        let mut out = vec![p];
+        let mut next = 0;
+        while let Some(&q) = out.get(next) {
+            next += 1;
+            let Some(provider) = self.providers.get(q as usize) else {
                 continue;
-            }
-            dfs.pop();
-            if let Some(parent) = dfs.last() {
-                low[parent.0] = low[parent.0].min(low[v]);
-            }
-            if low[v] != index_of[v] {
-                continue;
-            }
-            let comp = out.sets.len() as u32;
-            let mut members: Vec<u32> = Vec::new();
-            while let Some(w) = stack.pop() {
-                on_stack[w as usize] = false;
-                out.comp_of[w as usize] = comp;
-                members.push(w);
-                if w as usize == v {
-                    break;
-                }
-            }
-            let set = component_set(rows, &members, &out.comp_of, |c| &out.sets[c as usize]);
-            out.counts.push(set.count());
-            out.sets.push(set);
-            out.members.push(members);
-        }
-    }
-    out.deps = vec![BTreeMap::new(); out.sets.len()];
-    for (v, provider) in rows.providers.iter().enumerate() {
-        let cv = out.comp_of[v];
-        for &c in &provider.row {
-            if rows.step(c, provider.kind) {
-                let cw = out.comp_of[c.id as usize];
-                if cw != cv {
-                    *out.deps[cw as usize].entry(cv).or_insert(0) += 1;
+            };
+            for &(r, critical) in &provider.consumes {
+                let to = self.providers[r as usize].kind;
+                if self.hop(critical, provider.kind, to) && !out.contains(&r) {
+                    out.push(r);
                 }
             }
         }
+        out[1..].sort_by_key(|&q| layer(self.providers[q as usize].kind));
+        out
     }
-    out
 }
 
-/// One component's dependent-site set: the sites its members' rows
-/// admit, unioned with the set of every other component one of whose
-/// members consumes a member through a traversed hop. `set_of` hands
-/// back those consumer components' finished sets.
-fn component_set<'s>(
+/// One provider's dependent-site set from a row of its consumers: the
+/// sites the row admits, unioned with the set of every provider
+/// consumer the metric traverses. Those consumers sit in earlier
+/// layers; `set_of` hands back their finished sets.
+fn provider_set<'r, 's>(
     rows: &Rows,
-    members: &[u32],
-    comp_of: &[u32],
+    kind: ServiceKind,
+    row: impl Iterator<Item = &'r Consumer>,
     set_of: impl Fn(u32) -> &'s SiteSet,
 ) -> SiteSet {
     let mut set = SiteSet::with_bound(rows.bound);
-    for &m in members {
-        let provider = &rows.providers[m as usize];
-        for &c in &provider.row {
-            if !rows.admits(c.critical) {
-                continue;
-            }
-            if !c.provider {
+    for c in row {
+        if !c.provider {
+            if rows.admits(c.critical) {
                 set.insert(SiteId(c.id));
-            } else if rows.step(c, provider.kind) {
-                let comp = comp_of[c.id as usize];
-                if comp != comp_of[m as usize] {
-                    debug_assert_ne!(comp, NONE_U32, "consumer component emitted first");
-                    set.union_with(set_of(comp));
-                }
             }
+        } else if rows.hop(c.critical, rows.providers[c.id as usize].kind, kind) {
+            set.union_with(set_of(c.id));
         }
     }
     set
 }
 
-/// A churn delta after its row edit: the slots it touched.
-#[derive(Clone, Copy)]
-enum Edit {
-    /// A site edge into provider `p` was added or removed.
-    Site {
-        p: u32,
-        site: SiteId,
-        critical: bool,
-        added: bool,
-    },
-    /// An edge from provider `w` into provider `v` was added or removed.
-    Provider {
-        w: u32,
-        v: u32,
-        critical: bool,
-        added: bool,
-    },
+/// One metric's answers: each provider slot's dependent-site set and
+/// its size.
+struct Sets {
+    sets: Vec<SiteSet>,
+    counts: Vec<usize>,
 }
 
-impl Condensation {
-    fn set(&self, slot: usize) -> &SiteSet {
-        &self.sets[self.comp_of[slot] as usize]
-    }
-
-    fn count(&self, slot: usize) -> usize {
-        self.counts[self.comp_of[slot] as usize]
-    }
-
-    /// Adds a new provider as its own singleton component with an empty
-    /// dependent set — no structural invariant can break.
-    fn push_singleton(&mut self, slot: u32, bound: usize) {
-        self.comp_of.push(self.sets.len() as u32);
-        self.members.push(vec![slot]);
-        self.sets.push(SiteSet::with_bound(bound));
-        self.counts.push(0);
-        self.deps.push(BTreeMap::new());
-    }
-
-    /// Absorbs one row edit already made to `rows`, patching the
-    /// affected sets or rebuilding the whole condensation when the edit
-    /// could merge or split components.
-    fn patch(&mut self, rows: &Rows, edit: Edit) -> ApplyKind {
-        match edit {
-            Edit::Site {
-                p,
-                site,
-                critical,
-                added,
-            } => {
-                if !rows.admits(critical) {
-                    return ApplyKind::Patched;
-                }
-                let comp = self.comp_of[p as usize];
-                if added {
-                    // The site now reaches p's component and,
-                    // transitively, every component p consumes. Sites
-                    // are never SCC members, so the condensation itself
-                    // cannot change: pure bit OR.
-                    for c in self.downstream_of(comp) {
-                        let set = &mut self.sets[c as usize];
-                        if !set.contains(site) {
-                            set.insert(site);
-                            self.counts[c as usize] += 1;
-                        }
-                    }
-                } else {
-                    // The site may still reach the affected components
-                    // via other edges; recompute their sets.
-                    self.recompute_downstream(rows, comp);
-                }
-                ApplyKind::Patched
-            }
-            Edit::Provider {
-                w,
-                v,
-                critical,
-                added,
-            } => {
-                let edge = Consumer {
-                    id: w,
-                    provider: true,
-                    critical,
-                };
-                if !rows.step(edge, rows.providers[v as usize].kind) {
-                    // Recorded for future rebuilds, invisible to this
-                    // metric — nothing cached can change.
-                    return ApplyKind::Patched;
-                }
-                let (cw, cv) = (self.comp_of[w as usize], self.comp_of[v as usize]);
-                if added {
-                    if cw == cv {
-                        // An extra edge inside one component changes
-                        // neither the condensation nor any set.
-                        return ApplyKind::Patched;
-                    }
-                    if self.downstream_of(cv).contains(&cw) {
-                        // to ⇒ … ⇒ from already exists, so from → to
-                        // closes a cycle: components must merge.
-                        *self = condense(rows);
-                        return ApplyKind::Rebuilt;
-                    }
-                    // The condensation stays a DAG and gains one edge
-                    // cw → cv. Everything the consumer component reaches
-                    // flows into cv and everything cv consumes. Stage
-                    // the unions, then commit.
-                    *self.deps[cw as usize].entry(cv).or_insert(0) += 1;
-                    let source = &self.sets[cw as usize];
-                    let staged: Vec<(u32, SiteSet)> = self
-                        .downstream_of(cv)
-                        .into_iter()
-                        .map(|c| {
-                            let mut merged = self.sets[c as usize].clone();
-                            merged.union_with(source);
-                            (c, merged)
-                        })
-                        .collect();
-                    for (c, set) in staged {
-                        self.counts[c as usize] = set.count();
-                        self.sets[c as usize] = set;
-                    }
-                    ApplyKind::Patched
-                } else {
-                    if cw == cv {
-                        // Removing an intra-component edge can split
-                        // the SCC: always rebuild.
-                        *self = condense(rows);
-                        return ApplyKind::Rebuilt;
-                    }
-                    // Cross-component removal keeps the condensation a
-                    // DAG; drop one unit of edge multiplicity and
-                    // recompute the downstream sets.
-                    let deps = &mut self.deps[cw as usize];
-                    if let Some(n) = deps.get_mut(&cv) {
-                        *n -= 1;
-                        if *n == 0 {
-                            deps.remove(&cv);
-                        }
-                    }
-                    self.recompute_downstream(rows, cv);
-                    ApplyKind::Patched
-                }
-            }
-        }
-    }
-
-    /// Components reachable from `start` (inclusive) along consumption
-    /// edges — exactly the components whose dependent sets include
-    /// every site that reaches `start`.
-    fn downstream_of(&self, start: u32) -> Vec<u32> {
-        let mut seen: Vec<u32> = vec![start];
-        let mut order: Vec<u32> = Vec::new();
-        let mut stack = vec![start];
-        while let Some(c) = stack.pop() {
-            order.push(c);
-            for &next in self.deps[c as usize].keys() {
-                if !seen.contains(&next) {
-                    seen.push(next);
-                    stack.push(next);
-                }
-            }
-        }
-        order
-    }
-
-    /// Rebuilds the dependent sets of every component downstream of
-    /// `start` (inclusive) with the Tarjan pass's set builder,
-    /// processing the affected sub-DAG in topological order so each
-    /// set reads only finished inputs. Staged, then committed.
-    fn recompute_downstream(&mut self, rows: &Rows, start: u32) {
-        let affected = self.downstream_of(start);
-        // Kahn over the affected sub-DAG (consumer → consumed edges).
-        // It is closed under `deps`, so every edge out of it lands in it.
-        let mut indeg: BTreeMap<u32, usize> = affected.iter().map(|&c| (c, 0)).collect();
-        for &c in &affected {
-            for next in self.deps[c as usize].keys() {
-                if let Some(d) = indeg.get_mut(next) {
-                    *d += 1;
-                }
-            }
-        }
-        let mut ready: Vec<u32> = indeg
-            .iter()
-            .filter(|(_, &d)| d == 0)
-            .map(|(&c, _)| c)
-            .collect();
-        let mut staged: BTreeMap<u32, SiteSet> = BTreeMap::new();
-        while let Some(c) = ready.pop() {
-            let set = component_set(rows, &self.members[c as usize], &self.comp_of, |x| {
-                staged.get(&x).unwrap_or(&self.sets[x as usize])
+impl Sets {
+    /// Every provider's set, built layer by layer.
+    fn build(rows: &Rows) -> Self {
+        let n = rows.providers.len();
+        let mut order: Vec<u32> = (0..n as u32).collect();
+        order.sort_by_key(|&slot| layer(rows.providers[slot as usize].kind));
+        let mut sets = vec![SiteSet::default(); n];
+        for slot in order {
+            let provider = &rows.providers[slot as usize];
+            let set = provider_set(rows, provider.kind, provider.row.iter(), |c| {
+                &sets[c as usize]
             });
-            staged.insert(c, set);
-            for &next in self.deps[c as usize].keys() {
-                if let Some(d) = indeg.get_mut(&next) {
-                    *d -= 1;
-                    if *d == 0 {
-                        ready.push(next);
-                    }
-                }
-            }
+            sets[slot as usize] = set;
         }
-        debug_assert_eq!(staged.len(), affected.len(), "condensation must be acyclic");
-        for (c, set) in staged {
-            self.counts[c as usize] = set.count();
-            self.sets[c as usize] = set;
-        }
+        let counts = sets.iter().map(SiteSet::count).collect();
+        Sets { sets, counts }
     }
 
     fn heap_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.comp_of.capacity() * size_of::<u32>()
-            + self.members.capacity() * size_of::<Vec<u32>>()
-            + self
-                .members
-                .iter()
-                .map(|m| m.capacity() * size_of::<u32>())
-                .sum::<usize>()
-            + self.sets.capacity() * size_of::<SiteSet>()
+        self.sets.capacity() * std::mem::size_of::<SiteSet>()
             + self.sets.iter().map(SiteSet::heap_bytes).sum::<usize>()
-            + self.counts.capacity() * size_of::<usize>()
-            + self.deps.capacity() * size_of::<BTreeMap<u32, u32>>()
-            + self
-                .deps
-                .iter()
-                .map(|d| d.len() * 2 * size_of::<u32>())
-                .sum::<usize>()
+            + self.counts.capacity() * std::mem::size_of::<usize>()
     }
 }
 
-/// How one delta was absorbed by each metric's condensation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Applied {
-    /// The concentration condensation's path.
-    pub concentration: ApplyKind,
-    /// The impact condensation's path.
-    pub impact: ApplyKind,
+/// A churn delta resolved to slots, with nothing yet changed: provider
+/// `p`'s row gains `consumer`, or loses the entry at `removed_at`.
+struct Edit {
+    p: u32,
+    kind: ServiceKind,
+    consumer: Consumer,
+    /// The consuming provider's kind, for a provider edge.
+    consumer_kind: Option<ServiceKind>,
+    removed_at: Option<usize>,
+    /// Providers the delta introduces, in the slot order they take
+    /// after the last provider.
+    fresh: Vec<ProviderRef>,
+}
+
+/// The consuming end of the edge a [`Churn`] delta names.
+enum ConsumerRef<'a> {
+    Site(SiteId),
+    Provider(&'a ProviderRef),
+}
+
+/// One metric's staged change to one provider's set.
+enum Change {
+    /// The site joins the set.
+    Insert(SiteId),
+    /// The set is replaced.
+    Replace(SiteSet),
 }
 
 /// Concentration and impact for every provider of one graph under one
@@ -592,39 +337,14 @@ pub struct Applied {
 /// index that a report builds once and asks everything, and that a
 /// resident query service keeps warm across churn.
 ///
-/// It keeps one copy of the consumer rows and, side by side, one
-/// condensation per [`Metric`]. [`ReachIndex::apply`] edits the rows
-/// once, then patches or rebuilds each condensation:
-///
-/// * **site edge add** — sites are never SCC members, so the
-///   condensation is untouched; the new site bit is ORed into the
-///   provider's component and every component it transitively
-///   consumes.
-/// * **site edge remove / cross-component provider edge remove** — the
-///   condensation is still valid; the affected downstream components'
-///   sets are rebuilt, in topological order, by the same per-component
-///   set builder the Tarjan pass uses.
-/// * **provider edge add** — if the new edge closes a cycle between
-///   two existing components the condensation would merge SCCs, so it
-///   **falls back to a full Tarjan rebuild**; otherwise the
-///   condensation gains one DAG edge and the consumer component's set
-///   is ORed downstream.
-/// * **intra-component provider edge remove** — could split an SCC:
-///   always a full rebuild.
-///
-/// A delta takes the same path in both condensations except where the
-/// metrics see different edges: a non-critical provider edge that
-/// closes a cycle is invisible to impact, which patches, while
-/// concentration merges components and rebuilds.
-///
-/// Every successful apply bumps the one **epoch**, so an answer tagged
-/// with an epoch names exactly one graph state. Each patch stages its
-/// set recomputations and commits them at the end.
-/// [`ReachIndex::verify_fresh`] recomputes both condensations from
-/// scratch and diffs them against the patched state — the serve
-/// daemon's paranoid mode runs it after every patch, and the churn
-/// property tests hold every patched set equal to a fresh
-/// [`ReachIndex::build`] and to a reverse BFS.
+/// It keeps one copy of the consumer rows and, per [`Metric`], one set
+/// per provider. [`ReachIndex::apply`] absorbs a churn delta by
+/// touching only the edited provider and the providers below it;
+/// [`ReachIndex::verify_fresh`] rebuilds every set from the rows and
+/// diffs them against the patched state — the serve daemon's paranoid
+/// mode runs it after every delta, and the churn property tests hold
+/// every patched set equal to a fresh [`ReachIndex::build`] and to a
+/// reverse BFS.
 pub struct ReachIndex {
     opts: MetricOptions,
     /// Provider slots: the graph's providers in node order, then the
@@ -636,19 +356,19 @@ pub struct ReachIndex {
     site_bound: usize,
     /// Monotonic version; bumped once per applied delta.
     epoch: u64,
-    /// One condensation per metric, in [`Metric::ALL`] order.
-    conds: [Condensation; 2],
-    /// Condensation patches, summed over both metrics.
+    /// One `Sets` per metric, in [`Metric::ALL`] order.
+    reach: [Sets; 2],
+    /// Deltas applied, counted once per metric.
     patches: u64,
-    /// Full Tarjan rebuilds, summed over both metrics.
+    /// [`ReachIndex::force_rebuild`] calls, counted once per metric.
     rebuilds: u64,
 }
 
 impl ReachIndex {
     /// Builds the index: copies each provider's consumer row from the
     /// graph once (provider slots in node order, so rankings break ties
-    /// in node order), then condenses the rows once per metric. Epoch
-    /// starts at 0.
+    /// in node order), then builds each metric's sets layer by layer.
+    /// Epoch starts at 0.
     pub fn build(graph: &DepGraph, opts: &MetricOptions) -> Self {
         let nodes: Vec<(NodeId, ProviderKey, ServiceKind)> = (0..graph.node_count() as u32)
             .map(NodeId)
@@ -663,7 +383,7 @@ impl ReachIndex {
         for (slot, (v, ..)) in nodes.iter().enumerate() {
             slot_of[v.index()] = slot as u32;
         }
-        let providers: Vec<Provider> = nodes
+        let mut providers: Vec<Provider> = nodes
             .into_iter()
             .map(|(v, key, kind)| Provider {
                 key,
@@ -683,23 +403,37 @@ impl ReachIndex {
                         },
                     })
                     .collect(),
+                consumes: Vec::new(),
             })
             .collect();
+        let edges: Vec<(u32, u32, bool)> = providers
+            .iter()
+            .enumerate()
+            .flat_map(|(v, p)| {
+                p.row
+                    .iter()
+                    .filter(|c| c.provider)
+                    .map(move |c| (c.id, v as u32, c.critical))
+            })
+            .collect();
+        for (w, v, critical) in edges {
+            providers[w as usize].consumes.push((v, critical));
+        }
         let slots = providers
             .iter()
             .enumerate()
             .map(|(slot, p)| ((p.kind, p.key.clone()), slot as u32))
             .collect();
         let site_bound = graph.site_id_bound();
-        let conds =
-            Metric::ALL.map(|metric| condense(&Rows::new(metric, &providers, opts, site_bound)));
+        let reach =
+            Metric::ALL.map(|metric| Sets::build(&Rows::new(metric, &providers, opts, site_bound)));
         ReachIndex {
-            opts: opts.clone(),
+            opts: *opts,
             providers,
             slots,
             site_bound,
             epoch: 0,
-            conds,
+            reach,
             patches: 0,
             rebuilds: 0,
         }
@@ -711,13 +445,13 @@ impl ReachIndex {
         self.epoch
     }
 
-    /// Condensation patches so far, summed over both metrics (a delta
-    /// counts once per metric).
+    /// Deltas applied so far, counted once per metric.
     pub fn patch_count(&self) -> u64 {
         self.patches
     }
 
-    /// Full Tarjan rebuilds so far, summed over both metrics.
+    /// [`ReachIndex::force_rebuild`] calls so far, counted once per
+    /// metric.
     pub fn rebuild_count(&self) -> u64 {
         self.rebuilds
     }
@@ -726,14 +460,14 @@ impl ReachIndex {
     /// `metric` at the current epoch; 0 for unknown providers.
     pub fn dependent_count(&self, metric: Metric, key: &str, kind: ServiceKind) -> usize {
         self.slot(key, kind)
-            .map_or(0, |slot| self.conds[metric as usize].count(slot))
+            .map_or(0, |slot| self.reach[metric as usize].counts[slot])
     }
 
     /// The dependent-site bitset of provider `(key, kind)` under
     /// `metric`, or `None` for unknown providers.
     pub fn dependent_set(&self, metric: Metric, key: &str, kind: ServiceKind) -> Option<&SiteSet> {
         self.slot(key, kind)
-            .map(|slot| self.conds[metric as usize].set(slot))
+            .map(|slot| &self.reach[metric as usize].sets[slot])
     }
 
     /// All providers of `kind`, scored and ordered by impact
@@ -766,11 +500,11 @@ impl ReachIndex {
     /// — the §8.1 "critical dependencies per website" distribution: one
     /// pass over the DNS, CDN and CA providers' impact sets.
     pub fn critical_deps_per_site(&self) -> HashMap<SiteId, usize> {
-        let impact = &self.conds[Metric::Impact as usize];
+        let impact = &self.reach[Metric::Impact as usize];
         let mut dense = vec![0usize; self.site_bound];
-        for (slot, provider) in self.providers.iter().enumerate() {
+        for (provider, set) in self.providers.iter().zip(&impact.sets) {
             if ServiceKind::WEB_SERVICES.contains(&provider.kind) {
-                for site in impact.set(slot).iter() {
+                for site in set.iter() {
                     dense[site.index()] += 1;
                 }
             }
@@ -783,60 +517,56 @@ impl ReachIndex {
             .collect()
     }
 
-    /// Applies one churn delta: edits the rows once, then patches or
-    /// rebuilds each metric's condensation. On success the epoch
-    /// advances by one and the returned [`Applied`] says which path each
-    /// condensation took; on error the index is unchanged (same epoch,
-    /// same answers).
+    /// Applies one churn delta in two steps.
+    ///
+    /// 1. **Stage.** Resolve the delta to slots and compute both
+    ///    metrics' new sets against the row as it will be after the
+    ///    edit (a removal's recompute skips the removed entry), changing
+    ///    nothing. Removing an edge that does not exist fails here, so
+    ///    an error leaves every answer and the epoch as they were.
+    /// 2. **Commit.** Register the providers the delta introduces, make
+    ///    the row edit, update the consumed-provider list, and store the
+    ///    new sets and counts; then advance the epoch by one.
+    ///
+    /// Per metric, an edge the metric does not traverse (a non-critical
+    /// edge under impact, a provider edge no allowed `Hop` names)
+    /// changes no set. Otherwise the edited provider and the providers
+    /// below it change — at most two hops, CA → CDN → DNS:
+    ///
+    /// * **site add / provider-edge add** — a bit OR: the site, or the
+    ///   consuming provider's set, joins each of those sets;
+    /// * **removal** — those sets are recomputed from the rows, in
+    ///   layer order, by the builder [`ReachIndex::build`] uses.
     #[must_use]
-    pub fn apply(&mut self, delta: &Churn) -> Result<Applied, ChurnError> {
-        let edit = self.edit_rows(delta)?;
-        let mut kinds = [ApplyKind::Patched; 2];
-        for ((kind, cond), metric) in kinds.iter_mut().zip(&mut self.conds).zip(Metric::ALL) {
-            *kind = cond.patch(
-                &Rows::new(metric, &self.providers, &self.opts, self.site_bound),
-                edit,
-            );
-            match kind {
-                ApplyKind::Patched => self.patches += 1,
-                ApplyKind::Rebuilt => self.rebuilds += 1,
-            }
-        }
-        self.epoch += 1;
-        let [concentration, impact] = kinds;
-        Ok(Applied {
-            concentration,
-            impact,
-        })
+    pub fn apply(&mut self, delta: &Churn) -> Result<(), ChurnError> {
+        let edit = self.resolve(delta)?;
+        let changes = Metric::ALL.map(|metric| self.stage(metric, &edit));
+        self.commit(edit, changes);
+        Ok(())
     }
 
-    /// Recomputes both condensations from scratch and diffs every
+    /// Rebuilds both metrics' sets from the rows and diffs every
     /// provider's set and count against the patched state. Returns a
     /// description of the first divergence — the executable form of
     /// "every patched epoch is cross-checked against a fresh build".
     #[must_use]
     pub fn verify_fresh(&self) -> Result<(), String> {
-        for (cond, metric) in self.conds.iter().zip(Metric::ALL) {
-            let fresh = condense(&Rows::new(
-                metric,
-                &self.providers,
-                &self.opts,
-                self.site_bound,
-            ));
+        for (patched, metric) in self.reach.iter().zip(Metric::ALL) {
+            let fresh = Sets::build(&self.rows(metric));
             for ((kind, key), &slot) in &self.slots {
                 let slot = slot as usize;
-                let (patched, rebuilt) = (cond.set(slot), fresh.set(slot));
-                if patched != rebuilt {
+                let (set, want) = (&patched.sets[slot], &fresh.sets[slot]);
+                if set != want {
                     return Err(format!(
                         "{metric:?} of {key}/{kind:?}: patched set (|{}|) != fresh set (|{}|)",
-                        patched.count(),
-                        rebuilt.count()
+                        set.count(),
+                        want.count()
                     ));
                 }
-                let (patched_n, fresh_n) = (cond.count(slot), fresh.count(slot));
-                if patched_n != fresh_n {
+                let (n, want_n) = (patched.counts[slot], fresh.counts[slot]);
+                if n != want_n {
                     return Err(format!(
-                        "{metric:?} of {key}/{kind:?}: patched count {patched_n} != fresh count {fresh_n}"
+                        "{metric:?} of {key}/{kind:?}: patched count {n} != fresh count {want_n}"
                     ));
                 }
             }
@@ -844,43 +574,40 @@ impl ReachIndex {
         Ok(())
     }
 
-    /// Discards both cached condensations and rebuilds them from the
-    /// owned rows. The logical graph state is unchanged, so the epoch
-    /// does not advance — this is the recovery hammer a resident
-    /// service reaches for if [`ReachIndex::verify_fresh`] ever reports
-    /// a divergence. Counts one rebuild per metric.
+    /// Discards both metrics' sets and rebuilds them from the owned
+    /// rows. The logical graph state is unchanged, so the epoch does
+    /// not advance — this is the recovery hammer a resident service
+    /// reaches for if [`ReachIndex::verify_fresh`] ever reports a
+    /// divergence. Counts one rebuild per metric.
     pub fn force_rebuild(&mut self) {
-        for (cond, metric) in self.conds.iter_mut().zip(Metric::ALL) {
-            *cond = condense(&Rows::new(
-                metric,
-                &self.providers,
-                &self.opts,
-                self.site_bound,
-            ));
-            self.rebuilds += 1;
-        }
+        self.reach = Metric::ALL.map(|metric| Sets::build(&self.rows(metric)));
+        self.rebuilds += 2;
     }
 
-    /// Bytes of heap owned by the index: the row copy, the provider
-    /// keys and lookup table, and both condensations (component maps,
-    /// popcounts, condensation edges and every component bitset).
+    /// Bytes of heap owned by the index: the row copy with each
+    /// provider's consumed-provider list, the provider keys and lookup
+    /// table, and both metrics' sets and counts.
     pub fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
         self.providers.capacity() * size_of::<Provider>()
             + self
                 .providers
                 .iter()
-                .map(|p| p.row.capacity() * size_of::<Consumer>() + p.key.as_str().len())
+                .map(|p| {
+                    p.row.capacity() * size_of::<Consumer>()
+                        + p.consumes.capacity() * size_of::<(u32, bool)>()
+                        + p.key.as_str().len()
+                })
                 .sum::<usize>()
             + self.slots.len() * (size_of::<(ServiceKind, ProviderKey)>() + size_of::<u32>())
-            + self
-                .conds
-                .iter()
-                .map(Condensation::heap_bytes)
-                .sum::<usize>()
+            + self.reach.iter().map(Sets::heap_bytes).sum::<usize>()
     }
 
-    // ---- lookups and row edits ----
+    // ---- lookups ----
+
+    fn rows(&self, metric: Metric) -> Rows<'_> {
+        Rows::new(metric, &self.providers, &self.opts, self.site_bound)
+    }
 
     fn slot(&self, key: &str, kind: ServiceKind) -> Option<usize> {
         self.slots
@@ -891,134 +618,220 @@ impl ReachIndex {
     fn score(&self, slot: usize) -> ProviderScore {
         ProviderScore {
             key: self.providers[slot].key.clone(),
-            concentration: self.conds[Metric::Concentration as usize].count(slot),
-            impact: self.conds[Metric::Impact as usize].count(slot),
+            concentration: self.reach[Metric::Concentration as usize].counts[slot],
+            impact: self.reach[Metric::Impact as usize].counts[slot],
         }
     }
 
-    fn ensure_provider(&mut self, p: &ProviderRef) -> u32 {
-        if let Some(slot) = self.slot(&p.key, p.kind) {
-            return slot as u32;
-        }
-        assert!(
-            u32::try_from(self.providers.len()).is_ok(),
-            "reach index overflow: {} providers exhaust the u32 slot space",
-            self.providers.len()
-        );
-        let slot = self.providers.len() as u32;
-        let key = ProviderKey::new(p.key.as_str());
-        self.slots.insert((p.kind, key.clone()), slot);
-        self.providers.push(Provider {
-            key,
-            kind: p.kind,
-            row: Vec::new(),
-        });
-        for cond in &mut self.conds {
-            cond.push_singleton(slot, self.site_bound);
-        }
-        slot
-    }
+    // ---- apply's two steps ----
 
-    /// Makes a delta's one row edit, or fails with the index untouched.
-    fn edit_rows(&mut self, delta: &Churn) -> Result<Edit, ChurnError> {
-        let missing = |detail: String| ChurnError::NoSuchEdge { detail };
-        let known = |index: &Self, p: &ProviderRef| {
-            index
-                .slot(&p.key, p.kind)
-                .map(|slot| slot as u32)
-                .ok_or_else(|| missing(format!("provider {} is unknown", p.key)))
-        };
-        Ok(match *delta {
+    /// Resolves a delta to its row edit without making it: an unknown
+    /// provider of an add gets the slot it will take on commit; a
+    /// removal fails unless its providers and edge exist.
+    fn resolve(&self, delta: &Churn) -> Result<Edit, ChurnError> {
+        let (removal, provider, from, critical) = match delta {
             Churn::AddSiteEdge {
                 site,
-                ref provider,
+                provider,
                 critical,
-            } => {
-                let p = self.ensure_provider(provider);
-                self.providers[p as usize].row.push(Consumer {
-                    id: site.0,
-                    provider: false,
-                    critical,
-                });
-                self.site_bound = self.site_bound.max(site.index() + 1);
-                Edit::Site {
-                    p,
-                    site,
-                    critical,
-                    added: true,
-                }
-            }
+            } => (false, provider, ConsumerRef::Site(*site), *critical),
             Churn::RemoveSiteEdge {
                 site,
-                ref provider,
+                provider,
                 critical,
-            } => {
-                let p = known(self, provider)?;
-                let edge = Consumer {
+            } => (true, provider, ConsumerRef::Site(*site), *critical),
+            Churn::AddProviderEdge { from, to, critical } => {
+                (false, to, ConsumerRef::Provider(from), *critical)
+            }
+            Churn::RemoveProviderEdge { from, to, critical } => {
+                (true, to, ConsumerRef::Provider(from), *critical)
+            }
+        };
+        let mut fresh: Vec<ProviderRef> = Vec::new();
+        let mut slot_of = |p: &ProviderRef| -> Result<u32, ChurnError> {
+            if let Some(slot) = self.slot(&p.key, p.kind) {
+                return Ok(slot as u32);
+            }
+            if removal {
+                return Err(ChurnError::NoSuchEdge {
+                    detail: format!("provider {} is unknown", p.key),
+                });
+            }
+            let at = fresh.iter().position(|f| f == p).unwrap_or_else(|| {
+                fresh.push(p.clone());
+                fresh.len() - 1
+            });
+            let slot = self.providers.len() + at;
+            assert!(
+                u32::try_from(slot).is_ok(),
+                "reach index overflow: {slot} providers exhaust the u32 slot space"
+            );
+            Ok(slot as u32)
+        };
+        let (consumer, consumer_kind) = match from {
+            ConsumerRef::Site(site) => (
+                Consumer {
                     id: site.0,
                     provider: false,
                     critical,
-                };
-                self.remove_from_row(p, edge).ok_or_else(|| {
-                    missing(format!("{site} -> {} (critical={critical})", provider.key))
-                })?;
-                Edit::Site {
-                    p,
-                    site,
-                    critical,
-                    added: false,
-                }
-            }
-            Churn::AddProviderEdge {
-                ref from,
-                ref to,
-                critical,
-            } => {
-                let w = self.ensure_provider(from);
-                let v = self.ensure_provider(to);
-                self.providers[v as usize].row.push(Consumer {
-                    id: w,
+                },
+                None,
+            ),
+            ConsumerRef::Provider(from) => (
+                Consumer {
+                    id: slot_of(from)?,
                     provider: true,
                     critical,
-                });
-                Edit::Provider {
-                    w,
-                    v,
-                    critical,
-                    added: true,
-                }
-            }
-            Churn::RemoveProviderEdge {
-                ref from,
-                ref to,
-                critical,
-            } => {
-                let w = known(self, from)?;
-                let v = known(self, to)?;
-                let edge = Consumer {
-                    id: w,
-                    provider: true,
-                    critical,
-                };
-                self.remove_from_row(v, edge).ok_or_else(|| {
-                    missing(format!("{} -> {} (critical={critical})", from.key, to.key))
-                })?;
-                Edit::Provider {
-                    w,
-                    v,
-                    critical,
-                    added: false,
-                }
-            }
+                },
+                Some(from.kind),
+            ),
+        };
+        let p = slot_of(provider)?;
+        let removed_at = if removal {
+            let at = self.providers[p as usize]
+                .row
+                .iter()
+                .position(|&c| c == consumer);
+            let name = match from {
+                ConsumerRef::Site(site) => site.to_string(),
+                ConsumerRef::Provider(from) => from.key.clone(),
+            };
+            Some(at.ok_or_else(|| ChurnError::NoSuchEdge {
+                detail: format!("{name} -> {} (critical={critical})", provider.key),
+            })?)
+        } else {
+            None
+        };
+        Ok(Edit {
+            p,
+            kind: provider.kind,
+            consumer,
+            consumer_kind,
+            removed_at,
+            fresh,
         })
     }
 
-    /// Removes one instance of `edge` from provider `p`'s row.
-    fn remove_from_row(&mut self, p: u32, edge: Consumer) -> Option<()> {
-        let row = &mut self.providers[p as usize].row;
-        let pos = row.iter().position(|&c| c == edge)?;
-        row.remove(pos);
-        Some(())
+    /// One metric's new sets for a resolved edit, in the order to
+    /// store them; the index is not changed.
+    fn stage(&self, metric: Metric, edit: &Edit) -> Vec<(u32, Change)> {
+        let rows = self.rows(metric);
+        let Sets { sets, .. } = &self.reach[metric as usize];
+        let c = edit.consumer;
+        let traversed = match edit.consumer_kind {
+            None => rows.admits(c.critical),
+            Some(from) => rows.hop(c.critical, from, edit.kind),
+        };
+        if !traversed {
+            return Vec::new();
+        }
+        let below = rows.below(edit.p);
+        if let Some(at) = edit.removed_at {
+            let mut staged: Vec<(u32, SiteSet)> = Vec::new();
+            for q in below {
+                let provider = &self.providers[q as usize];
+                let row = provider.row.as_slice();
+                let (head, tail) = if q == edit.p {
+                    (&row[..at], &row[at + 1..])
+                } else {
+                    (row, &[][..])
+                };
+                let set = provider_set(&rows, provider.kind, head.iter().chain(tail), |r| {
+                    staged
+                        .iter()
+                        .find(|(s, _)| *s == r)
+                        .map_or(&sets[r as usize], |(_, set)| set)
+                });
+                staged.push((q, set));
+            }
+            return staged
+                .into_iter()
+                .map(|(q, set)| (q, Change::Replace(set)))
+                .collect();
+        }
+        if !c.provider {
+            let site = SiteId(c.id);
+            return below
+                .into_iter()
+                .filter(|&q| !sets.get(q as usize).is_some_and(|set| set.contains(site)))
+                .map(|q| (q, Change::Insert(site)))
+                .collect();
+        }
+        // A provider the delta introduces has an empty set: adding its
+        // edge moves nothing.
+        let Some(source) = sets.get(c.id as usize) else {
+            return Vec::new();
+        };
+        below
+            .into_iter()
+            .map(|q| {
+                let mut set = sets
+                    .get(q as usize)
+                    .cloned()
+                    .unwrap_or_else(|| SiteSet::with_bound(rows.bound));
+                set.union_with(source);
+                (q, Change::Replace(set))
+            })
+            .collect()
+    }
+
+    /// Makes a resolved edit and stores its staged sets, then advances
+    /// the epoch.
+    fn commit(&mut self, edit: Edit, changes: [Vec<(u32, Change)>; 2]) {
+        for p in edit.fresh {
+            let key = ProviderKey::new(p.key.as_str());
+            self.slots
+                .insert((p.kind, key.clone()), self.providers.len() as u32);
+            self.providers.push(Provider {
+                key,
+                kind: p.kind,
+                row: Vec::new(),
+                consumes: Vec::new(),
+            });
+            for reach in &mut self.reach {
+                reach.sets.push(SiteSet::with_bound(self.site_bound));
+                reach.counts.push(0);
+            }
+        }
+        let c = edit.consumer;
+        let row = &mut self.providers[edit.p as usize].row;
+        match edit.removed_at {
+            None => row.push(c),
+            Some(at) => {
+                row.remove(at);
+            }
+        }
+        if c.provider {
+            let consumes = &mut self.providers[c.id as usize].consumes;
+            let entry = (edit.p, c.critical);
+            match edit.removed_at {
+                None => consumes.push(entry),
+                Some(_) => {
+                    if let Some(at) = consumes.iter().position(|&e| e == entry) {
+                        consumes.swap_remove(at);
+                    }
+                }
+            }
+        } else {
+            self.site_bound = self.site_bound.max(c.id as usize + 1);
+        }
+        for (reach, changes) in self.reach.iter_mut().zip(changes) {
+            for (q, change) in changes {
+                let q = q as usize;
+                match change {
+                    Change::Insert(site) => {
+                        reach.sets[q].insert(site);
+                        reach.counts[q] += 1;
+                    }
+                    Change::Replace(set) => {
+                        reach.counts[q] = set.count();
+                        reach.sets[q] = set;
+                    }
+                }
+            }
+        }
+        self.patches += 2;
+        self.epoch += 1;
     }
 }
 
@@ -1106,23 +919,11 @@ impl std::fmt::Display for ChurnError {
     }
 }
 
-/// How a delta was absorbed: an SCC-local patch or a full Tarjan
-/// rebuild (taken automatically whenever the patch would invalidate a
-/// condensation invariant).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ApplyKind {
-    /// The condensation structure was provably unchanged; only the
-    /// affected components' site sets were touched.
-    Patched,
-    /// The delta could merge or split strongly connected components;
-    /// the whole condensation was rebuilt from scratch.
-    Rebuilt,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::{EdgeKind, GraphBuilder, NodeRef};
+    use crate::graph::{EdgeKind, GraphBuilder};
+    use crate::metrics::Hop;
     use std::collections::HashSet;
     use webdeps_measure::measure_world;
     use webdeps_testkit::{check_with, gen, tk_assert, Config};
@@ -1131,7 +932,7 @@ mod tests {
     /// The reference every index set is held to: the sites depending on
     /// `provider` under `metric`, by one reverse BFS from the provider
     /// over the graph's consumer edges. It shares no code with the
-    /// condensation, so a patched set is never checked only against the
+    /// layered build, so a patched set is never checked only against the
     /// routine that produced it.
     fn bfs(
         graph: &DepGraph,
@@ -1283,6 +1084,17 @@ mod tests {
         );
     }
 
+    /// Every subset of the three hops, from none to all.
+    fn every_subset() -> impl Iterator<Item = MetricOptions> {
+        (0..8u8).map(|mask| {
+            let hops: Vec<Hop> = Hop::ALL
+                .into_iter()
+                .filter(|&hop| mask & (1 << hop as u8) != 0)
+                .collect();
+            MetricOptions::of(&hops)
+        })
+    }
+
     #[test]
     fn index_matches_bfs_on_measured_world() {
         let world = World::generate(WorldConfig::small(123));
@@ -1291,44 +1103,16 @@ mod tests {
         for opts in [
             MetricOptions::direct_only(),
             MetricOptions::full(),
-            MetricOptions::only(ServiceKind::Ca, ServiceKind::Dns),
+            MetricOptions::only(Hop::CaDns),
         ] {
             let index = ReachIndex::build(&g, &opts);
             assert_matches_bfs(&index, &g, &opts, &format!("{opts:?}"))
                 .unwrap_or_else(|e| panic!("{e}"));
         }
-    }
-
-    #[test]
-    fn cycles_share_one_component_set() {
-        // A ↔ B provider cycle (via allowed hops) with one site each.
-        let mut b = GraphBuilder::new();
-        let s0 = b.intern(NodeRef::Site(SiteId(0)));
-        let s1 = b.intern(NodeRef::Site(SiteId(1)));
-        let a = b.intern_provider("a.com", ServiceKind::Dns);
-        let bp = b.intern_provider("b.com", ServiceKind::Cdn);
-        let crit = |service| EdgeKind {
-            service,
-            critical: true,
-        };
-        b.add_edge(s0, a, crit(ServiceKind::Dns));
-        b.add_edge(s1, bp, crit(ServiceKind::Cdn));
-        b.add_edge(a, bp, crit(ServiceKind::Cdn));
-        b.add_edge(bp, a, crit(ServiceKind::Dns));
-        let g = b.build();
-        let index = ReachIndex::build(&g, &both_hops());
-        assert_eq!(
-            index.dependent_count(Metric::Impact, "a.com", ServiceKind::Dns),
-            2
-        );
-        assert_eq!(
-            index.dependent_count(Metric::Impact, "b.com", ServiceKind::Cdn),
-            2
-        );
-        assert_matches_bfs(&index, &g, &both_hops(), "2-cycle").unwrap_or_else(|e| panic!("{e}"));
         // Unknown providers score zero, like the BFS from a non-provider.
+        let index = ReachIndex::build(&g, &MetricOptions::full());
         assert_eq!(
-            index.dependent_count(Metric::Impact, "a.com", ServiceKind::Cdn),
+            index.dependent_count(Metric::Impact, "nope.com", ServiceKind::Dns),
             0
         );
         assert!(index
@@ -1338,19 +1122,9 @@ mod tests {
 
     // ---- churn ----
 
-    /// CDN → DNS and DNS → CDN both allowed, so provider cycles count.
-    fn both_hops() -> MetricOptions {
-        MetricOptions {
-            interservice: vec![
-                (ServiceKind::Cdn, ServiceKind::Dns),
-                (ServiceKind::Dns, ServiceKind::Cdn),
-            ],
-        }
-    }
-
     /// A churn delta plus the edge universe it ran against, mirrored
     /// outside the index so a fresh graph can be rebuilt per step.
-    #[derive(Clone, Debug)]
+    #[derive(Clone, Debug, PartialEq)]
     enum MirrorEdge {
         Site(SiteId, ProviderRef, bool),
         Prov(ProviderRef, ProviderRef, bool),
@@ -1420,22 +1194,27 @@ mod tests {
     }
 
     /// The churn cross-check: random churn streams applied to one
-    /// index, with both metrics of every patched epoch compared
-    /// exhaustively against `ReachIndex::build` and the BFS over a
-    /// freshly assembled graph.
+    /// index under each of the eight hop subsets, with both metrics of
+    /// every epoch compared exhaustively against `ReachIndex::build`
+    /// and the BFS over a freshly assembled graph. Provider edges join
+    /// every ordered pair of kinds, upward and same-kind ones included,
+    /// and about half the providers first appear through churn.
     #[test]
     fn index_matches_fresh_build_under_churn() {
         let sites: Vec<SiteId> = (0..10).map(SiteId).collect();
-        let providers: Vec<ProviderRef> = vec![
+        let universe: Vec<ProviderRef> = vec![
             ProviderRef::new("d0.com", ServiceKind::Dns),
             ProviderRef::new("d1.com", ServiceKind::Dns),
             ProviderRef::new("c0.com", ServiceKind::Cdn),
             ProviderRef::new("c1.com", ServiceKind::Cdn),
             ProviderRef::new("a0.com", ServiceKind::Ca),
+            ProviderRef::new("a1.com", ServiceKind::Ca),
+            ProviderRef::new("k0.com", ServiceKind::Cloud),
         ];
+        let subsets: Vec<MetricOptions> = every_subset().collect();
         check_with(
             &Config {
-                cases: 48,
+                cases: 64,
                 ..Config::default()
             },
             "index_matches_fresh_build_under_churn",
@@ -1448,27 +1227,43 @@ mod tests {
                     state ^= state << 17;
                     state
                 };
-                let opts = match next() % 3 {
-                    0 => MetricOptions::full(),
-                    1 => MetricOptions::direct_only(),
-                    _ => both_hops(),
-                };
+                let opts = subsets[(next() % 8) as usize];
+                // The providers the index knows: the initial graph's,
+                // then each one churn introduces.
+                let mut known: Vec<ProviderRef> = universe
+                    .iter()
+                    .filter(|_| next() % 2 == 0)
+                    .cloned()
+                    .collect();
                 let mut edges: Vec<MirrorEdge> = Vec::new();
                 for _ in 0..(next() % 12) {
+                    if known.is_empty() {
+                        break;
+                    }
                     let s = sites[(next() % sites.len() as u64) as usize];
-                    let p = providers[(next() % providers.len() as u64) as usize].clone();
+                    let p = known[(next() % known.len() as u64) as usize].clone();
                     edges.push(MirrorEdge::Site(s, p, next() % 2 == 0));
                 }
-                let g0 = fresh_graph(&sites, &providers, &edges);
+                for _ in 0..(next() % 4) {
+                    if known.len() < 2 {
+                        break;
+                    }
+                    let f = known[(next() % known.len() as u64) as usize].clone();
+                    let t = known[(next() % known.len() as u64) as usize].clone();
+                    if f != t {
+                        edges.push(MirrorEdge::Prov(f, t, next() % 2 == 0));
+                    }
+                }
+                let g0 = fresh_graph(&sites, &known, &edges);
                 let mut index = ReachIndex::build(&g0, &opts);
                 tk_assert!(index.epoch() == 0, "fresh index must start at epoch 0");
 
                 for step in 0..24 {
-                    let op = next() % 4;
-                    let delta = match op {
+                    let pick = |r: u64| universe[(r % universe.len() as u64) as usize].clone();
+                    let delta = match next() % 5 {
                         0 => {
                             let s = sites[(next() % sites.len() as u64) as usize];
-                            let p = providers[(next() % providers.len() as u64) as usize].clone();
+                            let p = pick(next());
                             let c = next() % 2 == 0;
                             edges.push(MirrorEdge::Site(s, p.clone(), c));
                             Churn::AddSiteEdge {
@@ -1478,8 +1273,8 @@ mod tests {
                             }
                         }
                         1 => {
-                            let f = providers[(next() % providers.len() as u64) as usize].clone();
-                            let t = providers[(next() % providers.len() as u64) as usize].clone();
+                            let f = pick(next());
+                            let t = pick(next());
                             if f == t {
                                 continue;
                             }
@@ -1491,22 +1286,53 @@ mod tests {
                                 critical: c,
                             }
                         }
+                        2 => {
+                            // A removal the mirror does not hold (an
+                            // unknown provider or a missing edge) fails
+                            // and changes no answer and no epoch.
+                            let (s, p, f) = (
+                                sites[(next() % sites.len() as u64) as usize],
+                                pick(next()),
+                                pick(next()),
+                            );
+                            let c = next() % 2 == 0;
+                            let (phantom, delta) = if next() % 2 == 0 {
+                                (
+                                    MirrorEdge::Site(s, p.clone(), c),
+                                    Churn::RemoveSiteEdge {
+                                        site: s,
+                                        provider: p,
+                                        critical: c,
+                                    },
+                                )
+                            } else {
+                                (
+                                    MirrorEdge::Prov(f.clone(), p.clone(), c),
+                                    Churn::RemoveProviderEdge {
+                                        from: f,
+                                        to: p,
+                                        critical: c,
+                                    },
+                                )
+                            };
+                            if edges.contains(&phantom) {
+                                continue;
+                            }
+                            let before = (index.epoch(), index.patch_count());
+                            tk_assert!(
+                                index.apply(&delta).is_err(),
+                                "step {step}: phantom removal must fail"
+                            );
+                            tk_assert!(
+                                (index.epoch(), index.patch_count()) == before,
+                                "step {step}: a failed apply must not advance the epoch"
+                            );
+                            let g = fresh_graph(&sites, &known, &edges);
+                            assert_matches_fresh(&index, &g, &opts, &format!("step {step}"))?;
+                            continue;
+                        }
                         _ => {
-                            // Remove a random existing edge; with no
-                            // edges left, exercise the error path.
                             if edges.is_empty() {
-                                let p = providers[0].clone();
-                                let before = index.epoch();
-                                let r = index.apply(&Churn::RemoveSiteEdge {
-                                    site: sites[0],
-                                    provider: p,
-                                    critical: true,
-                                });
-                                tk_assert!(r.is_err(), "phantom removal must fail");
-                                tk_assert!(
-                                    index.epoch() == before,
-                                    "failed apply must not advance the epoch"
-                                );
                                 continue;
                             }
                             let at = (next() % edges.len() as u64) as usize;
@@ -1524,7 +1350,16 @@ mod tests {
                             }
                         }
                     };
-                    let before = (index.epoch(), index.patch_count() + index.rebuild_count());
+                    for p in match &delta {
+                        Churn::AddSiteEdge { provider, .. } => vec![provider],
+                        Churn::AddProviderEdge { from, to, .. } => vec![from, to],
+                        _ => vec![],
+                    } {
+                        if !known.contains(p) {
+                            known.push(p.clone());
+                        }
+                    }
+                    let before = (index.epoch(), index.patch_count());
                     index
                         .apply(&delta)
                         .map_err(|e| format!("step {step}: apply failed: {e}"))?;
@@ -1533,155 +1368,15 @@ mod tests {
                         "each applied delta must bump the epoch by exactly one"
                     );
                     tk_assert!(
-                        index.patch_count() + index.rebuild_count() == before.1 + 2,
+                        index.patch_count() == before.1 + 2,
                         "each applied delta counts once per metric"
                     );
-                    let g = fresh_graph(&sites, &providers, &edges);
+                    let g = fresh_graph(&sites, &known, &edges);
                     assert_matches_fresh(&index, &g, &opts, &format!("step {step} {opts:?}"))?;
                 }
                 Ok(())
             },
         );
-    }
-
-    #[test]
-    fn cycle_closing_edge_falls_back_to_rebuild() {
-        // c.com (CDN) consumes d.com (DNS); adding the reverse edge
-        // closes a 2-cycle, which must merge their components via a
-        // full rebuild — and both must then score both sites.
-        let sites = [SiteId(0), SiteId(1)];
-        let d = ProviderRef::new("d.com", ServiceKind::Dns);
-        let c = ProviderRef::new("c.com", ServiceKind::Cdn);
-        let mut edges = vec![
-            MirrorEdge::Site(sites[0], d.clone(), true),
-            MirrorEdge::Site(sites[1], c.clone(), true),
-            MirrorEdge::Prov(c.clone(), d.clone(), true),
-        ];
-        let providers = [d.clone(), c.clone()];
-        let g = fresh_graph(&sites, &providers, &edges);
-        let mut index = ReachIndex::build(&g, &both_hops());
-        assert_eq!(
-            index.dependent_count(Metric::Impact, "d.com", ServiceKind::Dns),
-            2
-        );
-        assert_eq!(
-            index.dependent_count(Metric::Impact, "c.com", ServiceKind::Cdn),
-            1
-        );
-
-        let applied = index
-            .apply(&Churn::AddProviderEdge {
-                from: d.clone(),
-                to: c.clone(),
-                critical: true,
-            })
-            .expect("cycle edge applies");
-        // A critical edge is visible to both metrics: both merge.
-        assert_eq!(
-            applied,
-            Applied {
-                concentration: ApplyKind::Rebuilt,
-                impact: ApplyKind::Rebuilt,
-            }
-        );
-        assert_eq!(index.rebuild_count(), 2);
-        assert_eq!(
-            index.dependent_count(Metric::Impact, "c.com", ServiceKind::Cdn),
-            2
-        );
-        assert_eq!(
-            index.dependent_count(Metric::Impact, "d.com", ServiceKind::Dns),
-            2
-        );
-        edges.push(MirrorEdge::Prov(d.clone(), c.clone(), true));
-        let g = fresh_graph(&sites, &providers, &edges);
-        assert_matches_fresh(&index, &g, &both_hops(), "merged").unwrap_or_else(|e| panic!("{e}"));
-
-        // Removing an intra-component edge can split the SCC — also a
-        // rebuild. With c → d gone, only d → c remains.
-        let applied = index
-            .apply(&Churn::RemoveProviderEdge {
-                from: c.clone(),
-                to: d.clone(),
-                critical: true,
-            })
-            .expect("intra-component removal applies");
-        assert_eq!(applied.impact, ApplyKind::Rebuilt);
-        assert_eq!(applied.concentration, ApplyKind::Rebuilt);
-        assert_eq!(
-            index.dependent_count(Metric::Impact, "c.com", ServiceKind::Cdn),
-            2
-        );
-        assert_eq!(
-            index.dependent_count(Metric::Impact, "d.com", ServiceKind::Dns),
-            1
-        );
-        edges.remove(2);
-        let g = fresh_graph(&sites, &providers, &edges);
-        assert_matches_fresh(&index, &g, &both_hops(), "split").unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    #[test]
-    fn non_critical_cycle_edge_patches_impact_and_rebuilds_concentration() {
-        // c.com (CDN) critically consumes d.com (DNS). A non-critical
-        // d → c edge closes a cycle only for concentration: impact
-        // never sees it and patches, concentration merges the two
-        // components and rebuilds — then splits them again on removal.
-        let sites = [SiteId(0), SiteId(1)];
-        let d = ProviderRef::new("d.com", ServiceKind::Dns);
-        let c = ProviderRef::new("c.com", ServiceKind::Cdn);
-        let providers = [d.clone(), c.clone()];
-        let mut edges = vec![
-            MirrorEdge::Site(sites[0], d.clone(), true),
-            MirrorEdge::Site(sites[1], c.clone(), true),
-            MirrorEdge::Prov(c.clone(), d.clone(), true),
-        ];
-        let opts = both_hops();
-        let mut index = ReachIndex::build(&fresh_graph(&sites, &providers, &edges), &opts);
-        let split = Applied {
-            concentration: ApplyKind::Rebuilt,
-            impact: ApplyKind::Patched,
-        };
-
-        let applied = index
-            .apply(&Churn::AddProviderEdge {
-                from: d.clone(),
-                to: c.clone(),
-                critical: false,
-            })
-            .expect("non-critical cycle edge applies");
-        assert_eq!(applied, split);
-        assert_eq!((index.patch_count(), index.rebuild_count()), (1, 1));
-        assert_eq!(index.epoch(), 1);
-        assert_eq!(
-            index.dependent_count(Metric::Concentration, "c.com", ServiceKind::Cdn),
-            2
-        );
-        assert_eq!(
-            index.dependent_count(Metric::Impact, "c.com", ServiceKind::Cdn),
-            1
-        );
-        edges.push(MirrorEdge::Prov(d.clone(), c.clone(), false));
-        let g = fresh_graph(&sites, &providers, &edges);
-        assert_matches_fresh(&index, &g, &opts, "added").unwrap_or_else(|e| panic!("{e}"));
-
-        let applied = index
-            .apply(&Churn::RemoveProviderEdge {
-                from: d,
-                to: c,
-                critical: false,
-            })
-            .expect("non-critical cycle edge removes");
-        assert_eq!(applied, split);
-        assert_eq!((index.patch_count(), index.rebuild_count()), (2, 2));
-        assert_eq!(index.epoch(), 2);
-        assert_eq!(
-            index.dependent_count(Metric::Concentration, "c.com", ServiceKind::Cdn),
-            1
-        );
-        edges.pop();
-        let g = fresh_graph(&sites, &providers, &edges);
-        assert_matches_fresh(&index, &g, &opts, "removed").unwrap_or_else(|e| panic!("{e}"));
     }
 
     #[test]
@@ -1735,6 +1430,44 @@ mod tests {
         assert_eq!(index.patch_count(), 6, "three deltas, two metrics each");
         assert_eq!(index.epoch(), 3);
         index.verify_fresh().expect("patched epochs cross-check");
+        // Only the repair rebuilds, once per metric, on the same epoch.
+        index.force_rebuild();
+        assert_eq!((index.rebuild_count(), index.epoch()), (2, 3));
+        assert_eq!(impact(&index, &d), 2);
+    }
+
+    #[test]
+    fn removal_recomputes_the_providers_below_in_layer_order() {
+        // a.com (CA) consumes d.com (DNS) and c.com (CDN), and c.com
+        // consumes d.com, so a change at the CA reaches the DNS
+        // provider both directly and through the CDN. d.com takes the
+        // lower slot, so only the layer order recomputes the CDN first.
+        let site = SiteId(0);
+        let d = ProviderRef::new("d.com", ServiceKind::Dns);
+        let c = ProviderRef::new("c.com", ServiceKind::Cdn);
+        let a = ProviderRef::new("a.com", ServiceKind::Ca);
+        let providers = [d.clone(), c.clone(), a.clone()];
+        let mut edges = vec![
+            MirrorEdge::Site(site, a.clone(), true),
+            MirrorEdge::Prov(a.clone(), d.clone(), true),
+            MirrorEdge::Prov(a.clone(), c.clone(), true),
+            MirrorEdge::Prov(c, d.clone(), true),
+        ];
+        let opts = MetricOptions::full();
+        let mut index = ReachIndex::build(&fresh_graph(&[site], &providers, &edges), &opts);
+        let impact = |index: &ReachIndex| index.dependent_count(Metric::Impact, &d.key, d.kind);
+        assert_eq!(impact(&index), 1);
+        index
+            .apply(&Churn::RemoveSiteEdge {
+                site,
+                provider: a,
+                critical: true,
+            })
+            .expect("site removal applies");
+        assert_eq!(impact(&index), 0);
+        edges.remove(0);
+        let g = fresh_graph(&[site], &providers, &edges);
+        assert_matches_fresh(&index, &g, &opts, "removed").unwrap_or_else(|e| panic!("{e}"));
     }
 
     #[test]

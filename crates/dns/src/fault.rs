@@ -152,11 +152,6 @@ impl ServerCondition {
         loss: 0.0,
         added_ms: 0,
     };
-
-    /// Whether the server behaves exactly as if unfaulted.
-    pub fn is_healthy(&self) -> bool {
-        !self.down && self.loss <= 0.0 && self.added_ms == 0
-    }
 }
 
 /// A time-varying, seeded fault schedule: an ordered list of
@@ -239,11 +234,6 @@ impl FaultSchedule {
         self.phases.push(phase);
     }
 
-    /// Removes every phase touching `target` (in-place restore).
-    pub fn clear_target(&mut self, target: FaultTarget) {
-        self.phases.retain(|p| p.target != target);
-    }
-
     /// All phases, in insertion order.
     pub fn phases(&self) -> &[FaultPhase] {
         &self.phases
@@ -252,15 +242,6 @@ impl FaultSchedule {
     /// Whether the schedule never degrades anything.
     pub fn is_empty(&self) -> bool {
         self.phases.is_empty()
-    }
-
-    /// The end of the last phase — a natural replay horizon.
-    pub fn last_end(&self) -> SimTime {
-        self.phases
-            .iter()
-            .map(|p| p.end)
-            .max()
-            .unwrap_or(SimTime::ZERO)
     }
 
     /// Whether one phase, evaluated at `t`, forces a hard down state.
@@ -407,9 +388,10 @@ mod tests {
             }
             assert!(sched.entity_down_at(EntityId(7), SimTime(t)));
             assert!(!sched.entity_down_at(EntityId(8), SimTime(t)));
-            assert!(sched
-                .server_condition_at(ServerId(3), EntityId(8), SimTime(t))
-                .is_healthy());
+            assert_eq!(
+                sched.server_condition_at(ServerId(3), EntityId(8), SimTime(t)),
+                ServerCondition::HEALTHY
+            );
         }
     }
 
@@ -529,20 +511,6 @@ mod tests {
     }
 
     #[test]
-    fn clear_target_restores() {
-        let mut sched = FaultSchedule::seeded(1).fail_entity_during(
-            EntityId(4),
-            SimTime(0),
-            SimTime(100),
-            Degradation::Down,
-        );
-        assert!(sched.entity_down_at(EntityId(4), SimTime(1)));
-        sched.clear_target(FaultTarget::Entity(EntityId(4)));
-        assert!(!sched.entity_down_at(EntityId(4), SimTime(1)));
-        assert!(sched.is_empty());
-    }
-
-    #[test]
     fn phase_windows_are_start_inclusive_end_exclusive() {
         // Pins the boundary contract relied on by every schedule
         // consumer: two phases meeting at a boundary instant hand off
@@ -634,6 +602,5 @@ mod tests {
             sched.entities_active_at(SimTime(10)),
             vec![EntityId(2), EntityId(9)]
         );
-        assert_eq!(sched.last_end(), SimTime(90));
     }
 }

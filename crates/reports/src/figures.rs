@@ -6,7 +6,7 @@ use crate::names::pretty;
 use crate::table::{pct, TextTable};
 use crate::workspace::Workspace;
 use webdeps_core::{
-    ca_figure, cdn_figure, coverage_curve, dns_figure, providers_for_coverage, Metric,
+    ca_figure, cdn_figure, coverage_curve, dns_figure, providers_for_coverage, Hop, Metric,
     MetricOptions, ProviderScore, ReachIndex, SiteSet,
 };
 use webdeps_measure::MeasurementDataset;
@@ -211,11 +211,11 @@ fn indirect_figure(
     id: &str,
     title: &str,
     target: ServiceKind,
-    hop: (ServiceKind, ServiceKind),
+    hop: Hop,
     notes: &[&str],
 ) -> Report {
     let direct = ReachIndex::build(&ws.graph20, &MetricOptions::direct_only());
-    let with = ReachIndex::build(&ws.graph20, &MetricOptions::only(hop.0, hop.1));
+    let with = ReachIndex::build(&ws.graph20, &MetricOptions::only(hop));
     let n = ws.ds20.len() as f64;
     let ranking = with.ranking(target);
     let mut t = TextTable::new(
@@ -261,7 +261,7 @@ pub fn figure7(ws: &Workspace) -> Report {
         "figure7",
         "DNS concentration/impact with CA→DNS dependency (paper Figure 7a/b)",
         ServiceKind::Dns,
-        (ServiceKind::Ca, ServiceKind::Dns),
+        Hop::CaDns,
         &[
             "paper: top-3 DNS critical coverage rises 40% → 72% of sites",
             "paper: DNSMadeEasy 2% → 27% concentration (serves DigiCert); Cloudflare +18% (serves Let's Encrypt)",
@@ -277,7 +277,7 @@ pub fn figure8(ws: &Workspace) -> Report {
         "figure8",
         "CDN concentration/impact with CA→CDN dependency (paper Figure 8a/b)",
         ServiceKind::Cdn,
-        (ServiceKind::Ca, ServiceKind::Cdn),
+        Hop::CaCdn,
         &[
             "paper: top-3 CDN impact rises 18% → 56% of sites",
             "paper: Cloudflare CDN 7% → 30%, Incapsula 1% → 27%, StackPath 2% → 16% concentration",
@@ -293,7 +293,7 @@ pub fn figure9(ws: &Workspace) -> Report {
         "figure9",
         "DNS concentration/impact with CDN→DNS dependency (paper Figure 9a/b)",
         ServiceKind::Dns,
-        (ServiceKind::Cdn, ServiceKind::Dns),
+        Hop::CdnDns,
         &[
             "paper: little change — the major CDNs run private DNS; only Fastly (Dyn) differs",
             "paper: AWS DNS serves 16 CDNs (7 exclusively), but they carry only ~2% of CDN users",
@@ -400,11 +400,7 @@ mod tests {
             "DNSMadeEasy observed"
         );
         let direct = impact(key, kind, &MetricOptions::direct_only());
-        let with_ca = impact(
-            key,
-            kind,
-            &MetricOptions::only(ServiceKind::Ca, ServiceKind::Dns),
-        );
+        let with_ca = impact(key, kind, &MetricOptions::only(Hop::CaDns));
         assert!(
             with_ca > 5 * direct.max(1),
             "DigiCert must amplify DNSMadeEasy: {direct} → {with_ca}"
@@ -419,11 +415,7 @@ mod tests {
             "Incapsula observed"
         );
         let direct = impact(key, kind, &MetricOptions::direct_only());
-        let with_ca = impact(
-            key,
-            kind,
-            &MetricOptions::only(ServiceKind::Ca, ServiceKind::Cdn),
-        );
+        let with_ca = impact(key, kind, &MetricOptions::only(Hop::CaCdn));
         assert!(
             with_ca > 3 * direct.max(1),
             "DigiCert must amplify Incapsula: {direct} → {with_ca}"
@@ -434,10 +426,7 @@ mod tests {
     fn figure9_changes_little() {
         let n = ws().ds20.len() as f64;
         let direct = ReachIndex::build(&ws().graph20, &MetricOptions::direct_only());
-        let with_cdn = ReachIndex::build(
-            &ws().graph20,
-            &MetricOptions::only(ServiceKind::Cdn, ServiceKind::Dns),
-        );
+        let with_cdn = ReachIndex::build(&ws().graph20, &MetricOptions::only(Hop::CdnDns));
         // Aggregate over the top-5 direct DNS providers: the hop adds
         // little because major CDNs run private DNS.
         let mut gain = 0.0;

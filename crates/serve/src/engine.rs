@@ -18,7 +18,7 @@ use std::sync::{OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Instant;
 
 use webdeps_core::outage::provider_entity;
-use webdeps_core::{ApplyKind, Churn, DepGraph, Metric, MetricOptions, OutageIndex, ReachIndex};
+use webdeps_core::{Churn, DepGraph, Metric, MetricOptions, OutageIndex, ReachIndex};
 use webdeps_measure::pipeline::measure_world;
 use webdeps_model::ServiceKind;
 use webdeps_worldgen::World;
@@ -93,8 +93,8 @@ impl Engine {
         read_index(&self.index).epoch()
     }
 
-    /// Patch/rebuild totals, summed over the impact and concentration
-    /// condensations (for `/stats`).
+    /// Deltas applied and verify-mode repairs, each counted once per
+    /// metric (for `/stats`).
     pub fn recompute_counters(&self) -> (u64, u64) {
         let index = read_index(&self.index);
         (index.patch_count(), index.rebuild_count())
@@ -218,8 +218,8 @@ impl Engine {
 
     fn churn(&self, delta: &Churn, stats: &ServerStats) -> Outcome {
         // Site ids name sites of the resident world. An id past it
-        // would widen every component bitset of the index to that id,
-        // so it is refused before the index is touched.
+        // would widen the index's bitsets to that id, so it is refused
+        // before the index is touched.
         if let Churn::AddSiteEdge { site, .. } | Churn::RemoveSiteEdge { site, .. } = delta {
             if site.index() >= self.site_count() {
                 return Outcome::Error(format!(
@@ -229,27 +229,17 @@ impl Engine {
             }
         }
         let mut index = write_index(&self.index);
-        // The reply and the patched/rebuilt counters follow the impact
-        // condensation's path.
-        let kind = match index.apply(delta) {
-            Ok(applied) => applied.impact,
-            Err(e) => return Outcome::Error(format!("churn rejected: {e}")),
-        };
-        match kind {
-            ApplyKind::Patched => ServerStats::bump(&stats.churn_patched),
-            ApplyKind::Rebuilt => ServerStats::bump(&stats.churn_rebuilt),
+        if let Err(e) = index.apply(delta) {
+            return Outcome::Error(format!("churn rejected: {e}"));
         }
+        ServerStats::bump(&stats.churn_patched);
         if self.verify_patches {
             if let Err(d) = index.verify_fresh() {
                 index.force_rebuild();
                 return Outcome::Error(format!("cross-check failed: {d}"));
             }
         }
-        let label = match kind {
-            ApplyKind::Patched => "patched",
-            ApplyKind::Rebuilt => "rebuilt",
-        };
-        Outcome::Ok(format!("OK {} CHURN {label}", index.epoch()))
+        Outcome::Ok(format!("OK {} CHURN patched", index.epoch()))
     }
 }
 
@@ -362,15 +352,13 @@ mod tests {
         }
     }
 
-    /// One apply serves both metrics: the reply names the impact
-    /// condensation's path, and `recompute_counters` sums both. The
-    /// engine's full() hops (CA→DNS, CA→CDN, CDN→DNS) form a DAG over
-    /// service kinds, so no provider edge can close a cycle here and
-    /// every delta patches both condensations; a DNS provider consuming
-    /// a CA (the reverse of the measured CA→DNS edges) is invisible to
-    /// both.
+    /// One apply serves both metrics, and `recompute_counters` counts
+    /// it once per metric. A DNS provider consuming a CA (the reverse
+    /// of the measured CA→DNS edges) is an upward edge no hop names:
+    /// it is kept in the rows, traversed by neither metric, and its
+    /// removal is absorbed the same way.
     #[test]
-    fn churn_reply_follows_impact_and_counters_sum_both_metrics() {
+    fn upward_provider_edge_churn_counts_once_per_metric() {
         let engine = tiny_engine();
         let stats = ServerStats::new();
         let from = ProviderRef::new(
@@ -403,11 +391,10 @@ mod tests {
             assert_eq!(
                 (after.0 - before.0, after.1 - before.1),
                 (2, 0),
-                "one patch per metric"
+                "one patch per metric, no rebuild"
             );
         }
         assert_eq!(ServerStats::read(&stats.churn_patched), 2);
-        assert_eq!(ServerStats::read(&stats.churn_rebuilt), 0);
     }
 
     #[test]

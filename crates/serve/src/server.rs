@@ -51,7 +51,7 @@ pub struct ServerConfig {
     pub read_timeout_ms: u64,
     /// Hint carried in `BUSY` replies.
     pub retry_after_ms: u64,
-    /// Cross-check every churn patch against a fresh condensation.
+    /// Cross-check every churn patch against freshly built sets.
     pub verify_patches: bool,
     /// Honor `POISON` queries (torture/smoke only).
     pub allow_poison: bool,

@@ -134,10 +134,8 @@ pub struct ServerStats {
     pub parse_errors: AtomicU64,
     /// Queries answered `OK`.
     pub ok_replies: AtomicU64,
-    /// Churn deltas absorbed by SCC-local patching.
+    /// Churn deltas applied to the index.
     pub churn_patched: AtomicU64,
-    /// Churn deltas that forced a full rebuild.
-    pub churn_rebuilt: AtomicU64,
     /// Per-query latency distribution, every request pooled.
     pub latency: LatencyHistogram,
     /// The same latencies of engine queries, by [`QueryKind`] in

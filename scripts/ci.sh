@@ -81,6 +81,11 @@ fi
 echo "== cargo fmt --check =="
 cargo fmt --check
 
+# Informational: the counts a change reports its net LOC in. Only a
+# broken script fails the run.
+echo "== scripts/loc.sh (non-blank Rust lines) =="
+scripts/loc.sh
+
 # The soundness arguments in the docs (outage footprints, soft consults)
 # rest on intra-doc links; a broken or ambiguous link fails CI.
 echo "== cargo doc (rustdoc warnings denied) =="

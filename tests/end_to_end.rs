@@ -4,8 +4,8 @@
 
 use std::sync::OnceLock;
 use webdeps::core::{
-    ca_figure, cdn_figure, coverage_curve, dns_figure, providers_for_coverage, DepGraph, Metric,
-    MetricOptions, ReachIndex,
+    ca_figure, cdn_figure, coverage_curve, dns_figure, providers_for_coverage, DepGraph, Hop,
+    Metric, MetricOptions, ReachIndex,
 };
 use webdeps::measure::{measure_world, MeasurementDataset};
 use webdeps::model::ServiceKind;
@@ -106,11 +106,7 @@ fn obs9_10_indirect_amplification() {
 
     let dnsme = ("dnsmadeeasy.com", ServiceKind::Dns);
     let direct = impact(dnsme.0, dnsme.1, &MetricOptions::direct_only());
-    let with_ca = impact(
-        dnsme.0,
-        dnsme.1,
-        &MetricOptions::only(ServiceKind::Ca, ServiceKind::Dns),
-    );
+    let with_ca = impact(dnsme.0, dnsme.1, &MetricOptions::only(Hop::CaDns));
     assert!(
         with_ca > 5 * direct.max(1),
         "DNSMadeEasy: {direct} → {with_ca}"
@@ -118,11 +114,7 @@ fn obs9_10_indirect_amplification() {
 
     let incapsula = ("incapdns.net", ServiceKind::Cdn);
     let direct = impact(incapsula.0, incapsula.1, &MetricOptions::direct_only());
-    let with_ca = impact(
-        incapsula.0,
-        incapsula.1,
-        &MetricOptions::only(ServiceKind::Ca, ServiceKind::Cdn),
-    );
+    let with_ca = impact(incapsula.0, incapsula.1, &MetricOptions::only(Hop::CaCdn));
     assert!(
         with_ca > 3 * direct.max(1),
         "Incapsula: {direct} → {with_ca}"
@@ -136,10 +128,7 @@ fn obs11_cdn_dns_hop_changes_little() {
     let graph = DepGraph::from_dataset(ds);
     let n = ds.len() as f64;
     let direct = ReachIndex::build(&graph, &MetricOptions::direct_only());
-    let with_cdn = ReachIndex::build(
-        &graph,
-        &MetricOptions::only(ServiceKind::Cdn, ServiceKind::Dns),
-    );
+    let with_cdn = ReachIndex::build(&graph, &MetricOptions::only(Hop::CdnDns));
     let mut gain = 0usize;
     for score in direct.ranking(ServiceKind::Dns).iter().take(5) {
         gain += with_cdn.dependent_count(Metric::Impact, score.key.as_str(), ServiceKind::Dns)

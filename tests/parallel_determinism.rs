@@ -33,7 +33,7 @@ use std::sync::OnceLock;
 use webdeps::chaos::campaign::random_schedule;
 use webdeps::chaos::{dyn_two_wave, monotonicity_index, replay, run_campaign, CampaignConfig};
 use webdeps::core::{
-    simulate_outage, Churn, DepGraph, EdgeKind, GraphBuilder, Metric, MetricOptions, NodeId,
+    simulate_outage, Churn, DepGraph, EdgeKind, GraphBuilder, Hop, Metric, MetricOptions, NodeId,
     NodeKind, ProviderRef, ReachIndex,
 };
 use webdeps::dns::SimTime;
@@ -104,9 +104,7 @@ fn bfs_dependents(
                     sites.insert(site);
                 }
                 NodeKind::Provider(_, consumer_kind) => {
-                    if opts.interservice.contains(&(consumer_kind, node_kind))
-                        && visited.insert(consumer)
-                    {
+                    if opts.allows(consumer_kind, node_kind) && visited.insert(consumer) {
                         frontier.push(consumer);
                     }
                 }
@@ -121,7 +119,7 @@ fn option_pool() -> Vec<MetricOptions> {
     vec![
         MetricOptions::full(),
         MetricOptions::direct_only(),
-        MetricOptions::only(ServiceKind::Ca, ServiceKind::Dns),
+        MetricOptions::only(Hop::CaDns),
     ]
 }
 
