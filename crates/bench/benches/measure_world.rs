@@ -4,12 +4,13 @@
 //! is opt-in behind `WEBDEPS_BENCH_1M=1` (it needs minutes of wall
 //! time and ~10 GB of RSS for the generated world).
 //!
-//! Besides timing, this target *asserts* the columnar memory budget
-//! documented in README.md: the analysis arenas (measurement dataset +
-//! CSR graph) must stay within [`ARENA_BYTES_PER_SITE`] and the whole
-//! core working set (arenas + the reach index: its row copy and both
-//! metrics' site sets) within [`CORE_BYTES_PER_SITE`], at every
-//! benched scale.
+//! Besides timing, this target *asserts* the memory budgets documented
+//! in README.md, at every benched scale: the analysis arenas
+//! (measurement dataset + CSR graph) must stay within
+//! [`ARENA_BYTES_PER_SITE`], the whole core working set (arenas + the
+//! reach index: its row copy and both metrics' site sets) within
+//! [`CORE_BYTES_PER_SITE`], and the world's DNS store within
+//! [`DNS_BYTES_PER_SITE`].
 //!
 //! After the timed benches, one extra generate+measure run executes
 //! with `webdeps_model::timing` enabled; the drained per-phase wall
@@ -42,6 +43,12 @@ const ARENA_BYTES_PER_SITE: usize = 128;
 /// (index 119.0, of it ~15 for the row copy); the last 1M run,
 /// before the dataset's report columns, measured 745 B/site.
 const CORE_BYTES_PER_SITE: usize = 832;
+
+/// Budget for the world's DNS store (`DnsNetwork::heap_bytes`: record
+/// arrays, SOAs, name indexes, deployments and servers; name text is
+/// shared and not counted). Measured 533.3 B/site at 100k sites and
+/// 519.2 at 1M; the budget is the 100k value plus 12.5% headroom.
+const DNS_BYTES_PER_SITE: usize = 600;
 
 fn bench_scale(h: &mut Harness, label: &str, n: usize) {
     let mut group = h.benchmark_group(&format!("measure_world/{label}"));
@@ -80,7 +87,18 @@ fn bench_scale(h: &mut Harness, label: &str, n: usize) {
     });
     group.finish();
 
-    // Memory budget (untimed): the documented ceilings from README.md.
+    // Memory budgets (untimed): the documented ceilings from README.md.
+    let dns = world.dns.heap_bytes();
+    h.record_metric(
+        &format!("measure_world/{label}"),
+        "dns_bytes_per_site",
+        dns as f64 / n as f64,
+        "B/site",
+    );
+    assert!(
+        dns <= DNS_BYTES_PER_SITE * n,
+        "DNS store blew the budget: {dns} B for {n} sites (> {DNS_BYTES_PER_SITE} B/site)"
+    );
     let index = ReachIndex::build(&graph, &opts);
     let arena = ds.heap_bytes() + graph.heap_bytes();
     let core = arena + index.heap_bytes();
@@ -88,12 +106,13 @@ fn bench_scale(h: &mut Harness, label: &str, n: usize) {
     eprintln!(
         "  measure_world/{label}: arenas {:.1} B/site (dataset {:.1} + graph {:.1}; \
          budget {ARENA_BYTES_PER_SITE}), core {:.1} B/site (index {:.1}; \
-         budget {CORE_BYTES_PER_SITE})",
+         budget {CORE_BYTES_PER_SITE}), DNS {:.1} B/site (budget {DNS_BYTES_PER_SITE})",
         per_site(arena),
         per_site(ds.heap_bytes()),
         per_site(graph.heap_bytes()),
         per_site(core),
         per_site(index.heap_bytes()),
+        per_site(dns),
     );
     assert!(
         arena <= ARENA_BYTES_PER_SITE * n,

@@ -174,8 +174,7 @@ pub fn replay(world: &World, incident: &Incident) -> ReplayResult {
     let up_outside = total - footprint.len() - down_outside;
     let probed: Vec<_> = footprint
         .iter()
-        .map(|&id| world.site(id))
-        .map(|site| (site.document_hosts(), site.https()))
+        .map(|&id| (index.document_hosts(id), world.site(id).https()))
         .collect();
 
     // Materialize one PKI view per scripted phase, cumulatively: each

@@ -183,6 +183,10 @@ pub struct OutageIndex {
     /// Per recorded site, by site id: the first instant after 0 at which
     /// a certificate it presents enters or leaves its validity window.
     cert_edges: Vec<SimTime>,
+    /// Every recorded site's document hosts, flat in site order: site
+    /// `i`'s are `hosts[host_start[i]..host_start[i + 1]]`.
+    hosts: Vec<DomainName>,
+    host_start: Vec<u32>,
 }
 
 impl OutageIndex {
@@ -208,6 +212,8 @@ impl OutageIndex {
                     rec.down.push(site.id);
                 }
                 rec.cert_edges.push(cert_edge(world, &hosts, site.https()));
+                rec.host_counts.push(hosts.len() as u32);
+                rec.hosts.extend(hosts);
                 let resolver = client.resolver_mut();
                 let hard = distinct(resolver.take_consults().into_iter().map(|e| e.0));
                 let soft = distinct(resolver.take_soft_consults().into_iter().map(|e| e.0));
@@ -222,6 +228,17 @@ impl OutageIndex {
         });
         // Shards arrive in site order, so every list below is in site
         // order too.
+        let host_start = std::iter::once(0)
+            .chain(
+                shards
+                    .iter()
+                    .flat_map(|r| r.host_counts.iter())
+                    .scan(0, |end, &n| {
+                        *end += n;
+                        Some(*end)
+                    }),
+            )
+            .collect();
         OutageIndex {
             policy,
             entities: Footprints::from_pairs(shards.iter().map(|r| r.entities.as_slice())),
@@ -232,7 +249,20 @@ impl OutageIndex {
                 .iter()
                 .flat_map(|r| r.cert_edges.iter().copied())
                 .collect(),
+            hosts: shards
+                .iter()
+                .flat_map(|r| r.hosts.iter().cloned())
+                .collect(),
+            host_start,
         }
+    }
+
+    /// A recorded site's document hosts, in the order a browser tries
+    /// them (as [`webdeps_worldgen::SiteTruth::document_hosts`] lists
+    /// them): what a probe of the site fetches.
+    pub fn document_hosts(&self, site: SiteId) -> &[DomainName] {
+        let i = site.index();
+        &self.hosts[self.host_start[i] as usize..self.host_start[i + 1] as usize]
     }
 
     /// Recorded sites unreachable on healthy infrastructure at clock 0,
@@ -360,8 +390,7 @@ impl OutageIndex {
             if !proceed(probed) {
                 return None;
             }
-            let site = world.site(id);
-            if !probe_site(client, &site.document_hosts(), site.https()) {
+            if !probe_site(client, self.document_hosts(id), world.site(id).https()) {
                 affected.push(id);
             }
         }
@@ -394,6 +423,10 @@ struct Recording {
     down: Vec<SiteId>,
     /// Each site's [`cert_edge`], in site order.
     cert_edges: Vec<SimTime>,
+    /// Each site's document hosts, in site order.
+    hosts: Vec<DomainName>,
+    /// How many of `hosts` each site has, in site order.
+    host_counts: Vec<u32>,
 }
 
 /// `keys` sorted, without repeats.

@@ -8,6 +8,7 @@
 //! ancestor chain through the deployed zones, shallowest first, exactly
 //! like a referral walk that starts at the root.
 
+use crate::names::NameTable;
 use crate::server::{AuthoritativeServer, ServerId};
 use crate::zone::Zone;
 use std::collections::HashMap;
@@ -20,7 +21,7 @@ pub struct ZoneDeployment {
     /// The zone data.
     pub zone: Zone,
     /// Servers announcing this zone. Order is preference order.
-    pub servers: Vec<ServerId>,
+    pub servers: Box<[ServerId]>,
 }
 
 /// Immutable, fully wired name system.
@@ -28,8 +29,8 @@ pub struct ZoneDeployment {
 pub struct DnsNetwork {
     servers: Vec<AuthoritativeServer>,
     deployments: Vec<ZoneDeployment>,
-    by_origin: HashMap<DomainName, usize>,
-    server_by_hostname: HashMap<DomainName, ServerId>,
+    /// Deployment index by zone origin.
+    by_origin: NameTable,
 }
 
 impl DnsNetwork {
@@ -43,32 +44,18 @@ impl DnsNetwork {
         &self.servers[id.index()]
     }
 
-    /// Server by its hostname, when one is registered.
-    pub fn server_by_hostname(&self, hostname: &DomainName) -> Option<&AuthoritativeServer> {
-        self.server_by_hostname
-            .get(hostname)
-            .map(|&id| self.server(id))
-    }
-
     /// All servers.
     pub fn servers(&self) -> &[AuthoritativeServer] {
         &self.servers
     }
 
-    /// The deployment for an exact zone origin.
-    pub fn deployment(&self, origin: &DomainName) -> Option<&ZoneDeployment> {
-        self.by_origin.get(origin).map(|&i| &self.deployments[i])
-    }
-
-    /// All deployments.
-    pub fn deployments(&self) -> &[ZoneDeployment] {
-        &self.deployments
-    }
-
-    /// The deepest deployed zone whose origin is an ancestor of (or
-    /// equals) `name`.
-    pub fn zone_containing(&self, name: &DomainName) -> Option<&ZoneDeployment> {
-        self.authority_chain(name).pop()
+    /// The index of the deployment whose zone origin is `origin`.
+    fn deployment_index(&self, origin: &str) -> Option<usize> {
+        self.by_origin
+            .get(origin, |i| {
+                self.deployments[i as usize].zone.origin().as_str()
+            })
+            .map(|i| i as usize)
     }
 
     /// Every deployed zone on the authority path of `name`, ordered
@@ -87,7 +74,7 @@ impl DnsNetwork {
                 Some(dot) => dot + 1,
                 None => 0,
             };
-            if let Some(&i) = self.by_origin.get(&s[start..]) {
+            if let Some(i) = self.deployment_index(&s[start..]) {
                 chain.push(&self.deployments[i]);
             }
             if start == 0 {
@@ -102,12 +89,31 @@ impl DnsNetwork {
     pub fn zone_count(&self) -> usize {
         self.deployments.len()
     }
+
+    /// Bytes of heap the name system owns: the server and deployment
+    /// arrays, the origin index, and every zone's record array, SOA,
+    /// cuts and name index (see [`Zone::heap_bytes`]). Name text is
+    /// shared with the rest of the world and is not counted. The arrays
+    /// are exact-size once built, so this counts content.
+    pub fn heap_bytes(&self) -> usize {
+        let deployments: usize = self
+            .deployments
+            .iter()
+            .map(|d| d.zone.heap_bytes() + std::mem::size_of_val(&*d.servers))
+            .sum();
+        self.servers.capacity() * std::mem::size_of::<AuthoritativeServer>()
+            + self.deployments.capacity() * std::mem::size_of::<ZoneDeployment>()
+            + self.by_origin.heap_bytes()
+            + deployments
+    }
 }
 
 /// Mutable assembly of a [`DnsNetwork`].
 #[derive(Debug, Default)]
 pub struct NetworkBuilder {
     network: DnsNetwork,
+    /// Server ids by hostname, for [`Self::add_server`]'s idempotency.
+    server_by_hostname: HashMap<DomainName, ServerId>,
 }
 
 impl NetworkBuilder {
@@ -120,7 +126,7 @@ impl NetworkBuilder {
         ip: Ipv4Addr,
         operator: EntityId,
     ) -> ServerId {
-        if let Some(&existing) = self.network.server_by_hostname.get(&hostname) {
+        if let Some(&existing) = self.server_by_hostname.get(&hostname) {
             let s = &self.network.servers[existing.index()];
             assert_eq!(
                 s.operator, operator,
@@ -135,7 +141,7 @@ impl NetworkBuilder {
             ip,
             operator,
         });
-        self.network.server_by_hostname.insert(hostname, id);
+        self.server_by_hostname.insert(hostname, id);
         id
     }
 
@@ -149,13 +155,17 @@ impl NetworkBuilder {
         for &s in &servers {
             assert!(s.index() < self.network.servers.len(), "unknown {s}");
         }
-        let origin = zone.origin().clone();
+        let origin = zone.origin().as_str();
+        assert!(
+            self.network.deployment_index(origin).is_none(),
+            "zone {origin} deployed twice"
+        );
         let idx = self.network.deployments.len();
-        let prev = self.network.by_origin.insert(origin.clone(), idx);
-        assert!(prev.is_none(), "zone {origin} deployed twice");
-        self.network
-            .deployments
-            .push(ZoneDeployment { zone, servers });
+        self.network.by_origin.insert(origin, idx as u32);
+        self.network.deployments.push(ZoneDeployment {
+            zone,
+            servers: servers.into_boxed_slice(),
+        });
     }
 
     /// Number of registered servers — the next [`ServerId`] index.
@@ -164,21 +174,20 @@ impl NetworkBuilder {
         self.network.servers.len()
     }
 
-    /// Whether a zone with this origin is already deployed.
-    pub fn has_zone(&self, origin: &DomainName) -> bool {
-        self.network.by_origin.contains_key(origin)
-    }
-
     /// Mutable access to an already-deployed zone (worldgen wires
-    /// cross-references in several passes).
+    /// cross-references in several passes; a fill of many records goes
+    /// through [`Zone::insert_all`], one sort per batch).
     pub fn zone_mut(&mut self, origin: &DomainName) -> Option<&mut Zone> {
-        let idx = *self.network.by_origin.get(origin)?;
+        let idx = self.network.deployment_index(origin.as_str())?;
         Some(&mut self.network.deployments[idx].zone)
     }
 
-    /// Finalizes the network.
+    /// Finalizes the network, trimming its arrays to their contents.
     pub fn build(self) -> DnsNetwork {
-        self.network
+        let mut network = self.network;
+        network.servers.shrink_to_fit();
+        network.deployments.shrink_to_fit();
+        network
     }
 }
 
@@ -211,13 +220,14 @@ mod tests {
         );
         assert_eq!(s1, s1_again, "server registration is idempotent");
         b.add_zone(Zone::new(dn("example.com"), soa("example.com")), vec![s1]);
-        assert!(b.has_zone(&dn("example.com")));
+        assert!(b.zone_mut(&dn("example.com")).is_some());
+        assert!(b.zone_mut(&dn("other.com")).is_none());
         let net = b.build();
         assert_eq!(net.zone_count(), 1);
         assert_eq!(net.server(s1).hostname, dn("ns1.example.com"));
-        assert!(net.server_by_hostname(&dn("ns1.example.com")).is_some());
-        assert!(net.deployment(&dn("example.com")).is_some());
-        assert!(net.deployment(&dn("other.com")).is_none());
+        assert_eq!(net.authority_chain(&dn("www.example.com")).len(), 1);
+        assert!(net.authority_chain(&dn("www.other.com")).is_empty());
+        assert!(net.heap_bytes() > 0);
     }
 
     #[test]
@@ -238,8 +248,6 @@ mod tests {
         assert_eq!(chain.len(), 2);
         assert_eq!(chain[0].zone.origin(), &dn("example.com"));
         assert_eq!(chain[1].zone.origin(), &dn("sub.example.com"));
-        let deepest = net.zone_containing(&dn("x.sub.example.com")).unwrap();
-        assert_eq!(deepest.zone.origin(), &dn("sub.example.com"));
     }
 
     #[test]

@@ -9,6 +9,7 @@
 use crate::clock::Ttl;
 use std::fmt;
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 use webdeps_model::DomainName;
 
 /// Record type tag (the QTYPE of a query).
@@ -96,14 +97,18 @@ impl fmt::Display for Soa {
 }
 
 /// Typed record payload.
+///
+/// The SOA payload lives out of line: only a zone's apex record carries
+/// one, and inline it would more than double every other record (a
+/// stored [`ResourceRecord`] is 48 bytes).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum RecordData {
     /// IPv4 address.
     A(Ipv4Addr),
     /// Delegation to a nameserver host.
     Ns(DomainName),
-    /// Start of authority.
-    Soa(Soa),
+    /// Start of authority, shared with the zone that owns it.
+    Soa(Arc<Soa>),
     /// Alias to the canonical name.
     Cname(DomainName),
     /// Free text.
@@ -149,7 +154,7 @@ impl RecordData {
     /// The SOA payload, when this is a SOA record.
     pub fn as_soa(&self) -> Option<&Soa> {
         match self {
-            RecordData::Soa(soa) => Some(soa),
+            RecordData::Soa(soa) => Some(soa.as_ref()),
             _ => None,
         }
     }
@@ -221,7 +226,17 @@ mod tests {
         );
         assert_eq!(RecordData::Txt("x".into()).record_type(), RecordType::Txt);
         let soa = Soa::standard(dn("ns1.example.com"), dn("hostmaster.example.com"), 1);
-        assert_eq!(RecordData::Soa(soa).record_type(), RecordType::Soa);
+        assert_eq!(
+            RecordData::Soa(Arc::new(soa)).record_type(),
+            RecordType::Soa
+        );
+    }
+
+    /// Zones store one record per answer; the SOA payload lives out of
+    /// line so that a record stays within 48 bytes.
+    #[test]
+    fn stored_record_is_compact() {
+        assert!(std::mem::size_of::<ResourceRecord>() <= 48);
     }
 
     #[test]

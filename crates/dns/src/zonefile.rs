@@ -249,11 +249,10 @@ pub fn parse_zone(text: &str, default_origin: Option<&DomainName>) -> Result<Zon
             ));
         }
     }
+    let (lines, records): (Vec<usize>, Vec<ResourceRecord>) = records.into_iter().unzip();
     let mut zone = Zone::new(apex, soa);
-    for (line_no, rr) in records {
-        zone.try_insert(rr)
-            .map_err(|conflict| err(line_no, conflict))?;
-    }
+    zone.try_insert_all(records)
+        .map_err(|(at, conflict)| err(lines[at], conflict))?;
     Ok(zone)
 }
 

@@ -133,19 +133,19 @@ fn top5_table(
 /// Figure 5: top providers by direct concentration and impact.
 #[must_use]
 pub fn figure5(ws: &Workspace) -> Report {
-    let index = ReachIndex::build(&ws.graph20, &MetricOptions::direct_only());
+    let index = ws.direct20();
     Report::new(
         "figure5",
         "Direct dependency graphs: top-5 providers (paper Figure 5a/b/c)",
     )
     .table(top5_table(
         &ws.ds20,
-        &index,
+        index,
         ServiceKind::Dns,
         "5a — DNS providers",
     ))
-    .table(top5_table(&ws.ds20, &index, ServiceKind::Cdn, "5b — CDNs"))
-    .table(top5_table(&ws.ds20, &index, ServiceKind::Ca, "5c — CAs"))
+    .table(top5_table(&ws.ds20, index, ServiceKind::Cdn, "5b — CDNs"))
+    .table(top5_table(&ws.ds20, index, ServiceKind::Ca, "5c — CAs"))
     .note("paper 5a: Cloudflare C=24% I=23% of the top-100K; top-3 DNS impact ≈ 40%")
     .note("paper 5b: CloudFront ≈ 30% of CDN users; top-3 ≈ 56% of users (18.6% of all sites)")
     .note("paper 5c: DigiCert C=32% of sites; top-3 CA impact 46.25% of sites")
@@ -214,7 +214,7 @@ fn indirect_figure(
     hop: Hop,
     notes: &[&str],
 ) -> Report {
-    let direct = ReachIndex::build(&ws.graph20, &MetricOptions::direct_only());
+    let direct = ws.direct20();
     let with = ReachIndex::build(&ws.graph20, &MetricOptions::only(hop));
     let n = ws.ds20.len() as f64;
     let ranking = with.ranking(target);
@@ -241,7 +241,7 @@ fn indirect_figure(
         ]);
     }
     let top3 = top3_impact(&with, &ranking, target);
-    let top3_direct = top3_impact(&direct, &direct.ranking(target), target);
+    let top3_direct = top3_impact(direct, &direct.ranking(target), target);
     let mut report = Report::new(id, title).table(t).note(format!(
         "top-3 {target} impact: {:.1}% of sites with the hop vs {:.1}% direct-only",
         100.0 * top3 as f64 / n,
@@ -305,7 +305,7 @@ pub fn figure9(ws: &Workspace) -> Report {
 #[must_use]
 pub fn amplification(ws: &Workspace) -> Report {
     let n = ws.ds20.len() as f64;
-    let direct = ReachIndex::build(&ws.graph20, &MetricOptions::direct_only());
+    let direct = ws.direct20();
     let full = ReachIndex::build(&ws.graph20, &MetricOptions::full());
 
     let mut t = TextTable::new(
@@ -387,6 +387,16 @@ mod tests {
         }
     }
 
+    /// The shared index equals a fresh build under direct-only options.
+    #[test]
+    fn shared_direct_index_matches_a_fresh_build() {
+        let fresh = ReachIndex::build(&ws().graph20, &MetricOptions::direct_only());
+        for kind in [ServiceKind::Dns, ServiceKind::Cdn, ServiceKind::Ca] {
+            assert_eq!(ws().direct20().ranking(kind), fresh.ranking(kind));
+        }
+        assert!(std::ptr::eq(ws().direct20(), ws().direct20()));
+    }
+
     /// Impact of `(key, kind)` under `opts` over the test workspace.
     fn impact(key: &str, kind: ServiceKind, opts: &MetricOptions) -> usize {
         ReachIndex::build(&ws().graph20, opts).dependent_count(Metric::Impact, key, kind)
@@ -425,7 +435,7 @@ mod tests {
     #[test]
     fn figure9_changes_little() {
         let n = ws().ds20.len() as f64;
-        let direct = ReachIndex::build(&ws().graph20, &MetricOptions::direct_only());
+        let direct = ws().direct20();
         let with_cdn = ReachIndex::build(&ws().graph20, &MetricOptions::only(Hop::CdnDns));
         // Aggregate over the top-5 direct DNS providers: the hop adds
         // little because major CDNs run private DNS.

@@ -2,9 +2,12 @@
 //!
 //! Builds everything the experiment regenerators need exactly once:
 //! paired 2016/2020 worlds over one universe, both measurement datasets,
-//! both dependency graphs, and the hospital vertical.
+//! both dependency graphs, and the hospital vertical. The 2020
+//! direct-only reach index, which several figures read, is built on
+//! first use and shared.
 
-use webdeps_core::DepGraph;
+use std::sync::OnceLock;
+use webdeps_core::{DepGraph, MetricOptions, ReachIndex};
 use webdeps_measure::{measure_world, MeasurementDataset};
 use webdeps_worldgen::verticals::hospital_world;
 use webdeps_worldgen::{World, WorldPair};
@@ -31,6 +34,9 @@ pub struct Workspace {
     pub hospitals: World,
     /// Hospital measurements.
     pub ds_hospitals: MeasurementDataset,
+    /// The 2020 reach index under direct-only options, built on first
+    /// use (see [`Self::direct20`]).
+    direct20: OnceLock<ReachIndex>,
 }
 
 impl Workspace {
@@ -55,7 +61,16 @@ impl Workspace {
             graph20,
             hospitals,
             ds_hospitals,
+            direct20: OnceLock::new(),
         }
+    }
+
+    /// The reach index of the 2020 graph under
+    /// [`MetricOptions::direct_only`]: built once, on first use, for
+    /// every figure that compares against direct dependencies.
+    pub fn direct20(&self) -> &ReachIndex {
+        self.direct20
+            .get_or_init(|| ReachIndex::build(&self.graph20, &MetricOptions::direct_only()))
     }
 
     /// A small workspace for tests.

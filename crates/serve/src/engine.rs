@@ -119,12 +119,15 @@ impl Engine {
     /// Executes one index/world query. `deadline` is the instant the
     /// query's budget expires; long scans poll it mid-stream and give
     /// up with [`Outcome::Deadline`] rather than hold a worker hostage.
-    pub fn execute(&self, req: &Request, deadline: Instant, stats: &ServerStats) -> Outcome {
+    /// No query updates the server's counters (`STATS` reads churn
+    /// counts from [`Self::recompute_counters`]); the parameter stays
+    /// for the callers that pass them.
+    pub fn execute(&self, req: &Request, deadline: Instant, _stats: &ServerStats) -> Outcome {
         match req {
             Request::Rank { kind, top } => self.rank(*kind, *top, deadline),
             Request::Sites { kind, key } => self.sites(*kind, key),
             Request::Outage { key } => self.outage(key, deadline),
-            Request::Churn(delta) => self.churn(delta, stats),
+            Request::Churn(delta) => self.churn(delta),
             Request::Poison => {
                 if self.allow_poison {
                     // lint:allow(panic) — deliberate poison query, only
@@ -216,7 +219,7 @@ impl Engine {
         ))
     }
 
-    fn churn(&self, delta: &Churn, stats: &ServerStats) -> Outcome {
+    fn churn(&self, delta: &Churn) -> Outcome {
         // Site ids name sites of the resident world. An id past it
         // would widen the index's bitsets to that id, so it is refused
         // before the index is touched.
@@ -232,7 +235,6 @@ impl Engine {
         if let Err(e) = index.apply(delta) {
             return Outcome::Error(format!("churn rejected: {e}"));
         }
-        ServerStats::bump(&stats.churn_patched);
         if self.verify_patches {
             if let Err(d) = index.verify_fresh() {
                 index.force_rebuild();
@@ -310,7 +312,7 @@ mod tests {
             other => panic!("churn failed: {other:?}"),
         }
         assert_eq!(engine.current_epoch(), 1);
-        assert_eq!(ServerStats::read(&stats.churn_patched), 1);
+        assert_eq!(engine.recompute_counters(), (2, 0), "one patch per metric");
     }
 
     #[test]
@@ -394,7 +396,7 @@ mod tests {
                 "one patch per metric, no rebuild"
             );
         }
-        assert_eq!(ServerStats::read(&stats.churn_patched), 2);
+        assert_eq!(engine.recompute_counters(), (4, 0));
     }
 
     #[test]

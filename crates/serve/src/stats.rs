@@ -134,8 +134,6 @@ pub struct ServerStats {
     pub parse_errors: AtomicU64,
     /// Queries answered `OK`.
     pub ok_replies: AtomicU64,
-    /// Churn deltas applied to the index.
-    pub churn_patched: AtomicU64,
     /// Per-query latency distribution, every request pooled.
     pub latency: LatencyHistogram,
     /// The same latencies of engine queries, by [`QueryKind`] in

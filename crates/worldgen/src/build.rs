@@ -19,7 +19,7 @@ use crate::snapshots::{plan_snapshot, SnapshotPlan};
 use crate::truth::{GroundTruth, SiteListing, SiteTruth};
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
-use webdeps_dns::record::{RecordData, Soa};
+use webdeps_dns::record::{RecordData, ResourceRecord, Soa};
 use webdeps_dns::zone::Zone;
 use webdeps_dns::{DnsNetwork, Resolver, ServerId};
 use webdeps_model::name::dn;
@@ -210,12 +210,13 @@ impl Builder {
         a_records: Vec<(DomainName, Ipv4Addr)>,
     ) {
         let mut zone = Zone::new(origin.clone(), soa);
-        for h in &ns_hosts {
-            zone.add(origin.clone(), RecordData::Ns(h.clone()));
-        }
-        for (name, ip) in a_records {
-            zone.add(name, RecordData::A(ip));
-        }
+        let ns = ns_hosts
+            .into_iter()
+            .map(|h| ResourceRecord::new(origin.clone(), RecordData::Ns(h)));
+        let a = a_records
+            .into_iter()
+            .map(|(name, ip)| ResourceRecord::new(name, RecordData::A(ip)));
+        zone.insert_all(ns.chain(a));
         self.dns_b.add_zone(zone, servers);
     }
 
@@ -732,9 +733,9 @@ impl Builder {
         for (zone, servers) in ops.zones {
             self.dns_b.add_zone(zone, servers);
         }
-        for (origin, host, ip) in ops.cdn_records {
+        for (origin, records) in ops.cdn_records {
             let zone = self.dns_b.zone_mut(&origin).expect("CDN zone deployed");
-            zone.add(host, RecordData::A(ip));
+            zone.insert_all(records);
         }
         for (host, vhost) in ops.vhosts {
             self.web_b.set_vhost(host, vhost);
@@ -871,9 +872,9 @@ struct ShardOps {
     /// Zone deployments in serial deployment order (a site's alias-NS
     /// zone precedes its own zone).
     zones: Vec<(Zone, Vec<ServerId>)>,
-    /// `cust-…` A records destined for already-deployed CDN zones:
-    /// (zone origin, host, edge IP).
-    cdn_records: Vec<(DomainName, DomainName, Ipv4Addr)>,
+    /// `cust-…` A records destined for already-deployed CDN zones, by
+    /// zone origin, each zone's in site order: one batch per zone.
+    cdn_records: BTreeMap<DomainName, Vec<ResourceRecord>>,
     vhosts: Vec<(DomainName, VirtualHost)>,
     /// Sibling-brand `img` records guarded by first-writer-wins:
     /// (zone origin, host, origin IP).
@@ -935,7 +936,9 @@ impl SitePlanner<'_> {
             .unwrap_or_else(|| panic!("unknown CDN {cdn_name}"));
         let host = domain.child(label).expect("valid label");
         ops.cdn_records
-            .push((domain.clone(), host.clone(), *edge_ip));
+            .entry(domain.clone())
+            .or_default()
+            .push(ResourceRecord::new(host.clone(), RecordData::A(*edge_ip)));
         host
     }
 
@@ -1041,14 +1044,16 @@ impl SitePlanner<'_> {
             )
         };
 
-        let mut zone = Zone::new(domain.clone(), soa);
+        // The site zone's records, inserted as one batch below.
+        let mut records: Vec<ResourceRecord> = Vec::new();
+        let mut add = |name, data| records.push(ResourceRecord::new(name, data));
         for h in &ns_hosts {
-            zone.add(domain.clone(), RecordData::Ns(h.clone()));
+            add(domain.clone(), RecordData::Ns(h.clone()));
         }
-        zone.add(domain.clone(), RecordData::A(origin_ip));
+        add(domain.clone(), RecordData::A(origin_ip));
         for h in &ns_hosts {
             if h.is_subdomain_of(&domain) {
-                zone.add(h.clone(), RecordData::A(cur.take_dns_ip()));
+                add(h.clone(), RecordData::A(cur.take_dns_ip()));
             }
         }
         if let Some((alias_domain, alias_servers)) = extra_zone {
@@ -1060,16 +1065,17 @@ impl SitePlanner<'_> {
                 serial,
             );
             let mut alias_zone = Zone::new(alias_domain.clone(), soa);
-            alias_zone.add(
+            let ns = ResourceRecord::new(
                 alias_domain.clone(),
                 RecordData::Ns(alias_domain.child("ns1").expect("valid")),
             );
-            for label in ["ns1", "ns2"] {
-                alias_zone.add(
+            let a = ["ns1", "ns2"].map(|label| {
+                ResourceRecord::new(
                     alias_domain.child(label).expect("valid"),
                     RecordData::A(cur.take_dns_ip()),
-                );
-            }
+                )
+            });
+            alias_zone.insert_all(std::iter::once(ns).chain(a));
             ops.zones.push((alias_zone, alias_servers));
         }
 
@@ -1080,14 +1086,14 @@ impl SitePlanner<'_> {
         let sid = site.id.index();
         match site.cdn.state {
             CdnProfile::None => {
-                zone.add(static_host.clone(), RecordData::A(origin_ip));
+                add(static_host.clone(), RecordData::A(origin_ip));
             }
             CdnProfile::Private | CdnProfile::SingleThird => {
                 let cdn = &site.cdn.cdns[0];
                 let cust_www = self.plan_cdn_customer(cdn, &format!("cust-{sid}-www"), ops);
                 let cust_static = self.plan_cdn_customer(cdn, &format!("cust-{sid}-st"), ops);
-                zone.add(www.clone(), RecordData::Cname(cust_www));
-                zone.add(static_host.clone(), RecordData::Cname(cust_static));
+                add(www.clone(), RecordData::Cname(cust_www));
+                add(static_host.clone(), RecordData::Cname(cust_static));
             }
             CdnProfile::Multi => {
                 // Both CDNs are visible on the landing page: static
@@ -1102,15 +1108,17 @@ impl SitePlanner<'_> {
                     self.plan_cdn_customer(&site.cdn.cdns[0], &format!("cust-{sid}-st"), ops);
                 let cust_img =
                     self.plan_cdn_customer(&site.cdn.cdns[1], &format!("cust-{sid}-img"), ops);
-                zone.add(www.clone(), RecordData::Cname(cust_a));
-                zone.add(www2.clone(), RecordData::Cname(cust_b));
-                zone.add(static_host.clone(), RecordData::Cname(cust_static));
-                zone.add(
+                add(www.clone(), RecordData::Cname(cust_a));
+                add(www2.clone(), RecordData::Cname(cust_b));
+                add(static_host.clone(), RecordData::Cname(cust_static));
+                add(
                     domain.child("img").expect("valid"),
                     RecordData::Cname(cust_img),
                 );
             }
         }
+        let mut zone = Zone::new(domain.clone(), soa);
+        zone.insert_all(records);
         ops.zones.push((zone, servers));
 
         // --- Certificate ------------------------------------------
