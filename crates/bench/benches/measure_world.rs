@@ -1,16 +1,18 @@
 //! Million-site measurement-core benchmarks.
 //!
-//! `measure_world/100k` runs in the CI bench smoke; `measure_world/1M`
-//! is opt-in behind `WEBDEPS_BENCH_1M=1` (it needs minutes of wall
-//! time and ~10 GB of RSS for the generated world).
+//! `measure_world/100k` runs in the CI bench smoke; the large scales,
+//! `measure_world/300k` and `measure_world/1M`, are opt-in behind
+//! `WEBDEPS_BENCH_1M=1` (they need minutes of wall time and several GB
+//! of RSS for the generated worlds).
 //!
 //! Besides timing, this target *asserts* the memory budgets documented
 //! in README.md, at every benched scale: the analysis arenas
 //! (measurement dataset + CSR graph) must stay within
 //! [`ARENA_BYTES_PER_SITE`], the whole core working set (arenas + the
 //! reach index: its row copy and both metrics' site sets) within
-//! [`CORE_BYTES_PER_SITE`], and the world's DNS store within
-//! [`DNS_BYTES_PER_SITE`].
+//! [`CORE_BYTES_PER_SITE`], the world's DNS store within
+//! [`DNS_BYTES_PER_SITE`] and its web plane within
+//! [`WEB_BYTES_PER_SITE`].
 //!
 //! After the timed benches, one extra generate+measure run executes
 //! with `webdeps_model::timing` enabled; the drained per-phase wall
@@ -33,15 +35,17 @@ mod alloc_probe;
 static ALLOC: alloc_probe::CountingAlloc = alloc_probe::CountingAlloc;
 
 /// Budget for the measurement dataset plus the CSR dependency graph.
-/// Measured: 117 B/site at 100k sites (dataset 52.5, of it 3.5 for
-/// pass 1's nameserver tallies; graph 64).
+/// Both are trimmed to their content once built, so the figure does
+/// not swing with power-of-two growth. Measured: 106.9 B/site at 100k
+/// sites (dataset 52.4, of it 3.5 for pass 1's nameserver tallies;
+/// graph 54.5), 106.7 at 300k and 105.5 at 1M.
 const ARENA_BYTES_PER_SITE: usize = 128;
 
 /// Budget for the full core working set: arenas plus the reach index.
 /// The index is mostly site bitsets, one per provider and metric, so
-/// it grows with the provider tail: measured 236 B/site at 100k
-/// (index 119.0, of it ~15 for the row copy); the last 1M run,
-/// before the dataset's report columns, measured 745 B/site.
+/// it grows with the provider tail: measured 225.9 B/site at 100k
+/// (index 119.0, of it ~15 for the row copy), 353.3 at 300k and 775.3
+/// at 1M (index 669.8).
 const CORE_BYTES_PER_SITE: usize = 832;
 
 /// Budget for the world's DNS store (`DnsNetwork::heap_bytes`: record
@@ -49,6 +53,16 @@ const CORE_BYTES_PER_SITE: usize = 832;
 /// shared and not counted). Measured 533.3 B/site at 100k sites and
 /// 519.2 at 1M; the budget is the 100k value plus 12.5% headroom.
 const DNS_BYTES_PER_SITE: usize = 600;
+
+/// Budget for the world's web plane (`WebNetwork::heap_bytes`: server
+/// array and IP map, vhost array and hostname index, and each page and
+/// certificate once; name text, resource paths and CA endpoint lists
+/// are shared and not counted). Measured 539.1 B/site at 100k sites,
+/// 553.9 at 300k and 566.7 at 1M; the budget is the 100k value plus
+/// 11% headroom. The
+/// hostname index is a power-of-two table at most half full, so its
+/// share moves between ~35 and ~75 B/site with the scale.
+const WEB_BYTES_PER_SITE: usize = 600;
 
 fn bench_scale(h: &mut Harness, label: &str, n: usize) {
     let mut group = h.benchmark_group(&format!("measure_world/{label}"));
@@ -99,6 +113,17 @@ fn bench_scale(h: &mut Harness, label: &str, n: usize) {
         dns <= DNS_BYTES_PER_SITE * n,
         "DNS store blew the budget: {dns} B for {n} sites (> {DNS_BYTES_PER_SITE} B/site)"
     );
+    let web = world.web.heap_bytes();
+    h.record_metric(
+        &format!("measure_world/{label}"),
+        "web_bytes_per_site",
+        web as f64 / n as f64,
+        "B/site",
+    );
+    assert!(
+        web <= WEB_BYTES_PER_SITE * n,
+        "web plane blew the budget: {web} B for {n} sites (> {WEB_BYTES_PER_SITE} B/site)"
+    );
     let index = ReachIndex::build(&graph, &opts);
     let arena = ds.heap_bytes() + graph.heap_bytes();
     let core = arena + index.heap_bytes();
@@ -106,13 +131,15 @@ fn bench_scale(h: &mut Harness, label: &str, n: usize) {
     eprintln!(
         "  measure_world/{label}: arenas {:.1} B/site (dataset {:.1} + graph {:.1}; \
          budget {ARENA_BYTES_PER_SITE}), core {:.1} B/site (index {:.1}; \
-         budget {CORE_BYTES_PER_SITE}), DNS {:.1} B/site (budget {DNS_BYTES_PER_SITE})",
+         budget {CORE_BYTES_PER_SITE}), DNS {:.1} B/site (budget {DNS_BYTES_PER_SITE}), \
+         web {:.1} B/site (budget {WEB_BYTES_PER_SITE})",
         per_site(arena),
         per_site(ds.heap_bytes()),
         per_site(graph.heap_bytes()),
         per_site(core),
         per_site(index.heap_bytes()),
         per_site(dns),
+        per_site(web),
     );
     assert!(
         arena <= ARENA_BYTES_PER_SITE * n,
@@ -169,9 +196,10 @@ fn main() {
     let mut h = Harness::new("measure_world");
     bench_scale(&mut h, "100k", 100_000);
     if std::env::var("WEBDEPS_BENCH_1M").is_ok_and(|v| v == "1") {
+        bench_scale(&mut h, "300k", 300_000);
         bench_scale(&mut h, "1M", 1_000_000);
     } else {
-        eprintln!("measure_world/1M skipped (set WEBDEPS_BENCH_1M=1 to run)");
+        eprintln!("measure_world/300k and /1M skipped (set WEBDEPS_BENCH_1M=1 to run)");
     }
     h.finish();
 }

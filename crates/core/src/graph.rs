@@ -154,8 +154,14 @@ impl GraphBuilder {
     /// Freezes the builder into an immutable [`DepGraph`], deriving the
     /// CSR adjacency (a counting sort per direction, so per-node edge
     /// lists keep insertion order — the order a `Vec<Vec<_>>` would
-    /// have had).
-    pub fn build(self) -> DepGraph {
+    /// have had). Every column is trimmed to its length, so the graph
+    /// holds its content and no growth slack.
+    pub fn build(mut self) -> DepGraph {
+        self.nodes.shrink_to_fit();
+        self.site_index.shrink_to_fit();
+        self.edge_from.shrink_to_fit();
+        self.edge_to.shrink_to_fit();
+        self.edge_kind.shrink_to_fit();
         let n = self.nodes.len();
         let m = self.edge_from.len();
 
@@ -179,13 +185,14 @@ impl GraphBuilder {
         let (out_start, out_edges) = csr(&self.edge_from);
         let (in_start, in_edges) = csr(&self.edge_to);
 
-        let provider_nodes: Vec<NodeId> = self
+        let mut provider_nodes: Vec<NodeId> = self
             .nodes
             .iter()
             .enumerate()
             .filter(|(_, n)| matches!(n, NodeKind::Provider(..)))
             .map(|(i, _)| NodeId(i as u32))
             .collect();
+        provider_nodes.shrink_to_fit();
 
         DepGraph {
             nodes: self.nodes,

@@ -29,7 +29,6 @@ pub mod cache;
 pub mod clock;
 pub mod dig;
 pub mod fault;
-mod names;
 pub mod network;
 pub mod record;
 pub mod resolver;

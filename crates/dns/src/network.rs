@@ -8,11 +8,11 @@
 //! ancestor chain through the deployed zones, shallowest first, exactly
 //! like a referral walk that starts at the root.
 
-use crate::names::NameTable;
 use crate::server::{AuthoritativeServer, ServerId};
 use crate::zone::Zone;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
+use webdeps_model::NameTable;
 use webdeps_model::{DomainName, EntityId};
 
 /// A zone plus the servers that answer authoritatively for it.

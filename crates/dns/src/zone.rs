@@ -30,10 +30,10 @@
 //! exists when some owner or cut lies at or below it.
 
 use crate::clock::Ttl;
-use crate::names::NameTable;
 use crate::record::{RecordData, RecordType, ResourceRecord, Soa};
 use std::sync::Arc;
 use webdeps_model::DomainName;
+use webdeps_model::NameTable;
 
 /// Zones with at most this many records scan them; larger ones hash.
 pub const SCAN_RECORDS: usize = 16;

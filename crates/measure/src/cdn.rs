@@ -39,7 +39,7 @@ pub fn classify_site(
     cache: &mut ClassifyCache,
     on_pair: &mut dyn FnMut(ServiceKind, &Evidence<'_>),
 ) -> SiteCdnMeasurement {
-    let san = report.certificate.as_ref().map(|c| c.san.as_slice());
+    let san = report.certificate.as_ref().map(|c| &*c.san);
     let site_soa = Dig::new(resolver).soa_of(&report.site).ok();
 
     // Distinct (cdn key) → (classification, witness cname).

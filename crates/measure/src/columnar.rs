@@ -311,8 +311,17 @@ impl MeasurementDataset {
         out
     }
 
-    /// Installs the §3.4 provider table.
-    pub(crate) fn set_providers(&mut self, providers: Vec<ProviderMeasurement>) {
+    /// Installs the §3.4 provider table, trimmed to its length like
+    /// every other column.
+    pub(crate) fn set_providers(&mut self, mut providers: Vec<ProviderMeasurement>) {
+        providers.shrink_to_fit();
+        for dep in providers
+            .iter_mut()
+            .flat_map(|p| [&mut p.dns_dep, &mut p.cdn_dep])
+            .flatten()
+        {
+            dep.providers.shrink_to_fit();
+        }
         self.providers = providers;
     }
 

@@ -409,7 +409,7 @@ mod tests {
                 continue;
             };
             let report = Crawler::crawl(&mut client, &l.domain, &l.document_hosts, l.https);
-            let san = report.certificate.as_ref().map(|c| c.san.as_slice());
+            let san = report.certificate.as_ref().map(|c| &*c.san);
             let conc = |reg: &str| concentration.get(reg).copied().unwrap_or(0);
             let m = classify_site(
                 obs,

@@ -71,7 +71,7 @@ pub(crate) fn measure_site(
         &listing.document_hosts,
         listing.https,
     );
-    let san = report.certificate.as_ref().map(|c| c.san.as_slice());
+    let san = report.certificate.as_ref().map(|c| &*c.san);
     let threshold = world.config.concentration_threshold();
     let dns = obs.map_or_else(SiteDnsMeasurement::default, |obs| {
         dns::classify_site(obs, san, concentration, threshold, psl, cache, on_pair)

@@ -50,7 +50,7 @@ impl fmt::Display for NameId {
 /// FNV-1a 64-bit over a byte string: stable across platforms and
 /// releases by construction.
 #[inline]
-fn fnv1a(bytes: &[u8]) -> u64 {
+pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in bytes {
         h ^= u64::from(*b);

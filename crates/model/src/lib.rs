@@ -19,6 +19,7 @@ pub mod error;
 pub mod ids;
 pub mod intern;
 pub mod name;
+pub mod name_table;
 pub mod par;
 pub mod prng;
 pub mod psl;
@@ -32,6 +33,7 @@ pub use error::ModelError;
 pub use ids::{CaId, CdnId, EntityId, ProviderId, SiteId};
 pub use intern::{Interner, NameId};
 pub use name::DomainName;
+pub use name_table::NameTable;
 pub use par::{
     effective_jobs, fan_out, fan_out_chunked, resolve_jobs, PoolBusy, PoolProbe, WorkerPool,
     MAX_AUTO_JOBS,

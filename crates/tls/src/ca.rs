@@ -1,6 +1,7 @@
 //! Certificate authorities.
 
 use crate::cert::{Certificate, Endpoint};
+use std::sync::Arc;
 use webdeps_dns::SimTime;
 use webdeps_model::{CaId, DomainName, EntityId};
 
@@ -18,10 +19,12 @@ pub struct CertificateAuthority {
     pub name: String,
     /// Owning organization.
     pub entity: EntityId,
-    /// OCSP responder hosts embedded into issued certificates.
-    pub ocsp_hosts: Vec<DomainName>,
-    /// CRL distribution hosts embedded into issued certificates.
-    pub crl_hosts: Vec<DomainName>,
+    /// OCSP responder endpoints embedded into issued certificates
+    /// (each certificate shares this list).
+    pub ocsp_urls: Arc<[Endpoint]>,
+    /// CRL distribution points embedded into issued certificates (each
+    /// certificate shares this list).
+    pub crl_dps: Arc<[Endpoint]>,
     /// Default certificate lifetime in seconds (Let's Encrypt: 90 days;
     /// commercial CAs: ~1 year).
     pub cert_lifetime: u64,
@@ -29,7 +32,8 @@ pub struct CertificateAuthority {
 
 impl CertificateAuthority {
     /// Assembles the certificate this CA would issue for `subject` with
-    /// the given SAN list. `serial` uniqueness is the PKI's job.
+    /// the given SAN list (stored exact-size, the subject first when
+    /// `san` lacks it). `serial` uniqueness is the PKI's job.
     pub fn make_certificate(
         &self,
         serial: u64,
@@ -44,22 +48,12 @@ impl CertificateAuthority {
         Certificate {
             serial,
             subject,
-            san,
+            san: san.into_boxed_slice(),
             issuer: self.id,
             not_before: issued_at,
             not_after: issued_at.plus(self.cert_lifetime),
-            ocsp_urls: self
-                .ocsp_hosts
-                .iter()
-                .cloned()
-                .map(Endpoint::at_root)
-                .collect(),
-            crl_dps: self
-                .crl_hosts
-                .iter()
-                .cloned()
-                .map(|h| Endpoint::new(h, format!("/{}.crl", self.name.to_ascii_lowercase())))
-                .collect(),
+            ocsp_urls: self.ocsp_urls.clone(),
+            crl_dps: self.crl_dps.clone(),
             must_staple,
         }
     }
@@ -75,8 +69,8 @@ mod tests {
             id: CaId(3),
             name: "TestCA".into(),
             entity: EntityId(11),
-            ocsp_hosts: vec![dn("ocsp.testca.com")],
-            crl_hosts: vec![dn("crl.testca.com")],
+            ocsp_urls: [Endpoint::at_root(dn("ocsp.testca.com"))].into(),
+            crl_dps: [Endpoint::new(dn("crl.testca.com"), "/testca.crl")].into(),
             cert_lifetime: 90 * 86_400,
         }
     }
@@ -99,6 +93,7 @@ mod tests {
         assert!(cert.covers(&dn("shop.example.com")));
         assert_eq!(cert.ocsp_urls[0].host, dn("ocsp.testca.com"));
         assert_eq!(cert.crl_dps[0].path, "/testca.crl");
+        assert_eq!(cert.san.len(), 2);
         assert_eq!(cert.not_after, SimTime(1_000 + 90 * 86_400));
     }
 

@@ -1,5 +1,6 @@
 //! Certificates and the endpoints embedded in them.
 
+use std::sync::Arc;
 use webdeps_dns::SimTime;
 use webdeps_model::{CaId, DomainName};
 
@@ -41,6 +42,10 @@ impl std::fmt::Display for Endpoint {
 
 /// An issued certificate, carrying exactly the fields the measurement
 /// pipeline reads from real certificates.
+///
+/// Every certificate of a CA embeds the same endpoints, so the two
+/// endpoint lists are the issuing CA's own (shared, built once when the
+/// CA is registered); the SAN list is exact-size.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Certificate {
     /// Serial number, unique per issuer.
@@ -50,17 +55,18 @@ pub struct Certificate {
     /// Subject alternative names. Always includes the subject; wildcard
     /// entries are allowed. The SAN list is a key input to the paper's
     /// same-entity heuristics.
-    pub san: Vec<DomainName>,
+    pub san: Box<[DomainName]>,
     /// Issuing certificate authority.
     pub issuer: CaId,
     /// Start of validity.
     pub not_before: SimTime,
     /// End of validity.
     pub not_after: SimTime,
-    /// OCSP responder endpoints (Authority Information Access).
-    pub ocsp_urls: Vec<Endpoint>,
-    /// CRL distribution points.
-    pub crl_dps: Vec<Endpoint>,
+    /// OCSP responder endpoints (Authority Information Access), shared
+    /// with the issuing CA.
+    pub ocsp_urls: Arc<[Endpoint]>,
+    /// CRL distribution points, shared with the issuing CA.
+    pub crl_dps: Arc<[Endpoint]>,
     /// Whether the certificate carries the TLS-feature/must-staple
     /// extension (RFC 7633).
     pub must_staple: bool,
@@ -95,12 +101,12 @@ mod tests {
         Certificate {
             serial: 7,
             subject: dn("example.com"),
-            san: vec![dn("example.com"), dn("*.example.com")],
+            san: [dn("example.com"), dn("*.example.com")].into(),
             issuer: CaId(0),
             not_before: SimTime(100),
             not_after: SimTime(1_000),
-            ocsp_urls: vec![Endpoint::at_root(dn("ocsp.ca-corp.com"))],
-            crl_dps: vec![Endpoint::new(dn("crl.ca-corp.com"), "/r1.crl")],
+            ocsp_urls: [Endpoint::at_root(dn("ocsp.ca-corp.com"))].into(),
+            crl_dps: [Endpoint::new(dn("crl.ca-corp.com"), "/r1.crl")].into(),
             must_staple: false,
         }
     }
@@ -132,8 +138,8 @@ mod tests {
         assert!(c.has_revocation_endpoints());
         assert_eq!(c.ocsp_urls[0].to_string(), "http://ocsp.ca-corp.com/");
         let mut bare = cert();
-        bare.ocsp_urls.clear();
-        bare.crl_dps.clear();
+        bare.ocsp_urls = Arc::new([]);
+        bare.crl_dps = Arc::new([]);
         assert!(!bare.has_revocation_endpoints());
     }
 }

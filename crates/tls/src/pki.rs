@@ -1,14 +1,14 @@
 //! The assembled PKI.
 //!
 //! [`Pki`] owns every CA, tracks issued-certificate status (good or
-//! revoked), maps responder hostnames back to the CA that operates them,
-//! and answers OCSP queries — including injected responder faults.
+//! revoked), and answers OCSP queries — including injected responder
+//! faults.
 
 use crate::ca::CertificateAuthority;
-use crate::cert::Certificate;
+use crate::cert::{Certificate, Endpoint};
 use crate::crl::Crl;
 use crate::ocsp::{CertStatus, OcspFault, OcspResponse};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use webdeps_dns::SimTime;
 use webdeps_model::{CaId, DomainName, EntityId};
 
@@ -24,8 +24,6 @@ pub struct Pki {
     cas: Vec<CertificateAuthority>,
     /// (issuer, serial) → status.
     status: BTreeMap<(CaId, u64), CertStatus>,
-    /// Responder/CRL host → operating CA.
-    responder_hosts: BTreeMap<DomainName, CaId>,
     /// Per-CA injected fault.
     faults: BTreeMap<CaId, OcspFault>,
     next_serial: u64,
@@ -36,6 +34,7 @@ impl Pki {
     pub fn builder() -> PkiBuilder {
         PkiBuilder {
             pki: Pki::default(),
+            responder_hosts: BTreeSet::new(),
         }
     }
 
@@ -52,11 +51,6 @@ impl Pki {
     /// Finds a CA by display name (test/report convenience).
     pub fn ca_by_name(&self, name: &str) -> Option<&CertificateAuthority> {
         self.cas.iter().find(|ca| ca.name == name)
-    }
-
-    /// The CA operating a responder or CRL host, if any.
-    pub fn ca_for_responder(&self, host: &DomainName) -> Option<CaId> {
-        self.responder_hosts.get(host).copied()
     }
 
     /// The serial the next [`Self::issue`] call will assign. Sharded
@@ -174,10 +168,16 @@ impl Pki {
 #[derive(Debug)]
 pub struct PkiBuilder {
     pki: Pki,
+    /// Every registered responder and CRL host: no two CAs may share one.
+    responder_hosts: BTreeSet<DomainName>,
 }
 
 impl PkiBuilder {
-    /// Registers a CA; its responder and CRL hosts become routable to it.
+    /// Registers a CA. Its certificates embed one OCSP endpoint (path
+    /// `/`) per `ocsp_hosts` entry and one CRL distribution point (path
+    /// `/<name in lowercase>.crl`) per `crl_hosts` entry; both lists are
+    /// built here once and shared by every certificate the CA issues.
+    /// Panics when another CA already registered one of the hosts.
     pub fn add_ca(
         &mut self,
         name: impl Into<String>,
@@ -188,15 +188,20 @@ impl PkiBuilder {
     ) -> CaId {
         let id = CaId::from_index(self.pki.cas.len());
         for host in ocsp_hosts.iter().chain(crl_hosts.iter()) {
-            let prev = self.pki.responder_hosts.insert(host.clone(), id);
-            assert!(prev.is_none(), "responder host {host} claimed by two CAs");
+            let fresh = self.responder_hosts.insert(host.clone());
+            assert!(fresh, "responder host {host} claimed by two CAs");
         }
+        let name = name.into();
+        let crl_path = format!("/{}.crl", name.to_ascii_lowercase());
         self.pki.cas.push(CertificateAuthority {
             id,
-            name: name.into(),
             entity,
-            ocsp_hosts,
-            crl_hosts,
+            ocsp_urls: ocsp_hosts.into_iter().map(Endpoint::at_root).collect(),
+            crl_dps: crl_hosts
+                .into_iter()
+                .map(|host| Endpoint::new(host, crl_path.as_str()))
+                .collect(),
+            name,
             cert_lifetime,
         });
         id
@@ -292,11 +297,25 @@ mod tests {
     }
 
     #[test]
-    fn responder_hosts_map_back_to_ca() {
-        let (pki, ca) = pki();
-        assert_eq!(pki.ca_for_responder(&dn("ocsp.testca.com")), Some(ca));
-        assert_eq!(pki.ca_for_responder(&dn("crl.testca.com")), Some(ca));
-        assert_eq!(pki.ca_for_responder(&dn("nothing.zz")), None);
+    fn certificates_share_the_ca_endpoints() {
+        let (mut pki, ca) = pki();
+        let a = pki.issue(ca, dn("a.com"), vec![], SimTime(0), false);
+        let b = pki.issue(ca, dn("b.com"), vec![], SimTime(0), false);
+        let urls: Vec<String> = a
+            .ocsp_urls
+            .iter()
+            .chain(a.crl_dps.iter())
+            .map(|e| e.to_string())
+            .collect();
+        assert_eq!(
+            urls,
+            [
+                "http://ocsp.testca.com/",
+                "http://crl.testca.com/testca.crl"
+            ]
+        );
+        assert!(std::sync::Arc::ptr_eq(&a.ocsp_urls, &b.ocsp_urls));
+        assert!(std::sync::Arc::ptr_eq(&a.crl_dps, &pki.ca(ca).crl_dps));
         assert_eq!(pki.ca_entity(ca), EntityId(5));
         assert_eq!(pki.ca_by_name("TestCA").unwrap().id, ca);
         assert!(pki.ca_by_name("Nope").is_none());

@@ -159,16 +159,6 @@ impl RevocationChecker {
         self.policy
     }
 
-    /// Number of cached OCSP responses.
-    pub fn cache_len(&self) -> usize {
-        self.cache.len()
-    }
-
-    /// Number of cached CRLs.
-    pub fn crl_cache_len(&self) -> usize {
-        self.crl_cache.len()
-    }
-
     /// Drops all cached responses and lists.
     pub fn flush(&mut self) {
         self.cache.clear();
@@ -238,7 +228,7 @@ impl RevocationChecker {
         }
 
         // 4. Try each OCSP endpoint once.
-        for endpoint in &cert.ocsp_urls {
+        for endpoint in cert.ocsp_urls.iter() {
             if let Ok(response) = transport.fetch_ocsp(endpoint, cert.issuer, cert.serial) {
                 self.cache
                     .insert((cert.issuer, cert.serial), response.clone());
@@ -253,7 +243,7 @@ impl RevocationChecker {
                 return self.settle(crl.status_of(cert.serial), StatusSource::Crl);
             }
         }
-        for endpoint in &cert.crl_dps {
+        for endpoint in cert.crl_dps.iter() {
             if let Ok(crl) = transport.fetch_crl(endpoint, cert.issuer) {
                 let status = crl.status_of(cert.serial);
                 self.crl_cache.insert(cert.issuer, crl);
@@ -314,7 +304,10 @@ mod tests {
         let mut dead = |_: &Endpoint, _: CaId, _: u64| Err(());
         let out = checker.check(&cert, None, &mut dead, SimTime(10)).unwrap();
         assert_eq!(out, RevocationOutcome::Good(StatusSource::Cache));
-        assert_eq!(checker.cache_len(), 1);
+        // A flushed checker has nothing to answer from.
+        checker.flush();
+        let out = checker.check(&cert, None, &mut dead, SimTime(20)).unwrap();
+        assert_eq!(out, RevocationOutcome::AcceptedUnchecked);
     }
 
     #[test]
@@ -464,10 +457,11 @@ mod tests {
             .check(&cert, None, &mut transport, SimTime(0))
             .unwrap();
         assert_eq!(out, RevocationOutcome::Good(StatusSource::Crl));
-        assert_eq!(checker.crl_cache_len(), 1);
-        // …and the revoked one is caught by the same (now cached) list.
+        // …and the revoked one is caught by the same list, now cached:
+        // no transport answers any more.
+        let mut dead = |_: &Endpoint, _: CaId, _: u64| Err(());
         let err = checker
-            .check(&other, None, &mut transport, SimTime(5))
+            .check(&other, None, &mut dead, SimTime(5))
             .unwrap_err();
         assert_eq!(err, RevocationError::Revoked(StatusSource::Crl));
     }
@@ -493,15 +487,26 @@ mod tests {
         let later = SimTime(OCSP_VALIDITY_SECS + 1);
         let err = checker.check(&cert, None, &mut dead, later).unwrap_err();
         assert_eq!(err, RevocationError::StatusUnavailable);
+        // A flush drops a fresh list too.
+        let mut fresh = CrlOnly {
+            pki: &pki,
+            now: later,
+        };
+        checker.check(&cert, None, &mut fresh, later).unwrap();
+        assert_eq!(
+            checker.check(&cert, None, &mut dead, later),
+            Ok(RevocationOutcome::Good(StatusSource::Crl))
+        );
         checker.flush();
-        assert_eq!(checker.crl_cache_len(), 0);
+        let err = checker.check(&cert, None, &mut dead, later).unwrap_err();
+        assert_eq!(err, RevocationError::StatusUnavailable);
     }
 
     #[test]
     fn no_endpoints_means_no_check() {
         let (_, mut cert) = pki_with_cert(false);
-        cert.ocsp_urls.clear();
-        cert.crl_dps.clear();
+        cert.ocsp_urls = std::sync::Arc::new([]);
+        cert.crl_dps = std::sync::Arc::new([]);
         let mut dead = |_: &Endpoint, _: CaId, _: u64| panic!("no fetch expected");
         let mut checker = RevocationChecker::new(RevocationPolicy::SoftFail);
         let out = checker.check(&cert, None, &mut dead, SimTime(0)).unwrap();

@@ -450,7 +450,7 @@ mod tests {
                     certificate: std::sync::Arc::new(cert),
                     staple,
                 }),
-                page: Some(std::sync::Arc::new(Page::new())),
+                page: Some(std::sync::Arc::new(Page::default())),
                 redirect: None,
             },
         );

@@ -221,15 +221,16 @@ mod tests {
         let mut web_b = WebNetwork::builder();
         web_b.add_server(Ipv4Addr::new(192, 0, 2, 80), SITE);
         web_b.add_server(Ipv4Addr::new(203, 0, 113, 80), CDN);
-        let mut page = Page::new();
-        page.push(Resource::new(
-            Url::http(dn("img.shop.com")).with_path("logo.png"),
-            ResourceKind::Image,
-        ));
-        page.push(Resource::new(
-            Url::http(dn("shop.com")).with_path("app.js"),
-            ResourceKind::Script,
-        ));
+        let page = Page::new(vec![
+            Resource::new(
+                Url::http(dn("img.shop.com")).with_path("logo.png"),
+                ResourceKind::Image,
+            ),
+            Resource::new(
+                Url::http(dn("shop.com")).with_path("app.js"),
+                ResourceKind::Script,
+            ),
+        ]);
         web_b.set_vhost(
             dn("shop.com"),
             VirtualHost {

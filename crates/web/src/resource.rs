@@ -39,56 +39,51 @@ impl Resource {
 /// A renderable landing page: the set of objects a headless browser
 /// would fetch. The paper crawls landing pages only (its §3.5 notes this
 /// covers ~87% of the external domains all pages use).
+///
+/// The resources sit in one exact-size array. Their paths are `Arc<str>`
+/// (see [`Url`]), so pages built from one set of path strings share
+/// them instead of holding a copy per resource.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Page {
     /// Objects referenced by the document, in document order.
-    pub resources: Vec<Resource>,
+    pub resources: Box<[Resource]>,
 }
 
 impl Page {
-    /// An empty page.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds a resource.
-    pub fn push(&mut self, resource: Resource) {
-        self.resources.push(resource);
-    }
-
-    /// All distinct hostnames serving at least one object.
-    pub fn hostnames(&self) -> Vec<webdeps_model::DomainName> {
-        let mut hosts: Vec<_> = self.resources.iter().map(|r| r.url.host.clone()).collect();
-        hosts.sort();
-        hosts.dedup();
-        hosts
+    /// A page loading `resources`, in document order.
+    pub fn new(resources: Vec<Resource>) -> Self {
+        Page {
+            resources: resources.into_boxed_slice(),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::url::Url;
     use webdeps_model::name::dn;
 
     #[test]
-    fn hostnames_dedup() {
-        let mut p = Page::new();
-        p.push(Resource::new(
-            Url::https(dn("static.example.com")).with_path("a.js"),
-            ResourceKind::Script,
-        ));
-        p.push(Resource::new(
-            Url::https(dn("static.example.com")).with_path("b.css"),
-            ResourceKind::Stylesheet,
-        ));
-        p.push(Resource::new(
-            Url::https(dn("img.example.net")).with_path("c.png"),
-            ResourceKind::Image,
+    fn resources_keep_document_order_and_share_paths() {
+        let path: std::sync::Arc<str> = "/a.js".into();
+        let url = |host| Url {
+            scheme: crate::url::Scheme::Https,
+            host: dn(host),
+            path: path.clone(),
+        };
+        let p = Page::new(vec![
+            Resource::new(url("static.example.com"), ResourceKind::Script),
+            Resource::new(url("img.example.net"), ResourceKind::Image),
+        ]);
+        let hosts: Vec<&str> = p.resources.iter().map(|r| r.url.host.as_str()).collect();
+        assert_eq!(hosts, ["static.example.com", "img.example.net"]);
+        assert!(std::sync::Arc::ptr_eq(
+            &p.resources[0].url.path,
+            &p.resources[1].url.path
         ));
         assert_eq!(
-            p.hostnames(),
-            vec![dn("img.example.net"), dn("static.example.com")]
+            p.resources[1].url.to_string(),
+            "https://img.example.net/a.js"
         );
     }
 }

@@ -19,6 +19,7 @@ use crate::snapshots::{plan_snapshot, SnapshotPlan};
 use crate::truth::{GroundTruth, SiteListing, SiteTruth};
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 use webdeps_dns::record::{RecordData, ResourceRecord, Soa};
 use webdeps_dns::zone::Zone;
 use webdeps_dns::{DnsNetwork, Resolver, ServerId};
@@ -685,6 +686,7 @@ impl Builder {
                 ca_ids: &self.ca_ids,
                 provider_entities: &self.provider_entities,
                 content_hosts: &content_hosts,
+                paths: PagePaths::new(),
                 pki,
             };
             webdeps_model::par::fan_out(&shards, |&(shard_start, part)| {
@@ -692,6 +694,9 @@ impl Builder {
             })
         };
 
+        // Every shard's vhosts are planned: size the vhost table once.
+        self.web_b
+            .reserve_vhosts(shard_ops.iter().map(|ops| ops.vhosts.len()).sum());
         for (ops, expected_end) in shard_ops.into_iter().zip(boundary) {
             assert_eq!(
                 ops.end, expected_end,
@@ -885,6 +890,30 @@ struct ShardOps {
     end: SiteCursor,
 }
 
+/// The path of every resource a planned page loads, one shared string
+/// per distinct path: pages clone these instead of allocating a path
+/// per resource.
+struct PagePaths {
+    app: Arc<str>,
+    style: Arc<str>,
+    hero: Arc<str>,
+    logo: Arc<str>,
+    /// `/w0.js`, `/w1.js`, … for the external objects, by position.
+    external: [Arc<str>; 3],
+}
+
+impl PagePaths {
+    fn new() -> PagePaths {
+        PagePaths {
+            app: "/app.js".into(),
+            style: "/style.css".into(),
+            hero: "/hero.png".into(),
+            logo: "/logo.png".into(),
+            external: ["/w0.js".into(), "/w1.js".into(), "/w2.js".into()],
+        }
+    }
+}
+
 /// Read-only context a shard worker plans sites against.
 struct SitePlanner<'a> {
     rng: &'a DetRng,
@@ -894,6 +923,7 @@ struct SitePlanner<'a> {
     ca_ids: &'a BTreeMap<String, CaId>,
     provider_entities: &'a BTreeMap<String, EntityId>,
     content_hosts: &'a [DomainName],
+    paths: PagePaths,
     pki: &'a Pki,
 }
 
@@ -904,6 +934,9 @@ impl SitePlanner<'_> {
         for site in sites {
             self.plan_site(site, &mut cur, &mut ops);
         }
+        // The vhosts stay alive beside the web builder's full-size array
+        // until the shard is applied: hold them without growth slack.
+        ops.vhosts.shrink_to_fit();
         ops.end = cur;
         ops
     }
@@ -1153,7 +1186,7 @@ impl SitePlanner<'_> {
             ops.certs.push((ca_id, serial));
             let staple = site.ca.state == CaProfile::ThirdStapled || must_staple;
             Some(TlsConfig {
-                certificate: std::sync::Arc::new(cert),
+                certificate: Arc::new(cert),
                 staple,
             })
         } else {
@@ -1167,68 +1200,56 @@ impl SitePlanner<'_> {
             Scheme::Http
         };
         let doc_hosts = site.document_hosts();
-        let mut page = Page::new();
-        page.push(Resource::new(
-            Url {
-                scheme,
-                host: doc_hosts[0].clone(),
-                path: "/app.js".into(),
-            },
+        let paths = &self.paths;
+        let url = |scheme, host: DomainName, path: &Arc<str>| Url {
+            scheme,
+            host,
+            path: path.clone(),
+        };
+        let multi = site.cdn.state == CdnProfile::Multi;
+        let sibling = site
+            .conglomerate
+            .and_then(|ci| providers::CONGLOMERATES[ci].alias_domains.first());
+        let mut crng = rng.fork("content");
+        let n_ext = 1 + crng.below(3);
+        let mut resources =
+            Vec::with_capacity(2 + usize::from(multi) + usize::from(sibling.is_some()) + n_ext);
+        resources.push(Resource::new(
+            url(scheme, doc_hosts[0].clone(), &paths.app),
             ResourceKind::Script,
         ));
-        page.push(Resource::new(
-            Url {
-                scheme,
-                host: static_host.clone(),
-                path: "/style.css".into(),
-            },
+        resources.push(Resource::new(
+            url(scheme, static_host.clone(), &paths.style),
             ResourceKind::Stylesheet,
         ));
-        if site.cdn.state == CdnProfile::Multi {
+        if multi {
             // The second CDN's objects (see the on-ramp wiring above).
-            page.push(Resource::new(
-                Url {
-                    scheme,
-                    host: domain.child("img").expect("valid"),
-                    path: "/hero.png".into(),
-                },
+            resources.push(Resource::new(
+                url(scheme, domain.child("img").expect("valid"), &paths.hero),
                 ResourceKind::Image,
             ));
         }
-        if let Some(ci) = site.conglomerate {
-            let spec = &providers::CONGLOMERATES[ci];
-            if let Some(alias) = spec.alias_domains.first() {
-                // Internal resource on a sibling brand domain (the
-                // yimg/yahoo heuristic case).
-                page.push(Resource::new(
-                    Url {
-                        scheme,
-                        host: dn(alias).child("img").expect("valid"),
-                        path: "/logo.png".into(),
-                    },
-                    ResourceKind::Image,
-                ));
-            }
+        if let Some(alias) = sibling {
+            // Internal resource on a sibling brand domain (the
+            // yimg/yahoo heuristic case).
+            resources.push(Resource::new(
+                url(scheme, dn(alias).child("img").expect("valid"), &paths.logo),
+                ResourceKind::Image,
+            ));
         }
-        let mut crng = rng.fork("content");
-        let n_ext = 1 + crng.below(3);
-        for k in 0..n_ext {
+        for (k, path) in paths.external.iter().enumerate().take(n_ext) {
             let host = &self.content_hosts
                 [(crng.below(self.content_hosts.len()) + k) % self.content_hosts.len()];
             // External objects load over HTTP in this model so content
             // hosts need no certificates; the paper's pipeline only
             // needs their hostnames and CNAME chains.
-            page.push(Resource::new(
-                Url {
-                    scheme: Scheme::Http,
-                    host: host.clone(),
-                    path: format!("/w{k}.js").into(),
-                },
+            resources.push(Resource::new(
+                url(Scheme::Http, host.clone(), path),
                 ResourceKind::Script,
             ));
         }
 
-        let page = std::sync::Arc::new(page);
+        let page = Arc::new(Page::new(resources));
         for host in &doc_hosts {
             ops.vhosts.push((
                 host.clone(),
@@ -1259,7 +1280,7 @@ impl SitePlanner<'_> {
                 redirect: None,
             },
         ));
-        if site.cdn.state == CdnProfile::Multi {
+        if multi {
             ops.vhosts.push((
                 domain.child("img").expect("valid"),
                 VirtualHost {
@@ -1269,23 +1290,20 @@ impl SitePlanner<'_> {
                 },
             ));
         }
-        if let Some(ci) = site.conglomerate {
-            let spec = &providers::CONGLOMERATES[ci];
-            if let Some(alias) = spec.alias_domains.first() {
-                let img = dn(alias).child("img").expect("valid");
-                ops.vhosts.push((
-                    img.clone(),
-                    VirtualHost {
-                        tls: tls.clone(),
-                        page: None,
-                        redirect: None,
-                    },
-                ));
-                // Resolvable target for the sibling-brand host — the
-                // merge adds it first-writer-wins, like the serial
-                // generator's NXDOMAIN-guarded insert did.
-                ops.guarded_img.push((dn(alias), img, origin_ip));
-            }
+        if let Some(alias) = sibling {
+            let img = dn(alias).child("img").expect("valid");
+            ops.vhosts.push((
+                img.clone(),
+                VirtualHost {
+                    tls: tls.clone(),
+                    page: None,
+                    redirect: None,
+                },
+            ));
+            // Resolvable target for the sibling-brand host — the merge
+            // adds it first-writer-wins, like the serial generator's
+            // NXDOMAIN-guarded insert did.
+            ops.guarded_img.push((dn(alias), img, origin_ip));
         }
     }
 }
