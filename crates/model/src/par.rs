@@ -110,11 +110,11 @@ where
                 s.spawn(move || fr(part))
             })
             .collect();
-        let mut merged = Vec::with_capacity(items.len());
+        let mut parts = Vec::with_capacity(handles.len());
         let mut panicked = None;
         for h in handles {
             match h.join() {
-                Ok(part) => merged.extend(part),
+                Ok(part) => parts.push(part),
                 // Handles are joined in chunk order; keep the first
                 // payload so later panics cannot mask the one a serial
                 // run would have surfaced.
@@ -127,6 +127,12 @@ where
         }
         if let Some(payload) = panicked {
             std::panic::resume_unwind(payload);
+        }
+        // Sized for what the chunks returned, which may be far fewer
+        // results than items (one aggregate per chunk).
+        let mut merged = Vec::with_capacity(parts.iter().map(Vec::len).sum());
+        for part in parts {
+            merged.extend(part);
         }
         merged
     })
@@ -456,6 +462,22 @@ mod tests {
                 chunked_across(jobs, &items, |part| vec![part.iter().copied().sum::<u64>()]);
             assert!(partials.len() <= jobs.max(1));
             assert_eq!(partials.iter().sum::<u64>(), 5_050, "jobs={jobs}");
+        }
+    }
+
+    #[test]
+    fn merged_results_are_sized_for_what_the_chunks_return() {
+        let items: Vec<u32> = (0..10_000).collect();
+        for jobs in [2, 4] {
+            let partials = chunked_across(jobs, &items, |part| vec![part.len()]);
+            assert_eq!(partials.len(), jobs);
+            assert_eq!(partials.iter().sum::<usize>(), items.len());
+            assert!(
+                partials.capacity() <= 2 * partials.len(),
+                "jobs={jobs}: capacity {} for {} results",
+                partials.capacity(),
+                partials.len()
+            );
         }
     }
 

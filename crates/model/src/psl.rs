@@ -9,9 +9,25 @@
 //! everything the synthetic world generates.
 
 use crate::name::DomainName;
-use std::collections::BTreeSet;
+use crate::name_table::NameTable;
 
-/// Rule set with public-suffix semantics.
+/// An exact suffix rule, e.g. `co.uk`.
+const RULE: u8 = 1;
+/// The base of a wildcard rule, e.g. `ck` for `*.ck`.
+const WILDCARD: u8 = 2;
+/// An exception rule, e.g. `www.ck` for `!www.ck`.
+const EXCEPTION: u8 = 4;
+
+/// Rule set with public-suffix semantics, compiled into one suffix
+/// table.
+///
+/// Every rule, wildcard base and exception is an entry carrying its
+/// kinds as flags, and so is every suffix of one (with no flag when it
+/// is not a rule itself), so a lookup walks a name's suffixes from the
+/// right and stops at the first the table lacks: at most three
+/// lookups for the built-in snapshot, whose deepest entries have two
+/// labels. The table is indexed by the shared FNV-1a [`NameTable`] and
+/// nothing is allocated per lookup.
 ///
 /// ```
 /// use webdeps_model::{DomainName, PublicSuffixList};
@@ -21,18 +37,16 @@ use std::collections::BTreeSet;
 /// ```
 #[derive(Debug, Clone)]
 pub struct PublicSuffixList {
-    /// Exact suffix rules, e.g. `com`, `co.uk`.
-    rules: BTreeSet<String>,
-    /// Wildcard rules stored by their base, e.g. `ck` for `*.ck`.
-    wildcards: BTreeSet<String>,
-    /// Exception rules, e.g. `www.ck` for `!www.ck`.
-    exceptions: BTreeSet<String>,
+    /// Each suffix once, with its `RULE`/`WILDCARD`/`EXCEPTION` flags.
+    entries: Box<[(Box<str>, u8)]>,
+    /// `entries` by suffix text.
+    index: NameTable,
 }
 
 /// The built-in suffix snapshot. A subset of the Mozilla list: all
 /// generic TLDs the synthetic world uses plus representative
 /// country-code second-level suffixes.
-const BUILTIN_RULES: &[&str] = &[
+pub const BUILTIN_RULES: &[&str] = &[
     "com", "net", "org", "edu", "gov", "mil", "int", "io", "co", "ai", "app", "dev", "cloud",
     "info", "biz", "us", "uk", "co.uk", "org.uk", "ac.uk", "gov.uk", "de", "fr", "nl", "ru", "cn",
     "com.cn", "net.cn", "org.cn", "jp", "co.jp", "ne.jp", "or.jp", "kr", "co.kr", "in", "co.in",
@@ -43,86 +57,94 @@ const BUILTIN_RULES: &[&str] = &[
 
 /// Built-in wildcard rules (`*.<base>`): every label directly under the
 /// base is a public suffix.
-const BUILTIN_WILDCARDS: &[&str] = &["ck", "bd"];
+pub const BUILTIN_WILDCARDS: &[&str] = &["ck", "bd"];
 
 /// Built-in exception rules (`!<name>`): these names are registrable even
 /// though a wildcard rule would otherwise make them suffixes.
-const BUILTIN_EXCEPTIONS: &[&str] = &["www.ck"];
+pub const BUILTIN_EXCEPTIONS: &[&str] = &["www.ck"];
+
+/// Byte offsets at which `s`'s suffixes start, shortest first: for
+/// `a.co.uk`, those of `uk`, `co.uk` and `a.co.uk`.
+fn suffix_starts(s: &str) -> impl Iterator<Item = usize> + '_ {
+    let mut start = s.len();
+    std::iter::from_fn(move || {
+        (start > 0).then(|| {
+            start = s[..start - 1].rfind('.').map_or(0, |dot| dot + 1);
+            start
+        })
+    })
+}
 
 impl PublicSuffixList {
     /// Builds the built-in snapshot.
     pub fn builtin() -> Self {
-        Self::from_rules(
-            BUILTIN_RULES.iter().copied(),
-            BUILTIN_WILDCARDS.iter().copied(),
-            BUILTIN_EXCEPTIONS.iter().copied(),
-        )
+        Self::from_rules(BUILTIN_RULES, BUILTIN_WILDCARDS, BUILTIN_EXCEPTIONS)
     }
 
-    /// Builds a list from explicit rules (used by tests and by callers who
-    /// want to extend the snapshot).
-    pub fn from_rules<'a>(
-        rules: impl IntoIterator<Item = &'a str>,
-        wildcards: impl IntoIterator<Item = &'a str>,
-        exceptions: impl IntoIterator<Item = &'a str>,
-    ) -> Self {
+    /// Compiles explicit rules into the suffix table.
+    fn from_rules(rules: &[&str], wildcards: &[&str], exceptions: &[&str]) -> Self {
+        let mut entries: Vec<(Box<str>, u8)> = Vec::new();
+        let mut index = NameTable::default();
+        for (names, flag) in [
+            (rules, RULE),
+            (wildcards, WILDCARD),
+            (exceptions, EXCEPTION),
+        ] {
+            for name in names {
+                for start in suffix_starts(name) {
+                    let suffix = &name[start..];
+                    let id = match index.get(suffix, |id| &entries[id as usize].0) {
+                        Some(id) => id as usize,
+                        None => {
+                            index.insert(suffix, entries.len() as u32);
+                            entries.push((suffix.into(), 0));
+                            entries.len() - 1
+                        }
+                    };
+                    if start == 0 {
+                        entries[id].1 |= flag;
+                    }
+                }
+            }
+        }
         PublicSuffixList {
-            rules: rules.into_iter().map(str::to_string).collect(),
-            wildcards: wildcards.into_iter().map(str::to_string).collect(),
-            exceptions: exceptions.into_iter().map(str::to_string).collect(),
+            entries: entries.into_boxed_slice(),
+            index,
         }
     }
 
-    /// Adds an exact suffix rule.
-    pub fn add_rule(&mut self, suffix: &str) {
-        self.rules.insert(suffix.to_ascii_lowercase());
-    }
-
-    /// Length in labels of the public suffix of `name`, or 0 when no rule
-    /// matches (per the PSL algorithm the prevailing rule is then `*`,
-    /// i.e. the last label is treated as the suffix).
-    ///
-    /// Allocation-free: the name is stored dot-joined and lowercase, so
-    /// every candidate suffix is a contiguous byte slice looked up
-    /// directly in the rule sets (this runs once per hostname per
-    /// classification — a first-order cost at the million-site scale).
+    /// Length in labels of the public suffix of `name`: an exception
+    /// wins (its name is registrable, so the suffix is one label
+    /// shorter), then the longest rule, where a wildcard matches one
+    /// label deeper than its base; with no match the prevailing rule is
+    /// `*`, the last label.
     fn suffix_label_count(&self, name: &DomainName) -> usize {
         let s = name.as_str();
-        let total = s.bytes().filter(|&b| b == b'.').count() + 1;
-        let mut best = 0usize;
-        let mut start = 0usize;
-        for idx in 0..total {
-            let candidate = &s[start..];
-            let len = total - idx;
-            if self.exceptions.contains(candidate) {
-                // Exception rule: the matched name itself is registrable,
-                // so its suffix is one label shorter.
-                return len - 1;
-            }
-            if len > best && self.rules.contains(candidate) {
-                best = len;
-            }
-            // Wildcard `*.base` matches names with exactly one label more
-            // than the base.
-            let Some(dot) = candidate.find('.') else {
+        let (mut best, mut exception) = (0, 0);
+        for (depth, start) in suffix_starts(s).enumerate() {
+            let labels = depth + 1;
+            let Some(id) = self
+                .index
+                .get(&s[start..], |id| &self.entries[id as usize].0)
+            else {
                 break;
             };
-            start += dot + 1;
-            if len > best && self.wildcards.contains(&s[start..]) {
-                best = len;
+            let flags = self.entries[id as usize].1;
+            if flags & EXCEPTION != 0 {
+                exception = labels;
+            }
+            if flags & RULE != 0 {
+                best = best.max(labels);
+            }
+            if flags & WILDCARD != 0 && start > 0 {
+                best = best.max(labels + 1);
             }
         }
-        if best == 0 {
-            1 // default rule "*"
-        } else {
-            best
+        match (exception, best) {
+            (0, 0) => 1,
+            (0, best) => best,
+            (exception, _) => exception - 1,
         }
-    }
-
-    /// The effective TLD (public suffix) of `name`, e.g. `co.uk` for
-    /// `example.co.uk`.
-    pub fn effective_tld(&self, name: &DomainName) -> DomainName {
-        name.suffix(self.suffix_label_count(name))
     }
 
     /// The registrable domain (public suffix plus one label), or `None`
@@ -130,25 +152,17 @@ impl PublicSuffixList {
     /// "TLD" in its TLD-matching heuristic: two hostnames belong to the
     /// same registrant when their registrable domains are equal.
     pub fn registrable_domain(&self, name: &DomainName) -> Option<DomainName> {
-        let suffix_len = self.suffix_label_count(name);
-        let total = name.label_count();
-        if total <= suffix_len {
-            None
-        } else {
-            Some(name.suffix(suffix_len + 1))
-        }
+        let labels = self.registrable_str(name)?.split('.').count();
+        Some(name.suffix(labels))
     }
 
     /// Borrowed variant of [`Self::registrable_domain`] for hot paths
     /// that only compare or hash the result: the registrable domain is
     /// always a suffix slice of the (normalized) input name.
     pub fn registrable_str<'a>(&self, name: &'a DomainName) -> Option<&'a str> {
-        let suffix_len = self.suffix_label_count(name);
-        if name.label_count() <= suffix_len {
-            None
-        } else {
-            Some(name.suffix_str(suffix_len + 1))
-        }
+        let s = name.as_str();
+        let start = suffix_starts(s).nth(self.suffix_label_count(name))?;
+        Some(&s[start..])
     }
 
     /// Whether two hostnames share a registrable domain. Names that are
@@ -172,58 +186,57 @@ mod tests {
     use super::*;
     use crate::name::dn;
 
+    /// The registrable domain, owned and borrowed, as text.
+    fn reg(psl: &PublicSuffixList, name: &str) -> Option<String> {
+        let n = dn(name);
+        let owned = psl.registrable_domain(&n).map(|d| d.as_str().to_string());
+        assert_eq!(psl.registrable_str(&n), owned.as_deref(), "{name}");
+        owned
+    }
+
     #[test]
     fn simple_gtld() {
         let psl = PublicSuffixList::builtin();
-        assert_eq!(psl.effective_tld(&dn("www.example.com")), dn("com"));
-        assert_eq!(
-            psl.registrable_domain(&dn("www.example.com")).unwrap(),
-            dn("example.com")
-        );
+        assert_eq!(reg(&psl, "www.example.com").as_deref(), Some("example.com"));
+        assert_eq!(reg(&psl, "example.com").as_deref(), Some("example.com"));
     }
 
     #[test]
     fn multi_label_suffix() {
         let psl = PublicSuffixList::builtin();
-        assert_eq!(psl.effective_tld(&dn("a.b.example.co.uk")), dn("co.uk"));
         assert_eq!(
-            psl.registrable_domain(&dn("a.b.example.co.uk")).unwrap(),
-            dn("example.co.uk")
+            reg(&psl, "a.b.example.co.uk").as_deref(),
+            Some("example.co.uk")
         );
+        assert_eq!(reg(&psl, "example.uk").as_deref(), Some("example.uk"));
     }
 
     #[test]
     fn bare_suffix_has_no_registrable_domain() {
         let psl = PublicSuffixList::builtin();
-        assert_eq!(psl.registrable_domain(&dn("co.uk")), None);
-        assert_eq!(psl.registrable_domain(&dn("com")), None);
+        for bare in ["co.uk", "com", "uk", "foo.ck"] {
+            assert_eq!(reg(&psl, bare), None, "{bare}");
+        }
     }
 
     #[test]
     fn unknown_tld_falls_back_to_last_label() {
         let psl = PublicSuffixList::builtin();
-        assert_eq!(psl.effective_tld(&dn("example.zz")), dn("zz"));
-        assert_eq!(
-            psl.registrable_domain(&dn("www.example.zz")).unwrap(),
-            dn("example.zz")
-        );
+        assert_eq!(reg(&psl, "zz"), None);
+        assert_eq!(reg(&psl, "example.zz").as_deref(), Some("example.zz"));
+        assert_eq!(reg(&psl, "www.example.zz").as_deref(), Some("example.zz"));
     }
 
     #[test]
     fn wildcard_and_exception_rules() {
         let psl = PublicSuffixList::builtin();
         // `*.ck` makes `anything.ck` a suffix…
-        assert_eq!(psl.effective_tld(&dn("shop.foo.ck")), dn("foo.ck"));
-        assert_eq!(
-            psl.registrable_domain(&dn("shop.foo.ck")).unwrap(),
-            dn("shop.foo.ck")
-        );
+        assert_eq!(reg(&psl, "shop.foo.ck").as_deref(), Some("shop.foo.ck"));
+        assert_eq!(reg(&psl, "a.shop.foo.ck").as_deref(), Some("shop.foo.ck"));
         // …except `www.ck`, which is registrable.
-        assert_eq!(psl.registrable_domain(&dn("www.ck")).unwrap(), dn("www.ck"));
-        assert_eq!(
-            psl.registrable_domain(&dn("a.www.ck")).unwrap(),
-            dn("www.ck")
-        );
+        assert_eq!(reg(&psl, "www.ck").as_deref(), Some("www.ck"));
+        assert_eq!(reg(&psl, "a.www.ck").as_deref(), Some("www.ck"));
+        assert_eq!(reg(&psl, "ck"), None);
     }
 
     #[test]
@@ -235,37 +248,36 @@ mod tests {
     }
 
     #[test]
-    fn registrable_str_matches_owned_variant() {
-        let psl = PublicSuffixList::builtin();
-        for name in [
-            "www.example.com",
-            "a.b.example.co.uk",
-            "co.uk",
-            "com",
-            "shop.foo.ck",
-            "www.ck",
-            "a.www.ck",
-            "example.zz",
-        ] {
-            let n = dn(name);
-            assert_eq!(
-                psl.registrable_str(&n),
-                psl.registrable_domain(&n)
-                    .as_ref()
-                    .map(|d| d.as_str().to_string())
-                    .as_deref(),
-                "mismatch for {name}"
-            );
-        }
+    fn extra_rules_extend_the_snapshot() {
+        let mut rules = BUILTIN_RULES.to_vec();
+        rules.push("fancy.zz");
+        let psl = PublicSuffixList::from_rules(&rules, BUILTIN_WILDCARDS, BUILTIN_EXCEPTIONS);
+        assert_eq!(reg(&psl, "x.fancy.zz").as_deref(), Some("x.fancy.zz"));
+        assert_eq!(reg(&psl, "fancy.zz"), None);
+        assert_eq!(
+            reg(&PublicSuffixList::builtin(), "x.fancy.zz").as_deref(),
+            Some("fancy.zz")
+        );
     }
 
     #[test]
-    fn add_rule_extends_list() {
-        let mut psl = PublicSuffixList::builtin();
-        psl.add_rule("fancy.zz");
-        assert_eq!(
-            psl.registrable_domain(&dn("x.fancy.zz")).unwrap(),
-            dn("x.fancy.zz")
-        );
+    fn compiled_table_is_suffix_closed_and_two_labels_deep() {
+        let psl = PublicSuffixList::builtin();
+        for (suffix, _) in psl.entries.iter() {
+            assert!(suffix.split('.').count() <= 2, "{suffix}");
+            for start in suffix_starts(suffix) {
+                let part = &suffix[start..];
+                assert!(
+                    psl.index
+                        .get(part, |id| &psl.entries[id as usize].0)
+                        .is_some(),
+                    "{part} of {suffix} missing"
+                );
+            }
+        }
+        let flagged = |flag: u8| psl.entries.iter().filter(|e| e.1 & flag != 0).count();
+        assert_eq!(flagged(RULE), BUILTIN_RULES.len());
+        assert_eq!(flagged(WILDCARD), BUILTIN_WILDCARDS.len());
+        assert_eq!(flagged(EXCEPTION), BUILTIN_EXCEPTIONS.len());
     }
 }

@@ -8,6 +8,12 @@
 //! costs one relaxed atomic load per phase when off, so the
 //! instrumentation can stay in the production code path.
 //!
+//! Beside the phase times the sink keeps work counters ([`add_count`]):
+//! integer totals a phase reports about itself (e.g. DNS queries sent),
+//! summed per label and drained apart from the times by
+//! [`drain_counts`], so a reader of [`drain`] never mistakes a count
+//! for a duration.
+//!
 //! Determinism: timing never feeds back into generation or measurement
 //! — the sink is observe-only, and labels aggregate in first-seen
 //! order so drained reports are stable run to run.
@@ -18,6 +24,8 @@ use std::time::{Duration, Instant};
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 static SINK: Mutex<Vec<(&'static str, Duration)>> = Mutex::new(Vec::new());
+/// Work counters, one summed entry per label in first-seen order.
+static COUNTS: Mutex<Vec<(&'static str, u64)>> = Mutex::new(Vec::new());
 
 /// One aggregated phase measurement.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -60,6 +68,32 @@ pub fn scope(label: &'static str) -> PhaseScope {
 pub fn time<T>(label: &'static str, f: impl FnOnce() -> T) -> T {
     let _scope = scope(label);
     f()
+}
+
+/// Adds `n` to the work counter `label` when recording is on (a no-op
+/// otherwise). Counters are summed per label, so the sink holds one
+/// entry per label however often a phase reports.
+pub fn add_count(label: &'static str, n: u64) {
+    if !is_enabled() {
+        return;
+    }
+    let mut counts = match COUNTS.lock() {
+        Ok(counts) => counts,
+        Err(poisoned) => poisoned.into_inner(),
+    };
+    match counts.iter_mut().find(|(l, _)| *l == label) {
+        Some((_, total)) => *total += n,
+        None => counts.push((label, n)),
+    }
+}
+
+/// Drains the work counters recorded so far, `(label, total)` in
+/// first-seen order, and resets them.
+pub fn drain_counts() -> Vec<(&'static str, u64)> {
+    match COUNTS.lock() {
+        Ok(mut counts) => std::mem::take(&mut *counts),
+        Err(poisoned) => std::mem::take(&mut *poisoned.into_inner()),
+    }
 }
 
 /// Drains all samples recorded so far, aggregated by label in
@@ -149,5 +183,25 @@ mod tests {
         assert_eq!(samples[1].label, "b");
         assert_eq!(samples[1].count, 1);
         assert!(drain().is_empty(), "drain resets the sink");
+    }
+
+    #[test]
+    fn counters_sum_per_label_apart_from_phase_times() {
+        let _l = locked();
+        disable();
+        let _ = (drain(), drain_counts());
+        add_count("off", 5);
+        assert!(
+            drain_counts().is_empty(),
+            "disabled counters record nothing"
+        );
+        enable();
+        add_count("q", 3);
+        add_count("h", 1);
+        add_count("q", 4);
+        disable();
+        assert_eq!(drain_counts(), vec![("q", 7), ("h", 1)]);
+        assert!(drain().is_empty(), "counters never reach the phase times");
+        assert!(drain_counts().is_empty(), "drain_counts resets them");
     }
 }

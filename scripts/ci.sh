@@ -102,14 +102,19 @@ ls -l target/BENCH_analysis.json target/BENCH_pipeline.json \
     target/BENCH_measure_world.json target/BENCH_lint.json target/BENCH_serve.json \
     target/BENCH_chaos.json target/BENCH_experiments.json target/BENCH_substrate.json
 
-echo "== per-phase, DNS-store and web-plane metrics present in BENCH_measure_world.json =="
+echo "== per-phase, resolver-work, DNS-store, web-plane and measurement-peak metrics present in BENCH_measure_world.json =="
 # The measure_world target must report where generate+measure time goes
-# (timing::scope instrumentation drained through record_metric) and how
-# many bytes per site the world's DNS store and web plane hold; a
-# missing metric means the observability layer regressed. The B/site
-# arena, core, DNS and web budget asserts run inside the bench binary
+# (timing::scope instrumentation drained through record_metric), how
+# much resolver work each measurement pass does (with the worker count
+# it depends on), how many bytes per site the world's DNS store and web
+# plane hold, and measurement's transient heap peak; a missing metric
+# means the observability layer regressed. The B/site arena, core, DNS,
+# web and measurement-peak budget asserts run inside the bench binary
 # itself.
-for phase in gen/plan gen/sites measure/observe measure/classify measure/assemble measure/interservice dns_bytes_per_site web_bytes_per_site; do
+for phase in gen/plan gen/sites measure/observe measure/classify measure/assemble measure/interservice \
+    measure/workers measure/observe/queries_per_site measure/observe/cache_hit_ratio \
+    measure/classify/queries_per_site measure/classify/cache_hit_ratio \
+    dns_bytes_per_site web_bytes_per_site measure_peak_bytes_per_site; do
     if ! grep -q "\"name\":\"$phase\"" target/BENCH_measure_world.json; then
         echo "error: metric '$phase' missing from BENCH_measure_world.json" >&2
         exit 1

@@ -164,7 +164,7 @@ fn full_observation(
         .iter()
         .map(|l| dns::observe_site(resolver, &l.domain))
         .collect();
-    let concentration = dns::ns_concentration(&observations, &world.psl, &mut ClassifyCache::new());
+    let concentration = dns::ns_concentration(&observations, &world.psl);
     (observations, concentration)
 }
 
