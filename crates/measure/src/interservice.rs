@@ -84,7 +84,7 @@ pub fn measure_dns_dep(
     concentration: &HashMap<DomainName, usize>,
     threshold: usize,
     psl: &PublicSuffixList,
-    cache: &mut ClassifyCache,
+    cache: &ClassifyCache,
 ) -> Option<InterServiceDep> {
     let apex = zone_apex_of(resolver, rep_host)?;
     let obs = dns::observe_site(resolver, &apex)?;
@@ -102,7 +102,7 @@ pub fn measure_cdn_dep(
     responder_hosts: &[DomainName],
     cname_map: &CnameToCdnMap,
     psl: &PublicSuffixList,
-    cache: &mut ClassifyCache,
+    cache: &ClassifyCache,
 ) -> Option<InterServiceDep> {
     let site_soa = Dig::new(resolver).soa_of(ca_domain).ok();
     let mut third: Vec<ProviderKey> = Vec::new();
@@ -151,7 +151,6 @@ pub fn measure_cdn_dep(
 
 /// Probes every observed provider. `cdn_reps` maps CDN keys to a
 /// witness edge host; `ca_reps` maps CA keys to (responder hosts).
-/// One memo serves every probe of the call.
 pub fn measure_providers(
     resolver: &mut Resolver<'_>,
     cdn_reps: &HashMap<ProviderKey, (DomainName, usize)>,
@@ -162,12 +161,12 @@ pub fn measure_providers(
     cname_map: &CnameToCdnMap,
     psl: &PublicSuffixList,
 ) -> Vec<ProviderMeasurement> {
-    let mut cache = ClassifyCache::new();
+    let cache = ClassifyCache::new();
     let mut out = Vec::new();
     let mut cdns: Vec<_> = cdn_reps.iter().collect();
     cdns.sort_by(|a, b| a.0.cmp(b.0));
     for (key, (witness, count)) in cdns {
-        let dns_dep = measure_dns_dep(resolver, witness, concentration, threshold, psl, &mut cache);
+        let dns_dep = measure_dns_dep(resolver, witness, concentration, threshold, psl, &cache);
         out.push(ProviderMeasurement {
             key: key.clone(),
             kind: ServiceKind::Cdn,
@@ -190,13 +189,10 @@ pub fn measure_providers(
         else {
             continue;
         };
-        let ca_domain = zone_apex_of(resolver, &rep).unwrap_or_else(|| {
-            cache
-                .registrable_domain(&rep, psl)
-                .unwrap_or_else(|| rep.clone())
-        });
-        let dns_dep = measure_dns_dep(resolver, &rep, concentration, threshold, psl, &mut cache);
-        let cdn_dep = measure_cdn_dep(resolver, &ca_domain, responders, cname_map, psl, &mut cache);
+        let ca_domain = zone_apex_of(resolver, &rep)
+            .unwrap_or_else(|| psl.registrable_domain(&rep).unwrap_or_else(|| rep.clone()));
+        let dns_dep = measure_dns_dep(resolver, &rep, concentration, threshold, psl, &cache);
+        let cdn_dep = measure_cdn_dep(resolver, &ca_domain, responders, cname_map, psl, &cache);
         out.push(ProviderMeasurement {
             key: key.clone(),
             kind: ServiceKind::Ca,
@@ -257,7 +253,7 @@ mod tests {
             &conc,
             5,
             &world.psl,
-            &mut ClassifyCache::new(),
+            &ClassifyCache::new(),
         )
         .expect("DigiCert zone is characterizable");
         assert!(dep.uses_third && dep.critical, "dep: {dep:?}");
@@ -276,7 +272,7 @@ mod tests {
             &responders,
             &world.cname_map,
             &world.psl,
-            &mut ClassifyCache::new(),
+            &ClassifyCache::new(),
         )
         .expect("DigiCert responders ride a CDN");
         assert!(dep.uses_third && dep.critical);
@@ -296,7 +292,7 @@ mod tests {
             &conc,
             5,
             &world.psl,
-            &mut ClassifyCache::new(),
+            &ClassifyCache::new(),
         )
         .expect("Akamai zone is characterizable");
         assert!(!dep.uses_third, "dep: {dep:?}");
@@ -309,7 +305,7 @@ mod tests {
             &responders,
             &world.cname_map,
             &world.psl,
-            &mut ClassifyCache::new(),
+            &ClassifyCache::new(),
         );
         assert!(dep.is_none(), "Amazon Trust serves responders directly");
     }
@@ -326,7 +322,7 @@ mod tests {
             &conc,
             5,
             &world.psl,
-            &mut ClassifyCache::new(),
+            &ClassifyCache::new(),
         )
         .expect("Fastly zone is characterizable");
         assert!(dep.uses_third, "Fastly uses Dyn");
