@@ -1,5 +1,5 @@
 //! Analysis-layer benchmarks: the three classification strategies
-//! through the memoized classifier, the paper's nameserver grouping,
+//! through the §3 classifier, the paper's nameserver grouping,
 //! rankings and per-site counts over the reach index (each entry
 //! includes the index build), graph construction, and coverage CDFs.
 
@@ -8,7 +8,7 @@ use webdeps_bench::bench_workspace;
 use webdeps_bench::harness::Harness;
 use webdeps_core::{coverage_curve, DepGraph, MetricOptions, ReachIndex};
 use webdeps_dns::Soa;
-use webdeps_measure::classify::{ClassifierKind, ClassifyCache, Evidence};
+use webdeps_measure::classify::{classify, ClassifierKind, Evidence};
 use webdeps_model::name::dn;
 use webdeps_model::{PublicSuffixList, ServiceKind};
 
@@ -34,7 +34,6 @@ fn heuristic_ablation(h: &mut Harness) {
         group.bench_function(
             format!("classify_{}", kind.label().replace(' ', "_")),
             |b| {
-                let cache = ClassifyCache::new();
                 let mut i = 0usize;
                 b.iter(|| {
                     let candidate = &candidates[i % candidates.len()];
@@ -48,7 +47,7 @@ fn heuristic_ablation(h: &mut Harness) {
                         concentration: Some(120),
                         threshold: 50,
                     };
-                    black_box(cache.classify(kind, &ev, &psl));
+                    black_box(classify(kind, &ev, &psl));
                 });
             },
         );
@@ -97,7 +96,6 @@ fn nameserver_grouping(h: &mut Harness) {
     };
     let mut group = h.benchmark_group("analysis/grouping");
     group.bench_function("tld_and_soa", |b| {
-        let cache = ClassifyCache::new();
         b.iter(|| {
             black_box(classify_site(
                 black_box(&obs),
@@ -105,7 +103,6 @@ fn nameserver_grouping(h: &mut Harness) {
                 &|_| 0,
                 50,
                 &psl,
-                &cache,
                 &mut |_, _| {},
             ))
         });

@@ -65,7 +65,7 @@
 use crate::config::Config;
 use crate::diag::{Suppressed, Violation};
 use crate::interproc::{
-    sccs, CallGraph, CallRef, FnSummary, InterprocAllow, Resolver, NON_CALLEES,
+    justify, sccs, CallGraph, CallRef, Findings, FnSummary, InterprocAllow, NON_CALLEES,
 };
 use crate::lexer::{Tok, TokKind};
 use crate::parser::{Block, FnItem, StmtKind};
@@ -187,34 +187,9 @@ pub struct ConcFacet {
     pub atomics: Vec<(String, String, u32)>,
 }
 
-impl ConcFacet {
-    /// Whether the facet carries any information worth caching.
-    pub fn is_empty(&self) -> bool {
-        self.regions.is_empty()
-            && self.acquires.is_empty()
-            && self.returns_guard.is_none()
-            && self.blocking.is_empty()
-            && self.atomics.is_empty()
-    }
-}
-
-/// Whether a concurrency site at `line` is justified by a central
-/// allow naming `rule`. Concurrency rules have no distinct per-file
-/// base rule, so — unlike the hazard rules' two-level lookup — only
-/// the central allow list is consulted, and a match is marked used.
-fn conc_justified(allows: &mut [InterprocAllow], line: u32, rule: &str) -> bool {
-    for a in allows.iter_mut() {
-        if a.rules.iter().any(|r| r == rule) && a.covers.0 <= line && line <= a.covers.1 {
-            a.used = true;
-            return true;
-        }
-    }
-    false
-}
-
 /// Extracts the concurrency facet for one fn body into `s.conc`.
-/// Called from [`crate::interproc::extract`] after the hazard scan, so
-/// it shares the test-line and suppression context.
+/// Called from [`crate::interproc::extract`], so it shares the
+/// test-line and directive context.
 pub(crate) fn scan_fn(
     ctx: &FileCtx,
     func: &FnItem,
@@ -268,7 +243,7 @@ fn scan_events(
         if prev_dot && empty_parens {
             if let Some(&(_, op)) = GUARD_METHODS.iter().find(|(m, _)| t.is_ident(m)) {
                 if let Some(lock) = lock_identity(code, start, i - 1, func, s) {
-                    if !conc_justified(allows, t.line, "lock-order-cycle") {
+                    if justify(&mut *allows, "lock-order-cycle", t.line).is_none() {
                         acqs.entry((lock, op)).or_insert(t.line);
                     }
                 }
@@ -276,7 +251,7 @@ fn scan_events(
             }
         }
         if let Some(desc) = blocking_desc(code, start, i) {
-            if !conc_justified(allows, t.line, "blocking-while-locked") {
+            if justify(&mut *allows, "blocking-while-locked", t.line).is_none() {
                 blks.insert((t.line, desc));
             }
             continue;
@@ -286,7 +261,7 @@ fn scan_events(
                 continue;
             };
             for ord in call_orderings(code, i + 1, end) {
-                if !conc_justified(allows, t.line, "atomic-ordering-mixed") {
+                if justify(&mut *allows, "atomic-ordering-mixed", t.line).is_none() {
                     atoms.entry((field.clone(), ord)).or_insert(t.line);
                 }
             }
@@ -418,7 +393,7 @@ fn scan_region(
                 // as a call would resolve `read`/`write`/`lock` against
                 // unrelated workspace methods of the same name.
                 if let Some(lock) = lock_identity(code, lo, i - 1, func, s) {
-                    if !conc_justified(allows, t.line, "lock-order-cycle") {
+                    if justify(&mut *allows, "lock-order-cycle", t.line).is_none() {
                         region.acquires.push((lock, t.line, op));
                     }
                 }
@@ -426,33 +401,19 @@ fn scan_region(
             }
         }
         if let Some(desc) = blocking_desc(code, lo, i) {
-            if !conc_justified(allows, t.line, "blocking-while-locked") {
+            if justify(&mut *allows, "blocking-while-locked", t.line).is_none() {
                 region.blocking.push((t.line, desc));
             }
             continue;
         }
         if next_paren && FANOUT_FNS.iter().any(|f| t.is_ident(f)) {
-            if !conc_justified(allows, t.line, "guard-across-fanout") {
+            if justify(&mut *allows, "guard-across-fanout", t.line).is_none() {
                 region.fanout.push(t.line);
             }
             continue;
         }
         if next_paren && !NON_CALLEES.iter().any(|k| t.is_ident(k)) {
-            let qual = if i >= lo + 3
-                && code[i - 1].is_punct(':')
-                && code[i - 2].is_punct(':')
-                && code[i - 3].kind == TokKind::Ident
-            {
-                code[i - 3].text.clone()
-            } else {
-                String::new()
-            };
-            let call = CallRef {
-                method: prev_dot,
-                qual: if prev_dot { String::new() } else { qual },
-                name: t.text.clone(),
-            };
-            calls.entry(call).or_insert(t.line);
+            calls.entry(CallRef::at(code, lo, i)).or_insert(t.line);
         }
     }
     region.calls = calls.into_iter().collect();
@@ -570,17 +531,6 @@ fn helper_call(code: &[Tok], lo: usize, hi: usize) -> Option<(CallRef, u32)> {
     if callee.kind != TokKind::Ident || NON_CALLEES.iter().any(|k| callee.is_ident(k)) {
         return None;
     }
-    let method = p >= lo + 2 && code[p - 2].is_punct('.');
-    let qual = if !method
-        && p >= lo + 4
-        && code[p - 2].is_punct(':')
-        && code[p - 3].is_punct(':')
-        && code[p - 4].kind == TokKind::Ident
-    {
-        code[p - 4].text.clone()
-    } else {
-        String::new()
-    };
     let mut pos = balanced_close(code, p, hi)? + 1;
     while pos < hi {
         if !code[pos].is_punct('.') {
@@ -595,14 +545,7 @@ fn helper_call(code: &[Tok], lo: usize, hi: usize) -> Option<(CallRef, u32)> {
         }
         pos = balanced_close(code, pos + 2, hi)? + 1;
     }
-    Some((
-        CallRef {
-            qual,
-            name: callee.text.clone(),
-            method,
-        },
-        callee.line,
-    ))
+    Some((CallRef::at(code, lo, p - 1), callee.line))
 }
 
 /// Index of the `)` matching the `(` at `open`, within `[open, hi)`.
@@ -797,18 +740,16 @@ impl ConcReach {
 }
 
 /// Evaluates the four central concurrency rules over the propagated
-/// call graph. Mirrors [`crate::interproc::evaluate`]: suppressions
-/// are matched against the central allow list, and
+/// call graph. Mirrors [`crate::interproc::evaluate`]: findings go
+/// through the same directives, and
 /// [`crate::interproc::unused_allows`] must run *after* both passes.
 pub fn evaluate(
     graph: &CallGraph,
     cfg: &Config,
     allows: &mut [(String, InterprocAllow)],
 ) -> (Vec<Violation>, Vec<Suppressed>) {
-    let mut violations = Vec::new();
-    let mut suppressed = Vec::new();
+    let mut out = Findings::new(cfg, allows);
     let nodes = &graph.nodes;
-    let resolver = Resolver::new(nodes);
 
     // Intern every lock identity the workspace mentions.
     let mut names: BTreeSet<&str> = BTreeSet::new();
@@ -835,8 +776,7 @@ pub fn evaluate(
     // Per-node own facts, then callee→caller propagation.
     let own: Vec<(BTreeSet<u32>, bool, bool)> = nodes
         .iter()
-        .enumerate()
-        .map(|(id, n)| {
+        .map(|n| {
             let mut locks: BTreeSet<u32> = BTreeSet::new();
             for (lock, _, _) in &n.conc.acquires {
                 locks.extend(lock_id(lock));
@@ -844,7 +784,6 @@ pub fn evaluate(
             if let Some((lock, _)) = &n.conc.returns_guard {
                 locks.extend(lock_id(lock));
             }
-            let _ = id;
             let blocks = !n.conc.blocking.is_empty();
             let fans = FANOUT_FNS.contains(&n.name.as_str());
             (locks, blocks, fans)
@@ -861,7 +800,7 @@ pub fn evaluate(
             let resolved: Option<(u32, u8)> = if !r.lock.is_empty() {
                 lock_id(&r.lock).map(|l| (l, r.op))
             } else if let Some(h) = &r.helper {
-                resolver
+                graph
                     .targets(n, h)
                     .iter()
                     .find_map(|&t| nodes[t as usize].conc.returns_guard.as_ref())
@@ -879,7 +818,7 @@ pub fn evaluate(
                 }
             }
             for (c, line) in &r.calls {
-                for &t in resolver.targets(n, c) {
+                for t in graph.targets(n, c) {
                     for &to in reach.locks_of(t as usize) {
                         add_edge(&mut ledges, held, to, id as u32, *line, t);
                     }
@@ -951,11 +890,7 @@ pub fn evaluate(
             let Some((anode, aline)) = anchor else {
                 continue;
             };
-            emit(
-                &mut violations,
-                &mut suppressed,
-                allows,
-                cfg,
+            out.emit(
                 "lock-order-cycle",
                 &nodes[anode as usize],
                 aline,
@@ -976,7 +911,7 @@ pub fn evaluate(
         let lock = lock_names[held as usize];
         let mut fan_hit: Option<(u32, u32)> = r.fanout.first().map(|&l| (l, NONE));
         for (c, line) in &r.calls {
-            for &t in resolver.targets(n, c) {
+            for t in graph.targets(n, c) {
                 let src = reach.fan_src(t as usize);
                 if src != NONE && fan_hit.is_none_or(|(bl, bt)| (*line, t) < (bl, bt)) {
                     fan_hit = Some((*line, t));
@@ -993,11 +928,7 @@ pub fn evaluate(
                         nodes[via as usize].qualified()
                     )
                 };
-                emit(
-                    &mut violations,
-                    &mut suppressed,
-                    allows,
-                    cfg,
+                out.emit(
                     "guard-across-fanout",
                     n,
                     line,
@@ -1013,11 +944,7 @@ pub fn evaluate(
             continue;
         }
         if let Some((line, desc)) = r.blocking.first() {
-            emit(
-                &mut violations,
-                &mut suppressed,
-                allows,
-                cfg,
+            out.emit(
                 "blocking-while-locked",
                 n,
                 *line,
@@ -1030,7 +957,7 @@ pub fn evaluate(
         }
         let mut blk_hit: Option<(u32, u32)> = None;
         for (c, line) in &r.calls {
-            for &t in resolver.targets(n, c) {
+            for t in graph.targets(n, c) {
                 let src = reach.blk_src(t as usize);
                 if src != NONE && blk_hit.is_none_or(|(bl, bt)| (*line, t) < (bl, bt)) {
                     blk_hit = Some((*line, t));
@@ -1047,11 +974,7 @@ pub fn evaluate(
                 .first()
                 .map(|(l, d)| (*l, d.as_str()))
                 .unwrap_or((src_n.line, "a blocking operation"));
-            emit(
-                &mut violations,
-                &mut suppressed,
-                allows,
-                cfg,
+            out.emit(
                 "blocking-while-locked",
                 n,
                 line,
@@ -1088,11 +1011,7 @@ pub fn evaluate(
                 continue;
             };
             let first = &nodes[n0 as usize];
-            emit(
-                &mut violations,
-                &mut suppressed,
-                allows,
-                cfg,
+            out.emit(
                 "atomic-ordering-mixed",
                 &nodes[nd as usize],
                 lined,
@@ -1104,7 +1023,7 @@ pub fn evaluate(
         }
     }
 
-    (violations, suppressed)
+    (out.violations, out.suppressed)
 }
 
 /// Records a lock-order edge, keeping the minimum provenance so the
@@ -1129,45 +1048,6 @@ fn add_edge(
             }
         })
         .or_insert(p);
-}
-
-/// Emits one violation, routing it through the central allow list the
-/// same way [`crate::interproc::evaluate`] does.
-fn emit(
-    out: &mut Vec<Violation>,
-    sup: &mut Vec<Suppressed>,
-    allows: &mut [(String, InterprocAllow)],
-    cfg: &Config,
-    rule: &str,
-    node: &FnSummary,
-    line: u32,
-    message: String,
-) {
-    let v = Violation {
-        rule: rule.to_string(),
-        severity: cfg.severity(rule),
-        file: node.file.clone(),
-        line,
-        message,
-        snippet: node.snippet.clone(),
-    };
-    let matched = allows.iter_mut().find(|(file, a)| {
-        file == &node.file
-            && a.rules.iter().any(|r| r == rule)
-            && a.covers.0 <= line
-            && line <= a.covers.1
-    });
-    match matched {
-        Some((_, a)) => {
-            a.used = true;
-            sup.push(Suppressed {
-                violation: v,
-                reason: a.reason.clone(),
-                allow_line: a.line,
-            });
-        }
-        None => out.push(v),
-    }
 }
 
 /// Propagates `(lock set, can block, can fan out)` callee→caller over

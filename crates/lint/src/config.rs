@@ -149,7 +149,7 @@ pub const RULES: &[RuleInfo] = &[
         name: "taint-escape",
         severity: Severity::Deny,
         summary: "no pub fn whose return value can carry wall-clock or hash-iteration-order taint minted in a callee",
-        rationale: "Determinism hazards travel through data: a helper that reads Instant::now or iterates a HashMap in unspecified order taints every value computed from it. The interprocedural pass propagates unjustified wall-clock and unordered-iteration sites transitively; a pub fn with a non-unit return type reachable from such a site leaks the taint to callers. Indexing panics are summarized but not gated here.",
+        rationale: "Determinism hazards travel through data: a helper that reads Instant::now or iterates a HashMap in unspecified order taints every value computed from it. The interprocedural pass propagates unjustified wall-clock and unordered-iteration sites transitively; a pub fn with a non-unit return type reachable from such a site leaks the taint to callers.",
         example: "fn stamp_ms() -> u64 { SystemTime::now()… } // via pub fn report() -> u64 { stamp_ms() }",
         allow_hint: "pub fn api(…) // lint:allow(taint-escape) — <why the taint cannot reach output>",
     },
@@ -220,33 +220,6 @@ pub fn default_severity(rule: &str) -> Severity {
         .unwrap_or(Severity::Deny)
 }
 
-/// The rules evaluated by the interprocedural pass ([`crate::interproc`])
-/// rather than per file. Their suppressions are matched centrally, so
-/// the per-file pass must not declare them unused.
-pub const INTERPROC_RULES: &[&str] = &["panic-reachable", "seed-flow-transitive", "taint-escape"];
-
-/// Whether `rule` is one of the interprocedural rules.
-pub fn is_interproc_rule(rule: &str) -> bool {
-    INTERPROC_RULES.contains(&rule)
-}
-
-/// The concurrency rules evaluated centrally ([`crate::concurrency`])
-/// over the propagated call graph. `lock-poison-unwrap` is *not* here:
-/// it is a per-file token rule ([`crate::rules`]).
-pub const CONCURRENCY_CENTRAL_RULES: &[&str] = &[
-    "lock-order-cycle",
-    "blocking-while-locked",
-    "guard-across-fanout",
-    "atomic-ordering-mixed",
-];
-
-/// Whether `rule` is matched centrally (by the interprocedural hazard
-/// pass or the concurrency pass) rather than per file. The per-file
-/// pass must not declare suppressions of these rules unused.
-pub fn is_central_rule(rule: &str) -> bool {
-    is_interproc_rule(rule) || CONCURRENCY_CENTRAL_RULES.contains(&rule)
-}
-
 /// Crates whose public APIs are declared panic-justified, exempting
 /// them from `panic-reachable`: the bench harness aborts loudly by
 /// design, and testkit's assertion helpers panic on property failure.
@@ -297,14 +270,14 @@ pub const CRATE_DAG: &[(&str, &[&str])] = &[
 /// Crates that may never appear in another crate's `[dependencies]`.
 pub const DEV_ONLY_CRATES: &[&str] = &["testkit", "lint"];
 
-/// Allowed `[dependencies]` targets for `crate_name`, or `None` when
-/// the crate is not part of the declared DAG (e.g. the root facade,
-/// which may depend on everything).
-pub fn allowed_deps(crate_name: &str) -> Option<BTreeSet<&'static str>> {
+/// Allowed `[dependencies]` targets for `crate_name`, in DAG order, or
+/// `None` when the crate is not part of the declared DAG (e.g. the root
+/// facade, which may depend on everything).
+pub fn allowed_deps(crate_name: &str) -> Option<&'static [&'static str]> {
     CRATE_DAG
         .iter()
         .find(|(n, _)| *n == crate_name)
-        .map(|(_, deps)| deps.iter().copied().collect())
+        .map(|(_, deps)| *deps)
 }
 
 /// File paths (repo-relative, forward slashes) exempt from the

@@ -1,14 +1,11 @@
 //! Dataflow/semantic rules over the parsed item/statement tree.
 //!
-//! These rules see *structure* the token rules cannot: which workspace
-//! functions return `Result`, which statements discard values, what a
-//! spawn closure captures. Five rules live here:
+//! These rules see *structure* the token rules cannot: which
+//! statements discard values, what a spawn closure captures. Four rules
+//! live here:
 //!
-//! * `result-dropped` — a `Result`-returning workspace call discarded
-//!   in statement position or via `let _ =` in library code;
-//! * `seed-flow` — randomness must flow through `&mut DetRng`;
-//!   constructing an RNG outside `worldgen`/`testkit`/`bench`/`model`
-//!   is a violation;
+//! * `result-dropped` — a discarded call that resolves to a workspace
+//!   fn returning `Result`/`Report`, in library code;
 //! * `float-ord` — no `f32`/`f64` as a sort comparator (via
 //!   `partial_cmp`) or as an ordered-map key;
 //! * `must-use-api` — pub fns returning `Result`/`Report` must carry
@@ -17,57 +14,26 @@
 //!   not mutate shared accumulators captured from the enclosing fn;
 //!   workers return values that merge after join.
 
-use crate::config::{self, Config};
+use crate::config::Config;
 use crate::diag::Violation;
+use crate::interproc::{CallGraph, CallRef, FnSummary};
 use crate::lexer::{Tok, TokKind};
 use crate::parser::{self, Block, FnItem, Item, ParsedFile, StmtKind};
 use crate::scan::FileCtx;
 use std::collections::BTreeSet;
 
-/// Workspace-wide signature facts: names of functions whose return
-/// type is `Result`/`Report`, collected from every parsed file before
-/// the rule pass runs.
-#[derive(Debug, Default, Clone)]
-pub struct SigTable {
-    /// Function names returning `Result<…>` or `Report`.
-    pub result_fns: BTreeSet<String>,
-}
-
-impl SigTable {
-    /// Builds a table from per-file fact lists.
-    pub fn from_facts<'a>(facts: impl IntoIterator<Item = &'a str>) -> SigTable {
-        SigTable {
-            result_fns: facts.into_iter().map(|s| s.to_string()).collect(),
-        }
-    }
-}
-
-/// Extracts this file's signature facts: every fn (pub or private)
-/// whose return type head is `Result` or `Report`.
-pub fn collect_facts(parsed: &ParsedFile) -> Vec<String> {
-    let mut out = BTreeSet::new();
-    parser::walk_fns(&parsed.items, &mut |_item, func| {
-        let head = func.ret_head();
-        if (head == "Result" || head == "Report") && !func.name.is_empty() {
-            out.insert(func.name.clone());
-        }
-    });
-    out.into_iter().collect()
-}
-
-/// Runs every enabled dataflow rule over one parsed file.
+/// Runs every enabled dataflow rule over one parsed file; `fns` are the
+/// file's summaries, nodes of `graph`.
 pub fn run_all(
     ctx: &FileCtx,
     parsed: &ParsedFile,
-    sigs: &SigTable,
+    fns: &[FnSummary],
+    graph: &CallGraph,
     cfg: &Config,
 ) -> Vec<Violation> {
     let mut out = Vec::new();
     if cfg.enabled("result-dropped") {
-        out.extend(rule_result_dropped(ctx, parsed, sigs, cfg));
-    }
-    if cfg.enabled("seed-flow") {
-        out.extend(rule_seed_flow(ctx, cfg));
+        out.extend(rule_result_dropped(ctx, fns, graph, cfg));
     }
     if cfg.enabled("float-ord") {
         out.extend(rule_float_ord(ctx, cfg));
@@ -94,67 +60,75 @@ fn violation(ctx: &FileCtx, cfg: &Config, rule: &str, line: u32, message: String
 
 // ---- result-dropped ----
 
-/// `result-dropped`: statement-position and `let _ =` discards of
-/// calls to workspace functions returning `Result`/`Report`. Macro
-/// invocations and calls whose value is consumed (`?`, a trailing
-/// combinator, assignment to a named binding) are not flagged.
+/// The calls one fn body discards, with the callee's line: statement-
+/// position calls and `let _ =` initializers. Macro invocations and
+/// calls whose value is consumed (`?`, a trailing combinator,
+/// assignment to a named binding) are not discards.
+/// [`crate::interproc::extract`] records them in the fn's summary.
+pub(crate) fn discarded_calls(ctx: &FileCtx, body: &Block) -> Vec<(CallRef, u32)> {
+    let code = &ctx.code;
+    let mut out = Vec::new();
+    parser::walk_blocks(body, &mut |block: &Block| {
+        for stmt in &block.stmts {
+            // Where the discarded expression starts: a `let _ =`
+            // statement from its initializer, an expression statement
+            // from its first token.
+            let scan_start = match &stmt.kind {
+                StmtKind::Expr { has_semi: true } => stmt.start,
+                StmtKind::Let {
+                    discard: true,
+                    init_start: Some(init),
+                    ..
+                } => *init,
+                _ => continue,
+            };
+            if consumes_value(code, scan_start, stmt.end) {
+                continue;
+            }
+            let Some(callee) = trailing_call(code, scan_start, stmt.end) else {
+                continue;
+            };
+            let line = code[callee].line;
+            if !ctx.is_test_line(line) {
+                out.push((CallRef::at(code, scan_start, callee), line));
+            }
+        }
+    });
+    out
+}
+
+/// `result-dropped`: a discarded call (see [`discarded_calls`]) with an
+/// in-scope candidate that returns `Result`/`Report`, in library code.
 fn rule_result_dropped(
     ctx: &FileCtx,
-    parsed: &ParsedFile,
-    sigs: &SigTable,
+    fns: &[FnSummary],
+    graph: &CallGraph,
     cfg: &Config,
 ) -> Vec<Violation> {
-    let mut out = Vec::new();
-    if ctx.in_test_tree || ctx.is_bin || ctx.crate_name.as_deref() == Some("bench") {
-        return out;
+    if ctx.is_bin || ctx.crate_name.as_deref() == Some("bench") {
+        return Vec::new();
     }
-    let code = &ctx.code;
-    parser::walk_fns(&parsed.items, &mut |_item, func| {
-        let Some(body) = &func.body else {
-            return;
-        };
-        parser::walk_blocks(body, &mut |block: &Block| {
-            for stmt in &block.stmts {
-                // Where the discarded expression starts: a `let _ =`
-                // statement from its initializer, an expression
-                // statement from its first token.
-                let scan_start = match &stmt.kind {
-                    StmtKind::Expr { has_semi: true } => Some(stmt.start),
-                    StmtKind::Let {
-                        discard: true,
-                        init_start: Some(init),
-                        ..
-                    } => Some(*init),
-                    _ => None,
-                };
-                let Some(scan_start) = scan_start else {
-                    continue;
-                };
-                if consumes_value(code, scan_start, stmt.end) {
-                    continue;
-                }
-                let Some((callee_idx, callee)) = trailing_call(code, scan_start, stmt.end) else {
-                    continue;
-                };
-                if !sigs.result_fns.contains(&callee) {
-                    continue;
-                }
-                let line = code.get(callee_idx).map_or(stmt.line, |t| t.line);
-                if ctx.is_test_line(line) {
-                    continue;
-                }
+    let mut out = Vec::new();
+    for f in fns {
+        for (call, line) in &f.discards {
+            if graph
+                .targets(f, call)
+                .iter()
+                .any(|&t| graph.nodes[t as usize].returns_result)
+            {
                 out.push(violation(
                     ctx,
                     cfg,
                     "result-dropped",
-                    line,
+                    *line,
                     format!(
-                        "result of `{callee}` (returns Result/Report) is discarded; handle the error, bind the value, or justify with lint:allow(result-dropped)"
+                        "result of `{}` (returns Result/Report) is discarded; handle the error, bind the value, or justify with lint:allow(result-dropped)",
+                        call.name
                     ),
                 ));
             }
-        });
-    });
+        }
+    }
     out
 }
 
@@ -184,11 +158,11 @@ fn consumes_value(code: &[Tok], start: usize, end: usize) -> bool {
 }
 
 /// For a statement in `code[start..end]` ending `… name(args);` (or
-/// `let _ = … name(args);`), returns the callee's token index and
-/// name. `None` when the statement does not end in a plain call —
+/// `let _ = … name(args);`), returns the callee's token index. `None`
+/// when the statement does not end in a plain call —
 /// trailing `?`, macros (`name!(…)`), struct literals, and index
 /// expressions all disqualify it.
-fn trailing_call(code: &[Tok], start: usize, end: usize) -> Option<(usize, String)> {
+fn trailing_call(code: &[Tok], start: usize, end: usize) -> Option<usize> {
     let mut j = end.min(code.len());
     // Step back over the `;`.
     while j > start {
@@ -235,51 +209,7 @@ fn trailing_call(code: &[Tok], start: usize, end: usize) -> Option<(usize, Strin
     if k >= 2 && code.get(k - 2).is_some_and(|t| t.is_punct('!')) {
         return None;
     }
-    Some((k - 1, callee.text.clone()))
-}
-
-// ---- seed-flow ----
-
-/// `seed-flow`: constructing a generator (`DetRng::new`,
-/// `Xoshiro256pp::seed_from_u64`/`from_seed`) outside the sanctioned
-/// crates. Library code must receive `&mut DetRng` (or fork from a
-/// parent stream) so every draw traces back to the world seed.
-fn rule_seed_flow(ctx: &FileCtx, cfg: &Config) -> Vec<Violation> {
-    let mut out = Vec::new();
-    if config::seed_flow_exempt(&ctx.rel_path, ctx.crate_name.as_deref()) || ctx.in_test_tree {
-        return out;
-    }
-    let code = &ctx.code;
-    for i in 0..code.len() {
-        let t = &code[i];
-        if ctx.is_test_line(t.line) {
-            continue;
-        }
-        let is_ctor = (t.is_ident("DetRng") && path_call(code, i, "new"))
-            || (t.is_ident("Xoshiro256pp")
-                && (path_call(code, i, "seed_from_u64") || path_call(code, i, "from_seed")));
-        if is_ctor {
-            out.push(violation(
-                ctx,
-                cfg,
-                "seed-flow",
-                t.line,
-                format!(
-                    "{} mints a fresh RNG stream outside worldgen/testkit/bench; receive &mut DetRng (or fork from a parent stream) so draws trace back to the world seed, or justify with lint:allow(seed-flow)",
-                    t.text
-                ),
-            ));
-        }
-    }
-    out
-}
-
-/// Whether `code[i]` is followed by `:: method (`.
-pub(crate) fn path_call(code: &[Tok], i: usize, method: &str) -> bool {
-    code.get(i + 1).is_some_and(|t| t.is_punct(':'))
-        && code.get(i + 2).is_some_and(|t| t.is_punct(':'))
-        && code.get(i + 3).is_some_and(|t| t.is_ident(method))
-        && code.get(i + 4).is_some_and(|t| t.is_punct('('))
+    Some(k - 1)
 }
 
 // ---- float-ord ----
@@ -405,7 +335,7 @@ fn rule_must_use_api(ctx: &FileCtx, parsed: &ParsedFile, cfg: &Config) -> Vec<Vi
     if ctx.in_test_tree || ctx.is_bin {
         return out;
     }
-    parser::walk_fns(&parsed.items, &mut |item: &Item, func: &FnItem| {
+    parser::walk_fns(&parsed.items, &mut |item: &Item, func: &FnItem, _| {
         if !item.is_pub {
             return;
         }
@@ -473,7 +403,7 @@ fn rule_thread_capture(ctx: &FileCtx, parsed: &ParsedFile, cfg: &Config) -> Vec<
         return out;
     }
     let code = &ctx.code;
-    parser::walk_fns(&parsed.items, &mut |_item, func| {
+    parser::walk_fns(&parsed.items, &mut |_item, func, _| {
         let Some(body) = &func.body else {
             return;
         };

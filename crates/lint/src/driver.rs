@@ -1,28 +1,29 @@
 //! The lint driver: one serial pass over the workspace.
 //!
-//! Analysis runs in two phases because the cross-file `result-dropped`
-//! rule needs every file's signatures before any rule runs:
+//! Analysis runs in two phases because the cross-file rules need every
+//! file's summaries before any rule runs:
 //!
-//! 1. **facts** — every source is lexed and parsed once, and the parse
-//!    yields its signature facts (which fns return `Result`/`Report`)
-//!    and its per-function interprocedural summaries
-//!    ([`crate::interproc`]).
-//! 2. **rules** — the per-file fact lists merge into a [`SigTable`],
-//!    and the rule passes run per file over phase 1's parses.
+//! 1. **facts** — every source is lexed and parsed once; its context
+//!    finds the file's hazard sites ([`FileCtx::hazards`]) and the
+//!    parse yields its per-function summaries ([`crate::interproc`]),
+//!    which merge into one workspace call graph.
+//! 2. **rules** — the per-file rule passes run over phase 1's parses,
+//!    resolving discarded calls (`result-dropped`) through the graph;
+//!    then the interprocedural and concurrency rules evaluate
+//!    centrally.
 //!
-//! After phase 2, the summaries merge into one workspace call graph and
-//! the interprocedural and concurrency rules evaluate centrally. Files
+//! Every finding goes through the one `lint:allow` matcher
+//! (`interproc::justify`) against its file's directives. Files
 //! are visited in sorted-path order, so the report is identical on
 //! every run.
 
 use crate::config::Config;
-use crate::dataflow::{self, SigTable};
 use crate::diag::{self, Report, StaleBaseline, Violation};
-use crate::interproc;
+use crate::interproc::{self, CallGraph, Findings};
 use crate::json::{self, Json};
 use crate::layering;
 use crate::parser;
-use crate::scan::FileCtx;
+use crate::scan::{crate_of, FileCtx};
 use crate::workspace;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -56,9 +57,9 @@ pub fn lint_workspace(root: &Path, cfg: &Config, baseline: Option<&Path>) -> io:
 }
 
 /// Lints one source string in isolation and returns the finished
-/// (sorted) report. The signature table is built from this file alone,
-/// so cross-file `result-dropped` facts are limited to fns the snippet
-/// itself defines.
+/// (sorted) report. Calls resolve against this file's fns alone, so
+/// `result-dropped` and the interprocedural rules see only what the
+/// snippet itself defines.
 #[must_use]
 pub fn lint_source(rel_path: &str, src: &str, cfg: &Config) -> Report {
     let mut report = lint_files(&[], &[(rel_path.to_string(), src.to_string())], cfg);
@@ -73,58 +74,56 @@ fn lint_files(
     sources: &[(String, String)],
     cfg: &Config,
 ) -> Report {
-    // Phase 1: lex and parse every source once, keeping the parse for
-    // phase 2; collect its signature facts and fn summaries.
+    // Phase 1: lex and parse every source once, keeping the parse and
+    // the range of its fns' node ids for phase 2.
     let mut files = Vec::with_capacity(sources.len());
-    let mut facts = Vec::new();
     let mut nodes = Vec::new();
     let mut allows = Vec::new();
     for (rel, src) in sources {
         let ctx = FileCtx::new(rel, src);
         let parsed = parser::parse(&ctx.code);
-        facts.extend(dataflow::collect_facts(&parsed));
         let summaries = interproc::extract(&ctx, &parsed);
+        let ids = nodes.len()..nodes.len() + summaries.fns.len();
         nodes.extend(summaries.fns);
-        allows.extend(summaries.allows.into_iter().map(|a| (rel.clone(), a)));
-        files.push((ctx, parsed));
+        allows.extend(
+            summaries
+                .allows
+                .into_iter()
+                .map(|a| (ctx.rel_path.clone(), a)),
+        );
+        files.push((ctx, parsed, ids));
     }
-    let sigs = SigTable::from_facts(facts.iter().map(String::as_str));
+    // Sources are in sorted-path order, so node ids — and therefore the
+    // propagated sources, witness chains, and lock-order edges — never
+    // vary.
+    let graph = CallGraph::build(nodes);
 
-    // Phase 2: the per-file rule passes.
+    // Phase 2: the per-file rule passes, then the central ones.
     let mut report = Report {
         files_scanned: manifests.len() + sources.len(),
         severities: cfg.severity_map(),
         ..Report::default()
     };
     for (rel, src) in manifests {
-        let krate = workspace::crate_of(rel);
         report
             .violations
-            .extend(layering::lint_manifest(rel, src, krate.as_deref(), cfg));
+            .extend(layering::lint_manifest(rel, src, crate_of(rel), cfg));
     }
-    for (ctx, parsed) in &files {
-        let outcome = workspace::analyze_file(ctx, parsed, cfg, &sigs);
-        report.violations.extend(outcome.violations);
-        report.suppressed.extend(outcome.suppressed);
-        for line in outcome.unused_allows {
-            report.unused_allows.push((ctx.rel_path.clone(), line));
+    let mut found = Findings::new(cfg, &mut allows);
+    for (ctx, parsed, ids) in &files {
+        for v in workspace::analyze_file(ctx, parsed, &graph.nodes[ids.clone()], &graph, cfg) {
+            found.add(v);
         }
     }
-
-    // Central passes: every file's summaries form one call graph for
-    // the reachability rules, then the concurrency rules. Sources are
-    // in sorted-path order, so node ids — and therefore the propagated
-    // sources, witness chains, and lock-order edges — never vary.
-    let graph = interproc::CallGraph::build(nodes);
+    report.violations.append(&mut found.violations);
+    report.suppressed.append(&mut found.suppressed);
     let (iviolations, isuppressed) = interproc::evaluate(&graph, cfg, &mut allows);
     report.violations.extend(iviolations);
     report.suppressed.extend(isuppressed);
     let (cviolations, csuppressed) = crate::concurrency::evaluate(&graph, cfg, &mut allows);
     report.violations.extend(cviolations);
     report.suppressed.extend(csuppressed);
-    report
-        .unused_allows
-        .extend(interproc::unused_allows(&allows));
+    report.unused_allows = interproc::unused_allows(&allows);
     report
 }
 

@@ -8,22 +8,28 @@
 //!
 //! 1. **Summaries** ([`extract`]): for every function in a file,
 //!    record its declaration (name, enclosing impl type, visibility,
-//!    whether it returns a value) and the first *unjustified* hazard
-//!    site of each kind in its body — panic (`panic!`/`unreachable!`/
-//!    `unwrap`/`expect`), wall-clock (`Instant`/`SystemTime`), RNG minting
-//!    (`DetRng::new`, `Xoshiro256pp::seed_from_u64`/`from_seed`), and
-//!    unordered hash iteration — plus every call it makes. Indexing
-//!    sites and explicit `let _ =` discards are counted as summary
-//!    statistics. A site covered by a `lint:allow` naming the base
-//!    rule (or the matching interprocedural rule) is *discharged*: the
-//!    justification holds for every caller, so it does not propagate.
+//!    whether it returns a value and whether that value is a
+//!    `Result`/`Report`), the first *unjustified* site of each hazard
+//!    kind in its body — panic, wall-clock, RNG minting and unordered
+//!    hash iteration, taken from the file's one site list per kind
+//!    ([`FileCtx::hazards`], which the per-file rules report) — every
+//!    call it makes, and the calls it discards. A site covered by a
+//!    `lint:allow` naming the base rule (or the matching
+//!    interprocedural rule) is *discharged*: the justification holds
+//!    for every caller, so it does not propagate.
 //! 2. **Call graph** ([`CallGraph::build`]): conservative name/path
-//!    resolution across the whole workspace. Method calls (`x.f()`)
-//!    link to every method named `f`; `Type::f(…)` links to the
-//!    associated fns of `Type` (falling back to free fns for module
-//!    paths); bare `f(…)` links to every free fn named `f`. Closure
-//!    bodies are scanned as part of their enclosing fn, so calls made
-//!    through closures are over-approximated as direct.
+//!    resolution scoped by the crate DAG. A call resolves only into the
+//!    caller's crate and the crates [`config::allowed_deps`] lists for
+//!    it; root-package files and crates outside the DAG are unscoped, as
+//!    the `layering` rule treats them, nothing resolves into the root
+//!    package, and another crate's free fn must be `pub`. In scope,
+//!    method calls (`x.f()`) link to every
+//!    method named `f`; `Type::f(…)` links to the associated fns of
+//!    `Type` (falling back to free fns for module paths); bare `f(…)`
+//!    links to every free fn named `f`. Closure bodies are scanned as
+//!    part of their enclosing fn, so calls made through closures are
+//!    over-approximated as direct. The graph's one resolver also serves
+//!    the concurrency pass and `result-dropped`.
 //! 3. **Propagation** ([`CallGraph::build`] + [`evaluate`]): hazards
 //!    flow callee→caller over the condensation of the graph. The
 //!    condensation comes from `sccs`, the lint's one iterative Tarjan
@@ -43,12 +49,11 @@
 //! rules.
 
 use crate::config::{self, Config};
-use crate::dataflow::path_call;
+use crate::dataflow;
 use crate::diag::{Suppressed, Violation};
-use crate::lexer::TokKind;
-use crate::parser::{Block, FnItem, Item, ItemKind, ParsedFile, StmtKind};
-use crate::rules;
-use crate::scan::FileCtx;
+use crate::lexer::{Tok, TokKind};
+use crate::parser::{self, Block, FnItem, Item, ParsedFile};
+use crate::scan::{crate_of, FileCtx, Suppression};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Number of propagated hazard kinds.
@@ -61,6 +66,16 @@ pub const H_WALL: usize = 1;
 pub const H_RNG: usize = 2;
 /// Hazard index: unordered hash iteration is reachable.
 pub const H_UNORD: usize = 3;
+
+/// Per hazard kind: the per-file rule that reports its sites, and the
+/// interprocedural rule a `lint:allow` may name instead to discharge a
+/// site for every caller.
+pub const HAZARD_RULES: [(&str, &str); NHAZ] = [
+    ("panic", "panic-reachable"),
+    ("wall-clock", "taint-escape"),
+    ("seed-flow", "seed-flow-transitive"),
+    ("hash-iter", "taint-escape"),
+];
 
 /// "No source" sentinel in per-node/per-component hazard sources.
 const NONE: u32 = u32::MAX;
@@ -79,6 +94,29 @@ pub struct CallRef {
     pub name: String,
     /// Whether this was a method call (`receiver.name(…)`).
     pub method: bool,
+}
+
+impl CallRef {
+    /// The call whose callee is the ident at `code[i]`, reading its
+    /// receiver dot or `Qual::` prefix no further back than `lo`.
+    pub(crate) fn at(code: &[Tok], lo: usize, i: usize) -> CallRef {
+        let method = i > lo && code[i - 1].is_punct('.');
+        let qual = if !method
+            && i >= lo + 3
+            && code[i - 1].is_punct(':')
+            && code[i - 2].is_punct(':')
+            && code[i - 3].kind == TokKind::Ident
+        {
+            code[i - 3].text.clone()
+        } else {
+            String::new()
+        };
+        CallRef {
+            qual,
+            name: code[i].text.clone(),
+            method,
+        }
+    }
 }
 
 /// Per-function summary: everything propagation needs to know about
@@ -101,24 +139,15 @@ pub struct FnSummary {
     pub has_self: bool,
     /// Whether the fn returns a value (non-`()` return type).
     pub ret_nonempty: bool,
-    /// Line of the first unjustified panic site in the body (0 = none).
-    pub panic_line: u32,
-    /// Line of the first unjustified wall-clock read (0 = none).
-    pub wall_line: u32,
-    /// Line of the first unjustified RNG-minting site (0 = none).
-    pub rng_line: u32,
-    /// Line of the first unjustified unordered hash iteration (0 = none).
-    pub unordered_line: u32,
-    /// Count of indexing sites (`name[…]`) in the body. Summarized but
-    /// not gated: without type information every slice read would taint
-    /// its callers.
-    pub index_count: u32,
-    /// Count of explicit `let _ =` discards in the body. The precise
-    /// per-file `result-dropped` rule gates these; the summary keeps
-    /// the statistic available to tooling.
-    pub discard_count: u32,
+    /// Whether the return type's head is `Result` or `Report`.
+    pub returns_result: bool,
+    /// Per hazard kind ([`H_PANIC`], …): line of the first unjustified
+    /// site in the body (0 = none).
+    pub own: [u32; NHAZ],
     /// Deduplicated calls the body makes.
     pub calls: Vec<CallRef>,
+    /// Calls the body discards, with their lines (`result-dropped`).
+    pub discards: Vec<(CallRef, u32)>,
     /// Concurrency facet: guard regions, lock acquisitions, blocking
     /// operations, and atomic accesses (see [`crate::concurrency`]).
     pub conc: crate::concurrency::ConcFacet,
@@ -134,66 +163,66 @@ impl FnSummary {
             format!("{}::{}", self.impl_type, self.name)
         }
     }
-
-    /// First unjustified site line of hazard `h` in this fn's own body
-    /// (0 = none).
-    pub fn own_site(&self, h: usize) -> u32 {
-        match h {
-            H_PANIC => self.panic_line,
-            H_WALL => self.wall_line,
-            H_RNG => self.rng_line,
-            _ => self.unordered_line,
-        }
-    }
 }
 
-/// A suppression directive naming at least one interprocedural rule.
-/// These are matched centrally (per-file passes cannot see reachability)
-/// and travel with the file's summaries.
+/// One `lint:allow` directive as every pass matches it: the per-file
+/// rules, hazard discharge at extraction and the central passes all
+/// find it through `justify`, which marks it used, and a directive
+/// nothing used is reported once, by [`unused_allows`].
 #[derive(Debug, Clone)]
 pub struct InterprocAllow {
-    /// The centrally-matched rules the directive names (interprocedural
-    /// hazard rules and concurrency rules alike).
-    pub rules: Vec<String>,
-    /// Whether *every* rule the directive names is centrally matched.
-    /// Only then do the central passes own its unused-allow reporting.
-    pub all_interproc: bool,
-    /// Justification text.
-    pub reason: String,
-    /// Line of the directive.
-    pub line: u32,
-    /// Inclusive line range the directive covers.
-    pub covers: (u32, u32),
+    /// The directive.
+    pub dir: Suppression,
     /// Whether the directive has discharged a hazard site or matched a
-    /// violation. Extraction-time discharges are recorded with the file.
+    /// violation.
     pub used: bool,
 }
 
-/// One file's contribution to the interprocedural pass.
+/// One file's contribution to the workspace passes.
 #[derive(Debug, Clone, Default)]
 pub struct FileSummaries {
     /// Function summaries in source order.
     pub fns: Vec<FnSummary>,
-    /// Suppressions naming interprocedural rules.
+    /// The file's `lint:allow` directives, with the hazard discharges
+    /// extraction made marked used.
     pub allows: Vec<InterprocAllow>,
 }
 
-/// Extracts function summaries and interprocedural allows from one
-/// parsed file. Test trees contribute nothing; fns declared on test
-/// lines are skipped; hazard sites follow the same exemptions as the
-/// per-file rules, so a site that is fine where it is written never
-/// taints a caller.
+/// The one `lint:allow` matcher: the first of `allows` that names
+/// `rule` and covers `line`, marked used.
+pub(crate) fn justify<'a>(
+    allows: impl IntoIterator<Item = &'a mut InterprocAllow>,
+    rule: &str,
+    line: u32,
+) -> Option<&'a InterprocAllow> {
+    let a = allows.into_iter().find(|a| {
+        a.dir.covers.0 <= line && line <= a.dir.covers.1 && a.dir.rules.iter().any(|r| r == rule)
+    })?;
+    a.used = true;
+    Some(a)
+}
+
+/// Extracts function summaries and the directives from one parsed
+/// file. Test trees contribute no fns; fns declared on test lines are
+/// skipped; hazard sites come from the file's site lists, so a site
+/// that is fine where it is written never taints a caller.
 pub fn extract(ctx: &FileCtx, parsed: &ParsedFile) -> FileSummaries {
-    if ctx.in_test_tree {
-        return FileSummaries::default();
-    }
     let mut out = FileSummaries {
         fns: Vec::new(),
-        allows: collect_allows(ctx),
+        allows: ctx
+            .suppressions
+            .iter()
+            .map(|dir| InterprocAllow {
+                dir: dir.clone(),
+                used: false,
+            })
+            .collect(),
     };
-    let hash_names = rules::collect_hash_names(&ctx.code);
+    if ctx.in_test_tree {
+        return out;
+    }
     let mut fns: Vec<(&Item, &FnItem, String)> = Vec::new();
-    walk_with_impl(&parsed.items, "", &mut |item, func, impl_type| {
+    parser::walk_fns(&parsed.items, &mut |item, func, impl_type| {
         fns.push((item, func, impl_type.to_string()));
     });
     for (item, func, impl_type) in fns {
@@ -203,6 +232,7 @@ pub fn extract(ctx: &FileCtx, parsed: &ParsedFile) -> FileSummaries {
         let Some(body) = &func.body else {
             continue;
         };
+        let head = func.ret_head();
         let mut s = FnSummary {
             name: func.name.clone(),
             impl_type,
@@ -212,63 +242,29 @@ pub fn extract(ctx: &FileCtx, parsed: &ParsedFile) -> FileSummaries {
             is_pub: item.is_pub,
             has_self: func.has_self,
             ret_nonempty: !func.ret.is_empty(),
+            returns_result: head == "Result" || head == "Report",
+            calls: body_calls(ctx, body),
+            discards: dataflow::discarded_calls(ctx, body),
             ..FnSummary::default()
         };
-        scan_body(ctx, body, &hash_names, &mut out.allows, &mut s);
+        // Nested fn items' ranges are inside their parent's, so their
+        // sites are conservatively attributed to both.
+        for (h, (base, inter)) in HAZARD_RULES.iter().enumerate() {
+            let sites = &ctx.hazards[h];
+            let first = sites.partition_point(|site| site.tok < body.start);
+            s.own[h] = sites[first..]
+                .iter()
+                .take_while(|site| site.tok < body.end)
+                .find(|site| {
+                    justify(&mut out.allows, base, site.line).is_none()
+                        && justify(&mut out.allows, inter, site.line).is_none()
+                })
+                .map_or(0, |site| site.line);
+        }
         crate::concurrency::scan_fn(ctx, func, body, &mut out.allows, &mut s);
-        s.discard_count = count_discards(body);
         out.fns.push(s);
     }
     out
-}
-
-/// Retains the suppressions that name at least one centrally-matched
-/// rule (interprocedural or concurrency), in directive order.
-fn collect_allows(ctx: &FileCtx) -> Vec<InterprocAllow> {
-    ctx.suppressions
-        .iter()
-        .filter(|s| s.rules.iter().any(|r| config::is_central_rule(r)))
-        .map(|s| InterprocAllow {
-            rules: s
-                .rules
-                .iter()
-                .filter(|r| config::is_central_rule(r))
-                .cloned()
-                .collect(),
-            all_interproc: s.rules.iter().all(|r| config::is_central_rule(r)),
-            reason: s.reason.clone(),
-            line: s.line,
-            covers: s.covers,
-            used: false,
-        })
-        .collect()
-}
-
-/// Whether a hazard site at `line` is justified: covered by a
-/// suppression naming the base (per-file) rule, or by an
-/// interprocedural allow naming `inter_rule` (which is marked used —
-/// it discharged the site for every caller).
-fn site_justified(
-    ctx: &FileCtx,
-    allows: &mut [InterprocAllow],
-    line: u32,
-    base_rule: &str,
-    inter_rule: &str,
-) -> bool {
-    if ctx
-        .suppressions
-        .iter()
-        .any(|s| s.rules.iter().any(|r| r == base_rule) && s.covers.0 <= line && line <= s.covers.1)
-    {
-        return true;
-    }
-    for a in allows.iter_mut() {
-        if a.rules.iter().any(|r| r == inter_rule) && a.covers.0 <= line && line <= a.covers.1 {
-            a.used = true;
-            return true;
-        }
-    }
-    false
 }
 
 /// Call-position names that are never workspace functions: control
@@ -280,169 +276,23 @@ pub(crate) const NON_CALLEES: &[&str] = &[
     "unsafe", "await", "Some", "None", "Ok", "Err",
 ];
 
-/// Scans one fn body's token range for hazard sites and calls. Nested
-/// fn items' ranges are inside their parent's, so their sites are
-/// conservatively attributed to both.
-fn scan_body(
-    ctx: &FileCtx,
-    body: &Block,
-    hash_names: &BTreeSet<String>,
-    allows: &mut [InterprocAllow],
-    s: &mut FnSummary,
-) {
+/// The deduplicated calls in one fn body's token range: `name(`,
+/// `recv.name(` and `Qual::name(`.
+fn body_calls(ctx: &FileCtx, body: &Block) -> Vec<CallRef> {
     let code = &ctx.code;
-    let crate_name = ctx.crate_name.as_deref();
-    let panic_site_exempt = ctx.is_bin || crate_name == Some("bench");
-    let wall_site_exempt = config::wall_clock_exempt(&ctx.rel_path, crate_name);
-    let rng_site_exempt = config::seed_flow_exempt(&ctx.rel_path, crate_name);
     let mut calls: BTreeSet<CallRef> = BTreeSet::new();
-    let end = body.end.min(code.len());
-    for i in body.start..end {
+    for i in body.start..body.end.min(code.len()) {
         let t = &code[i];
-        if t.kind != TokKind::Ident || ctx.is_test_line(t.line) {
+        if t.kind != TokKind::Ident
+            || ctx.is_test_line(t.line)
+            || !code.get(i + 1).is_some_and(|n| n.is_punct('('))
+            || NON_CALLEES.iter().any(|k| t.is_ident(k))
+        {
             continue;
         }
-        let prev_dot = i > body.start && code[i - 1].is_punct('.');
-        let next_paren = code.get(i + 1).is_some_and(|n| n.is_punct('('));
-        let next_bang = code.get(i + 1).is_some_and(|n| n.is_punct('!'));
-
-        // Panic sites, mirroring rule_panic's exemptions.
-        if !panic_site_exempt
-            && s.panic_line == 0
-            && ((prev_dot && next_paren && (t.is_ident("unwrap") || t.is_ident("expect")))
-                || ((t.is_ident("panic") || t.is_ident("unreachable")) && next_bang))
-            && !site_justified(ctx, allows, t.line, "panic", "panic-reachable")
-        {
-            s.panic_line = t.line;
-        }
-
-        // Wall-clock reads, mirroring rule_wall_clock.
-        if !wall_site_exempt
-            && s.wall_line == 0
-            && (t.is_ident("Instant") || t.is_ident("SystemTime"))
-            && !site_justified(ctx, allows, t.line, "wall-clock", "taint-escape")
-        {
-            s.wall_line = t.line;
-        }
-
-        // RNG-minting sites, mirroring rule_seed_flow.
-        if !rng_site_exempt && s.rng_line == 0 {
-            let is_ctor = (t.is_ident("DetRng") && path_call(code, i, "new"))
-                || (t.is_ident("Xoshiro256pp")
-                    && (path_call(code, i, "seed_from_u64") || path_call(code, i, "from_seed")));
-            if is_ctor && !site_justified(ctx, allows, t.line, "seed-flow", "seed-flow-transitive")
-            {
-                s.rng_line = t.line;
-            }
-        }
-
-        // Unordered hash iteration, mirroring rule_hash_iter.
-        if s.unordered_line == 0 && !hash_names.is_empty() {
-            let method_iter = rules::ITER_METHODS.iter().any(|m| t.is_ident(m))
-                && i >= body.start + 2
-                && code[i - 1].is_punct('.')
-                && code[i - 2].kind == TokKind::Ident
-                && hash_names.contains(code[i - 2].text.as_str())
-                && next_paren
-                && !rules::sanctioned(code, i);
-            let loop_site = if t.is_ident("for") {
-                rules::for_loop_receiver(code, i).filter(|(idx, recv)| {
-                    hash_names.contains(recv.as_str()) && !rules::sanctioned(code, *idx)
-                })
-            } else {
-                None
-            };
-            if let Some((idx, _)) = loop_site {
-                if !site_justified(ctx, allows, code[idx].line, "hash-iter", "taint-escape") {
-                    s.unordered_line = code[idx].line;
-                }
-            } else if method_iter
-                && !site_justified(ctx, allows, t.line, "hash-iter", "taint-escape")
-            {
-                s.unordered_line = t.line;
-            }
-        }
-
-        // Indexing sites (summarized, not gated).
-        if code.get(i + 1).is_some_and(|n| n.is_punct('[')) {
-            s.index_count += 1;
-        }
-
-        // Call sites: `name(` / `recv.name(` / `Qual::name(`.
-        if next_paren && !NON_CALLEES.iter().any(|k| t.is_ident(k)) {
-            let qual = if i >= body.start + 3
-                && code[i - 1].is_punct(':')
-                && code[i - 2].is_punct(':')
-                && code[i - 3].kind == TokKind::Ident
-            {
-                code[i - 3].text.clone()
-            } else {
-                String::new()
-            };
-            calls.insert(CallRef {
-                method: prev_dot,
-                qual: if prev_dot { String::new() } else { qual },
-                name: t.text.clone(),
-            });
-        }
+        calls.insert(CallRef::at(code, body.start, i));
     }
-    s.calls = calls.into_iter().collect();
-}
-
-/// Counts explicit `let _ =` discards in a body, nested blocks included.
-fn count_discards(body: &Block) -> u32 {
-    let mut n = 0u32;
-    let mut stack = vec![body];
-    while let Some(b) = stack.pop() {
-        for stmt in &b.stmts {
-            if matches!(stmt.kind, StmtKind::Let { discard: true, .. }) {
-                n += 1;
-            }
-            for nested in &stmt.nested {
-                stack.push(nested);
-            }
-        }
-    }
-    n
-}
-
-/// Walks every fn with the head type of its enclosing `impl` block (an
-/// empty string for free fns). Fns nested in statement position are
-/// free; [`crate::parser::walk_fns`] lacks the impl context, hence the
-/// local walker.
-fn walk_with_impl<'a>(
-    items: &'a [Item],
-    impl_type: &str,
-    f: &mut dyn FnMut(&'a Item, &'a FnItem, &str),
-) {
-    for item in items {
-        walk_item(item, impl_type, f);
-    }
-}
-
-fn walk_item<'a>(item: &'a Item, impl_type: &str, f: &mut dyn FnMut(&'a Item, &'a FnItem, &str)) {
-    match &item.kind {
-        ItemKind::Fn(func) => {
-            f(item, func, impl_type);
-            if let Some(body) = &func.body {
-                walk_body(body, f);
-            }
-        }
-        ItemKind::Mod { items, .. } => walk_with_impl(items, "", f),
-        ItemKind::Impl { type_name, items } => walk_with_impl(items, type_name, f),
-        _ => {}
-    }
-}
-
-fn walk_body<'a>(block: &'a Block, f: &mut dyn FnMut(&'a Item, &'a FnItem, &str)) {
-    for stmt in &block.stmts {
-        if let StmtKind::Item(item) = &stmt.kind {
-            walk_item(item, "", f);
-        }
-        for b in &stmt.nested {
-            walk_body(b, f);
-        }
-    }
+    calls.into_iter().collect()
 }
 
 /// The workspace call graph with propagated hazard state.
@@ -451,6 +301,8 @@ pub struct CallGraph {
     /// All function summaries, in (file, declaration) order. The node
     /// id is the index; ids are deterministic because file order is.
     pub nodes: Vec<FnSummary>,
+    /// The one call resolver over `nodes`.
+    resolver: Resolver,
     /// Resolved callee node ids per node, sorted and deduplicated.
     edges: Vec<Vec<u32>>,
     /// Per-node, per-hazard: node id of the minimum-id reachable
@@ -458,61 +310,89 @@ pub struct CallGraph {
     sources: Vec<[u32; NHAZ]>,
 }
 
-/// Conservative call-target resolution over a node set: free fns and
-/// methods by name, associated fns by (type, name). Duplicates keep
-/// every candidate. Shared by [`CallGraph::build`] and the concurrency
-/// pass's helper-guard resolution.
-pub(crate) struct Resolver<'a> {
-    free: BTreeMap<&'a str, Vec<u32>>,
-    methods: BTreeMap<&'a str, Vec<u32>>,
-    assoc: BTreeMap<(&'a str, &'a str), Vec<u32>>,
+/// Conservative call-target resolution over a node set, scoped by the
+/// crate DAG (see the module docs): free fns and methods by name,
+/// associated fns by (type, name). Duplicates keep every candidate.
+#[derive(Debug, Default)]
+struct Resolver {
+    free: BTreeMap<String, Vec<u32>>,
+    methods: BTreeMap<String, Vec<u32>>,
+    /// Associated fns by type, then name.
+    assoc: BTreeMap<String, BTreeMap<String, Vec<u32>>>,
 }
 
-impl<'a> Resolver<'a> {
-    /// Indexes the node set. Candidate lists are in node-id order.
-    pub(crate) fn new(nodes: &'a [FnSummary]) -> Resolver<'a> {
-        let mut free: BTreeMap<&str, Vec<u32>> = BTreeMap::new();
-        let mut methods: BTreeMap<&str, Vec<u32>> = BTreeMap::new();
-        let mut assoc: BTreeMap<(&str, &str), Vec<u32>> = BTreeMap::new();
+impl Resolver {
+    /// Indexes every node outside the root package. Candidate lists are
+    /// in node-id order.
+    fn new(nodes: &[FnSummary]) -> Resolver {
+        let mut r = Resolver::default();
         for (id, s) in nodes.iter().enumerate() {
+            if crate_of(&s.file).is_none() {
+                continue;
+            }
             let id = id as u32;
             if s.impl_type.is_empty() && !s.has_self {
-                free.entry(&s.name).or_default().push(id);
+                r.free.entry(s.name.clone()).or_default().push(id);
             }
             if !s.impl_type.is_empty() {
-                assoc.entry((&s.impl_type, &s.name)).or_default().push(id);
+                r.assoc
+                    .entry(s.impl_type.clone())
+                    .or_default()
+                    .entry(s.name.clone())
+                    .or_default()
+                    .push(id);
             }
             if s.has_self {
-                methods.entry(&s.name).or_default().push(id);
+                r.methods.entry(s.name.clone()).or_default().push(id);
             }
         }
-        Resolver {
-            free,
-            methods,
-            assoc,
-        }
+        r
     }
 
-    /// Candidate callee ids for one call site from `caller`, in node-id
-    /// order (empty when nothing resolves).
-    pub(crate) fn targets<'s>(&'s self, caller: &'s FnSummary, c: &'s CallRef) -> &'s [u32] {
-        let targets: Option<&Vec<u32>> = if c.method {
-            self.methods.get(c.name.as_str())
-        } else if !c.qual.is_empty() {
-            let ty: &str = if c.qual == "Self" {
-                &caller.impl_type
-            } else {
-                &c.qual
-            };
-            // A miss means the qualifier was a module path, not a
-            // type; fall back to free-fn resolution.
-            self.assoc
-                .get(&(ty, c.name.as_str()))
-                .or_else(|| self.free.get(c.name.as_str()))
-        } else {
-            self.free.get(c.name.as_str())
+    /// The candidates for call `c` from `caller` that lie in its scope,
+    /// in node-id order (empty when nothing resolves).
+    fn targets(&self, nodes: &[FnSummary], caller: &FnSummary, c: &CallRef) -> Vec<u32> {
+        let from = crate_of(&caller.file);
+        let deps = from.and_then(config::allowed_deps);
+        let in_scope = |&t: &u32| {
+            let callee = &nodes[t as usize];
+            let to = crate_of(&callee.file);
+            if to == from {
+                return true;
+            }
+            // Another crate's free fn is callable only when `pub`; a
+            // method or associated fn may come through a trait impl,
+            // which carries no `pub`.
+            let free = callee.impl_type.is_empty() && !callee.has_self;
+            (callee.is_pub || !free)
+                && deps.is_none_or(|deps| to.is_some_and(|to| deps.contains(&to)))
         };
-        targets.map(Vec::as_slice).unwrap_or(&[])
+        let pick = |ids: Option<&Vec<u32>>| -> Vec<u32> {
+            ids.into_iter()
+                .flatten()
+                .copied()
+                .filter(in_scope)
+                .collect()
+        };
+        if c.method {
+            return pick(self.methods.get(&c.name));
+        }
+        if c.qual.is_empty() {
+            return pick(self.free.get(&c.name));
+        }
+        let ty = if c.qual == "Self" {
+            &caller.impl_type
+        } else {
+            &c.qual
+        };
+        // A miss means the qualifier was a module path, not a type in
+        // scope; fall back to free-fn resolution.
+        let assoc = pick(self.assoc.get(ty).and_then(|fns| fns.get(&c.name)));
+        if assoc.is_empty() {
+            pick(self.free.get(&c.name))
+        } else {
+            assoc
+        }
     }
 }
 
@@ -520,28 +400,35 @@ impl CallGraph {
     /// Builds the graph from all files' summaries (already in sorted
     /// file order) and propagates hazards over its SCC condensation.
     pub fn build(nodes: Vec<FnSummary>) -> CallGraph {
-        let n = nodes.len();
-        let mut edges: Vec<Vec<u32>> = vec![Vec::new(); n];
-        {
-            let resolver = Resolver::new(&nodes);
-            for (id, s) in nodes.iter().enumerate() {
+        let resolver = Resolver::new(&nodes);
+        let edges: Vec<Vec<u32>> = nodes
+            .iter()
+            .map(|s| {
                 let mut out: BTreeSet<u32> = BTreeSet::new();
                 for c in &s.calls {
-                    out.extend(resolver.targets(s, c).iter().copied());
+                    out.extend(resolver.targets(&nodes, s, c));
                 }
-                edges[id] = out.into_iter().collect();
-            }
-        }
+                out.into_iter().collect()
+            })
+            .collect();
         let sources = propagate(&nodes, &edges);
         CallGraph {
             nodes,
+            resolver,
             edges,
             sources,
         }
     }
 
+    /// The in-scope candidate callees of call `c` from `caller`, in
+    /// node-id order: the one resolution the call graph, the
+    /// concurrency pass and `result-dropped` share.
+    pub(crate) fn targets(&self, caller: &FnSummary, c: &CallRef) -> Vec<u32> {
+        self.resolver.targets(&self.nodes, caller, c)
+    }
+
     /// The resolved adjacency lists (callee ids per node, sorted).
-    pub(crate) fn edge_lists(&self) -> &[Vec<u32>] {
+    pub fn edge_lists(&self) -> &[Vec<u32>] {
         &self.edges
     }
 
@@ -672,7 +559,7 @@ fn propagate(nodes: &[FnSummary], edges: &[Vec<u32>]) -> Vec<[u32; NHAZ]> {
         for &m in members {
             let mu = m as usize;
             for (h, s) in src.iter_mut().enumerate() {
-                if nodes[mu].own_site(h) != 0 {
+                if nodes[mu].own[h] != 0 {
                     *s = (*s).min(m);
                 }
             }
@@ -691,142 +578,160 @@ fn propagate(nodes: &[FnSummary], edges: &[Vec<u32>]) -> Vec<[u32; NHAZ]> {
     comp_of.iter().map(|&c| comp_sources[c as usize]).collect()
 }
 
+/// What the passes find: each finding goes through [`justify`] against
+/// its own file's directives and lands in `suppressed` under the one
+/// that covers it, or in `violations`.
+pub(crate) struct Findings<'a> {
+    cfg: &'a Config,
+    allows: &'a mut [(String, InterprocAllow)],
+    /// Findings no directive covers.
+    pub(crate) violations: Vec<Violation>,
+    /// Findings a directive silenced.
+    pub(crate) suppressed: Vec<Suppressed>,
+}
+
+impl<'a> Findings<'a> {
+    pub(crate) fn new(cfg: &'a Config, allows: &'a mut [(String, InterprocAllow)]) -> Self {
+        Findings {
+            cfg,
+            allows,
+            violations: Vec::new(),
+            suppressed: Vec::new(),
+        }
+    }
+
+    /// Adds `v`: suppressed under the first directive of its file that
+    /// names its rule and covers its line, else a violation.
+    pub(crate) fn add(&mut self, v: Violation) {
+        let own = self
+            .allows
+            .iter_mut()
+            .filter(|(file, _)| *file == v.file)
+            .map(|(_, a)| a);
+        match justify(own, &v.rule, v.line) {
+            Some(a) => self.suppressed.push(Suppressed {
+                reason: a.dir.reason.clone(),
+                allow_line: a.dir.line,
+                violation: v,
+            }),
+            None => self.violations.push(v),
+        }
+    }
+
+    /// Adds a central finding of `rule` at `line` of `node`'s file,
+    /// shown with the fn's declaration snippet.
+    pub(crate) fn emit(&mut self, rule: &str, node: &FnSummary, line: u32, message: String) {
+        let v = Violation {
+            rule: rule.to_string(),
+            severity: self.cfg.severity(rule),
+            file: node.file.clone(),
+            line,
+            message,
+            snippet: node.snippet.clone(),
+        };
+        self.add(v);
+    }
+}
+
 /// The three interprocedural hazard rules, evaluated over the
 /// propagated graph. Unused-allow reporting is split out into
-/// [`unused_allows`] so it can run after *both* central passes (this
-/// one and [`crate::concurrency::evaluate`] share the allow list).
+/// [`unused_allows`] so it can run after every pass has had its chance
+/// to use a directive.
 pub fn evaluate(
     graph: &CallGraph,
     cfg: &Config,
     allows: &mut [(String, InterprocAllow)],
 ) -> (Vec<Violation>, Vec<Suppressed>) {
-    let mut violations = Vec::new();
-    let mut suppressed = Vec::new();
+    let mut out = Findings::new(cfg, allows);
     for (id, node) in graph.nodes.iter().enumerate() {
         if !node.is_pub || node.file.ends_with("src/main.rs") || node.file.contains("/bin/") {
             continue;
         }
         let crate_name = crate_of(&node.file);
-        let crate_name = crate_name.as_deref();
         let src = graph.sources_of(id);
-
-        let mut emit = |rule: &str, message: String| {
-            let v = Violation {
-                rule: rule.to_string(),
-                severity: cfg.severity(rule),
-                file: node.file.clone(),
-                line: node.line,
-                message,
-                snippet: node.snippet.clone(),
-            };
-            let matched = allows.iter_mut().find(|(file, a)| {
-                file == &node.file
-                    && a.rules.iter().any(|r| r == rule)
-                    && a.covers.0 <= node.line
-                    && node.line <= a.covers.1
-            });
-            match matched {
-                Some((_, a)) => {
-                    a.used = true;
-                    suppressed.push(Suppressed {
-                        violation: v,
-                        reason: a.reason.clone(),
-                        allow_line: a.line,
-                    });
-                }
-                None => violations.push(v),
-            }
+        // The source fn of hazard `h` and the witness chain to it, when
+        // the hazard reaches `node` from beyond its own body.
+        let reached = |h: usize| {
+            (src[h] != NONE && node.own[h] == 0).then(|| {
+                let s = &graph.nodes[src[h] as usize];
+                (s, s.own[h], graph.witness(id, h, src[h]))
+            })
         };
 
-        if cfg.enabled("panic-reachable")
-            && !config::panic_reachable_exempt(crate_name)
-            && src[H_PANIC] != NONE
-            && node.panic_line == 0
-        {
-            let s = &graph.nodes[src[H_PANIC] as usize];
-            emit(
-                "panic-reachable",
-                format!(
-                    "pub fn `{}` can reach a panic site in `{}` ({}:{}){}; return a typed error or justify with lint:allow(panic-reachable)",
-                    node.qualified(),
-                    s.qualified(),
-                    s.file,
-                    s.panic_line,
-                    graph.witness(id, H_PANIC, src[H_PANIC]),
-                ),
-            );
+        if cfg.enabled("panic-reachable") && !config::panic_reachable_exempt(crate_name) {
+            if let Some((s, line, via)) = reached(H_PANIC) {
+                out.emit(
+                    "panic-reachable",
+                    node,
+                    node.line,
+                    format!(
+                        "pub fn `{}` can reach a panic site in `{}` ({}:{line}){via}; return a typed error or justify with lint:allow(panic-reachable)",
+                        node.qualified(),
+                        s.qualified(),
+                        s.file,
+                    ),
+                );
+            }
         }
         if cfg.enabled("taint-escape") && node.ret_nonempty {
-            if src[H_WALL] != NONE
-                && node.wall_line == 0
-                && !config::wall_clock_exempt(&node.file, crate_name)
+            if let Some((s, line, via)) =
+                reached(H_WALL).filter(|_| !config::wall_clock_exempt(&node.file, crate_name))
             {
-                let s = &graph.nodes[src[H_WALL] as usize];
-                emit(
+                out.emit(
                     "taint-escape",
+                    node,
+                    node.line,
                     format!(
-                        "return value of pub fn `{}` can carry wall-clock taint from `{}` ({}:{}){}; route time through dns::clock or justify with lint:allow(taint-escape)",
+                        "return value of pub fn `{}` can carry wall-clock taint from `{}` ({}:{line}){via}; route time through dns::clock or justify with lint:allow(taint-escape)",
                         node.qualified(),
                         s.qualified(),
                         s.file,
-                        s.wall_line,
-                        graph.witness(id, H_WALL, src[H_WALL]),
                     ),
                 );
             }
-            if src[H_UNORD] != NONE && node.unordered_line == 0 {
-                let s = &graph.nodes[src[H_UNORD] as usize];
-                emit(
+            if let Some((s, line, via)) = reached(H_UNORD) {
+                out.emit(
                     "taint-escape",
+                    node,
+                    node.line,
                     format!(
-                        "return value of pub fn `{}` can carry hash-iteration-order taint from `{}` ({}:{}){}; sort at the source or justify with lint:allow(taint-escape)",
+                        "return value of pub fn `{}` can carry hash-iteration-order taint from `{}` ({}:{line}){via}; sort at the source or justify with lint:allow(taint-escape)",
                         node.qualified(),
                         s.qualified(),
                         s.file,
-                        s.unordered_line,
-                        graph.witness(id, H_UNORD, src[H_UNORD]),
                     ),
                 );
             }
         }
-        if cfg.enabled("seed-flow-transitive")
-            && !config::seed_flow_exempt(&node.file, crate_name)
-            && src[H_RNG] != NONE
-            && node.rng_line == 0
+        if cfg.enabled("seed-flow-transitive") && !config::seed_flow_exempt(&node.file, crate_name)
         {
-            let s = &graph.nodes[src[H_RNG] as usize];
-            emit(
-                "seed-flow-transitive",
-                format!(
-                    "pub fn `{}` can reach an RNG-minting site in `{}` ({}:{}){}; thread &mut DetRng from the world seed or justify with lint:allow(seed-flow-transitive)",
-                    node.qualified(),
-                    s.qualified(),
-                    s.file,
-                    s.rng_line,
-                    graph.witness(id, H_RNG, src[H_RNG]),
-                ),
-            );
+            if let Some((s, line, via)) = reached(H_RNG) {
+                out.emit(
+                    "seed-flow-transitive",
+                    node,
+                    node.line,
+                    format!(
+                        "pub fn `{}` can reach an RNG-minting site in `{}` ({}:{line}){via}; thread &mut DetRng from the world seed or justify with lint:allow(seed-flow-transitive)",
+                        node.qualified(),
+                        s.qualified(),
+                        s.file,
+                    ),
+                );
+            }
         }
     }
-    (violations, suppressed)
+    (out.violations, out.suppressed)
 }
 
-/// Unused-allow sites: `(file, line)` pairs for directives that name
-/// *only* centrally-matched rules and silenced nothing (mixed
-/// directives stay owned by the per-file pass). Must run after every
-/// central pass has had its chance to mark directives used.
+/// Unused-allow sites: `(file, line)` pairs for directives that
+/// discharged no site and silenced no finding. Must run after every
+/// pass has had its chance to mark directives used.
 pub fn unused_allows(allows: &[(String, InterprocAllow)]) -> Vec<(String, u32)> {
     allows
         .iter()
-        .filter(|(_, a)| !a.used && a.all_interproc)
-        .map(|(file, a)| (file.clone(), a.line))
+        .filter(|(_, a)| !a.used)
+        .map(|(file, a)| (file.clone(), a.dir.line))
         .collect()
-}
-
-fn crate_of(rel: &str) -> Option<String> {
-    rel.strip_prefix("crates/")
-        .and_then(|rest| rest.split('/').next())
-        .map(|s| s.to_string())
 }
 
 #[cfg(test)]

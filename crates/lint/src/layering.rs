@@ -133,7 +133,7 @@ pub fn lint_manifest(
             }
             if let Some(name) = crate_name {
                 if let Some(allowed) = config::allowed_deps(name) {
-                    if !allowed.contains(short) && short != name {
+                    if !allowed.contains(&short) && short != name {
                         out.push(Violation {
                             rule: "layering".to_string(),
                             severity: Severity::Deny,
@@ -141,7 +141,7 @@ pub fn lint_manifest(
                             line: dep.line,
                             message: format!(
                                 "crate `{name}` may not depend on `{short}` (allowed: {})",
-                                allowed.iter().copied().collect::<Vec<_>>().join(", ")
+                                allowed.join(", ")
                             ),
                             snippet: snippet(dep.line),
                         });

@@ -947,35 +947,41 @@ fn finish_param(toks: &[&Tok]) -> Option<Param> {
     Some(Param { name, ty })
 }
 
-/// Walks every fn item in the tree (including fns nested in mods,
-/// impls, and other fns), invoking `f` with the item and its fn data.
-pub fn walk_fns<'a>(items: &'a [Item], f: &mut dyn FnMut(&'a Item, &'a FnItem)) {
+/// Walks every fn item in the tree — fns nested in mods, impls and
+/// other fns' bodies included — invoking `f` with the item, its fn data
+/// and the head type of its enclosing `impl` block (empty for free fns;
+/// a fn nested in a mod or a body is free).
+pub fn walk_fns<'a>(items: &'a [Item], f: &mut dyn FnMut(&'a Item, &'a FnItem, &str)) {
+    walk_items(items, "", f);
+}
+
+fn walk_items<'a>(
+    items: &'a [Item],
+    impl_type: &str,
+    f: &mut dyn FnMut(&'a Item, &'a FnItem, &str),
+) {
     for item in items {
         match &item.kind {
             ItemKind::Fn(func) => {
-                f(item, func);
+                f(item, func, impl_type);
                 if let Some(body) = &func.body {
-                    walk_block_fns(body, f);
+                    walk_body_items(body, f);
                 }
             }
-            ItemKind::Mod { items, .. } | ItemKind::Impl { items, .. } => walk_fns(items, f),
+            ItemKind::Mod { items, .. } => walk_items(items, "", f),
+            ItemKind::Impl { type_name, items } => walk_items(items, type_name, f),
             _ => {}
         }
     }
 }
 
-fn walk_block_fns<'a>(block: &'a Block, f: &mut dyn FnMut(&'a Item, &'a FnItem)) {
+fn walk_body_items<'a>(block: &'a Block, f: &mut dyn FnMut(&'a Item, &'a FnItem, &str)) {
     for stmt in &block.stmts {
         if let StmtKind::Item(item) = &stmt.kind {
-            if let ItemKind::Fn(func) = &item.kind {
-                f(item, func);
-                if let Some(body) = &func.body {
-                    walk_block_fns(body, f);
-                }
-            }
+            walk_items(std::slice::from_ref(&**item), "", f);
         }
         for b in &stmt.nested {
-            walk_block_fns(b, f);
+            walk_body_items(b, f);
         }
     }
 }

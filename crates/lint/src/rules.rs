@@ -1,8 +1,11 @@
 //! Token-level rules. Each rule scans one [`FileCtx`] and returns raw
 //! violations; suppression filtering happens in the workspace driver.
+//! The four hazard rules (`panic`, `wall-clock`, `seed-flow`,
+//! `hash-iter`) report the sites `hazard_sites` finds once per file.
 
 use crate::config::{self, Config};
 use crate::diag::Violation;
+use crate::interproc::{HAZARD_RULES, H_PANIC, H_RNG, H_UNORD, H_WALL, NHAZ};
 use crate::lexer::{Tok, TokKind};
 use crate::scan::FileCtx;
 use std::collections::BTreeSet;
@@ -10,17 +13,17 @@ use std::collections::BTreeSet;
 /// Runs every enabled token rule over one file.
 pub fn run_all(ctx: &FileCtx, cfg: &Config) -> Vec<Violation> {
     let mut out = Vec::new();
-    if cfg.enabled("panic") {
-        out.extend(rule_panic(ctx));
-    }
-    if cfg.enabled("wall-clock") {
-        out.extend(rule_wall_clock(ctx));
+    for ((rule, _), sites) in HAZARD_RULES.iter().zip(&ctx.hazards) {
+        if cfg.enabled(rule) {
+            out.extend(
+                sites
+                    .iter()
+                    .map(|s| violation(ctx, rule, s.line, s.message.clone())),
+            );
+        }
     }
     if cfg.enabled("env-rand") {
         out.extend(rule_env_rand(ctx));
-    }
-    if cfg.enabled("hash-iter") {
-        out.extend(rule_hash_iter(ctx));
     }
     if cfg.enabled("dbg") {
         out.extend(rule_dbg(ctx));
@@ -43,6 +46,138 @@ pub fn run_all(ctx: &FileCtx, cfg: &Config) -> Vec<Violation> {
         v.severity = cfg.severity(&v.rule);
     }
     out
+}
+
+/// One hazard site, as its per-file rule reports it.
+#[derive(Debug, Clone)]
+pub struct Site {
+    /// Token index the site was found at (a hash loop's `for`): the fns
+    /// whose body range holds it own the site.
+    pub tok: usize,
+    /// 1-based line the site is reported on.
+    pub line: u32,
+    /// The per-file rule's diagnostic.
+    pub message: String,
+}
+
+/// The file's hazard sites, one list per kind in token order: panics
+/// (`.unwrap()`/`.expect(…)`/`panic!`/`unreachable!`), wall-clock reads
+/// (`Instant`/`SystemTime`), RNG mints (`DetRng::new`,
+/// `Xoshiro256pp::seed_from_u64`/`from_seed`) and hash iterations with
+/// no adjacent order-restoring operation. Test code has none, and each
+/// kind keeps its rule's exemptions: binaries and bench code may panic,
+/// [`config::wall_clock_exempt`] paths may read the clock, and
+/// [`config::seed_flow_exempt`] crates may mint.
+pub(crate) fn hazard_sites(ctx: &FileCtx) -> [Vec<Site>; NHAZ] {
+    let mut out: [Vec<Site>; NHAZ] = Default::default();
+    if ctx.in_test_tree {
+        return out;
+    }
+    let krate = ctx.crate_name.as_deref();
+    let may_panic = ctx.is_bin || krate == Some("bench");
+    let may_read_clock = config::wall_clock_exempt(&ctx.rel_path, krate);
+    let may_mint = config::seed_flow_exempt(&ctx.rel_path, krate);
+    let code = &ctx.code;
+    let hash = collect_hash_names(code);
+    for (i, t) in code.iter().enumerate() {
+        if t.kind != TokKind::Ident || ctx.is_test_line(t.line) {
+            continue;
+        }
+        let mut push = |h: usize, line: u32, message: String| {
+            out[h].push(Site {
+                tok: i,
+                line,
+                message,
+            })
+        };
+        let prev_dot = i > 0 && code[i - 1].is_punct('.');
+        let next_paren = code.get(i + 1).is_some_and(|n| n.is_punct('('));
+        let next_bang = code.get(i + 1).is_some_and(|n| n.is_punct('!'));
+        if !may_panic {
+            if prev_dot && next_paren && (t.is_ident("unwrap") || t.is_ident("expect")) {
+                push(
+                    H_PANIC,
+                    t.line,
+                    format!(
+                        ".{}() can panic; propagate a typed error (model::error) or justify with lint:allow(panic)",
+                        t.text
+                    ),
+                );
+            } else if (t.is_ident("panic") || t.is_ident("unreachable")) && next_bang {
+                push(
+                    H_PANIC,
+                    t.line,
+                    format!("{}! in library code; return a typed error instead", t.text),
+                );
+            }
+        }
+        if !may_read_clock && (t.is_ident("Instant") || t.is_ident("SystemTime")) {
+            push(
+                H_WALL,
+                t.line,
+                format!(
+                    "{} reads the wall clock; use the simulated clock (dns::clock) or move to crates/bench",
+                    t.text
+                ),
+            );
+        }
+        let mints = (t.is_ident("DetRng") && path_call(code, i, "new"))
+            || (t.is_ident("Xoshiro256pp")
+                && (path_call(code, i, "seed_from_u64") || path_call(code, i, "from_seed")));
+        if !may_mint && mints {
+            push(
+                H_RNG,
+                t.line,
+                format!(
+                    "{} mints a fresh RNG stream outside worldgen/testkit/bench; receive &mut DetRng (or fork from a parent stream) so draws trace back to the world seed, or justify with lint:allow(seed-flow)",
+                    t.text
+                ),
+            );
+        }
+        if hash.is_empty() {
+            continue;
+        }
+        // `recv . iter (` — method-call iteration.
+        if ITER_METHODS.iter().any(|m| t.is_ident(m))
+            && prev_dot
+            && next_paren
+            && i >= 2
+            && hash.holds(code, i - 2)
+            && !sanctioned(code, i)
+        {
+            push(
+                H_UNORD,
+                t.line,
+                format!(
+                    "iterating hash collection `{}` in unspecified order; sort the result, collect into a BTree map/set, or justify with lint:allow(hash-iter)",
+                    code[i - 2].text
+                ),
+            );
+        }
+        // `for pat in [&mut] recv {` — loop iteration.
+        if t.is_ident("for") {
+            if let Some((r, recv)) = for_loop_receiver(code, i) {
+                if hash.holds(code, r) && !sanctioned(code, r) {
+                    push(
+                        H_UNORD,
+                        code[r].line,
+                        format!(
+                            "for-loop over hash collection `{recv}` in unspecified order; iterate a sorted view or justify with lint:allow(hash-iter)"
+                        ),
+                    );
+                }
+            }
+        }
+    }
+    out
+}
+
+/// Whether `code[i]` is followed by `:: method (`.
+fn path_call(code: &[Tok], i: usize, method: &str) -> bool {
+    code.get(i + 1).is_some_and(|t| t.is_punct(':'))
+        && code.get(i + 2).is_some_and(|t| t.is_punct(':'))
+        && code.get(i + 3).is_some_and(|t| t.is_ident(method))
+        && code.get(i + 4).is_some_and(|t| t.is_punct('('))
 }
 
 fn violation(ctx: &FileCtx, rule: &str, line: u32, message: String) -> Violation {
@@ -97,72 +232,6 @@ fn rule_lock_poison(ctx: &FileCtx) -> Vec<Violation> {
                 format!(
                     ".{}().{}() panics on a poisoned lock; recover with .unwrap_or_else(|poisoned| poisoned.into_inner()) or justify with lint:allow(lock-poison-unwrap)",
                     t.text, u.text
-                ),
-            ));
-        }
-    }
-    out
-}
-
-/// `panic`: `.unwrap()`, `.expect(…)`, `panic!` and `unreachable!` in
-/// non-test library code. Binaries, bench code, and test trees are exempt; so
-/// is anything inside `#[cfg(test)]` / `#[test]` regions.
-fn rule_panic(ctx: &FileCtx) -> Vec<Violation> {
-    let mut out = Vec::new();
-    if ctx.in_test_tree || ctx.is_bin || ctx.crate_name.as_deref() == Some("bench") {
-        return out;
-    }
-    let code = &ctx.code;
-    for i in 0..code.len() {
-        let t = &code[i];
-        if ctx.is_test_line(t.line) {
-            continue;
-        }
-        let prev_dot = i > 0 && code[i - 1].is_punct('.');
-        let next_paren = code.get(i + 1).is_some_and(|n| n.is_punct('('));
-        let next_bang = code.get(i + 1).is_some_and(|n| n.is_punct('!'));
-        if prev_dot && next_paren && (t.is_ident("unwrap") || t.is_ident("expect")) {
-            out.push(violation(
-                ctx,
-                "panic",
-                t.line,
-                format!(
-                    ".{}() can panic; propagate a typed error (model::error) or justify with lint:allow(panic)",
-                    t.text
-                ),
-            ));
-        } else if (t.is_ident("panic") || t.is_ident("unreachable")) && next_bang {
-            out.push(violation(
-                ctx,
-                "panic",
-                t.line,
-                format!("{}! in library code; return a typed error instead", t.text),
-            ));
-        }
-    }
-    out
-}
-
-/// `wall-clock`: `Instant` / `SystemTime` anywhere except the bench
-/// harness and the simulated clock. Wall-clock reads in a measurement
-/// path make runs non-reproducible.
-fn rule_wall_clock(ctx: &FileCtx) -> Vec<Violation> {
-    let mut out = Vec::new();
-    if config::wall_clock_exempt(&ctx.rel_path, ctx.crate_name.as_deref()) {
-        return out;
-    }
-    for t in &ctx.code {
-        if ctx.is_test_line(t.line) {
-            continue;
-        }
-        if t.is_ident("Instant") || t.is_ident("SystemTime") {
-            out.push(violation(
-                ctx,
-                "wall-clock",
-                t.line,
-                format!(
-                    "{} reads the wall clock; use the simulated clock (dns::clock) or move to crates/bench",
-                    t.text
                 ),
             ));
         }
@@ -227,7 +296,7 @@ fn rule_env_rand(ctx: &FileCtx) -> Vec<Violation> {
 }
 
 /// Iterator-producing methods on hash collections.
-pub(crate) const ITER_METHODS: &[&str] = &[
+const ITER_METHODS: &[&str] = &[
     "iter",
     "iter_mut",
     "keys",
@@ -274,71 +343,45 @@ const ORDER_SANCTIONS: &[&str] = &[
 /// order-restoring operation ("adjacent" in the rule's sense).
 const SANCTION_WINDOW: usize = 80;
 
-/// `hash-iter`: iteration over a `HashMap`/`HashSet` whose order can
-/// leak into output, without an adjacent sort / ordered re-collection /
-/// order-insensitive reduction. Heuristic: a name is hash-typed if the
-/// file declares it with a `HashMap`/`HashSet` type annotation or
-/// constructor; iteration is `.iter()`-family calls or `for … in`
-/// over such a name.
-fn rule_hash_iter(ctx: &FileCtx) -> Vec<Violation> {
-    let mut out = Vec::new();
-    if ctx.in_test_tree {
-        return out;
-    }
-    let code = &ctx.code;
-    let hash_names = collect_hash_names(code);
-    if hash_names.is_empty() {
-        return out;
-    }
-    for i in 0..code.len() {
-        let t = &code[i];
-        if ctx.is_test_line(t.line) {
-            continue;
-        }
-        // `name . iter (` — method-call iteration.
-        if t.kind == TokKind::Ident
-            && ITER_METHODS.iter().any(|m| t.is_ident(m))
-            && i >= 2
-            && code[i - 1].is_punct('.')
-            && code[i - 2].kind == TokKind::Ident
-            && hash_names.contains(code[i - 2].text.as_str())
-            && code.get(i + 1).is_some_and(|n| n.is_punct('('))
-            && !sanctioned(code, i)
-        {
-            out.push(violation(
-                ctx,
-                "hash-iter",
-                t.line,
-                format!(
-                    "iterating hash collection `{}` in unspecified order; sort the result, collect into a BTree map/set, or justify with lint:allow(hash-iter)",
-                    code[i - 2].text
-                ),
-            ));
-        }
-        // `for pat in [&mut] name {` — loop iteration.
-        if t.is_ident("for") {
-            if let Some((recv_idx, recv)) = for_loop_receiver(code, i) {
-                if hash_names.contains(recv.as_str()) && !sanctioned(code, recv_idx) {
-                    out.push(violation(
-                        ctx,
-                        "hash-iter",
-                        code[recv_idx].line,
-                        format!(
-                            "for-loop over hash collection `{recv}` in unspecified order; iterate a sorted view or justify with lint:allow(hash-iter)"
-                        ),
-                    ));
-                }
-            }
-        }
-    }
-    out
+/// Names declared with a hash-collection type or constructor anywhere
+/// in the file, split by how a receiver reaches them: a bare `m` names
+/// a `let` or a parameter, `self.m`/`x.m` a struct field.
+#[derive(Debug, Default)]
+struct HashNames {
+    bindings: BTreeSet<String>,
+    fields: BTreeSet<String>,
 }
 
-/// Names declared with a hash-collection type or constructor anywhere
-/// in the file: `name: HashMap<…>` (fields, params, lets) and
-/// `let name = HashMap::new()` and friends.
-pub(crate) fn collect_hash_names(code: &[Tok]) -> BTreeSet<String> {
-    let mut names = BTreeSet::new();
+impl HashNames {
+    fn is_empty(&self) -> bool {
+        self.bindings.is_empty() && self.fields.is_empty()
+    }
+
+    /// Whether the receiver ident at token `i` is hash-typed: a field
+    /// when a `.` precedes it, a binding otherwise.
+    fn holds(&self, code: &[Tok], i: usize) -> bool {
+        let names = if i > 0 && code[i - 1].is_punct('.') {
+            &self.fields
+        } else {
+            &self.bindings
+        };
+        code[i].kind == TokKind::Ident && names.contains(code[i].text.as_str())
+    }
+
+    fn insert(&mut self, code: &[Tok], j: usize, annotated: bool) {
+        let names = if declares_field(code, j, annotated) {
+            &mut self.fields
+        } else {
+            &mut self.bindings
+        };
+        names.insert(code[j].text.clone());
+    }
+}
+
+/// Collects `name: HashMap<…>` (fields, params, lets) and
+/// `[let] name = HashMap::new()` and friends.
+fn collect_hash_names(code: &[Tok]) -> HashNames {
+    let mut names = HashNames::default();
     for i in 0..code.len() {
         let t = &code[i];
         if !(t.is_ident("HashMap") || t.is_ident("HashSet")) {
@@ -364,11 +407,11 @@ pub(crate) fn collect_hash_names(code: &[Tok]) -> BTreeSet<String> {
                 if p.is_ident("collections") || p.is_ident("std") {
                     break;
                 }
-                names.insert(p.text.clone());
+                names.insert(code, j, true);
             }
             break;
         }
-        // `let [mut] name = HashMap::new()` / `with_capacity` / `from`.
+        // `[let [mut]] name = HashMap::new()` / `with_capacity` / `from`.
         if i >= 2
             && code[i - 1].is_punct('=')
             && code
@@ -380,7 +423,7 @@ pub(crate) fn collect_hash_names(code: &[Tok]) -> BTreeSet<String> {
                 j -= 1;
                 let p = &code[j];
                 if p.kind == TokKind::Ident && !p.is_ident("mut") {
-                    names.insert(p.text.clone());
+                    names.insert(code, j, false);
                     break;
                 }
                 if !p.is_ident("mut") {
@@ -392,10 +435,48 @@ pub(crate) fn collect_hash_names(code: &[Tok]) -> BTreeSet<String> {
     names
 }
 
+/// Whether the declaration whose name is at token `j` declares a field
+/// rather than a binding. A constructor assignment declares one only as
+/// `x.name = …`. An annotation `name: HashMap<…>` declares one in a
+/// struct body or literal — after `.`, `{`, `pub`, `pub(…)` or an
+/// attribute, or after a `,` whose enclosing bracket is `{` — while
+/// `let`, `mut` and `(…)`/`|…|` parameter lists declare bindings.
+fn declares_field(code: &[Tok], j: usize, annotated: bool) -> bool {
+    let Some(prev) = j.checked_sub(1).map(|k| &code[k]) else {
+        return false;
+    };
+    if prev.is_punct('.') {
+        return true;
+    }
+    if !annotated {
+        return false;
+    }
+    if prev.is_punct('{') || prev.is_punct(')') || prev.is_punct(']') || prev.is_ident("pub") {
+        return true;
+    }
+    if !prev.is_punct(',') {
+        return false;
+    }
+    let mut depth = 0usize;
+    for t in code[..j - 1].iter().rev() {
+        if t.kind != TokKind::Punct {
+            continue;
+        }
+        match t.text.as_str() {
+            ")" | "]" | "}" => depth += 1,
+            "{" if depth == 0 => return true,
+            "(" | "[" | "|" if depth == 0 => return false,
+            "(" | "[" | "{" => depth -= 1,
+            _ => {}
+        }
+    }
+    false
+}
+
 /// For `for … in <expr> {`, returns the receiver identifier when the
 /// loop source is a plain (possibly `self.`-qualified, referenced)
 /// path — calls and indexing disqualify it.
-pub(crate) fn for_loop_receiver(code: &[Tok], for_idx: usize) -> Option<(usize, String)> {
+fn for_loop_receiver(code: &[Tok], for_idx: usize) -> Option<(usize, String)> {
     // Find `in` at depth 0 (patterns may contain parens/tuples).
     let mut depth = 0i32;
     let mut j = for_idx + 1;
@@ -448,7 +529,7 @@ pub(crate) fn for_loop_receiver(code: &[Tok], for_idx: usize) -> Option<(usize, 
 /// leaving the enclosing block. This is what lets
 /// `let mut v: Vec<_> = map.iter().collect(); v.sort();` pass while a
 /// bare iteration into output is flagged.
-pub(crate) fn sanctioned(code: &[Tok], i: usize) -> bool {
+fn sanctioned(code: &[Tok], i: usize) -> bool {
     let mut depth = 0i32;
     let mut semis = 0u32;
     for t in code[i..].iter().take(SANCTION_WINDOW) {
@@ -551,7 +632,7 @@ fn rule_layering_source(ctx: &FileCtx) -> Vec<Violation> {
             continue;
         }
         let test_ctx = ctx.is_test_line(t.line);
-        if allowed.contains(dep) || (test_ctx && matches!(dep, "testkit" | "lint")) {
+        if allowed.contains(&dep) || (test_ctx && matches!(dep, "testkit" | "lint")) {
             continue;
         }
         if seen_lines.insert((dep.to_string(), t.line)) {
@@ -561,7 +642,7 @@ fn rule_layering_source(ctx: &FileCtx) -> Vec<Violation> {
                 t.line,
                 format!(
                     "crate `{self_crate}` may not depend on `{dep}` (allowed: {})",
-                    allowed.iter().copied().collect::<Vec<_>>().join(", ")
+                    allowed.join(", ")
                 ),
             ));
         }

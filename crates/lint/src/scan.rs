@@ -1,8 +1,11 @@
 //! Per-file analysis context: code/comment token streams, test-region
-//! detection, and `lint:allow` suppression parsing.
+//! detection, `lint:allow` suppression parsing, and the file's hazard
+//! sites.
 
 use crate::config;
+use crate::interproc::NHAZ;
 use crate::lexer::{lex, Tok, TokKind};
+use crate::rules::{self, Site};
 
 /// A parsed `// lint:allow(rule, …) — reason` directive.
 #[derive(Debug, Clone)]
@@ -54,6 +57,18 @@ pub struct FileCtx {
     pub suppressions: Vec<Suppression>,
     /// Malformed suppressions.
     pub bad_allows: Vec<BadAllow>,
+    /// Hazard sites per kind ([`crate::interproc::H_PANIC`], …), in
+    /// token order: found once, reported by the per-file rules and
+    /// attributed to fns by [`crate::interproc::extract`].
+    pub hazards: [Vec<Site>; NHAZ],
+}
+
+/// The workspace crate a repo-relative path belongs to
+/// (`crates/<name>/…`), or `None` for the root package.
+pub fn crate_of(rel_path: &str) -> Option<&str> {
+    rel_path
+        .strip_prefix("crates/")
+        .and_then(|rest| rest.split('/').next())
 }
 
 impl FileCtx {
@@ -73,10 +88,7 @@ impl FileCtx {
         let nlines = lines.len();
         let test_lines = mark_test_lines(&code, nlines);
         let path = rel_path.replace('\\', "/");
-        let crate_name = path
-            .strip_prefix("crates/")
-            .and_then(|rest| rest.split('/').next())
-            .map(|s| s.to_string());
+        let crate_name = crate_of(&path).map(str::to_string);
         let in_test_tree = path
             .split('/')
             .any(|seg| matches!(seg, "tests" | "benches" | "examples"));
@@ -92,8 +104,10 @@ impl FileCtx {
             is_bin,
             suppressions: Vec::new(),
             bad_allows: Vec::new(),
+            hazards: Default::default(),
         };
         ctx.collect_suppressions();
+        ctx.hazards = rules::hazard_sites(&ctx);
         ctx
     }
 

@@ -5,9 +5,10 @@
 //! The workspace-wide pass lives in [`crate::driver`]; this module
 //! owns discovery and what happens to *one* file.
 
-use crate::config::{self, Config};
-use crate::dataflow::{self, SigTable};
-use crate::diag::Suppressed;
+use crate::config::Config;
+use crate::dataflow;
+use crate::diag::Violation;
+use crate::interproc::{CallGraph, FnSummary};
 use crate::parser::ParsedFile;
 use crate::rules;
 use crate::scan::FileCtx;
@@ -15,69 +16,30 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// Everything one file's rule passes produced, before workspace-level
-/// merging.
-#[derive(Debug, Default)]
-pub struct FileOutcome {
-    /// Unsuppressed violations.
-    pub violations: Vec<crate::diag::Violation>,
-    /// Suppressed violations with their directives.
-    pub suppressed: Vec<Suppressed>,
-    /// Lines of `lint:allow` directives that silenced nothing.
-    pub unused_allows: Vec<u32>,
-}
-
-/// Runs every rule pass (token + dataflow) over one lexed and parsed
-/// source file and applies its suppressions. Phase 2 of the driver.
+/// Runs every per-file rule pass (token + dataflow) over one lexed and
+/// parsed source file; `fns` are its summaries, nodes of `graph`. The
+/// raw violations come back in (line, rule) order, to be matched
+/// against the file's directives by the caller (phase 2 of
+/// [`crate::lint_workspace`]).
 pub(crate) fn analyze_file(
     ctx: &FileCtx,
     parsed: &ParsedFile,
+    fns: &[FnSummary],
+    graph: &CallGraph,
     cfg: &Config,
-    sigs: &SigTable,
-) -> FileOutcome {
+) -> Vec<Violation> {
     let mut raw = rules::run_all(ctx, cfg);
-    raw.extend(dataflow::run_all(ctx, parsed, sigs, cfg));
+    raw.extend(dataflow::run_all(ctx, parsed, fns, graph, cfg));
     raw.sort_by(|a, b| (a.line, &a.rule).cmp(&(b.line, &b.rule)));
-    let mut outcome = FileOutcome::default();
-    let mut used = vec![false; ctx.suppressions.len()];
-    for v in raw {
-        let matched = ctx.suppressions.iter().enumerate().find(|(_, s)| {
-            s.rules.iter().any(|r| r == &v.rule) && s.covers.0 <= v.line && v.line <= s.covers.1
-        });
-        match matched {
-            Some((idx, s)) => {
-                used[idx] = true;
-                outcome.suppressed.push(Suppressed {
-                    violation: v,
-                    reason: s.reason.clone(),
-                    allow_line: s.line,
-                });
-            }
-            None => outcome.violations.push(v),
-        }
-    }
-    for (idx, s) in ctx.suppressions.iter().enumerate() {
-        // Directives naming a centrally-matched rule (interprocedural
-        // or concurrency) are matched by the central passes, which this
-        // per-file view cannot see; they own the unused-allow reporting.
-        if !used[idx] && !s.rules.iter().any(|r| config::is_central_rule(r)) {
-            outcome.unused_allows.push(s.line);
-        }
-    }
-    outcome
+    raw
 }
 
-pub(crate) fn rel_path(root: &Path, file: &Path) -> String {
+/// `file` relative to `root`, with forward slashes.
+pub fn rel_path(root: &Path, file: &Path) -> String {
     file.strip_prefix(root)
         .unwrap_or(file)
         .to_string_lossy()
         .replace('\\', "/")
-}
-
-pub(crate) fn crate_of(rel: &str) -> Option<String> {
-    rel.strip_prefix("crates/")
-        .and_then(|rest| rest.split('/').next())
-        .map(|s| s.to_string())
 }
 
 /// All `Cargo.toml` files: the root manifest plus one per crate.
@@ -100,7 +62,7 @@ pub(crate) fn discover_manifests(root: &Path) -> io::Result<Vec<PathBuf>> {
 /// All Rust sources: root `src`/`tests`/`examples`, and each crate's
 /// `src`/`tests`/`benches`/`examples`.
 #[must_use]
-pub(crate) fn discover_sources(root: &Path) -> io::Result<Vec<PathBuf>> {
+pub fn discover_sources(root: &Path) -> io::Result<Vec<PathBuf>> {
     let mut out = Vec::new();
     for sub in ["src", "tests", "examples"] {
         collect_rs(&root.join(sub), &mut out)?;

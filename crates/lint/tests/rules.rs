@@ -208,6 +208,71 @@ pub fn list(m: &BTreeMap<String, u32>) -> Vec<String> {
     assert!(rules_hit("crates/core/src/x.rs", src).is_empty());
 }
 
+#[test]
+fn hash_iter_resolves_receivers_by_binding() {
+    // `shard.reps` is the Vec field, not the local map of the same
+    // name; a bare `m` is the Vec parameter, not the map field `m`.
+    let src = r#"
+use std::collections::HashMap;
+pub struct Shard {
+    reps: Vec<(u32, u32)>,
+    m: HashMap<u32, u32>,
+}
+pub fn merge(shard: Shard) -> Vec<u32> {
+    let mut reps: HashMap<u32, u32> = HashMap::new();
+    let mut out = Vec::new();
+    for (k, v) in shard.reps {
+        reps.insert(k, v);
+        out.push(k);
+    }
+    out
+}
+pub fn copy(m: Vec<u32>) -> Vec<u32> {
+    let mut out = Vec::new();
+    for x in m {
+        out.push(x);
+    }
+    out
+}
+"#;
+    assert!(rules_hit("crates/core/src/x.rs", src).is_empty());
+}
+
+#[test]
+fn hash_iter_flags_a_hash_field_through_self() {
+    let src = r#"
+use std::collections::HashMap;
+pub struct Index {
+    map: HashMap<String, u32>,
+}
+impl Index {
+    pub fn names(&self) -> Vec<String> {
+        let mut out = Vec::new();
+        for (k, _) in &self.map {
+            out.push(k.clone());
+        }
+        out
+    }
+}
+"#;
+    assert_eq!(rules_hit("crates/core/src/x.rs", src), vec!["hash-iter"]);
+}
+
+#[test]
+fn hash_iter_flags_a_bare_hash_binding() {
+    let src = r#"
+use std::collections::HashMap;
+pub fn list(m: HashMap<String, u32>) -> Vec<String> {
+    let mut out = Vec::new();
+    for (k, _) in m {
+        out.push(k);
+    }
+    out
+}
+"#;
+    assert_eq!(rules_hit("crates/core/src/x.rs", src), vec!["hash-iter"]);
+}
+
 // ---- dbg / todo ----
 
 #[test]
@@ -336,6 +401,18 @@ fn disabled_rules_do_not_fire() {
     let src = "pub fn f(v: Option<u32>) -> u32 { v.unwrap() }\n";
     let r = lint_source("crates/model/src/x.rs", src, &cfg);
     assert!(r.is_clean());
+}
+
+#[test]
+fn disabling_a_hazard_rule_silences_only_its_per_file_report() {
+    // The site stays in the fn's summary, so a pub caller still reaches
+    // it through `panic-reachable`.
+    let mut cfg = Config::default();
+    cfg.disabled.insert("panic".to_string());
+    let src = "fn sink(v: Option<u32>) -> u32 {\n    v.unwrap()\n}\npub fn api(v: Option<u32>) -> u32 {\n    sink(v)\n}\n";
+    let r = lint_source("crates/model/src/x.rs", src, &cfg);
+    let hits: Vec<&str> = r.violations.iter().map(|v| v.rule.as_str()).collect();
+    assert_eq!(hits, ["panic-reachable"], "{r:?}");
 }
 
 #[test]

@@ -6,7 +6,7 @@
 //! support — the paper's criterion for *not* being critically dependent
 //! on the CA.
 
-use crate::classify::{Classification, ClassifierKind, ClassifyCache, Evidence};
+use crate::classify::{classify, provider_key, Classification, ClassifierKind, Evidence};
 use crate::dataset::SiteCaMeasurement;
 use webdeps_dns::{Dig, Resolver, Soa};
 use webdeps_model::{DomainName, PublicSuffixList, ServiceKind};
@@ -15,13 +15,12 @@ use webdeps_worldgen::profiles::CaProfile;
 
 /// Classifies a crawled site's CA dependency against the site's SOA
 /// `site_soa`, passing the (site, CA endpoint) pair's evidence to
-/// `on_pair` where it is classified by `cache`.
+/// `on_pair` and classifying it with [`classify`].
 pub fn classify_site(
     report: &CrawlReport,
     site_soa: Option<&Soa>,
     resolver: &mut Resolver<'_>,
     psl: &PublicSuffixList,
-    cache: &ClassifyCache,
     on_pair: &mut dyn FnMut(ServiceKind, &Evidence<'_>),
 ) -> SiteCaMeasurement {
     let Some(cert) = &report.certificate else {
@@ -61,8 +60,8 @@ pub fn classify_site(
         threshold: usize::MAX,
     };
     on_pair(ServiceKind::Ca, &ev);
-    let class = cache.classify(ClassifierKind::Combined, &ev, psl);
-    let key = cache.provider_key(ca_host, psl);
+    let class = classify(ClassifierKind::Combined, &ev, psl);
+    let key = provider_key(ca_host, psl);
 
     let state = match class {
         Classification::Private => Some(CaProfile::PrivateCa),
@@ -106,7 +105,6 @@ mod tests {
             site_soa.as_ref(),
             &mut resolver,
             &world.psl,
-            &ClassifyCache::new(),
             &mut |_, _| {},
         );
         (report, m)

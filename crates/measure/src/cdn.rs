@@ -7,7 +7,9 @@
 //! External resources (fonts, ads, widgets) are deliberately ignored no
 //! matter how CDN-flavoured their chains look.
 
-use crate::classify::{Classification, ClassifierKind, ClassifyCache, Evidence};
+use crate::classify::{
+    classify, provider_key, san_covers, Classification, ClassifierKind, Evidence,
+};
 use crate::dataset::{ProviderKey, SiteCdnMeasurement};
 use std::collections::HashMap;
 use webdeps_dns::{Dig, Resolver, Soa};
@@ -22,22 +24,19 @@ pub fn is_internal(
     host: &DomainName,
     san: Option<&[DomainName]>,
     psl: &PublicSuffixList,
-    cache: &ClassifyCache,
 ) -> bool {
-    psl.same_registrable_domain(site, host)
-        || san.is_some_and(|san| cache.san_covers(san, host, psl))
+    psl.same_registrable_domain(site, host) || san.is_some_and(|san| san_covers(san, host, psl))
 }
 
 /// Classifies a crawled site's CDN usage against the site's SOA
 /// `site_soa`, passing each (site, CNAME witness) pair's evidence to
-/// `on_pair` where it is classified by `cache`.
+/// `on_pair` and classifying it with [`classify`].
 pub fn classify_site(
     report: &CrawlReport,
     site_soa: Option<&Soa>,
     cname_map: &CnameToCdnMap,
     resolver: &mut Resolver<'_>,
     psl: &PublicSuffixList,
-    cache: &ClassifyCache,
     on_pair: &mut dyn FnMut(ServiceKind, &Evidence<'_>),
 ) -> SiteCdnMeasurement {
     let san = report.certificate.as_ref().map(|c| &*c.san);
@@ -47,7 +46,7 @@ pub fn classify_site(
     let mut order: Vec<ProviderKey> = Vec::new();
 
     for host in report.hostnames() {
-        if !is_internal(&report.site, &host, san, psl, cache) {
+        if !is_internal(&report.site, &host, san, psl) {
             continue;
         }
         let Some(chain) = report.chain_of(&host) else {
@@ -56,7 +55,7 @@ pub fn classify_site(
         let Some((suffix, _, witness)) = cname_map.classify_chain_detailed(chain.iter()) else {
             continue;
         };
-        let key = cache.provider_key(suffix, psl);
+        let key = provider_key(suffix, psl);
 
         let witness_soa = Dig::new(resolver).soa_of(witness).ok();
         let ev = Evidence {
@@ -69,7 +68,7 @@ pub fn classify_site(
             threshold: usize::MAX,
         };
         on_pair(ServiceKind::Cdn, &ev);
-        let class = cache.classify(ClassifierKind::Combined, &ev, psl);
+        let class = classify(ClassifierKind::Combined, &ev, psl);
         match detected.entry(key.clone()) {
             std::collections::hash_map::Entry::Vacant(v) => {
                 v.insert(class);
@@ -118,7 +117,6 @@ mod tests {
     #[test]
     fn internal_detection_rules() {
         let psl = PublicSuffixList::builtin();
-        let cache = ClassifyCache::new();
         let site = dn("shop.com");
         let san = vec![dn("shop.com"), dn("*.shopimg.net")];
         for (host, san, internal) in [
@@ -128,7 +126,7 @@ mod tests {
             ("a.shopimg.net", None, false),
         ] {
             assert_eq!(
-                is_internal(&site, &dn(host), san, &psl, &cache),
+                is_internal(&site, &dn(host), san, &psl),
                 internal,
                 "{host} with SAN {san:?}"
             );
@@ -152,7 +150,6 @@ mod tests {
             &world.cname_map,
             &mut resolver,
             &world.psl,
-            &ClassifyCache::new(),
             &mut |_, _| {},
         )
     }

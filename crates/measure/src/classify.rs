@@ -11,7 +11,7 @@
 //!   only) the concentration-≥-threshold rule; anything left is
 //!   `Unknown` and excluded from analysis.
 //!
-//! [`ClassifyCache::classify`] is the one classifier: every service's
+//! [`classify`] is the one classifier: every service's
 //! `classify_site`, the inter-service probes and validation decide
 //! through it. A separate transcription of the same rules lives in
 //! `tests/report_oracles.rs` as the oracle it is held to.
@@ -82,157 +82,102 @@ pub struct Evidence<'a> {
     pub threshold: usize,
 }
 
-/// The §3 classifier.
+/// Provider key for `name`: its registrable domain, or the name itself
+/// when it has none (the convention every measurement uses for
+/// wire-inferred identities).
+pub fn provider_key(name: &DomainName, psl: &PublicSuffixList) -> ProviderKey {
+    ProviderKey::new(psl.registrable_str(name).unwrap_or(name.as_str()))
+}
+
+/// Whether two SOAs denote the same administrative authority: matching
+/// MNAME or RNAME registrable domains (the paper's §3.1 grouping rule).
+pub fn soa_same_authority(a: &Soa, b: &Soa, psl: &PublicSuffixList) -> bool {
+    psl.same_registrable_domain(&a.mname, &b.mname)
+        || psl.same_registrable_domain(&a.rname, &b.rname)
+}
+
+/// Whether the SAN list covers the candidate's registrable domain ("all
+/// TLDs present in the SAN list belong to the same logical entity",
+/// §3.1).
+pub fn san_covers(san: &[DomainName], candidate: &DomainName, psl: &PublicSuffixList) -> bool {
+    let Some(cand_reg) = psl.registrable_str(candidate) else {
+        return false;
+    };
+    san.iter()
+        .any(|entry| psl.registrable_str(entry) == Some(cand_reg))
+}
+
+/// Runs a strategy over evidence: the §3 classifier.
 ///
 /// Every heuristic rule bottoms out in "what is this hostname's
-/// registrable domain?", and the [`PublicSuffixList`]'s compiled suffix
-/// table answers that without allocating, so the classifier remembers
-/// nothing between calls. Provider keys are built afresh too: a memo
-/// that answered nine key requests in ten left `measure/classify` and
-/// measurement's heap peak unchanged (EXPERIMENTS.md, "Lean measurement
-/// working set"). Results are pinned identical to an uncached
+/// registrable domain?", which the [`PublicSuffixList`]'s compiled
+/// suffix table answers without allocating, so nothing is remembered
+/// between calls. Results are pinned identical to a separate
 /// transcription by `cached_classify_matches_uncached` in
 /// `tests/report_oracles.rs`.
-#[derive(Debug, Default)]
-pub struct ClassifyCache;
-
-impl ClassifyCache {
-    /// The classifier.
-    pub fn new() -> Self {
-        ClassifyCache
-    }
-
-    /// [`PublicSuffixList::registrable_str`]: the registrable domain as
-    /// a borrowed suffix of `name`.
-    pub fn registrable_str<'a>(
-        &self,
-        name: &'a DomainName,
-        psl: &PublicSuffixList,
-    ) -> Option<&'a str> {
-        psl.registrable_str(name)
-    }
-
-    /// [`PublicSuffixList::registrable_domain`].
-    pub fn registrable_domain(
-        &self,
-        name: &DomainName,
-        psl: &PublicSuffixList,
-    ) -> Option<DomainName> {
-        psl.registrable_domain(name)
-    }
-
-    /// [`PublicSuffixList::same_registrable_domain`].
-    pub fn same_registrable_domain(
-        &self,
-        a: &DomainName,
-        b: &DomainName,
-        psl: &PublicSuffixList,
-    ) -> bool {
-        psl.same_registrable_domain(a, b)
-    }
-
-    /// Provider key for `name`: its registrable domain, or the name
-    /// itself when it has none (the convention every measurement uses
-    /// for wire-inferred identities).
-    pub fn provider_key(&self, name: &DomainName, psl: &PublicSuffixList) -> ProviderKey {
-        ProviderKey::new(psl.registrable_str(name).unwrap_or(name.as_str()))
-    }
-
-    /// Whether two SOAs denote the same administrative authority:
-    /// matching MNAME or RNAME registrable domains (the paper's §3.1
-    /// grouping rule).
-    pub fn soa_same_authority(&self, a: &Soa, b: &Soa, psl: &PublicSuffixList) -> bool {
-        psl.same_registrable_domain(&a.mname, &b.mname)
-            || psl.same_registrable_domain(&a.rname, &b.rname)
-    }
-
-    /// Whether the SAN list covers the candidate's registrable domain
-    /// ("all TLDs present in the SAN list belong to the same logical
-    /// entity", §3.1).
-    pub fn san_covers(
-        &self,
-        san: &[DomainName],
-        candidate: &DomainName,
-        psl: &PublicSuffixList,
-    ) -> bool {
-        let Some(cand_reg) = psl.registrable_str(candidate) else {
-            return false;
-        };
-        san.iter()
-            .any(|entry| psl.registrable_str(entry) == Some(cand_reg))
-    }
-
-    /// Runs a strategy over evidence.
-    ///
-    /// ```
-    /// use webdeps_measure::classify::ClassifyCache;
-    /// use webdeps_measure::{Classification, ClassifierKind, Evidence};
-    /// use webdeps_model::{name::dn, PublicSuffixList};
-    /// let psl = PublicSuffixList::builtin();
-    /// let site = dn("example.com");
-    /// let ns = dn("ns1.dynect.net");
-    /// let ev = Evidence {
-    ///     site: &site, candidate: &ns, san: None,
-    ///     site_soa: None, candidate_soa: None,
-    ///     concentration: Some(120), threshold: 50,
-    /// };
-    /// let cache = ClassifyCache::new();
-    /// assert_eq!(
-    ///     cache.classify(ClassifierKind::Combined, &ev, &psl),
-    ///     Classification::ThirdParty
-    /// );
-    /// ```
-    pub fn classify(
-        &self,
-        kind: ClassifierKind,
-        ev: &Evidence<'_>,
-        psl: &PublicSuffixList,
-    ) -> Classification {
-        match kind {
-            ClassifierKind::TldOnly => {
-                if psl.same_registrable_domain(ev.site, ev.candidate) {
+///
+/// ```
+/// use webdeps_measure::classify::classify;
+/// use webdeps_measure::{Classification, ClassifierKind, Evidence};
+/// use webdeps_model::{name::dn, PublicSuffixList};
+/// let psl = PublicSuffixList::builtin();
+/// let site = dn("example.com");
+/// let ns = dn("ns1.dynect.net");
+/// let ev = Evidence {
+///     site: &site, candidate: &ns, san: None,
+///     site_soa: None, candidate_soa: None,
+///     concentration: Some(120), threshold: 50,
+/// };
+/// assert_eq!(
+///     classify(ClassifierKind::Combined, &ev, &psl),
+///     Classification::ThirdParty
+/// );
+/// ```
+pub fn classify(kind: ClassifierKind, ev: &Evidence<'_>, psl: &PublicSuffixList) -> Classification {
+    match kind {
+        ClassifierKind::TldOnly => {
+            if psl.same_registrable_domain(ev.site, ev.candidate) {
+                Classification::Private
+            } else {
+                Classification::ThirdParty
+            }
+        }
+        ClassifierKind::SoaOnly => match (ev.site_soa, ev.candidate_soa) {
+            (Some(a), Some(b)) => {
+                if soa_same_authority(a, b, psl) {
                     Classification::Private
                 } else {
                     Classification::ThirdParty
                 }
             }
-            ClassifierKind::SoaOnly => match (ev.site_soa, ev.candidate_soa) {
-                (Some(a), Some(b)) => {
-                    if self.soa_same_authority(a, b, psl) {
-                        Classification::Private
-                    } else {
-                        Classification::ThirdParty
-                    }
-                }
-                _ => Classification::Unknown,
-            },
-            ClassifierKind::Combined => {
-                // Rule 1: registrable-domain match ⇒ private.
-                if psl.same_registrable_domain(ev.site, ev.candidate) {
+            _ => Classification::Unknown,
+        },
+        ClassifierKind::Combined => {
+            // Rule 1: registrable-domain match ⇒ private.
+            if psl.same_registrable_domain(ev.site, ev.candidate) {
+                return Classification::Private;
+            }
+            // Rule 2: candidate's domain appears in the site's SAN
+            // list ⇒ same logical entity ⇒ private.
+            if let Some(san) = ev.san {
+                if san_covers(san, ev.candidate, psl) {
                     return Classification::Private;
                 }
-                // Rule 2: candidate's domain appears in the site's SAN
-                // list ⇒ same logical entity ⇒ private.
-                if let Some(san) = ev.san {
-                    if self.san_covers(san, ev.candidate, psl) {
-                        return Classification::Private;
-                    }
-                }
-                // Rule 3: differing SOA authorities ⇒ third party.
-                if let (Some(a), Some(b)) = (ev.site_soa, ev.candidate_soa) {
-                    if !self.soa_same_authority(a, b, psl) {
-                        return Classification::ThirdParty;
-                    }
-                }
-                // Rule 4 (DNS only): widely shared infrastructure is a
-                // third-party provider even when it manages the SOA.
-                if let Some(c) = ev.concentration {
-                    if c >= ev.threshold {
-                        return Classification::ThirdParty;
-                    }
-                }
-                Classification::Unknown
             }
+            // Rule 3: differing SOA authorities ⇒ third party.
+            if let (Some(a), Some(b)) = (ev.site_soa, ev.candidate_soa) {
+                if !soa_same_authority(a, b, psl) {
+                    return Classification::ThirdParty;
+                }
+            }
+            // Rule 4 (DNS only): widely shared infrastructure is a
+            // third-party provider even when it manages the SOA.
+            if let Some(c) = ev.concentration {
+                if c >= ev.threshold {
+                    return Classification::ThirdParty;
+                }
+            }
+            Classification::Unknown
         }
     }
 }
@@ -261,16 +206,15 @@ mod tests {
     #[test]
     fn tld_only_straightforward() {
         let psl = PublicSuffixList::builtin();
-        let cache = ClassifyCache::new();
         let site = dn("example.com");
         let own = dn("ns1.example.com");
         let other = dn("ns1.dynect.net");
         assert_eq!(
-            cache.classify(ClassifierKind::TldOnly, &base_ev(&site, &own), &psl),
+            classify(ClassifierKind::TldOnly, &base_ev(&site, &own), &psl),
             Classification::Private
         );
         assert_eq!(
-            cache.classify(ClassifierKind::TldOnly, &base_ev(&site, &other), &psl),
+            classify(ClassifierKind::TldOnly, &base_ev(&site, &other), &psl),
             Classification::ThirdParty
         );
     }
@@ -278,7 +222,6 @@ mod tests {
     #[test]
     fn soa_only_follows_authority() {
         let psl = PublicSuffixList::builtin();
-        let cache = ClassifyCache::new();
         let site = dn("example.com");
         let ns = dn("ns1.dynect.net");
         let site_soa = soa("ns1.example.com", "hostmaster.example.com");
@@ -287,19 +230,19 @@ mod tests {
         ev.site_soa = Some(&site_soa);
         ev.candidate_soa = Some(&provider_soa);
         assert_eq!(
-            cache.classify(ClassifierKind::SoaOnly, &ev, &psl),
+            classify(ClassifierKind::SoaOnly, &ev, &psl),
             Classification::ThirdParty
         );
         // Provider-managed site SOA makes the strawman call it private.
         let managed = soa("ns1.dynect.net", "hostmaster.dynect.net");
         ev.site_soa = Some(&managed);
         assert_eq!(
-            cache.classify(ClassifierKind::SoaOnly, &ev, &psl),
+            classify(ClassifierKind::SoaOnly, &ev, &psl),
             Classification::Private
         );
         ev.candidate_soa = None;
         assert_eq!(
-            cache.classify(ClassifierKind::SoaOnly, &ev, &psl),
+            classify(ClassifierKind::SoaOnly, &ev, &psl),
             Classification::Unknown
         );
     }
@@ -307,7 +250,6 @@ mod tests {
     #[test]
     fn combined_rule_order() {
         let psl = PublicSuffixList::builtin();
-        let cache = ClassifyCache::new();
         let site = dn("ytube.com");
         let alias_ns = dn("ns1.googol.com");
         // Rule 2: SAN rescues the alias-domain private case that TLD
@@ -316,11 +258,11 @@ mod tests {
         let mut ev = base_ev(&site, &alias_ns);
         ev.san = Some(&san);
         assert_eq!(
-            cache.classify(ClassifierKind::Combined, &ev, &psl),
+            classify(ClassifierKind::Combined, &ev, &psl),
             Classification::Private
         );
         assert_eq!(
-            cache.classify(ClassifierKind::TldOnly, &ev, &psl),
+            classify(ClassifierKind::TldOnly, &ev, &psl),
             Classification::ThirdParty,
             "the strawman misfires on alias domains"
         );
@@ -329,7 +271,6 @@ mod tests {
     #[test]
     fn combined_soa_mismatch_then_concentration() {
         let psl = PublicSuffixList::builtin();
-        let cache = ClassifyCache::new();
         let site = dn("shop.net");
         let ns = dn("ns1.bigdns.com");
         let site_soa = soa("ns1.shop.net", "hostmaster.shop.net");
@@ -338,7 +279,7 @@ mod tests {
         ev.site_soa = Some(&site_soa);
         ev.candidate_soa = Some(&ns_soa);
         assert_eq!(
-            cache.classify(ClassifierKind::Combined, &ev, &psl),
+            classify(ClassifierKind::Combined, &ev, &psl),
             Classification::ThirdParty
         );
 
@@ -347,12 +288,12 @@ mod tests {
         ev.site_soa = Some(&managed);
         ev.concentration = Some(120);
         assert_eq!(
-            cache.classify(ClassifierKind::Combined, &ev, &psl),
+            classify(ClassifierKind::Combined, &ev, &psl),
             Classification::ThirdParty
         );
         ev.concentration = Some(3);
         assert_eq!(
-            cache.classify(ClassifierKind::Combined, &ev, &psl),
+            classify(ClassifierKind::Combined, &ev, &psl),
             Classification::Unknown,
             "small provider-managed setups stay uncharacterized"
         );
@@ -361,13 +302,12 @@ mod tests {
     #[test]
     fn san_covers_matches_registrable_domains() {
         let psl = PublicSuffixList::builtin();
-        let cache = ClassifyCache::new();
         let san = vec![dn("example.com"), dn("*.cdn-brand.net")];
-        assert!(cache.san_covers(&san, &dn("edge7.cdn-brand.net"), &psl));
-        assert!(cache.san_covers(&san, &dn("www.example.com"), &psl));
-        assert!(!cache.san_covers(&san, &dn("other.org"), &psl));
+        assert!(san_covers(&san, &dn("edge7.cdn-brand.net"), &psl));
+        assert!(san_covers(&san, &dn("www.example.com"), &psl));
+        assert!(!san_covers(&san, &dn("other.org"), &psl));
         assert!(
-            !cache.san_covers(&san, &dn("com"), &psl),
+            !san_covers(&san, &dn("com"), &psl),
             "bare suffixes never covered"
         );
     }
@@ -375,15 +315,14 @@ mod tests {
     #[test]
     fn soa_authority_grouping() {
         let psl = PublicSuffixList::builtin();
-        let cache = ClassifyCache::new();
         // The Alibaba case: different zones, same master nameserver.
         let a = soa("ns1.alibabadns.com", "hostmaster.alibabadns.com");
         let b = soa("ns1.alibabadns.com", "hostmaster.alicdn-dns.com");
-        assert!(cache.soa_same_authority(&a, &b, &psl), "same MNAME groups");
+        assert!(soa_same_authority(&a, &b, &psl), "same MNAME groups");
         let c = soa("ns1.other.net", "hostmaster.alibabadns.com");
-        assert!(cache.soa_same_authority(&a, &c, &psl), "same RNAME groups");
+        assert!(soa_same_authority(&a, &c, &psl), "same RNAME groups");
         let d = soa("ns1.other.net", "hostmaster.other.net");
-        assert!(!cache.soa_same_authority(&a, &d, &psl));
+        assert!(!soa_same_authority(&a, &d, &psl));
     }
 
     #[test]

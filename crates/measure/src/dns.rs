@@ -8,7 +8,9 @@
 //! registrable domain ∨ same SOA MNAME ∨ same SOA RNAME) to measure
 //! redundancy.
 
-use crate::classify::{Classification, ClassifierKind, ClassifyCache, Evidence};
+use crate::classify::{
+    classify, provider_key, soa_same_authority, Classification, ClassifierKind, Evidence,
+};
 use crate::dataset::{NsGroup, NsPair, ProviderKey, SiteDnsMeasurement};
 use std::collections::HashMap;
 use webdeps_dns::{Dig, Resolver, Soa};
@@ -85,14 +87,13 @@ pub fn ns_concentration(
 /// same SOA RNAME, §3.1 "Measuring Redundancy"), and derive the site's
 /// dependency state. `concentration` maps a nameserver's registrable
 /// domain to the number of sites it serves (0 when unseen). Each
-/// pair's evidence goes to `on_pair` where `cache` classifies it.
+/// pair's evidence goes to `on_pair` and is classified by [`classify`].
 pub fn classify_site(
     obs: &DnsObservation,
     san: Option<&[DomainName]>,
     concentration: &dyn Fn(&str) -> usize,
     threshold: usize,
     psl: &PublicSuffixList,
-    cache: &ClassifyCache,
     on_pair: &mut dyn FnMut(ServiceKind, &Evidence<'_>),
 ) -> SiteDnsMeasurement {
     // Classify each (site, ns) pair with the combined heuristic.
@@ -112,7 +113,7 @@ pub fn classify_site(
                 threshold,
             };
             on_pair(ServiceKind::Dns, &ev);
-            cache.classify(ClassifierKind::Combined, &ev, psl)
+            classify(ClassifierKind::Combined, &ev, psl)
         })
         .collect();
 
@@ -130,7 +131,7 @@ pub fn classify_site(
         for j in (i + 1)..n {
             let same_reg = psl.same_registrable_domain(&obs.ns_hosts[i], &obs.ns_hosts[j]);
             let same_soa = match (&obs.ns_soas[i], &obs.ns_soas[j]) {
-                (Some(a), Some(b)) => cache.soa_same_authority(a, b, psl),
+                (Some(a), Some(b)) => soa_same_authority(a, b, psl),
                 _ => false,
             };
             if same_reg || same_soa {
@@ -156,7 +157,7 @@ pub fn classify_site(
             groups.len() - 1
         });
         // Group key: lexicographically smallest registrable domain.
-        let key = cache.provider_key(&obs.ns_hosts[i], psl);
+        let key = provider_key(&obs.ns_hosts[i], psl);
         if groups[gi].key.as_str().is_empty() || key.as_str() < groups[gi].key.as_str() {
             groups[gi].key = key;
         }
@@ -235,15 +236,7 @@ mod tests {
         conc: &dyn Fn(&str) -> usize,
     ) -> SiteDnsMeasurement {
         let psl = PublicSuffixList::builtin();
-        classify_site(
-            o,
-            san,
-            conc,
-            50,
-            &psl,
-            &ClassifyCache::new(),
-            &mut |_, _| {},
-        )
+        classify_site(o, san, conc, 50, &psl, &mut |_, _| {})
     }
 
     #[test]
@@ -396,7 +389,6 @@ mod tests {
             .iter()
             .map(|l| observe_site(client.resolver_mut(), &l.domain))
             .collect();
-        let cache = ClassifyCache::new();
         let concentration = ns_concentration(&observations, &world.psl);
         let threshold = world.config.concentration_threshold();
         let mut unknown_pairs = 0usize;
@@ -407,15 +399,7 @@ mod tests {
             let report = Crawler::crawl(&mut client, &l.domain, &l.document_hosts, l.https);
             let san = report.certificate.as_ref().map(|c| &*c.san);
             let conc = |reg: &str| concentration.get(reg).copied().unwrap_or(0);
-            let m = classify_site(
-                obs,
-                san,
-                &conc,
-                threshold,
-                &world.psl,
-                &cache,
-                &mut |_, _| {},
-            );
+            let m = classify_site(obs, san, &conc, threshold, &world.psl, &mut |_, _| {});
             let unknown = |c: Classification| c == Classification::Unknown;
             if m.pairs.iter().any(|p| unknown(p.class)) {
                 unknown_pairs += 1;

@@ -7,7 +7,7 @@
 //! *observed in the site measurements* — the pipeline probes exactly
 //! the providers the crawl surfaced, like the paper did.
 
-use crate::classify::{Classification, ClassifierKind, ClassifyCache, Evidence};
+use crate::classify::{classify, provider_key, Classification, ClassifierKind, Evidence};
 use crate::dataset::ProviderKey;
 use crate::dns;
 use std::collections::HashMap;
@@ -84,12 +84,11 @@ pub fn measure_dns_dep(
     concentration: &HashMap<DomainName, usize>,
     threshold: usize,
     psl: &PublicSuffixList,
-    cache: &ClassifyCache,
 ) -> Option<InterServiceDep> {
     let apex = zone_apex_of(resolver, rep_host)?;
     let obs = dns::observe_site(resolver, &apex)?;
     let conc = |reg: &str| concentration.get(reg).copied().unwrap_or(0);
-    let m = dns::classify_site(&obs, None, &conc, threshold, psl, cache, &mut |_, _| {});
+    let m = dns::classify_site(&obs, None, &conc, threshold, psl, &mut |_, _| {});
     let providers = m.third_parties().cloned().collect();
     InterServiceDep::from_dns_state(m.state, providers)
 }
@@ -102,7 +101,6 @@ pub fn measure_cdn_dep(
     responder_hosts: &[DomainName],
     cname_map: &CnameToCdnMap,
     psl: &PublicSuffixList,
-    cache: &ClassifyCache,
 ) -> Option<InterServiceDep> {
     let site_soa = Dig::new(resolver).soa_of(ca_domain).ok();
     let mut third: Vec<ProviderKey> = Vec::new();
@@ -126,8 +124,8 @@ pub fn measure_cdn_dep(
             concentration: None,
             threshold: usize::MAX,
         };
-        let key = cache.provider_key(suffix, psl);
-        match cache.classify(ClassifierKind::Combined, &ev, psl) {
+        let key = provider_key(suffix, psl);
+        match classify(ClassifierKind::Combined, &ev, psl) {
             Classification::ThirdParty => {
                 if !third.contains(&key) {
                     third.push(key);
@@ -161,12 +159,11 @@ pub fn measure_providers(
     cname_map: &CnameToCdnMap,
     psl: &PublicSuffixList,
 ) -> Vec<ProviderMeasurement> {
-    let cache = ClassifyCache::new();
     let mut out = Vec::new();
     let mut cdns: Vec<_> = cdn_reps.iter().collect();
     cdns.sort_by(|a, b| a.0.cmp(b.0));
     for (key, (witness, count)) in cdns {
-        let dns_dep = measure_dns_dep(resolver, witness, concentration, threshold, psl, &cache);
+        let dns_dep = measure_dns_dep(resolver, witness, concentration, threshold, psl);
         out.push(ProviderMeasurement {
             key: key.clone(),
             kind: ServiceKind::Cdn,
@@ -191,8 +188,8 @@ pub fn measure_providers(
         };
         let ca_domain = zone_apex_of(resolver, &rep)
             .unwrap_or_else(|| psl.registrable_domain(&rep).unwrap_or_else(|| rep.clone()));
-        let dns_dep = measure_dns_dep(resolver, &rep, concentration, threshold, psl, &cache);
-        let cdn_dep = measure_cdn_dep(resolver, &ca_domain, responders, cname_map, psl, &cache);
+        let dns_dep = measure_dns_dep(resolver, &rep, concentration, threshold, psl);
+        let cdn_dep = measure_cdn_dep(resolver, &ca_domain, responders, cname_map, psl);
         out.push(ProviderMeasurement {
             key: key.clone(),
             kind: ServiceKind::Ca,
@@ -247,15 +244,8 @@ mod tests {
         let mut conc = HashMap::new();
         conc.insert(webdeps_model::name::dn("dnsmadeeasy.com"), 100);
         let rep = webdeps_model::name::dn("ocsp.digicert.com");
-        let dep = measure_dns_dep(
-            &mut resolver,
-            &rep,
-            &conc,
-            5,
-            &world.psl,
-            &ClassifyCache::new(),
-        )
-        .expect("DigiCert zone is characterizable");
+        let dep = measure_dns_dep(&mut resolver, &rep, &conc, 5, &world.psl)
+            .expect("DigiCert zone is characterizable");
         assert!(dep.uses_third && dep.critical, "dep: {dep:?}");
         assert_eq!(dep.providers[0].as_str(), "dnsmadeeasy.com");
     }
@@ -272,7 +262,6 @@ mod tests {
             &responders,
             &world.cname_map,
             &world.psl,
-            &ClassifyCache::new(),
         )
         .expect("DigiCert responders ride a CDN");
         assert!(dep.uses_third && dep.critical);
@@ -286,15 +275,8 @@ mod tests {
         let conc = HashMap::new();
         // Akamai runs its own DNS.
         let rep = webdeps_model::name::dn("e1.akamaiedge.net");
-        let dep = measure_dns_dep(
-            &mut resolver,
-            &rep,
-            &conc,
-            5,
-            &world.psl,
-            &ClassifyCache::new(),
-        )
-        .expect("Akamai zone is characterizable");
+        let dep = measure_dns_dep(&mut resolver, &rep, &conc, 5, &world.psl)
+            .expect("Akamai zone is characterizable");
         assert!(!dep.uses_third, "dep: {dep:?}");
         // Akamai's responderless zone has no CDN dependency.
         let ca_domain = webdeps_model::name::dn("amazontrust.com");
@@ -305,7 +287,6 @@ mod tests {
             &responders,
             &world.cname_map,
             &world.psl,
-            &ClassifyCache::new(),
         );
         assert!(dep.is_none(), "Amazon Trust serves responders directly");
     }
@@ -316,15 +297,8 @@ mod tests {
         let mut resolver = world.resolver();
         let conc = HashMap::new();
         let rep = webdeps_model::name::dn("cust-x.fastly.net");
-        let dep = measure_dns_dep(
-            &mut resolver,
-            &rep,
-            &conc,
-            5,
-            &world.psl,
-            &ClassifyCache::new(),
-        )
-        .expect("Fastly zone is characterizable");
+        let dep = measure_dns_dep(&mut resolver, &rep, &conc, 5, &world.psl)
+            .expect("Fastly zone is characterizable");
         assert!(dep.uses_third, "Fastly uses Dyn");
         assert!(
             dep.redundant && !dep.critical,

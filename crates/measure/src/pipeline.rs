@@ -7,7 +7,7 @@
 //! web plane, PKI, CNAME-to-CDN map, public-suffix list, site list);
 //! ground truth never flows in.
 
-use crate::classify::{ClassifyCache, Evidence};
+use crate::classify::Evidence;
 use crate::columnar::MeasurementDataset;
 use crate::dataset::{ProviderKey, SiteCaMeasurement, SiteCdnMeasurement, SiteDnsMeasurement};
 use crate::{ca, cdn, dns, interservice};
@@ -96,7 +96,6 @@ pub(crate) fn measure_site(
     listing: &SiteListing,
     obs: Option<&dns::DnsObservation>,
     concentration: &dyn Fn(&str) -> usize,
-    cache: &ClassifyCache,
     on_pair: &mut dyn FnMut(ServiceKind, &Evidence<'_>),
 ) -> SiteMeasurement {
     let psl = &world.psl;
@@ -109,7 +108,7 @@ pub(crate) fn measure_site(
     let san = report.certificate.as_ref().map(|c| &*c.san);
     let threshold = world.config.concentration_threshold();
     let dns = obs.map_or_else(SiteDnsMeasurement::default, |obs| {
-        dns::classify_site(obs, san, concentration, threshold, psl, cache, on_pair)
+        dns::classify_site(obs, san, concentration, threshold, psl, on_pair)
     });
     let resolver = client.resolver_mut();
     let dug;
@@ -120,16 +119,8 @@ pub(crate) fn measure_site(
             dug.as_ref()
         }
     };
-    let ca = ca::classify_site(&report, site_soa, resolver, psl, cache, on_pair);
-    let cdn = cdn::classify_site(
-        &report,
-        site_soa,
-        &world.cname_map,
-        resolver,
-        psl,
-        cache,
-        on_pair,
-    );
+    let ca = ca::classify_site(&report, site_soa, resolver, psl, on_pair);
+    let cdn = cdn::classify_site(&report, site_soa, &world.cname_map, resolver, psl, on_pair);
     SiteMeasurement {
         report,
         dns,
@@ -153,7 +144,6 @@ fn classify_shard(
     let psl = &world.psl;
     let mut client = world.client();
     client.resolver_mut().bound_cache(RESOLVER_CACHE_BOUND);
-    let cache = ClassifyCache::new();
     let mut out = Shard {
         sites: MeasurementDataset::with_capacity(shard.len()),
         cdn_reps: Vec::new(),
@@ -172,7 +162,6 @@ fn classify_shard(
             listing,
             obs.as_ref(),
             &concentration,
-            &cache,
             &mut |_, _| {},
         );
 
@@ -318,20 +307,14 @@ pub(crate) fn measure_counted(world: &World) -> (MeasurementDataset, [PassWork; 
         classify_work.add(shard.work);
         // First-witness-wins across shards in shard order — the same
         // entry a serial site walk would have recorded first.
-        // lint:allow(hash-iter) — shard.cdn_reps is the shard's
-        // insertion-ordered Vec of rep entries, not the local map.
         for (key, (witness, n)) in shard.cdn_reps {
             let entry = cdn_reps.entry(key).or_insert_with(|| (witness, 0));
             entry.1 += n;
         }
-        // lint:allow(hash-iter) — shard.ca_reps is the shard's
-        // insertion-ordered Vec, not the local map.
         for (key, (hosts, n)) in shard.ca_reps {
             let entry = ca_reps.entry(key).or_insert_with(|| (hosts, 0));
             entry.1 += n;
         }
-        // lint:allow(hash-iter) — shard.dns_direct is the shard's
-        // insertion-ordered Vec; counts merge commutatively anyway.
         for (key, n) in shard.dns_direct {
             *dns_direct.entry(key).or_default() += n;
         }

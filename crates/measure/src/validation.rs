@@ -16,7 +16,7 @@
 //! reproducing the 100 / 97 / 56 (DNS), 100 / 96 / 94 (CA), and
 //! 100 / 97 / 83 (CDN) comparisons.
 
-use crate::classify::{Classification, ClassifierKind, ClassifyCache, Evidence};
+use crate::classify::{classify, Classification, ClassifierKind, Evidence};
 use crate::columnar::MeasurementDataset;
 use crate::dns;
 use crate::pipeline::measure_site;
@@ -114,7 +114,6 @@ pub fn validate_world(
 
     let fresh = || ClassifierKind::ALL.map(|_| Tally::default());
     let (mut dns_t, mut ca_t, mut cdn_t) = (fresh(), fresh(), fresh());
-    let classifier = ClassifyCache::new();
     let mut score = |service: ServiceKind, ev: &Evidence<'_>| {
         let Some(same) = world.entities.same_owner(ev.site, ev.candidate) else {
             return;
@@ -126,7 +125,7 @@ pub fn validate_world(
             ServiceKind::Cloud => return,
         };
         for (tally, kind) in tallies.iter_mut().zip(ClassifierKind::ALL) {
-            tally.record(classifier.classify(kind, ev, &world.psl), !same);
+            tally.record(classify(kind, ev, &world.psl), !same);
         }
     };
 
@@ -141,7 +140,6 @@ pub fn validate_world(
             &listing,
             obs.as_ref(),
             &concentration,
-            &classifier,
             &mut score,
         );
     }

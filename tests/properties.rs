@@ -11,7 +11,9 @@ use webdeps::core::{
 };
 use webdeps::dns::Soa;
 use webdeps::dns::{SimTime, Ttl};
-use webdeps::measure::classify::{Classification, ClassifierKind, ClassifyCache, Evidence};
+use webdeps::measure::classify::{
+    classify, provider_key, Classification, ClassifierKind, Evidence,
+};
 use webdeps::measure::ProviderKey;
 use webdeps::model::name::dn;
 use webdeps::model::psl::{BUILTIN_EXCEPTIONS, BUILTIN_RULES, BUILTIN_WILDCARDS};
@@ -674,9 +676,9 @@ fn compiled_psl_matches_rule_set_walk() {
     });
 }
 
-/// `ClassifyCache::classify` never panics on generated hostnames, SAN
-/// lists (wildcard entries included) and SOAs, and its TLD-only answer
-/// and provider keys follow the PSL.
+/// `classify` never panics on generated hostnames, SAN lists (wildcard
+/// entries included) and SOAs, and its TLD-only answer and provider
+/// keys follow the PSL.
 #[test]
 fn classify_never_panics_on_generated_evidence() {
     let psl = PublicSuffixList::builtin();
@@ -688,7 +690,6 @@ fn classify_never_panics_on_generated_evidence() {
         gen::vec_of(san_entry, 0, 4),
         gen::tuple3(psl_host(), psl_host(), gen::usize_range(0, 100)),
     );
-    let cache = ClassifyCache::new();
     check(
         "classify_never_panics_on_generated_evidence",
         &inputs,
@@ -718,14 +719,14 @@ fn classify_never_panics_on_generated_evidence() {
             };
             let outcome = catch_unwind(AssertUnwindSafe(|| {
                 for kind in ClassifierKind::ALL {
-                    cache.classify(kind, &ev, &psl);
+                    classify(kind, &ev, &psl);
                 }
-                cache.provider_key(&candidate, &psl)
+                provider_key(&candidate, &psl)
             }));
             let Ok(key) = outcome else {
                 return Err(format!("classify panicked on {ev:?}"));
             };
-            let tld_only = cache.classify(ClassifierKind::TldOnly, &ev, &psl);
+            let tld_only = classify(ClassifierKind::TldOnly, &ev, &psl);
             tk_assert_eq!(
                 tld_only == Classification::Private,
                 psl.same_registrable_domain(&site, &candidate)

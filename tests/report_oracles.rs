@@ -7,20 +7,20 @@
 //! validation once did, and classifies with the uncached rules below.
 //! The coverage curve walks one CSR list of consumer rows; the oracle
 //! builds one `SiteSet` bitset per provider and unions them. The
-//! library classifies only through `ClassifyCache`; `classify`,
-//! `san_covers` and `soa_same_authority` here are a plain transcription
-//! of the §3 rules against the public-suffix list, and the cache must
-//! answer every question exactly as they do. Each pair must agree
-//! exactly.
+//! library classifies only through `measure::classify`'s free
+//! functions; `classify`, `san_covers` and `soa_same_authority` here
+//! are a separate transcription of the §3 rules against the
+//! public-suffix list, and the library must answer every question
+//! exactly as they do. Each pair must agree exactly.
 
 use std::collections::HashMap;
 use std::sync::OnceLock;
 use webdeps::core::{coverage_curve, CoveragePoint, SiteSet};
 use webdeps::dns::{Dig, Soa};
-use webdeps::measure::classify::{Classification, ClassifierKind, ClassifyCache, Evidence};
+use webdeps::measure::classify::{Classification, ClassifierKind, Evidence};
 use webdeps::measure::{
-    cdn, dns, measure_world, validate_world, MeasurementDataset, ProviderKey, StrategyAccuracy,
-    ValidationReport,
+    cdn, classify, dns, measure_world, validate_world, MeasurementDataset, ProviderKey,
+    StrategyAccuracy, ValidationReport,
 };
 use webdeps::model::name::dn;
 use webdeps::model::{DetRng, DomainName, NameId, PublicSuffixList, ServiceKind, SiteId};
@@ -53,7 +53,7 @@ fn san_covers(san: &[DomainName], candidate: &DomainName, psl: &PublicSuffixList
     })
 }
 
-/// The §3 strategies, uncached: the oracle for `ClassifyCache::classify`.
+/// The §3 strategies: the oracle for the library's `classify::classify`.
 fn classify(kind: ClassifierKind, ev: &Evidence<'_>, psl: &PublicSuffixList) -> Classification {
     match kind {
         ClassifierKind::TldOnly => {
@@ -101,7 +101,7 @@ fn classify(kind: ClassifierKind, ev: &Evidence<'_>, psl: &PublicSuffixList) -> 
     }
 }
 
-/// Whether a page resource host is internal to the site, uncached.
+/// Whether a page resource host is internal to the site.
 fn is_internal(
     site: &DomainName,
     host: &DomainName,
@@ -456,7 +456,6 @@ fn soa(mname: &str, rname: &str) -> Soa {
 #[test]
 fn cached_classify_matches_uncached() {
     let psl = PublicSuffixList::builtin();
-    let mut cache = ClassifyCache::new();
     // Name zoo covering every PSL rule shape: gTLD, multi-label
     // suffix, bare suffixes, wildcard rule, exception rule, unknown
     // TLD fallback, wildcard SAN entries.
@@ -483,86 +482,67 @@ fn cached_classify_matches_uncached() {
         soa("ns1.dynect.net", "hostmaster.dynect.net"),
         soa("ns1.alibabadns.com", "hostmaster.alicdn-dns.com"),
     ];
-    // Two passes: the first populates the memo, the second must
-    // answer every question from it — both identical to uncached.
-    for _pass in 0..2 {
-        for a in &names {
-            assert_eq!(
-                cache.registrable_str(a, &psl),
-                psl.registrable_str(a),
-                "registrable_str({a})"
-            );
-            assert_eq!(
-                cache.registrable_domain(a, &psl),
-                psl.registrable_domain(a),
-                "registrable_domain({a})"
-            );
-            assert_eq!(
-                cache.san_covers(&sans, a, &psl),
-                san_covers(&sans, a, &psl),
-                "san_covers({a})"
-            );
-            assert_eq!(
-                cache.provider_key(a, &psl).as_str(),
-                psl.registrable_str(a).unwrap_or_else(|| a.as_str()),
-                "provider_key({a})"
-            );
-            for b in &names {
+    for a in &names {
+        assert_eq!(
+            classify::san_covers(&sans, a, &psl),
+            san_covers(&sans, a, &psl),
+            "san_covers({a})"
+        );
+        assert_eq!(
+            classify::provider_key(a, &psl).as_str(),
+            psl.registrable_str(a).unwrap_or_else(|| a.as_str()),
+            "provider_key({a})"
+        );
+        for b in &names {
+            for san in [None, Some(sans.as_slice())] {
                 assert_eq!(
-                    cache.same_registrable_domain(a, b, &psl),
-                    psl.same_registrable_domain(a, b),
-                    "same_registrable_domain({a}, {b})"
+                    cdn::is_internal(a, b, san, &psl),
+                    is_internal(a, b, san, &psl),
+                    "is_internal({a}, {b}, {san:?})"
                 );
-                for san in [None, Some(sans.as_slice())] {
+            }
+        }
+    }
+    for a in &soas {
+        for b in &soas {
+            assert_eq!(
+                classify::soa_same_authority(a, b, &psl),
+                soa_same_authority(a, b, &psl),
+                "soa_same_authority"
+            );
+        }
+    }
+    for site in &names {
+        for candidate in &names {
+            for (i, site_soa) in soas.iter().enumerate() {
+                let ev = Evidence {
+                    site,
+                    candidate,
+                    san: Some(&sans),
+                    site_soa: Some(site_soa),
+                    candidate_soa: Some(&soas[(i + 1) % soas.len()]),
+                    concentration: Some(if i == 0 { 120 } else { 3 }),
+                    threshold: 50,
+                };
+                // And with the sparse-evidence variant.
+                let bare = Evidence {
+                    san: None,
+                    site_soa: None,
+                    candidate_soa: None,
+                    concentration: None,
+                    ..ev
+                };
+                for kind in ClassifierKind::ALL {
                     assert_eq!(
-                        cdn::is_internal(a, b, san, &psl, &mut cache),
-                        is_internal(a, b, san, &psl),
-                        "is_internal({a}, {b}, {san:?})"
+                        classify::classify(kind, &ev, &psl),
+                        classify(kind, &ev, &psl),
+                        "classify({kind:?}, {site}, {candidate})"
                     );
-                }
-            }
-        }
-        for a in &soas {
-            for b in &soas {
-                assert_eq!(
-                    cache.soa_same_authority(a, b, &psl),
-                    soa_same_authority(a, b, &psl),
-                    "soa_same_authority"
-                );
-            }
-        }
-        for site in &names {
-            for candidate in &names {
-                for (i, site_soa) in soas.iter().enumerate() {
-                    let ev = Evidence {
-                        site,
-                        candidate,
-                        san: Some(&sans),
-                        site_soa: Some(site_soa),
-                        candidate_soa: Some(&soas[(i + 1) % soas.len()]),
-                        concentration: Some(if i == 0 { 120 } else { 3 }),
-                        threshold: 50,
-                    };
-                    // And with the sparse-evidence variant.
-                    let bare = Evidence {
-                        san: None,
-                        site_soa: None,
-                        candidate_soa: None,
-                        concentration: None,
-                        ..ev
-                    };
-                    for kind in ClassifierKind::ALL {
-                        assert_eq!(
-                            cache.classify(kind, &ev, &psl),
-                            classify(kind, &ev, &psl),
-                            "classify({kind:?}, {site}, {candidate})"
-                        );
-                        assert_eq!(
-                            cache.classify(kind, &bare, &psl),
-                            classify(kind, &bare, &psl),
-                            "classify bare ({kind:?}, {site}, {candidate})"
-                        );
-                    }
+                    assert_eq!(
+                        classify::classify(kind, &bare, &psl),
+                        classify(kind, &bare, &psl),
+                        "classify bare ({kind:?}, {site}, {candidate})"
+                    );
                 }
             }
         }
