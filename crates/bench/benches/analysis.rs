@@ -8,7 +8,7 @@ use webdeps_bench::bench_workspace;
 use webdeps_bench::harness::Harness;
 use webdeps_core::{coverage_curve, DepGraph, MetricOptions, ReachIndex};
 use webdeps_dns::Soa;
-use webdeps_measure::classify::{classify, ClassifierKind, Evidence};
+use webdeps_measure::classify::{classify, ClassifierKind, DomainTable, Evidence, SiteDomains};
 use webdeps_model::name::dn;
 use webdeps_model::{PublicSuffixList, ServiceKind};
 
@@ -29,25 +29,33 @@ fn heuristic_ablation(h: &mut Harness) {
     );
     let cand_soa = Soa::standard(dn("ns1.awsdns.net"), dn("hostmaster.awsdns.net"), 1);
 
+    // Each iteration reduces one candidate (a public-suffix question per
+    // site, as measurement asks it) and classifies the pair.
     let mut group = h.benchmark_group("analysis/heuristics");
     for kind in ClassifierKind::ALL {
         group.bench_function(
             format!("classify_{}", kind.label().replace(' ', "_")),
             |b| {
+                let mut table = DomainTable::new(&psl);
+                let domains = SiteDomains::new(&site, Some(&san), &mut table);
+                let site_soa = Some(table.authority(&site_soa));
+                let cand_soa = Some(table.authority(&cand_soa));
                 let mut i = 0usize;
                 b.iter(|| {
                     let candidate = &candidates[i % candidates.len()];
                     i += 1;
+                    table.begin_site();
                     let ev = Evidence {
                         site: &site,
                         candidate,
-                        san: Some(&san),
-                        site_soa: Some(&site_soa),
-                        candidate_soa: Some(&cand_soa),
+                        domains: &domains,
+                        candidate_domain: table.registrable(candidate),
+                        site_soa,
+                        candidate_soa: cand_soa,
                         concentration: Some(120),
                         threshold: 50,
                     };
-                    black_box(classify(kind, &ev, &psl));
+                    black_box(classify(kind, &ev));
                 });
             },
         );
@@ -56,53 +64,45 @@ fn heuristic_ablation(h: &mut Harness) {
 }
 
 fn nameserver_grouping(h: &mut Harness) {
-    use webdeps_measure::dns::{classify_site, DnsObservation};
+    use webdeps_measure::dns::{classify_site, DnsObservation, NsHost};
     let psl = PublicSuffixList::builtin();
-    let obs = DnsObservation {
-        site: dn("example-shop.com"),
-        ns_hosts: vec![
-            dn("ns1.alibabadns.com"),
-            dn("ns1.alicdn-dns.com"),
-            dn("ns1.awsdns.net"),
-            dn("ns1.example-shop.com"),
-        ],
-        site_soa: Some(Soa::standard(
-            dn("ns0.example-shop.com"),
-            dn("hostmaster.example-shop.com"),
-            1,
-        )),
-        ns_soas: vec![
-            Some(Soa::standard(
-                dn("ns1.alibabadns.com"),
-                dn("hostmaster.alibabadns.com"),
-                1,
-            )),
-            Some(Soa::standard(
-                dn("ns1.alibabadns.com"),
-                dn("hostmaster.alibabadns.com"),
-                2,
-            )),
-            Some(Soa::standard(
-                dn("ns1.awsdns.net"),
-                dn("hostmaster.awsdns.net"),
-                3,
-            )),
-            Some(Soa::standard(
-                dn("ns0.example-shop.com"),
-                dn("hostmaster.example-shop.com"),
-                4,
-            )),
-        ],
-    };
+    let mut table = DomainTable::new(&psl);
+    let mut authority =
+        |mname: &str, rname: &str| Some(table.authority(&Soa::standard(dn(mname), dn(rname), 1)));
+    let soas = [
+        authority("ns1.alibabadns.com", "hostmaster.alibabadns.com"),
+        authority("ns1.alibabadns.com", "hostmaster.alibabadns.com"),
+        authority("ns1.awsdns.net", "hostmaster.awsdns.net"),
+        authority("ns0.example-shop.com", "hostmaster.example-shop.com"),
+    ];
+    let site_soa = authority("ns0.example-shop.com", "hostmaster.example-shop.com");
+    let ns: Vec<NsHost> = [
+        "ns1.alibabadns.com",
+        "ns1.alicdn-dns.com",
+        "ns1.awsdns.net",
+        "ns1.example-shop.com",
+    ]
+    .into_iter()
+    .zip(soas)
+    .map(|(host, soa)| NsHost {
+        host: dn(host),
+        domain: table.registrable(&dn(host)),
+        soa,
+    })
+    .collect();
+    let site = dn("example-shop.com");
+    let domains = SiteDomains::new(&site, None, &mut table);
+    let obs = DnsObservation { site_soa, ns: &ns };
     let mut group = h.benchmark_group("analysis/grouping");
     group.bench_function("tld_and_soa", |b| {
         b.iter(|| {
             black_box(classify_site(
-                black_box(&obs),
-                None,
+                &site,
+                black_box(obs),
+                &domains,
                 &|_| 0,
                 50,
-                &psl,
+                &table,
                 &mut |_, _| {},
             ))
         });

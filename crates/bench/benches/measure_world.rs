@@ -26,8 +26,9 @@
 //! `webdeps_model::timing` enabled and the probe disarmed; the drained
 //! per-phase wall times land as `metrics` entries (`…/phase/gen/sites`
 //! etc.) so the JSON trajectory shows *where* the time goes, not just
-//! the total, beside each measurement pass's resolver work (queries per
-//! site and cache hit ratio, with the worker count they depend on).
+//! the total, beside each measurement pass's work (resolver queries per
+//! site and cache hit ratio, with the worker count they depend on, and
+//! registrable-domain questions per site).
 
 use std::hint::black_box;
 use webdeps_bench::harness::Harness;
@@ -66,11 +67,13 @@ const DNS_BYTES_PER_SITE: usize = 600;
 /// `measure_world` allocates above the finished world, its returned
 /// dataset included (the allocation probe armed around the call), on
 /// top of [`MEASURE_PEAK_BYTES_PER_WORKER`] per worker. Measured at two
-/// workers: 573.1 B/site at 100k sites, 569.5 at 300k and 570.2 at 1M
-/// (2,144.5, 1,800.4 and 1,652.7 before the compiled PSL, the 2^12
-/// resolver-cache bound and the reuse of pass 1's site SOA); the
-/// budget is the 100k value plus 12% headroom.
-const MEASURE_PEAK_BYTES_PER_SITE: usize = 640;
+/// workers: 323.4 and 325.1 B/site at 100k sites in two runs, 312.0
+/// at 300k and 272.1 at 1M (573.1, 569.5 and 570.2 while pass 1 kept
+/// whole SOA records and measurement copied the site list; 2,144.5 at
+/// 100k before the compiled PSL, the 2^12 resolver-cache bound and the
+/// reuse of pass 1's site SOA); the budget is the 100k value plus 12%
+/// headroom.
+const MEASURE_PEAK_BYTES_PER_SITE: usize = 364;
 
 /// Allowance per measurement worker, which holds its own client (a
 /// resolver cache of up to 2^12 names): the 100k peak read 573.1, 684.5
@@ -87,9 +90,9 @@ const MEASURE_PEAK_BYTES_PER_WORKER: usize = 2 << 20;
 /// share moves between ~35 and ~75 B/site with the scale.
 const WEB_BYTES_PER_SITE: usize = 600;
 
-fn bench_scale(h: &mut Harness, label: &str, n: usize) {
+fn bench_scale(h: &mut Harness, label: &str, n: usize, samples: usize) {
     let mut group = h.benchmark_group(&format!("measure_world/{label}"));
-    group.sample_size(2);
+    group.sample_size(samples);
 
     let config = WorldConfig {
         seed: 7,
@@ -229,7 +232,17 @@ fn bench_scale(h: &mut Harness, label: &str, n: usize) {
     for pass in ["measure/observe", "measure/classify"] {
         let queries = count(&format!("{pass}/queries"));
         let hits = count(&format!("{pass}/cache_hits"));
-        eprintln!("  measure_world/{label}: {pass} sent {queries} queries, {hits} cache hits");
+        let lookups = count(&format!("{pass}/registrable_lookups"));
+        eprintln!(
+            "  measure_world/{label}: {pass} sent {queries} queries, {hits} cache hits, \
+             {lookups} registrable lookups"
+        );
+        h.record_metric(
+            &metric_group,
+            &format!("{pass}/registrable_lookups_per_site"),
+            lookups as f64 / n as f64,
+            "ratio",
+        );
         h.record_metric(
             &metric_group,
             &format!("{pass}/queries_per_site"),
@@ -272,10 +285,13 @@ fn bench_scale(h: &mut Harness, label: &str, n: usize) {
 
 fn main() {
     let mut h = Harness::new("measure_world");
-    bench_scale(&mut h, "100k", 100_000);
+    // Ten samples at 100k: two-sample medians there spread wider than
+    // most changes they are asked to show (eight runs of one binary
+    // read 693 to 910 ms). The large scales keep two, for time.
+    bench_scale(&mut h, "100k", 100_000, 10);
     if std::env::var("WEBDEPS_BENCH_1M").is_ok_and(|v| v == "1") {
-        bench_scale(&mut h, "300k", 300_000);
-        bench_scale(&mut h, "1M", 1_000_000);
+        bench_scale(&mut h, "300k", 300_000, 2);
+        bench_scale(&mut h, "1M", 1_000_000, 2);
     } else {
         eprintln!("measure_world/300k and /1M skipped (set WEBDEPS_BENCH_1M=1 to run)");
     }

@@ -7,7 +7,7 @@ use crate::config::{self, Config};
 use crate::diag::Violation;
 use crate::interproc::{HAZARD_RULES, H_PANIC, H_RNG, H_UNORD, H_WALL, NHAZ};
 use crate::lexer::{Tok, TokKind};
-use crate::scan::FileCtx;
+use crate::scan::{item_body, FileCtx};
 use std::collections::BTreeSet;
 
 /// Runs every enabled token rule over one file.
@@ -343,13 +343,18 @@ const ORDER_SANCTIONS: &[&str] = &[
 /// order-restoring operation ("adjacent" in the rule's sense).
 const SANCTION_WINDOW: usize = 80;
 
-/// Names declared with a hash-collection type or constructor anywhere
-/// in the file, split by how a receiver reaches them: a bare `m` names
-/// a `let` or a parameter, `self.m`/`x.m` a struct field.
+/// Names declared with a hash-collection type or constructor in the
+/// file, split by how a receiver reaches them: a bare `m` names a `let`
+/// or a parameter, `self.m`/`x.m` a struct field. A binding holds only
+/// within the token range of the innermost fn that declares it (the
+/// whole file outside any fn); a field holds file-wide.
 #[derive(Debug, Default)]
 struct HashNames {
-    bindings: BTreeSet<String>,
+    /// Each binding with the token range it is in scope for.
+    bindings: Vec<(String, (usize, usize))>,
     fields: BTreeSet<String>,
+    /// Token ranges of the file's fns, `fn` keyword to closing brace.
+    fns: Vec<(usize, usize)>,
 }
 
 impl HashNames {
@@ -358,30 +363,57 @@ impl HashNames {
     }
 
     /// Whether the receiver ident at token `i` is hash-typed: a field
-    /// when a `.` precedes it, a binding otherwise.
+    /// when a `.` precedes it, a binding in scope at `i` otherwise.
     fn holds(&self, code: &[Tok], i: usize) -> bool {
-        let names = if i > 0 && code[i - 1].is_punct('.') {
-            &self.fields
-        } else {
-            &self.bindings
-        };
-        code[i].kind == TokKind::Ident && names.contains(code[i].text.as_str())
+        let name = code[i].text.as_str();
+        if code[i].kind != TokKind::Ident {
+            return false;
+        }
+        if i > 0 && code[i - 1].is_punct('.') {
+            return self.fields.contains(name);
+        }
+        self.bindings
+            .iter()
+            .any(|(n, (start, end))| n == name && (*start..=*end).contains(&i))
     }
 
     fn insert(&mut self, code: &[Tok], j: usize, annotated: bool) {
-        let names = if declares_field(code, j, annotated) {
-            &mut self.fields
-        } else {
-            &mut self.bindings
-        };
-        names.insert(code[j].text.clone());
+        if declares_field(code, j, annotated) {
+            self.fields.insert(code[j].text.clone());
+            return;
+        }
+        // The innermost fn around the declaration: of the spans that
+        // contain it (nested, since fns nest), the one starting last.
+        let scope = self
+            .fns
+            .iter()
+            .filter(|(start, end)| (*start..=*end).contains(&j))
+            .max_by_key(|(start, _)| *start)
+            .copied()
+            .unwrap_or((0, code.len()));
+        self.bindings.push((code[j].text.clone(), scope));
     }
+}
+
+/// Token ranges of the named fns with a body, from the `fn` keyword to
+/// the brace that closes the body (parameters included). `fn` pointer
+/// types (`fn(u32)`) and bodiless declarations are skipped.
+fn fn_spans(code: &[Tok]) -> Vec<(usize, usize)> {
+    (0..code.len())
+        .filter(|&i| {
+            code[i].is_ident("fn") && code.get(i + 1).is_some_and(|t| t.kind == TokKind::Ident)
+        })
+        .filter_map(|i| Some((i, item_body(code, i + 2)?.1)))
+        .collect()
 }
 
 /// Collects `name: HashMap<…>` (fields, params, lets) and
 /// `[let] name = HashMap::new()` and friends.
 fn collect_hash_names(code: &[Tok]) -> HashNames {
-    let mut names = HashNames::default();
+    let mut names = HashNames {
+        fns: fn_spans(code),
+        ..HashNames::default()
+    };
     for i in 0..code.len() {
         let t = &code[i];
         if !(t.is_ident("HashMap") || t.is_ident("HashSet")) {

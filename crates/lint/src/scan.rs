@@ -320,58 +320,54 @@ fn mark_test_lines(code: &[Tok], nlines: usize) -> Vec<bool> {
         if !is_test {
             continue;
         }
-        // Find the body of the annotated item: the first `{` before a
-        // top-level `;` opens it; match braces to find the close.
-        let start_line = code[attr_start].line;
-        let mut j = i;
-        let mut paren = 0i32;
-        let mut open = None;
-        while let Some(t) = code.get(j) {
-            if t.kind == TokKind::Punct {
-                match t.text.as_str() {
-                    "(" | "[" => paren += 1,
-                    ")" | "]" => paren -= 1,
-                    ";" if paren == 0 => break,
-                    "{" if paren == 0 => {
-                        open = Some(j);
-                        break;
-                    }
-                    _ => {}
-                }
-            }
-            j += 1;
-        }
-        let Some(open) = open else {
+        let Some((_, close)) = item_body(code, i) else {
             continue;
         };
-        let mut depth = 0i32;
-        let mut end_line = code[open].line;
-        let mut k = open;
-        while let Some(t) = code.get(k) {
-            if t.kind == TokKind::Punct {
-                match t.text.as_str() {
-                    "{" => depth += 1,
-                    "}" => {
-                        depth -= 1;
-                        if depth == 0 {
-                            end_line = t.line;
-                            break;
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            end_line = t.line;
-            k += 1;
-        }
-        for line in start_line..=end_line {
+        for line in code[attr_start].line..=code[close].line {
             if let Some(slot) = marked.get_mut((line as usize).saturating_sub(1)) {
                 *slot = true;
             }
         }
-        i = k.max(i) + 1;
+        i = close.max(i) + 1;
     }
     marked
+}
+
+/// The body of the item whose header starts at token `from`: the first
+/// `{` outside brackets before a top-level `;` opens it, and the
+/// matching `}` (or the last token, when unterminated) closes it.
+/// Returns `(open, close)`, or `None` for a bodiless item.
+pub(crate) fn item_body(code: &[Tok], from: usize) -> Option<(usize, usize)> {
+    let mut paren = 0i32;
+    let mut open = None;
+    for (j, t) in code.iter().enumerate().skip(from) {
+        if t.kind != TokKind::Punct {
+            continue;
+        }
+        match t.text.as_str() {
+            "(" | "[" => paren += 1,
+            ")" | "]" => paren -= 1,
+            ";" if paren == 0 => return None,
+            "{" if paren == 0 => {
+                open = Some(j);
+                break;
+            }
+            _ => {}
+        }
+    }
+    let open = open?;
+    let mut depth = 0i32;
+    for (k, t) in code.iter().enumerate().skip(open) {
+        if t.is_punct('{') {
+            depth += 1;
+        } else if t.is_punct('}') {
+            depth -= 1;
+            if depth == 0 {
+                return Some((open, k));
+            }
+        }
+    }
+    Some((open, code.len() - 1))
 }
 
 /// Skips a bracketed attribute body starting at the index of its `[`,

@@ -239,6 +239,38 @@ pub fn copy(m: Vec<u32>) -> Vec<u32> {
 }
 
 #[test]
+fn hash_iter_scopes_bindings_to_their_fn() {
+    // `seen` is a map in `dedup` only; `copy`'s `seen` is a Vec.
+    let src = r#"
+use std::collections::HashMap;
+pub fn dedup(v: &[u32]) -> usize {
+    let mut seen: HashMap<u32, ()> = HashMap::new();
+    for x in v {
+        seen.insert(*x, ());
+    }
+    seen.len()
+}
+pub fn copy(seen: Vec<u32>) -> Vec<u32> {
+    let mut out = Vec::new();
+    for x in seen {
+        out.push(x);
+    }
+    out
+}
+"#;
+    assert!(rules_hit("crates/core/src/x.rs", src).is_empty());
+    // The map is still caught inside the fn that declares it.
+    let flagged = src.replace(
+        "    seen.len()\n",
+        "    for k in seen {\n        let _ = k;\n    }\n    0\n",
+    );
+    assert_eq!(
+        rules_hit("crates/core/src/x.rs", &flagged),
+        vec!["hash-iter"]
+    );
+}
+
+#[test]
 fn hash_iter_flags_a_hash_field_through_self() {
     let src = r#"
 use std::collections::HashMap;

@@ -6,21 +6,25 @@
 //! support — the paper's criterion for *not* being critically dependent
 //! on the CA.
 
-use crate::classify::{classify, provider_key, Classification, ClassifierKind, Evidence};
+use crate::classify::{
+    classify, Authority, Classification, ClassifierKind, DomainTable, Evidence, SiteDomains,
+};
 use crate::dataset::SiteCaMeasurement;
-use webdeps_dns::{Dig, Resolver, Soa};
-use webdeps_model::{DomainName, PublicSuffixList, ServiceKind};
+use webdeps_dns::{Dig, Resolver};
+use webdeps_model::{DomainName, ServiceKind};
 use webdeps_web::CrawlReport;
 use webdeps_worldgen::profiles::CaProfile;
 
-/// Classifies a crawled site's CA dependency against the site's SOA
-/// `site_soa`, passing the (site, CA endpoint) pair's evidence to
+/// Classifies a crawled site's CA dependency against the site's
+/// `domains` and SOA authority `site_soa`, reducing the CA host through
+/// `table`, passing the (site, CA endpoint) pair's evidence to
 /// `on_pair` and classifying it with [`classify`].
 pub fn classify_site(
     report: &CrawlReport,
-    site_soa: Option<&Soa>,
+    domains: &SiteDomains,
+    site_soa: Option<Authority>,
     resolver: &mut Resolver<'_>,
-    psl: &PublicSuffixList,
+    table: &mut DomainTable<'_>,
     on_pair: &mut dyn FnMut(ServiceKind, &Evidence<'_>),
 ) -> SiteCaMeasurement {
     let Some(cert) = &report.certificate else {
@@ -49,19 +53,24 @@ pub fn classify_site(
         };
     };
 
-    let ca_soa = Dig::new(resolver).soa_of(ca_host).ok();
+    let ca_soa = Dig::new(resolver)
+        .soa_of(ca_host)
+        .ok()
+        .map(|soa| table.authority(&soa));
+    let ca_domain = table.registrable(ca_host);
     let ev = Evidence {
         site: &report.site,
         candidate: ca_host,
-        san: Some(&cert.san),
+        domains,
+        candidate_domain: ca_domain,
         site_soa,
-        candidate_soa: ca_soa.as_ref(),
+        candidate_soa: ca_soa,
         concentration: None,
         threshold: usize::MAX,
     };
     on_pair(ServiceKind::Ca, &ev);
-    let class = classify(ClassifierKind::Combined, &ev, psl);
-    let key = provider_key(ca_host, psl);
+    let class = classify(ClassifierKind::Combined, &ev);
+    let key = table.key(ca_domain, ca_host);
 
     let state = match class {
         Classification::Private => Some(CaProfile::PrivateCa),
@@ -99,12 +108,19 @@ mod tests {
             listing.https,
         );
         let mut resolver = world.resolver();
-        let site_soa = Dig::new(&mut resolver).soa_of(&report.site).ok();
+        let mut table = DomainTable::new(&world.psl);
+        let site_soa = Dig::new(&mut resolver)
+            .soa_of(&report.site)
+            .ok()
+            .map(|soa| table.authority(&soa));
+        let san = report.certificate.as_ref().map(|c| &*c.san);
+        let domains = SiteDomains::new(&report.site, san, &mut table);
         let m = classify_site(
             &report,
-            site_soa.as_ref(),
+            &domains,
+            site_soa,
             &mut resolver,
-            &world.psl,
+            &mut table,
             &mut |_, _| {},
         );
         (report, m)

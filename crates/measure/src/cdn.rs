@@ -8,45 +8,30 @@
 //! matter how CDN-flavoured their chains look.
 
 use crate::classify::{
-    classify, provider_key, san_covers, Classification, ClassifierKind, Evidence,
+    classify, Authority, Classification, ClassifierKind, DomainTable, Evidence, SiteDomains,
 };
-use crate::dataset::{ProviderKey, SiteCdnMeasurement};
-use std::collections::HashMap;
-use webdeps_dns::{Dig, Resolver, Soa};
-use webdeps_model::{DomainName, PublicSuffixList, ServiceKind};
+use crate::dataset::{DetectedCdn, ProviderKey, SiteCdnMeasurement};
+use webdeps_dns::{Dig, Resolver};
+use webdeps_model::ServiceKind;
 use webdeps_web::{CnameToCdnMap, CrawlReport};
 use webdeps_worldgen::profiles::CdnProfile;
 
-/// Whether a page resource host is *internal* to the site: same
-/// registrable domain, or covered by the site certificate's SAN list.
-pub fn is_internal(
-    site: &DomainName,
-    host: &DomainName,
-    san: Option<&[DomainName]>,
-    psl: &PublicSuffixList,
-) -> bool {
-    psl.same_registrable_domain(site, host) || san.is_some_and(|san| san_covers(san, host, psl))
-}
-
-/// Classifies a crawled site's CDN usage against the site's SOA
-/// `site_soa`, passing each (site, CNAME witness) pair's evidence to
-/// `on_pair` and classifying it with [`classify`].
+/// Classifies a crawled site's CDN usage against the site's `domains`
+/// and SOA authority `site_soa`, reducing every page host, witness and
+/// CDN suffix through `table`, passing each (site, CNAME witness)
+/// pair's evidence to `on_pair` and classifying it with [`classify`].
 pub fn classify_site(
     report: &CrawlReport,
-    site_soa: Option<&Soa>,
+    domains: &SiteDomains,
+    site_soa: Option<Authority>,
     cname_map: &CnameToCdnMap,
     resolver: &mut Resolver<'_>,
-    psl: &PublicSuffixList,
+    table: &mut DomainTable<'_>,
     on_pair: &mut dyn FnMut(ServiceKind, &Evidence<'_>),
 ) -> SiteCdnMeasurement {
-    let san = report.certificate.as_ref().map(|c| &*c.san);
-
-    // Distinct (cdn key) → (classification, witness cname).
-    let mut detected: HashMap<ProviderKey, Classification> = HashMap::new();
-    let mut order: Vec<ProviderKey> = Vec::new();
-
+    let mut cdns: Vec<DetectedCdn> = Vec::new();
     for host in report.hostnames() {
-        if !is_internal(&report.site, &host, san, psl) {
+        if !domains.is_internal(table.registrable(&host)) {
             continue;
         }
         let Some(chain) = report.chain_of(&host) else {
@@ -55,47 +40,47 @@ pub fn classify_site(
         let Some((suffix, _, witness)) = cname_map.classify_chain_detailed(chain.iter()) else {
             continue;
         };
-        let key = provider_key(suffix, psl);
-
-        let witness_soa = Dig::new(resolver).soa_of(witness).ok();
+        let witness_soa = Dig::new(resolver)
+            .soa_of(witness)
+            .ok()
+            .map(|soa| table.authority(&soa));
         let ev = Evidence {
             site: &report.site,
             candidate: witness,
-            san,
+            domains,
+            candidate_domain: table.registrable(witness),
             site_soa,
-            candidate_soa: witness_soa.as_ref(),
+            candidate_soa: witness_soa,
             concentration: None,
             threshold: usize::MAX,
         };
         on_pair(ServiceKind::Cdn, &ev);
-        let class = classify(ClassifierKind::Combined, &ev, psl);
-        match detected.entry(key.clone()) {
-            std::collections::hash_map::Entry::Vacant(v) => {
-                v.insert(class);
-                order.push(key);
-            }
-            std::collections::hash_map::Entry::Occupied(mut o) => {
-                // Private evidence for any witness identifies the owner.
+        let class = classify(ClassifierKind::Combined, &ev);
+        let suffix_domain = table.registrable(suffix);
+        let key = table.key_text(suffix_domain, suffix);
+        match cdns.iter_mut().find(|c| c.key.as_str() == key) {
+            // Private evidence for any witness identifies the owner.
+            Some(seen) => {
                 if class == Classification::Private {
-                    o.insert(class);
+                    seen.class = class;
                 }
             }
+            None => cdns.push(DetectedCdn {
+                key: ProviderKey::new(key),
+                class,
+                witness: witness.clone(),
+            }),
         }
     }
 
-    let cdns: Vec<(ProviderKey, Classification)> = order
-        .into_iter()
-        .map(|k| (k.clone(), detected[&k]))
-        .collect();
-
     let state = if cdns.is_empty() {
         Some(CdnProfile::None)
-    } else if cdns.iter().any(|(_, c)| *c == Classification::Unknown) {
+    } else if cdns.iter().any(|c| c.class == Classification::Unknown) {
         None
     } else {
         let third = cdns
             .iter()
-            .filter(|(_, c)| *c == Classification::ThirdParty)
+            .filter(|c| c.class == Classification::ThirdParty)
             .count();
         Some(match third {
             0 => CdnProfile::Private,
@@ -110,28 +95,8 @@ pub fn classify_site(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use webdeps_model::name::dn;
     use webdeps_web::Crawler;
     use webdeps_worldgen::{World, WorldConfig};
-
-    #[test]
-    fn internal_detection_rules() {
-        let psl = PublicSuffixList::builtin();
-        let site = dn("shop.com");
-        let san = vec![dn("shop.com"), dn("*.shopimg.net")];
-        for (host, san, internal) in [
-            ("static.shop.com", None, true),
-            ("static.fontserve.com", None, false),
-            ("a.shopimg.net", Some(san.as_slice()), true),
-            ("a.shopimg.net", None, false),
-        ] {
-            assert_eq!(
-                is_internal(&site, &dn(host), san, &psl),
-                internal,
-                "{host} with SAN {san:?}"
-            );
-        }
-    }
 
     fn measure(world: &World, idx: usize) -> SiteCdnMeasurement {
         let listing = &world.listings()[idx];
@@ -143,13 +108,20 @@ mod tests {
             listing.https,
         );
         let mut resolver = world.resolver();
-        let site_soa = Dig::new(&mut resolver).soa_of(&report.site).ok();
+        let mut table = DomainTable::new(&world.psl);
+        let site_soa = Dig::new(&mut resolver)
+            .soa_of(&report.site)
+            .ok()
+            .map(|soa| table.authority(&soa));
+        let san = report.certificate.as_ref().map(|c| &*c.san);
+        let domains = SiteDomains::new(&report.site, san, &mut table);
         classify_site(
             &report,
-            site_soa.as_ref(),
+            &domains,
+            site_soa,
             &world.cname_map,
             &mut resolver,
-            &world.psl,
+            &mut table,
             &mut |_, _| {},
         )
     }

@@ -25,7 +25,7 @@ use crate::dataset::{ProviderKey, SiteCaMeasurement, SiteCdnMeasurement, SiteDns
 use crate::interservice::ProviderMeasurement;
 use std::cmp::Ordering;
 use std::collections::HashMap;
-use webdeps_model::{DomainName, Interner, NameId, Rank, ServiceKind, SiteId};
+use webdeps_model::{Interner, NameId, Rank, ServiceKind, SiteId};
 use webdeps_worldgen::profiles::{CaProfile, CdnProfile, DepState};
 use webdeps_worldgen::SiteListing;
 
@@ -245,9 +245,9 @@ impl MeasurementDataset {
         }
         self.dns_start
             .push(checked_offset(self.dns_providers.len()));
-        for (key, class) in &cdn.cdns {
-            self.cdns.push(self.names.intern(key.as_str()));
-            self.cdn_class.push(enc_class(*class));
+        for detected in &cdn.cdns {
+            self.cdns.push(self.names.intern(detected.key.as_str()));
+            self.cdn_class.push(enc_class(detected.class));
         }
         self.cdn_start.push(checked_offset(self.cdns.len()));
         match &ca.ca {
@@ -327,9 +327,8 @@ impl MeasurementDataset {
 
     /// Installs pass 1's nameserver concentration tallies as a table
     /// sorted by domain.
-    pub(crate) fn set_ns_concentration(&mut self, tallies: &HashMap<DomainName, usize>) {
-        let mut entries: Vec<(&str, usize)> =
-            tallies.iter().map(|(d, &n)| (d.as_str(), n)).collect();
+    pub(crate) fn set_ns_concentration(&mut self, tallies: &HashMap<Box<str>, usize>) {
+        let mut entries: Vec<(&str, usize)> = tallies.iter().map(|(d, &n)| (&**d, n)).collect();
         entries.sort_unstable();
         self.ns_names = String::with_capacity(entries.iter().map(|(d, _)| d.len()).sum());
         self.ns_start = Vec::with_capacity(entries.len() + 1);
@@ -577,7 +576,7 @@ fn extend_offsets(out: &mut Vec<u32>, part: &[u32], base: usize) {
 
 /// Checked CSR offset (or tally): a flat column longer than `u32::MAX`
 /// would silently wrap the ranges.
-fn checked_offset(len: usize) -> u32 {
+pub(crate) fn checked_offset(len: usize) -> u32 {
     assert!(
         u32::try_from(len).is_ok(),
         "columnar overflow: {len} flattened entries exceed the u32 offset space"

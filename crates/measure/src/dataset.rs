@@ -88,12 +88,26 @@ impl SiteDnsMeasurement {
     }
 }
 
+/// One CDN detected on a site's internal resources.
+#[derive(Debug, Clone)]
+pub struct DetectedCdn {
+    /// Inferred identity: the registrable domain of the matched
+    /// CNAME-map suffix.
+    pub key: ProviderKey,
+    /// Classification of the (site, CDN) pair; private evidence from
+    /// any witness wins.
+    pub class: Classification,
+    /// The chain host of the first internal resource that matched the
+    /// CDN: the name the inter-service stage probes it at.
+    pub witness: DomainName,
+}
+
 /// CDN measurement of one site (§3.3).
 #[derive(Debug, Clone, Default)]
 pub struct SiteCdnMeasurement {
-    /// Distinct CDNs detected on internal resources, with per-CDN
-    /// classification.
-    pub cdns: Vec<(ProviderKey, Classification)>,
+    /// Distinct CDNs detected on internal resources, in detection
+    /// order.
+    pub cdns: Vec<DetectedCdn>,
     /// Inferred dependency state; `None` when the site uses a CDN that
     /// could not be classified.
     pub state: Option<CdnProfile>,
@@ -109,8 +123,8 @@ impl SiteCdnMeasurement {
     pub fn third_parties(&self) -> impl Iterator<Item = &ProviderKey> {
         self.cdns
             .iter()
-            .filter(|(_, c)| *c == Classification::ThirdParty)
-            .map(|(k, _)| k)
+            .filter(|c| c.class == Classification::ThirdParty)
+            .map(|c| &c.key)
     }
 }
 
@@ -166,12 +180,14 @@ mod tests {
     fn cdn_measurement_helpers() {
         let mut m = SiteCdnMeasurement::default();
         assert!(!m.uses_cdn());
-        m.cdns.push((
-            ProviderKey::new("akamaiedge.net"),
-            Classification::ThirdParty,
-        ));
+        let cdn = |key: &str, class| DetectedCdn {
+            key: ProviderKey::new(key),
+            class,
+            witness: webdeps_model::name::dn(&format!("edge.{key}")),
+        };
         m.cdns
-            .push((ProviderKey::new("own-cdn.net"), Classification::Private));
+            .push(cdn("akamaiedge.net", Classification::ThirdParty));
+        m.cdns.push(cdn("own-cdn.net", Classification::Private));
         assert!(m.uses_cdn());
         assert_eq!(m.third_parties().count(), 1);
     }

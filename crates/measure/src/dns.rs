@@ -1,124 +1,193 @@
 //! Website → DNS measurement (§3.1).
 //!
-//! Two passes. Pass one runs `dig NS` for every site and counts how many
-//! sites each nameserver registrable-domain serves — the input to the
-//! combined heuristic's concentration rule. Pass two gathers SOA and SAN
-//! evidence per (site, nameserver) pair, classifies with the combined
-//! heuristic, and merges nameservers into operator entities (same
-//! registrable domain ∨ same SOA MNAME ∨ same SOA RNAME) to measure
-//! redundancy.
+//! Two passes. Pass one runs `dig NS` for every site and fetches the
+//! SOA of the site's zone and of each nameserver's, reducing each
+//! nameserver to its registrable domain and each SOA to its
+//! [`Authority`] through the shard's [`DomainTable`]; counting how many
+//! sites each nameserver registrable domain serves gives the combined
+//! heuristic's concentration rule its input. Pass two classifies each
+//! (site, nameserver) pair with the combined heuristic and merges
+//! nameservers into operator entities (same registrable domain ∨ same
+//! SOA MNAME ∨ same SOA RNAME) to measure redundancy.
 
 use crate::classify::{
-    classify, provider_key, soa_same_authority, Classification, ClassifierKind, Evidence,
+    classify, same_domain, Authority, Classification, ClassifierKind, DomainTable, Evidence, RegId,
+    SiteDomains,
 };
+use crate::columnar::checked_offset;
 use crate::dataset::{NsGroup, NsPair, ProviderKey, SiteDnsMeasurement};
-use std::collections::HashMap;
-use webdeps_dns::{Dig, Resolver, Soa};
-use webdeps_model::{DomainName, PublicSuffixList, ServiceKind};
+use webdeps_dns::{Dig, Resolver};
+use webdeps_model::{DomainName, ServiceKind};
 use webdeps_worldgen::profiles::DepState;
 
-/// Per-site raw inputs collected before classification.
+/// One advertised nameserver of an observed site.
 #[derive(Debug, Clone)]
-pub struct DnsObservation {
-    /// The site's registrable domain.
-    pub site: DomainName,
-    /// Advertised nameserver hosts (`dig NS`).
-    pub ns_hosts: Vec<DomainName>,
-    /// SOA of the site's zone.
-    pub site_soa: Option<Soa>,
-    /// SOA per nameserver host.
-    pub ns_soas: Vec<Option<Soa>>,
+pub struct NsHost {
+    /// The nameserver host (`dig NS`).
+    pub host: DomainName,
+    /// Its registrable domain.
+    pub domain: Option<RegId>,
+    /// Authority of its zone's SOA, when resolvable.
+    pub soa: Option<Authority>,
 }
 
-/// Pass one: collect NS sets and SOAs for a site.
-pub fn observe_site(resolver: &mut Resolver<'_>, site: &DomainName) -> Option<DnsObservation> {
-    let mut dig = Dig::new(resolver);
-    let ns_hosts = dig.ns(site).ok()?;
-    if ns_hosts.is_empty() {
-        return None;
-    }
-    let site_soa = dig.soa_of(site).ok();
-    let ns_soas = ns_hosts.iter().map(|h| dig.soa_of(h).ok()).collect();
-    Some(DnsObservation {
-        site: site.clone(),
-        ns_hosts,
-        site_soa,
-        ns_soas,
-    })
+/// One site's pass-one observation, borrowed from [`DnsObservations`].
+#[derive(Debug, Clone, Copy)]
+pub struct DnsObservation<'a> {
+    /// Authority of the site's zone SOA, when resolvable.
+    pub site_soa: Option<Authority>,
+    /// The advertised nameservers (never empty).
+    pub ns: &'a [NsHost],
 }
 
-/// Dataset-wide nameserver concentration: how many sites each
-/// nameserver registrable-domain serves. Counting only allocates a key
-/// the first time a registrable domain is seen.
-pub fn ns_concentration(
-    observations: &[Option<DnsObservation>],
-    psl: &PublicSuffixList,
-) -> HashMap<DomainName, usize> {
-    let mut counts: HashMap<DomainName, usize> = HashMap::new();
-    let mut seen: Vec<(&str, &DomainName)> = Vec::new();
-    for obs in observations.iter().flatten() {
-        seen.clear();
-        for host in &obs.ns_hosts {
-            if let Some(reg) = psl.registrable_str(host) {
-                if !seen.iter().any(|&(r, _)| r == reg) {
-                    seen.push((reg, host));
-                }
-            }
-        }
-        for &(reg, host) in &seen {
-            // Borrowed probe (`DomainName: Borrow<str>`); the owned key
-            // is only built on first sight of a registrable domain, as
-            // the matching label suffix of the host it came from.
-            match counts.get_mut(reg) {
-                Some(n) => *n += 1,
-                None => {
-                    let labels = reg.bytes().filter(|&b| b == b'.').count() + 1;
-                    counts.insert(host.suffix(labels), 1);
-                }
-            }
+/// Pass one's record of consecutive sites, in site order: every site's
+/// nameservers in one flat column with CSR offsets (like the dataset's
+/// columns), and each site's SOA authority. Its ids belong to the
+/// [`DomainTable`] the sites were observed through.
+#[derive(Debug, Clone)]
+pub struct DnsObservations {
+    /// CSR offsets into `ns` (`len + 1` entries).
+    start: Vec<u32>,
+    /// Each site's SOA authority.
+    site_soa: Vec<Option<Authority>>,
+    /// Every site's nameservers.
+    ns: Vec<NsHost>,
+}
+
+impl DnsObservations {
+    /// An empty record with room for `sites` sites.
+    pub fn with_capacity(sites: usize) -> Self {
+        let mut start = Vec::with_capacity(sites + 1);
+        start.push(0);
+        DnsObservations {
+            start,
+            site_soa: Vec::with_capacity(sites),
+            ns: Vec::new(),
         }
     }
-    counts
+
+    /// Pass one for the next site: its NS set, then the SOA of its zone
+    /// and of each nameserver, reduced through `table` (a new site of
+    /// the table's). A site without a nameserver answer is recorded as
+    /// unobserved, and nothing more is asked about it.
+    pub fn observe(
+        &mut self,
+        resolver: &mut Resolver<'_>,
+        site: &DomainName,
+        table: &mut DomainTable<'_>,
+    ) {
+        table.begin_site();
+        let mut dig = Dig::new(resolver);
+        let hosts = dig.ns(site).unwrap_or_default();
+        let site_soa = if hosts.is_empty() {
+            None
+        } else {
+            dig.soa_of(site).ok().map(|soa| table.authority(&soa))
+        };
+        let ns = hosts.into_iter().map(|host| NsHost {
+            soa: dig.soa_of(&host).ok().map(|soa| table.authority(&soa)),
+            domain: table.registrable(&host),
+            host,
+        });
+        self.push(site_soa, ns);
+    }
+
+    /// Appends one site's observation; no nameservers records it as
+    /// unobserved.
+    pub fn push(&mut self, site_soa: Option<Authority>, ns: impl IntoIterator<Item = NsHost>) {
+        self.ns.extend(ns);
+        self.site_soa.push(site_soa);
+        self.start.push(checked_offset(self.ns.len()));
+    }
+
+    /// Number of sites recorded.
+    pub fn len(&self) -> usize {
+        self.site_soa.len()
+    }
+
+    /// The observation of site `i`, or `None` when it had no
+    /// nameserver answer.
+    pub fn get(&self, i: usize) -> Option<DnsObservation<'_>> {
+        let ns = self.ns_of(i);
+        (!ns.is_empty()).then_some(DnsObservation {
+            site_soa: self.site_soa[i],
+            ns,
+        })
+    }
+
+    /// Site `i`'s nameservers.
+    fn ns_of(&self, i: usize) -> &[NsHost] {
+        &self.ns[self.start[i] as usize..self.start[i + 1] as usize]
+    }
+
+    /// Nameserver concentration over these sites: how many of them each
+    /// nameserver registrable domain serves, counted by id and named
+    /// through `table`, in first-seen order.
+    pub fn ns_concentration<'t>(&self, table: &'t DomainTable<'_>) -> Vec<(&'t str, usize)> {
+        let mut counts = vec![0usize; table.len()];
+        let mut seen: Vec<RegId> = Vec::new();
+        for i in 0..self.len() {
+            let ns = self.ns_of(i);
+            for (j, host) in ns.iter().enumerate() {
+                // Once per site: skip a domain an earlier host had.
+                let Some(id) = host.domain else {
+                    continue;
+                };
+                if ns[..j].iter().any(|h| h.domain == host.domain) {
+                    continue;
+                }
+                if counts[id.index()] == 0 {
+                    seen.push(id);
+                }
+                counts[id.index()] += 1;
+            }
+        }
+        seen.into_iter()
+            .map(|id| (table.text(id), counts[id.index()]))
+            .collect()
+    }
 }
 
 /// Pass two: classify one site's (site, nameserver) pairs with the
-/// combined heuristic, merge the nameservers into operator entities
-/// with the paper's rule (same registrable domain ∨ same SOA MNAME ∨
-/// same SOA RNAME, §3.1 "Measuring Redundancy"), and derive the site's
-/// dependency state. `concentration` maps a nameserver's registrable
-/// domain to the number of sites it serves (0 when unseen). Each
-/// pair's evidence goes to `on_pair` and is classified by [`classify`].
+/// combined heuristic against the site's `domains`, merge the
+/// nameservers into operator entities with the paper's rule (same
+/// registrable domain ∨ same SOA MNAME ∨ same SOA RNAME, §3.1
+/// "Measuring Redundancy"), and derive the site's dependency state.
+/// `concentration` maps a nameserver's registrable domain to the number
+/// of sites it serves (0 when unseen); `table` holds the observation's
+/// ids. Each pair's evidence goes to `on_pair` and is classified by
+/// [`classify`].
 pub fn classify_site(
-    obs: &DnsObservation,
-    san: Option<&[DomainName]>,
+    site: &DomainName,
+    obs: DnsObservation<'_>,
+    domains: &SiteDomains,
     concentration: &dyn Fn(&str) -> usize,
     threshold: usize,
-    psl: &PublicSuffixList,
+    table: &DomainTable<'_>,
     on_pair: &mut dyn FnMut(ServiceKind, &Evidence<'_>),
 ) -> SiteDnsMeasurement {
     // Classify each (site, ns) pair with the combined heuristic.
     let classes: Vec<Classification> = obs
-        .ns_hosts
+        .ns
         .iter()
-        .zip(&obs.ns_soas)
-        .map(|(host, ns_soa)| {
-            let conc = psl.registrable_str(host).map_or(0, concentration);
+        .map(|ns| {
             let ev = Evidence {
-                site: &obs.site,
-                candidate: host,
-                san,
-                site_soa: obs.site_soa.as_ref(),
-                candidate_soa: ns_soa.as_ref(),
-                concentration: Some(conc),
+                site,
+                candidate: &ns.host,
+                domains,
+                candidate_domain: ns.domain,
+                site_soa: obs.site_soa,
+                candidate_soa: ns.soa,
+                concentration: Some(ns.domain.map_or(0, |id| concentration(table.text(id)))),
                 threshold,
             };
             on_pair(ServiceKind::Dns, &ev);
-            classify(ClassifierKind::Combined, &ev, psl)
+            classify(ClassifierKind::Combined, &ev)
         })
         .collect();
 
     // Entity grouping (union-find over TLD / SOA-MNAME / SOA-RNAME).
-    let n = obs.ns_hosts.len();
+    let n = obs.ns.len();
     let mut parent: Vec<usize> = (0..n).collect();
     fn find(parent: &mut Vec<usize>, i: usize) -> usize {
         if parent[i] != i {
@@ -129,12 +198,9 @@ pub fn classify_site(
     }
     for i in 0..n {
         for j in (i + 1)..n {
-            let same_reg = psl.same_registrable_domain(&obs.ns_hosts[i], &obs.ns_hosts[j]);
-            let same_soa = match (&obs.ns_soas[i], &obs.ns_soas[j]) {
-                (Some(a), Some(b)) => soa_same_authority(a, b, psl),
-                _ => false,
-            };
-            if same_reg || same_soa {
+            let (a, b) = (&obs.ns[i], &obs.ns[j]);
+            let same_soa = a.soa.zip(b.soa).is_some_and(|(x, y)| x.same_as(y));
+            if same_domain(a.domain, b.domain) || same_soa {
                 let (ri, rj) = (find(&mut parent, i), find(&mut parent, j));
                 if ri != rj {
                     parent[rj] = ri;
@@ -143,27 +209,25 @@ pub fn classify_site(
         }
     }
 
-    // Build groups with merged classifications.
-    let mut group_index: HashMap<usize, usize> = HashMap::new();
-    let mut groups: Vec<NsGroup> = Vec::new();
-    let mut pairs: Vec<NsPair> = Vec::new();
-    for i in 0..n {
+    // Build groups with merged classifications: (root, key, class).
+    let mut groups: Vec<(usize, &str, Classification)> = Vec::new();
+    let mut pairs: Vec<NsPair> = Vec::with_capacity(n);
+    for (i, (ns, &class)) in obs.ns.iter().zip(&classes).enumerate() {
         let root = find(&mut parent, i);
-        let gi = *group_index.entry(root).or_insert_with(|| {
-            groups.push(NsGroup {
-                key: ProviderKey::new(String::new()),
-                class: Classification::Unknown,
-            });
-            groups.len() - 1
-        });
         // Group key: lexicographically smallest registrable domain.
-        let key = provider_key(&obs.ns_hosts[i], psl);
-        if groups[gi].key.as_str().is_empty() || key.as_str() < groups[gi].key.as_str() {
-            groups[gi].key = key;
-        }
+        let key = table.key_text(ns.domain, &ns.host);
+        let gi = match groups.iter().position(|g| g.0 == root) {
+            Some(gi) => gi,
+            None => {
+                groups.push((root, key, Classification::Unknown));
+                groups.len() - 1
+            }
+        };
+        let group = &mut groups[gi];
+        group.1 = group.1.min(key);
         // Merged class: Private dominates (any in-group private evidence
         // identifies the operator), then ThirdParty, then Unknown.
-        groups[gi].class = match (groups[gi].class, classes[i]) {
+        group.2 = match (group.2, class) {
             (Classification::Private, _) | (_, Classification::Private) => Classification::Private,
             (Classification::ThirdParty, _) | (_, Classification::ThirdParty) => {
                 Classification::ThirdParty
@@ -171,11 +235,18 @@ pub fn classify_site(
             _ => Classification::Unknown,
         };
         pairs.push(NsPair {
-            host: obs.ns_hosts[i].clone(),
-            class: classes[i],
+            host: ns.host.clone(),
+            class,
             group: gi,
         });
     }
+    let groups: Vec<NsGroup> = groups
+        .into_iter()
+        .map(|(_, key, class)| NsGroup {
+            key: ProviderKey::new(key),
+            class,
+        })
+        .collect();
 
     // Derive the state. Any unknown group leaves the site
     // uncharacterized (the paper conservatively excludes them).
@@ -205,23 +276,49 @@ pub fn classify_site(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use webdeps_dns::Soa;
     use webdeps_model::name::dn;
+    use webdeps_model::PublicSuffixList;
 
-    fn soa(admin: &str) -> Soa {
-        Soa::standard(
+    /// Authority of a zone run by `admin` (`ns1.` / `hostmaster.` under it).
+    fn soa(table: &mut DomainTable<'_>, admin: &str) -> Option<Authority> {
+        Some(table.authority(&Soa::standard(
             dn(&format!("ns1.{admin}")),
             dn(&format!("hostmaster.{admin}")),
             1,
-        )
+        )))
     }
 
-    fn obs(site: &str, ns: &[(&str, &str)], site_admin: &str) -> DnsObservation {
-        DnsObservation {
-            site: dn(site),
-            ns_hosts: ns.iter().map(|(h, _)| dn(h)).collect(),
-            site_soa: Some(soa(site_admin)),
-            ns_soas: ns.iter().map(|(_, a)| Some(soa(a))).collect(),
-        }
+    /// Nameservers as (host, admin domain of the host's zone SOA).
+    fn hosts(table: &mut DomainTable<'_>, ns: &[(&str, &str)]) -> Vec<NsHost> {
+        ns.iter()
+            .map(|&(h, admin)| NsHost {
+                host: dn(h),
+                domain: table.registrable(&dn(h)),
+                soa: soa(table, admin),
+            })
+            .collect()
+    }
+
+    /// Classifies `site` served by `ns`, its own SOA run by
+    /// `site_admin`, at threshold 50 with no pair hook.
+    fn classify(
+        site: &str,
+        ns: &[(&str, &str)],
+        site_admin: &str,
+        san: Option<&[DomainName]>,
+        conc: &dyn Fn(&str) -> usize,
+    ) -> SiteDnsMeasurement {
+        let psl = PublicSuffixList::builtin();
+        let mut table = DomainTable::new(&psl);
+        let ns = hosts(&mut table, ns);
+        let obs = DnsObservation {
+            site_soa: soa(&mut table, site_admin),
+            ns: &ns,
+        };
+        let site = dn(site);
+        let domains = SiteDomains::new(&site, san, &mut table);
+        classify_site(&site, obs, &domains, conc, 50, &table, &mut |_, _| {})
     }
 
     /// No nameserver domain is concentrated.
@@ -229,42 +326,24 @@ mod tests {
         0
     }
 
-    /// Classifies at threshold 50 with no pair hook.
-    fn classify(
-        o: &DnsObservation,
-        san: Option<&[DomainName]>,
-        conc: &dyn Fn(&str) -> usize,
-    ) -> SiteDnsMeasurement {
-        let psl = PublicSuffixList::builtin();
-        classify_site(o, san, conc, 50, &psl, &mut |_, _| {})
-    }
-
     #[test]
     fn private_site_classified_private() {
-        let o = obs(
-            "example.com",
-            &[
-                ("ns1.example.com", "example.com"),
-                ("ns2.example.com", "example.com"),
-            ],
-            "example.com",
-        );
-        let m = classify(&o, None, &no_conc);
+        let ns = [
+            ("ns1.example.com", "example.com"),
+            ("ns2.example.com", "example.com"),
+        ];
+        let m = classify("example.com", &ns, "example.com", None, &no_conc);
         assert_eq!(m.state, Some(DepState::Private));
         assert_eq!(m.groups.len(), 1);
     }
 
     #[test]
     fn single_third_party_detected_by_soa_mismatch() {
-        let o = obs(
-            "example.com",
-            &[
-                ("ns1.dynect.net", "dynect.net"),
-                ("ns2.dynect.net", "dynect.net"),
-            ],
-            "example.com",
-        );
-        let m = classify(&o, None, &no_conc);
+        let ns = [
+            ("ns1.dynect.net", "dynect.net"),
+            ("ns2.dynect.net", "dynect.net"),
+        ];
+        let m = classify("example.com", &ns, "example.com", None, &no_conc);
         assert_eq!(m.state, Some(DepState::SingleThird));
         assert_eq!(m.groups[0].key.as_str(), "dynect.net");
     }
@@ -272,28 +351,21 @@ mod tests {
     #[test]
     fn provider_managed_soa_needs_concentration() {
         // Site SOA is provider-managed → SOA rule can't fire.
-        let o = obs(
-            "example.com",
-            &[("ns1.bigdns.net", "bigdns.net")],
-            "bigdns.net",
-        );
-        let m = classify(&o, None, &no_conc);
+        let ns = [("ns1.bigdns.net", "bigdns.net")];
+        let m = classify("example.com", &ns, "bigdns.net", None, &no_conc);
         assert_eq!(m.state, None, "small provider-managed → uncharacterized");
-        let m = classify(&o, None, &|reg| if reg == "bigdns.net" { 500 } else { 0 });
+        let big = |reg: &str| if reg == "bigdns.net" { 500 } else { 0 };
+        let m = classify("example.com", &ns, "bigdns.net", None, &big);
         assert_eq!(m.state, Some(DepState::SingleThird));
     }
 
     #[test]
     fn multi_provider_redundancy_detected() {
-        let o = obs(
-            "example.com",
-            &[
-                ("ns1.dynect.net", "dynect.net"),
-                ("ns1.ultradns.net", "ultradns.net"),
-            ],
-            "example.com",
-        );
-        let m = classify(&o, None, &no_conc);
+        let ns = [
+            ("ns1.dynect.net", "dynect.net"),
+            ("ns1.ultradns.net", "ultradns.net"),
+        ];
+        let m = classify("example.com", &ns, "example.com", None, &no_conc);
         assert_eq!(m.state, Some(DepState::MultiThird));
         assert_eq!(m.groups.len(), 2);
     }
@@ -301,32 +373,30 @@ mod tests {
     #[test]
     fn alibaba_alias_domains_are_one_entity() {
         let psl = PublicSuffixList::builtin();
+        let mut table = DomainTable::new(&psl);
         // Two TLDs, same SOA MNAME → one group → *not* redundant.
-        let o = DnsObservation {
-            site: dn("example.com"),
-            ns_hosts: vec![dn("ns1.alibabadns.com"), dn("ns1.alicdn-dns.com")],
-            site_soa: Some(soa("example.com")),
-            ns_soas: vec![
-                Some(Soa::standard(
-                    dn("ns1.alibabadns.com"),
-                    dn("hostmaster.alibabadns.com"),
-                    1,
-                )),
-                Some(Soa::standard(
-                    dn("ns1.alibabadns.com"),
-                    dn("hostmaster.alibabadns.com"),
-                    2,
-                )),
-            ],
-        };
+        let mut ns = hosts(
+            &mut table,
+            &[("ns1.alibabadns.com", ""), ("ns1.alicdn-dns.com", "")],
+        );
+        for (host, serial) in ns.iter_mut().zip(1..) {
+            host.soa = Some(table.authority(&Soa::standard(
+                dn("ns1.alibabadns.com"),
+                dn("hostmaster.alibabadns.com"),
+                serial,
+            )));
+        }
         // The two hosts sit under different registrable domains, so a
         // TLD-only grouping would split the one operator into two and
         // count the site as redundant.
-        assert_ne!(
-            psl.registrable_domain(&o.ns_hosts[0]),
-            psl.registrable_domain(&o.ns_hosts[1])
-        );
-        let m = classify(&o, None, &no_conc);
+        assert_ne!(ns[0].domain, ns[1].domain);
+        let site = dn("example.com");
+        let obs = DnsObservation {
+            site_soa: soa(&mut table, "example.com"),
+            ns: &ns,
+        };
+        let domains = SiteDomains::new(&site, None, &mut table);
+        let m = classify_site(&site, obs, &domains, &no_conc, 50, &table, &mut |_, _| {});
         assert_eq!(m.groups.len(), 1, "same MNAME must merge");
         assert_eq!(m.state, Some(DepState::SingleThird));
         assert_eq!(m.groups[0].key.as_str(), "alibabadns.com");
@@ -334,30 +404,22 @@ mod tests {
 
     #[test]
     fn private_plus_third_is_redundant() {
-        let o = obs(
-            "example.com",
-            &[
-                ("ns1.example.com", "example.com"),
-                ("ns1.dynect.net", "dynect.net"),
-            ],
-            "example.com",
-        );
-        let m = classify(&o, None, &no_conc);
+        let ns = [
+            ("ns1.example.com", "example.com"),
+            ("ns1.dynect.net", "dynect.net"),
+        ];
+        let m = classify("example.com", &ns, "example.com", None, &no_conc);
         assert_eq!(m.state, Some(DepState::PrivatePlusThird));
     }
 
     #[test]
     fn san_rescues_alias_ns() {
-        let o = obs(
-            "ytube.com",
-            &[
-                ("ns1.googol.com", "googol.com"),
-                ("ns2.googol.com", "googol.com"),
-            ],
-            "googol.com",
-        );
+        let ns = [
+            ("ns1.googol.com", "googol.com"),
+            ("ns2.googol.com", "googol.com"),
+        ];
         let san = vec![dn("ytube.com"), dn("*.googol.com")];
-        let m = classify(&o, Some(&san), &no_conc);
+        let m = classify("ytube.com", &ns, "googol.com", Some(&san), &no_conc);
         assert_eq!(
             m.state,
             Some(DepState::Private),
@@ -368,14 +430,21 @@ mod tests {
     #[test]
     fn concentration_counts_sites_not_pairs() {
         let psl = PublicSuffixList::builtin();
-        let o1 = obs(
-            "a.com",
+        let mut table = DomainTable::new(&psl);
+        let mut observations = DnsObservations::with_capacity(3);
+        let a = hosts(
+            &mut table,
             &[("ns1.big.net", "big.net"), ("ns2.big.net", "big.net")],
-            "a.com",
         );
-        let o2 = obs("b.com", &[("ns1.big.net", "big.net")], "b.com");
-        let counts = ns_concentration(&[Some(o1), Some(o2), None], &psl);
-        assert_eq!(counts[&dn("big.net")], 2, "two sites, not three pairs");
+        let a_soa = soa(&mut table, "a.com");
+        observations.push(a_soa, a);
+        let b = hosts(&mut table, &[("ns1.big.net", "big.net")]);
+        let b_soa = soa(&mut table, "b.com");
+        observations.push(b_soa, b);
+        observations.push(None, []);
+        assert!(observations.get(2).is_none(), "no nameservers, unobserved");
+        let counts = observations.ns_concentration(&table);
+        assert_eq!(counts, vec![("big.net", 2)], "two sites, not three pairs");
     }
 
     #[test]
@@ -385,21 +454,41 @@ mod tests {
         let world = World::generate(WorldConfig::small(77));
         let listings = world.listings();
         let mut client = world.client();
-        let observations: Vec<Option<DnsObservation>> = listings
-            .iter()
-            .map(|l| observe_site(client.resolver_mut(), &l.domain))
+        let mut table = DomainTable::new(&world.psl);
+        let mut observations = DnsObservations::with_capacity(listings.len());
+        for l in &listings {
+            observations.observe(client.resolver_mut(), &l.domain, &mut table);
+        }
+        let concentration: Vec<(String, usize)> = observations
+            .ns_concentration(&table)
+            .into_iter()
+            .map(|(reg, n)| (reg.to_string(), n))
             .collect();
-        let concentration = ns_concentration(&observations, &world.psl);
+        let conc = |reg: &str| {
+            concentration
+                .iter()
+                .find(|(r, _)| r == reg)
+                .map_or(0, |&(_, n)| n)
+        };
         let threshold = world.config.concentration_threshold();
         let mut unknown_pairs = 0usize;
-        for (l, obs) in listings.iter().zip(&observations) {
-            let Some(obs) = obs else {
+        for (i, l) in listings.iter().enumerate() {
+            let Some(obs) = observations.get(i) else {
                 continue;
             };
             let report = Crawler::crawl(&mut client, &l.domain, &l.document_hosts, l.https);
             let san = report.certificate.as_ref().map(|c| &*c.san);
-            let conc = |reg: &str| concentration.get(reg).copied().unwrap_or(0);
-            let m = classify_site(obs, san, &conc, threshold, &world.psl, &mut |_, _| {});
+            table.begin_site();
+            let domains = SiteDomains::new(&l.domain, san, &mut table);
+            let m = classify_site(
+                &l.domain,
+                obs,
+                &domains,
+                &conc,
+                threshold,
+                &table,
+                &mut |_, _| {},
+            );
             let unknown = |c: Classification| c == Classification::Unknown;
             if m.pairs.iter().any(|p| unknown(p.class)) {
                 unknown_pairs += 1;

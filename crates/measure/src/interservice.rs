@@ -7,7 +7,9 @@
 //! *observed in the site measurements* — the pipeline probes exactly
 //! the providers the crawl surfaced, like the paper did.
 
-use crate::classify::{classify, provider_key, Classification, ClassifierKind, Evidence};
+use crate::classify::{
+    classify, Classification, ClassifierKind, DomainTable, Evidence, SiteDomains,
+};
 use crate::dataset::ProviderKey;
 use crate::dns;
 use std::collections::HashMap;
@@ -76,19 +78,30 @@ pub fn zone_apex_of(resolver: &mut Resolver<'_>, host: &DomainName) -> Option<Do
 }
 
 /// Measures one provider's DNS dependency: its zone apex observed like
-/// a site ([`dns::observe_site`]), then the standard combined
-/// classification and entity grouping.
+/// a site ([`dns::DnsObservations::observe`]), then the standard
+/// combined classification and entity grouping. `concentration` maps a
+/// nameserver registrable domain to the sites it serves.
 pub fn measure_dns_dep(
     resolver: &mut Resolver<'_>,
     rep_host: &DomainName,
-    concentration: &HashMap<DomainName, usize>,
+    concentration: &dyn Fn(&str) -> usize,
     threshold: usize,
-    psl: &PublicSuffixList,
+    table: &mut DomainTable<'_>,
 ) -> Option<InterServiceDep> {
     let apex = zone_apex_of(resolver, rep_host)?;
-    let obs = dns::observe_site(resolver, &apex)?;
-    let conc = |reg: &str| concentration.get(reg).copied().unwrap_or(0);
-    let m = dns::classify_site(&obs, None, &conc, threshold, psl, &mut |_, _| {});
+    let mut observed = dns::DnsObservations::with_capacity(1);
+    observed.observe(resolver, &apex, table);
+    let obs = observed.get(0)?;
+    let domains = SiteDomains::new(&apex, None, table);
+    let m = dns::classify_site(
+        &apex,
+        obs,
+        &domains,
+        concentration,
+        threshold,
+        table,
+        &mut |_, _| {},
+    );
     let providers = m.third_parties().cloned().collect();
     InterServiceDep::from_dns_state(m.state, providers)
 }
@@ -100,9 +113,14 @@ pub fn measure_cdn_dep(
     ca_domain: &DomainName,
     responder_hosts: &[DomainName],
     cname_map: &CnameToCdnMap,
-    psl: &PublicSuffixList,
+    table: &mut DomainTable<'_>,
 ) -> Option<InterServiceDep> {
-    let site_soa = Dig::new(resolver).soa_of(ca_domain).ok();
+    table.begin_site();
+    let site_soa = Dig::new(resolver)
+        .soa_of(ca_domain)
+        .ok()
+        .map(|soa| table.authority(&soa));
+    let domains = SiteDomains::new(ca_domain, None, table);
     let mut third: Vec<ProviderKey> = Vec::new();
     let mut private = 0usize;
     let mut any = false;
@@ -114,18 +132,23 @@ pub fn measure_cdn_dep(
             continue;
         };
         any = true;
-        let witness_soa = Dig::new(resolver).soa_of(witness).ok();
+        let witness_soa = Dig::new(resolver)
+            .soa_of(witness)
+            .ok()
+            .map(|soa| table.authority(&soa));
         let ev = Evidence {
             site: ca_domain,
             candidate: witness,
-            san: None,
-            site_soa: site_soa.as_ref(),
-            candidate_soa: witness_soa.as_ref(),
+            domains: &domains,
+            candidate_domain: table.registrable(witness),
+            site_soa,
+            candidate_soa: witness_soa,
             concentration: None,
             threshold: usize::MAX,
         };
-        let key = provider_key(suffix, psl);
-        match classify(ClassifierKind::Combined, &ev, psl) {
+        let suffix_domain = table.registrable(suffix);
+        let key = table.key(suffix_domain, suffix);
+        match classify(ClassifierKind::Combined, &ev) {
             Classification::ThirdParty => {
                 if !third.contains(&key) {
                     third.push(key);
@@ -148,22 +171,24 @@ pub fn measure_cdn_dep(
 }
 
 /// Probes every observed provider. `cdn_reps` maps CDN keys to a
-/// witness edge host; `ca_reps` maps CA keys to (responder hosts).
+/// witness edge host; `ca_reps` maps CA keys to (responder hosts);
+/// `concentration` is the nameserver tally of [`measure_dns_dep`].
 pub fn measure_providers(
     resolver: &mut Resolver<'_>,
     cdn_reps: &HashMap<ProviderKey, (DomainName, usize)>,
     ca_reps: &HashMap<ProviderKey, (Vec<DomainName>, usize)>,
     dns_direct: &HashMap<ProviderKey, usize>,
-    concentration: &HashMap<DomainName, usize>,
+    concentration: &dyn Fn(&str) -> usize,
     threshold: usize,
     cname_map: &CnameToCdnMap,
     psl: &PublicSuffixList,
 ) -> Vec<ProviderMeasurement> {
+    let mut table = DomainTable::new(psl);
     let mut out = Vec::new();
     let mut cdns: Vec<_> = cdn_reps.iter().collect();
     cdns.sort_by(|a, b| a.0.cmp(b.0));
     for (key, (witness, count)) in cdns {
-        let dns_dep = measure_dns_dep(resolver, witness, concentration, threshold, psl);
+        let dns_dep = measure_dns_dep(resolver, witness, concentration, threshold, &mut table);
         out.push(ProviderMeasurement {
             key: key.clone(),
             kind: ServiceKind::Cdn,
@@ -186,10 +211,13 @@ pub fn measure_providers(
         else {
             continue;
         };
-        let ca_domain = zone_apex_of(resolver, &rep)
-            .unwrap_or_else(|| psl.registrable_domain(&rep).unwrap_or_else(|| rep.clone()));
-        let dns_dep = measure_dns_dep(resolver, &rep, concentration, threshold, psl);
-        let cdn_dep = measure_cdn_dep(resolver, &ca_domain, responders, cname_map, psl);
+        let ca_domain = zone_apex_of(resolver, &rep).unwrap_or_else(|| {
+            table.begin_site();
+            let reg = table.registrable(&rep);
+            rep.suffix(table.key_text(reg, &rep).split('.').count())
+        });
+        let dns_dep = measure_dns_dep(resolver, &rep, concentration, threshold, &mut table);
+        let cdn_dep = measure_cdn_dep(resolver, &ca_domain, responders, cname_map, &mut table);
         out.push(ProviderMeasurement {
             key: key.clone(),
             kind: ServiceKind::Ca,
@@ -241,10 +269,10 @@ mod tests {
         // DigiCert's zone SOA is DNSMadeEasy-managed, so the combined
         // heuristic needs the concentration rule — as it does for any
         // provider-managed zone.
-        let mut conc = HashMap::new();
-        conc.insert(webdeps_model::name::dn("dnsmadeeasy.com"), 100);
+        let conc = |reg: &str| if reg == "dnsmadeeasy.com" { 100 } else { 0 };
         let rep = webdeps_model::name::dn("ocsp.digicert.com");
-        let dep = measure_dns_dep(&mut resolver, &rep, &conc, 5, &world.psl)
+        let mut table = DomainTable::new(&world.psl);
+        let dep = measure_dns_dep(&mut resolver, &rep, &conc, 5, &mut table)
             .expect("DigiCert zone is characterizable");
         assert!(dep.uses_third && dep.critical, "dep: {dep:?}");
         assert_eq!(dep.providers[0].as_str(), "dnsmadeeasy.com");
@@ -261,7 +289,7 @@ mod tests {
             &ca_domain,
             &responders,
             &world.cname_map,
-            &world.psl,
+            &mut DomainTable::new(&world.psl),
         )
         .expect("DigiCert responders ride a CDN");
         assert!(dep.uses_third && dep.critical);
@@ -272,10 +300,10 @@ mod tests {
     fn private_dns_cdn_measured_as_private() {
         let world = World::generate(WorldConfig::small(61));
         let mut resolver = world.resolver();
-        let conc = HashMap::new();
+        let mut table = DomainTable::new(&world.psl);
         // Akamai runs its own DNS.
         let rep = webdeps_model::name::dn("e1.akamaiedge.net");
-        let dep = measure_dns_dep(&mut resolver, &rep, &conc, 5, &world.psl)
+        let dep = measure_dns_dep(&mut resolver, &rep, &|_| 0, 5, &mut table)
             .expect("Akamai zone is characterizable");
         assert!(!dep.uses_third, "dep: {dep:?}");
         // Akamai's responderless zone has no CDN dependency.
@@ -286,7 +314,7 @@ mod tests {
             &ca_domain,
             &responders,
             &world.cname_map,
-            &world.psl,
+            &mut DomainTable::new(&world.psl),
         );
         assert!(dep.is_none(), "Amazon Trust serves responders directly");
     }
@@ -295,9 +323,9 @@ mod tests {
     fn fastly_redundant_dyn_dependency() {
         let world = World::generate(WorldConfig::small(61));
         let mut resolver = world.resolver();
-        let conc = HashMap::new();
+        let mut table = DomainTable::new(&world.psl);
         let rep = webdeps_model::name::dn("cust-x.fastly.net");
-        let dep = measure_dns_dep(&mut resolver, &rep, &conc, 5, &world.psl)
+        let dep = measure_dns_dep(&mut resolver, &rep, &|_| 0, 5, &mut table)
             .expect("Fastly zone is characterizable");
         assert!(dep.uses_third, "Fastly uses Dyn");
         assert!(

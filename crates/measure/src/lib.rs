@@ -45,7 +45,9 @@ pub mod validation;
 
 pub use classify::{Classification, ClassifierKind, Evidence};
 pub use columnar::{MeasurementDataset, SiteView};
-pub use dataset::{ProviderKey, SiteCaMeasurement, SiteCdnMeasurement, SiteDnsMeasurement};
+pub use dataset::{
+    DetectedCdn, ProviderKey, SiteCaMeasurement, SiteCdnMeasurement, SiteDnsMeasurement,
+};
 pub use interservice::{InterServiceDep, ProviderMeasurement};
 pub use pipeline::measure_world;
 pub use summary::{summarize, summarize_pair, ComparisonSummary, DatasetSummary};

@@ -4,18 +4,22 @@
 //! CA → CDN → inter-service, and assembles a [`MeasurementDataset`] —
 //! the one dataset every report, audit, graph and the daemon read.
 //! The pipeline reads only the world's *wire surfaces* (DNS network,
-//! web plane, PKI, CNAME-to-CDN map, public-suffix list, site list);
-//! ground truth never flows in.
+//! web plane, PKI, CNAME-to-CDN map, public-suffix list, site list —
+//! each site's listing, read as the site is measured); ground truth
+//! never flows in.
 
-use crate::classify::Evidence;
+use crate::classify::{DomainTable, Evidence, SiteDomains};
 use crate::columnar::MeasurementDataset;
 use crate::dataset::{ProviderKey, SiteCaMeasurement, SiteCdnMeasurement, SiteDnsMeasurement};
+use crate::dns::{DnsObservation, DnsObservations};
 use crate::{ca, cdn, dns, interservice};
 use std::collections::HashMap;
 use webdeps_dns::{Dig, ResolverStats};
-use webdeps_model::{effective_jobs, fan_out_chunked, timing, DomainName, ServiceKind};
+use webdeps_model::{
+    effective_jobs, fan_out_chunked, fan_out_owned, timing, DomainName, ServiceKind,
+};
 use webdeps_web::{CrawlReport, Crawler, WebClient};
-use webdeps_worldgen::{SiteListing, World};
+use webdeps_worldgen::{SiteListing, SiteTruth, World};
 
 /// Distinct-name bound on every crawl-path resolver cache.
 ///
@@ -36,35 +40,62 @@ use webdeps_worldgen::{SiteListing, World};
 /// determinism checksums and the repro output digest).
 const RESOLVER_CACHE_BOUND: usize = 1 << 12;
 
-/// Resolver work of one measurement pass: its workers' resolver
-/// statistics summed in shard order. Each worker has its own cache, so
-/// the counts depend on the worker count (and repeat exactly at a fixed
-/// one); the dataset does not.
+/// Work of one measurement pass: its workers' resolver statistics and
+/// registrable-domain questions, summed in shard order. Each worker
+/// has its own cache, so the query counts depend on the worker count
+/// (and repeat exactly at a fixed one); the dataset does not.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct PassWork {
     /// Authoritative queries sent.
     queries: u64,
     /// Lookups answered from a worker's cache.
     cache_hits: u64,
+    /// Questions asked of the public-suffix list.
+    registrable_lookups: u64,
 }
 
 impl PassWork {
-    fn add(&mut self, stats: ResolverStats) {
-        self.queries += stats.queries_sent;
-        self.cache_hits += stats.cache_hits;
+    fn new(stats: ResolverStats, registrable_lookups: u64) -> Self {
+        PassWork {
+            queries: stats.queries_sent,
+            cache_hits: stats.cache_hits,
+            registrable_lookups,
+        }
     }
 
     /// Reports the pass to the observe-only timing sink under
-    /// `<phase>/queries` and `<phase>/cache_hits`.
-    fn add_to_timing(self, queries: &'static str, cache_hits: &'static str) {
+    /// `<pass>/queries`, `<pass>/cache_hits` and
+    /// `<pass>/registrable_lookups`, labels given in that order.
+    fn add_to_timing(self, labels: [&'static str; 3]) {
+        let [queries, cache_hits, lookups] = labels;
         timing::add_count(queries, self.queries);
         timing::add_count(cache_hits, self.cache_hits);
+        timing::add_count(lookups, self.registrable_lookups);
     }
+}
+
+impl std::ops::AddAssign for PassWork {
+    fn add_assign(&mut self, other: PassWork) {
+        self.queries += other.queries;
+        self.cache_hits += other.cache_hits;
+        self.registrable_lookups += other.registrable_lookups;
+    }
+}
+
+/// One shard's pass-1 output: its sites' observations and the domain
+/// table their ids belong to. Pass 2 takes the shard over whole — the
+/// same sites, so it keeps extending the same table — and pass 1's
+/// work rides along for the tally.
+struct Observed<'w> {
+    sites: &'w [SiteTruth],
+    table: DomainTable<'w>,
+    dns: DnsObservations,
+    work: PassWork,
 }
 
 /// One shard's streamed output: the shard's sites as a dataset keyed by
 /// a shard-local interner, plus the provider witness/count maps the
-/// §3.4 stage needs (insertion-ordered) and the shard's resolver work.
+/// §3.4 stage needs (insertion-ordered) and the shard's pass-2 work.
 /// Shards merge in site order, so the assembled dataset is identical at
 /// any worker count.
 struct Shard {
@@ -72,7 +103,7 @@ struct Shard {
     cdn_reps: Vec<(ProviderKey, (DomainName, usize))>,
     ca_reps: Vec<(ProviderKey, (Vec<DomainName>, usize))>,
     dns_direct: Vec<(ProviderKey, usize)>,
-    work: ResolverStats,
+    work: PassWork,
 }
 
 /// One site's crawl report and its §3 classifications.
@@ -86,41 +117,60 @@ pub(crate) struct SiteMeasurement {
 /// Crawls one listing and classifies its DNS (against its pass-1
 /// observation `obs` and the nameserver `concentration` lookup), CA and
 /// CDN dependencies, passing every pair's evidence to `on_pair` where
-/// it is classified. The CA and CDN rules compare against the site SOA
-/// that `obs` already holds; it is dug here only for a site without an
-/// observation. The pipeline and validation measure a site only
-/// through here.
+/// it is classified. The site's own names are reduced once through
+/// `table`, which must hold `obs`'s ids, and every rule reads that one
+/// reduction. The CA and CDN rules compare against the site SOA
+/// authority that `obs` already holds; the SOA is dug here only for a
+/// site without an observation. The pipeline and validation measure a
+/// site only through here.
 pub(crate) fn measure_site(
     world: &World,
     client: &mut WebClient<'_>,
     listing: &SiteListing,
-    obs: Option<&dns::DnsObservation>,
+    obs: Option<DnsObservation<'_>>,
+    table: &mut DomainTable<'_>,
     concentration: &dyn Fn(&str) -> usize,
     on_pair: &mut dyn FnMut(ServiceKind, &Evidence<'_>),
 ) -> SiteMeasurement {
-    let psl = &world.psl;
     let report = Crawler::crawl(
         client,
         &listing.domain,
         &listing.document_hosts,
         listing.https,
     );
+    table.begin_site();
     let san = report.certificate.as_ref().map(|c| &*c.san);
+    let domains = SiteDomains::new(&listing.domain, san, table);
     let threshold = world.config.concentration_threshold();
     let dns = obs.map_or_else(SiteDnsMeasurement::default, |obs| {
-        dns::classify_site(obs, san, concentration, threshold, psl, on_pair)
+        dns::classify_site(
+            &listing.domain,
+            obs,
+            &domains,
+            concentration,
+            threshold,
+            table,
+            on_pair,
+        )
     });
     let resolver = client.resolver_mut();
-    let dug;
     let site_soa = match obs {
-        Some(obs) => obs.site_soa.as_ref(),
-        None => {
-            dug = Dig::new(resolver).soa_of(&listing.domain).ok();
-            dug.as_ref()
-        }
+        Some(obs) => obs.site_soa,
+        None => Dig::new(resolver)
+            .soa_of(&listing.domain)
+            .ok()
+            .map(|soa| table.authority(&soa)),
     };
-    let ca = ca::classify_site(&report, site_soa, resolver, psl, on_pair);
-    let cdn = cdn::classify_site(&report, site_soa, &world.cname_map, resolver, psl, on_pair);
+    let ca = ca::classify_site(&report, &domains, site_soa, resolver, table, on_pair);
+    let cdn = cdn::classify_site(
+        &report,
+        &domains,
+        site_soa,
+        &world.cname_map,
+        resolver,
+        table,
+        on_pair,
+    );
     SiteMeasurement {
         report,
         dns,
@@ -129,7 +179,25 @@ pub(crate) fn measure_site(
     }
 }
 
-/// Crawls and classifies one shard of listings against the pass-1
+/// Pass 1 over one shard of sites: each site's nameservers and SOA
+/// authorities, reduced through a new shard table.
+fn observe_shard<'w>(world: &'w World, sites: &'w [SiteTruth]) -> Observed<'w> {
+    let mut client = world.client();
+    client.resolver_mut().bound_cache(RESOLVER_CACHE_BOUND);
+    let mut table = DomainTable::new(&world.psl);
+    let mut dns = DnsObservations::with_capacity(sites.len());
+    for site in sites {
+        dns.observe(client.resolver_mut(), &site.domain, &mut table);
+    }
+    Observed {
+        sites,
+        work: PassWork::new(client.resolver_mut().stats(), table.lookups()),
+        table,
+        dns,
+    }
+}
+
+/// Crawls and classifies one shard of sites against its pass-1
 /// observations, appending each site to the shard's dataset as soon as
 /// it is classified. Observations are deterministic, so classifying
 /// against pass 1's instead of re-digging changes nothing, and the
@@ -138,30 +206,37 @@ pub(crate) fn measure_site(
 /// and shards merge in shard order).
 fn classify_shard(
     world: &World,
-    shard: &[(SiteListing, Option<dns::DnsObservation>)],
-    concentration: &HashMap<DomainName, usize>,
+    observed: Observed<'_>,
+    concentration: &dyn Fn(&str) -> usize,
 ) -> Shard {
-    let psl = &world.psl;
+    let Observed {
+        sites,
+        mut table,
+        dns,
+        ..
+    } = observed;
+    let pass1_lookups = table.lookups();
     let mut client = world.client();
     client.resolver_mut().bound_cache(RESOLVER_CACHE_BOUND);
     let mut out = Shard {
-        sites: MeasurementDataset::with_capacity(shard.len()),
+        sites: MeasurementDataset::with_capacity(sites.len()),
         cdn_reps: Vec::new(),
         ca_reps: Vec::new(),
         dns_direct: Vec::new(),
-        work: ResolverStats::default(),
+        work: PassWork::default(),
     };
     let mut cdn_rep_idx: HashMap<ProviderKey, usize> = HashMap::new();
     let mut ca_rep_idx: HashMap<ProviderKey, usize> = HashMap::new();
     let mut dns_direct_idx: HashMap<ProviderKey, usize> = HashMap::new();
-    let concentration = |reg: &str| concentration.get(reg).copied().unwrap_or(0);
-    for (listing, obs) in shard {
+    for (i, site) in sites.iter().enumerate() {
+        let listing = site.listing();
         let m = measure_site(
             world,
             &mut client,
-            listing,
-            obs.as_ref(),
-            &concentration,
+            &listing,
+            dns.get(i),
+            &mut table,
+            concentration,
             &mut |_, _| {},
         );
 
@@ -174,27 +249,15 @@ fn classify_shard(
                 }
             }
         }
-        // Witness host: the first chain host under each detected CDN
-        // (the hostname list is built once per site, not once per CDN).
-        let hosts = if m.cdn.cdns.is_empty() {
-            Vec::new()
-        } else {
-            m.report.hostnames()
-        };
-        for (key, _) in &m.cdn.cdns {
-            let witness = hosts
-                .iter()
-                .filter_map(|h| m.report.chain_of(h))
-                .flat_map(|chain| chain.iter())
-                .find(|c| psl.registrable_str(c) == Some(key.as_str()))
-                .cloned();
-            if let Some(w) = witness {
-                match cdn_rep_idx.get(key) {
-                    Some(&i) => out.cdn_reps[i].1 .1 += 1,
-                    None => {
-                        cdn_rep_idx.insert(key.clone(), out.cdn_reps.len());
-                        out.cdn_reps.push((key.clone(), (w, 1)));
-                    }
+        // Witness host: the chain host of the first internal resource
+        // each CDN was detected on.
+        for detected in &m.cdn.cdns {
+            match cdn_rep_idx.get(&detected.key) {
+                Some(&i) => out.cdn_reps[i].1 .1 += 1,
+                None => {
+                    cdn_rep_idx.insert(detected.key.clone(), out.cdn_reps.len());
+                    out.cdn_reps
+                        .push((detected.key.clone(), (detected.witness.clone(), 1)));
                 }
             }
         }
@@ -210,9 +273,12 @@ fn classify_shard(
         }
 
         out.sites
-            .push_classified(listing, m.report.reachable(), &m.dns, &m.cdn, &m.ca);
+            .push_classified(&listing, m.report.reachable(), &m.dns, &m.cdn, &m.ca);
     }
-    out.work = client.resolver_mut().stats();
+    out.work = PassWork::new(
+        client.resolver_mut().stats(),
+        table.lookups() - pass1_lookups,
+    );
     out
 }
 
@@ -221,13 +287,18 @@ fn classify_shard(
 /// is the world's ([`webdeps_worldgen::WorldConfig::concentration_threshold`]).
 ///
 /// Two passes over the site list, both sharded on the deterministic
-/// fan-out:
+/// fan-out over the same chunks of sites (each site's listing is read
+/// from the world as it is measured, never copied whole):
 ///
-/// 1. **Concentration pass** — DNS observation only; per-shard
-///    nameserver tallies merge by summation (order-independent).
-/// 2. **Classification pass** — crawl + classify each site *inside its
-///    shard* against the global concentration map and the pass-1
-///    observation, appending it to a shard-local dataset.
+/// 1. **Concentration pass** — DNS observation only: each shard reduces
+///    its sites' nameservers to registrable-domain ids and their SOAs
+///    to authorities in a shard-local [`DomainTable`]; the per-shard
+///    nameserver tallies count ids and merge by summation
+///    (order-independent).
+/// 2. **Classification pass** — each shard takes its pass-1 table and
+///    observations over whole, then crawls and classifies its sites
+///    against the global concentration map, appending each to a
+///    shard-local dataset.
 ///
 /// Serial assembly then concatenates the shard datasets in shard order
 /// (= site order) and runs the §3.4 inter-service stage. The dataset
@@ -236,64 +307,63 @@ fn classify_shard(
 /// count ([`webdeps_model::par::resolve_jobs`]), each worker on its own
 /// client, so the result is identical at any worker count.
 ///
-/// While [`timing`] is recording, each pass's resolver work goes to its
-/// counters (`measure/observe/queries`, `…/cache_hits`, the same under
-/// `measure/classify`) with the pass's worker count
-/// (`measure/workers`); they depend on that count, since every worker
-/// has its own cache.
+/// While [`timing`] is recording, each pass's work goes to its counters
+/// (`measure/observe/queries`, `…/cache_hits`,
+/// `…/registrable_lookups`, the same under `measure/classify`) with the
+/// pass's worker count (`measure/workers`); the resolver counts depend
+/// on that count, since every worker has its own cache.
 pub fn measure_world(world: &World) -> MeasurementDataset {
     let (ds, [observe, classify]) = measure_counted(world);
     timing::add_count("measure/workers", effective_jobs(ds.len()) as u64);
-    observe.add_to_timing("measure/observe/queries", "measure/observe/cache_hits");
-    classify.add_to_timing("measure/classify/queries", "measure/classify/cache_hits");
+    observe.add_to_timing([
+        "measure/observe/queries",
+        "measure/observe/cache_hits",
+        "measure/observe/registrable_lookups",
+    ]);
+    classify.add_to_timing([
+        "measure/classify/queries",
+        "measure/classify/cache_hits",
+        "measure/classify/registrable_lookups",
+    ]);
     ds
 }
 
-/// [`measure_world`] plus the resolver work of its observation and
+/// [`measure_world`] plus the work of its observation and
 /// classification passes.
 pub(crate) fn measure_counted(world: &World) -> (MeasurementDataset, [PassWork; 2]) {
     let psl = &world.psl;
-    let listings = world.listings();
+    let sites = &world.truth.sites;
 
     // Pass 1: observe every site and tally dataset-wide nameserver
     // concentration (each worker owns a client; tallies sum across
     // shards). Observations are kept — pass 2 classifies against them
     // instead of re-digging every site.
     let observe_scope = timing::scope("measure/observe");
-    let n_sites = listings.len();
-    let partials = fan_out_chunked(&listings, |shard| {
-        let mut client = world.client();
-        client.resolver_mut().bound_cache(RESOLVER_CACHE_BOUND);
-        let observations: Vec<Option<dns::DnsObservation>> = shard
-            .iter()
-            .map(|l| dns::observe_site(client.resolver_mut(), &l.domain))
-            .collect();
-        let counts = dns::ns_concentration(&observations, psl);
-        vec![(observations, counts, client.resolver_mut().stats())]
-    });
-    let mut concentration: HashMap<DomainName, usize> = HashMap::new();
-    let mut observations: Vec<Option<dns::DnsObservation>> = Vec::with_capacity(n_sites);
+    let observed = fan_out_chunked(sites, |shard| vec![observe_shard(world, shard)]);
+    let mut concentration: HashMap<Box<str>, usize> = HashMap::new();
     let mut observe_work = PassWork::default();
-    for (obs, partial, stats) in partials {
-        observe_work.add(stats);
-        observations.extend(obs);
-        for (host, n) in partial {
-            *concentration.entry(host).or_default() += n;
+    for shard in &observed {
+        observe_work += shard.work;
+        for (reg, n) in shard.dns.ns_concentration(&shard.table) {
+            match concentration.get_mut(reg) {
+                Some(total) => *total += n,
+                None => {
+                    concentration.insert(reg.into(), n);
+                }
+            }
         }
     }
     drop(observe_scope);
+    let concentration_of = |reg: &str| concentration.get(reg).copied().unwrap_or(0);
 
-    // Pass 2: classify in-shard, stream out columns. Listings and their
-    // pass-1 observations shard together, so chunk boundaries stay
-    // aligned with pass 1 at any worker count.
+    // Pass 2: classify in-shard, stream out columns. Each worker takes
+    // a pass-1 shard over whole, so chunk boundaries stay aligned with
+    // pass 1 at any worker count.
     let classify_scope = timing::scope("measure/classify");
-    let items: Vec<(SiteListing, Option<dns::DnsObservation>)> =
-        listings.into_iter().zip(observations).collect();
-    let shards = fan_out_chunked(&items, |shard| {
-        vec![classify_shard(world, shard, &concentration)]
+    let shards = fan_out_owned(observed, |observed| {
+        classify_shard(world, observed, &concentration_of)
     });
     drop(classify_scope);
-    drop(items);
 
     // Serial assembly in shard (= site) order.
     let assemble_scope = timing::scope("measure/assemble");
@@ -304,7 +374,7 @@ pub(crate) fn measure_counted(world: &World) -> (MeasurementDataset, [PassWork; 
     let mut dns_direct: HashMap<ProviderKey, usize> = HashMap::new();
     let mut classify_work = PassWork::default();
     for shard in shards {
-        classify_work.add(shard.work);
+        classify_work += shard.work;
         // First-witness-wins across shards in shard order — the same
         // entry a serial site walk would have recorded first.
         for (key, (witness, n)) in shard.cdn_reps {
@@ -330,7 +400,7 @@ pub(crate) fn measure_counted(world: &World) -> (MeasurementDataset, [PassWork; 
         &cdn_reps,
         &ca_reps,
         &dns_direct,
-        &concentration,
+        &concentration_of,
         world.config.concentration_threshold(),
         &world.cname_map,
         psl,
@@ -371,7 +441,10 @@ mod tests {
         assert_eq!(work, again, "same worker count, same resolver work");
         assert_eq!(first.len(), second.len());
         for pass in work {
-            assert!(pass.queries > 0 && pass.cache_hits > 0, "{pass:?}");
+            assert!(
+                pass.queries > 0 && pass.cache_hits > 0 && pass.registrable_lookups > 0,
+                "{pass:?}"
+            );
         }
     }
 

@@ -3,7 +3,8 @@
 //! The only module allowed to read the world's answer key. It samples
 //! rows of a measured dataset and measures each sampled site again
 //! through the pipeline's own per-site path: observation
-//! ([`dns::observe_site`]), crawl and the three `classify_site`s. Every
+//! ([`dns::DnsObservations::observe`]), crawl and the three
+//! `classify_site`s, reducing names through one [`DomainTable`]. Every
 //! (site, candidate) pair they classify arrives at validation's hook
 //! with the evidence the pipeline decided it on, is classified with
 //! each strategy and is scored against the
@@ -16,7 +17,7 @@
 //! reproducing the 100 / 97 / 56 (DNS), 100 / 96 / 94 (CA), and
 //! 100 / 97 / 83 (CDN) comparisons.
 
-use crate::classify::{classify, Classification, ClassifierKind, Evidence};
+use crate::classify::{classify, Classification, ClassifierKind, DomainTable, Evidence};
 use crate::columnar::MeasurementDataset;
 use crate::dns;
 use crate::pipeline::measure_site;
@@ -125,20 +126,23 @@ pub fn validate_world(
             ServiceKind::Cloud => return,
         };
         for (tally, kind) in tallies.iter_mut().zip(ClassifierKind::ALL) {
-            tally.record(classify(kind, ev, &world.psl), !same);
+            tally.record(classify(kind, ev), !same);
         }
     };
 
     let mut client = world.client();
+    let mut table = DomainTable::new(&world.psl);
     let concentration = |reg: &str| ds.ns_concentration(reg);
     for &row in &rows {
         let listing = world.site(ds.site(row).id()).listing();
-        let obs = dns::observe_site(client.resolver_mut(), &listing.domain);
+        let mut observed = dns::DnsObservations::with_capacity(1);
+        observed.observe(client.resolver_mut(), &listing.domain, &mut table);
         measure_site(
             world,
             &mut client,
             &listing,
-            obs.as_ref(),
+            observed.get(0),
+            &mut table,
             &concentration,
             &mut score,
         );

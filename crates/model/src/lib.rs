@@ -35,8 +35,8 @@ pub use intern::{Interner, NameId};
 pub use name::DomainName;
 pub use name_table::NameTable;
 pub use par::{
-    effective_jobs, fan_out, fan_out_chunked, resolve_jobs, PoolBusy, PoolProbe, WorkerPool,
-    MAX_AUTO_JOBS,
+    effective_jobs, fan_out, fan_out_chunked, fan_out_owned, resolve_jobs, PoolBusy, PoolProbe,
+    WorkerPool, MAX_AUTO_JOBS,
 };
 pub use psl::PublicSuffixList;
 pub use rank::{Rank, RankBucket};

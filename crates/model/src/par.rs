@@ -69,8 +69,9 @@ pub fn effective_jobs(nitems: usize) -> usize {
 /// returned vectors in chunk order.
 ///
 /// `f` sees each chunk exactly once and may return any number of
-/// results per chunk; per-item mappings should return one result per
-/// item (or use [`fan_out`]), per-chunk aggregations a single element.
+/// results per chunk, which may borrow from the chunk; per-item
+/// mappings should return one result per item (or use [`fan_out`]),
+/// per-chunk aggregations a single element.
 /// With one effective worker `f` runs on the calling thread over the
 /// whole slice — the serial path is literally the parallel path with
 /// one chunk, so the two cannot diverge.
@@ -80,36 +81,40 @@ pub fn effective_jobs(nitems: usize) -> usize {
 /// workers panic, the payload of the *first chunk in input order* is the
 /// one re-raised — so the surfaced error is deterministic at any worker
 /// count (the serial path would have hit that item first, too).
-pub fn fan_out_chunked<T, R, F>(items: &[T], f: F) -> Vec<R>
+pub fn fan_out_chunked<'a, T, R, F>(items: &'a [T], f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
-    F: Fn(&[T]) -> Vec<R> + Sync,
+    F: Fn(&'a [T]) -> Vec<R> + Sync,
 {
     chunked_across(effective_jobs(items.len()), items, f)
 }
 
 /// [`fan_out_chunked`] at a fixed worker count (clamped to one per
 /// item), kept apart so this module's tests can pin the count.
-fn chunked_across<T, R, F>(jobs: usize, items: &[T], f: F) -> Vec<R>
+fn chunked_across<'a, T, R, F>(jobs: usize, items: &'a [T], f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
-    F: Fn(&[T]) -> Vec<R> + Sync,
+    F: Fn(&'a [T]) -> Vec<R> + Sync,
 {
     let jobs = jobs.min(items.len());
     if jobs <= 1 {
         return f(items);
     }
-    let chunk = items.len().div_ceil(jobs);
+    run_parts(items.chunks(items.len().div_ceil(jobs)), &f)
+}
+
+/// Runs `f` on each part on its own scoped thread and concatenates the
+/// returned vectors in part order.
+fn run_parts<P, R, F>(parts: impl Iterator<Item = P>, f: &F) -> Vec<R>
+where
+    P: Send,
+    R: Send,
+    F: Fn(P) -> Vec<R> + Sync,
+{
     thread::scope(|s| {
-        let handles: Vec<_> = items
-            .chunks(chunk)
-            .map(|part| {
-                let fr = &f;
-                s.spawn(move || fr(part))
-            })
-            .collect();
+        let handles: Vec<_> = parts.map(|part| s.spawn(move || f(part))).collect();
         let mut parts = Vec::with_capacity(handles.len());
         let mut panicked = None;
         for h in handles {
@@ -148,6 +153,38 @@ where
     F: Fn(&T) -> R + Sync,
 {
     fan_out_chunked(items, |part| part.iter().map(&f).collect())
+}
+
+/// [`fan_out`] over owned items: each worker takes its contiguous chunk
+/// of `items` by value, so `f` may consume what it is handed (a shard's
+/// state from an earlier fan-out over the same chunks, say). Results
+/// come back in input order, with the same chunking and panic contract
+/// as [`fan_out_chunked`].
+pub fn fan_out_owned<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    F: Fn(T) -> R + Sync,
+{
+    owned_across(effective_jobs(items.len()), items, f)
+}
+
+/// [`fan_out_owned`] at a fixed worker count, for this module's tests.
+fn owned_across<T, R, F>(jobs: usize, items: Vec<T>, f: F) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    F: Fn(T) -> R + Sync,
+{
+    let jobs = jobs.min(items.len());
+    if jobs <= 1 {
+        return items.into_iter().map(f).collect();
+    }
+    let chunk = items.len().div_ceil(jobs);
+    let mut rest = items.into_iter();
+    let parts = std::iter::from_fn(|| Some(rest.by_ref().take(chunk).collect::<Vec<T>>()))
+        .take_while(|part| !part.is_empty());
+    run_parts(parts, &|part: Vec<T>| part.into_iter().map(&f).collect())
 }
 
 // ---- resident worker pool ----
@@ -434,6 +471,20 @@ mod tests {
             );
         }
         assert_eq!(fan_out(&items, |x| x * 3 + 1), expect, "resolved count");
+    }
+
+    #[test]
+    fn owned_fan_out_matches_serial_map_at_any_job_count() {
+        let items: Vec<u64> = (0..103).collect();
+        let serial: Vec<u64> = items.iter().map(|x| x * 3 + 1).collect();
+        for jobs in [1, 2, 3, 8, 103, 500] {
+            assert_eq!(
+                owned_across(jobs, items.clone(), |x| x * 3 + 1),
+                serial,
+                "jobs={jobs}"
+            );
+        }
+        assert!(owned_across(4, Vec::<u64>::new(), |x| x).is_empty());
     }
 
     #[test]

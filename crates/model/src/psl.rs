@@ -17,17 +17,22 @@ const RULE: u8 = 1;
 const WILDCARD: u8 = 2;
 /// An exception rule, e.g. `www.ck` for `!www.ck`.
 const EXCEPTION: u8 = 4;
+/// A proper suffix of a longer entry, e.g. `uk` for `co.uk`: a walk
+/// that reaches an entry without it can match nothing deeper.
+const INNER: u8 = 8;
 
 /// Rule set with public-suffix semantics, compiled into one suffix
 /// table.
 ///
 /// Every rule, wildcard base and exception is an entry carrying its
-/// kinds as flags, and so is every suffix of one (with no flag when it
-/// is not a rule itself), so a lookup walks a name's suffixes from the
-/// right and stops at the first the table lacks: at most three
-/// lookups for the built-in snapshot, whose deepest entries have two
-/// labels. The table is indexed by the shared FNV-1a [`NameTable`] and
-/// nothing is allocated per lookup.
+/// kinds as flags, and so is every suffix of one (with no rule flag
+/// when it is not a rule itself; `INNER` marks the entries that are a
+/// proper suffix of a longer one). A lookup walks a name's suffixes
+/// from the right once, and stops at the first the table lacks or at
+/// an entry nothing longer extends: at most two probes for the
+/// built-in snapshot, whose deepest entries have two labels. The
+/// table is indexed by the shared FNV-1a [`NameTable`] and nothing is
+/// allocated per lookup.
 ///
 /// ```
 /// use webdeps_model::{DomainName, PublicSuffixList};
@@ -63,15 +68,20 @@ pub const BUILTIN_WILDCARDS: &[&str] = &["ck", "bd"];
 /// though a wildcard rule would otherwise make them suffixes.
 pub const BUILTIN_EXCEPTIONS: &[&str] = &["www.ck"];
 
+/// Byte offset at which the suffix of `s` one label longer than the
+/// one starting at `start` begins, or `None` when `start` is 0. From
+/// `s.len()` (the empty suffix) it gives the last label's start.
+fn label_before(s: &str, start: usize) -> Option<usize> {
+    (start > 0).then(|| s[..start - 1].rfind('.').map_or(0, |dot| dot + 1))
+}
+
 /// Byte offsets at which `s`'s suffixes start, shortest first: for
 /// `a.co.uk`, those of `uk`, `co.uk` and `a.co.uk`.
 fn suffix_starts(s: &str) -> impl Iterator<Item = usize> + '_ {
     let mut start = s.len();
     std::iter::from_fn(move || {
-        (start > 0).then(|| {
-            start = s[..start - 1].rfind('.').map_or(0, |dot| dot + 1);
-            start
-        })
+        start = label_before(s, start)?;
+        Some(start)
     })
 }
 
@@ -101,49 +111,13 @@ impl PublicSuffixList {
                             entries.len() - 1
                         }
                     };
-                    if start == 0 {
-                        entries[id].1 |= flag;
-                    }
+                    entries[id].1 |= if start == 0 { flag } else { INNER };
                 }
             }
         }
         PublicSuffixList {
             entries: entries.into_boxed_slice(),
             index,
-        }
-    }
-
-    /// Length in labels of the public suffix of `name`: an exception
-    /// wins (its name is registrable, so the suffix is one label
-    /// shorter), then the longest rule, where a wildcard matches one
-    /// label deeper than its base; with no match the prevailing rule is
-    /// `*`, the last label.
-    fn suffix_label_count(&self, name: &DomainName) -> usize {
-        let s = name.as_str();
-        let (mut best, mut exception) = (0, 0);
-        for (depth, start) in suffix_starts(s).enumerate() {
-            let labels = depth + 1;
-            let Some(id) = self
-                .index
-                .get(&s[start..], |id| &self.entries[id as usize].0)
-            else {
-                break;
-            };
-            let flags = self.entries[id as usize].1;
-            if flags & EXCEPTION != 0 {
-                exception = labels;
-            }
-            if flags & RULE != 0 {
-                best = best.max(labels);
-            }
-            if flags & WILDCARD != 0 && start > 0 {
-                best = best.max(labels + 1);
-            }
-        }
-        match (exception, best) {
-            (0, 0) => 1,
-            (0, best) => best,
-            (exception, _) => exception - 1,
         }
     }
 
@@ -159,9 +133,43 @@ impl PublicSuffixList {
     /// Borrowed variant of [`Self::registrable_domain`] for hot paths
     /// that only compare or hash the result: the registrable domain is
     /// always a suffix slice of the (normalized) input name.
+    ///
+    /// One walk from the right: each matching entry re-anchors the
+    /// answer (an exception is itself registrable; a rule's registrable
+    /// domain is one label longer, a wildcard's two), deeper matches
+    /// win, and once an exception has matched only a deeper exception
+    /// moves it. With no match the prevailing rule is `*`, so the
+    /// answer is the last two labels.
     pub fn registrable_str<'a>(&self, name: &'a DomainName) -> Option<&'a str> {
         let s = name.as_str();
-        let start = suffix_starts(s).nth(self.suffix_label_count(name))?;
+        // (start of the matched suffix, labels the answer adds to it)
+        let mut anchor = (s.len(), 2);
+        let mut exception = false;
+        let mut start = s.len();
+        while let Some(next) = label_before(s, start) {
+            start = next;
+            let Some(id) = self
+                .index
+                .get(&s[start..], |id| &self.entries[id as usize].0)
+            else {
+                break;
+            };
+            let flags = self.entries[id as usize].1;
+            if flags & EXCEPTION != 0 {
+                (anchor, exception) = ((start, 0), true);
+            } else if !exception && flags & WILDCARD != 0 && start > 0 {
+                anchor = (start, 2);
+            } else if !exception && flags & RULE != 0 {
+                anchor = (start, 1);
+            }
+            if flags & INNER == 0 {
+                break;
+            }
+        }
+        let (mut start, extra) = anchor;
+        for _ in 0..extra {
+            start = label_before(s, start)?;
+        }
         Some(&s[start..])
     }
 
@@ -274,6 +282,13 @@ mod tests {
                     "{part} of {suffix} missing"
                 );
             }
+        }
+        for (suffix, flags) in psl.entries.iter() {
+            let extended = psl
+                .entries
+                .iter()
+                .any(|(longer, _)| longer.ends_with(&format!(".{suffix}")));
+            assert_eq!(flags & INNER != 0, extended, "{suffix}");
         }
         let flagged = |flag: u8| psl.entries.iter().filter(|e| e.1 & flag != 0).count();
         assert_eq!(flagged(RULE), BUILTIN_RULES.len());

@@ -106,7 +106,8 @@ echo "== per-phase, resolver-work, DNS-store, web-plane and measurement-peak met
 # The measure_world target must report where generate+measure time goes
 # (timing::scope instrumentation drained through record_metric), how
 # much resolver work each measurement pass does (with the worker count
-# it depends on), how many bytes per site the world's DNS store and web
+# it depends on) and how many registrable-domain questions it asks of
+# the public-suffix list, how many bytes per site the world's DNS store and web
 # plane hold, and measurement's transient heap peak; a missing metric
 # means the observability layer regressed. The B/site arena, core, DNS,
 # web and measurement-peak budget asserts run inside the bench binary
@@ -114,6 +115,7 @@ echo "== per-phase, resolver-work, DNS-store, web-plane and measurement-peak met
 for phase in gen/plan gen/sites measure/observe measure/classify measure/assemble measure/interservice \
     measure/workers measure/observe/queries_per_site measure/observe/cache_hit_ratio \
     measure/classify/queries_per_site measure/classify/cache_hit_ratio \
+    measure/observe/registrable_lookups_per_site measure/classify/registrable_lookups_per_site \
     dns_bytes_per_site web_bytes_per_site measure_peak_bytes_per_site; do
     if ! grep -q "\"name\":\"$phase\"" target/BENCH_measure_world.json; then
         echo "error: metric '$phase' missing from BENCH_measure_world.json" >&2

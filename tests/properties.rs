@@ -12,7 +12,7 @@ use webdeps::core::{
 use webdeps::dns::Soa;
 use webdeps::dns::{SimTime, Ttl};
 use webdeps::measure::classify::{
-    classify, provider_key, Classification, ClassifierKind, Evidence,
+    classify, Classification, ClassifierKind, DomainTable, Evidence, SiteDomains,
 };
 use webdeps::measure::ProviderKey;
 use webdeps::model::name::dn;
@@ -676,9 +676,10 @@ fn compiled_psl_matches_rule_set_walk() {
     });
 }
 
-/// `classify` never panics on generated hostnames, SAN lists (wildcard
-/// entries included) and SOAs, and its TLD-only answer and provider
-/// keys follow the PSL.
+/// `classify` never panics on evidence reduced from generated
+/// hostnames, SAN lists (wildcard entries included) and SOA
+/// authorities, its TLD-only answer follows the PSL, and provider keys
+/// are the registrable domain or the name itself.
 #[test]
 fn classify_never_panics_on_generated_evidence() {
     let psl = PublicSuffixList::builtin();
@@ -708,25 +709,32 @@ fn classify_never_panics_on_generated_evidence() {
                 .collect();
             let site_soa = Soa::standard(host_name(&tails, mname), host_name(&tails, rname), 1);
             let candidate_soa = Soa::standard(candidate.clone(), site.clone(), 1);
-            let ev = Evidence {
-                site: &site,
-                candidate: &candidate,
-                san: (!san.is_empty()).then_some(san.as_slice()),
-                site_soa: Some(&site_soa),
-                candidate_soa: Some(&candidate_soa),
-                concentration: Some(*concentration),
-                threshold: 50,
-            };
             let outcome = catch_unwind(AssertUnwindSafe(|| {
+                let mut table = DomainTable::new(&psl);
+                let san = (!san.is_empty()).then_some(san.as_slice());
+                let domains = SiteDomains::new(&site, san, &mut table);
+                let candidate_domain = table.registrable(&candidate);
+                let ev = Evidence {
+                    site: &site,
+                    candidate: &candidate,
+                    domains: &domains,
+                    candidate_domain,
+                    site_soa: Some(table.authority(&site_soa)),
+                    candidate_soa: Some(table.authority(&candidate_soa)),
+                    concentration: Some(*concentration),
+                    threshold: 50,
+                };
                 for kind in ClassifierKind::ALL {
-                    classify(kind, &ev, &psl);
+                    classify(kind, &ev);
                 }
-                provider_key(&candidate, &psl)
+                let tld_only = classify(ClassifierKind::TldOnly, &ev);
+                (tld_only, table.key(candidate_domain, &candidate))
             }));
-            let Ok(key) = outcome else {
-                return Err(format!("classify panicked on {ev:?}"));
+            let Ok((tld_only, key)) = outcome else {
+                return Err(format!(
+                    "classify panicked on {site} / {candidate} / {san:?} / {site_soa:?}"
+                ));
             };
-            let tld_only = classify(ClassifierKind::TldOnly, &ev, &psl);
             tk_assert_eq!(
                 tld_only == Classification::Private,
                 psl.same_registrable_domain(&site, &candidate)

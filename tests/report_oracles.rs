@@ -2,25 +2,28 @@
 //! against their oracles.
 //!
 //! Validation reads the dataset's pass-1 nameserver tallies and
-//! observes only its sample; the oracle re-observes every listed site
-//! on one client and recounts with `dns::ns_concentration`, as
-//! validation once did, and classifies with the uncached rules below.
-//! The coverage curve walks one CSR list of consumer rows; the oracle
+//! observes only its sample; the oracle re-digs every listed site on
+//! one client, recounts the nameserver registrable domains itself, as
+//! validation once did, and classifies with the rules below. The
+//! coverage curve walks one CSR list of consumer rows; the oracle
 //! builds one `SiteSet` bitset per provider and unions them. The
-//! library classifies only through `measure::classify`'s free
-//! functions; `classify`, `san_covers` and `soa_same_authority` here
-//! are a separate transcription of the §3 rules against the
-//! public-suffix list, and the library must answer every question
-//! exactly as they do. Each pair must agree exactly.
+//! library classifies only through `measure::classify`, over
+//! registrable-domain ids and SOA authorities a `DomainTable` reduced;
+//! `classify`, `san_covers` and `soa_same_authority` here are a
+//! separate transcription of the §3 rules over raw names and SOAs
+//! against the public-suffix list, and the library must answer every
+//! question exactly as they do. Each pair must agree exactly.
 
 use std::collections::HashMap;
 use std::sync::OnceLock;
 use webdeps::core::{coverage_curve, CoveragePoint, SiteSet};
-use webdeps::dns::{Dig, Soa};
-use webdeps::measure::classify::{Classification, ClassifierKind, Evidence};
+use webdeps::dns::{Dig, Resolver, Soa};
+use webdeps::measure::classify::{
+    self, Classification, ClassifierKind, DomainTable, Evidence, SiteDomains,
+};
 use webdeps::measure::{
-    cdn, classify, dns, measure_world, validate_world, MeasurementDataset, ProviderKey,
-    StrategyAccuracy, ValidationReport,
+    measure_world, validate_world, MeasurementDataset, ProviderKey, StrategyAccuracy,
+    ValidationReport,
 };
 use webdeps::model::name::dn;
 use webdeps::model::{DetRng, DomainName, NameId, PublicSuffixList, ServiceKind, SiteId};
@@ -53,8 +56,21 @@ fn san_covers(san: &[DomainName], candidate: &DomainName, psl: &PublicSuffixList
     })
 }
 
+/// Wire-visible evidence about one (site, candidate) pair as the
+/// oracle reads it: raw names and SOAs.
+#[derive(Debug, Clone, Copy)]
+struct RawEvidence<'a> {
+    site: &'a DomainName,
+    candidate: &'a DomainName,
+    san: Option<&'a [DomainName]>,
+    site_soa: Option<&'a Soa>,
+    candidate_soa: Option<&'a Soa>,
+    concentration: Option<usize>,
+    threshold: usize,
+}
+
 /// The §3 strategies: the oracle for the library's `classify::classify`.
-fn classify(kind: ClassifierKind, ev: &Evidence<'_>, psl: &PublicSuffixList) -> Classification {
+fn classify(kind: ClassifierKind, ev: &RawEvidence<'_>, psl: &PublicSuffixList) -> Classification {
     match kind {
         ClassifierKind::TldOnly => {
             if psl.same_registrable_domain(ev.site, ev.candidate) {
@@ -152,19 +168,53 @@ fn datasets() -> Vec<(&'static str, &'static World, &'static MeasurementDataset)
     out
 }
 
+/// One site's raw pass-1 answers: its nameservers, its zone's SOA and
+/// each nameserver's.
+struct RawObservation {
+    ns_hosts: Vec<DomainName>,
+    site_soa: Option<Soa>,
+    ns_soas: Vec<Option<Soa>>,
+}
+
+/// `dig NS` for `site`, then the SOAs, or `None` without nameservers.
+fn raw_observation(resolver: &mut Resolver<'_>, site: &DomainName) -> Option<RawObservation> {
+    let mut dig = Dig::new(resolver);
+    let ns_hosts = dig.ns(site).ok().filter(|hosts| !hosts.is_empty())?;
+    let site_soa = dig.soa_of(site).ok();
+    let ns_soas = ns_hosts.iter().map(|h| dig.soa_of(h).ok()).collect();
+    Some(RawObservation {
+        ns_hosts,
+        site_soa,
+        ns_soas,
+    })
+}
+
 /// Pass 1 the old way: every site among the first `sites` listings
-/// observed on `client`, then counted by `dns::ns_concentration`.
+/// observed on `client`, then each nameserver registrable domain
+/// counted once per site it serves.
 fn full_observation(
     client: &mut WebClient<'_>,
     world: &World,
     sites: usize,
-) -> (Vec<Option<dns::DnsObservation>>, HashMap<DomainName, usize>) {
+) -> (Vec<Option<RawObservation>>, HashMap<DomainName, usize>) {
     let resolver = client.resolver_mut();
-    let observations: Vec<Option<dns::DnsObservation>> = world.listings()[..sites]
+    let observations: Vec<Option<RawObservation>> = world.listings()[..sites]
         .iter()
-        .map(|l| dns::observe_site(resolver, &l.domain))
+        .map(|l| raw_observation(resolver, &l.domain))
         .collect();
-    let concentration = dns::ns_concentration(&observations, &world.psl);
+    let mut concentration: HashMap<DomainName, usize> = HashMap::new();
+    for obs in observations.iter().flatten() {
+        let mut regs: Vec<DomainName> = obs
+            .ns_hosts
+            .iter()
+            .filter_map(|h| world.psl.registrable_domain(h))
+            .collect();
+        regs.sort();
+        regs.dedup();
+        for reg in regs {
+            *concentration.entry(reg).or_default() += 1;
+        }
+    }
     (observations, concentration)
 }
 
@@ -213,7 +263,7 @@ impl Tally {
 fn score(
     tallies: &mut [Tally],
     world: &World,
-    ev: &Evidence<'_>,
+    ev: &RawEvidence<'_>,
     site: &DomainName,
     candidate: &DomainName,
 ) {
@@ -255,7 +305,7 @@ fn oracle_validation(
                     .registrable_domain(host)
                     .and_then(|r| concentration.get(&r).copied())
                     .unwrap_or(0);
-                let ev = Evidence {
+                let ev = RawEvidence {
                     site,
                     candidate: host,
                     san: san.as_deref(),
@@ -276,7 +326,7 @@ fn oracle_validation(
                 let resolver = client.resolver_mut();
                 let site_soa = Dig::new(resolver).soa_of(site).ok();
                 let ca_soa = Dig::new(resolver).soa_of(ca_host).ok();
-                let ev = Evidence {
+                let ev = RawEvidence {
                     site,
                     candidate: ca_host,
                     san: san.as_deref(),
@@ -305,7 +355,7 @@ fn oracle_validation(
             let resolver = client.resolver_mut();
             let site_soa = Dig::new(resolver).soa_of(site).ok();
             let witness_soa = Dig::new(resolver).soa_of(witness).ok();
-            let ev = Evidence {
+            let ev = RawEvidence {
                 site,
                 candidate: witness,
                 san: san.as_deref(),
@@ -477,72 +527,108 @@ fn cached_classify_matches_uncached() {
     .map(|s| dn(s))
     .collect();
     let sans = vec![dn("example.com"), dn("*.cdn-brand.net"), dn("www.ck")];
+    // Neighbours share an RNAME only (0, 1), an MNAME only (1, 2), or
+    // nothing; the last names no registrable domain at all.
     let soas = [
         soa("example.com", "hostmaster.example.com"),
+        soa("ns1.other.net", "hostmaster.example.com"),
+        soa("ns1.other.net", "hostmaster.other.net"),
         soa("ns1.dynect.net", "hostmaster.dynect.net"),
         soa("ns1.alibabadns.com", "hostmaster.alicdn-dns.com"),
+        soa("com", "co.uk"),
     ];
-    for a in &names {
+    // One table for the whole zoo: ids from one table compare.
+    let mut table = DomainTable::new(&psl);
+    let regs: Vec<_> = names.iter().map(|n| table.registrable(n)).collect();
+    let authorities: Vec<_> = soas.iter().map(|s| table.authority(s)).collect();
+    let with_san = |table: &mut DomainTable<'_>, site: &DomainName| {
+        [None, Some(sans.as_slice())].map(|san| (san, SiteDomains::new(site, san, table)))
+    };
+    for (a, &reg) in names.iter().zip(&regs) {
         assert_eq!(
-            classify::san_covers(&sans, a, &psl),
-            san_covers(&sans, a, &psl),
-            "san_covers({a})"
-        );
-        assert_eq!(
-            classify::provider_key(a, &psl).as_str(),
+            table.key(reg, a).as_str(),
             psl.registrable_str(a).unwrap_or_else(|| a.as_str()),
-            "provider_key({a})"
+            "provider key of {a}"
         );
-        for b in &names {
-            for san in [None, Some(sans.as_slice())] {
+        let reg_text = reg.map(|id| table.text(id).to_string());
+        assert_eq!(
+            reg_text,
+            psl.registrable_domain(a).map(|d| d.as_str().to_string()),
+            "registrable domain of {a}"
+        );
+        for (san, domains) in with_san(&mut table, a) {
+            assert_eq!(
+                domains.san_covers(reg),
+                san.is_some_and(|san| san_covers(san, a, &psl)),
+                "san_covers({a}, {san:?})"
+            );
+            for (b, &b_reg) in names.iter().zip(&regs) {
                 assert_eq!(
-                    cdn::is_internal(a, b, san, &psl),
+                    domains.is_internal(b_reg),
                     is_internal(a, b, san, &psl),
                     "is_internal({a}, {b}, {san:?})"
                 );
             }
         }
     }
-    for a in &soas {
-        for b in &soas {
+    for (a, &a_auth) in soas.iter().zip(&authorities) {
+        for (b, &b_auth) in soas.iter().zip(&authorities) {
             assert_eq!(
-                classify::soa_same_authority(a, b, &psl),
+                a_auth.same_as(b_auth),
                 soa_same_authority(a, b, &psl),
-                "soa_same_authority"
+                "soa_same_authority({a:?}, {b:?})"
             );
         }
     }
     for site in &names {
-        for candidate in &names {
-            for (i, site_soa) in soas.iter().enumerate() {
-                let ev = Evidence {
-                    site,
-                    candidate,
-                    san: Some(&sans),
-                    site_soa: Some(site_soa),
-                    candidate_soa: Some(&soas[(i + 1) % soas.len()]),
-                    concentration: Some(if i == 0 { 120 } else { 3 }),
-                    threshold: 50,
-                };
-                // And with the sparse-evidence variant.
-                let bare = Evidence {
-                    san: None,
-                    site_soa: None,
-                    candidate_soa: None,
-                    concentration: None,
-                    ..ev
-                };
-                for kind in ClassifierKind::ALL {
-                    assert_eq!(
-                        classify::classify(kind, &ev, &psl),
-                        classify(kind, &ev, &psl),
-                        "classify({kind:?}, {site}, {candidate})"
-                    );
-                    assert_eq!(
-                        classify::classify(kind, &bare, &psl),
-                        classify(kind, &bare, &psl),
-                        "classify bare ({kind:?}, {site}, {candidate})"
-                    );
+        for (san, domains) in with_san(&mut table, site) {
+            for (candidate, &candidate_domain) in names.iter().zip(&regs) {
+                for i in 0..soas.len() {
+                    let j = (i + 1) % soas.len();
+                    let raw = RawEvidence {
+                        site,
+                        candidate,
+                        san,
+                        site_soa: Some(&soas[i]),
+                        candidate_soa: Some(&soas[j]),
+                        concentration: Some(if i == 0 { 120 } else { 3 }),
+                        threshold: 50,
+                    };
+                    let ev = Evidence {
+                        site,
+                        candidate,
+                        domains: &domains,
+                        candidate_domain,
+                        site_soa: Some(authorities[i]),
+                        candidate_soa: Some(authorities[j]),
+                        concentration: raw.concentration,
+                        threshold: 50,
+                    };
+                    // And with the sparse-evidence variant.
+                    let raw_bare = RawEvidence {
+                        site_soa: None,
+                        candidate_soa: None,
+                        concentration: None,
+                        ..raw
+                    };
+                    let bare = Evidence {
+                        site_soa: None,
+                        candidate_soa: None,
+                        concentration: None,
+                        ..ev.clone()
+                    };
+                    for kind in ClassifierKind::ALL {
+                        assert_eq!(
+                            classify::classify(kind, &ev),
+                            classify(kind, &raw, &psl),
+                            "classify({kind:?}, {site}, {candidate}, {san:?}, SOAs {i}/{j})"
+                        );
+                        assert_eq!(
+                            classify::classify(kind, &bare),
+                            classify(kind, &raw_bare, &psl),
+                            "classify bare ({kind:?}, {site}, {candidate}, {san:?})"
+                        );
+                    }
                 }
             }
         }
